@@ -20,7 +20,12 @@ import bz2
 import time
 import zlib
 
-from repro.core.stride.fast import fast_forward_transform, fast_inverse_transform
+from repro.core.stride.fast import (
+    DEFAULT_CHUNK,
+    check_params,
+    fast_forward_transform,
+    fast_inverse_transform,
+)
 from repro.core.stride.model import StrideConfig
 from repro.core.stride.transform import forward_transform, inverse_transform
 from repro.mapreduce.codecs import Codec, register_codec
@@ -119,8 +124,12 @@ class _ExactStrideMixin:
 class _FastPredMixin:
     """Transform hooks running the vectorized block predictor."""
 
-    def __init__(self, max_stride: int = 100, chunk_size: int = 1 << 16) -> None:
+    def __init__(self, max_stride: int = 100,
+                 chunk_size: int = DEFAULT_CHUNK) -> None:
         super().__init__()
+        # a bad knob is a config error: fail here, not inside the first
+        # decompress, where it would be reported as a corrupt stream
+        check_params(max_stride, chunk_size)
         self.max_stride = max_stride
         self.chunk_size = chunk_size
 

@@ -1,6 +1,7 @@
 """Tests for codec CPU-cost attribution (cost_categories)."""
 
 from repro.mapreduce.codecs import cost_categories, get_codec
+from repro.scidata import walk_grid_int32_triples
 
 
 def test_plain_codec_reports_single_category():
@@ -35,3 +36,16 @@ def test_fastpred_codec_also_splits():
     codec.compress(bytes(range(64)) * 100)
     cats = cost_categories(codec)
     assert set(cats) == {"transform", "codec"}
+
+
+def test_fastpred_multi_chunk_stream_still_reports_both_categories():
+    # Past the first chunks the sticky stride leaves the transform little
+    # to do; the cost model still needs a nonzero term for each side.
+    codec = get_codec("fastpred+zlib")
+    data = walk_grid_int32_triples(30)  # 324,000 bytes of pitch-12 keys
+    assert len(data) > 3 * codec.chunk_size
+    assert codec.decompress(codec.compress(data)) == data
+    cats = cost_categories(codec)
+    assert set(cats) == {"transform", "codec"}
+    assert cats["transform"] > 0.0
+    assert cats["codec"] > 0.0

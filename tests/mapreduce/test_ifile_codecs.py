@@ -168,6 +168,19 @@ class TestCodecRegistry:
         with pytest.raises(ValueError):
             get_codec("bz2", level=10)
 
+    @pytest.mark.parametrize("name, options, argument", [
+        ("fastpred+zlib", {"chunk_size": 2}, "chunk_size"),
+        ("fastpred+zlib", {"max_stride": 0}, "max_stride"),
+        ("fastpred+bz2", {"max_stride": -3}, "max_stride"),
+        ("stride+zlib", {"max_stride": 0}, "max_stride"),
+    ])
+    def test_transform_codec_options_validated_at_construction(
+            self, name, options, argument):
+        # a bad knob must not survive until the first decompress, where it
+        # would be re-labelled CorruptStreamError and blamed on the data
+        with pytest.raises(ValueError, match=argument):
+            get_codec(name, **options)
+
     @settings(max_examples=20, deadline=None)
     @given(st.binary(max_size=2000), st.sampled_from(["null", "zlib", "bz2", "fastpred+zlib"]))
     def test_codec_roundtrip_property(self, data, name):
