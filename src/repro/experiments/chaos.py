@@ -131,8 +131,8 @@ def random_fault_plan(rng, map_ids: list[str], reduce_ids: list[str],
 
 
 def _format_plan(injector: FaultInjector) -> str:
-    rows = sorted(injector._plan.items())
-    return " ".join(f"{tid}.{att}:{f.mode}" for (tid, att), f in rows)
+    return " ".join(f"{tid}.{f.attempt}:{f.mode}"
+                    for tid, f in injector.planned())
 
 
 def _run_job_child(recovery_dir: str, side: int, num_map_tasks: int,

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 __all__ = ["get_scale", "scaled", "make_runner", "ExperimentResult",
-           "fmt_bytes", "pct"]
+           "fmt_bytes", "pct", "build_query_job", "RunOutcome",
+           "read_quarantine", "stable_counters"]
 
 
 def get_scale(default: float = 1.0) -> float:
@@ -119,6 +120,79 @@ def make_runner(**runner_kwargs):
         return ParallelJobRunner(**runner_kwargs)
     raise ValueError(
         f"REPRO_RUNNER must be 'serial' or 'parallel', got {name!r}")
+
+
+# ------------------------------------------------------- chaos-matrix harness
+#
+# Shared by the R3/R4/R5/R7/P3 matrices: each runs the same scenario
+# through both runners and compares the two outcomes with each other and
+# with a clean baseline.
+
+
+def build_query_job(grid, query: str, side: int, num_map_tasks: int,
+                    num_reducers: int):
+    """One of the matrices' query jobs over the harness grid."""
+    from repro.queries.histogram import HistogramQuery
+    from repro.queries.subset import BoxSubsetQuery
+    from repro.scidata.slab import Slab
+
+    var = grid.names[0]
+    if query == "subset-plain":
+        box = Slab((1, 1), (side - 2, side - 2))
+        return BoxSubsetQuery(grid, var, box).build_job(
+            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
+    if query == "subset-agg":
+        box = Slab((1, 1), (side - 2, side - 2))
+        return BoxSubsetQuery(grid, var, box).build_job(
+            "aggregate", variable_mode="index",
+            num_map_tasks=num_map_tasks, num_reducers=num_reducers)
+    if query == "histogram":
+        return HistogramQuery(grid, var, bins=16).build_job(
+            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
+    raise ValueError(f"unknown query {query!r}")
+
+
+class RunOutcome:
+    """One runner's result-or-error for a scenario, plus (for matrices
+    that collect them) the quarantine side-files the run left behind."""
+
+    def __init__(self, result, error: BaseException | None,
+                 quarantine: dict[str, str] | None = None) -> None:
+        self.result = result
+        self.error = error
+        self.quarantine = quarantine
+
+    def counter(self, name: str) -> int:
+        return self.result.counters.get(name) if self.result else 0
+
+    def overlap(self) -> int:
+        """Fetches a pipelined run overlapped with the map tail."""
+        from repro.mapreduce.metrics import C
+
+        stats = self.result.pipeline_stats if self.result else None
+        return stats.get(C.PIPELINE_OVERLAP, 0) if stats else 0
+
+    @property
+    def memory(self) -> dict:
+        return (self.result.memory_stats or {}) if self.result else {}
+
+
+def read_quarantine(path: str) -> dict[str, str]:
+    """Side-file name -> contents (deterministic bytes by design)."""
+    files: dict[str, str] = {}
+    if os.path.isdir(path):
+        for name in sorted(os.listdir(path)):
+            with open(os.path.join(path, name), encoding="utf-8") as fh:
+                files[name] = fh.read()
+    return files
+
+
+def stable_counters(result, volatile) -> dict[str, int]:
+    """Counters minus the ``volatile`` ones -- those that *measure* a
+    matrix's faults, wire or transport and so legitimately differ from
+    the clean baseline -- and minus zero entries."""
+    return {k: v for k, v in result.counters.as_dict().items()
+            if k not in volatile and v}
 
 
 def fmt_bytes(n: int | float) -> str:

@@ -41,7 +41,13 @@ from __future__ import annotations
 import os
 import time
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import (
+    ExperimentResult,
+    RunOutcome,
+    build_query_job,
+    scaled,
+    stable_counters,
+)
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import (
@@ -50,10 +56,7 @@ from repro.mapreduce.runtime import (
     ShuffleConfig,
     host_for,
 )
-from repro.queries.histogram import HistogramQuery
-from repro.queries.subset import BoxSubsetQuery
 from repro.scidata.generator import integer_grid
-from repro.scidata.slab import Slab
 from repro.util.rng import make_rng
 
 #: queries the matrix and the fuzz tail draw from
@@ -76,44 +79,10 @@ _VOLATILE = frozenset({
 })
 
 
-def _build(grid, query: str, side: int, num_map_tasks: int,
-           num_reducers: int):
-    """One query job over the harness grid."""
-    var = grid.names[0]
-    if query == "subset-plain":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "subset-agg":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "aggregate", variable_mode="index",
-            num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "histogram":
-        return HistogramQuery(grid, var, bins=16).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    raise ValueError(f"unknown query {query!r}")
-
-
-class _RunOutcome:
-    """One runner's result-or-error for a scenario."""
-
-    def __init__(self, result, error: BaseException | None) -> None:
-        self.result = result
-        self.error = error
-
-    def counter(self, name: str) -> int:
-        return self.result.counters.get(name) if self.result else 0
-
-    def overlap(self) -> int:
-        stats = self.result.pipeline_stats if self.result else None
-        return stats.get(C.PIPELINE_OVERLAP, 0) if stats else 0
-
-
 def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig | None,
              injector: FaultInjector | None, *,
              speculation: bool = False,
-             max_host_reexecs: int = 2) -> _RunOutcome:
+             max_host_reexecs: int = 2) -> RunOutcome:
     kwargs: dict = {"shuffle": shuffle, "fault_injector": injector,
                     "max_host_reexecs": max_host_reexecs}
     if runner_name == "serial":
@@ -124,9 +93,9 @@ def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig | None,
             min_straggler_seconds=0.2, retry_backoff=0.01, **kwargs)
     try:
         with runner:
-            return _RunOutcome(runner.run(job, grid), None)
+            return RunOutcome(runner.run(job, grid), None)
     except Exception as exc:
-        return _RunOutcome(None, exc)
+        return RunOutcome(None, exc)
 
 
 #: counters that *account* an injected host fault (identical between
@@ -136,16 +105,11 @@ _FAULT_ACCOUNTING = frozenset({
     C.MAPS_REEXECUTED_HOST,
     C.DISK_FAILOVERS,
 })
+#: what a faulted run is compared against the clean baseline *minus*
+_VS_BASELINE = _VOLATILE | _FAULT_ACCOUNTING
 
 
-def _stable_counters(result, *, vs_baseline: bool = False) -> dict[str, int]:
-    """Counters minus the fault-measuring ones (and zero entries)."""
-    drop = _VOLATILE | _FAULT_ACCOUNTING if vs_baseline else _VOLATILE
-    return {k: v for k, v in result.counters.as_dict().items()
-            if k not in drop and v}
-
-
-def _classify(serial: _RunOutcome, parallel: _RunOutcome, baseline, *,
+def _classify(serial: RunOutcome, parallel: RunOutcome, baseline, *,
               strict: bool = True) -> str:
     """Where a scenario landed: identical / recovered / failed / DRIFT.
 
@@ -163,19 +127,20 @@ def _classify(serial: _RunOutcome, parallel: _RunOutcome, baseline, *,
     if strict:
         if serial.result.counters != parallel.result.counters:
             return "DRIFT"
-    elif _stable_counters(serial.result) != _stable_counters(parallel.result):
+    elif (stable_counters(serial.result, _VOLATILE)
+            != stable_counters(parallel.result, _VOLATILE)):
         return "DRIFT"
     if serial.result.output != baseline.output:
         return "DRIFT"
-    if (_stable_counters(serial.result, vs_baseline=True)
-            != _stable_counters(baseline, vs_baseline=True)):
+    if (stable_counters(serial.result, _VS_BASELINE)
+            != stable_counters(baseline, _VS_BASELINE)):
         return "DRIFT"
     if serial.counter(C.HOSTS_LOST) > 0:
         return "recovered"
     return "identical"
 
 
-def _classify_single(outcome: _RunOutcome, baseline, *,
+def _classify_single(outcome: RunOutcome, baseline, *,
                      strict: bool = True) -> str:
     """One runner's scenario against the barrier baseline."""
     if outcome.error is not None:
@@ -184,8 +149,8 @@ def _classify_single(outcome: _RunOutcome, baseline, *,
         return "DRIFT"
     if strict and outcome.result.counters != baseline.counters:
         return "DRIFT"
-    if (_stable_counters(outcome.result, vs_baseline=True)
-            != _stable_counters(baseline, vs_baseline=True)):
+    if (stable_counters(outcome.result, _VS_BASELINE)
+            != stable_counters(baseline, _VS_BASELINE)):
         return "DRIFT"
     if outcome.counter(C.HOSTS_LOST) > 0:
         return "recovered"
@@ -220,7 +185,8 @@ def run(num_fuzz: int | None = None,
     def baseline(query: str, transport: str):
         key = (query, transport)
         if key not in baselines:
-            job = _build(grid, query, side, num_map_tasks, num_reducers)
+            job = build_query_job(grid, query, side, num_map_tasks,
+                                  num_reducers)
             cfg = ShuffleConfig(transport=transport)
             with LocalJobRunner(shuffle=cfg) as runner:
                 baselines[key] = runner.run(job, grid)
@@ -233,7 +199,8 @@ def run(num_fuzz: int | None = None,
     # -- clean equivalence: every query x transport, pipeline on -------
     for query in _QUERIES:
         for transport in _TRANSPORTS:
-            job = _build(grid, query, side, num_map_tasks, num_reducers)
+            job = build_query_job(grid, query, side, num_map_tasks,
+                                  num_reducers)
             cfg = pipelined_cfg(transport)
             serial = _run_one("serial", grid, job, cfg, None)
             parallel = _run_one("parallel", grid, job, cfg, None)
@@ -245,7 +212,8 @@ def run(num_fuzz: int | None = None,
 
     # -- the off switch: pipeline=False must be the barrier ------------
     for transport in _TRANSPORTS:
-        job = _build(grid, "subset-agg", side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, "subset-agg", side, num_map_tasks,
+                              num_reducers)
         cfg = ShuffleConfig(transport=transport, pipeline=False)
         serial = _run_one("serial", grid, job, cfg, None)
         parallel = _run_one("parallel", grid, job, cfg, None)
@@ -258,7 +226,8 @@ def run(num_fuzz: int | None = None,
     # The hang delays the producer without damaging anything, so no
     # refetch happens and even the fetch counters must match in full.
     for transport in _TRANSPORTS:
-        job = _build(grid, "histogram", side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, "histogram", side, num_map_tasks,
+                              num_reducers)
         straggler = f"m{num_map_tasks - 1:05d}"
         injector = FaultInjector().hang(straggler, seconds=1.0)
         outcome = _run_one("parallel", grid, job, pipelined_cfg(transport),
@@ -275,8 +244,8 @@ def run(num_fuzz: int | None = None,
     # the stable counters are compared (the volatile ones measure the
     # recovery itself and differ between runners and runs).
     for transport in _TRANSPORTS:
-        job = _build(grid, "subset-plain", side, num_map_tasks,
-                     num_reducers)
+        job = build_query_job(grid, "subset-plain", side, num_map_tasks,
+                              num_reducers)
         victim = host_for("m00000", 2)
         serial = _run_one(
             "serial", grid, job, pipelined_cfg(transport),
@@ -301,7 +270,7 @@ def run(num_fuzz: int | None = None,
         transport = _TRANSPORTS[rng.integers(0, len(_TRANSPORTS))]
         target = int(rng.integers(0, num_map_tasks))
         delay = 0.1 + 0.3 * float(rng.random())
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         injector = FaultInjector().hang(f"m{target:05d}", seconds=delay)
         outcome = _run_one("parallel", grid, job, pipelined_cfg(transport),
                            injector, speculation=True)
@@ -348,7 +317,8 @@ def run_bench(side: int | None = None, num_map_tasks: int = 8,
     if side is None:
         side = scaled(200, default_scale=0.2, minimum=40)
     grid = integer_grid((side, side), seed=23)
-    job = _build(grid, "subset-plain", side, num_map_tasks, num_reducers)
+    job = build_query_job(grid, "subset-plain", side, num_map_tasks,
+                          num_reducers)
     straggler = f"m{num_map_tasks - 1:05d}"
     workers = num_map_tasks + num_reducers
 
@@ -393,8 +363,8 @@ def run_bench(side: int | None = None, num_map_tasks: int = 8,
             seconds, mode_result = best[mode]
             stats = mode_result.pipeline_stats or {}
             identical = (mode_result.output == reference.output
-                         and _stable_counters(mode_result)
-                         == _stable_counters(reference))
+                         and stable_counters(mode_result, _VOLATILE)
+                         == stable_counters(reference, _VOLATILE))
             result.add(
                 mode=mode, transport=transport,
                 seconds=round(seconds, 3),

@@ -37,7 +37,13 @@ from __future__ import annotations
 import os
 import time
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import (
+    ExperimentResult,
+    RunOutcome,
+    build_query_job,
+    scaled,
+    stable_counters,
+)
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import (
@@ -45,10 +51,7 @@ from repro.mapreduce.runtime import (
     ParallelJobRunner,
     ShuffleConfig,
 )
-from repro.queries.histogram import HistogramQuery
-from repro.queries.subset import BoxSubsetQuery
 from repro.scidata.generator import integer_grid
-from repro.scidata.slab import Slab
 from repro.util.rng import make_rng
 
 __all__ = ["run"]
@@ -68,38 +71,8 @@ _VOLATILE = frozenset({
 })
 
 
-def _build(grid, query: str, side: int, num_map_tasks: int,
-           num_reducers: int):
-    """One query job over the harness grid."""
-    var = grid.names[0]
-    if query == "subset-plain":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "subset-agg":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "aggregate", variable_mode="index",
-            num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "histogram":
-        return HistogramQuery(grid, var, bins=16).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    raise ValueError(f"unknown query {query!r}")
-
-
-class _RunOutcome:
-    """One runner's result-or-error for a scenario."""
-
-    def __init__(self, result, error: BaseException | None) -> None:
-        self.result = result
-        self.error = error
-
-    def counter(self, name: str) -> int:
-        return self.result.counters.get(name) if self.result else 0
-
-
 def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig | None,
-             injector: FaultInjector | None) -> _RunOutcome:
+             injector: FaultInjector | None) -> RunOutcome:
     kwargs: dict = {"shuffle": shuffle, "fault_injector": injector}
     if runner_name == "serial":
         runner = LocalJobRunner(**kwargs)
@@ -109,18 +82,12 @@ def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig | None,
             **kwargs)
     try:
         with runner:
-            return _RunOutcome(runner.run(job, grid), None)
+            return RunOutcome(runner.run(job, grid), None)
     except Exception as exc:
-        return _RunOutcome(None, exc)
+        return RunOutcome(None, exc)
 
 
-def _stable_counters(result) -> dict[str, int]:
-    """Counters minus the fault-measuring ones (and zero entries)."""
-    return {k: v for k, v in result.counters.as_dict().items()
-            if k not in _VOLATILE and v}
-
-
-def _classify(serial: _RunOutcome, parallel: _RunOutcome,
+def _classify(serial: RunOutcome, parallel: RunOutcome,
               baseline) -> str:
     """Where the scenario landed: identical / reexecuted / failed / DRIFT.
 
@@ -138,7 +105,8 @@ def _classify(serial: _RunOutcome, parallel: _RunOutcome,
         return "DRIFT"
     if serial.result.output != baseline.output:
         return "DRIFT"
-    if _stable_counters(serial.result) != _stable_counters(baseline):
+    if (stable_counters(serial.result, _VOLATILE)
+            != stable_counters(baseline, _VOLATILE)):
         return "DRIFT"
     if serial.counter(C.MAPS_REEXECUTED) > 0:
         return "reexecuted"
@@ -174,13 +142,14 @@ def run(num_fuzz: int | None = None,
 
     baselines = {}
     for query in _QUERIES:
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         baselines[query] = LocalJobRunner().run(job, grid)
 
     # -- clean equivalence: queries x runners x transports ----------------
     for query in _QUERIES:
         for transport in ("direct", "channel"):
-            job = _build(grid, query, side, num_map_tasks, num_reducers)
+            job = build_query_job(grid, query, side, num_map_tasks,
+                                  num_reducers)
             shuffle = ShuffleConfig(transport=transport)
             serial = _run_one("serial", grid, job, shuffle, None)
             parallel = _run_one("parallel", grid, job, shuffle, None)
@@ -198,7 +167,7 @@ def run(num_fuzz: int | None = None,
 
     def fault_scenario(scenario: str, query: str, fault_label: str,
                        plan) -> None:
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         serial = _run_one("serial", grid, job, faulty, plan())
         parallel = _run_one("parallel", grid, job, faulty, plan())
         result.add(scenario=scenario, query=query, fault=fault_label,

@@ -39,7 +39,13 @@ from __future__ import annotations
 import os
 import time
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import (
+    ExperimentResult,
+    RunOutcome,
+    build_query_job,
+    scaled,
+    stable_counters,
+)
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import (
@@ -47,11 +53,9 @@ from repro.mapreduce.runtime import (
     ParallelJobRunner,
     ShuffleConfig,
 )
+from repro.mapreduce.runtime.ledger import MapOutputLedger
 from repro.mapreduce.runtime.netshuffle import ShuffleService
-from repro.queries.histogram import HistogramQuery
-from repro.queries.subset import BoxSubsetQuery
 from repro.scidata.generator import integer_grid
-from repro.scidata.slab import Slab
 from repro.util.rng import make_rng
 
 __all__ = ["run"]
@@ -75,39 +79,9 @@ _VOLATILE = frozenset({
 })
 
 
-def _build(grid, query: str, side: int, num_map_tasks: int,
-           num_reducers: int):
-    """One query job over the harness grid."""
-    var = grid.names[0]
-    if query == "subset-plain":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "subset-agg":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "aggregate", variable_mode="index",
-            num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "histogram":
-        return HistogramQuery(grid, var, bins=16).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    raise ValueError(f"unknown query {query!r}")
-
-
-class _RunOutcome:
-    """One runner's result-or-error for a scenario."""
-
-    def __init__(self, result, error: BaseException | None) -> None:
-        self.result = result
-        self.error = error
-
-    def counter(self, name: str) -> int:
-        return self.result.counters.get(name) if self.result else 0
-
-
 def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig,
              injector: FaultInjector | None,
-             runner_cls=None) -> _RunOutcome:
+             runner_cls=None) -> RunOutcome:
     kwargs: dict = {"shuffle": shuffle, "fault_injector": injector}
     if runner_name == "serial":
         runner = (runner_cls or LocalJobRunner)(
@@ -118,18 +92,12 @@ def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig,
             fetch_failure_threshold=1, **kwargs)
     try:
         with runner:
-            return _RunOutcome(runner.run(job, grid), None)
+            return RunOutcome(runner.run(job, grid), None)
     except Exception as exc:
-        return _RunOutcome(None, exc)
+        return RunOutcome(None, exc)
 
 
-def _stable_counters(result) -> dict[str, int]:
-    """Counters minus the fault/wire-measuring ones (and zero entries)."""
-    return {k: v for k, v in result.counters.as_dict().items()
-            if k not in _VOLATILE and v}
-
-
-def _classify(serial: _RunOutcome, parallel: _RunOutcome,
+def _classify(serial: RunOutcome, parallel: RunOutcome,
               baseline) -> str:
     """Where the scenario landed: identical / reexecuted / failed / DRIFT."""
     if (serial.error is None) != (parallel.error is None):
@@ -142,7 +110,8 @@ def _classify(serial: _RunOutcome, parallel: _RunOutcome,
         return "DRIFT"
     if serial.result.output != baseline.output:
         return "DRIFT"
-    if _stable_counters(serial.result) != _stable_counters(baseline):
+    if (stable_counters(serial.result, _VOLATILE)
+            != stable_counters(baseline, _VOLATILE)):
         return "DRIFT"
     if serial.counter(C.MAPS_REEXECUTED) > 0:
         return "reexecuted"
@@ -172,14 +141,18 @@ class _ServerLossService(ShuffleService):
         return super().address_for(map_id)
 
 
+class _ServerLossLedger(MapOutputLedger):
+    """A map-output ledger whose shuffle service loses a server mid-job."""
+
+    def _make_service(self, shuffle, faults):
+        return _ServerLossService.from_config(shuffle, faults=faults)
+
+
 class _ServerLossRunner(LocalJobRunner):
     """Serial runner whose shuffle service suffers a mid-job server kill."""
 
-    def _make_shuffle_service(self):
-        if (self.shuffle is None
-                or getattr(self.shuffle, "transport", "") != "network"):
-            return None
-        return _ServerLossService.from_config(self.shuffle)
+    def _make_ledger(self, *args, **kwargs):
+        return _ServerLossLedger(*args, **kwargs)
 
 
 def run(num_fuzz: int | None = None,
@@ -214,10 +187,10 @@ def run(num_fuzz: int | None = None,
 
     baselines = {}
     for query in _QUERIES:
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         baselines[query] = LocalJobRunner().run(job, grid)
 
-    def wire_cells(outcome: _RunOutcome) -> dict:
+    def wire_cells(outcome: RunOutcome) -> dict:
         wire = outcome.counter(C.SHUFFLE_WIRE_BYTES)
         raw = outcome.counter(C.SHUFFLE_WIRE_BYTES_UNCOMPRESSED)
         saved = f"{100.0 * (1 - wire / raw):.1f}%" if raw else "-"
@@ -225,13 +198,13 @@ def run(num_fuzz: int | None = None,
 
     # -- wire compression: one serial network run per codec ---------------
     for codec in _WIRE_CODECS:
-        job = _build(grid, "subset-plain", side, num_map_tasks,
-                     num_reducers)
+        job = build_query_job(grid, "subset-plain", side, num_map_tasks,
+                              num_reducers)
         outcome = _run_one("serial", grid, job, net_config(codec), None)
         ok = (outcome.error is None
               and outcome.result.output == baselines["subset-plain"].output
-              and (_stable_counters(outcome.result)
-                   == _stable_counters(baselines["subset-plain"])))
+              and (stable_counters(outcome.result, _VOLATILE)
+                   == stable_counters(baselines["subset-plain"], _VOLATILE)))
         result.add(scenario="wire-codec", query="subset-plain",
                    codec=codec, fault="none", **wire_cells(outcome),
                    retries=outcome.counter(C.SHUFFLE_RETRIES),
@@ -240,7 +213,7 @@ def run(num_fuzz: int | None = None,
 
     # -- clean equivalence: queries x runners over the network ------------
     for query in _QUERIES:
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         shuffle = net_config()
         serial = _run_one("serial", grid, job, shuffle, None)
         parallel = _run_one("parallel", grid, job, shuffle, None)
@@ -263,7 +236,7 @@ def run(num_fuzz: int | None = None,
     def fault_scenario(scenario: str, query: str, fault_label: str,
                        plan, config: ShuffleConfig | None = None) -> None:
         cfg = config or net_config()
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         serial = _run_one("serial", grid, job, cfg, plan())
         parallel = _run_one("parallel", grid, job, cfg, plan())
         result.add(scenario=scenario, query=query, codec=cfg.wire_codec,
@@ -291,13 +264,14 @@ def run(num_fuzz: int | None = None,
                    "sticky flip m00000->r00000 (epoch 0)", reexec_plan)
 
     # -- server loss: kill one segment server mid-job (serial ladder) -----
-    job = _build(grid, "subset-plain", side, num_map_tasks, num_reducers)
+    job = build_query_job(grid, "subset-plain", side, num_map_tasks,
+                          num_reducers)
     loss = _run_one("serial", grid, job, net_config(), None,
                     runner_cls=_ServerLossRunner)
     loss_ok = (loss.error is None
                and loss.result.output == baselines["subset-plain"].output
-               and (_stable_counters(loss.result)
-                    == _stable_counters(baselines["subset-plain"]))
+               and (stable_counters(loss.result, _VOLATILE)
+                    == stable_counters(baselines["subset-plain"], _VOLATILE))
                and loss.counter(C.MAPS_REEXECUTED) > 0)
     result.add(scenario="server-loss", query="subset-plain",
                codec="fastpred+zlib",

@@ -37,7 +37,14 @@ import os
 import tempfile
 import time
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import (
+    ExperimentResult,
+    RunOutcome,
+    build_query_job,
+    read_quarantine,
+    scaled,
+    stable_counters,
+)
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import (
@@ -46,10 +53,7 @@ from repro.mapreduce.runtime import (
     ShuffleConfig,
     host_for,
 )
-from repro.queries.histogram import HistogramQuery
-from repro.queries.subset import BoxSubsetQuery
 from repro.scidata.generator import integer_grid
-from repro.scidata.slab import Slab
 from repro.util.rng import make_rng
 
 __all__ = ["run"]
@@ -76,52 +80,10 @@ _VOLATILE = frozenset({
 })
 
 
-def _build(grid, query: str, side: int, num_map_tasks: int,
-           num_reducers: int):
-    """One query job over the harness grid."""
-    var = grid.names[0]
-    if query == "subset-plain":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "subset-agg":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "aggregate", variable_mode="index",
-            num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "histogram":
-        return HistogramQuery(grid, var, bins=16).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    raise ValueError(f"unknown query {query!r}")
-
-
-class _RunOutcome:
-    """One runner's result-or-error for a scenario."""
-
-    def __init__(self, result, error: BaseException | None,
-                 quarantine: dict[str, str]) -> None:
-        self.result = result
-        self.error = error
-        self.quarantine = quarantine
-
-    def counter(self, name: str) -> int:
-        return self.result.counters.get(name) if self.result else 0
-
-
-def _read_quarantine(path: str) -> dict[str, str]:
-    """Side-file name -> contents (deterministic bytes by design)."""
-    files: dict[str, str] = {}
-    if os.path.isdir(path):
-        for name in sorted(os.listdir(path)):
-            with open(os.path.join(path, name), encoding="utf-8") as fh:
-                files[name] = fh.read()
-    return files
-
-
 def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig,
              injector: FaultInjector | None,
              num_hosts: int = 3,
-             max_host_reexecs: int = 2) -> _RunOutcome:
+             max_host_reexecs: int = 2) -> RunOutcome:
     kwargs: dict = {"shuffle": shuffle, "fault_injector": injector,
                     "num_hosts": num_hosts,
                     "max_host_reexecs": max_host_reexecs}
@@ -137,9 +99,9 @@ def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig,
         try:
             with runner:
                 result = runner.run(job, grid)
-            return _RunOutcome(result, None, _read_quarantine(qdir))
+            return RunOutcome(result, None, read_quarantine(qdir))
         except Exception as exc:
-            return _RunOutcome(None, exc, _read_quarantine(qdir))
+            return RunOutcome(None, exc, read_quarantine(qdir))
         finally:
             if saved is None:
                 os.environ.pop("REPRO_QUARANTINE_DIR", None)
@@ -147,13 +109,7 @@ def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig,
                 os.environ["REPRO_QUARANTINE_DIR"] = saved
 
 
-def _stable_counters(result) -> dict[str, int]:
-    """Counters minus the fault-measuring ones (and zero entries)."""
-    return {k: v for k, v in result.counters.as_dict().items()
-            if k not in _VOLATILE and v}
-
-
-def _classify(serial: _RunOutcome, parallel: _RunOutcome,
+def _classify(serial: RunOutcome, parallel: RunOutcome,
               baseline) -> str:
     """Where the scenario landed: identical / reexecuted / failed / DRIFT."""
     if (serial.error is None) != (parallel.error is None):
@@ -168,7 +124,8 @@ def _classify(serial: _RunOutcome, parallel: _RunOutcome,
         return "DRIFT"
     if serial.result.output != baseline.output:
         return "DRIFT"
-    if _stable_counters(serial.result) != _stable_counters(baseline):
+    if (stable_counters(serial.result, _VOLATILE)
+            != stable_counters(baseline, _VOLATILE)):
         return "DRIFT"
     if (serial.counter(C.HOSTS_LOST) > 0
             or serial.counter(C.MAPS_REEXECUTED) > 0):
@@ -220,14 +177,14 @@ def run(num_fuzz: int | None = None,
 
     baselines = {}
     for query in _QUERIES:
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         baselines[query] = LocalJobRunner().run(job, grid)
 
     def add_row(scenario: str, query: str, transport: str,
                 fault_label: str, plan, max_host_reexecs: int = 2,
                 expect=None) -> None:
         cfg = shuffle_config(transport)
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         serial = _run_one("serial", grid, job, cfg, plan(),
                           num_hosts=num_hosts,
                           max_host_reexecs=max_host_reexecs)
@@ -250,7 +207,7 @@ def run(num_fuzz: int | None = None,
     for transport in _TRANSPORTS:
         query = _QUERIES[_TRANSPORTS.index(transport) % len(_QUERIES)]
         cfg = shuffle_config(transport)
-        job = _build(grid, query, side, num_map_tasks, num_reducers)
+        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
         serial = _run_one("serial", grid, job, cfg, None,
                           num_hosts=num_hosts)
         parallel = _run_one("parallel", grid, job, cfg, None,

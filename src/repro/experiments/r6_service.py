@@ -170,7 +170,7 @@ def _shed_service(root: str) -> tuple[JobService, ServiceEndpoint,
     deterministic instead of racing the executors."""
     config = ServiceConfig(
         root=root, max_workers=2, executors=1,
-        tenants={"alice": (2.0, 2), "bob": (1.0, 2)},
+        tenants={"alice": (2.0, 2, None), "bob": (1.0, 2, None)},
         admission=AdmissionConfig(max_queued=3, max_queued_per_tenant=2,
                                   max_job_seconds=600.0,
                                   max_outstanding_seconds=3600.0))

@@ -44,7 +44,12 @@ import os
 import sys
 import time
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import (
+    ExperimentResult,
+    RunOutcome,
+    scaled,
+    stable_counters,
+)
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import (
@@ -99,24 +104,9 @@ def _build(grid, query: str, side: int, num_map_tasks: int,
     raise ValueError(f"unknown query {query!r}")
 
 
-class _RunOutcome:
-    """One runner's result-or-error for a scenario."""
-
-    def __init__(self, result, error: BaseException | None) -> None:
-        self.result = result
-        self.error = error
-
-    def counter(self, name: str) -> int:
-        return self.result.counters.get(name) if self.result else 0
-
-    @property
-    def memory(self) -> dict:
-        return (self.result.memory_stats or {}) if self.result else {}
-
-
 def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig,
              injector: FaultInjector | None,
-             rlimit_bytes: int | None = None) -> _RunOutcome:
+             rlimit_bytes: int | None = None) -> RunOutcome:
     kwargs: dict = {"shuffle": shuffle, "fault_injector": injector}
     if runner_name == "serial":
         runner = LocalJobRunner(**kwargs)
@@ -127,18 +117,12 @@ def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig,
             max_workers=2, speculation=False, retry_backoff=0.01, **kwargs)
     try:
         with runner:
-            return _RunOutcome(runner.run(job, grid), None)
+            return RunOutcome(runner.run(job, grid), None)
     except Exception as exc:
-        return _RunOutcome(None, exc)
+        return RunOutcome(None, exc)
 
 
-def _stable_counters(result) -> dict[str, int]:
-    """Counters minus the fault/transport-measuring ones (and zeros)."""
-    return {k: v for k, v in result.counters.as_dict().items()
-            if k not in _VOLATILE and v}
-
-
-def _classify(serial: _RunOutcome, parallel: _RunOutcome, baseline) -> str:
+def _classify(serial: RunOutcome, parallel: RunOutcome, baseline) -> str:
     """Where the scenario landed: identical / degraded / failed / DRIFT.
 
     Serial and parallel must agree on *everything* -- output bytes and
@@ -163,12 +147,13 @@ def _classify(serial: _RunOutcome, parallel: _RunOutcome, baseline) -> str:
         # counters (a halved sort buffer spills more often), so only
         # the bytes and the runner-vs-runner identity are held here.
         return "degraded"
-    if _stable_counters(serial.result) != _stable_counters(baseline):
+    if (stable_counters(serial.result, _VOLATILE)
+            != stable_counters(baseline, _VOLATILE)):
         return "DRIFT"
     return "identical"
 
 
-def _peak_within_budget(outcome: _RunOutcome) -> bool:
+def _peak_within_budget(outcome: RunOutcome) -> bool:
     """The ledger's recorded peak never exceeded the configured budget."""
     mem = outcome.memory
     budget = mem.get("budget")
@@ -295,8 +280,8 @@ def run(num_fuzz: int | None = None,
                             rlimit_bytes=8 << 30)
         ok = (parallel.error is None
               and parallel.result.output == baselines["histogram"].output
-              and _stable_counters(parallel.result)
-              == _stable_counters(baselines["histogram"]))
+              and stable_counters(parallel.result, _VOLATILE)
+              == stable_counters(baselines["histogram"], _VOLATILE))
         result.add(scenario="rlimit-soak", query="histogram",
                    transport="direct", pipeline="off",
                    fault="RLIMIT_AS 8 GiB, no faults",

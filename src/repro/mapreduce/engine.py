@@ -27,21 +27,17 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from collections import defaultdict
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from repro.mapreduce.api import MapContext, ReduceContext
 from repro.mapreduce.codecs import cost_categories, get_codec
 from repro.mapreduce.columnar import PartitionBuffer
-from repro.mapreduce.ifile import (
-    IFileCorruptError,
-    IFileReader,
-    IFileStats,
-    IFileWriter,
-)
+from repro.mapreduce.ifile import IFileReader, IFileStats, IFileWriter
 from repro.mapreduce.job import Job
 from repro.mapreduce.metrics import C, Counters, TaskProfile
 from repro.mapreduce.sort import (
@@ -644,30 +640,38 @@ class LocalJobRunner:
     manager: leaving the ``with`` block removes an owned (auto-created)
     workdir even when files were kept or a task failed.
 
+    The runner is the parallel runtime's parts driven by an inline loop:
+    each attempt is :func:`~repro.mapreduce.runtime.attempt.run_attempt`
+    called directly (no worker, no attempt directory, no result file),
+    each failure is dispatched on :func:`~repro.mapreduce.runtime.
+    attempt.classify`'s record, map outputs live in a
+    :class:`~repro.mapreduce.runtime.ledger.MapOutputLedger`, and
+    :func:`~repro.mapreduce.runtime.ledger.assemble_result` folds the
+    job result -- so output and counters match
+    :class:`~repro.mapreduce.runtime.ParallelJobRunner` byte for byte
+    under every fault this runner accepts, by construction.
+
     ``fault_injector`` accepts the data-shaped faults that make sense
-    without worker processes -- ``poison``, ``corrupt``, and ``fetch``
-    -- so the same failure ladder (strict attempt -> repair segment ->
-    skipping mode -> quarantine) can be exercised and compared
-    byte-for-byte against the parallel runtime.  Process-level modes
-    (``kill`` / ``crash`` / ``hang`` / ``stall``) are rejected: there
-    is no worker process to kill.
+    without worker processes -- ``poison``, ``corrupt``, ``oom``,
+    ``fetch`` and the host-level modes.  A plan naming a process-level
+    mode (``kill`` / ``crash`` / ``hang`` / ``stall``) is rejected when
+    ``run`` is entered, before any task runs: there is no worker process
+    to kill.
 
     ``shuffle`` selects the transport reducers fetch map segments
     through (default: direct reads).  A reduce whose fetch retries are
     exhausted charges the producing map a strike; at
     ``fetch_failure_threshold`` strikes the map is re-executed in place
     (bumping its fetch *epoch*, which is how epoch-pinned fetch faults
-    stop applying), at most ``max_map_reexecs`` times per map -- the
-    same escalation the parallel scheduler performs across processes.
+    stop applying), at most ``max_map_reexecs`` times per map.
 
-    Host-level faults are also honored, keyed by the stable task->host
-    hash (``num_hosts`` buckets): ``host_crash`` re-executes every
-    completed map homed on the host at the shuffle barrier (at most
+    Host-level faults are keyed by the stable task->host hash
+    (``num_hosts`` buckets): ``host_crash`` re-executes every completed
+    map homed on the host at the shuffle barrier (at most
     ``max_host_reexecs`` per host), ``host_partition`` expands into
     deterministic per-link fetch drops healed by the retry ladder, and
     ``disk_fault`` fails the affected tasks' spills over to a spare
-    workdir, quarantining the bad one -- each byte-identical in output
-    and counters to the parallel runtime's handling.
+    workdir, quarantining the bad one.
     """
 
     def __init__(self, workdir: str | None = None, keep_files: bool = False,
@@ -700,10 +704,6 @@ class LocalJobRunner:
         self.max_host_reexecs = max_host_reexecs
         #: planned disk faults by home host (populated per run)
         self._disk_plan: dict[str, Any] = {}
-        #: ledger telemetry accumulated across tasks (reset per run)
-        self._memory_tally: dict[str, Any] = {
-            "oom_events": 0, "degraded_attempts": 0, "peak_bytes": 0,
-            "backpressure_waits": 0, "used_budget": False}
         os.makedirs(self.workdir, exist_ok=True)
 
     def __enter__(self) -> "LocalJobRunner":
@@ -724,6 +724,16 @@ class LocalJobRunner:
         splits: Sequence[InputSplit] | None = None,
     ) -> JobResult:
         """Execute ``job`` over ``dataset``; returns outputs and metrics."""
+        if self.fault_injector is not None:
+            # Validate the whole plan before any work: a process fault
+            # aimed at the last reducer must not surface only after
+            # every other task has run and written files.
+            for task_id, fault in self.fault_injector.planned():
+                if fault.mode in ("kill", "crash", "hang", "stall"):
+                    raise ValueError(
+                        f"fault mode {fault.mode!r} (planned for {task_id}) "
+                        f"is not supported by the serial runner (no worker "
+                        f"process to fail)")
         # A runner may be reused across jobs; cleanup after a previous run
         # may have removed an (empty) owned workdir.
         os.makedirs(self.workdir, exist_ok=True)
@@ -743,223 +753,66 @@ class LocalJobRunner:
             self._remove_new_files(preexisting)
             raise
 
+    # The runtime modules are imported lazily because they in turn import
+    # the task functions defined above.
+
+    def _make_ledger(self, *args, **kwargs):
+        from repro.mapreduce.runtime.ledger import MapOutputLedger
+        return MapOutputLedger(*args, **kwargs)
+
     def _run_all(self, job: Job, dataset: Dataset,
                  splits: Sequence[InputSplit]) -> JobResult:
-        counters = Counters()
-        profiles: list[TaskProfile] = []
-        map_stats = IFileStats()
-        self._memory_tally = {
-            "oom_events": 0,
-            "degraded_attempts": 0,
-            "peak_bytes": 0,
-            "backpressure_waits": 0,
-            "used_budget": False,
-        }
+        from repro.mapreduce.runtime.attempt import new_memory_tally
+        from repro.mapreduce.runtime.hosts import (
+            HostHealthMonitor,
+            HostRegistry,
+        )
+        from repro.mapreduce.runtime.ledger import assemble_result
+        from repro.mapreduce.runtime.pipeline import COMMITS_DIRNAME
 
-        host_plan = self._prepare_host_faults(job, splits)
+        # Serial pipeline mode publishes a commit log that is complete
+        # before the first reduce polls it -- the degenerate no-overlap
+        # case of the pipelined shuffle, byte-identical to the barrier
+        # path and counter-comparable with a pipelined parallel run.
+        pipeline = getattr(self.shuffle, "pipeline", False)
+        ledger = self._make_ledger(
+            job, dataset, splits,
+            hosts=HostHealthMonitor(HostRegistry(self.num_hosts),
+                                    max_host_reexecs=self.max_host_reexecs),
+            # In place: segments live at fixed paths in the task's
+            # workdir (its spare volume when a disk fault failed it over).
+            rerun_dir=lambda map_id, epoch: self._task_workdir(map_id),
+            shuffle=self.shuffle, injector=self.fault_injector,
+            commit_dir=(os.path.join(self.workdir, COMMITS_DIRNAME)
+                        if pipeline else None))
+        self._disk_plan = {h: ledger.host_plan[h]
+                           for h in ledger.hosts_with("disk_fault")}
+        #: run-wide ladder state: one map's fetch-failure strikes
+        #: accumulate over every reduce that fails to fetch it
+        state = {"tally": new_memory_tally(), "strikes": defaultdict(int),
+                 "reexecs": defaultdict(int)}
 
-        map_outputs: list[MapTaskOutput] = []
-        for split in splits:
-            mo = self._run_map(job, split, dataset)
-            map_outputs.append(mo)
-            counters.merge(mo.counters)
-            profiles.append(mo.profile)
-            for _, stats in mo.segments.values():
-                map_stats.merge(stats)
-
-        # Fetch-failure escalation state shared across partitions: one
-        # map's strikes accumulate over every reduce that fails to fetch
-        # it, and an epoch bump is visible to all later partitions.  With
-        # the network transport, the state also carries the live shuffle
-        # service so reduce refs can be addressed and re-executions
-        # re-registered.
-        shuffle_state = {
-            "strikes": {mo.task_id: 0 for mo in map_outputs},
-            "epochs": {mo.task_id: 0 for mo in map_outputs},
-            "reexecs": {mo.task_id: 0 for mo in map_outputs},
-            "total_reexecs": 0,
-            "service": None,
-        }
-        service = self._make_shuffle_service()
-        output: list[tuple[Any, Any]] = []
-        hosts_lost = 0
-        host_reexecs = 0
-        try:
-            if service is not None:
-                service.start()
-                shuffle_state["service"] = service
-                for mo in map_outputs:
-                    service.register_map_output(
-                        mo.task_id,
-                        [path for path, _ in mo.segments.values()], epoch=0)
+        map_outputs = [
+            self._run_task("map", map_id, lambda split=split: split,
+                           job, dataset, ledger, state)
+            for map_id, split in zip(ledger.map_ids, splits)]
+        reduce_results = {}
+        with ledger:
+            for mo in map_outputs:
+                ledger.publish(mo.task_id, mo)
             # Shuffle barrier: whole-host crashes land here, exactly
-            # where Hadoop's lost-tasktracker handling runs -- every
-            # completed map whose only segment copies lived on the dead
-            # host is re-executed before any reducer fetches.
-            hosts_lost, host_reexecs = self._apply_host_crashes(
-                job, dataset, splits, map_outputs, shuffle_state, host_plan)
-            if self.shuffle is not None and getattr(self.shuffle,
-                                                    "pipeline", False):
-                # Serial pipeline mode: publish a fully-populated commit
-                # log (maps are all done here, at their final epochs)
-                # and run reduces through the pipelined body -- the
-                # degenerate no-overlap case, byte-identical to the
-                # barrier path and counter-comparable with a pipelined
-                # parallel run.
-                self._publish_commit_log(map_outputs, shuffle_state)
-            pipeline_per_task: list[dict] = []
-            for part in range(job.num_reducers):
-                rr = self._run_reduce(job, part, map_outputs, dataset, splits,
-                                      shuffle_state)
-                output.extend(rr.output)
-                counters.merge(rr.counters)
-                profiles.append(rr.profile)
-                if rr.pipeline is not None:
-                    pipeline_per_task.append(rr.pipeline)
-        finally:
-            if service is not None:
-                service.stop()
-        if shuffle_state["total_reexecs"]:
-            # Job-level event, like the parallel runner: task counters of
-            # a re-executed map are identical by determinism.
-            counters.incr(C.MAPS_REEXECUTED, shuffle_state["total_reexecs"])
-        if hosts_lost:
-            counters.incr(C.HOSTS_LOST, hosts_lost)
-        if host_reexecs:
-            counters.incr(C.MAPS_REEXECUTED_HOST, host_reexecs)
-        if self._disk_plan:
-            # One failover per task homed on a disk-faulted host -- a
-            # pure function of the plan, so the parallel runner counts
-            # the identical number without plumbing worker flags.
-            from repro.mapreduce.runtime.hosts import host_for
-            task_ids = ([mo.task_id for mo in map_outputs]
-                        + [f"r{p:05d}" for p in range(job.num_reducers)])
-            affected = sum(1 for t in task_ids
-                           if host_for(t, self.num_hosts) in self._disk_plan)
-            if affected:
-                counters.incr(C.DISK_FAILOVERS, affected)
-        if self._memory_tally["oom_events"]:
-            # Job-level, like MAPS_REEXECUTED: deterministic under an
-            # injected fault plan, so serial and parallel runs count
-            # identically; clean runs leave them zero (== absent).
-            counters.incr(C.MEMORY_OOM_EVENTS,
-                          self._memory_tally["oom_events"])
-            counters.incr(C.MEMORY_DEGRADED_ATTEMPTS,
-                          self._memory_tally["degraded_attempts"])
-
+            # where Hadoop's lost-tasktracker handling runs.
+            for host in ledger.hosts_with("host_crash"):
+                ledger.lose_host(host, "injected host_crash at barrier")
+            for part, rid in enumerate(ledger.reduce_ids):
+                reduce_results[rid] = self._run_task(
+                    "reduce", rid, lambda part=part: ledger.payload(part),
+                    job, None, ledger, state)
+        result = assemble_result(job, ledger, reduce_results, state["tally"],
+                                 shuffle=self.shuffle)
         if not self.keep_files:
-            self._cleanup(map_outputs)
-
-        pipeline_stats = None
-        if pipeline_per_task:
-            from repro.mapreduce.runtime.pipeline import (
-                aggregate_pipeline_stats,
-            )
-            pipeline_stats = aggregate_pipeline_stats(pipeline_per_task)
-        memory_stats = None
-        if self._memory_tally["used_budget"]:
-            memory_stats = {
-                "budget": (getattr(self.shuffle, "memory_budget", None)
-                           if self.shuffle is not None else None),
-                "peak_bytes": self._memory_tally["peak_bytes"],
-                "backpressure_waits":
-                    self._memory_tally["backpressure_waits"],
-                "oom_events": self._memory_tally["oom_events"],
-                "degraded_attempts":
-                    self._memory_tally["degraded_attempts"],
-            }
-        return JobResult(
-            output=output,
-            counters=counters,
-            task_profiles=profiles,
-            map_output_stats=map_stats,
-            num_map_tasks=len(splits),
-            num_reduce_tasks=job.num_reducers,
-            pipeline_stats=pipeline_stats,
-            memory_stats=memory_stats,
-        )
-
-    # ------------------------------------------------------------- ladder
-    #
-    # The serial failure ladder mirrors the parallel runtime's: a strict
-    # first attempt (zero overhead on the clean path), then -- for
-    # skip-eligible failures under a job SkipPolicy -- a retry in
-    # record-level skipping mode, and -- for whole-segment corruption --
-    # an in-place repair of the producing map task followed by a strict
-    # retry.  The runtime modules are imported lazily because they in
-    # turn import the task functions defined above.
-
-    def _make_shuffle_service(self):
-        """A started-on-demand network shuffle service, or ``None``.
-
-        Serial jobs over ``transport="network"`` run real loopback
-        segment servers so the wire path (and its counters) is
-        byte-comparable with the parallel runtime's.
-        """
-        if (self.shuffle is None
-                or getattr(self.shuffle, "transport", "") != "network"):
-            return None
-        from repro.mapreduce.runtime.netshuffle import ShuffleService
-        faults = (self.fault_injector.fetch_plan()
-                  if self.fault_injector is not None else None)
-        return ShuffleService.from_config(self.shuffle, faults=faults)
-
-    def _publish_commit_log(self, map_outputs: Sequence[MapTaskOutput],
-                            shuffle_state: dict[str, Any]) -> None:
-        """Write every map's commit record at its final (post-host-crash)
-        epoch; reduces then consume the pipelined body against a complete
-        completion-event stream."""
-        from repro.mapreduce.runtime.pipeline import (
-            COMMITS_DIRNAME,
-            CommitLog,
-            CommitRecord,
-        )
-        commit_dir = os.path.join(self.workdir, COMMITS_DIRNAME)
-        shutil.rmtree(commit_dir, ignore_errors=True)
-        log = CommitLog(commit_dir)
-        service = shuffle_state.get("service")
-        for mo in map_outputs:
-            log.commit(CommitRecord(
-                map_id=mo.task_id,
-                epoch=shuffle_state["epochs"][mo.task_id],
-                segments=dict(mo.segments),
-                address=(service.address_for(mo.task_id)
-                         if service is not None else None)))
-        shuffle_state["commitlog"] = log
-        shuffle_state["commit_dir"] = commit_dir
-
-    def _prepare_host_faults(self, job: Job,
-                             splits: Sequence[InputSplit]) -> dict[str, Any]:
-        """Snapshot the host-level fault plan and expand partitions.
-
-        ``host_partition`` faults are rewritten into deterministic
-        per-link fetch ``drop`` faults (clamped to the transport's retry
-        budget, so every link heals in-attempt) *before* any transport
-        or shuffle service snapshots the fetch plan -- retry counters
-        become pure functions of the plan, byte-identical to the
-        parallel runner's.  ``disk_fault`` entries populate
-        ``self._disk_plan`` so task bodies fail over to spare workdirs.
-        """
-        injector = self.fault_injector
-        if injector is None or not hasattr(injector, "host_plan"):
-            self._disk_plan = {}
-            return {}
-        host_plan = injector.host_plan()
-        self._disk_plan = {h: f for h, f in host_plan.items()
-                           if f.mode == "disk_fault"}
-        partitions = sorted((h, f) for h, f in host_plan.items()
-                            if f.mode == "host_partition")
-        if partitions:
-            from repro.mapreduce.runtime.hosts import expand_host_partition
-            retries = (getattr(self.shuffle, "fetch_retries", 3)
-                       if self.shuffle is not None else 3)
-            map_ids = [f"m{s.split_id:05d}" for s in splits]
-            reduce_ids = [f"r{p:05d}" for p in range(job.num_reducers)]
-            for host, fault in partitions:
-                expand_host_partition(
-                    injector, host, map_ids, reduce_ids, self.num_hosts,
-                    drops=min(max(1, fault.record), retries))
-        return host_plan
+            self._cleanup(ledger.results.values())
+        return result
 
     def _task_workdir(self, task_id: str) -> str:
         """Where this task's files live: the runner workdir, or -- when
@@ -978,372 +831,81 @@ class LocalJobRunner:
             return self.workdir
         return provision_failover_workdir(self.workdir, task_id, host, fault)
 
-    def _apply_host_crashes(
-        self,
-        job: Job,
-        dataset: Dataset,
-        splits: Sequence[InputSplit],
-        map_outputs: list[MapTaskOutput],
-        shuffle_state: dict[str, Any],
-        host_plan: dict[str, Any],
-    ) -> tuple[int, int]:
-        """Serial mirror of losing whole hosts at the shuffle barrier.
+    def _run_task(self, kind: str, task_id: str, payload: Any, job: Job,
+                  dataset: Dataset | None, ledger: Any,
+                  state: dict[str, Any]) -> Any:
+        """One task through the failure ladder, inline.
 
-        For each planned ``host_crash``: the host's segment server dies
-        with it (network transport), and every completed map homed there
-        is proactively re-executed at a bumped epoch -- bounded by
-        ``max_host_reexecs`` completed maps per lost host.  Returns
-        ``(hosts_lost, maps_reexecuted)`` for the job-level counters.
+        The single runner-specific loop: a strict first attempt (zero
+        overhead on the clean path), then whichever rung the attempt's
+        error record names -- the same record, from the same
+        :func:`~repro.mapreduce.runtime.attempt.classify`, the
+        scheduler's ``handle_exit`` dispatches on.  ``payload()`` builds
+        the task input afresh per attempt, so a reduce retried after a
+        map re-execution sees the re-pointed refs.  There is no generic
+        retry budget: inline, an unrecognised failure is deterministic
+        and re-raises as itself.
         """
-        crash_hosts = sorted(h for h, f in host_plan.items()
-                             if f.mode == "host_crash")
-        if not crash_hosts:
-            return 0, 0
-        from repro.mapreduce.runtime.hosts import HostLostError, host_for
-        service = shuffle_state.get("service")
-        by_id = {mo.task_id: i for i, mo in enumerate(map_outputs)}
-        reexecs = 0
-        for host in crash_hosts:
-            lost = [mo.task_id for mo in map_outputs
-                    if host_for(mo.task_id, self.num_hosts) == host]
-            if len(lost) > self.max_host_reexecs:
-                raise HostLostError(
-                    f"{host} lost {len(lost)} completed maps, exceeding "
-                    f"max_host_reexecs={self.max_host_reexecs}")
-            if service is not None:
-                index = int(host.removeprefix("host"))
-                if index < service.num_servers:
-                    # The host's segment server dies with it; the fresh
-                    # registrations below re-spawn it (the re-executed
-                    # maps "run elsewhere" and re-publish).
-                    service.kill_server(index)
-            for map_id in lost:
-                if service is not None:
-                    service.invalidate(map_id)
-                shuffle_state["epochs"][map_id] += 1
-                old = map_outputs[by_id[map_id]]
-                for path, _ in old.segments.values():
-                    try:
-                        os.unlink(path)
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-                split = next(
-                    s for s in splits if f"m{s.split_id:05d}" == map_id)
-                mo = run_map_task(job, split, dataset,
-                                  self._task_workdir(map_id))
-                map_outputs[by_id[map_id]] = mo
-                if service is not None:
-                    service.register_map_output(
-                        map_id, [path for path, _ in mo.segments.values()],
-                        epoch=shuffle_state["epochs"][map_id])
-                reexecs += 1
-        return len(crash_hosts), reexecs
-
-    def _serial_fault(self, task_id: str, attempt: int):
-        """The injected fault for this attempt, if the serial runner can
-        apply it (only data-shaped faults: ``poison``, ``corrupt``, and
-        ``oom`` -- an in-process ``MemoryError`` needs no worker)."""
-        if self.fault_injector is None:
-            return None
-        fault = self.fault_injector.fault_for(task_id, attempt)
-        if fault is not None and fault.mode not in ("poison", "corrupt",
-                                                    "oom"):
-            raise ValueError(
-                f"fault mode {fault.mode!r} is not supported by the "
-                f"serial runner (no worker process to fail)")
-        return fault
-
-    def _max_memory_retries(self) -> int:
-        """OOM-dead attempts of one task the degrade ladder absorbs."""
-        if self.shuffle is not None:
-            return getattr(self.shuffle, "max_memory_retries", 2)
-        return 2
-
-    def _memory_setup(self, job: Job, fault: Any, degrade: int):
-        """The (degraded) job, shuffle config, and armed task budget for
-        one serial attempt.
-
-        ``degrade`` is how many OOM deaths this task has already
-        suffered: each level deterministically halves the sort buffer
-        (floored at the Job minimum) and the fetch byte window -- the
-        identical formula the parallel scheduler applies, so injected
-        OOM runs stay counter-identical across runners.
-        """
-        shuffle = self.shuffle
-        if degrade:
-            job = dc_replace(job, sort_buffer_bytes=max(
-                1024, job.sort_buffer_bytes >> degrade))
-            mib = (getattr(shuffle, "max_inflight_bytes", None)
-                   if shuffle is not None else None)
-            if mib is not None:
-                shuffle = dc_replace(
-                    shuffle, max_inflight_bytes=max(1, mib >> degrade))
-        capacity = (getattr(shuffle, "memory_budget", None)
-                    if shuffle is not None else None)
-        oom = fault is not None and fault.mode == "oom"
-        if capacity is None and not oom:
-            return job, shuffle, None
-        from repro.mapreduce.runtime.memory import MemoryBudget
-        budget = MemoryBudget(capacity)
-        if oom:
-            if fault.op == "raise":
-                budget.fail_next(fault.where)
-            elif fault.op == "alloc":
-                budget.alloc_next(fault.where, fault.record)
-            else:  # "kill": no process to SIGKILL in-process, so the
-                # simulated OOM killer surfaces as a MemoryError and
-                # takes the same degrade ladder
-                def _killed(nbytes: int, _site: str = fault.where) -> None:
-                    raise MemoryError(
-                        f"simulated oom kill: {_site} charged {nbytes} "
-                        f"bytes over threshold")
-                budget.kill_above(fault.record, _killed, site=fault.where)
-        return job, shuffle, budget
-
-    def _note_budget(self, budget: Any) -> None:
-        """Fold one winning attempt's ledger telemetry into the run."""
-        if budget is None:
-            return
-        tally = self._memory_tally
-        tally["used_budget"] = True
-        tally["peak_bytes"] = max(tally["peak_bytes"], budget.peak)
-        tally["backpressure_waits"] += budget.backpressure_waits
-
-    def _run_map(self, job: Job, split: InputSplit,
-                 dataset: Dataset) -> MapTaskOutput:
-        """One map task through the serial failure ladder."""
-        from repro.mapreduce.runtime.fault import corrupt_file, poisoned_job
-        from repro.mapreduce.runtime.skipping import (
-            is_skip_eligible,
-            run_map_task_skipping,
+        from repro.mapreduce.runtime.attempt import (
+            classify,
+            note_memory,
+            run_attempt,
         )
-        task_id = f"m{split.split_id:05d}"
+        injector = self.fault_injector
         workdir = self._task_workdir(task_id)
-        attempt = 0
+        fetch_faults = (injector.fetch_plan_for(task_id) or None
+                        if injector is not None and kind == "reduce"
+                        else None)
+        tally = state["tally"]
+        attempt = degrade = repairs = 0
         skip_mode = False
-        degrade = 0
         while True:
-            fault = self._serial_fault(task_id, attempt)
-            eff = (poisoned_job(job, fault, "map")
-                   if fault is not None and fault.mode == "poison" else job)
-            eff, _, budget = self._memory_setup(eff, fault, degrade)
+            fault = (injector.fault_for(task_id, attempt)
+                     if injector is not None else None)
             try:
-                if skip_mode:
-                    mo = run_map_task_skipping(eff, split, dataset,
-                                               workdir)
-                else:
-                    mo = run_map_task(eff, split, dataset, workdir,
-                                      memory=budget)
-            except MemoryError:
-                # OOM (injected or budget overrun): retry with a
-                # deterministically halved sort buffer, bounded by the
-                # memory retry budget -- the degrade-on-retry ladder.
-                if degrade >= self._max_memory_retries():
-                    raise
-                self._memory_tally["oom_events"] += 1
-                self._memory_tally["degraded_attempts"] += 1
-                degrade += 1
-                attempt += 1
-                continue
+                result = run_attempt(
+                    kind, job, payload(), dataset, workdir, task_id=task_id,
+                    attempt=attempt, fault=fault, skip_mode=skip_mode,
+                    shuffle=self.shuffle, fetch_faults=fetch_faults,
+                    degrade=degrade, keep_files=self.keep_files)
             except Exception as exc:
-                if (skip_mode or job.skipping is None
-                        or not is_skip_eligible(exc)):
-                    raise
-                skip_mode = True
-                attempt += 1
-                continue
-            if fault is not None and fault.mode == "corrupt" \
-                    and fault.where == "map-output":
-                target = (fault.segment if fault.segment in mo.segments
-                          else min(mo.segments))
-                corrupt_file(mo.segments[target][0], fault.offset_frac,
-                             fault.op)
-            self._note_budget(budget)
-            return mo
-
-    def _run_reduce(self, job: Job, part: int,
-                    map_outputs: Sequence[MapTaskOutput],
-                    dataset: Dataset,
-                    splits: Sequence[InputSplit],
-                    shuffle_state: dict[str, Any]) -> ReduceTaskResult:
-        """One reduce task through the serial failure ladder."""
-        from repro.mapreduce.runtime.fault import corrupt_file, poisoned_job
-        from repro.mapreduce.runtime.shuffle import FetchFailedError, SegmentRef
-        from repro.mapreduce.runtime.skipping import (
-            is_skip_eligible,
-            run_reduce_task_skipping,
-        )
-        task_id = f"r{part:05d}"
-        workdir = self._task_workdir(task_id)
-
-        def build_refs() -> list[SegmentRef]:
-            epochs = shuffle_state["epochs"]
-            service = shuffle_state.get("service")
-            return [SegmentRef(map_id=mo.task_id,
-                               path=mo.segments[part][0],
-                               stats=mo.segments[part][1],
-                               epoch=epochs[mo.task_id],
-                               address=(service.address_for(mo.task_id)
-                                        if service is not None else None))
-                    for mo in map_outputs]
-
-        segments = build_refs()
-        fetch_faults = (self.fault_injector.fetch_plan_for(task_id) or None
-                        if self.fault_injector is not None else None)
-        first = self._serial_fault(task_id, 0)
-        if first is not None and first.mode == "corrupt" \
-                and first.where == "reduce-input" and segments:
-            index = first.segment if first.segment is not None else 0
-            corrupt_file(segments[index % len(segments)].path,
-                         first.offset_frac, first.op)
-        attempt = 0
-        skip_mode = False
-        repairs = 0
-        degrade = 0
-        while True:
-            fault = self._serial_fault(task_id, attempt)
-            eff = (poisoned_job(job, fault, "reduce")
-                   if fault is not None and fault.mode == "poison" else job)
-            eff, eff_shuffle, budget = self._memory_setup(eff, fault, degrade)
-            try:
-                if skip_mode:
-                    return run_reduce_task_skipping(
-                        eff, part, segments, workdir,
-                        keep_files=self.keep_files,
-                        shuffle=eff_shuffle, fetch_faults=fetch_faults)
-                if shuffle_state.get("commitlog") is not None:
-                    # Pipelined body over the (complete) commit log:
-                    # corrupt-at-rest decode errors and fetch failures
-                    # surface identically and take the same ladder.
-                    from repro.mapreduce.runtime.pipeline import (
-                        PipelinePlan,
-                        run_reduce_task_pipelined,
-                    )
-                    plan = PipelinePlan(
-                        commit_dir=shuffle_state["commit_dir"],
-                        map_ids=tuple(mo.task_id for mo in map_outputs))
-                    rr = run_reduce_task_pipelined(
-                        eff, part, plan, workdir,
-                        keep_files=self.keep_files,
-                        shuffle=eff_shuffle, fetch_faults=fetch_faults,
-                        memory=budget)
-                else:
-                    rr = run_reduce_task(eff, part, segments, workdir,
-                                         keep_files=self.keep_files,
-                                         shuffle=eff_shuffle,
-                                         fetch_faults=fetch_faults,
-                                         memory=budget)
-                self._note_budget(budget)
-                return rr
-            except MemoryError:
-                # OOM: degrade-on-retry, same halving as the map side
-                # (and as the parallel scheduler's requeue).
-                if degrade >= self._max_memory_retries():
-                    raise
-                self._memory_tally["oom_events"] += 1
-                self._memory_tally["degraded_attempts"] += 1
-                degrade += 1
-                attempt += 1
-                continue
-            except Exception as exc:
-                if isinstance(exc, FetchFailedError):
-                    # Charge the producing map a strike; at the
-                    # threshold re-execute it (bumping its epoch), then
-                    # retry this reduce against rebuilt references --
-                    # the serial mirror of the scheduler's escalation.
-                    self._handle_fetch_failure(exc, job, dataset, splits,
-                                               shuffle_state)
-                    segments = build_refs()
-                    attempt += 1
-                    continue
-                skippable = (job.skipping is not None
-                             and is_skip_eligible(exc))
-                if skippable and not skip_mode:
+                record = classify(exc, job)
+                map_id = record["failed_map"]
+                if map_id is not None:
+                    # Charge the producing map a strike; at the threshold
+                    # re-execute it (bumping its epoch), at most
+                    # ``max_map_reexecs`` times -- past that the fetch
+                    # failure is the job's failure, the analogue of the
+                    # scheduler's ``TaskFailedError``.
+                    state["strikes"][map_id] += 1
+                    if (state["strikes"][map_id]
+                            >= self.fetch_failure_threshold):
+                        if state["reexecs"][map_id] >= self.max_map_reexecs:
+                            raise
+                        state["strikes"][map_id] = 0
+                        state["reexecs"][map_id] += 1
+                        ledger.rerun(map_id)
+                elif record["oom"]:
+                    # Degrade-on-retry, bounded by the memory retry
+                    # budget; the exhausting death raises untallied.
+                    if degrade >= getattr(self.shuffle,
+                                          "max_memory_retries", 2):
+                        raise
+                    tally["oom_events"] += 1
+                    tally["degraded_attempts"] += 1
+                    degrade += 1
+                elif record["skip_eligible"] and not skip_mode:
                     skip_mode = True
-                    attempt += 1
-                    continue
-                if (isinstance(exc, IFileCorruptError) and not skippable
-                        and exc.path is not None
-                        and repairs < len(segments)):
-                    self._repair_segment(exc.path, job, dataset, splits)
+                elif (kind == "reduce" and record["corrupt_path"] is not None
+                        and repairs < len(ledger.map_ids)):
+                    ledger.repair(record["corrupt_path"])
                     repairs += 1
-                    attempt += 1
-                    continue
-                raise
-
-    def _handle_fetch_failure(self, exc: Any, job: Job, dataset: Dataset,
-                              splits: Sequence[InputSplit],
-                              shuffle_state: dict[str, Any]) -> None:
-        """Strike accounting and in-place map re-execution.
-
-        Re-raises the fetch failure once the map has been re-executed
-        ``max_map_reexecs`` times and its segments still cannot be
-        fetched -- the serial analogue of the scheduler's
-        :class:`~repro.mapreduce.runtime.scheduler.TaskFailedError`.
-        """
-        map_id = exc.map_id
-        strikes = shuffle_state["strikes"]
-        strikes[map_id] = strikes.get(map_id, 0) + 1
-        if strikes[map_id] < self.fetch_failure_threshold:
-            return  # retry the fetch before escalating
-        if shuffle_state["reexecs"][map_id] >= self.max_map_reexecs:
-            raise exc
-        strikes[map_id] = 0
-        shuffle_state["reexecs"][map_id] += 1
-        shuffle_state["epochs"][map_id] += 1
-        shuffle_state["total_reexecs"] += 1
-        split = next(
-            (s for s in splits if f"m{s.split_id:05d}" == map_id), None)
-        if split is None:
-            raise RuntimeError(f"fetch failure names unknown map {map_id}")
-        service = shuffle_state.get("service")
-        if service is not None:
-            # Graceful drain: requests for the old epoch get a clean
-            # transient rejection while the replacement is produced.
-            service.invalidate(map_id)
-        # Deterministic re-run into the map's workdir (its spare volume
-        # when a disk fault failed it over) recreates every segment at
-        # its fixed path with identical bytes (faults are not applied
-        # during re-execution, matching the parallel runtime).
-        mo = run_map_task(job, split, dataset, self._task_workdir(map_id))
-        if service is not None:
-            # Re-registration ends the drain at the new epoch and
-            # re-spawns the hosting server if it died.
-            service.register_map_output(
-                map_id, [path for path, _ in mo.segments.values()],
-                epoch=shuffle_state["epochs"][map_id])
-        log = shuffle_state.get("commitlog")
-        if log is not None:
-            # Re-publish the commit record at the bumped epoch so the
-            # pipelined retry fetches the fresh segments.
-            from repro.mapreduce.runtime.pipeline import CommitRecord
-            log.commit(CommitRecord(
-                map_id=map_id,
-                epoch=shuffle_state["epochs"][map_id],
-                segments=dict(mo.segments),
-                address=(service.address_for(map_id)
-                         if service is not None else None)))
-
-    def _repair_segment(self, corrupt_path: str, job: Job, dataset: Dataset,
-                        splits: Sequence[InputSplit]) -> None:
-        """Re-generate a corrupt final map segment in place.
-
-        Map tasks are deterministic and the serial runner keeps every
-        final segment at a fixed path in its workdir, so re-running the
-        producing map task recreates the damaged file (and its siblings)
-        with identical bytes -- the reduce retry picks them up as if
-        nothing happened.  Faults are never applied during a repair,
-        matching the parallel runtime (repairs run in the scheduler
-        process, outside the injection plan).
-        """
-        name = os.path.basename(corrupt_path)
-        task_id = name.split("-out-")[0]
-        split = next(
-            (s for s in splits if f"m{s.split_id:05d}" == task_id), None)
-        if split is None:
-            raise RuntimeError(
-                f"corrupt segment {corrupt_path} matches no map task")
-        run_map_task(job, split, dataset, self._task_workdir(task_id))
+                else:
+                    raise
+                attempt += 1
+                continue
+            note_memory(tally, result["memory"])
+            return result["value"]
 
     def _remove_new_files(self, preexisting: set[str]) -> None:
         """Delete everything a failed run left behind in the workdir."""
@@ -1361,7 +923,7 @@ class LocalJobRunner:
         if self._own_workdir and not os.listdir(self.workdir):
             shutil.rmtree(self.workdir, ignore_errors=True)
 
-    def _cleanup(self, map_outputs: Sequence[MapTaskOutput]) -> None:
+    def _cleanup(self, map_outputs: Iterable[MapTaskOutput]) -> None:
         for mo in map_outputs:
             for path, _ in mo.segments.values():
                 if os.path.exists(path):

@@ -5,7 +5,28 @@ tasks one at a time and leaves cluster wall-clock to the simulator;
 this package actually *uses* the hardware.  It decomposes a job into
 the same map -> shuffle -> reduce task DAG, runs the identical task
 functions in worker processes over IFile segments on shared disk, and
-layers on the robustness a real cluster runtime needs:
+layers on the robustness a real cluster runtime needs.
+
+Three modules define what a task attempt and its outcome *are*, once,
+for both runners -- the serial runner is these parts driven by an
+inline loop, the parallel runner the same parts driven by the
+scheduler:
+
+* :mod:`~repro.mapreduce.runtime.attempt` -- ``run_attempt``, the whole
+  body of one map/reduce attempt (poison wrapping, OOM degrade, memory
+  budget arming, strict / skipping / pipelined body selection, corrupt
+  fault application), and ``classify``, the error record the recovery
+  ladder dispatches on;
+* :mod:`~repro.mapreduce.runtime.ledger` -- ``MapOutputLedger``, every
+  map's current output, epoch, segment-server address and commit
+  record, with the publish / re-run / repair / lose-host transitions;
+  and ``assemble_result``, the one fold of task results into a
+  ``JobResult``;
+* :mod:`~repro.mapreduce.runtime.worker` -- the process shell around
+  ``run_attempt``: heartbeat, rlimit, process-shaped faults, durable
+  result file.
+
+Around them:
 
 * :mod:`~repro.mapreduce.runtime.scheduler` -- bounded worker pool,
   per-task retry with exponential backoff, speculative re-execution of

@@ -1,0 +1,227 @@
+"""One task attempt: what it executes, and what its failure means.
+
+Both runners drive the same two functions.  :func:`run_attempt` is the
+whole body of one map or reduce attempt -- fault application, memory
+degrade, budget arming, body selection -- and :func:`classify` turns
+whatever it raised into the error record the recovery ladder dispatches
+on.  The serial :class:`~repro.mapreduce.engine.LocalJobRunner` calls
+them inline; :func:`~repro.mapreduce.runtime.worker.worker_entry` calls
+them inside a forked worker and ships the record back through a durable
+result file.  Serial/parallel identity of output and counters under
+every data-shaped fault is therefore structural: there is no second
+copy of any of these decisions to drift.
+"""
+
+from __future__ import annotations
+
+import traceback
+from dataclasses import replace as dc_replace
+from typing import Any, Callable
+
+from repro.mapreduce.engine import run_map_task, run_reduce_task
+from repro.mapreduce.ifile import IFileCorruptError
+from repro.mapreduce.runtime.fault import Fault, corrupt_file, poisoned_job
+from repro.mapreduce.runtime.memory import MemoryBudget
+from repro.mapreduce.runtime.pipeline import (
+    PipelinePlan,
+    drain_refs,
+    run_reduce_task_pipelined,
+)
+from repro.mapreduce.runtime.shuffle import FetchFailedError, SegmentRef
+from repro.mapreduce.runtime.skipping import (
+    is_skip_eligible,
+    run_map_task_skipping,
+    run_reduce_task_skipping,
+)
+
+__all__ = ["run_attempt", "classify", "new_memory_tally", "note_memory"]
+
+
+def classify(exc: BaseException, job: Any) -> dict[str, Any]:
+    """The error record for a failed attempt -- the ladder's dispatch key.
+
+    At most one of the four recovery fields is set, checked by the
+    runners in this order:
+
+    * ``failed_map`` -- an exhausted fetch names its producing map task
+      so the link is charged a strike and escalation re-executes the map;
+    * ``oom`` -- an out-of-memory death (injected, budget overrun,
+      simulated OOM kill, or a real rlimit ``MemoryError``) is the cue to
+      retry on deterministically halved memory knobs, not to burn a
+      regular failure budget;
+    * ``skip_eligible`` -- under a job ``SkipPolicy``, a failure that
+      localizes to records sends later attempts into skipping mode;
+    * ``corrupt_path`` -- whole-segment corruption names the file so the
+      producing map can be re-run in place.  Mutually exclusive with
+      ``skip_eligible``: block-local damage under a skip policy is
+      skipping's to salvage, not repair's.
+    """
+    oom = isinstance(exc, MemoryError)
+    skippable = (isinstance(exc, Exception) and not oom
+                 and getattr(job, "skipping", None) is not None
+                 and is_skip_eligible(exc))
+    return {
+        "status": "error",
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": "".join(traceback.format_exception(exc)),
+        "failed_map": (exc.map_id if isinstance(exc, FetchFailedError)
+                       else None),
+        "oom": oom,
+        "skip_eligible": skippable,
+        "corrupt_path": (exc.path if isinstance(exc, IFileCorruptError)
+                         and not skippable else None),
+    }
+
+
+def new_memory_tally() -> dict[str, Any]:
+    """Job-level ledger telemetry a runner accumulates across attempts;
+    the assembler turns it into ``MEMORY_*`` counters and
+    ``JobResult.memory_stats``."""
+    return {"oom_events": 0, "degraded_attempts": 0, "peak_bytes": 0,
+            "backpressure_waits": 0, "used_budget": False}
+
+
+def note_memory(tally: dict[str, Any], stats: dict | None) -> None:
+    """Fold one winning attempt's ``MemoryBudget.stats()`` into the run."""
+    if not stats:
+        return
+    tally["used_budget"] = True
+    tally["peak_bytes"] = max(tally["peak_bytes"], stats.get("peak", 0))
+    tally["backpressure_waits"] += stats.get("backpressure_waits", 0)
+
+
+def _arm_budget(name: str, shuffle: Any, fault: Fault | None,
+                kill: Callable[[MemoryError], None] | None) -> Any:
+    """This attempt's memory ledger, with any ``oom`` fault armed.
+
+    A budget exists when the job configured ``memory_budget`` *or* an
+    oom fault targets this attempt -- the clean, unbudgeted path stays
+    allocation-free.  The ``kill`` op models the kernel OOM killer: the
+    moment the site's charged bytes cross the threshold the attempt dies
+    with a ``MemoryError``.  How it dies is the one runner-specific part:
+    a worker passes ``kill`` to persist the error record durably and
+    ``os._exit(137)`` (the SIGKILL status, except the scheduler gets a
+    deterministic signal instead of a missing result file); inline there
+    is no process to kill, so the ``MemoryError`` simply propagates and
+    takes the same degrade ladder.
+    """
+    capacity = getattr(shuffle, "memory_budget", None)
+    oom = fault is not None and fault.mode == "oom"
+    if capacity is None and not oom:
+        return None
+    budget = MemoryBudget(capacity, name=name)
+    if oom:
+        site = fault.where
+        if fault.op == "raise":
+            budget.fail_next(site)
+        elif fault.op == "alloc":
+            budget.alloc_next(site, fault.record)
+        else:  # "kill"
+            def _killed(nbytes: int) -> None:
+                exc = MemoryError(
+                    f"simulated oom kill: {site} charged {nbytes} "
+                    f"bytes over threshold")
+                if kill is not None:
+                    kill(exc)
+                raise exc
+            budget.kill_above(fault.record, _killed, site=site)
+    return budget
+
+
+def run_attempt(
+    kind: str,
+    job: Any,
+    payload: Any,
+    dataset: Any,
+    workdir: str,
+    *,
+    task_id: str,
+    attempt: int = 0,
+    fault: Fault | None = None,
+    skip_mode: bool = False,
+    shuffle: Any = None,
+    fetch_faults: Any = None,
+    degrade: int = 0,
+    keep_files: bool = False,
+    kill: Callable[[MemoryError], None] | None = None,
+) -> dict[str, Any]:
+    """Execute one task attempt in ``workdir``; returns its ok-record
+    ``{"status": "ok", "value": ..., "memory": ...}`` or raises.
+
+    ``payload`` is the task input: an ``InputSplit`` for map tasks, a
+    ``(partition, segments)`` pair for reduce tasks, where ``segments``
+    is either resolved :class:`SegmentRef` s (barrier shuffle) or a
+    :class:`PipelinePlan` (pipelined shuffle).  ``fault`` is the
+    injector's data-shaped fault for this attempt (``poison`` /
+    ``corrupt`` / ``oom``; process faults are the worker's business),
+    ``skip_mode`` runs the body in record-level skipping mode (set after
+    a skip-eligible failure of a previous attempt), ``fetch_faults`` is
+    a reduce task's slice of the injector's fetch plan.
+
+    ``degrade`` is how many OOM deaths this task has already suffered:
+    each level deterministically halves the sort buffer (floored at the
+    Job minimum) and the fetch byte window, so an injected OOM run
+    spills and fetches identically wherever the attempt executes.
+    """
+    if fault is not None and fault.mode == "poison":
+        # Built inside the process that runs the task: the factory
+        # closure is not picklable, and does not need to be.
+        job = poisoned_job(job, fault, kind)
+    if degrade:
+        job = dc_replace(job, sort_buffer_bytes=max(
+            1024, job.sort_buffer_bytes >> degrade))
+        window = getattr(shuffle, "max_inflight_bytes", None)
+        if window is not None:
+            shuffle = dc_replace(
+                shuffle, max_inflight_bytes=max(1, window >> degrade))
+    budget = _arm_budget(f"{task_id}.{attempt}", shuffle, fault, kill)
+    corrupt = fault is not None and fault.mode == "corrupt"
+
+    if kind == "map":
+        if skip_mode:
+            value: Any = run_map_task_skipping(job, payload, dataset, workdir)
+        else:
+            value = run_map_task(job, payload, dataset, workdir,
+                                 memory=budget)
+        if corrupt and fault.where == "map-output":
+            # The task *believes* it succeeded; the damage is only
+            # discoverable by a reducer's checksum verification.
+            target = (fault.segment if fault.segment in value.segments
+                      else min(value.segments))
+            corrupt_file(value.segments[target][0], fault.offset_frac,
+                         fault.op)
+    elif kind == "reduce":
+        part, segments = payload
+        pipelined = isinstance(segments, PipelinePlan)
+        corrupt_input = corrupt and fault.where == "reduce-input"
+        if pipelined and not skip_mode and not corrupt_input:
+            value = run_reduce_task_pipelined(
+                job, part, segments, workdir, keep_files=keep_files,
+                shuffle=shuffle, fetch_faults=fetch_faults, memory=budget)
+        else:
+            if pipelined:
+                # Skipping mode and corrupt-input targeting need the
+                # full segment list up front; wait for every producer
+                # to commit (barrier semantics for this one attempt,
+                # byte-identical by definition).
+                segments = drain_refs(segments, part)
+            if corrupt_input and segments:
+                index = fault.segment if fault.segment is not None else 0
+                target = segments[index % len(segments)]
+                corrupt_file(target.path if isinstance(target, SegmentRef)
+                             else target[0],
+                             fault.offset_frac, fault.op)
+            if skip_mode:
+                value = run_reduce_task_skipping(
+                    job, part, segments, workdir, keep_files=keep_files,
+                    shuffle=shuffle, fetch_faults=fetch_faults)
+            else:
+                value = run_reduce_task(
+                    job, part, segments, workdir, keep_files=keep_files,
+                    shuffle=shuffle, fetch_faults=fetch_faults,
+                    memory=budget)
+    else:
+        raise ValueError(f"unknown task kind {kind!r}")
+    return {"status": "ok", "value": value,
+            "memory": budget.stats() if budget is not None else None}

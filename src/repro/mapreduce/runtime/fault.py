@@ -280,6 +280,12 @@ class FaultInjector:
         quarantine of the bad one."""
         return self.add(host_fault_id(host), Fault("disk_fault", op=op))
 
+    def planned(self) -> list[tuple[str, Fault]]:
+        """Every planned ``(task_id, fault)`` entry, sorted by task id
+        then anchor attempt (``fault.attempt``) -- the public view of
+        the plan, for validation and reporting."""
+        return [(tid, fault) for (tid, _), fault in sorted(self._plan.items())]
+
     def host_plan(self) -> dict[str, Fault]:
         """Every planned host-level fault, keyed by host name.
 
@@ -287,7 +293,7 @@ class FaultInjector:
         barrier and by the scheduler when launching workers.
         """
         plan: dict[str, Fault] = {}
-        for (tid, _), fault in sorted(self._plan.items()):
+        for tid, fault in self.planned():
             if fault.mode in HOST_MODES and tid.startswith("@"):
                 plan[tid[1:]] = fault
         return plan
@@ -300,7 +306,7 @@ class FaultInjector:
         """
         suffix = f"->{reduce_id}"
         plan: dict[str, list[Fault]] = {}
-        for (tid, _), fault in sorted(self._plan.items()):
+        for tid, fault in self.planned():
             if fault.mode == "fetch" and tid.endswith(suffix):
                 map_id = tid[:-len(suffix)]
                 plan.setdefault(map_id, []).append(fault)
@@ -314,7 +320,7 @@ class FaultInjector:
         needs the whole plan rather than one reduce task's slice.
         """
         plan: dict[str, list[Fault]] = {}
-        for (tid, _), fault in sorted(self._plan.items()):
+        for tid, fault in self.planned():
             if fault.mode == "fetch":
                 plan.setdefault(tid, []).append(fault)
         return {k: tuple(fs) for k, fs in plan.items()}
@@ -347,8 +353,7 @@ class FaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         rows = ", ".join(
-            f"{tid}.{att}={f.mode}" for (tid, att), f in sorted(self._plan.items())
-        )
+            f"{tid}.{f.attempt}={f.mode}" for tid, f in self.planned())
         return f"FaultInjector({rows})"
 
 

@@ -4,8 +4,12 @@
 and returns the same :class:`~repro.mapreduce.engine.JobResult` as
 :class:`~repro.mapreduce.engine.LocalJobRunner.run` -- with
 byte-identical :class:`~repro.mapreduce.metrics.Counters`, because both
-runners execute the *same* top-level task functions over the *same*
-IFile/codec data path; only the execution vehicle changes (a
+runners execute the *same* attempt body
+(:func:`~repro.mapreduce.runtime.attempt.run_attempt`), keep map
+outputs in the *same* :class:`~repro.mapreduce.runtime.ledger.
+MapOutputLedger` and fold results with the *same*
+:func:`~repro.mapreduce.runtime.ledger.assemble_result`; only the
+execution vehicle changes (a
 :class:`~repro.mapreduce.runtime.scheduler.TaskScheduler` driving
 worker processes over segments on shared disk, instead of a loop).
 
@@ -40,27 +44,12 @@ import tempfile
 import threading
 from typing import Any, Sequence
 
-from repro.mapreduce.engine import (
-    JobResult,
-    MapTaskOutput,
-    run_map_task,
-)
-from repro.mapreduce.ifile import IFileStats
+from repro.mapreduce.engine import JobResult
 from repro.mapreduce.job import Job
-from repro.mapreduce.metrics import C, Counters, TaskProfile
 from repro.mapreduce.runtime.fault import FaultInjector
-from repro.mapreduce.runtime.hosts import (
-    HostHealthMonitor,
-    HostRegistry,
-    expand_host_partition,
-)
-from repro.mapreduce.runtime.pipeline import (
-    COMMITS_DIRNAME,
-    CommitLog,
-    CommitRecord,
-    PipelinePlan,
-    aggregate_pipeline_stats,
-)
+from repro.mapreduce.runtime.hosts import HostHealthMonitor, HostRegistry
+from repro.mapreduce.runtime.ledger import MapOutputLedger, assemble_result
+from repro.mapreduce.runtime.pipeline import COMMITS_DIRNAME
 from repro.mapreduce.runtime.recovery import (
     MANIFEST_NAME,
     JobManifest,
@@ -70,7 +59,7 @@ from repro.mapreduce.runtime.recovery import (
 )
 from repro.mapreduce.runtime.pool import WorkerPool
 from repro.mapreduce.runtime.scheduler import TaskScheduler, TaskSpec
-from repro.mapreduce.runtime.shuffle import SegmentRef, ShuffleConfig
+from repro.mapreduce.runtime.shuffle import ShuffleConfig
 from repro.mapreduce.runtime.trace import RuntimeTrace
 from repro.mapreduce.runtime.worker import load_result
 from repro.scidata.dataset import Dataset
@@ -232,9 +221,6 @@ class ParallelJobRunner:
                                   **self._scheduler_kwargs)
         self.last_adopted = 0
         self.last_map_reexecs = 0
-        # Same dict object the scheduler mutates: _assemble_result reads
-        # it after the waves without re-plumbing every call path.
-        self._memory_tally = scheduler.memory_tally
 
         # Graceful termination: SIGTERM/SIGINT set the cancel event so
         # the scheduler drains (kills workers, stops segment servers via
@@ -402,543 +388,159 @@ class ParallelJobRunner:
         adopted: dict[str, TaskRecord],
         monitor: HostHealthMonitor,
     ) -> JobResult:
-        recovering = manifest is not None
+        """Drive the job's tasks through the scheduler, barrier or
+        pipelined, around one :class:`MapOutputLedger`.
 
-        # Host faults.  Partitions are expanded into deterministic
-        # per-link fetch drops *before* anything snapshots the fetch
-        # plan (the network shuffle service copies it at startup), with
-        # exactly the serial runner's clamp so retry counts match
-        # byte-for-byte.
+        *Barrier* (default): every map runs first; at the shuffle
+        barrier their outputs are published, injected ``host_crash``
+        faults land (exactly where Hadoop's lost-tasktracker handling
+        runs), and each reducer is handed its partition's resolved
+        segment refs.  The segment servers live for the reduce wave.
+
+        *Pipelined* (``shuffle.pipeline``): one combined wave.  Each
+        completed map's ``on_complete`` publishes its commit record --
+        the completion-event stream reducers poll -- so reducers fetch
+        and merge as producers commit, holding final output until their
+        pending-set drains.  Re-pointing after a re-execution is the
+        commit log's job (readers observe the new record, or a
+        STALE_EPOCH fetch), so the ``reexec`` hook returns no payload
+        updates; an injected ``host_crash`` fires the moment the host's
+        last homed map commits -- the pipelined analogue of the barrier
+        crash.  Overlap measurements land in ``pipeline_stats``, never
+        in counters.
+
+        Either way output and counters are byte-identical to the serial
+        runner: same attempt body, same ledger, same assembler.
+        """
+        recovering = manifest is not None
         injector = self._scheduler_kwargs.get("fault_injector")
         shuffle_cfg = self._scheduler_kwargs.get("shuffle")
-        host_plan = (injector.host_plan()
-                     if injector is not None
-                     and hasattr(injector, "host_plan") else {})
-        map_ids = [f"m{s.split_id:05d}" for s in splits]
-        reduce_ids = [f"r{part:05d}" for part in range(job.num_reducers)]
-        retries = (getattr(shuffle_cfg, "fetch_retries", 3)
-                   if shuffle_cfg is not None else 3)
-        for host, fault in sorted(host_plan.items()):
-            if fault.mode == "host_partition":
-                drops = min(max(1, fault.record), retries)
-                expand_host_partition(injector, host, map_ids, reduce_ids,
-                                      self.num_hosts, drops)
+        pipeline = bool(getattr(shuffle_cfg, "pipeline", False))
 
-        # Pipelined shuffle: one combined wave instead of two barriered
-        # ones.  All the barrier-only machinery below (eager segment-ref
-        # payloads, barrier-time host crashes) is replaced by the commit
-        # log as the completion-event stream.
-        if shuffle_cfg is not None and getattr(shuffle_cfg, "pipeline",
-                                               False):
-            return self._run_pipelined(
-                job, dataset, splits, scheduler, trace, run_dir,
-                manifest, adopted, monitor, injector, shuffle_cfg,
-                host_plan)
+        def fresh_dir(map_id: str, epoch: int) -> str:
+            path = os.path.join(run_dir, f"{map_id}.reexec{epoch}")
+            os.makedirs(path, exist_ok=True)
+            return path
 
-        def on_complete(spec, attempt, attempt_dir, result_path, value):
-            self._checkpoint(manifest, spec, attempt, attempt_dir,
-                             result_path, value)
-
-        wave_kwargs: dict[str, Any] = {}
+        ledger = MapOutputLedger(
+            job, dataset, splits, hosts=monitor, rerun_dir=fresh_dir,
+            shuffle=shuffle_cfg, injector=injector, trace=trace,
+            commit_dir=(os.path.join(run_dir, COMMITS_DIRNAME)
+                        if pipeline else None))
+        map_specs = [TaskSpec(map_id, "map", split)
+                     for map_id, split in zip(ledger.map_ids, splits)]
         if recovering:
-            wave_kwargs = dict(on_complete=on_complete,
-                               keep_result_files=True)
-
-        # Wave 1: map tasks.
-        map_specs = [TaskSpec(f"m{s.split_id:05d}", "map", s) for s in splits]
-        if recovering:
-            manifest.record_wave("map", [s.task_id for s in map_specs])
+            manifest.record_wave("map", list(ledger.map_ids))
         adopted_maps = self._load_adopted(adopted, "map")
-        self.last_adopted += len(adopted_maps)
-        map_results: dict[str, MapTaskOutput] = scheduler.run_wave(
-            map_specs, job, dataset, run_dir,
-            precomputed=adopted_maps, **wave_kwargs)
+        adopted_reduces = self._load_adopted(adopted, "reduce")
+        self.last_adopted += len(adopted_maps) + len(adopted_reduces)
 
-        # Shuffle barrier: hand each reducer its partition's segment
-        # references, in map-task order (matching the serial runner
-        # exactly).  ``epoch`` tracks per-map re-executions so a fetch
-        # fault pinned to epoch 0 stops matching the replacement bytes.
-        reexec_epochs: dict[str, int] = {s.task_id: 0 for s in map_specs}
-
-        # Network transport: start the per-worker segment servers in
-        # the scheduler process and publish every committed map output.
-        # Reduce workers then fetch over real loopback sockets; the
-        # service dies with the reduce wave.
-        service = None
-        if (shuffle_cfg is not None
-                and getattr(shuffle_cfg, "transport", "") == "network"):
-            from repro.mapreduce.runtime.netshuffle import ShuffleService
-            service = ShuffleService.from_config(
-                shuffle_cfg,
-                faults=(injector.fetch_plan() if injector is not None
-                        else None),
-                trace=trace)
-            service.start()
-            for task_id, mo in map_results.items():
-                service.register_map_output(
-                    task_id, [path for path, _ in mo.segments.values()],
-                    epoch=0)
-
-        def reduce_payload(part: int) -> tuple[int, list[SegmentRef]]:
-            refs = []
-            for spec in map_specs:
-                path, stats = map_results[spec.task_id].segments[part]
-                refs.append(SegmentRef(
-                    map_id=spec.task_id, path=path, stats=stats,
-                    epoch=reexec_epochs[spec.task_id],
-                    address=(service.address_for(spec.task_id)
-                             if service is not None else None)))
-            return (part, refs)
-
-        def rerun_map(map_id: str, charge: bool = True) -> None:
-            """Re-run one completed map into a fresh epoch directory.
-
-            Runs inline in the scheduler process (like segment repair,
-            so the fault plan that broke the segments cannot re-break
-            the replacement).  The old paths are deleted, so a
-            straggling reader fails fast rather than reading
-            half-invalidated bytes.  ``charge`` feeds the ordinary
-            fetch-failure re-execution counter; host-crash re-runs are
-            charged separately through the health monitor.
-            """
-            spec = next(s for s in map_specs if s.task_id == map_id)
-            if service is not None:
-                # Graceful drain: in-flight requests for the doomed
-                # epoch get STALE_EPOCH (a transient) instead of racing
-                # half-deleted files.
-                service.invalidate(map_id)
-            reexec_epochs[map_id] += 1
-            old = map_results[map_id]
-            fresh_dir = os.path.join(
-                run_dir, f"{map_id}.reexec{reexec_epochs[map_id]}")
-            os.makedirs(fresh_dir, exist_ok=True)
-            mo = run_map_task(job, spec.payload, dataset, fresh_dir)
-            for path, _ in old.segments.values():
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass  # e.g. the missing segment that started this
-            map_results[map_id] = mo
-            if service is not None:
-                service.register_map_output(
-                    map_id, [path for path, _ in mo.segments.values()],
-                    epoch=reexec_epochs[map_id])
-            trace.set_profile(map_id, mo.profile)
-            if charge:
-                self.last_map_reexecs += 1
-            if manifest is not None and map_id in manifest.tasks:
-                # The checkpointed result pickle now points at deleted
-                # segment paths; drop the record so a resume re-runs the
-                # map instead of adopting a dangling checkpoint.
+        def forget_checkpoint(map_id: str) -> None:
+            # The checkpointed result pickle now points at deleted
+            # segment paths; drop the record so a resume re-runs the
+            # map instead of adopting a dangling checkpoint.
+            if recovering and map_id in manifest.tasks:
                 del manifest.tasks[map_id]
                 manifest.save()
 
-        # Whole-host crashes apply at the shuffle barrier, exactly like
-        # the serial runner: the host's segment server dies, the only
-        # copies of its maps' segments die with it, and every completed
-        # map homed there is proactively re-executed at a bumped epoch
-        # before any reducer plans a fetch.
-        for host in sorted(h for h, f in host_plan.items()
-                           if f.mode == "host_crash"):
-            monitor.declare_dead(host, "injected host_crash at barrier")
-            if service is not None:
-                index = int(host.removeprefix("host"))
-                if index < service.num_servers:
-                    service.kill_server(index)
-            lost = sorted(t for t in map_results
-                          if monitor.host_for(t) == host)
-            monitor.charge_host_reexec(host, len(lost))
-            for map_id in lost:
-                rerun_map(map_id, charge=False)
-        # Barrier deaths are fully handled here; drain them so the
-        # scheduler's own dead-host sweep does not re-execute the maps
-        # a second time.
-        monitor.take_newly_dead()
-
-        reduce_specs = [
-            TaskSpec(f"r{part:05d}", "reduce", reduce_payload(part))
-            for part in range(job.num_reducers)]
-        if recovering:
-            manifest.record_wave("reduce", [s.task_id for s in reduce_specs])
-
-        def repair(corrupt_path: str) -> None:
-            self._repair_segment(corrupt_path, job, dataset, map_specs,
-                                 map_results, trace, manifest)
+        def reduce_payloads() -> dict[str, Any]:
+            return {rid: ledger.payload(part)
+                    for part, rid in enumerate(ledger.reduce_ids)}
 
         def reexec(map_id: str) -> dict[str, Any]:
-            """Re-run a completed map whose segments proved unfetchable
-            (or whose host died mid-wave); returns the re-pointed
-            payload for every reduce task.
-            """
-            rerun_map(map_id)
-            return {f"r{part:05d}": reduce_payload(part)
-                    for part in range(job.num_reducers)}
+            """Fetch-failure escalation (or a mid-wave host death):
+            re-run the completed map; returns the re-pointed payload of
+            every reduce task (none when the commit log re-points)."""
+            ledger.rerun(map_id)
+            forget_checkpoint(map_id)
+            return {} if pipeline else reduce_payloads()
 
-        # Wave 2: reduce tasks (dataset not needed in reduce workers).
-        adopted_reduces = self._load_adopted(adopted, "reduce")
-        self.last_adopted += len(adopted_reduces)
-        try:
-            reduce_results = scheduler.run_wave(
-                reduce_specs, job, None, run_dir, repair=repair,
-                precomputed=adopted_reduces, reexec=reexec, **wave_kwargs)
-        finally:
-            if service is not None:
-                service.stop()
+        def repair(corrupt_path: str) -> None:
+            map_id = ledger.repair(corrupt_path)
+            if recovering and map_id in manifest.tasks:
+                # Refresh the checkpoint CRCs: the repaired bytes are
+                # identical for a healthy filesystem, but the record
+                # must reflect what is on disk *now*.
+                record = manifest.tasks[map_id]
+                record.files = {p: file_crc32(p) for p in record.files
+                                if os.path.exists(p)}
+                manifest.record_task(record)
 
-        return self._assemble_result(job, splits, map_specs, map_results,
-                                     reduce_results, trace, monitor,
-                                     host_plan)
+        crash_pending = set(ledger.hosts_with("host_crash"))
 
-    def _assemble_result(
-        self,
-        job: Job,
-        splits: Sequence[InputSplit],
-        map_specs: Sequence[TaskSpec],
-        map_results: dict[str, MapTaskOutput],
-        reduce_results: dict[str, Any],
-        trace: RuntimeTrace,
-        monitor: HostHealthMonitor,
-        host_plan: dict,
-        pipeline_per_task: list | None = None,
-    ) -> JobResult:
-        """Fold per-task results into a :class:`JobResult` exactly like
-        the serial runner: map counters/profiles in split order, then
-        reduces in partition order.  Counter merging commutes, so the
-        bytes are identical -- including for tasks adopted from a
-        checkpoint, whose counters ride inside their pickled results.
-        Shared by the barrier and pipelined paths, which is what makes
-        their byte-identity structural rather than coincidental.
-        """
-        counters = Counters()
-        profiles: list[TaskProfile] = []
-        map_stats = IFileStats()
-        for spec in map_specs:
-            mo = map_results[spec.task_id]
-            counters.merge(mo.counters)
-            profiles.append(mo.profile)
-            trace.set_profile(mo.task_id, mo.profile)
-            for _, stats in mo.segments.values():
-                map_stats.merge(stats)
-
-        output: list[tuple[Any, Any]] = []
-        for part in range(job.num_reducers):
-            rr = reduce_results[f"r{part:05d}"]
-            output.extend(rr.output)
-            counters.merge(rr.counters)
-            profiles.append(rr.profile)
-            trace.set_profile(rr.task_id, rr.profile)
-
-        # Map re-executions are a job-level event (the winning task
-        # counters stay identical to a fault-free run by design).
-        if self.last_map_reexecs:
-            counters.incr(C.MAPS_REEXECUTED, self.last_map_reexecs)
-        if monitor.hosts_lost:
-            counters.incr(C.HOSTS_LOST, monitor.hosts_lost)
-        if monitor.maps_reexecuted_host:
-            counters.incr(C.MAPS_REEXECUTED_HOST,
-                          monitor.maps_reexecuted_host)
-        disk_hosts = {h for h, f in host_plan.items()
-                      if f.mode == "disk_fault"}
-        if disk_hosts:
-            # One failover per task homed on a disk-faulted host -- a
-            # pure function of the plan, matching the serial runner
-            # without plumbing per-worker failover flags.
-            from repro.mapreduce.runtime.hosts import host_for
-            ids = ([s.task_id for s in map_specs]
-                   + [f"r{part:05d}" for part in range(job.num_reducers)])
-            affected = sum(1 for t in ids
-                           if host_for(t, self.num_hosts) in disk_hosts)
-            if affected:
-                counters.incr(C.DISK_FAILOVERS, affected)
-
-        tally = getattr(self, "_memory_tally", None) or {}
-        if tally.get("oom_events"):
-            # Job-level, like MAPS_REEXECUTED: deterministic under an
-            # injected fault plan, so serial and parallel runs count
-            # identically; clean runs leave them zero (== absent).
-            counters.incr(C.MEMORY_OOM_EVENTS, tally["oom_events"])
-            counters.incr(C.MEMORY_DEGRADED_ATTEMPTS,
-                          tally["degraded_attempts"])
-        memory_stats = None
-        if tally.get("used_budget"):
-            shuffle_cfg = self._scheduler_kwargs.get("shuffle")
-            memory_stats = {
-                "budget": getattr(shuffle_cfg, "memory_budget", None),
-                "peak_bytes": tally["peak_bytes"],
-                "backpressure_waits": tally["backpressure_waits"],
-                "oom_events": tally["oom_events"],
-                "degraded_attempts": tally["degraded_attempts"],
-            }
-
-        return JobResult(
-            output=output,
-            counters=counters,
-            task_profiles=profiles,
-            map_output_stats=map_stats,
-            num_map_tasks=len(splits),
-            num_reduce_tasks=job.num_reducers,
-            trace=trace,
-            pipeline_stats=(aggregate_pipeline_stats(pipeline_per_task)
-                            if pipeline_per_task is not None else None),
-            memory_stats=memory_stats,
-        )
-
-    # ------------------------------------------------------- pipelined wave
-
-    def _run_pipelined(
-        self,
-        job: Job,
-        dataset: Dataset,
-        splits: Sequence[InputSplit],
-        scheduler: TaskScheduler,
-        trace: RuntimeTrace,
-        run_dir: str,
-        manifest: JobManifest | None,
-        adopted: dict[str, TaskRecord],
-        monitor: HostHealthMonitor,
-        injector: FaultInjector | None,
-        shuffle_cfg: ShuffleConfig,
-        host_plan: dict,
-    ) -> JobResult:
-        """One *combined* wave: reduce attempts admitted alongside maps.
-
-        Each completed map's ``on_complete`` hook publishes a
-        :class:`CommitRecord` into the run's commit log -- the
-        completion-event stream pipelined reducers poll -- and registers
-        the segments with the network shuffle service, which starts
-        *before* the wave instead of at the barrier.  Reduce payloads
-        carry a :class:`PipelinePlan`, so each reducer fetches segments
-        as their producers commit and starts merging incrementally,
-        holding final output until its pending-set drains.
-
-        Fault semantics mirror the barrier path exactly:
-
-        * fetch-failure escalation re-runs the map at a bumped epoch;
-          re-pointing is the commit log's job (readers observe the new
-          record, or a STALE_EPOCH fetch), so the ``reexec`` hook
-          returns no payload updates;
-        * an injected ``host_crash`` fires the moment the host's last
-          homed map commits -- the pipelined analogue of the
-          barrier-time crash -- re-executing its maps uncharged against
-          the ordinary re-execution counter.
-
-        Output and counters are byte-identical to the barrier path (and
-        therefore to the serial runner); overlap measurements land in
-        ``JobResult.pipeline_stats``, never in counters.
-        """
-        recovering = manifest is not None
-        map_specs = [TaskSpec(f"m{s.split_id:05d}", "map", s) for s in splits]
-        commit_dir = os.path.join(run_dir, COMMITS_DIRNAME)
-        # Stale records from an interrupted run may point at attempt
-        # directories the manifest no longer vouches for; adopted maps
-        # are re-published below from their validated checkpoints.
-        shutil.rmtree(commit_dir, ignore_errors=True)
-        commitlog = CommitLog(commit_dir)
-        reexec_epochs: dict[str, int] = {s.task_id: 0 for s in map_specs}
-        map_results: dict[str, MapTaskOutput] = {}
-
-        service = None
-        if getattr(shuffle_cfg, "transport", "") == "network":
-            from repro.mapreduce.runtime.netshuffle import ShuffleService
-            service = ShuffleService.from_config(
-                shuffle_cfg,
-                faults=(injector.fetch_plan() if injector is not None
-                        else None),
-                trace=trace)
-            service.start()
-
-        def publish(map_id: str, mo: MapTaskOutput, attempt: int = 0,
-                    detail: str = "") -> None:
-            """Register + commit one map's output: the completion event.
-
-            Registration precedes the commit record so ``address_for``
-            reflects a server revived by the registration itself.
-            """
-            if service is not None:
-                service.register_map_output(
-                    map_id, [path for path, _ in mo.segments.values()],
-                    epoch=reexec_epochs[map_id])
-            commitlog.commit(CommitRecord(
-                map_id=map_id,
-                epoch=reexec_epochs[map_id],
-                segments=mo.segments,
-                address=(service.address_for(map_id)
-                         if service is not None else None)))
-            trace.record(map_id, attempt, "map", "pipeline_commit",
-                         detail or f"epoch {reexec_epochs[map_id]}")
-
-        def rerun_map(map_id: str, charge: bool = True) -> None:
-            """Re-run one committed map into a fresh epoch directory.
-
-            Same contract as the barrier path's ``rerun_map``, plus the
-            re-published commit record: a reducer that already consumed
-            the old epoch observes the bump in its next poll, discards
-            the stale run, and re-fetches -- no payload re-pointing.
-            """
-            spec = next(s for s in map_specs if s.task_id == map_id)
-            if service is not None:
-                service.invalidate(map_id)
-            reexec_epochs[map_id] += 1
-            old = map_results[map_id]
-            fresh_dir = os.path.join(
-                run_dir, f"{map_id}.reexec{reexec_epochs[map_id]}")
-            os.makedirs(fresh_dir, exist_ok=True)
-            mo = run_map_task(job, spec.payload, dataset, fresh_dir)
-            for path, _ in old.segments.values():
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass  # e.g. the missing segment that started this
-            map_results[map_id] = mo
-            publish(map_id, mo, attempt=reexec_epochs[map_id],
-                    detail=f"republished at epoch {reexec_epochs[map_id]}")
-            trace.set_profile(map_id, mo.profile)
-            if charge:
-                self.last_map_reexecs += 1
-            if manifest is not None and map_id in manifest.tasks:
-                del manifest.tasks[map_id]
-                manifest.save()
-
-        crash_pending = {h for h, f in host_plan.items()
-                         if f.mode == "host_crash"}
-
-        def maybe_crash_hosts() -> None:
-            """Fire injected host crashes once their last homed map has
-            committed -- the pipelined analogue of the barrier crash.
-            The host's segment server dies, the only copies of its maps'
-            segments die with it, and every map homed there is
-            re-executed at a bumped epoch; reducers mid-pipeline observe
-            the bumps through the commit log (or a STALE_EPOCH fetch).
-            """
-            crashed = []
+        def crash_hosts(reason: str) -> None:
+            """Fire each pending injected host crash whose homed maps
+            have all been published."""
             for host in sorted(crash_pending):
-                homed = sorted(s.task_id for s in map_specs
-                               if monitor.host_for(s.task_id) == host)
-                if any(m not in map_results for m in homed):
-                    continue
-                crash_pending.discard(host)
-                crashed.append(host)
-                monitor.declare_dead(host,
-                                     "injected host_crash mid-pipeline")
-                if service is not None:
-                    index = int(host.removeprefix("host"))
-                    if index < service.num_servers:
-                        service.kill_server(index)
-                monitor.charge_host_reexec(host, len(homed))
-                for map_id in homed:
-                    rerun_map(map_id, charge=False)
-            if crashed:
-                # These deaths are fully handled; drain exactly them so
-                # the scheduler's sweep neither re-executes the maps a
-                # second time nor swallows an organic death queued
-                # behind them.
-                monitor.take_newly_dead(only=set(crashed))
+                if all(m in ledger.results for m in ledger.map_ids
+                       if monitor.host_for(m) == host):
+                    crash_pending.discard(host)
+                    for map_id in ledger.lose_host(host, reason):
+                        forget_checkpoint(map_id)
 
         def on_complete(spec, attempt, attempt_dir, result_path, value):
             if recovering:
                 self._checkpoint(manifest, spec, attempt, attempt_dir,
                                  result_path, value)
+            if not pipeline:
+                return
             if spec.kind == "map":
-                map_results[spec.task_id] = value
-                trace.set_profile(spec.task_id, value.profile)
-                publish(spec.task_id, value, attempt=attempt)
-                maybe_crash_hosts()
-            else:
-                stats = getattr(value, "pipeline", None)
-                if stats:
-                    trace.record(
-                        spec.task_id, attempt, "reduce", "pipeline_drain",
-                        f"overlapped {stats.get('overlapped_fetches', 0)} "
-                        f"fetch(es), waited "
-                        f"{stats.get('wait_seconds', 0.0):.3f}s")
+                ledger.publish(spec.task_id, value, attempt=attempt)
+                crash_hosts("injected host_crash mid-pipeline")
+            elif getattr(value, "pipeline", None):
+                stats = value.pipeline
+                trace.record(
+                    spec.task_id, attempt, "reduce", "pipeline_drain",
+                    f"overlapped {stats.get('overlapped_fetches', 0)} "
+                    f"fetch(es), waited "
+                    f"{stats.get('wait_seconds', 0.0):.3f}s")
 
-        plan = PipelinePlan(commit_dir=commit_dir,
-                            map_ids=tuple(s.task_id for s in map_specs))
-        reduce_specs = [TaskSpec(f"r{part:05d}", "reduce", (part, plan))
-                        for part in range(job.num_reducers)]
-        if recovering:
-            manifest.record_wave("map", [s.task_id for s in map_specs])
-            manifest.record_wave("reduce",
-                                 [s.task_id for s in reduce_specs])
-
-        adopted_maps = self._load_adopted(adopted, "map")
-        adopted_reduces = self._load_adopted(adopted, "reduce")
-        self.last_adopted += len(adopted_maps) + len(adopted_reduces)
-        # Adopted tasks never fire on_complete: publish their commit
-        # records up front so pipelined reducers see them immediately,
-        # and fire any crash whose homed maps were all adopted (or which
-        # homes no maps at all).
-        for map_id in sorted(adopted_maps):
-            map_results[map_id] = adopted_maps[map_id]
-            publish(map_id, adopted_maps[map_id],
-                    detail="adopted from checkpoint")
-        maybe_crash_hosts()
-
-        def repair(corrupt_path: str) -> None:
-            self._repair_segment(corrupt_path, job, dataset, map_specs,
-                                 map_results, trace, manifest)
-
-        def reexec(map_id: str) -> dict[str, Any]:
-            """Fetch-failure escalation (and mid-wave host death): re-run
-            the map at a bumped epoch.  The commit log re-points readers,
-            so no reduce payloads change."""
-            rerun_map(map_id)
-            return {}
+        def reduce_specs() -> list[TaskSpec]:
+            if recovering:
+                # In a barrier run the reduce wave's presence doubles as
+                # the manifest's shuffle-barrier marker.
+                manifest.record_wave("reduce", list(ledger.reduce_ids))
+            return [TaskSpec(rid, "reduce", payload)
+                    for rid, payload in reduce_payloads().items()]
 
         try:
-            results = scheduler.run_wave(
-                list(map_specs) + reduce_specs, job, dataset, run_dir,
-                repair=repair,
-                precomputed={**adopted_maps, **adopted_reduces},
-                reexec=reexec, on_complete=on_complete,
-                keep_result_files=recovering, pipeline=True)
+            if pipeline:
+                specs = map_specs + reduce_specs()
+                with ledger:
+                    # Adopted tasks never fire on_complete: publish
+                    # their commit records up front so pipelined
+                    # reducers see them immediately, and fire any crash
+                    # whose homed maps were all adopted (or which homes
+                    # no maps at all).
+                    for map_id in sorted(adopted_maps):
+                        ledger.publish(map_id, adopted_maps[map_id],
+                                       detail="adopted from checkpoint")
+                    crash_hosts("injected host_crash mid-pipeline")
+                    reduce_results = scheduler.run_wave(
+                        specs, job, dataset, run_dir,
+                        repair=repair,
+                        precomputed={**adopted_maps, **adopted_reduces},
+                        reexec=reexec, on_complete=on_complete,
+                        keep_result_files=recovering, pipeline=True)
+            else:
+                wave_kwargs: dict[str, Any] = {}
+                if recovering:
+                    wave_kwargs = dict(on_complete=on_complete,
+                                       keep_result_files=True)
+                map_results = scheduler.run_wave(
+                    map_specs, job, dataset, run_dir,
+                    precomputed=adopted_maps, **wave_kwargs)
+                with ledger:
+                    for map_id in ledger.map_ids:
+                        ledger.publish(map_id, map_results[map_id])
+                    crash_hosts("injected host_crash at barrier")
+                    # Dataset not needed in reduce workers.
+                    reduce_results = scheduler.run_wave(
+                        reduce_specs(), job, None, run_dir, repair=repair,
+                        precomputed=adopted_reduces, reexec=reexec,
+                        **wave_kwargs)
         finally:
-            if service is not None:
-                service.stop()
-
-        reduce_results = {s.task_id: results[s.task_id]
-                          for s in reduce_specs}
-        per_task = [getattr(reduce_results[f"r{part:05d}"], "pipeline", None)
-                    for part in range(job.num_reducers)]
-        return self._assemble_result(job, splits, map_specs, map_results,
-                                     reduce_results, trace, monitor,
-                                     host_plan, pipeline_per_task=per_task)
-
-    def _repair_segment(
-        self,
-        corrupt_path: str,
-        job: Job,
-        dataset: Dataset,
-        map_specs: Sequence[TaskSpec],
-        map_results: dict[str, MapTaskOutput],
-        trace: RuntimeTrace,
-        manifest: JobManifest | None = None,
-    ) -> None:
-        """Re-generate a corrupt map output segment in place.
-
-        Map tasks are deterministic, so re-running the producer into its
-        original attempt directory recreates every segment at the same
-        path with the same bytes -- the waiting reduce retry picks them
-        up without re-routing.  Runs inline in the scheduler process
-        (fault injection only applies inside workers, so a repair can
-        never be re-corrupted by the plan that broke it).
-        """
-        name = os.path.basename(corrupt_path)
-        task_id = name.split("-out-")[0]
-        spec = next((s for s in map_specs if s.task_id == task_id), None)
-        if spec is None:
-            raise RuntimeError(
-                f"corrupt segment {corrupt_path} matches no map task")
-        attempt_dir = os.path.dirname(corrupt_path)
-        mo = run_map_task(job, spec.payload, dataset, attempt_dir)
-        map_results[task_id] = mo
-        trace.set_profile(task_id, mo.profile)
-        trace.record(task_id, 0, "map", "repaired", corrupt_path)
-        if manifest is not None and task_id in manifest.tasks:
-            # Refresh the checkpoint CRCs: the repaired bytes are
-            # identical for a healthy filesystem, but the record must
-            # reflect what is on disk *now*.
-            record = manifest.tasks[task_id]
-            record.files = {p: file_crc32(p) for p in record.files
-                            if os.path.exists(p)}
-            manifest.record_task(record)
+            self.last_map_reexecs = ledger.map_reexecs
+        return assemble_result(job, ledger, reduce_results,
+                               scheduler.memory_tally, shuffle=shuffle_cfg,
+                               trace=trace)

@@ -55,10 +55,11 @@ import statistics
 import threading
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.mapreduce.metrics import C
+from repro.mapreduce.runtime.attempt import new_memory_tally, note_memory
 from repro.mapreduce.runtime.fault import Fault, FaultInjector
 from repro.mapreduce.runtime.hosts import HostHealthMonitor
 from repro.mapreduce.runtime.pipeline import STARVED_NAME
@@ -321,9 +322,7 @@ class TaskScheduler:
         self.worker_rlimit_bytes = worker_rlimit_bytes
         #: ledger telemetry aggregated across waves -- consumed by the
         #: runner for ``JobResult.memory_stats`` and the MEMORY_* counters
-        self.memory_tally: dict[str, Any] = {
-            "oom_events": 0, "degraded_attempts": 0, "peak_bytes": 0,
-            "backpressure_waits": 0, "used_budget": False}
+        self.memory_tally: dict[str, Any] = new_memory_tally()
         #: planned disk faults by home host, applied inside workers
         self._disk_faults: dict[str, Fault] = {}
         if fault_injector is not None:
@@ -422,10 +421,10 @@ class TaskScheduler:
         #: fetch-failure requeues per reduce -- paces the retry backoff
         #: without charging the reduce's ``max_retries`` budget
         fetch_requeues: dict[str, int] = defaultdict(int)
-        #: OOM deaths per task: the degrade level.  Each death halves
-        #: the task's sort buffer and fetch window on the next launch
-        #: (the serial runner's ``_memory_setup`` formula), uncharged
-        #: against ``max_retries`` but bounded by ``max_memory_retries``.
+        #: OOM deaths per task: the degrade level ``run_attempt`` halves
+        #: the task's sort buffer and fetch window by on the next launch,
+        #: uncharged against ``max_retries`` but bounded by
+        #: ``max_memory_retries``.
         oom_requeues: dict[str, int] = defaultdict(int)
         #: tasks whose next attempts run in record-skipping mode; sticky
         #: for the rest of the wave once a skip-eligible failure is seen
@@ -465,29 +464,19 @@ class TaskScheduler:
                     # the stable hash decide who fails over).
                     disk_fault = self._disk_faults.get(
                         self.hosts.host_for(spec.task_id))
-            # Degrade-on-retry: after ``degrade`` OOM deaths this task
-            # launches with a deterministically halved sort buffer and
-            # fetch byte window -- the serial runner's exact formula, so
-            # injected OOM runs stay counter-identical across runners.
-            degrade = oom_requeues[spec.task_id]
-            eff_job, eff_shuffle = job, self.shuffle
-            if degrade:
-                eff_job = dc_replace(job, sort_buffer_bytes=max(
-                    1024, job.sort_buffer_bytes >> degrade))
-                mib = (getattr(eff_shuffle, "max_inflight_bytes", None)
-                       if eff_shuffle is not None else None)
-                if mib is not None:
-                    eff_shuffle = dc_replace(
-                        eff_shuffle, max_inflight_bytes=max(1, mib >> degrade))
             try:
                 process = self._lease.spawn(
                     worker_entry,
                     (spec.task_id, spec.kind, number, attempt_dir,
-                     result_path, eff_job,
+                     result_path, job,
                      dataset if spec.kind == "map" else None,
                      spec.payload, fault, self.heartbeat_interval,
-                     skip_mode, eff_shuffle, fetch_faults,
-                     host, disk_fault, self.worker_rlimit_bytes),
+                     skip_mode, self.shuffle, fetch_faults,
+                     host, disk_fault, self.worker_rlimit_bytes,
+                     # Degrade-on-retry: the OOM deaths this task has
+                     # suffered; the attempt body halves its memory
+                     # knobs once per level.
+                     oom_requeues[spec.task_id]),
                 )
             except PoolSaturatedError:
                 # Lost the race for the last shared slot to a concurrent
@@ -656,8 +645,8 @@ class TaskScheduler:
                     task_id, oom_requeues[task_id],
                     f"{detail} (exhausted {limit} memory retries)")
             # Tallied only for deaths that earn a degraded retry -- the
-            # exhausting death raises untallied, exactly like the serial
-            # ladder, so the counters match whenever a job completes.
+            # exhausting death raises untallied, in either runner's
+            # loop, so the counters match whenever a job completes.
             self.memory_tally["oom_events"] += 1
             self.memory_tally["degraded_attempts"] += 1
             trace.record(task_id, attempt.number, spec.kind, "oom_degraded",
@@ -702,12 +691,7 @@ class TaskScheduler:
                         f"{skipped} record(s) skipped into quarantine")
                 mem = result.get("memory")
                 if mem:
-                    tally = self.memory_tally
-                    tally["used_budget"] = True
-                    tally["peak_bytes"] = max(tally["peak_bytes"],
-                                              mem.get("peak", 0))
-                    tally["backpressure_waits"] += mem.get(
-                        "backpressure_waits", 0)
+                    note_memory(self.memory_tally, mem)
                     trace.record(
                         task_id, attempt.number, spec.kind, "memory_peak",
                         f"{mem.get('peak', 0)}/{mem.get('capacity')}")
@@ -728,16 +712,18 @@ class TaskScheduler:
                 corrupt_path = None
                 skip_eligible = False
             else:
+                # ``classify``'s record: the same dispatch, in the same
+                # order, as the serial runner's inline loop.
                 detail = f"{result['error_type']}: {result['message']}"
-                corrupt_path = result.get("corrupt_path")
-                skip_eligible = result.get("skip_eligible", False)
-                failed_map = result.get("failed_map")
-                if failed_map is not None:
-                    handle_fetch_failure(attempt, failed_map, detail)
+                if result["failed_map"] is not None:
+                    handle_fetch_failure(attempt, result["failed_map"],
+                                         detail)
                     return
-                if result.get("oom"):
+                if result["oom"]:
                     handle_oom(attempt, detail)
                     return
+                corrupt_path = result["corrupt_path"]
+                skip_eligible = result["skip_eligible"]
             record_failure(attempt, detail, corrupt_path, skip_eligible)
 
         def deadline_breach(attempt: _Attempt, now: float) -> str | None:

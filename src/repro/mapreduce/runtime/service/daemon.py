@@ -113,6 +113,13 @@ class ServiceConfig:
     #: extra ParallelJobRunner keywords applied to every job
     runner_kwargs: dict[str, Any] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for tenant, entry in self.tenants.items():
+            if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+                raise ValueError(
+                    f"tenant {tenant!r}: expected (weight, quota, "
+                    f"memory_quota_or_None), got {entry!r}")
+
     @classmethod
     def from_env(cls, root: str) -> "ServiceConfig":
         """Resolve the documented REPRO_SERVICE_* knobs (README table)."""

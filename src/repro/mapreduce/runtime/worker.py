@@ -1,10 +1,10 @@
 """What runs inside one task worker process.
 
-The worker executes exactly the same top-level task functions as the
-serial runner (:func:`repro.mapreduce.engine.run_map_task` /
-:func:`~repro.mapreduce.engine.run_reduce_task`) inside its own attempt
-directory, then hands the pickled result back to the scheduler through
-a file on shared disk.  The result file is committed durably
+The worker executes exactly the attempt body the serial runner calls
+inline (:func:`repro.mapreduce.runtime.attempt.run_attempt`) inside its
+own attempt directory, then hands the pickled result -- the ok-record,
+or :func:`~repro.mapreduce.runtime.attempt.classify`'s error record --
+back to the scheduler through a file on shared disk.  The result file is committed durably
 (tmp + fsync + rename), so the scheduler observes either a complete
 result or none at all -- a worker killed mid-task simply leaves no
 result, which is the retry signal; :func:`load_result` additionally
@@ -18,9 +18,10 @@ wedged* (e.g. stopped by the kernel, or stuck in uninterruptible I/O):
 ``is_alive()`` still says yes, but the heartbeat goes stale and the
 attempt is killed and retried.
 
-Faults from a :class:`~repro.mapreduce.runtime.fault.FaultInjector` are
-applied *only* here, in the child process, so an injected ``kill`` can
-never take down the scheduler.
+Process-shaped faults from a :class:`~repro.mapreduce.runtime.fault.
+FaultInjector` (``kill`` / ``crash`` / ``hang`` / ``stall``) are applied
+*only* here, in the child process, so an injected ``kill`` can never
+take down the scheduler.
 """
 
 from __future__ import annotations
@@ -30,24 +31,11 @@ import pickle
 import signal
 import threading
 import time
-import traceback
 from typing import Any
 
-from repro.mapreduce.engine import run_map_task, run_reduce_task
-from repro.mapreduce.ifile import IFileCorruptError
-from repro.mapreduce.runtime.fault import Fault, corrupt_file, poisoned_job
+from repro.mapreduce.runtime.attempt import classify, run_attempt
+from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.hosts import provision_failover_workdir
-from repro.mapreduce.runtime.pipeline import (
-    PipelinePlan,
-    drain_refs,
-    run_reduce_task_pipelined,
-)
-from repro.mapreduce.runtime.shuffle import FetchFailedError, SegmentRef
-from repro.mapreduce.runtime.skipping import (
-    is_skip_eligible,
-    run_map_task_skipping,
-    run_reduce_task_skipping,
-)
 from repro.util.fsio import fsync_file, replace_durably
 
 __all__ = ["worker_entry", "load_result", "HEARTBEAT_NAME"]
@@ -77,50 +65,6 @@ def _apply_rlimit(rlimit_bytes: int | None) -> None:
         resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
     except (ValueError, OSError):  # pragma: no cover - kernel said no
         pass
-
-
-def _arm_budget(task_id: str, attempt: int, shuffle: Any,
-                fault: Fault | None, result_path: str) -> Any:
-    """Build this attempt's memory ledger, with any oom fault armed.
-
-    Mirrors the serial runner's ``_memory_setup``: a budget exists when
-    the job configured ``memory_budget`` *or* an oom fault targets this
-    attempt -- the clean, unbudgeted path stays allocation-free.  The
-    one divergence is the ``kill`` op: a worker has a process to kill,
-    so the callback durably writes an oom-tagged error result and dies
-    with ``os._exit(137)`` -- the SIGKILL exit the kernel OOM killer
-    would produce, except the scheduler gets a deterministic signal
-    instead of a missing result file.
-    """
-    capacity = getattr(shuffle, "memory_budget", None) \
-        if shuffle is not None else None
-    oom = fault is not None and fault.mode == "oom"
-    if capacity is None and not oom:
-        return None
-    from repro.mapreduce.runtime.memory import MemoryBudget
-    budget = MemoryBudget(capacity, name=f"{task_id}.{attempt}")
-    if oom:
-        site = fault.where
-        if fault.op == "raise":
-            budget.fail_next(site)
-        elif fault.op == "alloc":
-            budget.alloc_next(site, fault.record)
-        elif fault.op == "kill":
-            def _killed(nbytes: int) -> None:
-                _write_result(result_path, {
-                    "status": "error",
-                    "error_type": "MemoryError",
-                    "message": (f"simulated oom kill: {site} charged "
-                                f"{nbytes} bytes over threshold"),
-                    "traceback": "",
-                    "corrupt_path": None,
-                    "skip_eligible": False,
-                    "failed_map": None,
-                    "oom": True,
-                })
-                os._exit(137)
-            budget.kill_above(fault.record, _killed, site=site)
-    return budget
 
 
 def _start_heartbeat(attempt_dir: str, interval: float) -> None:
@@ -170,6 +114,29 @@ def load_result(result_path: str) -> dict[str, Any] | None:
         return None
 
 
+
+
+def _apply_process_fault(fault: Fault | None, task_id: str,
+                         attempt: int) -> None:
+    """Process-shaped faults only a worker can suffer (the serial runner
+    rejects a plan naming them): data-shaped ones belong to
+    :func:`~repro.mapreduce.runtime.attempt.run_attempt`."""
+    if fault is None:
+        return
+    if fault.mode == "kill":
+        # Abrupt death: no result file, no cleanup, no goodbye.
+        os._exit(fault.exit_code)
+    if fault.mode == "crash":
+        raise RuntimeError(f"injected crash in {task_id} attempt {attempt}")
+    if fault.mode == "hang":
+        time.sleep(fault.seconds)
+    if fault.mode == "stall":
+        # Freeze every thread (heartbeat included): the process stays
+        # alive but its heartbeat goes stale -- the case only the
+        # scheduler's staleness check can catch.
+        os.kill(os.getpid(), signal.SIGSTOP)
+
+
 def worker_entry(
     task_id: str,
     kind: str,
@@ -187,16 +154,14 @@ def worker_entry(
     host: str | None = None,
     disk_fault: Fault | None = None,
     rlimit_bytes: int | None = None,
+    degrade: int = 0,
 ) -> None:
     """Process target: run one task attempt and persist its result.
 
-    ``payload`` is the task input: an ``InputSplit`` for map tasks, a
-    ``(partition, segments)`` pair for reduce tasks.  With ``skip_mode``
-    the task body runs in record-level skipping mode (the scheduler sets
-    it after a skip-eligible failure of a previous attempt).  ``shuffle``
-    is the job's :class:`~repro.mapreduce.runtime.shuffle.ShuffleConfig`
-    and ``fetch_faults`` the reduce task's slice of the injector's fetch
-    plan, both forwarded to the reduce task body.
+    Heartbeat + rlimit + :func:`~repro.mapreduce.runtime.attempt.
+    run_attempt` + a durable result write; ``payload``, ``fault``,
+    ``skip_mode``, ``shuffle``, ``fetch_faults`` and ``degrade`` are
+    forwarded to the attempt body unchanged.
 
     ``host`` is the simulated host this attempt was placed on, and
     ``disk_fault`` a planned ``disk_fault`` against that host: the task
@@ -205,115 +170,29 @@ def worker_entry(
     """
     _start_heartbeat(attempt_dir, heartbeat_interval)
     _apply_rlimit(rlimit_bytes)
-    budget = _arm_budget(task_id, attempt, shuffle, fault, result_path)
+
+    def oom_killed(exc: MemoryError) -> None:
+        # The simulated kernel OOM killer: SIGKILL's exit status, but
+        # with the error record already durable.
+        _write_result(result_path, classify(exc, job))
+        os._exit(137)
+
     try:
         workdir = attempt_dir
-        disk_failover = False
         if disk_fault is not None:
             workdir = provision_failover_workdir(
                 attempt_dir, task_id, host or "", disk_fault)
-            disk_failover = True
-        if fault is not None:
-            if fault.mode == "kill":
-                # Abrupt death: no result file, no cleanup, no goodbye.
-                os._exit(fault.exit_code)
-            if fault.mode == "crash":
-                raise RuntimeError(
-                    f"injected crash in {task_id} attempt {attempt}")
-            if fault.mode == "hang":
-                time.sleep(fault.seconds)
-            if fault.mode == "stall":
-                # Freeze every thread (heartbeat included): the process
-                # stays alive but its heartbeat goes stale -- the case
-                # only the scheduler's staleness check can catch.
-                os.kill(os.getpid(), signal.SIGSTOP)
-            if fault.mode == "poison":
-                job = poisoned_job(job, fault, kind)
-
-        if kind == "map":
-            if skip_mode:
-                value: Any = run_map_task_skipping(
-                    job, payload, dataset, workdir)
-            else:
-                value = run_map_task(job, payload, dataset, workdir,
-                                     memory=budget)
-            if fault is not None and fault.mode == "corrupt" \
-                    and fault.where == "map-output":
-                # The task *believes* it succeeded; the damage is only
-                # discoverable by a reducer's checksum verification.
-                target = (fault.segment if fault.segment in value.segments
-                          else min(value.segments))
-                path, _ = value.segments[target]
-                corrupt_file(path, fault.offset_frac, fault.op)
-        elif kind == "reduce":
-            part, segments = payload
-            pipelined = isinstance(segments, PipelinePlan)
-            corrupt_input = (fault is not None and fault.mode == "corrupt"
-                             and fault.where == "reduce-input")
-            if pipelined and not skip_mode and not corrupt_input:
-                value = run_reduce_task_pipelined(
-                    job, part, segments, workdir,
-                    shuffle=shuffle, fetch_faults=fetch_faults,
-                    memory=budget)
-            else:
-                if pipelined:
-                    # Skipping mode and corrupt-input targeting need the
-                    # full segment list up front; wait for every
-                    # producer to commit (barrier semantics for this one
-                    # attempt, byte-identical by definition).
-                    segments = drain_refs(segments, part)
-                if corrupt_input and segments:
-                    index = fault.segment if fault.segment is not None else 0
-                    target = segments[index % len(segments)]
-                    corrupt_file(target.path
-                                 if isinstance(target, SegmentRef)
-                                 else target[0],
-                                 fault.offset_frac, fault.op)
-                if skip_mode:
-                    value = run_reduce_task_skipping(
-                        job, part, segments, workdir,
-                        shuffle=shuffle, fetch_faults=fetch_faults)
-                else:
-                    value = run_reduce_task(job, part, segments, workdir,
-                                            shuffle=shuffle,
-                                            fetch_faults=fetch_faults,
-                                            memory=budget)
-        else:
-            raise ValueError(f"unknown task kind {kind!r}")
-        result = {"status": "ok", "value": value,
-                  "disk_failover": disk_failover,
-                  "memory": budget.stats() if budget is not None else None}
+        _apply_process_fault(fault, task_id, attempt)
+        result = run_attempt(
+            kind, job, payload, dataset, workdir, task_id=task_id,
+            attempt=attempt, fault=fault, skip_mode=skip_mode,
+            shuffle=shuffle, fetch_faults=fetch_faults, degrade=degrade,
+            kill=oom_killed)
     except BaseException as exc:
-        skippable = (isinstance(exc, Exception)
-                     and getattr(job, "skipping", None) is not None
-                     and is_skip_eligible(exc))
-        result = {
-            "status": "error",
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": traceback.format_exc(),
-            # mutually exclusive with skip_eligible: block-local damage
-            # under a skip policy is skipping's to salvage, not repair's
-            "corrupt_path": (exc.path if isinstance(exc, IFileCorruptError)
-                             and not skippable else None),
-            "skip_eligible": skippable,
-            # an exhausted fetch names its producing map task so the
-            # scheduler can charge the link and escalate to re-execution
-            "failed_map": (exc.map_id if isinstance(exc, FetchFailedError)
-                           else None),
-            # an out-of-memory death is the scheduler's cue to requeue
-            # with deterministically halved memory knobs, not to burn a
-            # regular failure budget
-            "oom": isinstance(exc, MemoryError),
-        }
+        result = classify(exc, job)
     try:
         _write_result(result_path, result)
     except BaseException as exc:  # e.g. unpicklable user output
-        _write_result(result_path, {
-            "status": "error",
-            "error_type": type(exc).__name__,
-            "message": f"failed to serialize task result: {exc}",
-            "traceback": traceback.format_exc(),
-            "corrupt_path": None,
-            "skip_eligible": False,
-        })
+        record = classify(exc, job)
+        record["message"] = f"failed to serialize task result: {exc}"
+        _write_result(result_path, record)

@@ -408,3 +408,28 @@ class TestEventsSince:
         finally:
             endpoint.server.shutdown()
             thread.join(timeout=10)
+
+
+class TestTenantConfig:
+    def test_wrong_arity_tenant_entry_is_rejected_at_construction(
+            self, tmp_path):
+        # the pre-memory-ledger (weight, quota) shape used to survive
+        # until JobService unpacked it
+        with pytest.raises(ValueError, match="'bob'"):
+            _config(tmp_path, tenants={"alice": (2.0, 2, None),
+                                       "bob": (1.0, 2)})
+        with pytest.raises(ValueError, match="'carol'"):
+            _config(tmp_path, tenants={"carol": (1.0, 2, None, 7)})
+
+    def test_r6_shed_service_config_builds(self, tmp_path):
+        """R6's shed phase stands up a real JobService; the matrices are
+        not tier-1, so build the same config here."""
+        from repro.experiments.r6_service import _shed_service
+
+        service, endpoint, thread = _shed_service(str(tmp_path))
+        try:
+            assert set(service.config.tenants) == {"alice", "bob"}
+            assert service.stats()["queued"] == 0
+        finally:
+            endpoint.server.shutdown()
+            thread.join(timeout=10)

@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from repro.mapreduce.engine import LocalJobRunner, run_map_task
+from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.ifile import (
     IFileCorruptError,
     IFileWriter,
@@ -39,6 +39,7 @@ from repro.mapreduce.runtime import (
     TaskFailedError,
     is_skip_eligible,
 )
+from repro.mapreduce.runtime.ledger import MapOutputLedger
 from repro.mapreduce.runtime.shuffle import (
     ChannelTransport,
     ConfigError,
@@ -53,7 +54,6 @@ from repro.mapreduce.runtime.shuffle import (
 )
 from repro.mapreduce.runtime.trace import EVENT_KINDS, RuntimeTrace
 from repro.scidata import integer_grid
-from repro.scidata.splits import ArraySplitter
 from repro.util.timing import Deadline
 from tests.mapreduce.test_engine import make_job
 
@@ -497,24 +497,35 @@ class TestEndToEnd:
         completes with baseline output (the ISSUE's acceptance case)."""
         job = make_job(num_map_tasks=2, num_reducers=1)
         baseline = LocalJobRunner().run(job, grid)
-        workdir = str(tmp_path / "serial")
-        runner = LocalJobRunner(
-            workdir=workdir,
+        lost: list[str] = []
+
+        class LosingLedger(MapOutputLedger):
+            """Loses m00001's first-generation segment right after it
+            is published -- i.e. after the map finished, before any
+            reducer fetches."""
+
+            def publish(self, map_id, mo, **kwargs):
+                super().publish(map_id, mo, **kwargs)
+                if map_id == "m00001" and self.epochs[map_id] == 0:
+                    lost.append(mo.segments[0][0])
+                    os.unlink(mo.segments[0][0])
+
+        class LosingRunner(LocalJobRunner):
+            def _make_ledger(self, *args, **kwargs):
+                self.ledger = LosingLedger(*args, **kwargs)
+                return self.ledger
+
+        runner = LosingRunner(
+            workdir=str(tmp_path / "serial"), keep_files=True,
             shuffle=ShuffleConfig(fetch_retries=1, backoff=0.0),
             fetch_failure_threshold=1)
-        splits = ArraySplitter(2).split(grid)
-        map_outputs = [run_map_task(job, s, grid, workdir) for s in splits]
-        os.unlink(map_outputs[1].segments[0][0])
-        shuffle_state = {
-            "strikes": {mo.task_id: 0 for mo in map_outputs},
-            "epochs": {mo.task_id: 0 for mo in map_outputs},
-            "reexecs": {mo.task_id: 0 for mo in map_outputs},
-            "total_reexecs": 0,
-        }
-        rr = runner._run_reduce(job, 0, map_outputs, grid, splits,
-                                shuffle_state)
-        assert shuffle_state["total_reexecs"] == 1
-        assert rr.output == baseline.output
+        result = runner.run(job, grid)
+        assert len(lost) == 1
+        assert runner.ledger.map_reexecs == 1
+        assert runner.ledger.epochs == {"m00000": 0, "m00001": 1}
+        assert os.path.exists(lost[0])  # re-created in place by the re-run
+        assert result.counters[C.MAPS_REEXECUTED] == 1
+        assert result.output == baseline.output
 
     def test_runner_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
