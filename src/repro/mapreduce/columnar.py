@@ -22,9 +22,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PartitionBuffer"]
+__all__ = ["PartitionBuffer", "matrix_records"]
 
 Record = tuple[bytes, bytes]
+
+
+def matrix_records(keys: np.ndarray, values: np.ndarray) -> list[Record]:
+    """The records of an ``(n, kw)`` / ``(n, vw)`` uint8 matrix pair, in
+    row order -- how every columnar form decays to the scalar one."""
+    n, kw = keys.shape
+    vw = values.shape[1]
+    kflat = keys.tobytes()  # C order, whatever the view's strides
+    vflat = values.tobytes()
+    return [(kflat[i * kw:(i + 1) * kw], vflat[i * vw:(i + 1) * vw])
+            for i in range(n)]
 
 
 class PartitionBuffer:
@@ -103,15 +114,7 @@ class PartitionBuffer:
             if type(seg) is list:
                 out.extend(seg)
             else:
-                keys, values = seg
-                n, kw = keys.shape
-                vw = values.shape[1]
-                kflat = np.ascontiguousarray(keys).tobytes()
-                vflat = np.ascontiguousarray(values).tobytes()
-                out.extend(
-                    (kflat[i * kw:(i + 1) * kw], vflat[i * vw:(i + 1) * vw])
-                    for i in range(n)
-                )
+                out.extend(matrix_records(*seg))
         return out
 
     def clear(self) -> None:

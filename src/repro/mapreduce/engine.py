@@ -30,6 +30,7 @@ import tempfile
 from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -41,11 +42,14 @@ from repro.mapreduce.ifile import IFileReader, IFileStats, IFileWriter
 from repro.mapreduce.job import Job
 from repro.mapreduce.metrics import C, Counters, TaskProfile
 from repro.mapreduce.sort import (
+    Run,
     argsort_key_matrix,
     group_bounds,
     group_by_key,
-    merge_runs,
+    merge_sorted_runs,
     plan_merge_passes,
+    run_records,
+    run_rows,
     sort_records,
 )
 from repro.scidata.dataset import Dataset
@@ -130,10 +134,38 @@ class ReduceTaskResult:
 # or a future distributed shell -- produces byte-identical counters.
 
 
-#: one spill's output for one partition: ``(path, stats, colmeta)`` where
-#: ``colmeta`` is ``(key_width, value_width)`` when the segment was
-#: written columnar (every record fixed-width) and ``None`` otherwise
-SpillSegment = tuple[str, IFileStats, "tuple[int, int] | None"]
+#: one spill's output for one partition
+SpillSegment = tuple[str, IFileStats]
+
+
+def _read_run(job: Job, reader: IFileReader, stats: IFileStats) -> Run:
+    """Decode one plain segment as a run, columnar when it can be.
+
+    The segment's own stats name the only widths a fixed-width layout
+    could have (``key_bytes / records``, ``value_bytes / records``);
+    :meth:`IFileReader.read_columnar` then verifies the EOF marker and
+    every record's frame against them.  Anything else -- a scalar
+    (``columnar=False``) or shuffle-plugin job, an empty, variable-width
+    or chunked segment -- is ``read_all()``, so a malformed segment is
+    still diagnosed by the strict record iterator.
+    """
+    n = stats.records
+    if (job.columnar and job.shuffle_plugin is None and n > 0
+            and stats.key_bytes % n == 0 and stats.value_bytes % n == 0):
+        run = reader.read_columnar(stats.key_bytes // n,
+                                   stats.value_bytes // n)
+        if run is not None:
+            return run
+    return reader.read_all()
+
+
+def _write_run(writer: IFileWriter, run: Run) -> None:
+    """Append a whole run; both forms write identical bytes."""
+    if type(run) is tuple:
+        writer.append_batch(*run)
+    else:
+        for kb, vb in run:
+            writer.append(kb, vb)
 
 
 def _spill(
@@ -161,34 +193,26 @@ def _spill(
         colview = pbuf.columnar_view() if job.columnar else None
         path = os.path.join(workdir, f"{task_id}-spill{spill_idx}-p{part}")
         writer = IFileWriter(path, codec)
-        colmeta: tuple[int, int] | None = None
         if colview is not None:
             kmat, vmat = colview
             with clock.measure("sort"):
                 order = argsort_key_matrix(kmat)
-                kmat = np.ascontiguousarray(kmat[order])
-                vmat = np.ascontiguousarray(vmat[order])
+                run: Run = (np.ascontiguousarray(kmat[order]),
+                            np.ascontiguousarray(vmat[order]))
             if job.combiner is not None:
                 with clock.measure("combine"):
-                    records = _combine_columnar(job, kmat, vmat, counters)
-                for kb, vb in records:
-                    writer.append(kb, vb)
-            else:
-                writer.append_batch(kmat, vmat)
-                colmeta = (kmat.shape[1], vmat.shape[1])
+                    run = _combine_columnar(job, *run, counters)
         else:
-            records = pbuf.to_records()
             with clock.measure("sort"):
-                records = sort_records(records)
+                run = sort_records(pbuf.to_records())
             if job.combiner is not None:
                 with clock.measure("combine"):
-                    records = _combine(job, records, counters)
-            for kb, vb in records:
-                writer.append(kb, vb)
+                    run = _combine(job, run, counters)
+        _write_run(writer, run)
         stats = writer.close()
         counters.incr(C.SPILLED_RECORDS, stats.records)
         profile.local_write_bytes += stats.materialized_bytes
-        out[part] = (path, stats, colmeta)
+        out[part] = (path, stats)
     counters.incr(C.SPILL_COUNT)
     return out
 
@@ -276,13 +300,38 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
     buffer: dict[int, PartitionBuffer] = {
         p: PartitionBuffer() for p in range(job.num_reducers)
     }
+    #: batched chunks in emission order, not yet routed to ``buffer``
+    staged: list[tuple[np.ndarray, np.ndarray]] = []
     buffered = 0
     spills: list[dict[int, SpillSegment]] = []
+
+    def route_staged() -> None:
+        # Partition once per spill rather than once per emitted chunk: a
+        # sliding window emits each target key from many chunks, and
+        # ``partition_batch`` hashes each *distinct* row of what it is
+        # given once.  Consecutive chunks of equal widths route as one
+        # matrix (normally the whole stage); row masks keep emission
+        # order within each partition.
+        if job.num_reducers == 1:
+            for keys, values in staged:
+                buffer[0].append_chunk(keys, values)
+        else:
+            for _, group in groupby(
+                    staged, key=lambda c: (c[0].shape[1], c[1].shape[1])):
+                chunks = list(group)
+                keys = np.concatenate([k for k, _ in chunks])
+                values = np.concatenate([v for _, v in chunks])
+                parts = partitioner.partition_batch(keys)
+                for part in np.unique(parts):
+                    mask = parts == part
+                    buffer[int(part)].append_chunk(keys[mask], values[mask])
+        staged.clear()
 
     def flush() -> None:
         nonlocal buffered
         if buffered == 0:
             return
+        route_staged()
         # The charge is the exact byte count the spill threshold tracks,
         # so serial and parallel attempts charge identically; rent()
         # releases on every path, including a MemoryError mid-spill.
@@ -299,6 +348,10 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
 
     def sink(kb: bytes, vb: bytes) -> None:
         nonlocal buffered
+        if staged:
+            # a mapper mixing ``emit`` and ``emit_batch``: earlier chunks
+            # reach their partitions before this record does
+            route_staged()
         if plugin is not None:
             routed = plugin.route(kb, vb, job.num_reducers)
         else:
@@ -310,11 +363,12 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
             flush()
 
     def batch_sink(keys: np.ndarray, values: np.ndarray) -> None:
-        # Batched form of ``sink``: route a whole fixed-width chunk.  The
+        # Batched form of ``sink``: stage a whole fixed-width chunk.  The
         # chunk is split at the exact record where the scalar path's
-        # running ``buffered`` count would cross the spill threshold, so
-        # spill boundaries -- and therefore every spill file and counter
-        # -- match the scalar path record for record.
+        # running ``buffered`` count would cross the spill threshold
+        # (a count that does not depend on partition), so spill
+        # boundaries -- and therefore every spill file and counter --
+        # match the scalar path record for record.
         nonlocal buffered
         n = keys.shape[0]
         rec = keys.shape[1] + values.shape[1] + 8
@@ -322,15 +376,8 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
         while start < n:
             take = min(n - start,
                        -((buffered - job.sort_buffer_bytes) // rec))
-            kchunk = keys[start:start + take]
-            vchunk = values[start:start + take]
-            if job.num_reducers == 1:
-                buffer[0].append_chunk(kchunk, vchunk)
-            else:
-                parts = partitioner.partition_batch(kchunk)
-                for part in np.unique(parts):
-                    mask = parts == part
-                    buffer[int(part)].append_chunk(kchunk[mask], vchunk[mask])
+            staged.append((keys[start:start + take],
+                           values[start:start + take]))
             buffered += take * rec
             start += take
             if buffered >= job.sort_buffer_bytes:
@@ -369,43 +416,20 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
         part_spills = [s[part] for s in spills if part in s]
         final_path = os.path.join(workdir, f"{task_id}-out-p{part}")
         if len(part_spills) == 1 and job.ifile_block_bytes is None:
-            path, stats, _ = part_spills[0]
+            path, stats = part_spills[0]
             os.replace(path, final_path)
         else:
-            # All runs fixed-width with the same widths?  Then merge
-            # columnar: decode each segment to matrices, concatenate in
-            # spill order, one stable argsort, one bulk write.  A stable
-            # sort of concatenated sorted runs yields exactly the
-            # heapq.merge order (equal keys stay in run order).
-            metas = {m for _, _, m in part_spills}
-            colruns = None
-            if (job.columnar and len(part_spills) > 1
-                    and len(metas) == 1 and None not in metas):
-                (kw, vw), = metas
-                decoded = [IFileReader(path, codec).read_columnar(kw, vw)
-                           for path, _, _ in part_spills]
-                if all(d is not None for d in decoded):
-                    colruns = decoded
             with clock.measure("merge"):
-                for path, stats, _ in part_spills:
+                runs = []
+                for path, stats in part_spills:
                     profile.local_read_bytes += stats.materialized_bytes
+                    runs.append(_read_run(job, IFileReader(path, codec),
+                                          stats))
                 writer = IFileWriter(final_path, codec, atomic=True,
                                      block_bytes=job.ifile_block_bytes)
-                if colruns is not None:
-                    kall = np.concatenate([k for k, _ in colruns])
-                    vall = np.concatenate([v for _, v in colruns])
-                    order = argsort_key_matrix(kall)
-                    writer.append_batch(
-                        np.ascontiguousarray(kall[order]),
-                        np.ascontiguousarray(vall[order]),
-                    )
-                else:
-                    runs = [IFileReader(path, codec).read_all()
-                            for path, _, _ in part_spills]
-                    for kb, vb in merge_runs(runs):
-                        writer.append(kb, vb)
+                _write_run(writer, merge_sorted_runs(runs))
                 stats = writer.close()
-                for path, _, _ in part_spills:
+                for path, _ in part_spills:
                     os.unlink(path)
             profile.local_write_bytes += stats.materialized_bytes
         out.segments[part] = (final_path, stats)
@@ -455,12 +479,21 @@ def run_reduce_task(
     failable transfer in every runner.  ``fetch_faults`` is this reduce
     task's slice of a fault injector's fetch plan.
 
+    Each fetched segment decodes to a *run* in one of two forms
+    (:func:`_read_run`): a key matrix + value matrix when the segment is
+    fixed-width and verifies (``Job.columnar`` on, no shuffle plugin),
+    the record list otherwise.  Empty runs are dropped by row count --
+    a zero-row columnar run is a truthy tuple -- so run order, and with
+    it the merge's tie order, is the same in both forms.
+
     The three keyword hooks exist for the skipping runtime and default
     to ``None`` (clean path unchanged): ``segment_reader(path, codec,
-    blob)`` replaces the strict segment decode (block salvage),
-    ``prepare_filter(merged)`` filters undecodable records before the
-    shuffle plugin sees them, and ``group_driver(reducer, merged, ctx)``
-    replaces the group-and-reduce loop (per-group fault isolation).
+    blob)`` replaces the strict segment decode (block salvage) and
+    returns records, ``prepare_filter(merged)`` filters undecodable
+    records before the shuffle plugin sees them, and
+    ``group_driver(reducer, merged, ctx)`` replaces the group-and-reduce
+    loop (per-group fault isolation).  All three are defined on records;
+    they only run on the retry after a strict attempt failed.
 
     ``memory`` is the task's :class:`~repro.mapreduce.runtime.memory.
     MemoryBudget` (``None`` = unaccounted).  The fetcher charges each
@@ -492,18 +525,19 @@ def run_reduce_task(
     fetcher = ShuffleFetcher(
         shuffle if shuffle is not None else ShuffleConfig(),
         counters, task_id, fetch_faults, memory=memory)
-    runs: list[list[Record]] = []
+    runs: list[Run] = []
     run_sizes: list[int] = []
     with clock.measure("shuffle"):
         blobs = fetcher.fetch_all(refs)
         for ref, blob in zip(refs, blobs):
             profile.shuffle_bytes += ref.stats.materialized_bytes
             if segment_reader is None:
-                records = IFileReader(blob, codec, path=ref.path).read_all()
+                run = _read_run(job, IFileReader(blob, codec, path=ref.path),
+                                ref.stats)
             else:
-                records = segment_reader(ref.path, codec, blob)
-            if records:
-                runs.append(records)
+                run = segment_reader(ref.path, codec, blob)
+            if run_rows(run):
+                runs.append(run)
                 run_sizes.append(ref.stats.key_bytes + ref.stats.value_bytes)
     counters.incr(C.SHUFFLE_BYTES, profile.shuffle_bytes)
     if shuffle is not None and getattr(shuffle, "transport", "") == "network":
@@ -531,7 +565,7 @@ def run_reduce_task(
 def _merge_group_reduce(
     job: Job,
     task_id: str,
-    runs: list[list[Record]],
+    runs: list[Run],
     run_sizes: list[int],
     workdir: str,
     codec,
@@ -550,6 +584,18 @@ def _merge_group_reduce(
     run_reduce_task_pipelined`): given the decoded non-empty runs **in
     the order the barrier path would hold them**, both produce
     byte-identical merged streams, counters, and output.
+
+    Runs may be columnar or record lists, in any mix.  On-disk passes
+    and the final merge go through :func:`~repro.mapreduce.sort.
+    merge_sorted_runs` (columnar runs of equal widths: concatenate +
+    stable argsort, ``append_batch`` out and ``read_columnar`` back;
+    otherwise the heap merge over records) -- the same record sequence,
+    and therefore the same pass files and ``MERGE_PASS_BYTES``, either
+    way.  A columnar merged run is grouped by ``group_bounds`` and each
+    group's values decode in one ``read_column`` over its slice of the
+    value slab; it decays to records only for the consumers defined on
+    records (the shuffle plugin's ``prepare_reduce`` and the two
+    skipping hooks).
     """
     # Multi-pass on-disk merge when we hold too many runs (step 5).
     passes = plan_merge_passes(len(runs), job.merge_factor)
@@ -566,41 +612,64 @@ def _merge_group_reduce(
         path = os.path.join(workdir, f"{task_id}-merge{pass_idx}")
         with clock.measure("merge"):
             writer = IFileWriter(path, codec)
-            for kb, vb in merge_runs(victims):
-                writer.append(kb, vb)
+            _write_run(writer, merge_sorted_runs(victims))
             stats = writer.close()
             profile.local_write_bytes += stats.materialized_bytes
             counters.incr(C.MERGE_PASS_BYTES, stats.materialized_bytes)
-            merged_back = IFileReader(path, codec).read_all()
+            merged_back = _read_run(job, IFileReader(path, codec), stats)
             profile.local_read_bytes += stats.materialized_bytes
         os.unlink(path)
         runs.append(merged_back)
         run_sizes.append(stats.key_bytes + stats.value_bytes)
 
     with clock.measure("merge"):
-        merged = list(merge_runs(runs))
+        merged = merge_sorted_runs(runs)
+
+    plugin = job.shuffle_plugin
+    if (plugin is not None or prepare_filter is not None
+            or group_driver is not None):
+        # these consumers are defined on records
+        merged = run_records(merged)
 
     if prepare_filter is not None:
         merged = prepare_filter(merged)
 
-    if job.shuffle_plugin is not None:
+    if plugin is not None:
         with clock.measure("split"):
             before = len(merged)
-            merged = job.shuffle_plugin.prepare_reduce(merged)
+            merged = plugin.prepare_reduce(merged)
             counters.incr(C.KEY_SPLITS, max(0, len(merged) - before))
 
     reducer = job.reducer()
     ctx = ReduceContext(counters)
     with clock.measure("reduce"):
-        if group_driver is None:
+        if group_driver is not None:
+            group_driver(reducer, merged, ctx)
+        elif type(merged) is tuple:
+            # Groups are adjacent equal key rows; each group's values
+            # decode in one ``read_column`` pass over its slice of the
+            # contiguous value slab -- what ``read_batch`` does to the
+            # joined blobs below, without the blobs.
+            kmat, vmat = merged
+            kw, vw = kmat.shape[1], vmat.shape[1]
+            kflat = kmat.tobytes()
+            vflat = memoryview(np.ascontiguousarray(vmat)).cast("B")
+            bounds = group_bounds(kmat).tolist()
+            for start, end in zip(bounds, bounds[1:]):
+                counters.incr(C.REDUCE_INPUT_GROUPS)
+                counters.incr(C.REDUCE_INPUT_RECORDS, end - start)
+                key = job.key_serde.from_bytes(
+                    kflat[start * kw:(start + 1) * kw])
+                values = job.value_serde.read_column(
+                    vflat[start * vw:end * vw], end - start)
+                reducer.reduce(key, values, ctx)
+        else:
             for kb, value_blobs in group_by_key(merged):
                 counters.incr(C.REDUCE_INPUT_GROUPS)
                 counters.incr(C.REDUCE_INPUT_RECORDS, len(value_blobs))
                 key = job.key_serde.from_bytes(kb)
                 values = job.value_serde.read_batch(value_blobs)
                 reducer.reduce(key, values, ctx)
-        else:
-            group_driver(reducer, merged, ctx)
 
     profile.cpu_seconds = clock.as_dict()
     for category, seconds in cost_categories(codec).items():

@@ -84,11 +84,15 @@ class Job:
     merge_factor: int = 10
     #: non-atomic key support (key aggregation installs itself here)
     shuffle_plugin: ShufflePlugin | None = None
-    #: batched/columnar record pipeline (emit_batch -> columnar spill ->
-    #: vectorized sort/merge).  Byte-identical to the scalar path --
-    #: counters, spill files and reducer output do not change -- so this
-    #: flag exists for A/B benchmarking and the equivalence suite, not
-    #: for correctness.
+    #: batched/columnar record pipeline, map side and reduce side
+    #: (emit_batch -> partition at spill -> columnar spill -> segments
+    #: decoded to key/value matrices -> concatenate + stable-argsort
+    #: merge -> per-group ``read_column``).  Which form a run takes is
+    #: decided by what the data is (fixed-width, verified); ``False``
+    #: forces the record path everywhere.  Byte-identical to the scalar
+    #: path -- counters, spill files and reducer output do not change --
+    #: so this flag exists for A/B benchmarking and the equivalence
+    #: suite, not for correctness.
     columnar: bool = True
     #: restrict input splits to these dataset variables (None = all);
     #: single-variable queries over multi-variable datasets need this

@@ -35,21 +35,32 @@ class Partitioner(ABC):
     def partition_batch(self, keys: np.ndarray) -> np.ndarray:
         """Partition an ``(n, key_size)`` uint8 key matrix.
 
-        Returns an ``(n,)`` int64 array; MUST equal calling
-        :meth:`partition` row by row.  The base implementation does
-        exactly that -- subclasses shortcut where a whole batch can be
-        routed without per-key hashing.
+        Returns an ``(n,)`` int64 array equal to calling
+        :meth:`partition` row by row, but calls it once per *distinct*
+        row and scatters the answers back: a sliding-window mapper emits
+        every target key many times, and the per-key hash dominates.
+
+        Distinct rows are found through a fixed-width ``S`` view (for
+        rows of one width, ``S`` equality is byte equality).  The bytes
+        handed to :meth:`partition` are sliced from the raw matrix, never
+        read through an ``S`` scalar -- those drop trailing NULs, and
+        big-endian packed coordinates such as 256 end in ``\\x00``.
         """
-        n = keys.shape[0]
-        if self.num_reducers == 1:
+        n, width = keys.shape
+        if self.num_reducers == 1 or n == 0:
             return np.zeros(n, dtype=np.int64)
-        flat = memoryview(np.ascontiguousarray(keys)).cast("B")
-        width = keys.shape[1]
-        return np.fromiter(
-            (self.partition(bytes(flat[i * width:(i + 1) * width]))
-             for i in range(n)),
-            dtype=np.int64, count=n,
+        if width == 0:
+            return np.full(n, self.partition(b""), dtype=np.int64)
+        keys = np.ascontiguousarray(keys)
+        _, first, inverse = np.unique(keys.view(f"S{width}").ravel(),
+                                      return_index=True, return_inverse=True)
+        flat = keys[first].tobytes()
+        distinct = np.fromiter(
+            (self.partition(flat[i:i + width])
+             for i in range(0, len(flat), width)),
+            dtype=np.int64, count=len(first),
         )
+        return distinct[inverse]
 
 
 class HashPartitioner(Partitioner):
@@ -62,28 +73,6 @@ class HashPartitioner(Partitioner):
     def partition(self, key_bytes: bytes) -> int:
         digest = hashlib.blake2b(key_bytes, digest_size=8).digest()
         return int.from_bytes(digest, "big") % self.num_reducers
-
-    def partition_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized where possible: one-reducer jobs skip hashing entirely.
-
-        With several reducers each key still needs its blake2b digest
-        (there is no vectorized form), but hashing a memoryview slice per
-        row avoids the per-record bytes/object churn of the scalar path.
-        """
-        n = keys.shape[0]
-        if self.num_reducers == 1:
-            return np.zeros(n, dtype=np.int64)
-        blake2b = hashlib.blake2b
-        from_bytes = int.from_bytes
-        width = keys.shape[1]
-        flat = memoryview(np.ascontiguousarray(keys)).cast("B")
-        R = self.num_reducers
-        return np.fromiter(
-            (from_bytes(blake2b(flat[i * width:(i + 1) * width],
-                                digest_size=8).digest(), "big") % R
-             for i in range(n)),
-            dtype=np.int64, count=n,
-        )
 
 
 class CurveRangePartitioner(Partitioner):

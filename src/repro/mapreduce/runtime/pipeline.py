@@ -50,7 +50,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.mapreduce.codecs import get_codec
-from repro.mapreduce.engine import ReduceTaskResult, _merge_group_reduce
+from repro.mapreduce.engine import (
+    ReduceTaskResult,
+    _merge_group_reduce,
+    _read_run,
+)
 from repro.mapreduce.ifile import IFileReader, IFileStats
 from repro.mapreduce.job import Job
 from repro.mapreduce.metrics import C, Counters, TaskProfile
@@ -59,7 +63,7 @@ from repro.mapreduce.runtime.shuffle import (
     ShuffleConfig,
     ShuffleFetcher,
 )
-from repro.mapreduce.sort import merge_runs
+from repro.mapreduce.sort import Run, merge_sorted_runs, run_rows
 from repro.util.fsio import atomic_write_bytes
 from repro.util.timing import CostClock
 
@@ -290,15 +294,15 @@ def run_reduce_task_pipelined(
     #: map_id -> priced bytes charged while its decoded run is resident
     held: dict[str, int] = {}
     deferrals = 0
-    #: map_id -> (epoch, decoded records, ref) for everything fetched;
-    #: decoded records are retained even once folded so an epoch bump of
+    #: map_id -> (epoch, decoded run, ref) for everything fetched;
+    #: decoded runs are retained even once folded so an epoch bump of
     #: an already-folded producer can rebuild the fold without refetching
     #: its unaffected neighbors
-    fetched: dict[str, tuple[int, list, SegmentRef]] = {}
+    fetched: dict[str, tuple[int, Run, SegmentRef]] = {}
     # Incremental prefix folding is only byte-safe when the barrier path
     # would plan zero on-disk merge passes (see module docstring).
     fold_enabled = len(plan.map_ids) <= job.merge_factor
-    folded: list = []
+    folded: Run = []
     fold_upto = 0  # prefix length of plan.map_ids merged into ``folded``
 
     started = time.monotonic()
@@ -315,10 +319,10 @@ def run_reduce_task_pipelined(
             if mid in pending:
                 break
             run = fetched[mid][1]
-            if run:
+            if run_rows(run):
                 with clock.measure("merge"):
-                    folded = list(merge_runs([folded, run])) if folded \
-                        else list(run)
+                    folded = merge_sorted_runs([folded, run]) \
+                        if run_rows(folded) else run
             fold_upto += 1
 
     try:
@@ -377,8 +381,9 @@ def run_reduce_task_pipelined(
                 try:
                     with clock.measure("shuffle"):
                         blob = fetcher.fetch_one(ref)
-                        decoded = IFileReader(blob, codec,
-                                              path=ref.path).read_all()
+                        decoded = _read_run(
+                            job, IFileReader(blob, codec, path=ref.path),
+                            ref.stats)
                 except BaseException:
                     fetcher.retire(price)
                     raise
@@ -423,17 +428,17 @@ def run_reduce_task_pipelined(
         profile.wire_bytes = counters.get(C.SHUFFLE_WIRE_BYTES)
 
     if fold_enabled:
-        runs = [folded] if folded else []
+        runs = [folded] if run_rows(folded) else []
         run_sizes = [sum(fetched[mid][2].stats.key_bytes
                          + fetched[mid][2].stats.value_bytes
-                         for mid in plan.map_ids[:fold_upto])] if folded \
+                         for mid in plan.map_ids[:fold_upto])] if runs \
             else []
         tail = plan.map_ids[fold_upto:]
     else:
         runs, run_sizes, tail = [], [], plan.map_ids
     for mid in tail:
         run = fetched[mid][1]
-        if run:
+        if run_rows(run):
             runs.append(run)
             run_sizes.append(fetched[mid][2].stats.key_bytes
                              + fetched[mid][2].stats.value_bytes)

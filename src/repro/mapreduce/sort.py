@@ -18,9 +18,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.mapreduce.columnar import matrix_records
+
 __all__ = [
     "sort_records",
     "merge_runs",
+    "merge_sorted_runs",
+    "run_rows",
+    "run_records",
     "group_by_key",
     "plan_merge_passes",
     "argsort_key_matrix",
@@ -28,6 +33,9 @@ __all__ = [
 ]
 
 Record = tuple[bytes, bytes]
+#: a key-sorted run in either form: a record list, or the columnar
+#: ``(keys, values)`` pair of ``(n, kw)`` / ``(n, vw)`` uint8 matrices
+Run = list[Record] | tuple[np.ndarray, np.ndarray]
 
 
 def argsort_key_matrix(keys: np.ndarray) -> np.ndarray:
@@ -82,6 +90,40 @@ def sort_records(records: list[Record]) -> list[Record]:
 def merge_runs(runs: Sequence[Iterable[Record]]) -> Iterator[Record]:
     """K-way merge of key-sorted runs into one key-sorted stream."""
     return heapq.merge(*runs, key=itemgetter(0))
+
+
+def run_rows(run: Run) -> int:
+    """Record count of a run in either form.  A columnar run is a tuple,
+    truthy even with zero rows -- test this, never the run itself."""
+    return run[0].shape[0] if type(run) is tuple else len(run)
+
+
+def run_records(run: Run) -> list[Record]:
+    """A run as records: a columnar run decays row by row (the way
+    ``PartitionBuffer.to_records`` does), a record run is itself."""
+    return matrix_records(*run) if type(run) is tuple else run
+
+
+def merge_sorted_runs(runs: Sequence[Run]) -> Run:
+    """Merge key-sorted runs of either form into one materialized run.
+
+    When every run is columnar with the same widths the result is
+    columnar: concatenate in run order and gather by one stable argsort
+    -- a stable sort of concatenated sorted runs keeps equal keys in run
+    order, which is exactly :func:`merge_runs`' (``heapq.merge``'s) tie
+    order.  Any other mix -- a record run among them, differing widths --
+    takes the heap merge over records, columnar runs decaying first.
+    Both forms hold the same record sequence.
+    """
+    if runs and all(type(r) is tuple for r in runs) and len(
+            {(k.shape[1], v.shape[1]) for k, v in runs}) == 1:
+        if len(runs) == 1:
+            return runs[0]
+        kall = np.concatenate([k for k, _ in runs])
+        vall = np.concatenate([v for _, v in runs])
+        order = argsort_key_matrix(kall)
+        return kall[order], vall[order]
+    return list(merge_runs([run_records(r) for r in runs]))
 
 
 def group_by_key(stream: Iterable[Record]) -> Iterator[tuple[bytes, list[bytes]]]:

@@ -153,6 +153,47 @@ def test_partition_batch_matches_scalar(num_reducers):
         assert batch[i] == part.partition(flat[i * width:(i + 1) * width])
 
 
+def _nul_rows() -> np.ndarray:
+    """Big-endian int32 pairs whose low bytes are NUL (256, 512, 0...):
+    an ``S`` scalar read of such a row would drop the trailing zeros."""
+    coords = np.array([[256, 0], [256, 256], [0, 0], [1, 256 << 8]], ">i4")
+    return coords.view(np.uint8).reshape(4, 8)
+
+
+PARTITION_BATCHES = {
+    "trailing-nul": _nul_rows(),
+    "heavy-duplication": np.repeat(_nul_rows(), 50, axis=0)[
+        RNG.permutation(200)],
+    "empty": np.empty((0, 8), np.uint8),
+    # every other column of every third row: neither C- nor F-contiguous
+    "non-contiguous": RNG.integers(0, 3, size=(90, 16)).astype(
+        np.uint8)[::3, ::2],
+}
+
+
+@pytest.mark.parametrize("num_reducers", [1, 3])
+@pytest.mark.parametrize("name", sorted(PARTITION_BATCHES))
+def test_partition_batch_hashes_raw_row_bytes(name, num_reducers):
+    keys = PARTITION_BATCHES[name]
+    part = HashPartitioner(num_reducers)
+    batch = part.partition_batch(keys)
+    assert batch.dtype == np.int64 and batch.shape == (keys.shape[0],)
+    assert batch.tolist() == [part.partition(row.tobytes()) for row in keys]
+
+
+def test_partition_batch_calls_partition_once_per_distinct_row():
+    calls = []
+
+    class Counting(HashPartitioner):
+        def partition(self, key_bytes):
+            calls.append(key_bytes)
+            return super().partition(key_bytes)
+
+    keys = PARTITION_BATCHES["heavy-duplication"]
+    Counting(3).partition_batch(keys)
+    assert sorted(calls) == sorted({row.tobytes() for row in keys})
+
+
 # ----------------------------------------------------------- sorting helpers
 
 

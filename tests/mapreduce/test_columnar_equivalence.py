@@ -8,15 +8,51 @@ on/off) and require identical counters, identical reducer output, and
 byte-identical final map-output segment files -- including under the
 multiprocess runner and under tiny sort buffers that force multi-spill
 merges.
+
+The reduce side is columnar too (a decoded run is a key matrix + value
+matrix, merged by one stable argsort), so the same A/B covers on-disk
+merge passes, combiner jobs, mixed ``emit`` / ``emit_batch`` mappers,
+empty and irregular runs, the barrier and pipelined parallel runtime,
+and a skipping-mode retry; two hypothesis properties pin the merge and
+the decay-to-records against their record-path definitions, and a
+structural guard counts calls so a silent fall back to the record path
+fails tier-1 rather than a bench run.
 """
 
+import dataclasses
+import heapq
 import os
+import threading
+import time
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.mapreduce import LocalJobRunner
-from repro.mapreduce.runtime import ParallelJobRunner
+from repro.mapreduce import (
+    CellKey,
+    CellKeySerde,
+    LocalJobRunner,
+    Mapper,
+    Reducer,
+)
+from repro.mapreduce.engine import run_map_task, run_reduce_task
+from repro.mapreduce.ifile import IFileReader, IFileWriter
+from repro.mapreduce.job import SkipPolicy
+from repro.mapreduce.metrics import C
+from repro.mapreduce.partition import HashPartitioner, Partitioner
+from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner, ShuffleConfig
+from repro.mapreduce.runtime.pipeline import (
+    STARVED_NAME,
+    CommitLog,
+    CommitRecord,
+    PipelinePlan,
+    run_reduce_task_pipelined,
+)
+from repro.mapreduce.runtime.shuffle import SegmentRef
+from repro.mapreduce.sort import merge_sorted_runs, run_records
 from repro.queries import (
     BoxSubsetQuery,
     DerivedVariableQuery,
@@ -26,6 +62,8 @@ from repro.queries import (
     SlidingMedianQuery,
 )
 from repro.scidata import Dataset, Slab, Variable, integer_grid
+from repro.scidata.splits import ArraySplitter
+from tests.mapreduce.test_engine import make_job
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +202,308 @@ def test_parallel_runner_aggregate_equivalence(tmp_path, grid):
         tmp_path, grid, make_job,
         runner_cls=lambda **kw: ParallelJobRunner(max_workers=2, **kw))
     assert_identical(results, segments)
+
+
+# ------------------------------------------------------------ reduce phase
+
+
+def plain_queries(grid, pair_grid):
+    """Every built-in query with the dataset it runs over."""
+    out = {name: (grid, make(grid)) for name, make in QUERIES.items()}
+    out["histogram"] = (grid, HistogramQuery(grid, "values", bins=16))
+    out["derived"] = (
+        pair_grid, DerivedVariableQuery(pair_grid, "u", "v", op="hypot"))
+    return out
+
+
+PLAIN_QUERY_NAMES = ["derived", "histogram", "max", "mean", "median", "subset"]
+
+REDUCE_SHAPES = {
+    # more runs than the merge factor: reducers run on-disk merge passes
+    "merge-passes": dict(num_map_tasks=4, num_reducers=2, merge_factor=2),
+    # several spills per map task: the spill merge feeds every segment
+    "multi-spill": dict(num_map_tasks=3, num_reducers=2,
+                        sort_buffer_bytes=1024),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REDUCE_SHAPES))
+@pytest.mark.parametrize("name", PLAIN_QUERY_NAMES)
+def test_reduce_phase_equivalence(tmp_path, grid, pair_grid, name, shape):
+    """mean / max / histogram carry their combiners here."""
+    dataset, query = plain_queries(grid, pair_grid)[name]
+    make_job = lambda: query.build_job("plain", **REDUCE_SHAPES[shape])
+    results, segments = run_both(tmp_path, dataset, make_job)
+    assert_identical(results, segments)
+    if shape == "merge-passes":
+        assert results["columnar"].counters["MERGE_PASS_BYTES"] > 0
+    elif name != "histogram":  # its mapper pre-counts: one small spill
+        assert results["columnar"].counters["SPILL_COUNT"] > 3
+
+
+@pytest.mark.parametrize("pipeline", [False, True],
+                         ids=["barrier", "pipelined"])
+@pytest.mark.parametrize("name", PLAIN_QUERY_NAMES)
+def test_parallel_reduce_phase_equivalence(tmp_path, grid, pair_grid, name,
+                                           pipeline):
+    """Every query under the multiprocess runtime; pipelined, the
+    reducers fold each run into a prefix merge as its map commits."""
+    dataset, query = plain_queries(grid, pair_grid)[name]
+    make_job = lambda: query.build_job(
+        "plain", num_map_tasks=3, num_reducers=2, sort_buffer_bytes=4096)
+    results, segments = run_both(
+        tmp_path, dataset, make_job,
+        runner_cls=lambda **kw: ParallelJobRunner(
+            max_workers=2, shuffle=ShuffleConfig(pipeline=pipeline), **kw))
+    assert_identical(results, segments)
+
+
+class InterleavedMapper(Mapper):
+    """Emits every cell's key three times -- a batch, scalar emits, a
+    batch -- so the value order inside each key group is the emission
+    order *across* the two emit paths."""
+
+    def map(self, split, values, ctx):
+        coords = split.slab.coords()
+        flat = values.ravel().astype(np.int64)
+        ctx.emit_cells(split.variable, coords, flat)
+        for coord, value in zip(coords, flat):
+            ctx.emit(CellKey(split.variable, tuple(int(c) for c in coord)),
+                     int(value) + 1000)
+        ctx.emit_cells(split.variable, coords, flat + 2000)
+
+
+class ValueListReducer(Reducer):
+    """Order-sensitive: the output is each group's values as received."""
+
+    def reduce(self, key, values, ctx):
+        ctx.emit(key, tuple(values))
+
+
+class RowBandPartitioner(Partitioner):
+    """Rows 0-3 to reducer 0, rows 4-7 to reducer 1, nothing to reducer
+    2: with one map task per band, reducers 0 and 1 each receive an empty
+    segment from the other band's map, and reducer 2 only empty ones."""
+
+    SERDE = CellKeySerde(ndim=2, variable_mode="name")
+
+    def partition(self, key_bytes):
+        return 0 if self.SERDE.from_bytes(key_bytes).coords[0] < 4 else 1
+
+
+def cell_job(**overrides):
+    """``test_engine.make_job`` (one cell -> one record, name-mode keys)
+    with an order-sensitive reducer, 2 maps x 2 reducers by default."""
+    return make_job(**{"reducer": ValueListReducer, "num_map_tasks": 2,
+                       "num_reducers": 2, **overrides})
+
+
+@pytest.fixture(scope="module")
+def plane():
+    return integer_grid((8, 8), seed=5, low=0, high=500)
+
+
+@pytest.fixture(scope="module")
+def two_name_plane():
+    """Two variables whose names (hence serialized keys) differ in width."""
+    rng = np.random.default_rng(6)
+    ds = Dataset()
+    ds.add(Variable("u", rng.integers(0, 100, (6, 6)).astype(np.int32)))
+    ds.add(Variable("temperature",
+                    rng.integers(0, 100, (6, 6)).astype(np.int32)))
+    return ds
+
+
+IRREGULAR = {
+    "interleaved-emit": ("plane", dict(mapper=InterleavedMapper)),
+    "interleaved-emit-multi-spill": (
+        "plane", dict(mapper=InterleavedMapper, sort_buffer_bytes=1024)),
+    "empty-runs": ("plane", dict(partitioner=RowBandPartitioner,
+                                 num_reducers=3)),
+    "empty-runs-merge-passes": (
+        "plane", dict(partitioner=RowBandPartitioner, num_reducers=3,
+                      num_map_tasks=8, merge_factor=2)),
+    # one map task per variable: each partition holds runs of two widths
+    "mixed-widths": ("two_name_plane", dict(num_map_tasks=1)),
+    "mixed-widths-merge-passes": (
+        "two_name_plane", dict(num_map_tasks=2, merge_factor=2)),
+    # chunked segments never decode columnar
+    "chunked-segments": ("plane", dict(ifile_block_bytes=256)),
+    "chunked-segments-merge-passes": (
+        "plane", dict(ifile_block_bytes=256, num_map_tasks=4,
+                      merge_factor=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IRREGULAR))
+def test_irregular_runs_equivalence(tmp_path, request, name):
+    fixture, overrides = IRREGULAR[name]
+    dataset = request.getfixturevalue(fixture)
+    results, segments = run_both(tmp_path, dataset,
+                                 lambda: cell_job(**overrides))
+    assert_identical(results, segments)
+    assert len(results["columnar"].output) > 0
+    if name.endswith("merge-passes"):
+        assert results["columnar"].counters["MERGE_PASS_BYTES"] > 0
+
+
+def test_skipping_retry_equivalence(tmp_path, plane):
+    """A poison reduce group: the strict first attempt merges columnar and
+    dies, the skipping retry runs through the record hooks -- and
+    quarantines the same records into the same side-file either way."""
+    results, segments, quarantined = {}, {}, {}
+    for label, flag in (("columnar", True), ("scalar", False)):
+        workdir = tmp_path / label
+        job = cell_job(columnar=flag, skipping=SkipPolicy(
+            quarantine_dir=str(workdir / "q")))
+        injector = FaultInjector().poison("r00001", record=3)
+        with LocalJobRunner(workdir=str(workdir), keep_files=True,
+                            fault_injector=injector) as runner:
+            results[label] = runner.run(job, plane)
+        segments[label] = segment_bytes(str(workdir))
+        quarantined[label] = {
+            path.name: path.read_bytes() for path in (workdir / "q").iterdir()}
+    assert_identical(results, segments)
+    assert results["columnar"].counters[C.RECORDS_SKIPPED] == 1
+    assert list(quarantined["columnar"]) == ["r00001-quarantine"]
+    assert quarantined["columnar"] == quarantined["scalar"]
+
+
+@pytest.mark.parametrize("columnar", [True, False])
+def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
+    """m00000 re-executes *after* its run and m00001's were folded: the
+    reducer refetches it at the bumped epoch, rebuilds the fold from the
+    retained runs, and still equals the scalar barrier reduce."""
+    job = cell_job(num_map_tasks=3, num_reducers=1, columnar=columnar)
+
+    def map_outputs(tag):
+        outs = []
+        for split in ArraySplitter(job.num_map_tasks).split(plane):
+            workdir = tmp_path / f"{tag}-m{split.split_id}"
+            workdir.mkdir()
+            outs.append(run_map_task(job, split, plane, str(workdir)))
+        return outs
+
+    epoch0, epoch1 = map_outputs("e0"), map_outputs("e1")
+    barrier_dir = tmp_path / "barrier"
+    barrier_dir.mkdir()
+    expected = run_reduce_task(
+        dataclasses.replace(job, columnar=False), 0,
+        [SegmentRef.from_pair(o.segments[0]) for o in epoch0],
+        str(barrier_dir))
+
+    log = CommitLog(str(tmp_path / "commits"))
+    for out in epoch0[:2]:
+        log.commit(CommitRecord(map_id=out.task_id, epoch=0,
+                                segments=out.segments))
+    plan = PipelinePlan(commit_dir=log.directory,
+                        map_ids=tuple(o.task_id for o in epoch0),
+                        poll_interval=0.01)
+    reduce_dir = tmp_path / "pipelined"
+    reduce_dir.mkdir()
+
+    def feed():
+        # the marker appears once both committed runs are consumed (and
+        # folded) with m00002 still pending
+        deadline = time.monotonic() + 30
+        while not (reduce_dir / STARVED_NAME).exists():
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        log.commit(CommitRecord(map_id="m00000", epoch=1,
+                                segments=epoch1[0].segments))
+        log.commit(CommitRecord(map_id="m00002", epoch=0,
+                                segments=epoch0[2].segments))
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        result = run_reduce_task_pipelined(job, 0, plan, str(reduce_dir))
+    finally:
+        feeder.join(timeout=30)
+    assert not feeder.is_alive()
+
+    assert result.output == expected.output
+    assert result.pipeline["refetches"] == 1
+    volatile = {C.SHUFFLE_FETCHES, C.SHUFFLE_BYTES_TRANSFERRED}
+    stable = lambda counters: {k: v for k, v in counters.as_dict().items()
+                               if k not in volatile}
+    assert stable(result.counters) == stable(expected.counters)
+
+
+# -------------------------------------------------- properties of the forms
+
+KEY_WIDTH, VALUE_WIDTH = 2, 3
+#: few distinct keys, so runs share many and ties decide the order
+sorted_run = st.lists(
+    st.tuples(st.sampled_from([b"a\x00", b"a\x01", b"b\x00", b"\x00\x00"]),
+              st.binary(min_size=VALUE_WIDTH, max_size=VALUE_WIDTH)),
+    max_size=12,
+).map(lambda records: sorted(records, key=itemgetter(0)))
+
+
+def as_columnar(records):
+    keys = np.frombuffer(b"".join(k for k, _ in records), np.uint8)
+    values = np.frombuffer(b"".join(v for _, v in records), np.uint8)
+    return keys.reshape(-1, KEY_WIDTH), values.reshape(-1, VALUE_WIDTH)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sorted_run, max_size=5), st.data())
+def test_merge_sorted_runs_equals_heap_merge(runs, data):
+    """Record for record, in every mix of forms -- ties in run order."""
+    expected = list(heapq.merge(*runs, key=itemgetter(0)))
+    assert run_records(merge_sorted_runs(
+        [as_columnar(r) for r in runs])) == expected
+    forms = data.draw(st.lists(st.booleans(), min_size=len(runs),
+                               max_size=len(runs)))
+    mixed = [as_columnar(r) if c else r for r, c in zip(runs, forms)]
+    assert run_records(merge_sorted_runs(mixed)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(sorted_run)
+def test_columnar_decode_decays_to_read_all(records):
+    writer = IFileWriter(None)
+    for kb, vb in records:
+        writer.append(kb, vb)
+    writer.close()
+    reader = IFileReader(writer.getvalue())
+    run = reader.read_columnar(KEY_WIDTH, VALUE_WIDTH)
+    assert run is not None
+    assert run_records(run) == reader.read_all() == records
+
+
+# --------------------------------------------- structure: counts, not clocks
+
+
+def test_columnar_job_never_takes_the_record_path(monkeypatch):
+    """10^3 cells, w=3, 4 maps x 2 reducers, plain median: no segment is
+    ever iterated record by record, and the partitioner hashes each
+    spill's *distinct* keys once, not every emitted record."""
+    dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
+    job = SlidingMedianQuery(dataset, "values", window=3).build_job(
+        "plain", num_map_tasks=4, num_reducers=2)
+
+    def no_iteration(self):
+        raise AssertionError("IFileReader.__iter__ entered on a columnar job")
+    monkeypatch.setattr(IFileReader, "__iter__", no_iteration)
+
+    hashed = []
+    real_partition = HashPartitioner.partition
+    monkeypatch.setattr(
+        HashPartitioner, "partition",
+        lambda self, kb: hashed.append(kb) or real_partition(self, kb))
+    distinct_per_spill = []
+    real_batch = HashPartitioner.partition_batch
+
+    def counting_batch(self, keys):
+        distinct_per_spill.append(len({row.tobytes() for row in keys}))
+        return real_batch(self, keys)
+    monkeypatch.setattr(HashPartitioner, "partition_batch", counting_batch)
+
+    with LocalJobRunner() as runner:
+        result = runner.run(job, dataset)
+    assert len(result.output) == 1000
+    assert len(distinct_per_spill) == result.counters[C.SPILL_COUNT] == 4
+    assert len(hashed) == sum(distinct_per_spill)
+    assert len(hashed) < result.counters[C.MAP_OUTPUT_RECORDS] / 5
