@@ -7,10 +7,13 @@ counters (full byte-identity is proven in
 promised perf win: map-phase throughput (records/sec through
 map + sort + spill) on the sliding-window workload must beat the scalar
 path by >= 5x at the Fig 8 grid size (>= 2x at smoke scale, where fixed
-per-task costs weigh more).  Third, it is never a loss: on the E7
-aggregation workload -- which stays on the per-record path by design --
-the columnar flag must not slow the job down (a noise margin on a
-best-of-3 timing, since the two runs execute identical code).
+per-task costs weigh more).  Third, the E7 aggregation workload --
+variable-width range-key records, batched per aggregator flush through
+the shuffle plugin's ``route_batch`` rather than as matrices -- must
+keep a >= 1.25x map-phase win over per-record routing (measured
+2.3-3.7x at the smoke grid, where the timed interval is ~10 ms and
+noisy, and 2.2x at side=100, where curve encoding and the coalescing
+sort that both paths share weigh more).
 
 The measured numbers are written to ``benchmarks/results/p2.json``
 every run, and to the repo-root ``BENCH_P2.json`` perf-trajectory
@@ -81,11 +84,10 @@ def test_p2_columnar_throughput(tabulate):
     subset = _rows(result, "e7-subset-plain")
     assert float(subset["columnar"]["speedup"].rstrip("x")) > 1.0
 
-    # never a loss: the E7 aggregation workload must not get slower
-    # (both rows run the identical per-record plugin path; the margin
-    # only absorbs timer noise on a best-of-N measurement)
+    # the E7 aggregation workload: one route_batch per flush must beat
+    # one route call per record (floor well under the measured 2.2-3.7x)
     agg = _rows(result, "e7-subset-aggregate")
-    assert agg["columnar"]["seconds"] <= agg["scalar"]["seconds"] * 1.25
+    assert agg["columnar"]["seconds"] * 1.25 <= agg["scalar"]["seconds"]
 
     payload = _as_json(result, side)
     os.makedirs(RESULTS_DIR, exist_ok=True)

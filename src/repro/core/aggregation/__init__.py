@@ -19,17 +19,28 @@ Modules:
 * :mod:`~repro.core.aggregation.aggregator` -- the buffering library the
   user's map code feeds pairs into (§IV-A);
 * :mod:`~repro.core.aggregation.splitter` -- routing- and overlap-
-  splitting of (range, block) pairs;
+  splitting of (range, block) pairs, as objects (the definition) and as
+  array arithmetic over ``(variable, start, count)`` columns;
 * :mod:`~repro.core.aggregation.plugin` -- the engine hook wiring it all
-  into the shuffle;
+  into the shuffle; cuts whole batches as arrays when the data is plain
+  (dense, well-formed) and falls back to the object code otherwise;
 * :mod:`~repro.core.aggregation.groups` -- reducer-side helpers that
   stack equal-range blocks into per-cell value sets.
 """
 
 from repro.core.aggregation.blocks import BlockSerde, ValueBlock
-from repro.core.aggregation.ranges import coalesce_indices, layered_runs
+from repro.core.aggregation.ranges import (
+    coalesce_indices,
+    layered_run_arrays,
+    layered_runs,
+)
 from repro.core.aggregation.aggregator import AggregationConfig, Aggregator
-from repro.core.aggregation.splitter import split_at_boundaries, split_overlaps
+from repro.core.aggregation.splitter import (
+    boundary_pieces,
+    overlap_pieces,
+    split_at_boundaries,
+    split_overlaps,
+)
 from repro.core.aggregation.plugin import AggregateShufflePlugin
 from repro.core.aggregation.groups import cells_of_group, stack_equal_blocks
 
@@ -37,11 +48,14 @@ __all__ = [
     "ValueBlock",
     "BlockSerde",
     "coalesce_indices",
+    "layered_run_arrays",
     "layered_runs",
     "AggregationConfig",
     "Aggregator",
     "split_at_boundaries",
     "split_overlaps",
+    "boundary_pieces",
+    "overlap_pieces",
     "AggregateShufflePlugin",
     "cells_of_group",
     "stack_equal_blocks",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.aggregation.blocks import BlockSerde, ValueBlock
-from repro.core.aggregation.ranges import layered_runs
+from repro.core.aggregation.ranges import layered_run_arrays, layered_runs
 from repro.mapreduce.api import MapContext
 from repro.mapreduce.keys import RangeKeySerde
 from repro.sfc.base import Curve, get_curve
@@ -140,21 +140,31 @@ class Aggregator:
         self.flushes += 1
 
         align = self.config.alignment
+        if align == 1:
+            # The whole flush as columns: run bounds as int arrays, the
+            # values as one packed slab the blocks are sliced out of, and
+            # one hand-off to the engine instead of a call per run (a
+            # flush coalesces into thousands of short runs when the
+            # buffer is fragmented).
+            starts, counts, packed = layered_run_arrays(indices, values)
+            dtype = self._block_serde.dtype
+            slab = np.ascontiguousarray(packed, dtype=dtype).tobytes()
+            offsets = (np.cumsum(counts) - counts) * dtype.itemsize
+            self.ctx.emit_serialized_batch(
+                self._key_serde.write_batch(self.variable, starts, counts),
+                self._block_serde.dense_blobs(counts, slab, offsets))
+            self.emitted_ranges += starts.shape[0]
+            self.emitted_cells += packed.shape[0]
+            return
+        # §IV-C padding: masked blocks, one at a time
         runs: list[tuple[int, int, ValueBlock]] = []
         for start, count, run_values in layered_runs(indices, values):
-            block = ValueBlock(count, run_values)
-            if align > 1:
-                astart = (start // align) * align
-                aend = -(-(start + count) // align) * align
-                aend = min(aend, self.curve.size)  # stay on the curve
-                block = block.expand(start - astart, aend - (start + count))
-                start, count = astart, aend - astart
-            runs.append((start, count, block))
-        if not runs:
-            return
-        # One vectorized pass for every range key of this flush instead
-        # of a serde call per run (a flush can coalesce into thousands of
-        # short runs when the buffer is fragmented).
+            astart = (start // align) * align
+            aend = -(-(start + count) // align) * align
+            aend = min(aend, self.curve.size)  # stay on the curve
+            block = ValueBlock(count, run_values).expand(
+                start - astart, aend - (start + count))
+            runs.append((astart, aend - astart, block))
         key_blobs = self._key_serde.write_batch(
             self.variable,
             np.fromiter((r[0] for r in runs), np.int64, len(runs)),

@@ -18,7 +18,7 @@ Wire format: ``flag`` byte (0 dense, 1 masked), vint cell count,
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -133,11 +133,16 @@ class BlockSerde(Serde):
         if self.dtype.itemsize == 0:
             raise ValueError(f"dtype {dtype!r} has zero itemsize")
 
+    def dense_header(self, count: int) -> bytes:
+        """The bytes before a dense block's values: flag, vint count."""
+        out = bytearray((_FLAG_DENSE,))
+        write_vlong(count, out)
+        return bytes(out)
+
     def write(self, obj: ValueBlock, out: bytearray) -> None:
         values = np.ascontiguousarray(obj.values, dtype=self.dtype)
         if obj.mask is None:
-            out.append(_FLAG_DENSE)
-            write_vlong(obj.count, out)
+            out.extend(self.dense_header(obj.count))
         else:
             out.append(_FLAG_MASKED)
             write_vlong(obj.count, out)
@@ -174,3 +179,46 @@ class BlockSerde(Serde):
         # path decodes millions of cells through here.
         values = np.frombuffer(buf, dtype=self.dtype, count=valid, offset=offset)
         return ValueBlock(count, values, mask), offset + nbytes
+
+    # -- vectorized bulk path -------------------------------------------------
+
+    def dense_headers(self, counts: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+        """:meth:`dense_header` of each *distinct* count, and every
+        count's index into that list."""
+        distinct, which = np.unique(counts, return_inverse=True)
+        return [self.dense_header(c) for c in distinct.tolist()], which
+
+    def dense_blobs(self, counts: np.ndarray, slab: bytes,
+                    offsets: np.ndarray) -> list[bytes]:
+        """Wire form of many dense blocks whose values are already packed.
+
+        Block ``i`` is the ``counts[i]`` values starting at byte
+        ``offsets[i]`` of ``slab``; each blob equals :meth:`write` of
+        that block.
+        """
+        headers, which = self.dense_headers(counts)
+        ends = offsets + counts * self.dtype.itemsize
+        return [headers[h] + slab[a:b] for h, a, b in
+                zip(which.tolist(), offsets.tolist(), ends.tolist())]
+
+    def read_batch(self, blobs: Sequence[bytes]) -> list[ValueBlock]:
+        """Decode one reduce group's blocks.
+
+        After overlap splitting every block of a group covers the same
+        range, so the blobs are normally dense and byte-equal up to the
+        values: the first is decoded (and validated) by :meth:`read`,
+        the rest are checked against its length and header and become
+        row views of one ``frombuffer`` over the joined blobs.  Any
+        other group decodes blob by blob.
+        """
+        if len(blobs) < 2 or blobs[0][:1] != bytes((_FLAG_DENSE,)):
+            return [self.from_bytes(b) for b in blobs]
+        first = self.from_bytes(blobs[0])
+        size = len(blobs[0])
+        header = blobs[0][:size - first.count * self.dtype.itemsize]
+        if any(len(b) != size or b[:len(header)] != header for b in blobs):
+            return [self.from_bytes(b) for b in blobs]
+        rows = np.ndarray((len(blobs), first.count), dtype=self.dtype,
+                          buffer=b"".join(blobs), offset=len(header),
+                          strides=(size, self.dtype.itemsize))
+        return [ValueBlock(first.count, row) for row in rows]

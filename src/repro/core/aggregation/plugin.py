@@ -11,18 +11,50 @@ routing and sorting phases":
   before grouping; splits overlapping ranges on overlap boundaries
   (Fig 7) and re-sorts, so byte-equal keys group all data for the same
   simple keys.
+
+Both run as array arithmetic over a whole batch (:meth:`route_batch`, and
+inside :meth:`prepare_reduce`) when the batch is *plain*: every key the
+same width, every block dense and well-formed, no alignment padding, no
+re-aggregation.  Anything else -- one masked block, one malformed
+record -- sends the whole batch through the object code
+(:mod:`~repro.core.aggregation.splitter`), which stays the definition:
+it produces the same records, and raises what it always raised.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
 from repro.core.aggregation.aggregator import AggregationConfig
 from repro.core.aggregation.reaggregate import merge_adjacent_groups
-from repro.core.aggregation.splitter import split_at_boundaries, split_overlaps
+from repro.core.aggregation.splitter import (
+    boundary_pieces,
+    overlap_pieces,
+    split_at_boundaries,
+    split_overlaps,
+)
 from repro.mapreduce.partition import CurveRangePartitioner
 
 __all__ = ["AggregateShufflePlugin"]
 
 Record = tuple[bytes, bytes]
+Routed = tuple[int, bytes, bytes]
+
+
+class _PlainBatch(NamedTuple):
+    """A batch of well-formed dense (range key, block) records as columns."""
+
+    key_width: int
+    #: distinct variables, and each record's index into them
+    variables: list
+    which: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    #: all value blobs joined, and where each record's values begin in it
+    slab: bytes
+    data_offsets: np.ndarray
 
 
 class AggregateShufflePlugin:
@@ -41,6 +73,10 @@ class AggregateShufflePlugin:
         self._key_serde = config.key_serde()
         self._block_serde = config.block_serde()
         self._curve_size = config.make_curve().size
+        #: whether a plain batch may take the array path at all (the
+        #: curve bound keeps ``start + count`` inside int64)
+        self._vectorizable = (not reaggregate and config.alignment == 1
+                              and self._curve_size <= 1 << 62)
         self._partitioners: dict[int, CurveRangePartitioner] = {}
         #: how many extra records routing splits created (introspection)
         self.routing_splits = 0
@@ -58,9 +94,83 @@ class AggregateShufflePlugin:
             self._partitioners[num_reducers] = part
         return part
 
+    # -- batch decode / encode ------------------------------------------------
+
+    def _plain_batch(self, key_blobs: Sequence[bytes],
+                     value_blobs: Sequence[bytes]) -> _PlainBatch | None:
+        """Decode a batch in one pass, or ``None`` if it is not plain.
+
+        The predicate is the object path's per-record checks, vectorised:
+        equal key widths, a decodable variable, ``start >= 0``,
+        ``count > 0``, the range on the curve, and each value blob
+        exactly the dense header for the key's count (flag byte, vint)
+        followed by ``count`` values.
+        """
+        n = len(key_blobs)
+        if n == 0 or not self._vectorizable:
+            return None
+        width = len(key_blobs[0])
+        if len(set(map(len, key_blobs))) != 1:
+            return None
+        keys = np.frombuffer(b"".join(key_blobs), np.uint8).reshape(n, width)
+        try:
+            variables, which, starts, counts = (
+                self._key_serde.unpack_batch_keys(keys))
+        except ValueError:
+            return None
+        if (starts.min() < 0 or counts.min() <= 0
+                or starts.max() >= self._curve_size
+                or (starts + counts).max() > self._curve_size):
+            return None
+
+        headers, of = self._block_serde.dense_headers(counts)
+        header_len = np.fromiter(map(len, headers), np.int64, len(headers))[of]
+        sizes = np.fromiter(map(len, value_blobs), np.int64, n)
+        itemsize = self._block_serde.dtype.itemsize
+        if (sizes != header_len + counts * itemsize).any():
+            return None
+        slab = b"".join(value_blobs)
+        offsets = np.cumsum(sizes) - sizes
+        # every blob starts with its count's header: compare the first
+        # bytes of all blobs at once, ignoring columns past a header's end
+        cols = np.arange(max(map(len, headers)))
+        want = np.frombuffer(
+            b"".join(h.ljust(cols.shape[0], b"\0") for h in headers),
+            np.uint8).reshape(len(headers), -1)[of]
+        got = np.frombuffer(slab, np.uint8)[
+            np.minimum(offsets[:, None] + cols, len(slab) - 1)]
+        if ((got != want) & (cols < header_len[:, None])).any():
+            return None
+        return _PlainBatch(width, variables, which, starts, counts, slab,
+                           offsets + header_len)
+
+    def _piece_records(
+        self, batch: _PlainBatch, owner: np.ndarray, starts: np.ndarray,
+        counts: np.ndarray,
+    ) -> tuple[list[bytes], list[bytes]]:
+        """Serialize pieces cut out of ``batch``: piece ``j`` is
+        ``[starts[j], starts[j] + counts[j])`` of record ``owner[j]``.
+        Returns key blobs and value blobs."""
+        itemsize = self._block_serde.dtype.itemsize
+        value_blobs = self._block_serde.dense_blobs(
+            counts, batch.slab,
+            batch.data_offsets[owner] + (starts - batch.starts[owner]) * itemsize)
+        which = batch.which[owner]
+        keys = np.empty((owner.shape[0], batch.key_width), dtype=np.uint8)
+        for v, variable in enumerate(batch.variables):
+            sel = which == v
+            keys[sel], _ = self._key_serde.pack_batch_keys(
+                variable, starts[sel], counts[sel])
+        flat = keys.tobytes()
+        width = batch.key_width
+        key_blobs = [flat[i:i + width] for i in range(0, len(flat), width)]
+        return key_blobs, value_blobs
+
+    # -- map side -------------------------------------------------------------
+
     def route(
         self, key_bytes: bytes, value_bytes: bytes, num_reducers: int
-    ) -> list[tuple[int, bytes, bytes]]:
+    ) -> list[Routed]:
         part = self._partitioner(num_reducers)
         key = self._key_serde.from_bytes(key_bytes)
         block = self._block_serde.from_bytes(value_bytes)
@@ -79,7 +189,65 @@ class AggregateShufflePlugin:
             out.append((reducer, bytes(kb), bytes(vb)))
         return out
 
+    def route_batch(
+        self, key_blobs: Sequence[bytes], value_blobs: Sequence[bytes],
+        num_reducers: int,
+    ) -> tuple[list[Routed], np.ndarray] | None:
+        """:meth:`route` over a whole batch of emitted records.
+
+        Returns ``(routed, ends)``: ``routed`` equals the concatenation
+        of ``route(kb, vb, num_reducers)`` over the batch, and record
+        ``i``'s pieces are ``routed[ends[i - 1]:ends[i]]``.  Records
+        inside one reducer's span pass through as the bytes they arrived
+        as; only straddlers are cut and re-serialized.  Returns ``None``
+        (nothing routed, nothing counted) when the batch is not plain:
+        the caller then routes it record by record.
+        """
+        batch = self._plain_batch(key_blobs, value_blobs)
+        if batch is None:
+            return None
+        splits = np.asarray(
+            self._partitioner(num_reducers).split_points(), dtype=np.int64)
+        if (np.diff(splits) <= 0).any():
+            return None
+        owner, starts, counts, reducer = boundary_pieces(
+            batch.starts, batch.counts, splits)
+        npieces = np.bincount(owner, minlength=len(key_blobs))
+        self.routing_splits += owner.shape[0] - len(key_blobs)
+        cut = np.flatnonzero(npieces[owner] > 1)
+        if cut.shape[0]:
+            # only the straddlers' pieces are new bytes
+            key_blobs = [key_blobs[i] for i in owner.tolist()]
+            value_blobs = [value_blobs[i] for i in owner.tolist()]
+            pieces = self._piece_records(
+                batch, owner[cut], starts[cut], counts[cut])
+            for j, kb, vb in zip(cut.tolist(), *pieces):
+                key_blobs[j], value_blobs[j] = kb, vb
+        routed = list(zip(reducer.tolist(), key_blobs, value_blobs))
+        return routed, np.cumsum(npieces)
+
+    # -- reduce side ----------------------------------------------------------
+
+    def _prepare_reduce_plain(self, records: list[Record]) -> list[Record] | None:
+        """Overlap-split a plain merged run as arrays (else ``None``)."""
+        batch = self._plain_batch(*zip(*records)) if records else None
+        if batch is None:
+            return None
+        by_str = sorted(range(len(batch.variables)),
+                        key=lambda v: str(batch.variables[v]))
+        rank = np.empty(len(by_str), dtype=np.int64)
+        rank[by_str] = np.arange(len(by_str))
+        owner, starts, counts = overlap_pieces(
+            rank[batch.which], batch.starts, batch.counts)
+        self.reduce_records_in += len(records)
+        self.reduce_records_split += owner.shape[0]
+        self.reduce_records_out += owner.shape[0]
+        return list(zip(*self._piece_records(batch, owner, starts, counts)))
+
     def prepare_reduce(self, records: list[Record]) -> list[Record]:
+        plain = self._prepare_reduce_plain(records)
+        if plain is not None:
+            return plain
         pairs = []
         for kb, vb in records:
             pairs.append(

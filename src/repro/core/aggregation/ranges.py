@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["coalesce_indices", "layered_runs"]
+__all__ = ["coalesce_indices", "layered_run_arrays", "layered_runs"]
 
 
 def coalesce_indices(indices: np.ndarray) -> list[tuple[int, int]]:
@@ -43,18 +43,20 @@ def coalesce_indices(indices: np.ndarray) -> list[tuple[int, int]]:
     ]
 
 
-def layered_runs(
+def layered_run_arrays(
     indices: np.ndarray, values: np.ndarray
-) -> list[tuple[int, int, np.ndarray]]:
-    """Decompose (index, value) pairs into contiguous runs with values.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decompose (index, value) pairs into contiguous runs, as arrays.
 
     Input need not be sorted and may contain duplicate indices.  Returns
-    ``(start, count, values)`` tuples where ``values[j]`` belongs to
-    curve index ``start + j``.  Duplicates are spread across layers:
-    occurrence ``r`` of every index lands in layer ``r``, and each layer
-    is coalesced independently.  Within a duplicate group, occurrences
-    keep their input order (stable), so deterministic inputs produce
-    deterministic output.
+    ``(starts, counts, values)``: run ``i`` covers curve indices
+    ``[starts[i], starts[i] + counts[i])`` and its values are the next
+    ``counts[i]`` entries of ``values`` (runs packed back to back, in
+    order).  Duplicates are spread across layers: occurrence ``r`` of
+    every index lands in layer ``r``, and each layer is coalesced
+    independently.  Within a duplicate group, occurrences keep their
+    input order (stable), so deterministic inputs produce deterministic
+    output.
     """
     indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values)
@@ -66,7 +68,7 @@ def layered_runs(
         )
     n = indices.shape[0]
     if n == 0:
-        return []
+        return np.empty(0, np.int64), np.empty(0, np.int64), values
 
     order = np.argsort(indices, kind="stable")
     idx = indices[order]
@@ -80,15 +82,24 @@ def layered_runs(
     group_lengths = np.diff(np.append(group_starts, n))
     rank = np.arange(n, dtype=np.int64) - np.repeat(group_starts, group_lengths)
 
-    out: list[tuple[int, int, np.ndarray]] = []
+    starts, counts, layers = [], [], []
     for layer in range(int(rank.max()) + 1):
         sel = rank == layer
         lidx = idx[sel]
-        lvals = vals[sel]
-        m = lidx.shape[0]
-        breaks = np.flatnonzero(np.diff(lidx) != 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks + 1, [m]))
-        for s, e in zip(starts, ends):
-            out.append((int(lidx[s]), int(e - s), lvals[s:e]))
-    return out
+        first = np.concatenate(([0], np.flatnonzero(np.diff(lidx) != 1) + 1))
+        starts.append(lidx[first])
+        counts.append(np.diff(np.append(first, lidx.shape[0])))
+        layers.append(vals[sel])
+    return (np.concatenate(starts), np.concatenate(counts),
+            np.concatenate(layers))
+
+
+def layered_runs(
+    indices: np.ndarray, values: np.ndarray
+) -> list[tuple[int, int, np.ndarray]]:
+    """:func:`layered_run_arrays` as ``(start, count, values)`` tuples,
+    where ``values[j]`` belongs to curve index ``start + j``."""
+    starts, counts, values = layered_run_arrays(indices, values)
+    ends = np.cumsum(counts).tolist()
+    return [(start, count, values[end - count:end]) for start, count, end
+            in zip(starts.tolist(), counts.tolist(), ends)]

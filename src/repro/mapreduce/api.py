@@ -34,7 +34,8 @@ class MapContext:
     """
 
     def __init__(self, key_serde: Serde, value_serde: Serde, sink,
-                 counters: Counters, batch_sink=None) -> None:
+                 counters: Counters, batch_sink=None,
+                 serialized_batch_sink=None) -> None:
         self.key_serde = key_serde
         self.value_serde = value_serde
         self._sink = sink
@@ -42,6 +43,10 @@ class MapContext:
         #: matrices; ``None`` when the job runs the scalar path (then the
         #: batched emits below decay to per-record ``sink`` calls)
         self._batch_sink = batch_sink
+        #: engine-supplied sink taking ``(key_blobs, value_blobs)``, the
+        #: whole-batch form of ``sink`` for variable-width records
+        #: (``None``: :meth:`emit_serialized_batch` decays the same way)
+        self._serialized_batch_sink = serialized_batch_sink
         self.counters = counters
 
     def emit(self, key: Any, value: Any) -> None:
@@ -57,6 +62,27 @@ class MapContext:
         """Emit an already-serialized pair (used by the aggregation library)."""
         self._sink(key_bytes, value_bytes)
         self.counters.incr(C.MAP_OUTPUT_RECORDS)
+
+    def emit_serialized_batch(self, key_blobs: Sequence[bytes],
+                              value_blobs: Sequence[bytes]) -> None:
+        """Emit many already-serialized pairs of any widths at once.
+
+        Equivalent to :meth:`emit_serialized` pair by pair, in order;
+        the aggregation library hands over a whole flush this way so a
+        shuffle plugin can route it in one pass.
+        """
+        n = len(key_blobs)
+        if n != len(value_blobs):
+            raise ValueError(f"{n} keys vs {len(value_blobs)} values")
+        if n == 0:
+            return
+        if self._serialized_batch_sink is not None:
+            self._serialized_batch_sink(key_blobs, value_blobs)
+        else:
+            sink = self._sink
+            for kb, vb in zip(key_blobs, value_blobs):
+                sink(kb, vb)
+        self.counters.incr(C.MAP_OUTPUT_RECORDS, n)
 
     def emit_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Emit many already-serialized fixed-width pairs at once.

@@ -383,12 +383,51 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
             if buffered >= job.sort_buffer_bytes:
                 flush()
 
-    # The batched emit path bypasses the shuffle plugin's per-record
-    # ``route`` hook, so it is only wired up for plugin-less jobs;
-    # MapContext falls back to per-record emission otherwise.
+    route_batch = getattr(plugin, "route_batch", None)
+
+    def serialized_batch_sink(key_blobs: Sequence[bytes],
+                              value_blobs: Sequence[bytes]) -> None:
+        # Batched form of ``sink`` for a shuffle plugin: the plugin routes
+        # the whole batch at once, and the routed pieces are buffered up
+        # to and including the input record at which ``sink``'s running
+        # ``buffered`` count would cross the spill threshold -- so spills
+        # hold the same records in the same order.  A batch the plugin
+        # declines goes through ``sink`` record by record.
+        nonlocal buffered
+        routed = route_batch(key_blobs, value_blobs, job.num_reducers)
+        if routed is None:
+            for kb, vb in zip(key_blobs, value_blobs):
+                sink(kb, vb)
+            return
+        if staged:
+            route_staged()
+        pieces, ends = routed
+        # bytes this batch has buffered through each of its input records
+        through = np.cumsum(np.fromiter(
+            (len(k2) + len(v2) + 8 for _, k2, v2 in pieces),
+            np.int64, len(pieces)))[ends - 1]
+        done = taken = 0  # pieces buffered so far, and their bytes
+        while done < len(pieces):
+            # the input record at which ``buffered`` reaches the threshold
+            record = min(len(ends) - 1, int(np.searchsorted(
+                through, job.sort_buffer_bytes - buffered + taken)))
+            stop = int(ends[record])
+            for part, k2, v2 in pieces[done:stop]:
+                buffer[part].append(k2, v2)
+            buffered += int(through[record]) - taken
+            done, taken = stop, int(through[record])
+            if buffered >= job.sort_buffer_bytes:
+                flush()
+
+    # The batched emit paths bypass ``sink``.  ``emit_batch`` also
+    # bypasses the shuffle plugin, so it is wired up for plugin-less jobs
+    # only; ``emit_serialized_batch`` is for plugins that can route a
+    # batch.  MapContext falls back to per-record emission otherwise.
     ctx = MapContext(
         job.key_serde, job.value_serde, sink, counters,
         batch_sink=batch_sink if (job.columnar and plugin is None) else None,
+        serialized_batch_sink=(serialized_batch_sink
+                               if job.columnar and route_batch else None),
     )
     variable = dataset[split.variable]
     with clock.measure("read"):

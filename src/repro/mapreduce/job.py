@@ -54,6 +54,23 @@ class ShufflePlugin(Protocol):
     several, each bound for one reducer.  ``prepare_reduce`` runs on a
     reducer's fully merged record list before grouping: the aggregate
     implementation splits overlapping ranges there (Fig 7).
+
+    ``route`` is the per-record contract and the only routing method a
+    plugin must have.  A plugin may also define
+
+    ``route_batch(key_blobs, value_blobs, num_reducers)``
+        returning ``(routed, ends)`` -- ``routed`` equal to the
+        concatenation of ``route`` over the batch, record ``i``'s pieces
+        being ``routed[ends[i - 1]:ends[i]]`` -- or ``None`` to decline
+        the batch untouched.
+
+    When it exists and ``Job.columnar`` is on, the engine serves
+    ``MapContext.emit_serialized_batch`` through it (one call per
+    batch, spills cut at the same input record as per-record routing);
+    a declined batch, a plugin without the method, or a scalar job
+    routes record by record.  Either way the records reaching each spill
+    are the same, so implementing it is an optimisation, never a
+    behaviour change.
     """
 
     def route(self, key_bytes: bytes, value_bytes: bytes,

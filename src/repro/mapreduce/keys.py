@@ -303,3 +303,43 @@ class RangeKeySerde(Serde):
         mat, rec = self.pack_batch_keys(variable, starts, counts)
         flat = mat.tobytes()
         return [flat[i * rec:(i + 1) * rec] for i in range(mat.shape[0])]
+
+    def unpack_batch_keys(
+        self, keys: np.ndarray
+    ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """Decode an ``(n, key_size)`` uint8 matrix of range keys.
+
+        Returns ``(variables, which, starts, counts)``: the distinct
+        variables in byte order, each row's index into them, and the
+        int64 ``start`` / ``count`` columns.  The variable prefix is
+        decoded once per distinct value and must fill the row up to the
+        12 fixed bytes (a ``ValueError`` otherwise); ``start`` and
+        ``count`` are returned as stored, unvalidated.
+        """
+        n, width = keys.shape
+        plen = width - 12
+        if n == 0 or plen < 1:
+            raise MalformedRecordError(f"no range keys of {width} bytes")
+        keys = np.ascontiguousarray(keys)
+        prefixes = np.ascontiguousarray(keys[:, :plen])
+        if (prefixes == prefixes[0]).all():
+            first = np.zeros(1, dtype=np.int64)
+            which = np.zeros(n, dtype=np.int64)
+        else:
+            # rows of one width: ``S`` equality is byte equality (see
+            # ``Partitioner.partition_batch``); bytes come from the matrix
+            _, first, which = np.unique(prefixes.view(f"S{plen}").ravel(),
+                                        return_index=True, return_inverse=True)
+        variables = []
+        for row in first.tolist():
+            variable, end = self._var_serde.read(prefixes[row].tobytes(), 0)
+            if end != plen:
+                raise MalformedRecordError(
+                    f"variable fills {end} of {plen} prefix bytes", offset=end)
+            variables.append(variable)
+        starts = np.ascontiguousarray(keys[:, plen:plen + 8]).view(">u8")
+        starts = (starts.ravel().astype(np.uint64)
+                  ^ np.uint64(1 << 63)).view(np.int64)
+        counts = np.ascontiguousarray(keys[:, plen + 8:]).view(">u4")
+        counts = counts.ravel().astype(np.int64) - (1 << 31)
+        return variables, which, starts, counts

@@ -20,8 +20,8 @@ from repro.core.aggregation import (
 )
 from repro.mapreduce.api import Combiner, Reducer
 from repro.mapreduce.job import Job
-from repro.mapreduce.keys import CellKey, CellKeySerde
-from repro.queries.base import GridQuery, window_offsets
+from repro.mapreduce.keys import CellKeySerde
+from repro.queries.base import GridQuery, range_cell_keys, window_offsets
 from repro.queries.sliding_median import (
     AggregateWindowMapper,
     PlainWindowMapper,
@@ -70,13 +70,11 @@ class AggregateFoldReducer(Reducer):
         self.origin = np.asarray(origin, dtype=np.int64)
 
     def reduce(self, key, blocks, ctx):
-        coords = self.curve.decode(np.arange(key.start, key.end)) + self.origin
+        cells = range_cell_keys(self.curve, self.origin, key)
         for off, cell_values in cells_of_group(key, blocks):
             value = self.npfold(cell_values)
-            ctx.emit(
-                CellKey(key.variable, tuple(int(c) for c in coords[off])),
-                value.item() if hasattr(value, "item") else value,
-            )
+            ctx.emit(cells[off],
+                     value.item() if hasattr(value, "item") else value)
 
 
 class SlidingAggregateQuery(GridQuery):

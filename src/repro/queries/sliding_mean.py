@@ -22,9 +22,14 @@ from repro.core.aggregation import (
 )
 from repro.mapreduce.api import Combiner, Mapper, Reducer
 from repro.mapreduce.job import Job
-from repro.mapreduce.keys import CellKey, CellKeySerde
+from repro.mapreduce.keys import CellKeySerde
 from repro.mapreduce.serde import Serde
-from repro.queries.base import GridQuery, shifted_cells, window_offsets
+from repro.queries.base import (
+    GridQuery,
+    range_cell_keys,
+    shifted_cells,
+    window_offsets,
+)
 from repro.util.errors import TruncatedRecordError
 from repro.queries.sliding_median import AggregateWindowMapper
 from repro.scidata.dataset import Dataset
@@ -127,12 +132,9 @@ class AggregateMeanReducer(Reducer):
         self.origin = np.asarray(origin, dtype=np.int64)
 
     def reduce(self, key, blocks, ctx):
-        coords = self.curve.decode(np.arange(key.start, key.end)) + self.origin
+        cells = range_cell_keys(self.curve, self.origin, key)
         for off, cell_values in cells_of_group(key, blocks):
-            ctx.emit(
-                CellKey(key.variable, tuple(int(c) for c in coords[off])),
-                float(np.mean(cell_values)),
-            )
+            ctx.emit(cells[off], float(np.mean(cell_values)))
 
 
 class SlidingMeanQuery(GridQuery):

@@ -26,7 +26,7 @@ from repro.core.aggregation import (
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.job import Job
-from repro.mapreduce.keys import CellKey, CellKeySerde
+from repro.mapreduce.keys import CellKeySerde
 from repro.mapreduce.serde import (
     Float32Serde,
     Float64Serde,
@@ -34,7 +34,12 @@ from repro.mapreduce.serde import (
     Int64Serde,
     Serde,
 )
-from repro.queries.base import GridQuery, shifted_cells, window_offsets
+from repro.queries.base import (
+    GridQuery,
+    range_cell_keys,
+    shifted_cells,
+    window_offsets,
+)
 from repro.scidata.dataset import Dataset
 from repro.scidata.slab import Slab
 
@@ -117,21 +122,15 @@ class AggregateMedianReducer(Reducer):
         self.origin = np.asarray(origin, dtype=np.int64)
 
     def reduce(self, key, blocks, ctx):
-        coords = self.curve.decode(np.arange(key.start, key.end)) + self.origin
+        cells = range_cell_keys(self.curve, self.origin, key)
         matrix = stack_equal_blocks(key, blocks)
         if matrix is not None:
-            medians = np.median(matrix, axis=0)
-            for off in range(key.count):
-                ctx.emit(
-                    CellKey(key.variable, tuple(int(c) for c in coords[off])),
-                    float(medians[off]),
-                )
+            for cell, median in zip(cells,
+                                    np.median(matrix, axis=0).tolist()):
+                ctx.emit(cell, median)
             return
         for off, cell_values in cells_of_group(key, blocks):
-            ctx.emit(
-                CellKey(key.variable, tuple(int(c) for c in coords[off])),
-                float(np.median(cell_values)),
-            )
+            ctx.emit(cells[off], float(np.median(cell_values)))
 
 
 class SlidingMedianQuery(GridQuery):

@@ -20,8 +20,8 @@ from repro.core.aggregation import (
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.job import Job
-from repro.mapreduce.keys import CellKey, CellKeySerde
-from repro.queries.base import GridQuery
+from repro.mapreduce.keys import CellKeySerde
+from repro.queries.base import GridQuery, range_cell_keys
 from repro.queries.sliding_median import value_serde_for
 from repro.scidata.dataset import Dataset
 from repro.scidata.slab import Slab
@@ -132,13 +132,10 @@ class AggregateSubsetReducer(Reducer):
         self.origin = np.asarray(origin, dtype=np.int64)
 
     def reduce(self, key, blocks, ctx):
-        coords = self.curve.decode(np.arange(key.start, key.end)) + self.origin
+        cells = range_cell_keys(self.curve, self.origin, key)
         for off, cell_values in cells_of_group(key, blocks):
-            for v in cell_values:
-                ctx.emit(
-                    CellKey(key.variable, tuple(int(c) for c in coords[off])),
-                    v.item() if hasattr(v, "item") else v,
-                )
+            for v in cell_values.tolist():
+                ctx.emit(cells[off], v)
 
 
 class BoxSubsetQuery(GridQuery):

@@ -17,6 +17,13 @@ and a skipping-mode retry; two hypothesis properties pin the merge and
 the decay-to-records against their record-path definitions, and a
 structural guard counts calls so a silent fall back to the record path
 fails tier-1 rather than a bench run.
+
+Aggregate-key jobs (a shuffle plugin) have their own batched path --
+``emit_serialized_batch`` -> ``route_batch`` on the map side, the array
+overlap split inside ``prepare_reduce`` on the reduce side -- chosen by
+what the data is, not by ``Job.columnar`` alone; their section runs a
+third leg with the plugin's object path forced, and a second structural
+guard.
 """
 
 import dataclasses
@@ -31,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.aggregation import AggregateShufflePlugin, BlockSerde, ValueBlock
 from repro.mapreduce import (
     CellKey,
     CellKeySerde,
@@ -41,6 +49,7 @@ from repro.mapreduce import (
 from repro.mapreduce.engine import run_map_task, run_reduce_task
 from repro.mapreduce.ifile import IFileReader, IFileWriter
 from repro.mapreduce.job import SkipPolicy
+from repro.mapreduce.keys import RangeKeySerde
 from repro.mapreduce.metrics import C
 from repro.mapreduce.partition import HashPartitioner, Partitioner
 from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner, ShuffleConfig
@@ -202,6 +211,143 @@ def test_parallel_runner_aggregate_equivalence(tmp_path, grid):
         tmp_path, grid, make_job,
         runner_cls=lambda **kw: ParallelJobRunner(max_workers=2, **kw))
     assert_identical(results, segments)
+
+
+# --------------------------------------------------- aggregate keys (§IV)
+
+#: several spills per map task (a flush is split at the threshold record)
+#: and more runs than the merge factor (on-disk merge passes)
+AGGREGATE_SHAPE = dict(num_map_tasks=3, num_reducers=2,
+                       sort_buffer_bytes=1024, merge_factor=2)
+AGGREGATE_QUERY_NAMES = ["derived", "max", "mean", "median", "subset"]
+
+
+def aggregate_query(grid, pair_grid, name):
+    if name == "derived":
+        return pair_grid, DerivedVariableQuery(pair_grid, "u", "v", op="hypot")
+    return grid, QUERIES[name](grid)
+
+
+@pytest.fixture
+def plain_batches(monkeypatch):
+    """Spy on the plugin's plain-batch predicate: one bool per batch the
+    plugin was offered (map-side flush or reduce-side merged run), True
+    where it took the array path."""
+    taken = []
+    real = AggregateShufflePlugin._plain_batch
+
+    def spy(self, key_blobs, value_blobs):
+        batch = real(self, key_blobs, value_blobs)
+        taken.append(batch is not None)
+        return batch
+    monkeypatch.setattr(AggregateShufflePlugin, "_plain_batch", spy)
+    return taken
+
+
+@pytest.mark.parametrize("name", AGGREGATE_QUERY_NAMES)
+def test_aggregate_equivalence(tmp_path, grid, pair_grid, name,
+                               plain_batches):
+    """Batched vs ``columnar=False`` vs the object path on both sides:
+    output, every counter and every segment file."""
+    dataset, query = aggregate_query(grid, pair_grid, name)
+    make_job = lambda: query.build_job("aggregate", **AGGREGATE_SHAPE)
+    results, segments = run_both(tmp_path, dataset, make_job)
+    assert_identical(results, segments)
+    assert plain_batches and all(plain_batches)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AggregateShufflePlugin, "_plain_batch",
+                      lambda self, key_blobs, value_blobs: None)
+        workdir = str(tmp_path / "objects")
+        with LocalJobRunner(workdir=workdir, keep_files=True) as runner:
+            results["scalar"] = runner.run(make_job(), dataset)
+        segments["scalar"] = segment_bytes(workdir)
+    assert_identical(results, segments)
+
+    counters = results["columnar"].counters
+    assert counters[C.MERGE_PASS_BYTES] > 0
+    assert counters[C.SPILLED_RECORDS] >= counters[C.MAP_OUTPUT_RECORDS]
+    if name in ("max", "mean", "median"):
+        # a window's 27 layers fragment into many short ranges: several
+        # spills per flush, and overlaps across map tasks to cut
+        assert counters[C.SPILL_COUNT] > 3 * AGGREGATE_SHAPE["num_map_tasks"]
+        assert counters[C.KEY_SPLITS] > 0
+
+
+def test_aggregate_batch_spills_at_the_same_record(tmp_path, grid,
+                                                   monkeypatch):
+    """The merged segments hide where spills broke; the spills do not.
+    A routed batch is cut at the input record where the per-record
+    running byte count crosses the threshold, so every spill holds the
+    same records per partition, in the same order -- straddlers' pieces
+    included (reducers=3 puts two boundaries through the ranges)."""
+    import repro.mapreduce.engine as engine
+
+    query = SlidingMedianQuery(grid, "values", window=3)
+    split = ArraySplitter(1).split(grid)[0]
+    spills = {}
+    real_spill = engine._spill
+
+    def recording_spill(job, workdir, task_id, spill_idx, buffer, *rest):
+        spills[job.columnar].append(
+            {part: pbuf.to_records() for part, pbuf in buffer.items()})
+        return real_spill(job, workdir, task_id, spill_idx, buffer, *rest)
+    monkeypatch.setattr(engine, "_spill", recording_spill)
+
+    def spill_both(sort_buffer_bytes):
+        for flag in (True, False):
+            job = query.build_job("aggregate", num_reducers=3,
+                                  sort_buffer_bytes=sort_buffer_bytes)
+            job.columnar = flag
+            spills[flag] = []
+            workdir = tmp_path / f"{sort_buffer_bytes}-{flag}"
+            workdir.mkdir()
+            run_map_task(job, split, grid, str(workdir))
+            assert job.shuffle_plugin.routing_splits > 0
+        assert len(spills[True]) > 10
+        assert spills[True] == spills[False]
+
+    def buffered_bytes(spill):
+        return sum(len(kb) + len(vb) + 8
+                   for records in spill.values() for kb, vb in records)
+
+    spill_both(1500)
+    # a threshold some record lands on exactly: that record still closes
+    # the spill (``>=``), in both forms
+    exact = buffered_bytes(spills[False][0]) + buffered_bytes(spills[False][1])
+    spill_both(exact)
+    assert buffered_bytes(spills[True][0]) == exact
+
+
+@pytest.mark.parametrize("pipeline", [False, True],
+                         ids=["barrier", "pipelined"])
+@pytest.mark.parametrize("name", AGGREGATE_QUERY_NAMES)
+def test_parallel_aggregate_equivalence(tmp_path, grid, pair_grid, name,
+                                        pipeline):
+    dataset, query = aggregate_query(grid, pair_grid, name)
+    make_job = lambda: query.build_job("aggregate", **AGGREGATE_SHAPE)
+    results, segments = run_both(
+        tmp_path, dataset, make_job,
+        runner_cls=lambda **kw: ParallelJobRunner(
+            max_workers=2, shuffle=ShuffleConfig(pipeline=pipeline), **kw))
+    assert_identical(results, segments)
+    assert results["columnar"].counters[C.MERGE_PASS_BYTES] > 0
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(agg_overrides=dict(alignment=4)),
+    dict(reaggregate=True),
+], ids=["alignment-4", "reaggregate"])
+def test_aggregate_fallback_is_taken_and_unchanged(tmp_path, grid, overrides,
+                                                   plain_batches):
+    """Padding makes masked blocks and re-aggregation fuses groups: both
+    are object-path work, whole batch, on both sides."""
+    query = SlidingMedianQuery(grid, "values", window=3)
+    make_job = lambda: query.build_job("aggregate", **AGGREGATE_SHAPE,
+                                       **overrides)
+    results, segments = run_both(tmp_path, grid, make_job)
+    assert_identical(results, segments)
+    assert plain_batches and not any(plain_batches)
 
 
 # ------------------------------------------------------------ reduce phase
@@ -507,3 +653,34 @@ def test_columnar_job_never_takes_the_record_path(monkeypatch):
     assert len(distinct_per_spill) == result.counters[C.SPILL_COUNT] == 4
     assert len(hashed) == sum(distinct_per_spill)
     assert len(hashed) < result.counters[C.MAP_OUTPUT_RECORDS] / 5
+
+
+def test_aggregate_job_cuts_keys_as_arrays(monkeypatch, plain_batches):
+    """10^3 cells, w=3, 4 maps x 2 reducers, aggregate median: every
+    flush and every merged run takes the array path, and the object
+    decoders run at most once per reduce *group* -- never once per
+    emitted record or per piece."""
+    dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
+    job = SlidingMedianQuery(dataset, "values", window=3).build_job(
+        "aggregate", variable_mode="index", num_map_tasks=4, num_reducers=2)
+
+    calls = {}
+    for cls, name in ((ValueBlock, "slice"), (BlockSerde, "read"),
+                      (RangeKeySerde, "read")):
+        def counting(*args, _real=getattr(cls, name), _key=f"{cls.__name__}.{name}",
+                     **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counting)
+
+    with LocalJobRunner() as runner:
+        result = runner.run(job, dataset)
+    assert len(result.output) == 1000
+    groups = result.counters[C.REDUCE_INPUT_GROUPS]
+    assert groups < result.counters[C.MAP_OUTPUT_RECORDS] / 3
+    assert result.counters[C.REDUCE_INPUT_RECORDS] > 3 * groups
+    assert calls.get("ValueBlock.slice", 0) == 0
+    assert calls["BlockSerde.read"] <= groups
+    assert calls["RangeKeySerde.read"] <= groups
+    # 4 flushes + 2 merged runs, all plain: a 100 % fast-path share
+    assert plain_batches == [True] * 6

@@ -213,3 +213,33 @@ class TestRangeKey:
         blobs = sorted(serde.to_bytes(k) for k in keys)
         decoded = [serde.from_bytes(b) for b in blobs]
         assert decoded == sorted(keys, key=lambda k: (k.start, k.count))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([("index", [0, 256, 9, 10]),
+                            ("name", ["ab", "a\x00", "zz"])]),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**62),
+                              st.integers(1, 2**31 - 1)),
+                    min_size=1, max_size=8))
+    def test_unpack_batch_keys_inverts_scalar_write(self, mode_vars, rows):
+        """One decode per distinct variable; index 256 and the name
+        ``a\\0`` end in a NUL byte, which an ``S`` scalar would drop."""
+        mode, variables = mode_vars
+        serde = RangeKeySerde(mode)
+        keys = [RangeKey(variables[v % len(variables)], start, count)
+                for v, start, count in rows]
+        mat = np.frombuffer(b"".join(serde.to_bytes(k) for k in keys),
+                            np.uint8).reshape(len(keys), -1)
+        distinct, which, starts, counts = serde.unpack_batch_keys(mat)
+        assert len(set(distinct)) == len(distinct)
+        assert [RangeKey(distinct[w], s, c) for w, s, c in
+                zip(which.tolist(), starts.tolist(), counts.tolist())] == keys
+
+    def test_unpack_batch_keys_rejects_a_prefix_that_is_not_a_variable(self):
+        serde = RangeKeySerde("name")
+        good = serde.to_bytes(RangeKey("abc", 1, 2))
+        # the Text length byte claims 2 characters, the prefix holds 3
+        bad = bytes([2]) + good[1:]
+        for blob in (bad, good[:11]):
+            with pytest.raises(ValueError):
+                serde.unpack_batch_keys(
+                    np.frombuffer(blob, np.uint8).reshape(1, -1))
