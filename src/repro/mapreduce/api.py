@@ -185,7 +185,13 @@ class MapContext:
 
 
 class ReduceContext:
-    """Collects reducer output (and exposes counters)."""
+    """Collects reducer output (and exposes counters).
+
+    ``output`` is the task's ``(key, value)`` pairs in emission order.
+    :meth:`emit` appends one; :meth:`emit_batch` appends many and is
+    observably the same as calling :meth:`emit` pair by pair -- the
+    reduce-side mirror of :meth:`MapContext.emit_batch`.
+    """
 
     def __init__(self, counters: Counters) -> None:
         self.counters = counters
@@ -194,6 +200,19 @@ class ReduceContext:
     def emit(self, key: Any, value: Any) -> None:
         self.output.append((key, value))
         self.counters.incr(C.REDUCE_OUTPUT_RECORDS)
+
+    def emit_batch(self, keys: Sequence[Any], values: Sequence[Any]) -> None:
+        """Emit ``zip(keys, values)``, counted once.
+
+        Both are sequences of the Python objects :meth:`emit` would be
+        given (an array's ``tolist()``, not the array: numpy scalars
+        are not the values the per-group path emits).
+        """
+        n = len(keys)
+        if n != len(values):
+            raise ValueError(f"{n} keys vs {len(values)} values")
+        self.output.extend(zip(keys, values))
+        self.counters.incr(C.REDUCE_OUTPUT_RECORDS, n)
 
 
 class Mapper(ABC):
@@ -234,7 +253,37 @@ class Mapper(ABC):
 
 
 class Reducer(ABC):
-    """Reduce half of the job.  One instance per reduce task."""
+    """Reduce half of the job.  One instance per reduce task.
+
+    :meth:`reduce` is the definition of the job's reduce function and
+    the only method a reducer must have; defining only it is always
+    valid, for built-in reducers, user reducers and wrappers alike.
+
+    A reducer *may* also define ``reduce_batch(keys, values, bounds,
+    ctx)`` -- deliberately absent from this base class, so its presence
+    is the opt-in.  The engine calls it once per reduce task, in place
+    of the per-group loop, when the task's merged run is columnar and
+    the value serde decodes a column as an array (``read_column_array``):
+
+    - ``keys``: the decoded key of every group, in sorted order;
+    - ``values``: a 1-D int64 / float64 ndarray, every value of the run
+      in merged order (``values.tolist()`` is what the groups' ``reduce``
+      calls would have received, concatenated);
+    - ``bounds``: ``group_bounds`` of the sorted run -- an increasing
+      int array of ``len(keys) + 1`` offsets, group ``g`` being
+      ``values[bounds[g]:bounds[g + 1]]``, never empty.
+
+    The contract is observational identity with the loop it replaces:
+    the same ``ctx.output`` -- equal keys, **bit-identical** values of
+    the same Python types, same order -- and the same counters (the
+    engine counts the input groups and records; use
+    :meth:`ReduceContext.emit_batch` for the output).  A fold that
+    cannot promise that for the column it was handed (a float ``sum``,
+    whose result depends on association order) returns
+    ``NotImplemented`` *before emitting anything*, and the engine runs
+    the per-group loop instead.  Plugin jobs, ``columnar=False``,
+    skipping-mode retries and record-form runs never consult it.
+    """
 
     @abstractmethod
     def reduce(self, key: Any, values: Sequence[Any], ctx: ReduceContext) -> None:

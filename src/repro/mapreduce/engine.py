@@ -54,6 +54,7 @@ from repro.mapreduce.sort import (
 )
 from repro.scidata.dataset import Dataset
 from repro.scidata.splits import ArraySplitter, InputSplit
+from repro.util.errors import CorruptRecordError
 from repro.util.timing import CostClock
 
 __all__ = [
@@ -601,6 +602,38 @@ def run_reduce_task(
                                    group_driver=group_driver)
 
 
+def _reduce_batch(job: Job, reducer: Any, kmat: np.ndarray,
+                  vflat: memoryview, bounds: np.ndarray,
+                  ctx: ReduceContext) -> bool:
+    """Reduce a whole columnar merged run in one ``reduce_batch`` call.
+
+    Taken when the reducer defines ``reduce_batch`` (see
+    :class:`~repro.mapreduce.api.Reducer`) and the value serde decodes a
+    column as an array: the group-leader key rows decode in one
+    ``read_rows`` pass, the value slab in one ``read_column_array``
+    pass, and the input counters move by their totals.  Returns False,
+    having counted and emitted nothing, when that is not this run -- no
+    ``reduce_batch``, no array decode, a decode that raises (the
+    per-group loop then raises it at the group it belongs to, after the
+    groups before it were reduced), or a reducer that declines the
+    column -- and the caller's per-group loop does the work.
+    """
+    reduce_batch = getattr(reducer, "reduce_batch", None)
+    read_array = getattr(job.value_serde, "read_column_array", None)
+    if reduce_batch is None or read_array is None:
+        return False
+    try:
+        keys = job.key_serde.read_rows(kmat[bounds[:-1]])
+        values = read_array(vflat, kmat.shape[0])
+    except CorruptRecordError:
+        return False
+    if reduce_batch(keys, values, bounds, ctx) is NotImplemented:
+        return False
+    ctx.counters.incr(C.REDUCE_INPUT_GROUPS, len(keys))
+    ctx.counters.incr(C.REDUCE_INPUT_RECORDS, kmat.shape[0])
+    return True
+
+
 def _merge_group_reduce(
     job: Job,
     task_id: str,
@@ -630,11 +663,12 @@ def _merge_group_reduce(
     stable argsort, ``append_batch`` out and ``read_columnar`` back;
     otherwise the heap merge over records) -- the same record sequence,
     and therefore the same pass files and ``MERGE_PASS_BYTES``, either
-    way.  A columnar merged run is grouped by ``group_bounds`` and each
-    group's values decode in one ``read_column`` over its slice of the
-    value slab; it decays to records only for the consumers defined on
-    records (the shuffle plugin's ``prepare_reduce`` and the two
-    skipping hooks).
+    way.  A columnar merged run is grouped by ``group_bounds`` and
+    reduced by one ``reduce_batch`` call where the reducer defines one
+    (:func:`_reduce_batch`), else group by group, each group's values
+    decoding in one ``read_column`` over its slice of the value slab;
+    it decays to records only for the consumers defined on records (the
+    shuffle plugin's ``prepare_reduce`` and the two skipping hooks).
     """
     # Multi-pass on-disk merge when we hold too many runs (step 5).
     passes = plan_merge_passes(len(runs), job.merge_factor)
@@ -685,23 +719,26 @@ def _merge_group_reduce(
         if group_driver is not None:
             group_driver(reducer, merged, ctx)
         elif type(merged) is tuple:
-            # Groups are adjacent equal key rows; each group's values
+            # Groups are adjacent equal key rows.  One batched call
+            # when the reducer takes one; else each group's values
             # decode in one ``read_column`` pass over its slice of the
             # contiguous value slab -- what ``read_batch`` does to the
             # joined blobs below, without the blobs.
             kmat, vmat = merged
             kw, vw = kmat.shape[1], vmat.shape[1]
-            kflat = kmat.tobytes()
             vflat = memoryview(np.ascontiguousarray(vmat)).cast("B")
-            bounds = group_bounds(kmat).tolist()
-            for start, end in zip(bounds, bounds[1:]):
-                counters.incr(C.REDUCE_INPUT_GROUPS)
-                counters.incr(C.REDUCE_INPUT_RECORDS, end - start)
-                key = job.key_serde.from_bytes(
-                    kflat[start * kw:(start + 1) * kw])
-                values = job.value_serde.read_column(
-                    vflat[start * vw:end * vw], end - start)
-                reducer.reduce(key, values, ctx)
+            bounds = group_bounds(kmat)
+            if not _reduce_batch(job, reducer, kmat, vflat, bounds, ctx):
+                kflat = kmat.tobytes()
+                bounds = bounds.tolist()
+                for start, end in zip(bounds, bounds[1:]):
+                    counters.incr(C.REDUCE_INPUT_GROUPS)
+                    counters.incr(C.REDUCE_INPUT_RECORDS, end - start)
+                    key = job.key_serde.from_bytes(
+                        kflat[start * kw:(start + 1) * kw])
+                    values = job.value_serde.read_column(
+                        vflat[start * vw:end * vw], end - start)
+                    reducer.reduce(key, values, ctx)
         else:
             for kb, value_blobs in group_by_key(merged):
                 counters.incr(C.REDUCE_INPUT_GROUPS)

@@ -84,6 +84,36 @@ def _variable_serde(mode: str) -> Serde:
     raise ValueError(f"variable mode must be 'name' or 'index', got {mode!r}")
 
 
+def _unpack_variables(var_serde: Serde,
+                      prefixes: np.ndarray) -> tuple[list, np.ndarray]:
+    """Decode the variable prefix column of a key matrix.
+
+    ``prefixes`` is the ``(n, plen)`` uint8 block left of the fixed-width
+    fields, ``n >= 1``.  Returns ``(variables, which)``: the distinct
+    variables in byte order and each row's index into them.  A prefix is
+    decoded once per distinct value and must fill its ``plen`` bytes
+    exactly, as it does in every key ``write`` produced.
+    """
+    n, plen = prefixes.shape
+    prefixes = np.ascontiguousarray(prefixes)
+    if (prefixes == prefixes[0]).all():
+        first = np.zeros(1, dtype=np.int64)
+        which = np.zeros(n, dtype=np.int64)
+    else:
+        # rows of one width: ``S`` equality is byte equality (see
+        # ``Partitioner.partition_batch``); bytes come from the matrix
+        _, first, which = np.unique(prefixes.view(f"S{plen}").ravel(),
+                                    return_index=True, return_inverse=True)
+    variables = []
+    for row in first.tolist():
+        variable, end = var_serde.read(prefixes[row].tobytes(), 0)
+        if end != plen:
+            raise MalformedRecordError(
+                f"variable fills {end} of {plen} prefix bytes", offset=end)
+        variables.append(variable)
+    return variables, which
+
+
 class CellKeySerde(Serde):
     """Serializer for :class:`CellKey`.
 
@@ -217,6 +247,35 @@ class CellKeySerde(Serde):
         flat = mat.tobytes()
         return [flat[i * rec:(i + 1) * rec] for i in range(n)]
 
+    def read_rows(self, rows: np.ndarray) -> list[CellKey]:
+        """Decode an ``(n, key_size)`` uint8 matrix of cell keys.
+
+        The inverse of :meth:`pack_batch_keys` for rows of any mix of
+        variables, equal to ``[from_bytes(row) for row in rows]``: the
+        variable prefix is decoded once per distinct value (and must
+        fill the row up to the fixed-width words, a
+        :class:`MalformedRecordError` otherwise), coordinates and slots
+        in one numpy pass each; every key is still built by
+        :class:`CellKey`'s validating constructor.
+        """
+        n, width = rows.shape
+        if n == 0:
+            return []
+        body = self.coord_width * self.ndim
+        plen = width - body - (4 if self.include_slot else 0)
+        if plen < 1:
+            raise MalformedRecordError(f"no cell keys of {width} bytes")
+        variables, which = _unpack_variables(self._var_serde, rows[:, :plen])
+        coords = self._coord_serde.read_column_array(
+            np.ascontiguousarray(rows[:, plen:plen + body]), n * self.ndim)
+        if self.include_slot:
+            slots = _INT32.read_column_array(
+                np.ascontiguousarray(rows[:, plen + body:]), n).tolist()
+        else:
+            slots = [0] * n
+        return [CellKey(variables[w], c, s) for w, c, s in zip(
+            which.tolist(), coords.reshape(n, self.ndim).tolist(), slots)]
+
 
 class RangeKeySerde(Serde):
     """Serializer for :class:`RangeKey`.
@@ -321,22 +380,7 @@ class RangeKeySerde(Serde):
         if n == 0 or plen < 1:
             raise MalformedRecordError(f"no range keys of {width} bytes")
         keys = np.ascontiguousarray(keys)
-        prefixes = np.ascontiguousarray(keys[:, :plen])
-        if (prefixes == prefixes[0]).all():
-            first = np.zeros(1, dtype=np.int64)
-            which = np.zeros(n, dtype=np.int64)
-        else:
-            # rows of one width: ``S`` equality is byte equality (see
-            # ``Partitioner.partition_batch``); bytes come from the matrix
-            _, first, which = np.unique(prefixes.view(f"S{plen}").ravel(),
-                                        return_index=True, return_inverse=True)
-        variables = []
-        for row in first.tolist():
-            variable, end = self._var_serde.read(prefixes[row].tobytes(), 0)
-            if end != plen:
-                raise MalformedRecordError(
-                    f"variable fills {end} of {plen} prefix bytes", offset=end)
-            variables.append(variable)
+        variables, which = _unpack_variables(self._var_serde, keys[:, :plen])
         starts = np.ascontiguousarray(keys[:, plen:plen + 8]).view(">u8")
         starts = (starts.ravel().astype(np.uint64)
                   ^ np.uint64(1 << 63)).view(np.int64)

@@ -14,7 +14,8 @@ paper's byte arithmetic depends on.
 Fixed-width serdes additionally support a *columnar* contract used by the
 engine's batched record pipeline: :meth:`Serde.pack_batch` serializes a
 whole value column into one contiguous blob and :meth:`Serde.read_batch` /
-:meth:`Serde.read_column` decode a run of values in one numpy pass.  Both
+:meth:`Serde.read_column` decode a run of values in one numpy pass, and
+:meth:`Serde.read_rows` decodes the rows of a key matrix.  All
 are byte-for-byte (and object-for-object) equivalent to looping the scalar
 :meth:`Serde.write` / :meth:`Serde.read` -- the engine's A/B equivalence
 suite pins that down.
@@ -130,6 +131,15 @@ class Serde(ABC):
             )
         return out
 
+    def read_rows(self, rows: np.ndarray) -> list:
+        """Decode one object from each row of an ``(n, width)`` uint8
+        matrix (a reduce task's group-leader keys): ``from_bytes`` row
+        by row, and what an override must equal."""
+        width = rows.shape[1]
+        flat = rows.tobytes()  # C order, whatever the view's strides
+        return [self.from_bytes(flat[i:i + width])
+                for i in range(0, len(flat), width)]
+
     def read_batch(self, blobs: Sequence[bytes]) -> list:
         """Decode one object from each blob (a reduce group's values)."""
         size = getattr(self, "SIZE", None)
@@ -172,7 +182,28 @@ def _float_column(values: Any) -> np.ndarray:
     return arr
 
 
-class Int32Serde(Serde):
+class _ArrayColumnSerde(Serde):
+    """A fixed-width scalar serde whose packed column is one ndarray.
+
+    :meth:`read_column_array` is the single decode definition: a native
+    int64 / float64 array whose ``tolist()`` is exactly what the scalar
+    :meth:`Serde.read` loop returns.  The engine's batched reduce hands
+    that array to ``Reducer.reduce_batch`` for a whole merged run;
+    :meth:`read_column` is the same decode as Python objects.
+    """
+
+    SIZE: int
+
+    @abstractmethod
+    def read_column_array(self, buf, count: int) -> np.ndarray:
+        """Decode ``count`` packed values; length-checked like
+        :meth:`read_column`."""
+
+    def read_column(self, buf, count: int) -> list:
+        return self.read_column_array(buf, count).tolist()
+
+
+class Int32Serde(_ArrayColumnSerde):
     """Order-preserving big-endian signed 32-bit integer (4 bytes)."""
 
     SIZE = 4
@@ -191,13 +222,13 @@ class Int32Serde(Serde):
         arr = _int_column(values, 4)
         return (((arr + (1 << 31)) & 0xFFFFFFFF).astype(">u4")).tobytes()
 
-    def read_column(self, buf, count: int) -> list:
+    def read_column_array(self, buf, count: int) -> np.ndarray:
         _check_column(buf, count, self.SIZE)
         raw = np.frombuffer(buf, dtype=">u4", count=count)
-        return (raw.astype(np.int64) - (1 << 31)).tolist()
+        return raw.astype(np.int64) - (1 << 31)
 
 
-class Int64Serde(Serde):
+class Int64Serde(_ArrayColumnSerde):
     """Order-preserving big-endian signed 64-bit integer (8 bytes)."""
 
     SIZE = 8
@@ -217,13 +248,13 @@ class Int64Serde(Serde):
         # uint64 arithmetic wraps correctly for the 64-bit sign-bit bias
         return (arr.astype(np.uint64) + np.uint64(1 << 63)).astype(">u8").tobytes()
 
-    def read_column(self, buf, count: int) -> list:
+    def read_column_array(self, buf, count: int) -> np.ndarray:
         _check_column(buf, count, self.SIZE)
         raw = np.frombuffer(buf, dtype=">u8", count=count).astype(np.uint64)
-        return (raw ^ np.uint64(1 << 63)).view(np.int64).tolist()
+        return (raw ^ np.uint64(1 << 63)).view(np.int64)
 
 
-class Float32Serde(Serde):
+class Float32Serde(_ArrayColumnSerde):
     """IEEE-754 single precision, big-endian (4 bytes, Hadoop FloatWritable)."""
 
     SIZE = 4
@@ -237,12 +268,12 @@ class Float32Serde(Serde):
     def pack_batch(self, values: Any) -> bytes:
         return _float_column(values).astype(">f4").tobytes()
 
-    def read_column(self, buf, count: int) -> list:
+    def read_column_array(self, buf, count: int) -> np.ndarray:
         _check_column(buf, count, self.SIZE)
-        return np.frombuffer(buf, dtype=">f4", count=count).astype(np.float64).tolist()
+        return np.frombuffer(buf, dtype=">f4", count=count).astype(np.float64)
 
 
-class Float64Serde(Serde):
+class Float64Serde(_ArrayColumnSerde):
     """IEEE-754 double precision, big-endian (8 bytes, DoubleWritable)."""
 
     SIZE = 8
@@ -256,9 +287,9 @@ class Float64Serde(Serde):
     def pack_batch(self, values: Any) -> bytes:
         return _float_column(values).astype(">f8").tobytes()
 
-    def read_column(self, buf, count: int) -> list:
+    def read_column_array(self, buf, count: int) -> np.ndarray:
         _check_column(buf, count, self.SIZE)
-        return np.frombuffer(buf, dtype=">f8", count=count).tolist()
+        return np.frombuffer(buf, dtype=">f8", count=count).astype(np.float64)
 
 
 class TextSerde(Serde):

@@ -13,7 +13,7 @@ import numpy as np
 from repro.mapreduce.api import Combiner, Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.serde import Int32Serde, Int64Serde
-from repro.queries.base import GridQuery
+from repro.queries.base import GridQuery, integer_fold_batch
 from repro.scidata.dataset import Dataset
 
 __all__ = ["HistogramQuery"]
@@ -54,6 +54,9 @@ class CountReducer(Reducer):
 
     def reduce(self, key, values, ctx):
         ctx.emit(key, sum(values))
+
+    def reduce_batch(self, keys, values, bounds, ctx):
+        return integer_fold_batch(sum, keys, values, bounds, ctx)
 
 
 class HistogramQuery(GridQuery):

@@ -21,7 +21,12 @@ from repro.core.aggregation import (
 from repro.mapreduce.api import Combiner, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
-from repro.queries.base import GridQuery, range_cell_keys, window_offsets
+from repro.queries.base import (
+    GridQuery,
+    integer_fold_batch,
+    range_cell_keys,
+    window_offsets,
+)
 from repro.queries.sliding_median import (
     AggregateWindowMapper,
     PlainWindowMapper,
@@ -57,6 +62,9 @@ class FoldReducer(Reducer):
 
     def reduce(self, key, values, ctx):
         ctx.emit(key, self.fold(values))
+
+    def reduce_batch(self, keys, values, bounds, ctx):
+        return integer_fold_batch(self.fold, keys, values, bounds, ctx)
 
 
 class AggregateFoldReducer(Reducer):

@@ -23,7 +23,7 @@ from repro.core.aggregation import (
 from repro.mapreduce.api import Combiner, Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
-from repro.mapreduce.serde import Serde
+from repro.mapreduce.serde import Serde, _check_column
 from repro.queries.base import (
     GridQuery,
     range_cell_keys,
@@ -75,11 +75,7 @@ class SumCountSerde(Serde):
         return col.tobytes()
 
     def read_column(self, buf, count: int) -> list:
-        nbytes = memoryview(buf).nbytes
-        if nbytes != count * self.SIZE:
-            raise ValueError(
-                f"packed column is {nbytes} bytes, expected {count}x{self.SIZE}"
-            )
+        _check_column(buf, count, self.SIZE)
         col = np.frombuffer(buf, dtype=self._COLUMN, count=count)
         return list(zip(col["total"].tolist(), col["count"].tolist()))
 

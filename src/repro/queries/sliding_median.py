@@ -85,6 +85,24 @@ class PlainMedianReducer(Reducer):
     def reduce(self, key, values, ctx):
         ctx.emit(key, float(np.median(np.asarray(values))))
 
+    def reduce_batch(self, keys, values, bounds, ctx):
+        """One ``np.median`` per distinct group *size*, not per group.
+
+        Groups of one size gather into a ``(groups, size)`` matrix whose
+        row medians are the per-group calls' results bit for bit,
+        because the same ``np.median`` computes them.  A sort-and-gather
+        median over the whole column is not a substitute: it disagrees
+        on groups holding NaN and may return the other signed zero.  A
+        w^d window over a box has at most 2^d group sizes.
+        """
+        starts, sizes = bounds[:-1], np.diff(bounds)
+        medians = np.empty(len(keys), dtype=np.float64)
+        for size in np.unique(sizes).tolist():
+            rows = np.flatnonzero(sizes == size)
+            matrix = values[starts[rows, None] + np.arange(size)]
+            medians[rows] = np.median(matrix, axis=1, overwrite_input=True)
+        ctx.emit_batch(keys, medians.tolist())
+
 
 class AggregateWindowMapper(Mapper):
     """Same emissions, buffered through the §IV aggregation library."""

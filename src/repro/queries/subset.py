@@ -10,6 +10,8 @@ aggregation numbers.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 from repro.core.aggregation import (
@@ -79,6 +81,12 @@ class IdentityReducer(Reducer):
     def reduce(self, key, values, ctx):
         for v in values:
             ctx.emit(key, v)
+
+    def reduce_batch(self, keys, values, bounds, ctx):
+        """Every value straight through, its group's key beside it."""
+        sizes = np.diff(bounds).tolist()
+        ctx.emit_batch(list(chain.from_iterable(map(repeat, keys, sizes))),
+                       values.tolist())
 
 
 class AggregateSubsetMapper(Mapper):

@@ -16,7 +16,12 @@ empty and irregular runs, the barrier and pipelined parallel runtime,
 and a skipping-mode retry; two hypothesis properties pin the merge and
 the decay-to-records against their record-path definitions, and a
 structural guard counts calls so a silent fall back to the record path
-fails tier-1 rather than a bench run.
+fails tier-1 rather than a bench run.  A columnar merged run is reduced
+by one ``Reducer.reduce_batch`` call where the reducer defines one; the
+scalar leg always reduces group by group, so the same A/B (output,
+counters, and each reduce task's ``output_bytes``) is the end-to-end
+identity of that call, whose own properties live in
+``test_reduce_batch.py``.
 
 Aggregate-key jobs (a shuffle plugin) have their own batched path --
 ``emit_serialized_batch`` -> ``route_batch`` on the map side, the array
@@ -70,6 +75,8 @@ from repro.queries import (
     SlidingMeanQuery,
     SlidingMedianQuery,
 )
+from repro.queries.sliding_median import PlainMedianReducer
+from repro.queries.subset import IdentityReducer
 from repro.scidata import Dataset, Slab, Variable, integer_grid
 from repro.scidata.splits import ArraySplitter
 from tests.mapreduce.test_engine import make_job
@@ -120,10 +127,17 @@ def run_both(tmp_path, dataset, make_job, runner_cls=LocalJobRunner):
     return results, segments
 
 
+def reduce_output_bytes(result):
+    return {p.task_id: p.output_bytes for p in result.task_profiles
+            if p.kind == "reduce"}
+
+
 def assert_identical(results, segments):
     col, sca = results["columnar"], results["scalar"]
     assert col.counters.as_dict() == sca.counters.as_dict()
     assert col.output == sca.output
+    # ``repr`` of every output pair: types and float digits, not just ==
+    assert reduce_output_bytes(col) == reduce_output_bytes(sca)
     assert segments["columnar"].keys() == segments["scalar"].keys()
     assert segments["columnar"] == segments["scalar"]
     assert len(segments["columnar"]) > 0
@@ -354,15 +368,31 @@ def test_aggregate_fallback_is_taken_and_unchanged(tmp_path, grid, overrides,
 
 
 def plain_queries(grid, pair_grid):
-    """Every built-in query with the dataset it runs over."""
-    out = {name: (grid, make(grid)) for name, make in QUERIES.items()}
-    out["histogram"] = (grid, HistogramQuery(grid, "values", bins=16))
-    out["derived"] = (
-        pair_grid, DerivedVariableQuery(pair_grid, "u", "v", op="hypot"))
+    """Every built-in query as ``(dataset, build)``, ``build(**shape)``
+    returning its plain-mode job.  The scalar leg of every test below
+    reduces group by group; the columnar leg makes one ``reduce_batch``
+    call per reduce task wherever the reducer defines one and takes the
+    column (median, min / max / sum, histogram, subset, derived -- the
+    int32 grids make every fold an exact monoid) and loops otherwise
+    (mean: its (sum, count) carrier is float64)."""
+    def plain(query, **fixed):
+        return lambda **shape: query.build_job("plain", **fixed, **shape)
+    out = {name: (grid, plain(make(grid))) for name, make in QUERIES.items()}
+    mean = QUERIES["mean"](grid)
+    out["mean-no-combiner"] = (grid, plain(mean, use_combiner=False))
+    for op in ("min", "sum"):
+        query = SlidingAggregateQuery(grid, "values", op=op, window=3)
+        out[op] = (grid, plain(query))
+        out[f"{op}-no-combiner"] = (grid, plain(query, use_combiner=False))
+    out["histogram"] = (grid, plain(HistogramQuery(grid, "values", bins=16)))
+    out["derived"] = (pair_grid, plain(
+        DerivedVariableQuery(pair_grid, "u", "v", op="hypot")))
     return out
 
 
-PLAIN_QUERY_NAMES = ["derived", "histogram", "max", "mean", "median", "subset"]
+PLAIN_QUERY_NAMES = ["derived", "histogram", "max", "mean",
+                     "mean-no-combiner", "median", "min", "min-no-combiner",
+                     "subset", "sum", "sum-no-combiner"]
 
 REDUCE_SHAPES = {
     # more runs than the merge factor: reducers run on-disk merge passes
@@ -370,21 +400,62 @@ REDUCE_SHAPES = {
     # several spills per map task: the spill merge feeds every segment
     "multi-spill": dict(num_map_tasks=3, num_reducers=2,
                         sort_buffer_bytes=1024),
+    "multi-spill-merge-passes": dict(num_map_tasks=4, num_reducers=2,
+                                     sort_buffer_bytes=1024, merge_factor=2),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(REDUCE_SHAPES))
-@pytest.mark.parametrize("name", PLAIN_QUERY_NAMES)
+#: the six queries' own two shapes, then every variant through the job
+#: that has both: several spills per map *and* on-disk reduce passes
+REDUCE_CASES = [(name, shape)
+                for name in ("derived", "histogram", "max", "mean", "median",
+                             "subset")
+                for shape in ("merge-passes", "multi-spill")]
+REDUCE_CASES += [(name, "multi-spill-merge-passes")
+                 for name in PLAIN_QUERY_NAMES]
+
+
+@pytest.mark.parametrize("name,shape", REDUCE_CASES,
+                         ids=["-".join(case) for case in REDUCE_CASES])
 def test_reduce_phase_equivalence(tmp_path, grid, pair_grid, name, shape):
-    """mean / max / histogram carry their combiners here."""
-    dataset, query = plain_queries(grid, pair_grid)[name]
-    make_job = lambda: query.build_job("plain", **REDUCE_SHAPES[shape])
+    dataset, build = plain_queries(grid, pair_grid)[name]
+    make_job = lambda: build(**REDUCE_SHAPES[shape])
     results, segments = run_both(tmp_path, dataset, make_job)
     assert_identical(results, segments)
-    if shape == "merge-passes":
+    if "merge-passes" in shape:
         assert results["columnar"].counters["MERGE_PASS_BYTES"] > 0
-    elif name != "histogram":  # its mapper pre-counts: one small spill
+    if "multi-spill" in shape and name != "histogram":
+        # (the histogram mapper pre-counts: one small spill)
         assert results["columnar"].counters["SPILL_COUNT"] > 3
+
+
+@pytest.mark.parametrize("name", ["max", "median", "subset", "sum"])
+def test_float_grid_reduce_phase_equivalence(tmp_path, name):
+    """float32 cells, NaN and -0.0 among them: the median and the
+    pass-through still batch, the folds decline the float column (they
+    are not exact monoids there) and loop -- identical either way, NaN
+    for NaN (``repr`` in ``output_bytes``; ``==`` cannot say it)."""
+    rng = np.random.default_rng(79)
+    cells = rng.normal(size=(5, 5, 5)).astype(np.float32)
+    cells[rng.random(cells.shape) < 0.1] = np.nan
+    cells[rng.random(cells.shape) < 0.1] = -0.0
+    dataset = Dataset()
+    dataset.add(Variable("values", cells))
+    if name in QUERIES:
+        query = QUERIES[name](dataset)
+    else:
+        query = SlidingAggregateQuery(dataset, "values", op=name, window=3)
+    make_job = lambda: query.build_job(
+        "plain", num_map_tasks=3, num_reducers=2, sort_buffer_bytes=4096)
+    results, segments = run_both(tmp_path, dataset, make_job)
+    col, sca = results["columnar"], results["scalar"]
+    assert col.counters.as_dict() == sca.counters.as_dict()
+    assert [k for k, _ in col.output] == [k for k, _ in sca.output]
+    assert ([repr(v) for _, v in col.output]
+            == [repr(v) for _, v in sca.output])
+    assert reduce_output_bytes(col) == reduce_output_bytes(sca)
+    assert segments["columnar"] == segments["scalar"]
+    assert any(v != v for _, v in col.output)          # NaNs came through
 
 
 @pytest.mark.parametrize("pipeline", [False, True],
@@ -394,9 +465,9 @@ def test_parallel_reduce_phase_equivalence(tmp_path, grid, pair_grid, name,
                                            pipeline):
     """Every query under the multiprocess runtime; pipelined, the
     reducers fold each run into a prefix merge as its map commits."""
-    dataset, query = plain_queries(grid, pair_grid)[name]
-    make_job = lambda: query.build_job(
-        "plain", num_map_tasks=3, num_reducers=2, sort_buffer_bytes=4096)
+    dataset, build = plain_queries(grid, pair_grid)[name]
+    make_job = lambda: build(
+        num_map_tasks=3, num_reducers=2, sort_buffer_bytes=4096)
     results, segments = run_both(
         tmp_path, dataset, make_job,
         runner_cls=lambda **kw: ParallelJobRunner(
@@ -493,14 +564,15 @@ def test_irregular_runs_equivalence(tmp_path, request, name):
         assert results["columnar"].counters["MERGE_PASS_BYTES"] > 0
 
 
-def test_skipping_retry_equivalence(tmp_path, plane):
+def test_skipping_retry_equivalence(tmp_path, plane,
+                                    reducer=ValueListReducer):
     """A poison reduce group: the strict first attempt merges columnar and
     dies, the skipping retry runs through the record hooks -- and
     quarantines the same records into the same side-file either way."""
     results, segments, quarantined = {}, {}, {}
     for label, flag in (("columnar", True), ("scalar", False)):
         workdir = tmp_path / label
-        job = cell_job(columnar=flag, skipping=SkipPolicy(
+        job = cell_job(reducer=reducer, columnar=flag, skipping=SkipPolicy(
             quarantine_dir=str(workdir / "q")))
         injector = FaultInjector().poison("r00001", record=3)
         with LocalJobRunner(workdir=str(workdir), keep_files=True,
@@ -513,6 +585,13 @@ def test_skipping_retry_equivalence(tmp_path, plane):
     assert results["columnar"].counters[C.RECORDS_SKIPPED] == 1
     assert list(quarantined["columnar"]) == ["r00001-quarantine"]
     assert quarantined["columnar"] == quarantined["scalar"]
+
+
+def test_skipping_retry_equivalence_under_a_batched_reducer(tmp_path, plane):
+    """``PoisonedReducer`` defines only ``reduce``, so the poisoned task
+    still counts groups one by one and dies at the same ordinal, while
+    r00000 beside it takes ``IdentityReducer.reduce_batch``."""
+    test_skipping_retry_equivalence(tmp_path, plane, reducer=IdentityReducer)
 
 
 @pytest.mark.parametrize("columnar", [True, False])
@@ -653,6 +732,49 @@ def test_columnar_job_never_takes_the_record_path(monkeypatch):
     assert len(distinct_per_spill) == result.counters[C.SPILL_COUNT] == 4
     assert len(hashed) == sum(distinct_per_spill)
     assert len(hashed) < result.counters[C.MAP_OUTPUT_RECORDS] / 5
+
+
+def test_plain_median_job_reduces_in_batches(monkeypatch):
+    """Same job: no reduce task makes a per-group call -- not the
+    reducer, not the key decoder, not the value decoder -- and
+    ``np.median`` runs once per distinct group size per task (a clipped
+    3^3 window over a box has at most 2^3 of them)."""
+    dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
+    job = SlidingMedianQuery(dataset, "values", window=3).build_job(
+        "plain", num_map_tasks=4, num_reducers=2)
+
+    def never(name):
+        def entered(*args, **kwargs):
+            raise AssertionError(f"{name} entered on a batched reduce")
+        return entered
+    monkeypatch.setattr(PlainMedianReducer, "reduce",
+                        never("PlainMedianReducer.reduce"))
+    monkeypatch.setattr(CellKeySerde, "read", never("CellKeySerde.read"))
+    monkeypatch.setattr(type(job.value_serde), "read_column",
+                        never("Int32Serde.read_column"))
+
+    medians = []
+    real_median = np.median
+    monkeypatch.setattr(
+        np, "median",
+        lambda *a, **kw: medians.append(1) or real_median(*a, **kw))
+    tasks = []
+    real_batch = PlainMedianReducer.reduce_batch
+
+    def counting_batch(self, keys, values, bounds, ctx):
+        before = len(medians)
+        real_batch(self, keys, values, bounds, ctx)
+        tasks.append((len(medians) - before,
+                      len(np.unique(np.diff(bounds)))))
+    monkeypatch.setattr(PlainMedianReducer, "reduce_batch", counting_batch)
+
+    with LocalJobRunner() as runner:
+        result = runner.run(job, dataset)
+    assert len(result.output) == 1000
+    assert result.counters[C.REDUCE_INPUT_GROUPS] == 1000
+    assert len(tasks) == 2
+    assert all(calls == sizes <= 8 for calls, sizes in tasks)
+    assert len(medians) == sum(calls for calls, _ in tasks)
 
 
 def test_aggregate_job_cuts_keys_as_arrays(monkeypatch, plain_batches):

@@ -21,6 +21,7 @@ from repro.mapreduce.serde import (
     TextSerde,
     ValueBlockSerde,
 )
+from repro.queries.sliding_mean import SumCountSerde
 from repro.util.errors import (
     CorruptRecordError,
     MalformedRecordError,
@@ -76,6 +77,24 @@ class TestFixedWidthSerdes:
         serde = Int32Serde()
         with pytest.raises(MalformedRecordError):
             serde.from_bytes(serde.to_bytes(1) + b"\x00")
+
+    @pytest.mark.parametrize("serde,samples", [
+        (Int32Serde(), [42, -1]), (Int64Serde(), [-7, 1 << 40]),
+        (Float32Serde(), [1.5, 0.0]), (Float64Serde(), [-2.25, 1e300]),
+        (SumCountSerde(), [(1.5, 2), (0.0, 1)]),
+    ], ids=["int32", "int64", "float32", "float64", "sum-count"])
+    def test_packed_column_of_the_wrong_length_is_malformed(self, serde,
+                                                             samples):
+        """Every fixed-width column decode classifies a length mismatch
+        the same way, so the skipping runtime sees one family."""
+        blob = b"".join(serde.to_bytes(v) for v in samples)
+        assert serde.read_column(blob, 2) == samples
+        for hostile, count in ((blob[:-1], 2), (blob + b"\x00", 2),
+                               (blob, 1), (blob, 3), (b"", 1)):
+            with pytest.raises(MalformedRecordError):
+                serde.read_column(hostile, count)
+            with pytest.raises(MalformedRecordError):
+                serde.read_column(memoryview(hostile), count)
 
 
 class TestTextSerde:
