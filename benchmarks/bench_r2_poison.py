@@ -17,7 +17,7 @@ acceptance criteria:
   and failed (budget exhaustion, unskippable mapper) all appear.
 
 ``REPRO_R2_FUZZ`` / ``REPRO_R2_SECONDS`` bound the seeded fuzz tail
-(CI's fuzz-smoke job runs a 60-second slice).
+(CI's chaos job runs a 60-second slice).
 """
 
 from repro.experiments.r2_poison import run

@@ -23,7 +23,7 @@ assertions here are the PR's acceptance criteria:
   consistent job failure instead of a re-execution cascade.
 
 ``REPRO_R5_FUZZ`` / ``REPRO_R5_SECONDS`` bound the seeded fuzz tail
-(CI's host-chaos job runs a small slice through both runners).
+(CI's chaos job runs a small slice through both runners).
 """
 
 from repro.experiments.r5_hostchaos import run
@@ -37,14 +37,14 @@ def test_r5_host_chaos(tabulate):
 
     # Monitoring on, faults off: nothing retried, lost, or failed over.
     clean = [r for r in result.rows if r["scenario"] == "clean-monitored"]
-    assert len(clean) >= 3
+    assert len(clean) == 2
     assert all(r["outcome"] == "identical" for r in clean)
     assert all(r["retries"] == 0 and r["hosts_lost"] == 0
                and r["failovers"] == 0 for r in clean)
 
     # A host crash re-executes its maps on every transport.
     crashes = [r for r in result.rows if r["scenario"] == "host-crash"]
-    assert len(crashes) == 3
+    assert len(crashes) == 2
     for row in crashes:
         assert row["outcome"] == "reexecuted"
         assert row["hosts_lost"] >= 1
@@ -53,15 +53,17 @@ def test_r5_host_chaos(tabulate):
     # A partition heals in-attempt; the host is never declared dead.
     partitions = [r for r in result.rows
                   if r["scenario"] == "host-partition"]
-    assert len(partitions) == 3
+    assert len(partitions) == 2
     for row in partitions:
         assert row["outcome"] == "identical"
         assert row["retries"] > 0
         assert row["hosts_lost"] == 0
 
-    # Disk faults fail over with deterministic quarantine side-files.
+    # Disk faults (ENOSPC and EIO) fail over with deterministic
+    # quarantine side-files.
     disks = [r for r in result.rows if r["scenario"] == "disk-fault"]
     assert len(disks) == 3
+    assert {r["fault"].split()[0] for r in disks} == {"enospc", "eio"}
     for row in disks:
         assert row["outcome"] == "identical"
         assert row["failovers"] > 0

@@ -28,7 +28,7 @@ def _registry() -> dict[str, tuple[str, Callable]]:
         e1_motivation, fig2_stream, fig3_table, fig4_scaling, \
         fig8_aggregation, figures_5_6_7, key_splitting, levers, locality, \
         multivar, p2_columnar, p3_pipeline, parallel_speedup, r2_poison, \
-        r3_shuffle, r4_netshuffle, r5_hostchaos, r6_service, r7_memchaos
+        r4_netshuffle, r5_hostchaos, r6_service, r7_memchaos
 
     return {
         "E1": ("§I motivation: per-cell-key file sizes (paper-exact)",
@@ -88,11 +88,9 @@ def _registry() -> dict[str, tuple[str, Callable]]:
         "R2": ("robustness: poison-safe pipeline -- record skipping, "
                "quarantine, and corrupt-block salvage, both runners",
                lambda: r2_poison.run()),
-        "R3": ("robustness: shuffle transport -- fetch retries, failure "
-               "accounting, and map re-execution, both runners",
-               lambda: r3_shuffle.run()),
-        "R4": ("robustness: network shuffle -- socket segment servers, "
-               "on-the-wire codec compression, wire faults, server loss",
+        "R4": ("robustness: shuffle transport -- socket segment servers, "
+               "on-the-wire codec compression, wire faults, fetch retries, "
+               "map re-execution, server loss, both runners",
                lambda: r4_netshuffle.run()),
         "R5": ("robustness: host failure domains -- whole-host crashes, "
                "network partitions, and disk-fault failover, both runners",
@@ -349,6 +347,8 @@ def _run_client(args, parser) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    from repro.mapreduce.runtime.shuffle import TRANSPORTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate tables/figures from 'Compressing "
@@ -499,14 +499,12 @@ def main(argv: list[str] | None = None) -> int:
                        help="keep quarantine side-files under this "
                             "directory instead of throwaway temp dirs "
                             "(R2)")
-    run_p.add_argument("--transport",
-                       choices=["direct", "channel", "network"],
-                       default=None,
+    run_p.add_argument("--transport", choices=TRANSPORTS, default=None,
                        help="shuffle transport reducers fetch map "
-                            "segments through (either runner; channel "
-                            "adds CRC-framed streaming, network serves "
-                            "segments over loopback TCP -- all "
-                            "byte-identical output)")
+                            "segments through (either runner; direct "
+                            "reads segment files, network serves them "
+                            "over loopback TCP -- byte-identical "
+                            "output)")
     run_p.add_argument("--wire-codec", default=None,
                        help="codec segment bytes are compressed with on "
                             "the wire (--transport network; 'null' "

@@ -32,7 +32,7 @@ import signal
 import tempfile
 import time
 
-from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.common import ExperimentResult, env_number, scaled
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner
 from repro.mapreduce.runtime.recovery import MANIFEST_NAME, JobManifest
@@ -209,7 +209,7 @@ def run(num_seeds: int | None = None, resume_seeds: int = 3,
     plus ``resume_seeds`` mid-job scheduler-kill + resume scenarios.
     """
     if num_seeds is None:
-        num_seeds = int(os.environ.get("REPRO_CHAOS_SEEDS", "20"))
+        num_seeds = env_number("REPRO_CHAOS_SEEDS", 20, minimum=1)
     if side is None:
         side = scaled(12, default_scale=1.0)
 

@@ -6,9 +6,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-__all__ = ["get_scale", "scaled", "make_runner", "ExperimentResult",
-           "fmt_bytes", "pct", "build_query_job", "RunOutcome",
-           "read_quarantine", "stable_counters"]
+__all__ = ["get_scale", "scaled", "make_runner", "env_number",
+           "ExperimentResult", "fmt_bytes", "pct"]
 
 
 def get_scale(default: float = 1.0) -> float:
@@ -32,6 +31,31 @@ def get_scale(default: float = 1.0) -> float:
 def scaled(paper_value: int, default_scale: float, minimum: int = 1) -> int:
     """A linear dimension scaled from its paper value by REPRO_SCALE."""
     return max(minimum, round(paper_value * get_scale(default_scale)))
+
+
+def env_number(var: str, default=None, *, parse=int, minimum=None,
+               above=None):
+    """``var`` parsed with ``parse`` (``default`` when unset).
+
+    Read through the same parser the shuffle knobs use, so malformed or
+    out-of-range text (below ``minimum``, or not above ``above``) raises
+    :class:`~repro.mapreduce.runtime.shuffle.ConfigError` naming the
+    variable instead of leaking ``int()``'s traceback.
+    """
+    from repro.mapreduce.runtime.shuffle import _env_value
+
+    def checked(raw: str):
+        value = parse(raw)
+        if minimum is not None and value < minimum:
+            raise ValueError(f"must be >= {minimum}")
+        if above is not None and not value > above:
+            raise ValueError(f"must be > {above}")
+        return value
+
+    checked.__name__ = parse.__name__
+    found: dict = {}
+    _env_value(found, "value", var, checked)
+    return found.get("value", default)
 
 
 def make_runner(**runner_kwargs):
@@ -64,20 +88,20 @@ def make_runner(**runner_kwargs):
     shuffle = shuffle_config_from_env()
     if shuffle is not None:
         runner_kwargs.setdefault("shuffle", shuffle)
-    raw_hosts = os.environ.get("REPRO_NUM_HOSTS")
-    if raw_hosts is not None:
-        num_hosts = int(raw_hosts)
-        if num_hosts < 1:
-            raise ValueError(f"REPRO_NUM_HOSTS must be >= 1, got {num_hosts}")
-        runner_kwargs.setdefault("num_hosts", num_hosts)
-    raw_reexecs = os.environ.get("REPRO_MAX_HOST_REEXECS")
-    if raw_reexecs is not None:
-        max_host_reexecs = int(raw_reexecs)
-        if max_host_reexecs < 0:
-            raise ValueError(f"REPRO_MAX_HOST_REEXECS must be >= 0, "
-                             f"got {max_host_reexecs}")
-        runner_kwargs.setdefault("max_host_reexecs", max_host_reexecs)
+    knobs = {"num_hosts": env_number("REPRO_NUM_HOSTS", minimum=1),
+             "max_host_reexecs": env_number("REPRO_MAX_HOST_REEXECS",
+                                            minimum=0)}
     name = os.environ.get("REPRO_RUNNER", "serial").lower()
+    if name == "parallel":
+        knobs.update(
+            max_workers=env_number("REPRO_WORKERS", minimum=1),
+            task_timeout=env_number("REPRO_TASK_TIMEOUT", parse=float,
+                                    above=0),
+            worker_rlimit_bytes=env_number("REPRO_WORKER_RLIMIT_BYTES",
+                                           minimum=1))
+    for key, value in knobs.items():
+        if value is not None:
+            runner_kwargs.setdefault(key, value)
     if name in ("serial", "local"):
         from repro.mapreduce.engine import LocalJobRunner
 
@@ -85,28 +109,6 @@ def make_runner(**runner_kwargs):
     if name == "parallel":
         from repro.mapreduce.runtime import ParallelJobRunner
 
-        raw_workers = os.environ.get("REPRO_WORKERS")
-        if raw_workers is not None:
-            workers = int(raw_workers)
-            if workers < 1:
-                raise ValueError(
-                    f"REPRO_WORKERS must be >= 1, got {workers}")
-            runner_kwargs.setdefault("max_workers", workers)
-        raw_timeout = os.environ.get("REPRO_TASK_TIMEOUT")
-        if raw_timeout is not None:
-            timeout = float(raw_timeout)
-            if timeout <= 0:
-                raise ValueError(
-                    f"REPRO_TASK_TIMEOUT must be > 0, got {timeout}")
-            runner_kwargs.setdefault("task_timeout", timeout)
-        raw_rlimit = os.environ.get("REPRO_WORKER_RLIMIT_BYTES")
-        if raw_rlimit is not None:
-            rlimit_bytes = int(raw_rlimit)
-            if rlimit_bytes < 1:
-                raise ValueError(
-                    f"REPRO_WORKER_RLIMIT_BYTES must be >= 1, "
-                    f"got {rlimit_bytes}")
-            runner_kwargs.setdefault("worker_rlimit_bytes", rlimit_bytes)
         recovery_dir = os.environ.get("REPRO_RECOVERY_DIR")
         if recovery_dir:
             runner_kwargs.setdefault("recovery_dir", recovery_dir)
@@ -120,79 +122,6 @@ def make_runner(**runner_kwargs):
         return ParallelJobRunner(**runner_kwargs)
     raise ValueError(
         f"REPRO_RUNNER must be 'serial' or 'parallel', got {name!r}")
-
-
-# ------------------------------------------------------- chaos-matrix harness
-#
-# Shared by the R3/R4/R5/R7/P3 matrices: each runs the same scenario
-# through both runners and compares the two outcomes with each other and
-# with a clean baseline.
-
-
-def build_query_job(grid, query: str, side: int, num_map_tasks: int,
-                    num_reducers: int):
-    """One of the matrices' query jobs over the harness grid."""
-    from repro.queries.histogram import HistogramQuery
-    from repro.queries.subset import BoxSubsetQuery
-    from repro.scidata.slab import Slab
-
-    var = grid.names[0]
-    if query == "subset-plain":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "subset-agg":
-        box = Slab((1, 1), (side - 2, side - 2))
-        return BoxSubsetQuery(grid, var, box).build_job(
-            "aggregate", variable_mode="index",
-            num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    if query == "histogram":
-        return HistogramQuery(grid, var, bins=16).build_job(
-            "plain", num_map_tasks=num_map_tasks, num_reducers=num_reducers)
-    raise ValueError(f"unknown query {query!r}")
-
-
-class RunOutcome:
-    """One runner's result-or-error for a scenario, plus (for matrices
-    that collect them) the quarantine side-files the run left behind."""
-
-    def __init__(self, result, error: BaseException | None,
-                 quarantine: dict[str, str] | None = None) -> None:
-        self.result = result
-        self.error = error
-        self.quarantine = quarantine
-
-    def counter(self, name: str) -> int:
-        return self.result.counters.get(name) if self.result else 0
-
-    def overlap(self) -> int:
-        """Fetches a pipelined run overlapped with the map tail."""
-        from repro.mapreduce.metrics import C
-
-        stats = self.result.pipeline_stats if self.result else None
-        return stats.get(C.PIPELINE_OVERLAP, 0) if stats else 0
-
-    @property
-    def memory(self) -> dict:
-        return (self.result.memory_stats or {}) if self.result else {}
-
-
-def read_quarantine(path: str) -> dict[str, str]:
-    """Side-file name -> contents (deterministic bytes by design)."""
-    files: dict[str, str] = {}
-    if os.path.isdir(path):
-        for name in sorted(os.listdir(path)):
-            with open(os.path.join(path, name), encoding="utf-8") as fh:
-                files[name] = fh.read()
-    return files
-
-
-def stable_counters(result, volatile) -> dict[str, int]:
-    """Counters minus the ``volatile`` ones -- those that *measure* a
-    matrix's faults, wire or transport and so legitimately differ from
-    the clean baseline -- and minus zero entries."""
-    return {k: v for k, v in result.counters.as_dict().items()
-            if k not in volatile and v}
 
 
 def fmt_bytes(n: int | float) -> str:

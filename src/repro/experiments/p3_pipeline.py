@@ -26,7 +26,7 @@ The matrix pins that identity claim from every direction:
   the dead host's already-fetched epoch-0 runs, re-point at the
   re-executed maps' commits, and recover with identical output (the
   fetch-accounting counters legitimately differ -- they *measure* the
-  recovery -- and are excluded exactly like R3/R4 do);
+  recovery -- and are excluded exactly like R4 does);
 * a seeded fuzz tail of randomized straggler schedules, bounded by
   ``REPRO_P3_FUZZ`` / ``REPRO_P3_SECONDS``.
 
@@ -38,14 +38,14 @@ scale).
 
 from __future__ import annotations
 
-import os
 import time
 
-from repro.experiments.common import (
-    ExperimentResult,
-    RunOutcome,
+from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.matrix import (
+    Matrix,
+    Scenario,
     build_query_job,
-    scaled,
+    fuzz_budget,
     stable_counters,
 )
 from repro.mapreduce.engine import LocalJobRunner
@@ -57,7 +57,6 @@ from repro.mapreduce.runtime import (
     host_for,
 )
 from repro.scidata.generator import integer_grid
-from repro.util.rng import make_rng
 
 #: queries the matrix and the fuzz tail draw from
 _QUERIES = ("subset-plain", "subset-agg", "histogram")
@@ -77,27 +76,6 @@ _VOLATILE = frozenset({
     C.SHUFFLE_WIRE_BYTES_UNCOMPRESSED,
     C.MAPS_REEXECUTED,
 })
-
-
-def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig | None,
-             injector: FaultInjector | None, *,
-             speculation: bool = False,
-             max_host_reexecs: int = 2) -> RunOutcome:
-    kwargs: dict = {"shuffle": shuffle, "fault_injector": injector,
-                    "max_host_reexecs": max_host_reexecs}
-    if runner_name == "serial":
-        runner = LocalJobRunner(**kwargs)
-    else:
-        runner = ParallelJobRunner(
-            max_workers=4, speculation=speculation,
-            min_straggler_seconds=0.2, retry_backoff=0.01, **kwargs)
-    try:
-        with runner:
-            return RunOutcome(runner.run(job, grid), None)
-    except Exception as exc:
-        return RunOutcome(None, exc)
-
-
 #: counters that *account* an injected host fault (identical between
 #: runners, but necessarily absent from the clean baseline)
 _FAULT_ACCOUNTING = frozenset({
@@ -105,190 +83,96 @@ _FAULT_ACCOUNTING = frozenset({
     C.MAPS_REEXECUTED_HOST,
     C.DISK_FAILOVERS,
 })
-#: what a faulted run is compared against the clean baseline *minus*
-_VS_BASELINE = _VOLATILE | _FAULT_ACCOUNTING
 
 
-def _classify(serial: RunOutcome, parallel: RunOutcome, baseline, *,
-              strict: bool = True) -> str:
-    """Where a scenario landed: identical / recovered / failed / DRIFT.
-
-    The runners must agree with *each other* (in full for clean runs;
-    on stable counters once a fault forces refetching, which is
-    timing-dependent), and a successful run must match the barrier
-    baseline's output and stable counters exactly.
-    """
-    if (serial.error is None) != (parallel.error is None):
-        return "DRIFT"
-    if serial.error is not None:
-        return "failed"
-    if serial.result.output != parallel.result.output:
-        return "DRIFT"
-    if strict:
-        if serial.result.counters != parallel.result.counters:
-            return "DRIFT"
-    elif (stable_counters(serial.result, _VOLATILE)
-            != stable_counters(parallel.result, _VOLATILE)):
-        return "DRIFT"
-    if serial.result.output != baseline.output:
-        return "DRIFT"
-    if (stable_counters(serial.result, _VS_BASELINE)
-            != stable_counters(baseline, _VS_BASELINE)):
-        return "DRIFT"
-    if serial.counter(C.HOSTS_LOST) > 0:
-        return "recovered"
-    return "identical"
+def _pipelined(transport: str) -> ShuffleConfig:
+    return ShuffleConfig(transport=transport, pipeline=True,
+                         starvation_threshold=2)
 
 
-def _classify_single(outcome: RunOutcome, baseline, *,
-                     strict: bool = True) -> str:
-    """One runner's scenario against the barrier baseline."""
-    if outcome.error is not None:
-        return "failed"
-    if outcome.result.output != baseline.output:
-        return "DRIFT"
-    if strict and outcome.result.counters != baseline.counters:
-        return "DRIFT"
-    if (stable_counters(outcome.result, _VS_BASELINE)
-            != stable_counters(baseline, _VS_BASELINE)):
-        return "DRIFT"
-    if outcome.counter(C.HOSTS_LOST) > 0:
-        return "recovered"
-    return "identical"
+def _accounting_agrees(serial, parallel) -> bool:
+    """The runners counted the host fault identically."""
+    return all(serial.counter(c) == parallel.counter(c)
+               for c in _FAULT_ACCOUNTING)
+
+
+def _row(sc: Scenario, runs) -> dict:
+    return {"transport": sc.shuffle.transport,
+            "pipeline": "on" if sc.shuffle.pipeline else "off",
+            "overlap": max(o.overlap() for o in runs)}
 
 
 def run(num_fuzz: int | None = None,
         seconds: float | None = None) -> ExperimentResult:
     """Execute the P3 matrix; returns the scenario table."""
+    budget = fuzz_budget("P3", num_fuzz, seconds, default_fuzz=3,
+                         default_seconds=120)
     side = scaled(24, 1.0, minimum=12)
     num_map_tasks, num_reducers = 3, 2
     grid = integer_grid((side, side), seed=17)
+    m = Matrix(
+        ExperimentResult(
+            experiment="P3",
+            title="Pipelined shuffle: overlap map, fetch, and reduce-side "
+                  "merge vs the barrier",
+            columns=("scenario", "query", "transport", "pipeline",
+                     "overlap", "outcome")),
+        grid,
+        lambda query, qdir, **fields: build_query_job(
+            grid, query, side, num_map_tasks, num_reducers, **fields),
+        _row, volatile=_VOLATILE | _FAULT_ACCOUNTING,
+        promote=[(C.HOSTS_LOST, "recovered")],
+        parallel={"max_workers": 4, "min_straggler_seconds": 0.2})
 
-    if num_fuzz is None:
-        num_fuzz = int(os.environ.get("REPRO_P3_FUZZ", "3"))
-    if seconds is None:
-        seconds = float(os.environ.get("REPRO_P3_SECONDS", "120"))
-    t0 = time.monotonic()
+    # Every row is compared against the serial barrier run over its own
+    # transport: the bytes every pipelined run must reproduce.
+    def scenario(name, query, transport, shuffle=None, **kw) -> Scenario:
+        return Scenario(name, query, shuffle=shuffle or _pipelined(transport),
+                        baseline=ShuffleConfig(transport=transport), **kw)
 
-    result = ExperimentResult(
-        experiment="P3",
-        title="Pipelined shuffle: overlap map, fetch, and reduce-side "
-              "merge vs the barrier",
-        columns=("scenario", "query", "transport", "pipeline", "overlap",
-                 "outcome"),
-    )
-
-    # Barrier baselines, one per (query, transport): the bytes every
-    # pipelined run must reproduce.
-    baselines: dict[tuple[str, str], object] = {}
-
-    def baseline(query: str, transport: str):
-        key = (query, transport)
-        if key not in baselines:
-            job = build_query_job(grid, query, side, num_map_tasks,
-                                  num_reducers)
-            cfg = ShuffleConfig(transport=transport)
-            with LocalJobRunner(shuffle=cfg) as runner:
-                baselines[key] = runner.run(job, grid)
-        return baselines[key]
-
-    def pipelined_cfg(transport: str) -> ShuffleConfig:
-        return ShuffleConfig(transport=transport, pipeline=True,
-                             starvation_threshold=2)
-
-    # -- clean equivalence: every query x transport, pipeline on -------
     for query in _QUERIES:
         for transport in _TRANSPORTS:
-            job = build_query_job(grid, query, side, num_map_tasks,
-                                  num_reducers)
-            cfg = pipelined_cfg(transport)
-            serial = _run_one("serial", grid, job, cfg, None)
-            parallel = _run_one("parallel", grid, job, cfg, None)
-            result.add(scenario="clean", query=query, transport=transport,
-                       pipeline="on",
-                       overlap=max(serial.overlap(), parallel.overlap()),
-                       outcome=_classify(serial, parallel,
-                                         baseline(query, transport)))
-
-    # -- the off switch: pipeline=False must be the barrier ------------
+            m.add(scenario("clean", query, transport))
     for transport in _TRANSPORTS:
-        job = build_query_job(grid, "subset-agg", side, num_map_tasks,
-                              num_reducers)
-        cfg = ShuffleConfig(transport=transport, pipeline=False)
-        serial = _run_one("serial", grid, job, cfg, None)
-        parallel = _run_one("parallel", grid, job, cfg, None)
-        result.add(scenario="barrier", query="subset-agg",
-                   transport=transport, pipeline="off", overlap=0,
-                   outcome=_classify(serial, parallel,
-                                     baseline("subset-agg", transport)))
-
-    # -- straggler: one map hangs; starved reducers speculate it -------
-    # The hang delays the producer without damaging anything, so no
-    # refetch happens and even the fetch counters must match in full.
+        m.add(scenario("barrier", "subset-agg", transport,
+                       ShuffleConfig(transport=transport, pipeline=False)))
+    # One map hangs; starved reducers speculate it.  The hang delays
+    # the producer without damaging anything, so no refetch happens and
+    # even the fetch counters must match in full.
+    straggler = f"m{num_map_tasks - 1:05d}"
     for transport in _TRANSPORTS:
-        job = build_query_job(grid, "histogram", side, num_map_tasks,
-                              num_reducers)
-        straggler = f"m{num_map_tasks - 1:05d}"
-        injector = FaultInjector().hang(straggler, seconds=1.0)
-        outcome = _run_one("parallel", grid, job, pipelined_cfg(transport),
-                           injector, speculation=True)
-        result.add(scenario="straggler", query="histogram",
-                   transport=transport, pipeline="on",
-                   overlap=outcome.overlap(),
-                   outcome=_classify_single(
-                       outcome, baseline("histogram", transport)))
-
-    # -- whole-host loss mid-pipeline ----------------------------------
-    # Reducers have fetched the dead host's epoch-0 segments by the
-    # time it dies; the epoch bump forces a discard + refetch, so only
-    # the stable counters are compared (the volatile ones measure the
-    # recovery itself and differ between runners and runs).
+        m.add(scenario("straggler", "histogram", transport,
+                       plan=lambda: FaultInjector().hang(straggler, 1.0),
+                       sides="parallel", parallel={"speculation": True}))
+    # Whole-host loss mid-pipeline: reducers have fetched the dead
+    # host's epoch-0 segments by the time it dies, and the epoch bump
+    # forces a discard + refetch, so only the stable counters are
+    # compared (the volatile ones measure the recovery itself and
+    # differ between runners and runs).
+    victim = host_for("m00000", 2)
     for transport in _TRANSPORTS:
-        job = build_query_job(grid, "subset-plain", side, num_map_tasks,
-                              num_reducers)
-        victim = host_for("m00000", 2)
-        serial = _run_one(
-            "serial", grid, job, pipelined_cfg(transport),
-            FaultInjector().host_crash(victim), max_host_reexecs=8)
-        parallel = _run_one(
-            "parallel", grid, job, pipelined_cfg(transport),
-            FaultInjector().host_crash(victim), max_host_reexecs=8)
-        result.add(scenario="host-crash", query="subset-plain",
-                   transport=transport, pipeline="on",
-                   overlap=max(serial.overlap(), parallel.overlap()),
-                   outcome=_classify(serial, parallel,
-                                     baseline("subset-plain", transport),
-                                     strict=False))
+        m.add(scenario("host-crash", "subset-plain", transport,
+                       plan=lambda: FaultInjector().host_crash(victim),
+                       strict=False, check=_accounting_agrees,
+                       runner={"max_host_reexecs": 8}))
 
-    # -- seeded fuzz tail: randomized straggler schedules --------------
-    rng = make_rng(3100)
-    ran = 0
-    for i in range(num_fuzz):
-        if time.monotonic() - t0 > seconds:
-            break
+    def draw(rng, i: int) -> Scenario:
         query = _QUERIES[rng.integers(0, len(_QUERIES))]
         transport = _TRANSPORTS[rng.integers(0, len(_TRANSPORTS))]
-        target = int(rng.integers(0, num_map_tasks))
+        target = f"m{int(rng.integers(0, num_map_tasks)):05d}"
         delay = 0.1 + 0.3 * float(rng.random())
-        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
-        injector = FaultInjector().hang(f"m{target:05d}", seconds=delay)
-        outcome = _run_one("parallel", grid, job, pipelined_cfg(transport),
-                           injector, speculation=True)
-        result.add(scenario=f"fuzz-{i}", query=query, transport=transport,
-                   pipeline="on", overlap=outcome.overlap(),
-                   outcome=_classify_single(outcome,
-                                            baseline(query, transport)))
-        ran += 1
+        return scenario(f"fuzz-{i}", query, transport,
+                        plan=lambda: FaultInjector().hang(target, delay),
+                        sides="parallel", parallel={"speculation": True})
 
-    result.note(f"grid {side}x{side}, {num_map_tasks} maps x "
-                f"{num_reducers} reducers; baselines are serial barrier "
-                f"runs per (query, transport)")
-    result.note("clean/barrier/straggler rows compare full counters; "
-                "host-crash rows exclude the fetch-accounting counters "
-                "(refetching after an epoch bump is timing-dependent)")
-    result.note(f"fuzz tail: {ran}/{num_fuzz} randomized straggler "
-                f"schedules (REPRO_P3_FUZZ / REPRO_P3_SECONDS)")
-    return result
+    m.fuzz(draw, 3100, budget)
+    return m.finish(
+        f"grid {side}x{side}, {num_map_tasks} maps x {num_reducers} "
+        f"reducers; baselines are serial barrier runs per (query, "
+        f"transport); fuzz rows are randomized straggler schedules",
+        "clean/barrier/straggler rows compare full counters; host-crash "
+        "rows exclude the fetch-accounting counters (refetching after an "
+        "epoch bump is timing-dependent)")
 
 
 def run_bench(side: int | None = None, num_map_tasks: int = 8,

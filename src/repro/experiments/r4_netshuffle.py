@@ -1,28 +1,32 @@
-"""R4 -- network shuffle: socket segment servers and wire compression.
+"""R4 -- the shuffle-transport matrix: fetch retries, map re-execution,
+socket segment servers and wire compression.
 
-Not a paper figure: this is R3's shuffle-robustness matrix moved onto a
-real network hop.  Map outputs are served by per-worker TCP segment
-servers (:mod:`repro.mapreduce.runtime.netshuffle`) and reducers fetch
-them over loopback sockets, optionally compressing segment bytes *on
-the wire* with any registered codec -- including the paper's §III
-stride-predictor transform.  Pinned here:
+Not a paper figure: this is the transfer-level robustness analogue of
+R1 (process faults) and R2 (data faults).  Map outputs are served by
+per-worker TCP segment servers (:mod:`repro.mapreduce.runtime.
+netshuffle`) and reducers fetch them over loopback sockets, optionally
+compressing segment bytes *on the wire* with any registered codec --
+including the paper's §III stride-predictor transform.  Pinned here:
 
 * **wire compression** -- one serial run per codec over the network
   transport; ``SHUFFLE_WIRE_BYTES`` (bytes that crossed the socket)
   versus ``SHUFFLE_WIRE_BYTES_UNCOMPRESSED`` (decoded segment bytes)
   gives the measured on-the-wire reduction, and every codec's output
   must stay byte-identical to the serial/direct baseline;
-* **clean equivalence** -- queries x runners over the network
-  transport are byte-identical to the baseline, counters included
-  (the wire counters themselves must agree between runners: the
-  framing is deterministic);
+* **clean equivalence** -- queries x runners over the direct transport
+  match the baseline's *full* counter set, ``SHUFFLE_*`` included; over
+  the network they match it too, the wire counters agreeing between
+  runners (the framing is deterministic) and each segment moving once;
 * **wire faults against a live socket** -- flips, drops, truncations,
   delays, and stalls are injected *server-side* while bytes stream;
   retries heal them and the output never changes;
 * **epoch escalation** -- a sticky epoch-0 fault drives map
-  re-execution through the PR 5 ladder unchanged: the service drains
-  the doomed map (in-flight requests get a clean STALE_EPOCH), the
-  fresh epoch is re-registered, and the job completes identically;
+  re-execution: the service drains the doomed map (in-flight requests
+  get a clean STALE_EPOCH), the fresh epoch is re-registered, and the
+  job completes identically (Hadoop's "too many fetch failures");
+* **bounded escalation** -- a fault sticky across *all* epochs can
+  never be out-run; both runners must fail the job (after
+  ``max_map_reexecs``) rather than loop, and they must agree;
 * **server loss** -- a segment server killed mid-job surfaces as
   connection-refused transients, escalates to map re-execution, and
   the re-registration revives the server on a fresh port -- the
@@ -36,27 +40,19 @@ that the stride codec measurably shrinks the wire.
 
 from __future__ import annotations
 
-import os
-import time
-
-from repro.experiments.common import (
-    ExperimentResult,
-    RunOutcome,
+from repro.experiments.common import ExperimentResult, scaled
+from repro.experiments.matrix import (
+    Matrix,
+    Scenario,
     build_query_job,
-    scaled,
-    stable_counters,
+    fuzz_budget,
 )
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
-from repro.mapreduce.runtime import (
-    FaultInjector,
-    ParallelJobRunner,
-    ShuffleConfig,
-)
+from repro.mapreduce.runtime import FaultInjector, ShuffleConfig
 from repro.mapreduce.runtime.ledger import MapOutputLedger
 from repro.mapreduce.runtime.netshuffle import ShuffleService
 from repro.scidata.generator import integer_grid
-from repro.util.rng import make_rng
 
 __all__ = ["run"]
 
@@ -79,43 +75,11 @@ _VOLATILE = frozenset({
 })
 
 
-def _run_one(runner_name: str, grid, job, shuffle: ShuffleConfig,
-             injector: FaultInjector | None,
-             runner_cls=None) -> RunOutcome:
-    kwargs: dict = {"shuffle": shuffle, "fault_injector": injector}
-    if runner_name == "serial":
-        runner = (runner_cls or LocalJobRunner)(
-            fetch_failure_threshold=1, **kwargs)
-    else:
-        runner = ParallelJobRunner(
-            max_workers=2, speculation=False, retry_backoff=0.01,
-            fetch_failure_threshold=1, **kwargs)
-    try:
-        with runner:
-            return RunOutcome(runner.run(job, grid), None)
-    except Exception as exc:
-        return RunOutcome(None, exc)
-
-
-def _classify(serial: RunOutcome, parallel: RunOutcome,
-              baseline) -> str:
-    """Where the scenario landed: identical / reexecuted / failed / DRIFT."""
-    if (serial.error is None) != (parallel.error is None):
-        return "DRIFT"
-    if serial.error is not None:
-        return "failed"
-    if serial.result.output != parallel.result.output:
-        return "DRIFT"
-    if serial.result.counters != parallel.result.counters:
-        return "DRIFT"
-    if serial.result.output != baseline.output:
-        return "DRIFT"
-    if (stable_counters(serial.result, _VOLATILE)
-            != stable_counters(baseline, _VOLATILE)):
-        return "DRIFT"
-    if serial.counter(C.MAPS_REEXECUTED) > 0:
-        return "reexecuted"
-    return "identical"
+def _net(codec: str = "fastpred+zlib") -> ShuffleConfig:
+    """The fast-failing network config every network row runs with."""
+    return ShuffleConfig(transport="network", wire_codec=codec,
+                         fetch_retries=2, fetch_timeout=2.0, backoff=0.005,
+                         backoff_max=0.02)
 
 
 class _ServerLossService(ShuffleService):
@@ -155,164 +119,107 @@ class _ServerLossRunner(LocalJobRunner):
         return _ServerLossLedger(*args, **kwargs)
 
 
+def _row(sc: Scenario, runs) -> dict:
+    first = runs[0]
+    wire = first.counter(C.SHUFFLE_WIRE_BYTES)
+    raw = first.counter(C.SHUFFLE_WIRE_BYTES_UNCOMPRESSED)
+    network = sc.shuffle is not None and sc.shuffle.transport == "network"
+    return {"codec": sc.shuffle.wire_codec if network else "-",
+            "wire_bytes": wire, "raw_bytes": raw,
+            "saved": f"{100.0 * (1 - wire / raw):.1f}%" if raw else "-",
+            "retries": first.counter(C.SHUFFLE_RETRIES),
+            "reexecs": first.counter(C.MAPS_REEXECUTED)}
+
+
 def run(num_fuzz: int | None = None,
         seconds: float | None = None) -> ExperimentResult:
     """Execute the R4 matrix; returns the scenario table."""
+    budget = fuzz_budget("R4", num_fuzz, seconds, default_fuzz=3,
+                         default_seconds=120)
     side = scaled(1000, 0.048, minimum=24)
     num_map_tasks, num_reducers = 3, 2
     grid = integer_grid((side, side), seed=11)
+    m = Matrix(
+        ExperimentResult(
+            experiment="R4",
+            title="Shuffle transport: segment servers, wire compression, "
+                  "fetch retries, and map re-execution",
+            columns=["scenario", "query", "codec", "fault", "wire_bytes",
+                     "raw_bytes", "saved", "retries", "reexecs",
+                     "outcome"]),
+        grid,
+        lambda query, qdir, **fields: build_query_job(
+            grid, query, side, num_map_tasks, num_reducers, **fields),
+        _row, volatile=_VOLATILE,
+        promote=[(C.MAPS_REEXECUTED, "reexecuted")],
+        runner={"fetch_failure_threshold": 1})
 
-    if num_fuzz is None:
-        num_fuzz = int(os.environ.get("REPRO_R4_FUZZ", "3"))
-    if seconds is None:
-        seconds = float(os.environ.get("REPRO_R4_SECONDS", "120"))
-    t0 = time.monotonic()
-
-    result = ExperimentResult(
-        experiment="R4",
-        title="Network shuffle: segment servers, wire compression, and "
-              "fault recovery",
-        columns=["scenario", "query", "codec", "fault", "wire_bytes",
-                 "raw_bytes", "saved", "retries", "reexecs", "outcome"],
-    )
-
-    #: fast-failing network config for fault scenarios
-    def net_config(codec: str = "fastpred+zlib",
-                   **overrides) -> ShuffleConfig:
-        base = dict(transport="network", wire_codec=codec,
-                    fetch_retries=2, fetch_timeout=2.0, backoff=0.005,
-                    backoff_max=0.02)
-        base.update(overrides)
-        return ShuffleConfig(**base)
-
-    baselines = {}
-    for query in _QUERIES:
-        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
-        baselines[query] = LocalJobRunner().run(job, grid)
-
-    def wire_cells(outcome: RunOutcome) -> dict:
-        wire = outcome.counter(C.SHUFFLE_WIRE_BYTES)
-        raw = outcome.counter(C.SHUFFLE_WIRE_BYTES_UNCOMPRESSED)
-        saved = f"{100.0 * (1 - wire / raw):.1f}%" if raw else "-"
-        return {"wire_bytes": wire, "raw_bytes": raw, "saved": saved}
-
-    # -- wire compression: one serial network run per codec ---------------
     for codec in _WIRE_CODECS:
-        job = build_query_job(grid, "subset-plain", side, num_map_tasks,
-                              num_reducers)
-        outcome = _run_one("serial", grid, job, net_config(codec), None)
-        ok = (outcome.error is None
-              and outcome.result.output == baselines["subset-plain"].output
-              and (stable_counters(outcome.result, _VOLATILE)
-                   == stable_counters(baselines["subset-plain"], _VOLATILE)))
-        result.add(scenario="wire-codec", query="subset-plain",
-                   codec=codec, fault="none", **wire_cells(outcome),
-                   retries=outcome.counter(C.SHUFFLE_RETRIES),
-                   reexecs=outcome.counter(C.MAPS_REEXECUTED),
-                   outcome="identical" if ok else "DRIFT")
-
-    # -- clean equivalence: queries x runners over the network ------------
+        m.add(Scenario("wire-codec", "subset-plain", shuffle=_net(codec),
+                       sides="serial", strict=False))
+    # The direct clean path moves each segment exactly once, so even
+    # the SHUFFLE_* counters match the baseline.
     for query in _QUERIES:
-        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
-        shuffle = net_config()
-        serial = _run_one("serial", grid, job, shuffle, None)
-        parallel = _run_one("parallel", grid, job, shuffle, None)
-        outcome = _classify(serial, parallel, baselines[query])
-        # Clean runs must also move each segment exactly once: the fetch
-        # accounting matches the direct baseline even though the bytes
-        # now cross a socket.
-        if outcome == "identical" and (
-                serial.counter(C.SHUFFLE_FETCHES)
-                != baselines[query].counters.get(C.SHUFFLE_FETCHES)
-                or serial.counter(C.SHUFFLE_RETRIES)):
-            outcome = "DRIFT"
-        result.add(scenario="clean-network", query=query,
-                   codec="fastpred+zlib", fault="none",
-                   **wire_cells(serial),
-                   retries=serial.counter(C.SHUFFLE_RETRIES),
-                   reexecs=serial.counter(C.MAPS_REEXECUTED),
-                   outcome=outcome)
-
-    def fault_scenario(scenario: str, query: str, fault_label: str,
-                       plan, config: ShuffleConfig | None = None) -> None:
-        cfg = config or net_config()
-        job = build_query_job(grid, query, side, num_map_tasks, num_reducers)
-        serial = _run_one("serial", grid, job, cfg, plan())
-        parallel = _run_one("parallel", grid, job, cfg, plan())
-        result.add(scenario=scenario, query=query, codec=cfg.wire_codec,
-                   fault=fault_label, **wire_cells(serial),
-                   retries=serial.counter(C.SHUFFLE_RETRIES),
-                   reexecs=serial.counter(C.MAPS_REEXECUTED),
-                   outcome=_classify(serial, parallel, baselines[query]))
-
-    # -- wire faults against a live socket, retry heals -------------------
+        m.add(Scenario(
+            "clean-direct", query, shuffle=ShuffleConfig(),
+            expect="identical",
+            check=lambda s, p, q=query: (
+                s.result.counters == m.baseline(q).counters)))
+    # Over the network the fetch accounting still matches the direct
+    # baseline even though the bytes now cross a socket.
+    for query in _QUERIES:
+        m.add(Scenario(
+            "clean-network", query, shuffle=_net(), expect="identical",
+            check=lambda s, p, q=query: (
+                s.counter(C.SHUFFLE_FETCHES)
+                == m.baseline(q).counters.get(C.SHUFFLE_FETCHES)
+                and not s.counter(C.SHUFFLE_RETRIES))))
     for op in _FUZZ_OPS:
-        def plan(op=op):
-            inj = FaultInjector()
-            inj.fetch("m00001", "r00000", op=op, attempt=0, seconds=0.1)
-            return inj
-        fault_scenario(f"wire-{op}", "subset-plain",
-                       f"{op} m00001->r00000#0", plan)
+        m.add(Scenario(
+            f"wire-{op}", "subset-plain", f"{op} m00001->r00000#0",
+            lambda op=op: FaultInjector().fetch(
+                "m00001", "r00000", op=op, attempt=0, seconds=0.1),
+            _net()))
+    m.add(Scenario(
+        "reexec-map", "subset-plain", "sticky flip m00000->r00000 (epoch 0)",
+        lambda: FaultInjector().fetch("m00000", "r00000", op="flip",
+                                      attempt=0, sticky=True, epoch=0),
+        _net()))
+    m.add(Scenario(
+        "unfetchable", "subset-plain",
+        "sticky drop m00000->r00001 (all epochs)",
+        lambda: FaultInjector().fetch("m00000", "r00001", op="drop",
+                                      attempt=0, sticky=True, epoch=None),
+        _net(), expect="failed"))
+    m.add(Scenario("server-loss", "subset-plain",
+                   "kill segment server of m00001", shuffle=_net(),
+                   sides="serial", strict=False, expect="reexecuted",
+                   serial_runner=_ServerLossRunner))
 
-    # -- sticky epoch-0 fault: drain, re-execute, re-register -------------
-    def reexec_plan():
-        inj = FaultInjector()
-        inj.fetch("m00000", "r00000", op="flip", attempt=0, sticky=True,
-                  epoch=0)
-        return inj
-    fault_scenario("reexec-map", "subset-plain",
-                   "sticky flip m00000->r00000 (epoch 0)", reexec_plan)
-
-    # -- server loss: kill one segment server mid-job (serial ladder) -----
-    job = build_query_job(grid, "subset-plain", side, num_map_tasks,
-                          num_reducers)
-    loss = _run_one("serial", grid, job, net_config(), None,
-                    runner_cls=_ServerLossRunner)
-    loss_ok = (loss.error is None
-               and loss.result.output == baselines["subset-plain"].output
-               and (stable_counters(loss.result, _VOLATILE)
-                    == stable_counters(baselines["subset-plain"], _VOLATILE))
-               and loss.counter(C.MAPS_REEXECUTED) > 0)
-    result.add(scenario="server-loss", query="subset-plain",
-               codec="fastpred+zlib",
-               fault="kill segment server of m00001", **wire_cells(loss),
-               retries=loss.counter(C.SHUFFLE_RETRIES),
-               reexecs=loss.counter(C.MAPS_REEXECUTED),
-               outcome="reexecuted" if loss_ok else "DRIFT")
-
-    # -- seeded fuzz tail --------------------------------------------------
-    rng = make_rng(4000)
-    ran = 0
-    for seed in range(num_fuzz):
-        if time.monotonic() - t0 > seconds:
-            break
+    def draw(rng, i: int) -> Scenario:
         query = _QUERIES[rng.integers(0, len(_QUERIES))]
         op = _FUZZ_OPS[rng.integers(0, len(_FUZZ_OPS))]
         codec = _WIRE_CODECS[rng.integers(0, len(_WIRE_CODECS))]
         map_id = f"m{rng.integers(0, num_map_tasks):05d}"
         reduce_id = f"r{rng.integers(0, num_reducers):05d}"
         sticky = bool(rng.integers(0, 5) == 0)  # 20%: escalates to reexec
+        return Scenario(
+            f"fuzz-{i}", query,
+            f"{op}{' sticky' if sticky else ''} {map_id}->{reduce_id}",
+            lambda: FaultInjector().fetch(map_id, reduce_id, op=op,
+                                          attempt=0, sticky=sticky,
+                                          seconds=0.1, epoch=0),
+            _net(codec))
 
-        def fuzz_plan(op=op, map_id=map_id, reduce_id=reduce_id,
-                      sticky=sticky):
-            inj = FaultInjector()
-            inj.fetch(map_id, reduce_id, op=op, attempt=0,
-                      sticky=sticky, seconds=0.1, epoch=0)
-            return inj
-        sticky_note = " sticky" if sticky else ""
-        fault_scenario(f"fuzz-{seed}", query,
-                       f"{op}{sticky_note} {map_id}->{reduce_id}",
-                       fuzz_plan, config=net_config(codec))
-        ran += 1
-
-    result.note(f"grid {side}x{side}, {num_map_tasks} maps x "
-                f"{num_reducers} reducers; fuzz tail ran {ran}/{num_fuzz} "
-                f"seeds in {time.monotonic() - t0:.1f}s")
-    result.note("wire_bytes = compressed bytes that crossed the socket "
-                "(SHUFFLE_WIRE_BYTES); raw_bytes = decoded segment bytes "
-                "(SHUFFLE_WIRE_BYTES_UNCOMPRESSED); faults are applied "
-                "server-side while the bytes stream")
-    result.note("outcome=identical: byte-identical output and stable "
-                "counters vs the serial/direct baseline, runners agreeing "
-                "on everything including the wire counters")
-    return result
+    m.fuzz(draw, 4000, budget)
+    return m.finish(
+        f"grid {side}x{side}, {num_map_tasks} maps x {num_reducers} "
+        f"reducers",
+        "wire_bytes = compressed bytes that crossed the socket "
+        "(SHUFFLE_WIRE_BYTES); raw_bytes = decoded segment bytes "
+        "(SHUFFLE_WIRE_BYTES_UNCOMPRESSED); faults are applied "
+        "server-side while the bytes stream",
+        "outcome=identical: byte-identical output and stable counters vs "
+        "the serial/direct baseline, runners agreeing on everything "
+        "including the wire counters (clean-direct rows: the baseline's "
+        "full counter set)")

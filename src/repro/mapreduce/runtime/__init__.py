@@ -42,9 +42,10 @@ Around them:
   quarantines poison records and salvages corrupt IFile blocks so the
   task completes over the surviving records;
 * :mod:`~repro.mapreduce.runtime.shuffle` -- the pluggable transport
-  reducers fetch map segments through (direct reads, or a
-  fault-injectable framed channel), with bounded-concurrency fetching,
-  capped-backoff retries, integrity digests, and fetch-failure
+  reducers fetch map segments through (direct reads, or the
+  fault-injectable loopback TCP segment servers of
+  :mod:`~repro.mapreduce.runtime.netshuffle`), with bounded-concurrency
+  fetching, capped-backoff retries, integrity checks, and fetch-failure
   accounting that escalates to map re-execution;
 * :mod:`~repro.mapreduce.runtime.hosts` -- host failure domains: a
   registry of simulated hosts with stable task placement, a health
@@ -97,7 +98,6 @@ from repro.mapreduce.runtime.scheduler import (
     WaveDeadlineError,
 )
 from repro.mapreduce.runtime.shuffle import (
-    ChannelTransport,
     DirectTransport,
     FetchFailedError,
     SegmentRef,
@@ -118,7 +118,6 @@ from repro.mapreduce.runtime.skipping import (
 from repro.mapreduce.runtime.trace import RuntimeTrace, TaskEvent
 
 __all__ = [
-    "ChannelTransport",
     "CommitLog",
     "CommitRecord",
     "DirectTransport",

@@ -55,9 +55,9 @@ FaultInjector.fetch_plan`): ``delay`` sleeps before the response,
 ``stall`` hangs then closes without one, ``drop`` dies mid-stream,
 ``truncate`` ends early but claims completion (only the length/CRC
 check notices), ``flip`` damages one frame after its CRC was computed.
-All five surface client-side as ``TransientFetchError`` -- exactly the
-channel transport's failure surface, so counters and escalation stay
-byte-identical across transports.
+All five surface client-side as ``TransientFetchError`` -- the same
+failure surface the direct transport's connection-level faults have,
+so counters and escalation stay byte-identical across transports.
 """
 
 from __future__ import annotations

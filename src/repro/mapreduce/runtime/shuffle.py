@@ -9,19 +9,17 @@ makes the transfer a first-class, failable step:
   path, byte stats, and an *epoch* that bumps when the scheduler
   re-executes the producer);
 * a **transport** moves one segment's bytes: :class:`DirectTransport`
-  reads the file (today's behavior, byte-identical), while
-  :class:`ChannelTransport` streams it in CRC-framed chunks over an
-  in-process channel that a :class:`~repro.mapreduce.runtime.fault.
-  FaultInjector` ``fetch`` fault can drop, delay, stall, truncate, or
-  bit-flip in flight, and :class:`~repro.mapreduce.runtime.netshuffle.
-  NetworkTransport` fetches it from a per-worker TCP segment server
-  (with an optional on-the-wire codec -- §III's key compression
-  measured as network bytes);
+  reads the file (byte-identical, zero overhead), while
+  :class:`~repro.mapreduce.runtime.netshuffle.NetworkTransport` fetches
+  it from a per-worker TCP segment server (with an optional on-the-wire
+  codec -- §III's key compression measured as network bytes) whose
+  stream a :class:`~repro.mapreduce.runtime.fault.FaultInjector`
+  ``fetch`` fault can drop, delay, stall, truncate, or bit-flip in
+  flight;
 * the :class:`ShuffleFetcher` drives bounded-concurrency fetches with
   per-fetch deadlines, capped exponential backoff with deterministic
-  jitter (:mod:`repro.util.backoff`), digest verification
-  (:func:`~repro.mapreduce.ifile.segment_digest`), and ``SHUFFLE_*``
-  counter accounting.  A segment that stays unfetchable raises
+  jitter (:mod:`repro.util.backoff`), and ``SHUFFLE_*`` counter
+  accounting.  A segment that stays unfetchable raises
   :class:`FetchFailedError` naming the producing map task -- the signal
   the scheduler's fetch-failure accounting turns into map re-execution
   (Hadoop's "too many fetch failures" protocol).
@@ -29,8 +27,8 @@ makes the transfer a first-class, failable step:
 The failure ladder this module adds, from cheapest rung up: fetch retry
 (with backoff) -> reduce-attempt requeue (uncharged against the retry
 budget) -> re-execution of the *completed* source map task.  Transfer
-damage is the transport's to detect (chunk CRCs + digest); damage at
-rest still surfaces as decode-time :class:`~repro.mapreduce.ifile.
+damage is the transport's to detect (frame and segment CRCs); damage
+at rest still surfaces as decode-time :class:`~repro.mapreduce.ifile.
 IFileCorruptError` and takes the existing repair/skipping rungs.
 """
 
@@ -38,12 +36,11 @@ from __future__ import annotations
 
 import os
 import time
-import zlib
 from dataclasses import dataclass
 from threading import Lock
 from typing import Mapping, Sequence
 
-from repro.mapreduce.ifile import IFileStats, segment_digest
+from repro.mapreduce.ifile import IFileStats
 from repro.mapreduce.metrics import C, Counters
 from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.memory import MemoryBudget
@@ -57,7 +54,6 @@ __all__ = [
     "FetchFailedError",
     "TransientFetchError",
     "DirectTransport",
-    "ChannelTransport",
     "ShuffleFetcher",
     "make_transport",
     "select_fetch_fault",
@@ -65,7 +61,7 @@ __all__ = [
     "TRANSPORTS",
 ]
 
-TRANSPORTS = ("direct", "channel", "network")
+TRANSPORTS = ("direct", "network")
 
 
 class ConfigError(ValueError):
@@ -121,7 +117,7 @@ class ShuffleConfig:
     backoff_max: float = 0.25
     #: concurrent in-flight fetches per reduce task
     concurrency: int = 4
-    #: channel/wire frame size (bytes of segment per CRC-framed chunk)
+    #: wire frame size (bytes of segment per CRC-framed chunk)
     chunk_bytes: int = 64 * 1024
     #: codec segment bytes are compressed with *on the wire* (network
     #: transport only; "null" serves segments verbatim via sendfile)
@@ -249,6 +245,10 @@ def shuffle_config_from_env() -> ShuffleConfig | None:
     """
     kwargs: dict = {}
     if (transport := os.environ.get("REPRO_TRANSPORT")) is not None:
+        if transport not in TRANSPORTS:
+            raise ConfigError(
+                f"invalid REPRO_TRANSPORT={transport!r}: "
+                f"available transports: {', '.join(TRANSPORTS)}")
         kwargs["transport"] = transport
     _env_value(kwargs, "fetch_retries", "REPRO_FETCH_RETRIES", int)
     _env_value(kwargs, "fetch_timeout", "REPRO_FETCH_TIMEOUT", float)
@@ -277,7 +277,7 @@ def shuffle_config_from_env() -> ShuffleConfig | None:
 class TransientFetchError(RuntimeError):
     """One fetch attempt failed in a way a retry may fix.
 
-    ``bytes_received`` is how much crossed the channel before the error,
+    ``bytes_received`` is how much crossed the wire before the error,
     for ``SHUFFLE_BYTES_TRANSFERRED`` accounting.
     """
 
@@ -366,94 +366,6 @@ class DirectTransport:
             return fh.read()
 
 
-class ChannelTransport:
-    """Stream segments in CRC-framed chunks over an in-process channel.
-
-    The sender reads the segment, computes its
-    :class:`~repro.mapreduce.ifile.SegmentDigest`, and streams
-    ``chunk_bytes``-sized frames, each with the CRC32 of its *true*
-    bytes.  Planned ``fetch`` faults damage the stream on the wire:
-
-    * ``delay``    -- the stream starts ``seconds`` late (intact);
-    * ``stall``    -- the stream hangs until the fetch deadline expires;
-    * ``drop``     -- the connection dies after ``offset_frac`` of the
-      frames (explicit mid-transfer error);
-    * ``truncate`` -- the stream ends early but *claims* completion, so
-      only the receiver's digest length check catches it;
-    * ``flip``     -- one byte flips in flight; the frame CRC catches it.
-
-    The receiver verifies every frame CRC, enforces the deadline between
-    frames, and verifies the assembled bytes against the sender's digest
-    -- all damage surfaces as :class:`TransientFetchError` before any
-    byte reaches the merge.
-    """
-
-    def __init__(self, chunk_bytes: int = 64 * 1024,
-                 faults: Mapping[str, Sequence[Fault]] | None = None) -> None:
-        self.chunk_bytes = chunk_bytes
-        self.faults = dict(faults) if faults else {}
-
-    def fetch(self, ref: SegmentRef, attempt: int,
-              deadline: Deadline) -> bytes:
-        fault = select_fetch_fault(self.faults.get(ref.map_id, ()),
-                                   attempt, ref.epoch)
-        with open(ref.path, "rb") as fh:
-            blob = fh.read()
-        digest = segment_digest(blob)
-        size = self.chunk_bytes
-        frames = [(blob[i:i + size], zlib.crc32(blob[i:i + size]))
-                  for i in range(0, len(blob), size)]
-
-        if fault is not None and fault.op == "delay":
-            deadline.sleep(fault.seconds)
-            if deadline.expired():
-                raise TransientFetchError(
-                    f"fetch deadline expired waiting {fault.seconds:.3f}s "
-                    f"for a delayed stream")
-        if fault is not None and fault.op == "stall":
-            remaining = deadline.remaining()
-            time.sleep(fault.seconds if remaining is None
-                       else min(fault.seconds, remaining))
-            raise TransientFetchError("transfer stalled; fetch timed out")
-
-        deliver = len(frames)
-        if fault is not None and fault.op in ("drop", "truncate"):
-            deliver = min(len(frames) - 1,
-                          int(len(frames) * fault.offset_frac))
-            deliver = max(0, deliver)
-        flip_at = (len(frames) // 2 if fault is not None
-                   and fault.op == "flip" else None)
-
-        received = bytearray()
-        for i, (data, crc) in enumerate(frames):
-            if deadline.expired():
-                raise TransientFetchError(
-                    f"fetch deadline expired after {len(received)} bytes",
-                    bytes_received=len(received))
-            if i >= deliver and fault is not None and fault.op == "drop":
-                raise TransientFetchError(
-                    f"channel dropped mid-transfer after frame {i}",
-                    bytes_received=len(received))
-            if i >= deliver and fault is not None and fault.op == "truncate":
-                break  # silent short stream: only the digest notices
-            if flip_at == i and data:
-                wire = bytearray(data)
-                wire[len(wire) // 2] ^= 0xFF
-                data = bytes(wire)
-            if zlib.crc32(data) != crc:
-                raise TransientFetchError(
-                    f"frame {i} checksum mismatch in flight",
-                    bytes_received=len(received))
-            received.extend(data)
-        assembled = bytes(received)
-        if not digest.matches(assembled):
-            raise TransientFetchError(
-                f"transfer digest mismatch: got {len(assembled)} bytes, "
-                f"sender digested {digest.length}",
-                bytes_received=len(assembled))
-        return assembled
-
-
 def make_transport(config: ShuffleConfig,
                    fetch_faults: Mapping[str, Sequence[Fault]] | None = None,
                    counter_sink=None, reduce_id: str = "",
@@ -462,7 +374,7 @@ def make_transport(config: ShuffleConfig,
 
     ``counter_sink(name, amount)`` receives wire-level byte counters
     from transports that measure them (the network transport); the
-    in-process transports ignore it.  ``reduce_id`` identifies the
+    direct transport ignores it.  ``reduce_id`` identifies the
     fetching reduce task on the wire (servers key their fault plan by
     the ``map->reduce`` pair).  ``memory`` (the task ledger) lets the
     network transport account its decompress-time transient under the
@@ -472,12 +384,10 @@ def make_transport(config: ShuffleConfig,
     """
     if config.transport == "direct":
         return DirectTransport(fetch_faults)
-    if config.transport == "network":
-        # Lazy import: netshuffle imports this module's ref/error types.
-        from repro.mapreduce.runtime.netshuffle import NetworkTransport
-        return NetworkTransport(config, counter_sink=counter_sink,
-                                reduce_id=reduce_id, memory=memory)
-    return ChannelTransport(config.chunk_bytes, fetch_faults)
+    # Lazy import: netshuffle imports this module's ref/error types.
+    from repro.mapreduce.runtime.netshuffle import NetworkTransport
+    return NetworkTransport(config, counter_sink=counter_sink,
+                            reduce_id=reduce_id, memory=memory)
 
 
 class ShuffleFetcher:

@@ -83,7 +83,7 @@ class TestNetworkFlags:
         with pytest.raises(SystemExit):
             main(["run", "F7", "--wire-codec", "zlib"])
         with pytest.raises(SystemExit):
-            main(["run", "F7", "--transport", "channel",
+            main(["run", "F7", "--transport", "direct",
                   "--wire-codec", "zlib"])
 
     def test_unknown_wire_codec_rejected(self, monkeypatch):

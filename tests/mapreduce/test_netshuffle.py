@@ -414,6 +414,41 @@ class TestServerSideFaults:
             assert got == fh.read()
         assert counters.get(C.SHUFFLE_RETRIES) == 1
 
+    def test_delay_past_the_deadline_is_transient_then_heals(
+            self, tmp_path, segment):
+        """A response held back past the fetch deadline times out the
+        attempt; the retry (no planned fault) is clean."""
+        path, stats = segment
+        inj = FaultInjector()
+        inj.fetch("m00000", "r00000", op="delay", attempt=0, seconds=0.5)
+        config = net_config(wire_codec="zlib", fetch_timeout=0.1)
+        with ShuffleService.from_config(
+                config, faults=inj.fetch_plan()) as service:
+            service.register_map_output("m00000", [path])
+            counters = Counters()
+            fetcher = ShuffleFetcher(config, counters, "r00000")
+            [got] = fetcher.fetch_all([make_ref(service, path, stats)])
+        with open(path, "rb") as fh:
+            assert got == fh.read()
+        assert counters.get(C.SHUFFLE_RETRIES) == 1
+        assert counters.get(C.SHUFFLE_FAILED_FETCHES) == 1
+
+    def test_delay_within_the_deadline_is_late_but_intact(self, tmp_path,
+                                                          segment):
+        path, stats = segment
+        inj = FaultInjector()
+        inj.fetch("m00000", "r00000", op="delay", attempt=0, seconds=0.05)
+        config = net_config(wire_codec="zlib", fetch_timeout=2.0)
+        with ShuffleService.from_config(
+                config, faults=inj.fetch_plan()) as service:
+            service.register_map_output("m00000", [path])
+            counters = Counters()
+            fetcher = ShuffleFetcher(config, counters, "r00000")
+            [got] = fetcher.fetch_all([make_ref(service, path, stats)])
+        with open(path, "rb") as fh:
+            assert got == fh.read()
+        assert counters.get(C.SHUFFLE_RETRIES) == 0
+
     def test_faults_target_only_their_link(self, tmp_path, segment):
         path, stats = segment
         inj = FaultInjector()

@@ -19,10 +19,12 @@ Pinned here:
   path over the same final segments.
 """
 
+import dataclasses
 import os
 import pickle
 import threading
 import time
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -129,9 +131,11 @@ class TestFetchAllOrdering:
                 contents.append(fh.read())
         return refs, contents
 
-    @pytest.mark.parametrize("transport", ["direct", "channel"])
+    @pytest.mark.parametrize("transport", ["direct", "network"])
     def test_order_is_deterministic_under_concurrency(self, tmp_path,
                                                       transport):
+        from repro.mapreduce.runtime.netshuffle import ShuffleService
+
         rng = np.random.default_rng(401)
         for trial in range(6):
             count = int(rng.integers(1, 13))
@@ -139,12 +143,20 @@ class TestFetchAllOrdering:
             sub = tmp_path / f"{transport}-{trial}"
             sub.mkdir()
             refs, contents = self._make_refs(sub, rng, count)
-            counters = Counters()
-            fetcher = ShuffleFetcher(
-                ShuffleConfig(transport=transport,
-                              concurrency=concurrency, chunk_bytes=256),
-                counters, "r00000")
-            assert fetcher.fetch_all(refs) == contents
+            config = ShuffleConfig(transport=transport,
+                                   concurrency=concurrency, chunk_bytes=256)
+            with ExitStack() as stack:
+                if transport == "network":
+                    service = stack.enter_context(
+                        ShuffleService.from_config(config))
+                    for ref in refs:
+                        service.register_map_output(ref.map_id, [ref.path])
+                    refs = [dataclasses.replace(
+                        ref, address=service.address_for(ref.map_id))
+                        for ref in refs]
+                counters = Counters()
+                fetcher = ShuffleFetcher(config, counters, "r00000")
+                assert fetcher.fetch_all(refs) == contents
             assert counters[C.SHUFFLE_FETCHES] == count
 
     def test_empty_ref_list(self):

@@ -3,12 +3,14 @@
 The map->reduce hop used to be an ``open()`` call; now it is a
 first-class transfer through a pluggable transport.  Pinned here:
 
-* the two transports are byte-identical on clean segments, and the
-  cheap :func:`~repro.mapreduce.ifile.segment_digest` actually
-  discriminates (length + trailing CRC);
+* the direct and network transports are byte-identical on clean
+  segments, and the cheap :func:`~repro.mapreduce.ifile.segment_digest`
+  actually discriminates (length + trailing CRC);
 * every planned wire fault (flip / drop / truncate / delay / stall)
-  surfaces as a :class:`TransientFetchError` *before* any byte reaches
-  the merge, and a retry against a clean attempt heals it;
+  surfaces from the network transport as a :class:`TransientFetchError`
+  *before* any byte reaches the merge, and the next attempt is clean;
+* only ``network``/``direct`` exist: the retired in-process channel
+  transport is rejected by every surface that names a transport;
 * the fetcher's failure accounting: retries counted, missing files
   escalate immediately (no pointless retries of a deleted segment),
   an exhausted budget raises :class:`FetchFailedError` naming the
@@ -21,7 +23,9 @@ first-class transfer through a pluggable transport.  Pinned here:
   runners agree on the SHUFFLE_* counters.
 """
 
+import dataclasses
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -40,8 +44,9 @@ from repro.mapreduce.runtime import (
     is_skip_eligible,
 )
 from repro.mapreduce.runtime.ledger import MapOutputLedger
+from repro.mapreduce.runtime.netshuffle import NetworkTransport, ShuffleService
 from repro.mapreduce.runtime.shuffle import (
-    ChannelTransport,
+    TRANSPORTS,
     ConfigError,
     DirectTransport,
     FetchFailedError,
@@ -196,11 +201,11 @@ class TestShuffleConfig:
         for name in _CONFIG_ENV_VARS:
             monkeypatch.delenv(name, raising=False)
         assert shuffle_config_from_env() is None
-        monkeypatch.setenv("REPRO_TRANSPORT", "channel")
+        monkeypatch.setenv("REPRO_TRANSPORT", "direct")
         monkeypatch.setenv("REPRO_FETCH_RETRIES", "5")
         monkeypatch.setenv("REPRO_FETCH_TIMEOUT", "1.5")
         config = shuffle_config_from_env()
-        assert config.transport == "channel"
+        assert config.transport == "direct"
         assert config.fetch_retries == 5
         assert config.fetch_timeout == 1.5
 
@@ -262,6 +267,34 @@ class TestShuffleConfig:
         with pytest.raises(ConfigError):
             shuffle_config_from_env()
 
+    @pytest.mark.parametrize("surface", ["config", "env", "cli"])
+    def test_channel_transport_is_rejected(self, monkeypatch, capsys,
+                                           surface):
+        """The in-process channel transport is gone: the config, the
+        REPRO_TRANSPORT variable and the CLI flag each reject it and
+        list the transports that exist."""
+        for name in _CONFIG_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        if surface == "config":
+            with pytest.raises(ValueError) as err:
+                ShuffleConfig(transport="channel")
+            message = str(err.value)
+        elif surface == "env":
+            monkeypatch.setenv("REPRO_TRANSPORT", "channel")
+            with pytest.raises(ConfigError) as err:
+                shuffle_config_from_env()
+            message = str(err.value)
+            assert "REPRO_TRANSPORT='channel'" in message
+        else:
+            from repro.cli import main
+
+            with pytest.raises(SystemExit) as err:
+                main(["run", "F7", "--transport", "channel"])
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+        assert TRANSPORTS == ("direct", "network")
+        assert all(name in message for name in TRANSPORTS)
+
     def test_config_error_is_a_value_error(self):
         # Callers that already catch ValueError keep working.
         assert issubclass(ConfigError, ValueError)
@@ -293,42 +326,76 @@ class TestFetchFaultSelection:
         assert select_fetch_fault([everywhere], 3, 2) is everywhere
 
 
+@contextmanager
+def served(segment, faults=None):
+    """``segment`` behind a live segment server: (transport, ref)."""
+    config = ShuffleConfig(transport="network", wire_codec="zlib",
+                           chunk_bytes=256)
+    with ShuffleService.from_config(config, faults=faults) as service:
+        service.register_map_output(segment.map_id, [segment.path])
+        transport = NetworkTransport(config, reduce_id="r00000")
+        try:
+            yield transport, dataclasses.replace(
+                segment, address=service.address_for(segment.map_id))
+        finally:
+            transport.close()
+
+
 class TestTransports:
     def test_transports_byte_identical(self, segment):
         deadline = Deadline(None)
         direct = DirectTransport().fetch(segment, 0, deadline)
-        channel = ChannelTransport(chunk_bytes=256).fetch(
-            segment, 0, deadline)
+        with served(segment) as (transport, ref):
+            network = transport.fetch(ref, 0, deadline)
         with open(segment.path, "rb") as fh:
-            assert direct == channel == fh.read()
+            assert direct == network == fh.read()
 
     @pytest.mark.parametrize("op,needs_deadline", [
         ("flip", False), ("drop", False), ("truncate", False),
         ("delay", True), ("stall", True),
     ])
     def test_each_wire_fault_is_caught(self, segment, op, needs_deadline):
-        plan = fetch_plan(dict(map_id="m00000", reduce_id="r00000",
-                               op=op, attempt=0, seconds=0.3))
-        transport = ChannelTransport(chunk_bytes=256,
-                                     faults=plan)
-        deadline = Deadline(0.05 if needs_deadline else None)
-        with pytest.raises(TransientFetchError):
-            transport.fetch(segment, 0, deadline)
-        # the next attempt (no planned fault) is clean
-        with open(segment.path, "rb") as fh:
-            assert transport.fetch(segment, 1, Deadline(None)) == fh.read()
+        plan = FaultInjector().fetch("m00000", "r00000", op=op, attempt=0,
+                                     seconds=0.3).fetch_plan()
+        with served(segment, plan) as (transport, ref):
+            deadline = Deadline(0.05 if needs_deadline else None)
+            with pytest.raises(TransientFetchError):
+                transport.fetch(ref, 0, deadline)
+            # the next attempt (no planned fault) is clean
+            with open(segment.path, "rb") as fh:
+                assert transport.fetch(ref, 1, Deadline(None)) == fh.read()
 
     def test_delay_without_deadline_is_late_but_intact(self, segment):
-        plan = fetch_plan(dict(map_id="m00000", reduce_id="r00000",
-                               op="delay", attempt=0, seconds=0.01))
-        transport = ChannelTransport(chunk_bytes=256, faults=plan)
+        plan = FaultInjector().fetch("m00000", "r00000", op="delay",
+                                     attempt=0, seconds=0.01).fetch_plan()
+        with served(segment, plan) as (transport, ref):
+            with open(segment.path, "rb") as fh:
+                assert transport.fetch(ref, 0, Deadline(None)) == fh.read()
+
+    @pytest.mark.parametrize("op,raises", [
+        ("drop", True), ("stall", True), ("delay", True),
+        ("flip", False), ("truncate", False),
+    ])
+    def test_direct_applies_connection_faults_only(self, segment, op,
+                                                   raises):
+        """Without a wire, only refusals and lateness apply; payload
+        damage ops leave the file read intact."""
+        plan = fetch_plan(dict(map_id="m00000", reduce_id="r00000", op=op,
+                               attempt=0, seconds=0.3))
+        transport = DirectTransport(plan)
         with open(segment.path, "rb") as fh:
-            assert transport.fetch(segment, 0, Deadline(None)) == fh.read()
+            blob = fh.read()
+        if raises:
+            with pytest.raises(TransientFetchError):
+                transport.fetch(segment, 0, Deadline(0.05))
+        else:
+            assert transport.fetch(segment, 0, Deadline(0.05)) == blob
+        assert transport.fetch(segment, 1, Deadline(None)) == blob
 
 
 class TestShuffleFetcher:
     def make_fetcher(self, plan=None, **config):
-        config.setdefault("transport", "channel")
+        config.setdefault("transport", "direct")
         config.setdefault("backoff", 0.0)
         counters = Counters()
         fetcher = ShuffleFetcher(ShuffleConfig(**config), counters,
@@ -337,7 +404,7 @@ class TestShuffleFetcher:
 
     def test_retry_heals_and_counts(self, segment):
         plan = fetch_plan(dict(map_id="m00000", reduce_id="r00000",
-                               op="flip", attempt=0))
+                               op="drop", attempt=0))
         fetcher, counters = self.make_fetcher(plan)
         blobs = fetcher.fetch_all([segment])
         with open(segment.path, "rb") as fh:
@@ -349,7 +416,7 @@ class TestShuffleFetcher:
 
     def test_exhausted_budget_names_the_map(self, segment):
         plan = fetch_plan(dict(map_id="m00000", reduce_id="r00000",
-                               op="truncate", attempt=0, sticky=True))
+                               op="drop", attempt=0, sticky=True))
         fetcher, counters = self.make_fetcher(plan, fetch_retries=2)
         with pytest.raises(FetchFailedError) as err:
             fetcher.fetch_one(segment)
@@ -434,15 +501,13 @@ class TestTraceRegistry:
 class TestEndToEnd:
     def run_serial(self, grid, job, injector=None, **runner_kw):
         runner_kw.setdefault(
-            "shuffle", ShuffleConfig(transport="channel", fetch_retries=1,
-                                     backoff=0.0))
+            "shuffle", ShuffleConfig(fetch_retries=1, backoff=0.0))
         with LocalJobRunner(fault_injector=injector, **runner_kw) as runner:
             return runner.run(job, grid)
 
     def run_parallel(self, grid, job, injector=None, **runner_kw):
         runner_kw.setdefault(
-            "shuffle", ShuffleConfig(transport="channel", fetch_retries=1,
-                                     backoff=0.0))
+            "shuffle", ShuffleConfig(fetch_retries=1, backoff=0.0))
         with ParallelJobRunner(max_workers=2, speculation=False,
                                retry_backoff=0.01,
                                fault_injector=injector,
@@ -451,7 +516,7 @@ class TestEndToEnd:
 
     def sticky_epoch0(self):
         inj = FaultInjector()
-        inj.fetch("m00000", "r00000", op="flip", attempt=0, sticky=True,
+        inj.fetch("m00000", "r00000", op="drop", attempt=0, sticky=True,
                   epoch=0)
         return inj
 
