@@ -24,8 +24,8 @@ Modules:
 * :mod:`~repro.core.aggregation.plugin` -- the engine hook wiring it all
   into the shuffle; cuts whole batches as arrays when the data is plain
   (dense, well-formed) and falls back to the object code otherwise;
-* :mod:`~repro.core.aggregation.groups` -- reducer-side helpers that
-  stack equal-range blocks into per-cell value sets.
+* :mod:`~repro.core.aggregation.groups` -- range groups back into cell
+  groups, so an aggregate job reduces through its query's plain reducer.
 """
 
 from repro.core.aggregation.blocks import BlockSerde, ValueBlock
@@ -41,8 +41,8 @@ from repro.core.aggregation.splitter import (
     split_at_boundaries,
     split_overlaps,
 )
+from repro.core.aggregation.groups import Pieces, RangeGroupReducer, expand_cells
 from repro.core.aggregation.plugin import AggregateShufflePlugin
-from repro.core.aggregation.groups import cells_of_group, stack_equal_blocks
 
 __all__ = [
     "ValueBlock",
@@ -57,6 +57,7 @@ __all__ = [
     "boundary_pieces",
     "overlap_pieces",
     "AggregateShufflePlugin",
-    "cells_of_group",
-    "stack_equal_blocks",
+    "Pieces",
+    "expand_cells",
+    "RangeGroupReducer",
 ]

@@ -1,77 +1,117 @@
-"""Reducer-side helpers for aggregate key groups.
+"""The reduce side of key aggregation: range groups back into cells.
 
-After overlap splitting, one reduce group is ``(RangeKey, [ValueBlock,
-...])`` where every block covers exactly the key's range.  Queries then
-need per-cell value sets; these helpers build them efficiently:
-
-* :func:`stack_equal_blocks` -- the common dense case (every block dense,
-  one value per cell per block) becomes a ``(k, count)`` matrix, so a
-  holistic reduce like the sliding median is a single vectorized
-  ``np.median(..., axis=0)``;
-* :func:`cells_of_group` -- the general case (masked blocks, ragged
-  multiplicities) yields ``(cell_offset, values_array)`` per covered
-  cell.
+After overlap splitting, a range group of depth *d* over ``[start,
+start + count)`` is ``count`` cell groups of up to *d* values -- what a
+query's plain reducer already takes, behind a :class:`RangeGroupReducer`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core.aggregation.aggregator import AggregationConfig
 from repro.core.aggregation.blocks import ValueBlock
-from repro.mapreduce.keys import RangeKey
+from repro.mapreduce.api import ReduceContext, Reducer
+from repro.mapreduce.keys import CellKey, RangeKey
+from repro.sfc.base import Curve
 
-__all__ = ["stack_equal_blocks", "cells_of_group"]
-
-
-def _check_group(key: RangeKey, blocks: Sequence[ValueBlock]) -> None:
-    if not blocks:
-        raise ValueError("empty block group")
-    for b in blocks:
-        if b.count != key.count:
-            raise ValueError(
-                f"block covers {b.count} cells but group key spans {key.count}"
-            )
+__all__ = ["Pieces", "expand_cells", "RangeGroupReducer"]
 
 
-def stack_equal_blocks(
-    key: RangeKey, blocks: Sequence[ValueBlock]
-) -> np.ndarray | None:
-    """Stack dense blocks into a ``(k, count)`` matrix, or ``None``.
+class Pieces(NamedTuple):
+    """Merged ``(RangeKey, ValueBlock)`` pieces as columns, in run order:
+    piece ``i`` covers ``[starts[i], starts[i] + counts[i])`` of
+    ``variables[which[i]]``; ``values`` and ``valid`` (``None``: all
+    dense) are the blocks' valid values and masks, concatenated."""
 
-    Returns ``None`` when any block is masked -- callers fall back to
-    :func:`cells_of_group`.
+    variables: list
+    which: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    values: np.ndarray
+    valid: np.ndarray | None = None
+
+    def heads(self) -> np.ndarray:
+        """True where a range group begins (equal keys are adjacent)."""
+        w, s, c = self.which, self.starts, self.counts
+        new = (w[1:] != w[:-1]) | (s[1:] != s[:-1]) | (c[1:] != c[:-1])
+        return np.concatenate(([True], new))[:w.shape[0]]
+
+    @property
+    def groups(self) -> int:
+        return int(self.heads().sum())
+
+
+def expand_cells(
+    pieces: Pieces, curve: Curve, origin: np.ndarray
+) -> tuple[list[CellKey], np.ndarray, np.ndarray]:
+    """Range groups to the ``(keys, values, bounds)`` of ``reduce_batch``.
+
+    ``keys``: every cell holding a value, range groups in run order and
+    curve order within each, from one ``curve.decode`` shifted by
+    ``origin``.  ``values``: each cell's in piece order, widened to
+    int64 / float64 as a plain value serde's ``read_column_array`` does.
     """
-    _check_group(key, blocks)
-    if any(not b.is_dense() for b in blocks):
-        return None
-    return np.stack([b.values for b in blocks], axis=0)
+    heads = pieces.heads()
+    gstarts, gcounts = pieces.starts[heads], pieces.counts[heads]
+    # group g's cells get the ids first[g] .. first[g] + gcounts[g] - 1;
+    # value slot s of piece p is the cell first[group of p] + s - (p's
+    # first slot)
+    first = np.cumsum(gcounts) - gcounts
+    counts = pieces.counts
+    piece = np.repeat(np.arange(counts.shape[0]), counts)
+    base = first[np.cumsum(heads) - 1] - (np.cumsum(counts) - counts)
+    cell_id = base[piece] + np.arange(piece.shape[0])
+    if pieces.valid is not None:
+        cell_id = cell_id[pieces.valid]
+    order = np.argsort(cell_id, kind="stable")
+    cell_id = cell_id[order]
+    wide = np.float64 if pieces.values.dtype.kind == "f" else np.int64
+    values = pieces.values.astype(wide)[order]
+    if not cell_id.shape[0]:
+        return [], values, np.zeros(1, dtype=np.int64)
+    change = cell_id[1:] != cell_id[:-1]
+    bounds = np.flatnonzero(np.concatenate(([True], change, [True])))
+    cells = cell_id[bounds[:-1]]
+    g = np.searchsorted(first, cells, side="right") - 1
+    coords = curve.decode(gstarts[g] + cells - first[g]) + origin
+    variables = [pieces.variables[w] for w in pieces.which[heads][g].tolist()]
+    return ([CellKey(v, tuple(row)) for v, row in zip(variables,
+                                                       coords.tolist())],
+            values, bounds)
 
 
-def cells_of_group(
-    key: RangeKey, blocks: Sequence[ValueBlock]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(cell_offset, values)`` for each covered cell with data.
+class RangeGroupReducer(Reducer):
+    """A query's plain reducer, reducing range groups: one per
+    :meth:`reduce` (the per-group loop's call, so skipping, poison and
+    replay keep range-group granularity) or a whole merged run per
+    :meth:`reduce_pieces`.  The cells go to ``inner.reduce_batch``, or,
+    without one or on a decline, to ``inner.reduce`` cell by cell."""
 
-    ``cell_offset`` is relative to ``key.start``; ``values`` collects the
-    valid entries for that cell across all blocks (possibly fewer than
-    ``len(blocks)`` when masks exclude it).  Cells with no valid values
-    are skipped.
-    """
-    _check_group(key, blocks)
-    matrix = stack_equal_blocks(key, blocks)
-    if matrix is not None:
-        for off in range(key.count):
-            yield off, matrix[:, off]
-        return
-    # General masked case: gather per cell.
-    per_cell: list[list] = [[] for _ in range(key.count)]
-    for block in blocks:
-        mask = block.dense_mask()
-        positions = np.flatnonzero(mask)
-        for pos, value in zip(positions, block.values):
-            per_cell[int(pos)].append(value)
-    for off, vals in enumerate(per_cell):
-        if vals:
-            yield off, np.asarray(vals)
+    def __init__(self, inner: Reducer, config: AggregationConfig,
+                 origin: Sequence[int]) -> None:
+        self.inner = inner
+        self.curve = config.make_curve()
+        self.origin = np.asarray(origin, dtype=np.int64)
+
+    def reduce(self, key: RangeKey, blocks: Sequence[ValueBlock],
+               ctx: ReduceContext) -> None:
+        n = len(blocks)
+        dense = all(b.is_dense() for b in blocks)
+        self.reduce_pieces(Pieces(
+            [key.variable], np.zeros(n, np.int64), np.full(n, key.start),
+            np.full(n, key.count), np.concatenate([b.values for b in blocks]),
+            None if dense else np.concatenate([b.dense_mask() for b in blocks])
+        ), ctx)
+
+    def reduce_pieces(self, pieces: Pieces, ctx: ReduceContext) -> None:
+        keys, values, bounds = expand_cells(pieces, self.curve, self.origin)
+        batch = getattr(self.inner, "reduce_batch", None)
+        if not keys or (batch is not None and batch(
+                keys, values, bounds, ctx) is not NotImplemented):
+            return
+        values, bounds = values.tolist(), bounds.tolist()
+        for key, lo, hi in zip(keys, bounds, bounds[1:]):
+            self.inner.reduce(key, values[lo:hi], ctx)

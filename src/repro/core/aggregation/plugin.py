@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.core.aggregation.aggregator import AggregationConfig
+from repro.core.aggregation.groups import Pieces
 from repro.core.aggregation.reaggregate import merge_adjacent_groups
 from repro.core.aggregation.splitter import (
     boundary_pieces,
@@ -41,6 +42,16 @@ __all__ = ["AggregateShufflePlugin"]
 
 Record = tuple[bytes, bytes]
 Routed = tuple[int, bytes, bytes]
+#: blobs per inner join of :func:`_join`
+_JOIN_CHUNK = 4096
+
+
+def _join(blobs: Sequence[bytes]) -> bytes:
+    """``b"".join(blobs)``, a chunk at a time: a join holds an 80-byte
+    buffer view per blob until it returns, many times the bytes joined
+    when the blobs are a few bytes each (a split run's pieces)."""
+    return b"".join([b"".join(blobs[i:i + _JOIN_CHUNK])
+                     for i in range(0, len(blobs), _JOIN_CHUNK)])
 
 
 class _PlainBatch(NamedTuple):
@@ -73,9 +84,9 @@ class AggregateShufflePlugin:
         self._key_serde = config.key_serde()
         self._block_serde = config.block_serde()
         self._curve_size = config.make_curve().size
-        #: whether a plain batch may take the array path at all (the
+        #: whether a plain batch may be decoded as arrays at all (the
         #: curve bound keeps ``start + count`` inside int64)
-        self._vectorizable = (not reaggregate and config.alignment == 1
+        self._vectorizable = (config.alignment == 1
                               and self._curve_size <= 1 << 62)
         self._partitioners: dict[int, CurveRangePartitioner] = {}
         #: how many extra records routing splits created (introspection)
@@ -96,8 +107,13 @@ class AggregateShufflePlugin:
 
     # -- batch decode / encode ------------------------------------------------
 
-    def _plain_batch(self, key_blobs: Sequence[bytes],
-                     value_blobs: Sequence[bytes]) -> _PlainBatch | None:
+    def _plain_batch(self, *blobs: Sequence[bytes]) -> _PlainBatch | None:
+        """:meth:`_decode` for a batch about to be cut: never plain under
+        re-aggregation, which the array cut does not do."""
+        return None if self.reaggregate else self._decode(*blobs)
+
+    def _decode(self, key_blobs: Sequence[bytes],
+                value_blobs: Sequence[bytes]) -> _PlainBatch | None:
         """Decode a batch in one pass, or ``None`` if it is not plain.
 
         The predicate is the object path's per-record checks, vectorised:
@@ -112,7 +128,7 @@ class AggregateShufflePlugin:
         width = len(key_blobs[0])
         if len(set(map(len, key_blobs))) != 1:
             return None
-        keys = np.frombuffer(b"".join(key_blobs), np.uint8).reshape(n, width)
+        keys = np.frombuffer(_join(key_blobs), np.uint8).reshape(n, width)
         try:
             variables, which, starts, counts = (
                 self._key_serde.unpack_batch_keys(keys))
@@ -129,7 +145,7 @@ class AggregateShufflePlugin:
         itemsize = self._block_serde.dtype.itemsize
         if (sizes != header_len + counts * itemsize).any():
             return None
-        slab = b"".join(value_blobs)
+        slab = _join(value_blobs)
         offsets = np.cumsum(sizes) - sizes
         # every blob starts with its count's header: compare the first
         # bytes of all blobs at once, ignoring columns past a header's end
@@ -267,3 +283,20 @@ class AggregateShufflePlugin:
             self._block_serde.write(block, vb)
             out.append((bytes(kb), bytes(vb)))
         return out
+
+    def run_pieces(self, records: list[Record]) -> Pieces | None:
+        """:meth:`prepare_reduce`'s output as columns if it is plain
+        (re-aggregated or not: merging keeps dense blocks dense), else
+        ``None`` (the reducer takes it group by group)."""
+        batch = self._decode(*zip(*records)) if records else None
+        if batch is None:
+            return None
+        nbytes = batch.counts * self._block_serde.dtype.itemsize
+        ends = batch.data_offsets + nbytes
+        header = batch.data_offsets - np.concatenate(([0], ends[:-1]))
+        is_value = np.repeat(np.tile([False, True], len(records)),
+                             np.column_stack([header, nbytes]).ravel())
+        values = np.frombuffer(batch.slab, np.uint8)[is_value].view(
+            self._block_serde.dtype)
+        return Pieces(batch.variables, batch.which, batch.starts,
+                      batch.counts, values)

@@ -19,8 +19,9 @@ from repro.experiments.common import make_runner
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
 from repro.mapreduce.api import Mapper
-from repro.core.aggregation import AggregateShufflePlugin, Aggregator
-from repro.queries.subset import AggregateSubsetReducer, IdentityReducer
+from repro.core.aggregation import (AggregateShufflePlugin, Aggregator,
+                                    RangeGroupReducer)
+from repro.queries.subset import IdentityReducer
 from repro.queries.sliding_median import value_serde_for
 from repro.scidata.generator import integer_grid
 
@@ -101,7 +102,8 @@ def run(side: int | None = None,
             name="filter-agg",
             mapper=lambda: ThresholdFilterMapperAgg(
                 "values", threshold, extent.corner, config),
-            reducer=lambda: AggregateSubsetReducer(config, extent.corner),
+            reducer=lambda: RangeGroupReducer(IdentityReducer(), config,
+                                              extent.corner),
             key_serde=config.key_serde(),
             value_serde=config.block_serde(),
             shuffle_plugin=AggregateShufflePlugin(config),

@@ -281,8 +281,8 @@ class Reducer(ABC):
     cannot promise that for the column it was handed (a float ``sum``,
     whose result depends on association order) returns
     ``NotImplemented`` *before emitting anything*, and the engine runs
-    the per-group loop instead.  Plugin jobs, ``columnar=False``,
-    skipping-mode retries and record-form runs never consult it.
+    the per-group loop instead.  ``columnar=False``, skipping retries and
+    record-form runs never consult it; a ``RangeGroupReducer`` tries it.
     """
 
     @abstractmethod

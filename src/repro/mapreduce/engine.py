@@ -634,6 +634,22 @@ def _reduce_batch(job: Job, reducer: Any, kmat: np.ndarray,
     return True
 
 
+def _reduce_pieces(plugin: Any, reducer: Any, merged: list,
+                   ctx: ReduceContext) -> bool:
+    """:func:`_reduce_batch` for a plugin job (see :class:`~repro.
+    mapreduce.job.ShufflePlugin`): False, with nothing counted or
+    emitted, when a method is missing or the plugin declines the run."""
+    run_pieces = getattr(plugin, "run_pieces", None)
+    reduce_pieces = getattr(reducer, "reduce_pieces", None)
+    pieces = run_pieces(merged) if run_pieces and reduce_pieces else None
+    if pieces is None:
+        return False
+    reduce_pieces(pieces, ctx)
+    ctx.counters.incr(C.REDUCE_INPUT_GROUPS, pieces.groups)
+    ctx.counters.incr(C.REDUCE_INPUT_RECORDS, len(merged))
+    return True
+
+
 def _merge_group_reduce(
     job: Job,
     task_id: str,
@@ -668,7 +684,8 @@ def _merge_group_reduce(
     (:func:`_reduce_batch`), else group by group, each group's values
     decoding in one ``read_column`` over its slice of the value slab;
     it decays to records only for the consumers defined on records (the
-    shuffle plugin's ``prepare_reduce`` and the two skipping hooks).
+    shuffle plugin's ``prepare_reduce`` -- then :func:`_reduce_pieces` --
+    and the two skipping hooks).
     """
     # Multi-pass on-disk merge when we hold too many runs (step 5).
     passes = plan_merge_passes(len(runs), job.merge_factor)
@@ -739,7 +756,7 @@ def _merge_group_reduce(
                     values = job.value_serde.read_column(
                         vflat[start * vw:end * vw], end - start)
                     reducer.reduce(key, values, ctx)
-        else:
+        elif not _reduce_pieces(plugin, reducer, merged, ctx):
             for kb, value_blobs in group_by_key(merged):
                 counters.incr(C.REDUCE_INPUT_GROUPS)
                 counters.incr(C.REDUCE_INPUT_RECORDS, len(value_blobs))

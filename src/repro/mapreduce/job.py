@@ -71,6 +71,11 @@ class ShufflePlugin(Protocol):
     routes record by record.  Either way the records reaching each spill
     are the same, so implementing it is an optimisation, never a
     behaviour change.
+
+    Likewise ``run_pieces(records)`` may return ``prepare_reduce``'s output
+    as one object with a ``groups`` count, or ``None``; a reducer with
+    ``reduce_pieces(pieces, ctx)`` then reduces the run in one call (no
+    skipping hook active) and must emit what the per-group loop would.
     """
 
     def route(self, key_bytes: bytes, value_bytes: bytes,

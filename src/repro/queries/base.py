@@ -18,13 +18,11 @@ import numpy as np
 
 from repro.core.aggregation import AggregationConfig
 from repro.mapreduce.job import Job
-from repro.mapreduce.keys import CellKey, RangeKey
 from repro.scidata.dataset import Dataset
 from repro.scidata.slab import Slab
-from repro.sfc.base import Curve
 
-__all__ = ["window_offsets", "shifted_cells", "range_cell_keys",
-           "integer_fold_batch", "GridQuery"]
+__all__ = ["window_offsets", "shifted_cells", "integer_fold_batch",
+           "GridQuery"]
 
 
 def window_offsets(ndim: int, window: int) -> list[tuple[int, ...]]:
@@ -58,18 +56,6 @@ def shifted_cells(
         hi = lo + extent.shape[d]
         keep &= (shifted[:, d] >= lo) & (shifted[:, d] < hi)
     return shifted[keep], values[keep]
-
-
-def range_cell_keys(curve: Curve, origin: np.ndarray,
-                    key: RangeKey) -> list[CellKey]:
-    """The per-cell output keys of one aggregate reduce group.
-
-    Entry ``j`` is the grid cell at curve index ``key.start + j``,
-    shifted back by the query's ``origin``.  One ``tolist()`` converts
-    every coordinate of the group to a Python int.
-    """
-    coords = curve.decode(np.arange(key.start, key.end)) + origin
-    return [CellKey(key.variable, tuple(row)) for row in coords.tolist()]
 
 
 #: builtin fold over a group's value list -> the ufunc whose ``reduceat``

@@ -20,13 +20,14 @@ from repro.core.aggregation import (
     AggregationConfig,
     AggregateShufflePlugin,
     Aggregator,
+    RangeGroupReducer,
 )
 from repro.mapreduce.api import Mapper
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
 from repro.queries.base import GridQuery
 from repro.queries.sliding_median import value_serde_for
-from repro.queries.subset import AggregateSubsetReducer, IdentityReducer
+from repro.queries.subset import IdentityReducer
 from repro.scidata.dataset import Dataset
 
 __all__ = ["DerivedVariableQuery", "BINARY_OPS"]
@@ -150,7 +151,8 @@ class DerivedVariableQuery(GridQuery):
             return Job(
                 mapper=lambda: AggregateDerivedMapper(
                     primary, out_name, other, op, dtype, origin, config),
-                reducer=lambda: AggregateSubsetReducer(config, origin),
+                reducer=lambda: RangeGroupReducer(IdentityReducer(), config,
+                                                  origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config),

@@ -11,22 +11,11 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from repro.core.aggregation import (
-    AggregationConfig,
-    AggregateShufflePlugin,
-    cells_of_group,
-)
+from repro.core.aggregation import AggregateShufflePlugin, RangeGroupReducer
 from repro.mapreduce.api import Combiner, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
-from repro.queries.base import (
-    GridQuery,
-    integer_fold_batch,
-    range_cell_keys,
-    window_offsets,
-)
+from repro.queries.base import GridQuery, integer_fold_batch, window_offsets
 from repro.queries.sliding_median import (
     AggregateWindowMapper,
     PlainWindowMapper,
@@ -36,12 +25,8 @@ from repro.scidata.dataset import Dataset
 
 __all__ = ["SlidingAggregateQuery", "WINDOW_OPS"]
 
-#: op name -> (python fold over a list, numpy fold over an axis)
-WINDOW_OPS: dict[str, tuple[Callable, Callable]] = {
-    "min": (min, np.min),
-    "max": (max, np.max),
-    "sum": (sum, np.sum),
-}
+#: op name -> the fold over one cell's value list, in both modes
+WINDOW_OPS: dict[str, Callable] = {"min": min, "max": max, "sum": sum}
 
 
 class FoldCombiner(Combiner):
@@ -67,24 +52,6 @@ class FoldReducer(Reducer):
         return integer_fold_batch(self.fold, keys, values, bounds, ctx)
 
 
-class AggregateFoldReducer(Reducer):
-    """Per-cell fold over the blocks of one range group."""
-
-    def __init__(self, npfold: Callable, config: AggregationConfig,
-                 origin: tuple[int, ...]) -> None:
-        self.npfold = npfold
-        self.config = config
-        self.curve = config.make_curve()
-        self.origin = np.asarray(origin, dtype=np.int64)
-
-    def reduce(self, key, blocks, ctx):
-        cells = range_cell_keys(self.curve, self.origin, key)
-        for off, cell_values in cells_of_group(key, blocks):
-            value = self.npfold(cell_values)
-            ctx.emit(cells[off],
-                     value.item() if hasattr(value, "item") else value)
-
-
 class SlidingAggregateQuery(GridQuery):
     """Builder for min/max/sum sliding-window jobs in both modes."""
 
@@ -94,7 +61,7 @@ class SlidingAggregateQuery(GridQuery):
         if op not in WINDOW_OPS:
             raise ValueError(f"op must be one of {sorted(WINDOW_OPS)}, got {op!r}")
         self.op = op
-        self.fold, self.npfold = WINDOW_OPS[op]
+        self.fold = WINDOW_OPS[op]
         self.window = window
         self.offsets = window_offsets(self.extent.ndim, window)
 
@@ -110,7 +77,7 @@ class SlidingAggregateQuery(GridQuery):
         defaults.update(job_overrides)
         var_ref = self.variable
         extent, offsets = self.extent, self.offsets
-        fold, npfold = self.fold, self.npfold
+        fold = self.fold
 
         if mode == "plain":
             return Job(
@@ -127,7 +94,8 @@ class SlidingAggregateQuery(GridQuery):
             return Job(
                 mapper=lambda: AggregateWindowMapper(var_ref, extent, offsets,
                                                      config),
-                reducer=lambda: AggregateFoldReducer(npfold, config, origin),
+                reducer=lambda: RangeGroupReducer(FoldReducer(fold), config,
+                                                  origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config),

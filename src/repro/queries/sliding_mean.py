@@ -15,21 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.aggregation import (
-    AggregationConfig,
-    AggregateShufflePlugin,
-    cells_of_group,
-)
+from repro.core.aggregation import AggregateShufflePlugin, RangeGroupReducer
 from repro.mapreduce.api import Combiner, Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
 from repro.mapreduce.serde import Serde, _check_column
-from repro.queries.base import (
-    GridQuery,
-    range_cell_keys,
-    shifted_cells,
-    window_offsets,
-)
+from repro.queries.base import GridQuery, shifted_cells, window_offsets
 from repro.util.errors import TruncatedRecordError
 from repro.queries.sliding_median import AggregateWindowMapper
 from repro.scidata.dataset import Dataset
@@ -119,18 +110,12 @@ class PlainMeanReducer(Reducer):
         ctx.emit(key, total / count)
 
 
-class AggregateMeanReducer(Reducer):
-    """Mean per cell over the blocks of one range group."""
+class CellMeanReducer(Reducer):
+    """Mean of a cell's raw values (an aggregate job's blocks carry the
+    values, not the (sum, count) pairs :class:`PlainMeanReducer` folds)."""
 
-    def __init__(self, config: AggregationConfig, origin: tuple[int, ...]) -> None:
-        self.config = config
-        self.curve = config.make_curve()
-        self.origin = np.asarray(origin, dtype=np.int64)
-
-    def reduce(self, key, blocks, ctx):
-        cells = range_cell_keys(self.curve, self.origin, key)
-        for off, cell_values in cells_of_group(key, blocks):
-            ctx.emit(cells[off], float(np.mean(cell_values)))
+    def reduce(self, key, values, ctx):
+        ctx.emit(key, float(np.mean(values)))
 
 
 class SlidingMeanQuery(GridQuery):
@@ -175,7 +160,7 @@ class SlidingMeanQuery(GridQuery):
             origin = self.extent.corner
             return Job(
                 mapper=lambda: AggregateWindowMapper(var_ref, extent, offsets, config),
-                reducer=lambda: AggregateMeanReducer(config, origin),
+                reducer=lambda: RangeGroupReducer(CellMeanReducer(), config, origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config, reaggregate=reaggregate),

@@ -21,8 +21,7 @@ from repro.core.aggregation import (
     AggregationConfig,
     Aggregator,
     AggregateShufflePlugin,
-    stack_equal_blocks,
-    cells_of_group,
+    RangeGroupReducer,
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.job import Job
@@ -34,12 +33,7 @@ from repro.mapreduce.serde import (
     Int64Serde,
     Serde,
 )
-from repro.queries.base import (
-    GridQuery,
-    range_cell_keys,
-    shifted_cells,
-    window_offsets,
-)
+from repro.queries.base import GridQuery, shifted_cells, window_offsets
 from repro.scidata.dataset import Dataset
 from repro.scidata.slab import Slab
 
@@ -131,26 +125,6 @@ class AggregateWindowMapper(Mapper):
             self._agg.close()
 
 
-class AggregateMedianReducer(Reducer):
-    """Per-cell median over the stacked blocks of one range group."""
-
-    def __init__(self, config: AggregationConfig, origin: tuple[int, ...]) -> None:
-        self.config = config
-        self.curve = config.make_curve()
-        self.origin = np.asarray(origin, dtype=np.int64)
-
-    def reduce(self, key, blocks, ctx):
-        cells = range_cell_keys(self.curve, self.origin, key)
-        matrix = stack_equal_blocks(key, blocks)
-        if matrix is not None:
-            for cell, median in zip(cells,
-                                    np.median(matrix, axis=0).tolist()):
-                ctx.emit(cell, median)
-            return
-        for off, cell_values in cells_of_group(key, blocks):
-            ctx.emit(cells[off], float(np.median(cell_values)))
-
-
 class SlidingMedianQuery(GridQuery):
     """Builder for plain/aggregate sliding-median jobs."""
 
@@ -192,7 +166,7 @@ class SlidingMedianQuery(GridQuery):
             origin = self.extent.corner
             return Job(
                 mapper=lambda: AggregateWindowMapper(var_ref, extent, offsets, config),
-                reducer=lambda: AggregateMedianReducer(config, origin),
+                reducer=lambda: RangeGroupReducer(PlainMedianReducer(), config, origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config, reaggregate=reaggregate),

@@ -18,12 +18,12 @@ from repro.core.aggregation import (
     AggregationConfig,
     AggregateShufflePlugin,
     Aggregator,
-    cells_of_group,
+    RangeGroupReducer,
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
-from repro.queries.base import GridQuery, range_cell_keys
+from repro.queries.base import GridQuery
 from repro.queries.sliding_median import value_serde_for
 from repro.scidata.dataset import Dataset
 from repro.scidata.slab import Slab
@@ -131,21 +131,6 @@ class AggregateSubsetMapper(Mapper):
             self._agg.close()
 
 
-class AggregateSubsetReducer(Reducer):
-    """Expand range groups back into per-cell selection output."""
-
-    def __init__(self, config: AggregationConfig, origin: tuple[int, ...]) -> None:
-        self.config = config
-        self.curve = config.make_curve()
-        self.origin = np.asarray(origin, dtype=np.int64)
-
-    def reduce(self, key, blocks, ctx):
-        cells = range_cell_keys(self.curve, self.origin, key)
-        for off, cell_values in cells_of_group(key, blocks):
-            for v in cell_values.tolist():
-                ctx.emit(cells[off], v)
-
-
 class BoxSubsetQuery(GridQuery):
     """Builder for plain/aggregate subset-selection jobs."""
 
@@ -186,7 +171,7 @@ class BoxSubsetQuery(GridQuery):
             box, origin = self.box, self.extent.corner
             return Job(
                 mapper=lambda: AggregateSubsetMapper(var_ref, box, origin, config),
-                reducer=lambda: AggregateSubsetReducer(config, origin),
+                reducer=lambda: RangeGroupReducer(IdentityReducer(), config, origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config, reaggregate=reaggregate),

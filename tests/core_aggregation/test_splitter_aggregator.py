@@ -8,15 +8,17 @@ from repro.core.aggregation import (
     AggregationConfig,
     Aggregator,
     ValueBlock,
-    cells_of_group,
     split_at_boundaries,
     split_overlaps,
-    stack_equal_blocks,
 )
 from repro.mapreduce.api import MapContext
 from repro.mapreduce.keys import RangeKey
 from repro.mapreduce.metrics import Counters
 from repro.mapreduce.serde import BytesSerde
+from tests.core_aggregation.reference_reducers import (
+    cells_of_group,
+    stack_equal_blocks,
+)
 
 
 def dense(count, start_value=0):
@@ -231,6 +233,8 @@ class TestAggregator:
 
 
 class TestGroupHelpers:
+    """The oracle's group helpers (``reference_reducers``)."""
+
     def test_stack_dense(self):
         key = RangeKey("v", 0, 3)
         m = stack_equal_blocks(key, [dense(3), dense(3, 10)])

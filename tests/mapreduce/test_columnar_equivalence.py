@@ -27,13 +27,17 @@ Aggregate-key jobs (a shuffle plugin) have their own batched path --
 ``emit_serialized_batch`` -> ``route_batch`` on the map side, the array
 overlap split inside ``prepare_reduce`` on the reduce side -- chosen by
 what the data is, not by ``Job.columnar`` alone; their section runs a
-third leg with the plugin's object path forced, and a second structural
-guard.
+third leg with the plugin's object path forced.  Their reduce is the
+query's plain reducer behind a ``RangeGroupReducer``: one
+``reduce_pieces`` call per reduce task expands the split run into cells
+for its ``reduce_batch``.  Structural guards pin both paths, plus the
+range-group granularity a poisoned aggregate reducer keeps.
 """
 
 import dataclasses
 import heapq
 import os
+import re
 import threading
 import time
 from operator import itemgetter
@@ -43,7 +47,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregation import AggregateShufflePlugin, BlockSerde, ValueBlock
+from repro.core.aggregation import (
+    AggregateShufflePlugin,
+    BlockSerde,
+    RangeGroupReducer,
+    ValueBlock,
+)
 from repro.mapreduce import (
     CellKey,
     CellKeySerde,
@@ -261,8 +270,9 @@ def plain_batches(monkeypatch):
 @pytest.mark.parametrize("name", AGGREGATE_QUERY_NAMES)
 def test_aggregate_equivalence(tmp_path, grid, pair_grid, name,
                                plain_batches):
-    """Batched vs ``columnar=False`` vs the object path on both sides:
-    output, every counter and every segment file."""
+    """Batched vs ``columnar=False`` vs the object path on both sides
+    (its reduce range group by range group): output, every counter and
+    every segment file."""
     dataset, query = aggregate_query(grid, pair_grid, name)
     make_job = lambda: query.build_job("aggregate", **AGGREGATE_SHAPE)
     results, segments = run_both(tmp_path, dataset, make_job)
@@ -272,6 +282,8 @@ def test_aggregate_equivalence(tmp_path, grid, pair_grid, name,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AggregateShufflePlugin, "_plain_batch",
                       lambda self, key_blobs, value_blobs: None)
+        patch.setattr(AggregateShufflePlugin, "run_pieces",
+                      lambda self, records: None)
         workdir = str(tmp_path / "objects")
         with LocalJobRunner(workdir=workdir, keep_files=True) as runner:
             results["scalar"] = runner.run(make_job(), dataset)
@@ -779,9 +791,9 @@ def test_plain_median_job_reduces_in_batches(monkeypatch):
 
 def test_aggregate_job_cuts_keys_as_arrays(monkeypatch, plain_batches):
     """10^3 cells, w=3, 4 maps x 2 reducers, aggregate median: every
-    flush and every merged run takes the array path, and the object
-    decoders run at most once per reduce *group* -- never once per
-    emitted record or per piece."""
+    flush and every merged run is cut on the array path, and the object
+    decoders never run -- not per emitted record, not per piece, not per
+    reduce group (the run reaches the reducer as columns)."""
     dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
     job = SlidingMedianQuery(dataset, "values", window=3).build_job(
         "aggregate", variable_mode="index", num_map_tasks=4, num_reducers=2)
@@ -801,8 +813,81 @@ def test_aggregate_job_cuts_keys_as_arrays(monkeypatch, plain_batches):
     groups = result.counters[C.REDUCE_INPUT_GROUPS]
     assert groups < result.counters[C.MAP_OUTPUT_RECORDS] / 3
     assert result.counters[C.REDUCE_INPUT_RECORDS] > 3 * groups
-    assert calls.get("ValueBlock.slice", 0) == 0
-    assert calls["BlockSerde.read"] <= groups
-    assert calls["RangeKeySerde.read"] <= groups
+    assert calls == {}
     # 4 flushes + 2 merged runs, all plain: a 100 % fast-path share
     assert plain_batches == [True] * 6
+
+
+def test_aggregate_median_job_reduces_in_one_call(monkeypatch):
+    """Same job: each reduce task expands its whole run in one
+    ``reduce_pieces`` call -- one ``curve.decode``, the wrapper's
+    per-group ``reduce`` never entered -- and ``np.median`` runs once
+    per distinct cell-group size, as on the plain job."""
+    dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
+    job = SlidingMedianQuery(dataset, "values", window=3).build_job(
+        "aggregate", num_map_tasks=4, num_reducers=2)
+    counts = {"decode": 0, "median": 0}
+
+    def counting(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return call
+    curve = type(job.shuffle_plugin.config.make_curve())
+    monkeypatch.setattr(curve, "decode", counting("decode", curve.decode))
+    monkeypatch.setattr(np, "median", counting("median", np.median))
+
+    def never(*args, **kwargs):
+        raise AssertionError("RangeGroupReducer.reduce entered on a clean run")
+    monkeypatch.setattr(RangeGroupReducer, "reduce", never)
+
+    sizes = []
+    real_batch = PlainMedianReducer.reduce_batch
+
+    def sizing_batch(self, keys, values, bounds, ctx):
+        sizes.append(len(np.unique(np.diff(bounds))))
+        return real_batch(self, keys, values, bounds, ctx)
+    monkeypatch.setattr(PlainMedianReducer, "reduce_batch", sizing_batch)
+
+    tasks = []
+    real_pieces = RangeGroupReducer.reduce_pieces
+
+    def per_task(self, pieces, ctx):
+        before = dict(counts)
+        real_pieces(self, pieces, ctx)
+        tasks.append({k: counts[k] - before[k] for k in counts})
+    monkeypatch.setattr(RangeGroupReducer, "reduce_pieces", per_task)
+
+    with LocalJobRunner() as runner:
+        result = runner.run(job, dataset)
+    assert len(result.output) == 1000
+    assert len(tasks) == len(sizes) == 2
+    for task, distinct in zip(tasks, sizes):
+        assert task["decode"] == 1
+        assert task["median"] == distinct <= 8
+    assert counts == {"decode": 2, "median": sum(sizes)}
+
+
+def test_poisoned_aggregate_reducer_keeps_its_range_group_ordinal(tmp_path):
+    """``PoisonedReducer`` defines only ``reduce``, so a poisoned subset
+    job reduces range group by range group and the poison fires at the
+    range group it always did: the key and the four lost cells below
+    are the ones the per-query aggregate reducers produced."""
+    dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
+    query = BoxSubsetQuery(dataset, "values", Slab((1, 1, 1), (8, 8, 8)))
+    make_job = lambda: query.build_job("aggregate", num_map_tasks=4,
+                                       num_reducers=2)
+    poison = lambda: FaultInjector().poison("r00001", record=25)
+    with pytest.raises(Exception, match=re.escape(
+            "injected poison at reduce group 25 (key RangeKey("
+            "variable='values', start=2240, count=4))")):
+        LocalJobRunner(fault_injector=poison()).run(make_job(), dataset)
+
+    clean = LocalJobRunner().run(make_job(), dataset)
+    job = dataclasses.replace(make_job(), skipping=SkipPolicy(
+        quarantine_dir=str(tmp_path)))
+    skipped = LocalJobRunner(fault_injector=poison()).run(job, dataset)
+    assert skipped.counters[C.RECORDS_SKIPPED] == 1
+    lost = {k.coords for k, _ in clean.output} - {
+        k.coords for k, _ in skipped.output}
+    assert lost == {(4, 4, 8), (4, 5, 8), (5, 4, 8), (5, 5, 8)}

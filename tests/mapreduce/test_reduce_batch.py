@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.queries  # noqa: F401  (registers every built-in reducer)
+from repro.core.aggregation import RangeGroupReducer
 from repro.mapreduce import CellKeySerde, Job, Mapper, Reducer
 from repro.mapreduce.codecs import get_codec
 from repro.mapreduce.engine import _merge_group_reduce
@@ -36,11 +37,8 @@ from repro.mapreduce.serde import (
 from repro.mapreduce.sort import argsort_key_matrix
 from repro.queries.histogram import CountReducer
 from repro.queries.sliding_algebraic import FoldReducer
-from repro.queries.sliding_mean import PlainMeanReducer
-from repro.queries.sliding_median import (
-    AggregateMedianReducer,
-    PlainMedianReducer,
-)
+from repro.queries.sliding_mean import CellMeanReducer, PlainMeanReducer
+from repro.queries.sliding_median import PlainMedianReducer
 from repro.queries.subset import IdentityReducer
 from repro.util.errors import MalformedRecordError
 from repro.util.timing import CostClock
@@ -184,8 +182,12 @@ def runs(draw):
 
 def test_the_suite_covers_every_batched_reducer():
     """A reducer that gains ``reduce_batch`` must join ``REDUCERS``; the
-    ones that must not have it (a float64 carrier, a records-out seam)
-    say so here."""
+    ones without it say so here: a float64 (sum, count) carrier, the
+    per-cell mean of an aggregate job (it loops), and the aggregate
+    wrapper, which takes range groups (one ``reduce`` call, or a run's
+    ``reduce_pieces``) and hands their cells to the ``reduce_batch`` of
+    the plain reducer it wraps -- so aggregate jobs batch through this
+    registry too."""
     def subclasses(cls):
         for sub in cls.__subclasses__():
             yield sub
@@ -196,7 +198,8 @@ def test_the_suite_covers_every_batched_reducer():
     assert batched == {type(make()) for make in REDUCERS.values()}
     assert not hasattr(Reducer, "reduce_batch")
     assert not hasattr(PlainMeanReducer, "reduce_batch")
-    assert not hasattr(AggregateMedianReducer, "reduce_batch")
+    assert not hasattr(CellMeanReducer, "reduce_batch")
+    assert not hasattr(RangeGroupReducer, "reduce_batch")
 
 
 @pytest.mark.parametrize("name", sorted(REDUCERS))
