@@ -8,12 +8,12 @@ promised perf win: map-phase throughput (records/sec through
 map + sort + spill) on the sliding-window workload must beat the scalar
 path by >= 5x at the Fig 8 grid size (>= 2x at smoke scale, where fixed
 per-task costs weigh more).  Third, the E7 aggregation workload --
-variable-width range-key records, batched per aggregator flush through
-the shuffle plugin's ``route_batch`` rather than as matrices -- must
-keep a >= 1.25x map-phase win over per-record routing (measured
-2.3-3.7x at the smoke grid, where the timed interval is ~10 ms and
-noisy, and 2.2x at side=100, where curve encoding and the coalescing
-sort that both paths share weigh more).
+range-key records whose value blocks differ in length, kept as a key
+matrix plus a ragged value column from the aggregator's flush through
+``route_batch``, the spill's argsort and the bulk IFile write -- must
+keep a >= 1.25x map-phase win over the per-record route/sort/append path
+(the floor sits well under the measured ratio, because curve encoding
+and the coalescing sort, which both paths share, bound it).
 
 The measured numbers are written to ``benchmarks/results/p2.json``
 every run, and to the repo-root ``BENCH_P2.json`` perf-trajectory

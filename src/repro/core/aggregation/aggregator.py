@@ -141,18 +141,15 @@ class Aggregator:
 
         align = self.config.alignment
         if align == 1:
-            # The whole flush as columns: run bounds as int arrays, the
-            # values as one packed slab the blocks are sliced out of, and
-            # one hand-off to the engine instead of a call per run (a
-            # flush coalesces into thousands of short runs when the
-            # buffer is fragmented).
+            # The whole flush as columns: a key matrix and a ragged
+            # column of dense blocks, and one hand-off to the engine
+            # instead of a call per run (a flush coalesces into thousands
+            # of short runs when the buffer is fragmented).
             starts, counts, packed = layered_run_arrays(indices, values)
-            dtype = self._block_serde.dtype
-            slab = np.ascontiguousarray(packed, dtype=dtype).tobytes()
-            offsets = (np.cumsum(counts) - counts) * dtype.itemsize
+            keys, _ = self._key_serde.pack_batch_keys(
+                self.variable, starts, counts)
             self.ctx.emit_serialized_batch(
-                self._key_serde.write_batch(self.variable, starts, counts),
-                self._block_serde.dense_blobs(counts, slab, offsets))
+                keys, self._block_serde.dense_column(counts, packed))
             self.emitted_ranges += starts.shape[0]
             self.emitted_cells += packed.shape[0]
             return

@@ -22,6 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.mapreduce.columnar import Ragged
 from repro.mapreduce.serde import Serde
 from repro.util.varint import read_vlong, write_vlong
 
@@ -188,18 +189,17 @@ class BlockSerde(Serde):
         distinct, which = np.unique(counts, return_inverse=True)
         return [self.dense_header(c) for c in distinct.tolist()], which
 
-    def dense_blobs(self, counts: np.ndarray, slab: bytes,
-                    offsets: np.ndarray) -> list[bytes]:
-        """Wire form of many dense blocks whose values are already packed.
+    def dense_column(self, counts: np.ndarray, values: np.ndarray) -> Ragged:
+        """Wire form of many dense blocks as one ragged column.
 
-        Block ``i`` is the ``counts[i]`` values starting at byte
-        ``offsets[i]`` of ``slab``; each blob equals :meth:`write` of
-        that block.
+        Block ``i`` holds the next ``counts[i]`` of ``values`` (packed in
+        block order); row ``i`` equals :meth:`write` of that block.
         """
         headers, which = self.dense_headers(counts)
-        ends = offsets + counts * self.dtype.itemsize
-        return [headers[h] + slab[a:b] for h, a, b in
-                zip(which.tolist(), offsets.tolist(), ends.tolist())]
+        packed = np.ascontiguousarray(values, dtype=self.dtype).view(np.uint8)
+        return Ragged.hstack(
+            Ragged.from_table(headers, which),
+            Ragged.from_lengths(counts * self.dtype.itemsize, packed))
 
     def read_batch(self, blobs: Sequence[bytes]) -> list[ValueBlock]:
         """Decode one reduce group's blocks.

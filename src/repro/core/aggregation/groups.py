@@ -33,6 +33,21 @@ class Pieces(NamedTuple):
     values: np.ndarray
     valid: np.ndarray | None = None
 
+    @classmethod
+    def of_dense(cls, pairs: Sequence[tuple[RangeKey, ValueBlock]]) -> Pieces:
+        """Dense ``(RangeKey, ValueBlock)`` pairs, in order, as columns."""
+        index: dict = {}
+        which = [index.setdefault(key.variable, len(index)) for key, _ in pairs]
+        return cls(list(index), np.array(which, dtype=np.int64),
+                   np.array([key.start for key, _ in pairs], dtype=np.int64),
+                   np.array([key.count for key, _ in pairs], dtype=np.int64),
+                   np.concatenate([block.values for _, block in pairs]))
+
+    @property
+    def rows(self) -> int:
+        """How many pieces (split records) the run holds."""
+        return self.which.shape[0]
+
     def heads(self) -> np.ndarray:
         """True where a range group begins (equal keys are adjacent)."""
         w, s, c = self.which, self.starts, self.counts

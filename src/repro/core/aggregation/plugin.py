@@ -12,22 +12,28 @@ routing and sorting phases":
   (Fig 7) and re-sorts, so byte-equal keys group all data for the same
   simple keys.
 
-Both run as array arithmetic over a whole batch (:meth:`route_batch`, and
-inside :meth:`prepare_reduce`) when the batch is *plain*: every key the
-same width, every block dense and well-formed, no alignment padding, no
-re-aggregation.  Anything else -- one masked block, one malformed
-record -- sends the whole batch through the object code
-(:mod:`~repro.core.aggregation.splitter`), which stays the definition:
-it produces the same records, and raises what it always raised.
+Those two are the record contract.  A clean columnar job takes their
+column forms instead, and never builds a per-record ``bytes``:
+:meth:`route_batch` routes a whole aggregator flush (a key matrix and a
+ragged column of value blocks), and :meth:`run_pieces` splits a whole
+merged run straight into the :class:`~repro.core.aggregation.groups.
+Pieces` the reducer takes.  Every form cuts as array arithmetic when the
+batch is *plain*: every key the same width, every block dense and
+well-formed, no alignment padding, no re-aggregation.  Anything else --
+one masked block, one malformed record -- sends the whole batch through
+the object code (:mod:`~repro.core.aggregation.splitter`), which stays
+the definition: it produces the same records, and raises what it always
+raised.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.aggregation.aggregator import AggregationConfig
+from repro.core.aggregation.blocks import ValueBlock
 from repro.core.aggregation.groups import Pieces
 from repro.core.aggregation.reaggregate import merge_adjacent_groups
 from repro.core.aggregation.splitter import (
@@ -36,36 +42,43 @@ from repro.core.aggregation.splitter import (
     split_at_boundaries,
     split_overlaps,
 )
+from repro.mapreduce.columnar import (
+    Ragged,
+    column_records,
+    range_index,
+    records_column,
+    split_rows,
+)
+from repro.mapreduce.keys import RangeKey
 from repro.mapreduce.partition import CurveRangePartitioner
+from repro.mapreduce.sort import Run, run_records
 
 __all__ = ["AggregateShufflePlugin"]
 
 Record = tuple[bytes, bytes]
 Routed = tuple[int, bytes, bytes]
-#: blobs per inner join of :func:`_join`
-_JOIN_CHUNK = 4096
-
-
-def _join(blobs: Sequence[bytes]) -> bytes:
-    """``b"".join(blobs)``, a chunk at a time: a join holds an 80-byte
-    buffer view per blob until it returns, many times the bytes joined
-    when the blobs are a few bytes each (a split run's pieces)."""
-    return b"".join([b"".join(blobs[i:i + _JOIN_CHUNK])
-                     for i in range(0, len(blobs), _JOIN_CHUNK)])
+Pair = tuple[RangeKey, ValueBlock]
 
 
 class _PlainBatch(NamedTuple):
     """A batch of well-formed dense (range key, block) records as columns."""
 
-    key_width: int
     #: distinct variables, and each record's index into them
     variables: list
     which: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
-    #: all value blobs joined, and where each record's values begin in it
-    slab: bytes
-    data_offsets: np.ndarray
+    #: every record's values, back to back, as the block dtype
+    values: np.ndarray
+
+    def piece_values(self, owner: np.ndarray, starts: np.ndarray,
+                     counts: np.ndarray) -> np.ndarray:
+        """The values of pieces cut out of the batch, back to back: piece
+        ``j`` is ``[starts[j], starts[j] + counts[j])`` of record
+        ``owner[j]``."""
+        first = np.cumsum(self.counts) - self.counts
+        return self.values[range_index(
+            first[owner] + starts - self.starts[owner], counts)]
 
 
 class AggregateShufflePlugin:
@@ -107,28 +120,22 @@ class AggregateShufflePlugin:
 
     # -- batch decode / encode ------------------------------------------------
 
-    def _plain_batch(self, *blobs: Sequence[bytes]) -> _PlainBatch | None:
-        """:meth:`_decode` for a batch about to be cut: never plain under
-        re-aggregation, which the array cut does not do."""
-        return None if self.reaggregate else self._decode(*blobs)
+    def _plain_batch(self, keys: np.ndarray,
+                     values: np.ndarray | Ragged) -> _PlainBatch | None:
+        """Decode a batch about to be cut in one pass, or ``None`` if it
+        is not plain.
 
-    def _decode(self, key_blobs: Sequence[bytes],
-                value_blobs: Sequence[bytes]) -> _PlainBatch | None:
-        """Decode a batch in one pass, or ``None`` if it is not plain.
-
-        The predicate is the object path's per-record checks, vectorised:
-        equal key widths, a decodable variable, ``start >= 0``,
-        ``count > 0``, the range on the curve, and each value blob
+        ``keys`` is an ``(n, key_size)`` uint8 matrix, ``values`` a value
+        column.  Never plain under re-aggregation, which the array cut
+        does not do.  Otherwise the predicate is the object path's
+        per-record checks, vectorised: a decodable variable, ``start >=
+        0``, ``count > 0``, the range on the curve, and each value
         exactly the dense header for the key's count (flag byte, vint)
         followed by ``count`` values.
         """
-        n = len(key_blobs)
-        if n == 0 or not self._vectorizable:
+        n = keys.shape[0]
+        if n == 0 or self.reaggregate or not self._vectorizable:
             return None
-        width = len(key_blobs[0])
-        if len(set(map(len, key_blobs))) != 1:
-            return None
-        keys = np.frombuffer(_join(key_blobs), np.uint8).reshape(n, width)
         try:
             variables, which, starts, counts = (
                 self._key_serde.unpack_batch_keys(keys))
@@ -138,49 +145,38 @@ class AggregateShufflePlugin:
                 or starts.max() >= self._curve_size
                 or (starts + counts).max() > self._curve_size):
             return None
-
+        values = Ragged.of(values)
         headers, of = self._block_serde.dense_headers(counts)
         header_len = np.fromiter(map(len, headers), np.int64, len(headers))[of]
-        sizes = np.fromiter(map(len, value_blobs), np.int64, n)
-        itemsize = self._block_serde.dtype.itemsize
-        if (sizes != header_len + counts * itemsize).any():
+        nbytes = counts * self._block_serde.dtype.itemsize
+        if (values.lengths() != header_len + nbytes).any():
             return None
-        slab = _join(value_blobs)
-        offsets = np.cumsum(sizes) - sizes
-        # every blob starts with its count's header: compare the first
-        # bytes of all blobs at once, ignoring columns past a header's end
-        cols = np.arange(max(map(len, headers)))
-        want = np.frombuffer(
-            b"".join(h.ljust(cols.shape[0], b"\0") for h in headers),
-            np.uint8).reshape(len(headers), -1)[of]
-        got = np.frombuffer(slab, np.uint8)[
-            np.minimum(offsets[:, None] + cols, len(slab) - 1)]
-        if ((got != want) & (cols < header_len[:, None])).any():
+        head, data = split_rows(values.data,
+                                np.column_stack([header_len, nbytes]))
+        if not np.array_equal(head, Ragged.from_table(headers, of).data):
             return None
-        return _PlainBatch(width, variables, which, starts, counts, slab,
-                           offsets + header_len)
+        return _PlainBatch(variables, which, starts, counts,
+                           data.view(self._block_serde.dtype))
 
-    def _piece_records(
-        self, batch: _PlainBatch, owner: np.ndarray, starts: np.ndarray,
-        counts: np.ndarray,
-    ) -> tuple[list[bytes], list[bytes]]:
-        """Serialize pieces cut out of ``batch``: piece ``j`` is
-        ``[starts[j], starts[j] + counts[j])`` of record ``owner[j]``.
-        Returns key blobs and value blobs."""
-        itemsize = self._block_serde.dtype.itemsize
-        value_blobs = self._block_serde.dense_blobs(
-            counts, batch.slab,
-            batch.data_offsets[owner] + (starts - batch.starts[owner]) * itemsize)
-        which = batch.which[owner]
-        keys = np.empty((owner.shape[0], batch.key_width), dtype=np.uint8)
-        for v, variable in enumerate(batch.variables):
+    def _encode(self, variables: list, which: np.ndarray, starts: np.ndarray,
+                counts: np.ndarray,
+                values: np.ndarray) -> tuple[np.ndarray, Ragged]:
+        """Serialize dense pieces of one key width: piece ``j`` is
+        ``RangeKey(variables[which[j]], starts[j], counts[j])`` with the
+        next ``counts[j]`` of ``values``."""
+        rows = []
+        for v, variable in enumerate(variables):
             sel = which == v
-            keys[sel], _ = self._key_serde.pack_batch_keys(
-                variable, starts[sel], counts[sel])
-        flat = keys.tobytes()
-        width = batch.key_width
-        key_blobs = [flat[i:i + width] for i in range(0, len(flat), width)]
-        return key_blobs, value_blobs
+            rows.append((sel, self._key_serde.pack_batch_keys(
+                variable, starts[sel], counts[sel])[0]))
+        keys = np.empty((which.shape[0], rows[0][1].shape[1]), np.uint8)
+        for sel, packed in rows:
+            keys[sel] = packed
+        return keys, self._block_serde.dense_column(counts, values)
+
+    def _records(self, pairs: list[Pair]) -> list[Record]:
+        return [(self._key_serde.to_bytes(key), self._block_serde.to_bytes(block))
+                for key, block in pairs]
 
     # -- map side -------------------------------------------------------------
 
@@ -206,97 +202,102 @@ class AggregateShufflePlugin:
         return out
 
     def route_batch(
-        self, key_blobs: Sequence[bytes], value_blobs: Sequence[bytes],
-        num_reducers: int,
-    ) -> tuple[list[Routed], np.ndarray] | None:
+        self, keys: np.ndarray, values: Ragged, num_reducers: int,
+    ) -> tuple[np.ndarray, np.ndarray, Ragged, np.ndarray] | None:
         """:meth:`route` over a whole batch of emitted records.
 
-        Returns ``(routed, ends)``: ``routed`` equals the concatenation
-        of ``route(kb, vb, num_reducers)`` over the batch, and record
-        ``i``'s pieces are ``routed[ends[i - 1]:ends[i]]``.  Records
-        inside one reducer's span pass through as the bytes they arrived
-        as; only straddlers are cut and re-serialized.  Returns ``None``
-        (nothing routed, nothing counted) when the batch is not plain:
-        the caller then routes it record by record.
+        ``keys`` is an ``(n, key_size)`` uint8 matrix and ``values`` a
+        ragged column of value blocks.  Returns ``(reducers, keys,
+        values, ends)``: piece ``j`` is the record ``(keys[j],
+        values[j])`` bound for ``reducers[j]``, the pieces equal the
+        concatenation of ``route`` over the batch, and record ``i``'s are
+        ``[ends[i - 1], ends[i])``.  Records inside one reducer's span
+        pass through as the bytes they arrived as; only straddlers are
+        cut and re-serialized.  Returns ``None`` (nothing routed, nothing
+        counted) when the batch is not plain: the caller then routes it
+        record by record.
         """
-        batch = self._plain_batch(key_blobs, value_blobs)
+        batch = self._plain_batch(keys, values)
         if batch is None:
             return None
         splits = np.asarray(
             self._partitioner(num_reducers).split_points(), dtype=np.int64)
         if (np.diff(splits) <= 0).any():
             return None
-        owner, starts, counts, reducer = boundary_pieces(
+        owner, starts, counts, reducers = boundary_pieces(
             batch.starts, batch.counts, splits)
-        npieces = np.bincount(owner, minlength=len(key_blobs))
-        self.routing_splits += owner.shape[0] - len(key_blobs)
+        n = keys.shape[0]
+        npieces = np.bincount(owner, minlength=n)
+        self.routing_splits += owner.shape[0] - n
         cut = np.flatnonzero(npieces[owner] > 1)
         if cut.shape[0]:
-            # only the straddlers' pieces are new bytes
-            key_blobs = [key_blobs[i] for i in owner.tolist()]
-            value_blobs = [value_blobs[i] for i in owner.tolist()]
-            pieces = self._piece_records(
-                batch, owner[cut], starts[cut], counts[cut])
-            for j, kb, vb in zip(cut.tolist(), *pieces):
-                key_blobs[j], value_blobs[j] = kb, vb
-        routed = list(zip(reducer.tolist(), key_blobs, value_blobs))
-        return routed, np.cumsum(npieces)
+            # only the straddlers' pieces are new bytes: serialize them
+            # after the batch's rows, then gather every piece's row
+            cut_owner, starts, counts = owner[cut], starts[cut], counts[cut]
+            new_keys, new_values = self._encode(
+                batch.variables, batch.which[cut_owner], starts, counts,
+                batch.piece_values(cut_owner, starts, counts))
+            source = owner.copy()
+            source[cut] = n + np.arange(cut.shape[0])
+            keys = np.concatenate([keys, new_keys])[source]
+            values = Ragged.join([values, new_values]).take(source)
+        return reducers, keys, values, np.cumsum(npieces)
 
     # -- reduce side ----------------------------------------------------------
 
-    def _prepare_reduce_plain(self, records: list[Record]) -> list[Record] | None:
-        """Overlap-split a plain merged run as arrays (else ``None``)."""
-        batch = self._plain_batch(*zip(*records)) if records else None
+    def _split(self, run: Run) -> Pieces | list[Pair]:
+        """Overlap-split (and re-aggregate) a merged run of either form,
+        counting the trajectory: :class:`Pieces` when the run is plain,
+        else the object path's split run as pairs."""
+        columns = run if type(run) is tuple else records_column(run)
+        batch = self._plain_batch(*columns) if columns is not None else None
         if batch is None:
-            return None
+            pairs = [(self._key_serde.from_bytes(kb),
+                      self._block_serde.from_bytes(vb))
+                     for kb, vb in run_records(run)]
+            split = split_overlaps(pairs)
+            self.reduce_records_in += len(pairs)
+            self.reduce_records_split += len(split)
+            if self.reaggregate:
+                split = merge_adjacent_groups(split)
+            self.reduce_records_out += len(split)
+            return split
         by_str = sorted(range(len(batch.variables)),
                         key=lambda v: str(batch.variables[v]))
         rank = np.empty(len(by_str), dtype=np.int64)
         rank[by_str] = np.arange(len(by_str))
         owner, starts, counts = overlap_pieces(
             rank[batch.which], batch.starts, batch.counts)
-        self.reduce_records_in += len(records)
+        self.reduce_records_in += batch.which.shape[0]
         self.reduce_records_split += owner.shape[0]
         self.reduce_records_out += owner.shape[0]
-        return list(zip(*self._piece_records(batch, owner, starts, counts)))
+        return Pieces(batch.variables, batch.which[owner], starts, counts,
+                      batch.piece_values(owner, starts, counts))
 
     def prepare_reduce(self, records: list[Record]) -> list[Record]:
-        plain = self._prepare_reduce_plain(records)
-        if plain is not None:
-            return plain
-        pairs = []
-        for kb, vb in records:
-            pairs.append(
-                (self._key_serde.from_bytes(kb), self._block_serde.from_bytes(vb))
-            )
-        split = split_overlaps(pairs)
-        self.reduce_records_in += len(pairs)
-        self.reduce_records_split += len(split)
-        if self.reaggregate:
-            split = merge_adjacent_groups(split)
-        self.reduce_records_out += len(split)
-        out: list[Record] = []
-        for key, block in split:
-            kb = bytearray()
-            self._key_serde.write(key, kb)
-            vb = bytearray()
-            self._block_serde.write(block, vb)
-            out.append((bytes(kb), bytes(vb)))
-        return out
+        split = self._split(records)
+        if type(split) is list:
+            return self._records(split)
+        return column_records(*self._encode(
+            split.variables, split.which, split.starts, split.counts,
+            split.values))
 
-    def run_pieces(self, records: list[Record]) -> Pieces | None:
-        """:meth:`prepare_reduce`'s output as columns if it is plain
-        (re-aggregated or not: merging keeps dense blocks dense), else
-        ``None`` (the reducer takes it group by group)."""
-        batch = self._decode(*zip(*records)) if records else None
-        if batch is None:
-            return None
-        nbytes = batch.counts * self._block_serde.dtype.itemsize
-        ends = batch.data_offsets + nbytes
-        header = batch.data_offsets - np.concatenate(([0], ends[:-1]))
-        is_value = np.repeat(np.tile([False, True], len(records)),
-                             np.column_stack([header, nbytes]).ravel())
-        values = np.frombuffer(batch.slab, np.uint8)[is_value].view(
-            self._block_serde.dtype)
-        return Pieces(batch.variables, batch.which, batch.starts,
-                      batch.counts, values)
+    def run_pieces(self, run: Run) -> Pieces | list[Record]:
+        """:meth:`prepare_reduce` of a merged run in either form, as the
+        :class:`Pieces` a ``RangeGroupReducer`` reduces whole.
+
+        A plain run is cut as arrays -- the decode's checks on the key
+        matrix and the blocks, ``overlap_pieces``, one gather of the
+        piece values -- and never exists as split records.  Any other
+        run takes the object path, whose output also becomes
+        :class:`Pieces` when every block is dense (re-aggregated runs
+        are: fusing keeps dense blocks dense).  A split run with masked
+        blocks (``alignment > 1``) is returned as :meth:`prepare_reduce`'s
+        records, for the reducer to take group by group.
+        """
+        split = self._split(run)
+        if type(split) is not list:
+            return split
+        if split and all(block.is_dense() for _, block in split):
+            return Pieces.of_dense(split)
+        return self._records(split)

@@ -21,13 +21,14 @@ Three workloads:
     cell, the E7 experiment's "plain" bar.
 
 ``e7-subset-aggregate``
-    The same query under key aggregation (§IV).  Range keys and value
-    blocks are variable-width, so these records never become matrices;
-    the batched form is ``emit_serialized_batch`` -> the shuffle
-    plugin's ``route_batch`` (one pass per aggregator flush instead of
-    a ``route`` call per record).  What both rows share -- curve
-    encoding, the coalescing sort, the per-record IFile write -- bounds
-    the ratio well below the plain rows'.
+    The same query under key aggregation (§IV).  Value blocks differ in
+    length, so the columnar form is a key matrix plus a ragged value
+    column: ``emit_serialized_batch`` hands over a whole aggregator
+    flush, the shuffle plugin's ``route_batch`` cuts it as arrays, and
+    the spill sorts and writes it in numpy passes (against a ``route``
+    call, a record tuple and an IFile ``append`` per record).  What both
+    rows share -- curve encoding and the coalescing sort -- bounds the
+    ratio below the plain rows'.
 
 Every scalar/columnar pair is checked for identical map counters -- the
 speedup table is only meaningful because the two paths are
@@ -145,9 +146,10 @@ def run(side: int | None = None, window: int = 3, num_map_tasks: int = 4,
                 "spill + map-side merge); shuffle/reduce excluded")
     result.note(f"sliding workload: window={window} -> each cell emits "
                 f"{window ** 3} per-cell records")
-    result.note("e7-subset-aggregate: variable-width records; columnar = "
-                "one route_batch per aggregator flush, scalar = one route "
-                "call per record")
+    result.note("e7-subset-aggregate: ragged value blocks; columnar = one "
+                "route_batch per aggregator flush, argsort + bulk IFile "
+                "write per spill; scalar = route, sort and append per "
+                "record")
     result.note("counters: scalar and columnar map counters compared per "
                 "workload (byte-identity proof lives in the equivalence "
                 "test suite)")

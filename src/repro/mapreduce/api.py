@@ -15,6 +15,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.mapreduce.columnar import Ragged, column_records
 from repro.mapreduce.keys import CellKeySerde
 from repro.mapreduce.metrics import C, Counters
 from repro.mapreduce.serde import Serde
@@ -43,9 +44,10 @@ class MapContext:
         #: matrices; ``None`` when the job runs the scalar path (then the
         #: batched emits below decay to per-record ``sink`` calls)
         self._batch_sink = batch_sink
-        #: engine-supplied sink taking ``(key_blobs, value_blobs)``, the
-        #: whole-batch form of ``sink`` for variable-width records
-        #: (``None``: :meth:`emit_serialized_batch` decays the same way)
+        #: engine-supplied sink taking a key matrix and a ragged value
+        #: column, the whole-batch form of ``sink`` for a shuffle plugin's
+        #: records (``None``: :meth:`emit_serialized_batch` decays the
+        #: same way)
         self._serialized_batch_sink = serialized_batch_sink
         self.counters = counters
 
@@ -63,24 +65,31 @@ class MapContext:
         self._sink(key_bytes, value_bytes)
         self.counters.incr(C.MAP_OUTPUT_RECORDS)
 
-    def emit_serialized_batch(self, key_blobs: Sequence[bytes],
-                              value_blobs: Sequence[bytes]) -> None:
-        """Emit many already-serialized pairs of any widths at once.
+    def emit_serialized_batch(self, keys: np.ndarray, values: Ragged) -> None:
+        """Emit many already-serialized pairs whose values differ in length.
 
-        Equivalent to :meth:`emit_serialized` pair by pair, in order;
-        the aggregation library hands over a whole flush this way so a
-        shuffle plugin can route it in one pass.
+        ``keys`` is an ``(n, key_size)`` uint8 matrix and ``values`` a
+        :class:`~repro.mapreduce.columnar.Ragged` column: row ``i`` is
+        the pair ``(keys[i], values[i])``.  Equivalent to
+        :meth:`emit_serialized` row by row, in order.  The aggregation
+        library hands over a whole flush this way: on a columnar job with
+        a shuffle plugin that routes batches, the engine routes and
+        buffers it as arrays; otherwise it decays to one ``sink`` call per
+        record.
         """
-        n = len(key_blobs)
-        if n != len(value_blobs):
-            raise ValueError(f"{n} keys vs {len(value_blobs)} values")
+        keys = np.asarray(keys, dtype=np.uint8)
+        if keys.ndim != 2:
+            raise ValueError("emit_serialized_batch takes (n, width) keys")
+        n = keys.shape[0]
+        if n != values.rows:
+            raise ValueError(f"{n} keys vs {values.rows} values")
         if n == 0:
             return
         if self._serialized_batch_sink is not None:
-            self._serialized_batch_sink(key_blobs, value_blobs)
+            self._serialized_batch_sink(keys, values)
         else:
             sink = self._sink
-            for kb, vb in zip(key_blobs, value_blobs):
+            for kb, vb in column_records(keys, values):
                 sink(kb, vb)
         self.counters.incr(C.MAP_OUTPUT_RECORDS, n)
 

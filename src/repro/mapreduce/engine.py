@@ -37,7 +37,12 @@ import numpy as np
 
 from repro.mapreduce.api import MapContext, ReduceContext
 from repro.mapreduce.codecs import cost_categories, get_codec
-from repro.mapreduce.columnar import PartitionBuffer
+from repro.mapreduce.columnar import (
+    PartitionBuffer,
+    Ragged,
+    column_records,
+    take_rows,
+)
 from repro.mapreduce.ifile import IFileReader, IFileStats, IFileWriter
 from repro.mapreduce.job import Job
 from repro.mapreduce.metrics import C, Counters, TaskProfile
@@ -142,19 +147,23 @@ SpillSegment = tuple[str, IFileStats]
 def _read_run(job: Job, reader: IFileReader, stats: IFileStats) -> Run:
     """Decode one plain segment as a run, columnar when it can be.
 
-    The segment's own stats name the only widths a fixed-width layout
-    could have (``key_bytes / records``, ``value_bytes / records``);
-    :meth:`IFileReader.read_columnar` then verifies the EOF marker and
-    every record's frame against them.  Anything else -- a scalar
-    (``columnar=False``) or shuffle-plugin job, an empty, variable-width
-    or chunked segment -- is ``read_all()``, so a malformed segment is
-    still diagnosed by the strict record iterator.
+    The segment's own stats name the only key width a columnar run
+    could have (``key_bytes / records``) and, when the values divide
+    evenly too, the only value width: a fixed-width read is tried first,
+    then a ragged one (:meth:`IFileReader.read_columnar`), each
+    verifying the EOF marker and every record's frame.  Anything else --
+    a scalar (``columnar=False``) job, an empty, chunked or malformed
+    segment, keys of several widths -- is ``read_all()``, so a malformed
+    segment is still diagnosed by the strict record iterator.
     """
     n = stats.records
-    if (job.columnar and job.shuffle_plugin is None and n > 0
-            and stats.key_bytes % n == 0 and stats.value_bytes % n == 0):
-        run = reader.read_columnar(stats.key_bytes // n,
-                                   stats.value_bytes // n)
+    if job.columnar and n > 0 and stats.key_bytes % n == 0:
+        run = None
+        if stats.value_bytes % n == 0:
+            run = reader.read_columnar(stats.key_bytes // n,
+                                       stats.value_bytes // n)
+        if run is None:
+            run = reader.read_columnar(stats.key_bytes // n)
         if run is not None:
             return run
     return reader.read_all()
@@ -185,7 +194,8 @@ def _spill(
     Each partition takes the columnar path (numpy stable argsort of the
     key matrix, bulk IFile write) when its buffer is purely columnar, and
     the scalar path otherwise.  Both produce identical bytes and
-    counters; only the cost differs.
+    counters; only the cost differs.  A combiner takes a fixed-width
+    run as columns and a ragged one as records.
     """
     out: dict[int, SpillSegment] = {}
     for part, pbuf in buffer.items():
@@ -195,14 +205,16 @@ def _spill(
         path = os.path.join(workdir, f"{task_id}-spill{spill_idx}-p{part}")
         writer = IFileWriter(path, codec)
         if colview is not None:
-            kmat, vmat = colview
+            kmat, values = colview
             with clock.measure("sort"):
                 order = argsort_key_matrix(kmat)
                 run: Run = (np.ascontiguousarray(kmat[order]),
-                            np.ascontiguousarray(vmat[order]))
+                            take_rows(values, order))
             if job.combiner is not None:
                 with clock.measure("combine"):
-                    run = _combine_columnar(job, *run, counters)
+                    run = (_combine(job, run_records(run), counters)
+                           if type(values) is Ragged
+                           else _combine_columnar(job, *run, counters))
         else:
             with clock.measure("sort"):
                 run = sort_records(pbuf.to_records())
@@ -386,8 +398,7 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
 
     route_batch = getattr(plugin, "route_batch", None)
 
-    def serialized_batch_sink(key_blobs: Sequence[bytes],
-                              value_blobs: Sequence[bytes]) -> None:
+    def serialized_batch_sink(keys: np.ndarray, values: Ragged) -> None:
         # Batched form of ``sink`` for a shuffle plugin: the plugin routes
         # the whole batch at once, and the routed pieces are buffered up
         # to and including the input record at which ``sink``'s running
@@ -395,26 +406,26 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
         # hold the same records in the same order.  A batch the plugin
         # declines goes through ``sink`` record by record.
         nonlocal buffered
-        routed = route_batch(key_blobs, value_blobs, job.num_reducers)
+        routed = route_batch(keys, values, job.num_reducers)
         if routed is None:
-            for kb, vb in zip(key_blobs, value_blobs):
+            for kb, vb in column_records(keys, values):
                 sink(kb, vb)
             return
         if staged:
             route_staged()
-        pieces, ends = routed
+        reducers, keys, values, ends = routed
         # bytes this batch has buffered through each of its input records
-        through = np.cumsum(np.fromiter(
-            (len(k2) + len(v2) + 8 for _, k2, v2 in pieces),
-            np.int64, len(pieces)))[ends - 1]
+        through = np.cumsum(values.lengths() + (keys.shape[1] + 8))[ends - 1]
         done = taken = 0  # pieces buffered so far, and their bytes
-        while done < len(pieces):
+        while done < reducers.shape[0]:
             # the input record at which ``buffered`` reaches the threshold
             record = min(len(ends) - 1, int(np.searchsorted(
                 through, job.sort_buffer_bytes - buffered + taken)))
             stop = int(ends[record])
-            for part, k2, v2 in pieces[done:stop]:
-                buffer[part].append(k2, v2)
+            parts = reducers[done:stop]
+            for part in np.unique(parts).tolist():
+                rows = done + np.flatnonzero(parts == part)
+                buffer[part].append_chunk(keys[rows], values.take(rows))
             buffered += int(through[record]) - taken
             done, taken = stop, int(through[record])
             if buffered >= job.sort_buffer_bytes:
@@ -520,11 +531,12 @@ def run_reduce_task(
     task's slice of a fault injector's fetch plan.
 
     Each fetched segment decodes to a *run* in one of two forms
-    (:func:`_read_run`): a key matrix + value matrix when the segment is
-    fixed-width and verifies (``Job.columnar`` on, no shuffle plugin),
-    the record list otherwise.  Empty runs are dropped by row count --
-    a zero-row columnar run is a truthy tuple -- so run order, and with
-    it the merge's tie order, is the same in both forms.
+    (:func:`_read_run`): a key matrix + value column (a fixed matrix or
+    a ragged one) when the segment's keys have one width and every
+    frame verifies (``Job.columnar`` on), the record list otherwise.
+    Empty runs are dropped by row count -- a zero-row columnar run is a
+    truthy tuple -- so run order, and with it the merge's tie order, is
+    the same in both forms.
 
     The three keyword hooks exist for the skipping runtime and default
     to ``None`` (clean path unchanged): ``segment_reader(path, codec,
@@ -634,20 +646,16 @@ def _reduce_batch(job: Job, reducer: Any, kmat: np.ndarray,
     return True
 
 
-def _reduce_pieces(plugin: Any, reducer: Any, merged: list,
-                   ctx: ReduceContext) -> bool:
-    """:func:`_reduce_batch` for a plugin job (see :class:`~repro.
-    mapreduce.job.ShufflePlugin`): False, with nothing counted or
-    emitted, when a method is missing or the plugin declines the run."""
+def _split_run(plugin: Any, reducer: Any, merged: Run, hooked: bool):
+    """The shuffle plugin's reduce-side split of the merged run (see
+    :class:`~repro.mapreduce.job.ShufflePlugin`): ``run_pieces`` of the
+    run in whatever form it is when the plugin has it, the reducer takes
+    pieces (``reduce_pieces``) and no skipping hook is active; else
+    ``prepare_reduce`` of its records."""
     run_pieces = getattr(plugin, "run_pieces", None)
-    reduce_pieces = getattr(reducer, "reduce_pieces", None)
-    pieces = run_pieces(merged) if run_pieces and reduce_pieces else None
-    if pieces is None:
-        return False
-    reduce_pieces(pieces, ctx)
-    ctx.counters.incr(C.REDUCE_INPUT_GROUPS, pieces.groups)
-    ctx.counters.incr(C.REDUCE_INPUT_RECORDS, len(merged))
-    return True
+    if hooked or run_pieces is None or not hasattr(reducer, "reduce_pieces"):
+        return plugin.prepare_reduce(run_records(merged))
+    return run_pieces(merged)
 
 
 def _merge_group_reduce(
@@ -673,19 +681,27 @@ def _merge_group_reduce(
     the order the barrier path would hold them**, both produce
     byte-identical merged streams, counters, and output.
 
-    Runs may be columnar or record lists, in any mix.  On-disk passes
-    and the final merge go through :func:`~repro.mapreduce.sort.
-    merge_sorted_runs` (columnar runs of equal widths: concatenate +
-    stable argsort, ``append_batch`` out and ``read_columnar`` back;
-    otherwise the heap merge over records) -- the same record sequence,
-    and therefore the same pass files and ``MERGE_PASS_BYTES``, either
-    way.  A columnar merged run is grouped by ``group_bounds`` and
-    reduced by one ``reduce_batch`` call where the reducer defines one
-    (:func:`_reduce_batch`), else group by group, each group's values
-    decoding in one ``read_column`` over its slice of the value slab;
-    it decays to records only for the consumers defined on records (the
-    shuffle plugin's ``prepare_reduce`` -- then :func:`_reduce_pieces` --
-    and the two skipping hooks).
+    Runs may be columnar (fixed-width or ragged values) or record
+    lists, in any mix.  On-disk passes and the final merge go through
+    :func:`~repro.mapreduce.sort.merge_sorted_runs` (columnar runs of
+    one key width: concatenate + stable argsort, ``append_batch`` out
+    and ``read_columnar`` back; otherwise the heap merge over records)
+    -- the same record sequence, and therefore the same pass files and
+    ``MERGE_PASS_BYTES``, either way.  Then, by job:
+
+    - no shuffle plugin, fixed-width run: grouped by ``group_bounds``
+      and reduced by one ``reduce_batch`` call where the reducer defines
+      one (:func:`_reduce_batch`), else group by group, each group's
+      values decoding in one ``read_column`` over its slice of the value
+      slab;
+    - a shuffle plugin: the plugin splits the run in whatever form it is
+      (:func:`_split_run`).  Pieces go to the reducer's
+      ``reduce_pieces`` in one call; records -- masked blocks, a reducer
+      without ``reduce_pieces``, a skipping retry -- group by group;
+    - anything else (records, a plugin-less ragged run) group by group.
+
+    A run decays to records only for the consumers defined on records:
+    the two skipping hooks, and the record ``prepare_reduce``.
     """
     # Multi-pass on-disk merge when we hold too many runs (step 5).
     passes = plan_merge_passes(len(runs), job.merge_factor)
@@ -716,21 +732,24 @@ def _merge_group_reduce(
         merged = merge_sorted_runs(runs)
 
     plugin = job.shuffle_plugin
-    if (plugin is not None or prepare_filter is not None
-            or group_driver is not None):
-        # these consumers are defined on records
+    reducer = job.reducer()
+    hooked = prepare_filter is not None or group_driver is not None
+    if hooked:
+        # the skipping hooks are defined on records
         merged = run_records(merged)
-
-    if prepare_filter is not None:
-        merged = prepare_filter(merged)
+        if prepare_filter is not None:
+            merged = prepare_filter(merged)
 
     if plugin is not None:
         with clock.measure("split"):
-            before = len(merged)
-            merged = plugin.prepare_reduce(merged)
-            counters.incr(C.KEY_SPLITS, max(0, len(merged) - before))
+            before = run_rows(merged)
+            merged = _split_run(plugin, reducer, merged, hooked)
+            after = len(merged) if type(merged) is list else merged.rows
+            counters.incr(C.KEY_SPLITS, max(0, after - before))
+    elif type(merged) is tuple and type(merged[1]) is Ragged:
+        # values of several widths, no plugin: grouped as records
+        merged = run_records(merged)
 
-    reducer = job.reducer()
     ctx = ReduceContext(counters)
     with clock.measure("reduce"):
         if group_driver is not None:
@@ -756,7 +775,12 @@ def _merge_group_reduce(
                     values = job.value_serde.read_column(
                         vflat[start * vw:end * vw], end - start)
                     reducer.reduce(key, values, ctx)
-        elif not _reduce_pieces(plugin, reducer, merged, ctx):
+        elif type(merged) is not list:
+            # the plugin's pieces: one call for the whole run
+            reducer.reduce_pieces(merged, ctx)
+            counters.incr(C.REDUCE_INPUT_GROUPS, merged.groups)
+            counters.incr(C.REDUCE_INPUT_RECORDS, merged.rows)
+        else:
             for kb, value_blobs in group_by_key(merged):
                 counters.incr(C.REDUCE_INPUT_GROUPS)
                 counters.incr(C.REDUCE_INPUT_RECORDS, len(value_blobs))

@@ -43,6 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.mapreduce.codecs import Codec, NullCodec
+from repro.mapreduce.columnar import Ragged, split_rows
 from repro.util.bytebuf import ByteBuffer
 from repro.util.errors import CorruptRecordError, MalformedRecordError
 from repro.util.fsio import atomic_write_bytes
@@ -169,6 +170,14 @@ EOF_MARKER_BYTES = 2
 TRAILER_BYTES = EOF_MARKER_BYTES + 4
 
 
+def _frame(key_len: int, value_len: int) -> bytes:
+    """The varint pair that frames one record."""
+    frame = bytearray()
+    write_vlong(key_len, frame)
+    write_vlong(value_len, frame)
+    return bytes(frame)
+
+
 @dataclass
 class IFileStats:
     """Byte accounting for one IFile segment."""
@@ -232,9 +241,7 @@ class IFileWriter:
         """Append one serialized record."""
         if self._closed:
             raise RuntimeError("writer already closed")
-        frame = bytearray()
-        write_vlong(len(key), frame)
-        write_vlong(len(value), frame)
+        frame = _frame(len(key), len(value))
         self.stats.overhead_bytes += len(frame)
         self.stats.key_bytes += len(key)
         self.stats.value_bytes += len(value)
@@ -251,46 +258,65 @@ class IFileWriter:
         if len(self._block_buf) >= self.block_bytes:
             self._seal_block()
 
-    def append_batch(self, keys: "np.ndarray", values: "np.ndarray") -> None:
-        """Append many fixed-width records in one numpy pass.
+    def append_batch(self, keys: np.ndarray, values: np.ndarray | Ragged) -> None:
+        """Append many records with one key width in a few numpy passes.
 
-        ``keys`` and ``values`` are ``(n, key_size)`` / ``(n, value_size)``
-        uint8 matrices.  The stream bytes and :class:`IFileStats` are
-        identical to calling :meth:`append` row by row -- the varint frame
-        is the same for every record because widths are fixed.
+        ``keys`` is an ``(n, key_size)`` uint8 matrix and ``values`` a
+        value column: an ``(n, value_size)`` uint8 matrix, or a
+        :class:`~repro.mapreduce.columnar.Ragged` column of any lengths.
+        The stream bytes, the block boundaries of the chunked layout and
+        :class:`IFileStats` are identical to calling :meth:`append` row
+        by row: a fixed-width frame is one varint pair for every record,
+        a ragged one is built from a table of one frame per distinct
+        value length.
         """
         if self._closed:
             raise RuntimeError("writer already closed")
         n, kw = keys.shape
-        nv, vw = values.shape
+        ragged = type(values) is Ragged
+        nv = values.rows if ragged else values.shape[0]
         if n != nv:
             raise ValueError(f"{n} keys vs {nv} values")
         if n == 0:
             return
-        frame = bytearray()
-        write_vlong(kw, frame)
-        write_vlong(vw, frame)
-        flen = len(frame)
-        pitch = flen + kw + vw
-        out = np.empty((n, pitch), dtype=np.uint8)
-        out[:, :flen] = np.frombuffer(bytes(frame), dtype=np.uint8)
-        out[:, flen:flen + kw] = keys
-        out[:, flen + kw:] = values
-        self.stats.overhead_bytes += flen * n
+        if ragged:
+            lengths = values.lengths()
+            distinct, which = np.unique(lengths, return_inverse=True)
+            frames = Ragged.from_table(
+                [_frame(kw, vlen) for vlen in distinct.tolist()], which)
+            stream = Ragged.hstack(frames, keys, values)
+            self.stats.overhead_bytes += frames.data.shape[0]
+            self.stats.value_bytes += values.data.shape[0]
+            flat, ends = stream.data.tobytes(), stream.offsets[1:]
+        else:
+            vw = values.shape[1]
+            frame = _frame(kw, vw)
+            flen = len(frame)
+            pitch = flen + kw + vw
+            out = np.empty((n, pitch), dtype=np.uint8)
+            out[:, :flen] = np.frombuffer(frame, dtype=np.uint8)
+            out[:, flen:flen + kw] = keys
+            out[:, flen + kw:] = values
+            self.stats.overhead_bytes += flen * n
+            self.stats.value_bytes += vw * n
+            flat, ends = out.tobytes(), None
         self.stats.key_bytes += kw * n
-        self.stats.value_bytes += vw * n
         self.stats.records += n
         if self.block_bytes is None:
-            self._buf.write(out.tobytes())
+            self._buf.write(flat)
             return
-        flat = out.tobytes()
+        if ends is None:
+            ends = np.arange(1, n + 1, dtype=np.int64) * pitch
         row = 0
         while row < n:
-            room = self.block_bytes - len(self._block_buf)
-            take = min(n - row, max(1, room // pitch))
-            self._block_buf.write(flat[row * pitch:(row + take) * pitch])
-            self._block_records += take
-            row += take
+            # records up to the one whose append brings the pending block
+            # to ``block_bytes`` -- where per-record appends seal it
+            base = int(ends[row - 1]) if row else 0
+            stop = min(n, 1 + int(np.searchsorted(
+                ends, base + self.block_bytes - len(self._block_buf))))
+            self._block_buf.write(flat[base:int(ends[stop - 1])])
+            self._block_records += stop - row
+            row = stop
             if len(self._block_buf) >= self.block_bytes:
                 self._seal_block()
 
@@ -579,26 +605,28 @@ class IFileReader:
         return records, bad
 
     def read_columnar(
-        self, key_width: int, value_width: int
-    ) -> tuple["np.ndarray", "np.ndarray"] | None:
-        """Decode a fixed-width segment into key/value uint8 matrices.
+        self, key_width: int, value_width: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray | Ragged] | None:
+        """Decode a segment with one key width into a key matrix and a
+        value column, or ``None``.
 
-        The caller asserts (from spill metadata) that every record is
-        ``key_width`` x ``value_width``; the regular layout is verified --
-        stream length must divide evenly and every record's varint frame
-        must match -- and ``None`` is returned if it does not, so callers
-        can fall back to the record iterator.  Equivalent to
-        :meth:`read_all` without materializing per-record ``bytes``.
-        Chunked segments return ``None`` (spills, the columnar fast
-        path's input, are always plain).
+        The caller asserts (from spill metadata) that every key is
+        ``key_width`` bytes and, with ``value_width``, that every value is
+        that wide: the values then come back as an ``(n, value_width)``
+        matrix, else as a :class:`~repro.mapreduce.columnar.Ragged`
+        column.  Every record's frame and the EOF marker are verified,
+        and ``None`` is returned on anything unexpected, so callers fall
+        back to the record iterator, which diagnoses the segment.
+        Equivalent to :meth:`read_all` without materializing per-record
+        ``bytes``.  Chunked segments return ``None``.
         """
-        if self._blocked:
+        if self._blocked or key_width <= 0:
             return None
-        if key_width <= 0 or value_width <= 0:
+        if value_width is None:
+            return self._read_ragged(key_width)
+        if value_width <= 0:
             return None
-        frame = bytearray()
-        write_vlong(key_width, frame)
-        write_vlong(value_width, frame)
+        frame = _frame(key_width, value_width)
         flen = len(frame)
         pitch = flen + key_width + value_width
         body_len = len(self._payload) - EOF_MARKER_BYTES
@@ -611,6 +639,56 @@ class IFileReader:
             return np.empty((0, key_width), np.uint8), np.empty((0, value_width), np.uint8)
         mat = np.frombuffer(self._payload, dtype=np.uint8, count=n * pitch)
         mat = mat.reshape(n, pitch)
-        if not np.array_equiv(mat[:, :flen], np.frombuffer(bytes(frame), np.uint8)):
+        if not np.array_equiv(mat[:, :flen], np.frombuffer(frame, np.uint8)):
             return None
         return mat[:, flen:flen + key_width], mat[:, flen + key_width:]
+
+    def _read_ragged(self, key_width: int) -> tuple[np.ndarray, Ragged] | None:
+        """:meth:`read_columnar` for values of any lengths: one walk from
+        frame to frame (the only sequential step -- each value's length
+        says where the next frame starts), then every frame checked and
+        the keys and values cut out as arrays."""
+        buf = self._payload
+        body_len = len(buf) - EOF_MARKER_BYTES
+        if body_len < 0 or bytes(buf[body_len:]) != b"\xff\xff":
+            return None
+        key_frame = _frame(key_width, 0)[:-1]
+        lead = len(key_frame)
+        # a frame whose value length fits one vint byte (0..127) is
+        # ``step`` bytes plus the value
+        step = lead + 1 + key_width
+        starts: list[int] = []
+        append = starts.append
+        pos = 0
+        try:
+            while pos < body_len:
+                append(pos)
+                first = buf[pos + lead]
+                if first < 0x80:
+                    pos += step + first
+                    continue
+                value_len, value_at = read_vlong(buf, pos + lead)
+                if value_len < 0:
+                    return None
+                pos = value_at + key_width + value_len
+        except (IndexError, CorruptRecordError):
+            return None
+        if pos != body_len:
+            return None
+        n = len(starts)
+        data = np.frombuffer(buf, np.uint8, count=body_len)
+        frame_at = np.array(starts, dtype=np.int64)
+        for j, byte in enumerate(key_frame):
+            if (data[frame_at + j] != byte).any():
+                return None
+        # the value length's vint: one byte below 0x80, else the first
+        # byte counts the bytes after it (0x88..0x8f; the walk rejected
+        # negative lengths)
+        first = data[frame_at + lead].astype(np.int64)
+        vint_len = np.where(first < 0x80, 1, 0x91 - first)
+        head = lead + vint_len + key_width
+        lengths = np.diff(frame_at, append=body_len) - head
+        _, keys, values = split_rows(
+            data, np.column_stack([lead + vint_len,
+                                   np.full(n, key_width), lengths]))
+        return keys.reshape(n, key_width), Ragged.from_lengths(lengths, values)

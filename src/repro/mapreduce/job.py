@@ -55,27 +55,35 @@ class ShufflePlugin(Protocol):
     reducer's fully merged record list before grouping: the aggregate
     implementation splits overlapping ranges there (Fig 7).
 
-    ``route`` is the per-record contract and the only routing method a
-    plugin must have.  A plugin may also define
+    ``route`` and ``prepare_reduce`` are the record contract and the only
+    methods a plugin must have.  A plugin may also define their column
+    forms, which a ``Job.columnar`` job then takes wherever it can; each
+    is an optimisation, never a behaviour change (same records, same
+    counts):
 
-    ``route_batch(key_blobs, value_blobs, num_reducers)``
-        returning ``(routed, ends)`` -- ``routed`` equal to the
-        concatenation of ``route`` over the batch, record ``i``'s pieces
-        being ``routed[ends[i - 1]:ends[i]]`` -- or ``None`` to decline
-        the batch untouched.
+    ``route_batch(keys, values, num_reducers)``
+        ``keys`` an ``(n, key_size)`` uint8 matrix, ``values`` a
+        :class:`~repro.mapreduce.columnar.Ragged` column.  Returns
+        ``(reducers, keys, values, ends)`` -- piece ``j`` the record
+        ``(keys[j], values[j])`` bound for ``reducers[j]``, the pieces
+        equal to the concatenation of ``route`` over the batch, record
+        ``i``'s being ``[ends[i - 1], ends[i])`` -- or ``None`` to
+        decline the batch untouched.  The engine serves
+        ``MapContext.emit_serialized_batch`` through it (one call per
+        batch, spills cut at the same input record as per-record
+        routing, the pieces buffered as ragged chunks); a declined batch,
+        a plugin without the method, or a scalar job routes record by
+        record.
 
-    When it exists and ``Job.columnar`` is on, the engine serves
-    ``MapContext.emit_serialized_batch`` through it (one call per
-    batch, spills cut at the same input record as per-record routing);
-    a declined batch, a plugin without the method, or a scalar job
-    routes record by record.  Either way the records reaching each spill
-    are the same, so implementing it is an optimisation, never a
-    behaviour change.
-
-    Likewise ``run_pieces(records)`` may return ``prepare_reduce``'s output
-    as one object with a ``groups`` count, or ``None``; a reducer with
-    ``reduce_pieces(pieces, ctx)`` then reduces the run in one call (no
-    skipping hook active) and must emit what the per-group loop would.
+    ``run_pieces(run)``
+        ``prepare_reduce`` of a merged run in either form (records, or a
+        key matrix + value column), returning the record list
+        ``prepare_reduce`` would, or an object with ``rows`` (split
+        records) and ``groups`` (distinct keys) that the reducer's
+        ``reduce_pieces(pieces, ctx)`` takes whole -- it must emit what
+        the per-group loop would.  Called when the reducer has
+        ``reduce_pieces`` and no skipping hook is active; otherwise the
+        engine calls ``prepare_reduce`` on the run's records.
     """
 
     def route(self, key_bytes: bytes, value_bytes: bytes,
@@ -107,9 +115,10 @@ class Job:
     #: non-atomic key support (key aggregation installs itself here)
     shuffle_plugin: ShufflePlugin | None = None
     #: batched/columnar record pipeline, map side and reduce side
-    #: (emit_batch -> partition at spill -> columnar spill -> segments
-    #: decoded to key/value matrices -> concatenate + stable-argsort
-    #: merge -> per-group ``read_column``).  Which form a run takes is
+    #: (emit_batch / emit_serialized_batch -> partition or route at spill
+    #: -> columnar spill -> segments decoded to a key matrix + value
+    #: column -> concatenate + stable-argsort merge -> one batched
+    #: reduce).  Which form a run takes is
     #: decided by what the data is (fixed-width, verified); ``False``
     #: forces the record path everywhere.  Byte-identical to the scalar
     #: path -- counters, spill files and reducer output do not change --

@@ -18,7 +18,12 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.mapreduce.columnar import matrix_records
+from repro.mapreduce.columnar import (
+    Ragged,
+    column_records,
+    concat_values,
+    take_rows,
+)
 
 __all__ = [
     "sort_records",
@@ -34,8 +39,9 @@ __all__ = [
 
 Record = tuple[bytes, bytes]
 #: a key-sorted run in either form: a record list, or the columnar
-#: ``(keys, values)`` pair of ``(n, kw)`` / ``(n, vw)`` uint8 matrices
-Run = list[Record] | tuple[np.ndarray, np.ndarray]
+#: ``(keys, values)`` pair of an ``(n, kw)`` uint8 key matrix and a value
+#: column -- an ``(n, vw)`` uint8 matrix or a :class:`Ragged` column
+Run = list[Record] | tuple[np.ndarray, np.ndarray | Ragged]
 
 
 def argsort_key_matrix(keys: np.ndarray) -> np.ndarray:
@@ -101,28 +107,30 @@ def run_rows(run: Run) -> int:
 def run_records(run: Run) -> list[Record]:
     """A run as records: a columnar run decays row by row (the way
     ``PartitionBuffer.to_records`` does), a record run is itself."""
-    return matrix_records(*run) if type(run) is tuple else run
+    return column_records(*run) if type(run) is tuple else run
 
 
 def merge_sorted_runs(runs: Sequence[Run]) -> Run:
     """Merge key-sorted runs of either form into one materialized run.
 
-    When every run is columnar with the same widths the result is
+    When every run is columnar with one key width the result is
     columnar: concatenate in run order and gather by one stable argsort
     -- a stable sort of concatenated sorted runs keeps equal keys in run
     order, which is exactly :func:`merge_runs`' (``heapq.merge``'s) tie
-    order.  Any other mix -- a record run among them, differing widths --
-    takes the heap merge over records, columnar runs decaying first.
-    Both forms hold the same record sequence.
+    order.  Its values are a fixed matrix when every run's are, of one
+    width, and a ragged column otherwise.  Any other mix -- a record run
+    among them, differing key widths -- takes the heap merge over
+    records, columnar runs decaying first.  Both forms hold the same
+    record sequence.
     """
     if runs and all(type(r) is tuple for r in runs) and len(
-            {(k.shape[1], v.shape[1]) for k, v in runs}) == 1:
+            {k.shape[1] for k, _ in runs}) == 1:
         if len(runs) == 1:
             return runs[0]
         kall = np.concatenate([k for k, _ in runs])
-        vall = np.concatenate([v for _, v in runs])
+        vall = concat_values([v for _, v in runs])
         order = argsort_key_matrix(kall)
-        return kall[order], vall[order]
+        return kall[order], take_rows(vall, order)
     return list(merge_runs([run_records(r) for r in runs]))
 
 

@@ -148,28 +148,36 @@ def test_the_wrapper_batches_or_falls_back_per_cell():
 
 
 def test_run_pieces_reads_reaggregated_runs_and_declines_aligned_ones():
-    """Re-aggregation fuses dense blocks into dense blocks, so its split
-    run still reaches the reducer as columns; an aligned job's masked
-    blocks send the run group by group."""
-    pairs = [(RangeKey(0, 0, 8), ValueBlock(8, np.arange(8))),
+    """``run_pieces`` splits a merged run itself.  Re-aggregation fuses
+    dense blocks into dense blocks, so its split run still reaches the
+    reducer as columns; an aligned job's masked blocks come back as
+    ``prepare_reduce``'s records, for the reducer to take group by
+    group."""
+    dense = [(RangeKey(0, 0, 8), ValueBlock(8, np.arange(8))),
              (RangeKey(0, 4, 8), ValueBlock(8, np.arange(8, 16))),
              (RangeKey(0, 8, 8), ValueBlock(8, np.arange(16, 24)))]
-    for alignment, reaggregate in ((1, True), (4, False)):
+    holes = np.array([1, 1, 0, 1, 1, 1, 0, 1], bool)
+    masked = [(key, ValueBlock(8, block.values[holes], holes))
+              for key, block in dense]
+    for alignment, reaggregate, pairs in ((1, True, dense),
+                                          (4, False, masked)):
         config = AggregationConfig(curve="rowmajor", ndim=2, bits=3,
                                    variable_mode="index", dtype="int32",
                                    alignment=alignment)
-        plugin = AggregateShufflePlugin(config, reaggregate=reaggregate)
         keys, blocks = config.key_serde(), config.block_serde()
-        records = plugin.prepare_reduce([
-            (keys.to_bytes(k), blocks.to_bytes(b)) for k, b in pairs])
-        pieces = plugin.run_pieces(records)
+        merged = [(keys.to_bytes(k), blocks.to_bytes(b)) for k, b in pairs]
+        records = AggregateShufflePlugin(
+            config, reaggregate=reaggregate).prepare_reduce(merged)
+        plugin = AggregateShufflePlugin(config, reaggregate=reaggregate)
+        pieces = plugin.run_pieces(merged)
         if alignment != 1:
-            assert pieces is None
+            assert pieces == records
             continue
         split = [(keys.from_bytes(kb), blocks.from_bytes(vb))
                  for kb, vb in records]
         # [0,4) [4,8) [8,12) [12,16): the middle two fuse at depth 2
         assert plugin.reduce_records_out < plugin.reduce_records_split
+        assert pieces.rows == plugin.reduce_records_out == len(split)
         want = as_pieces(split)
         assert pieces.variables == want.variables and pieces.valid is None
         for field in ("which", "starts", "counts", "values"):

@@ -27,6 +27,7 @@ from repro.core.aggregation import (
 )
 from repro.core.aggregation.reaggregate import concat_blocks
 from repro.mapreduce.api import MapContext
+from repro.mapreduce.columnar import column_records, records_column
 from repro.mapreduce.keys import RangeKey
 from repro.mapreduce.metrics import C, Counters
 
@@ -37,7 +38,7 @@ CURVE_SIZE = 4096
 class ObjectPathPlugin(AggregateShufflePlugin):
     """The oracle: no batch is ever plain, so the object code runs."""
 
-    def _plain_batch(self, key_blobs, value_blobs):
+    def _plain_batch(self, keys, values):
         return None
 
 
@@ -91,13 +92,29 @@ def trajectory(plugin):
             plugin.reduce_records_split, plugin.reduce_records_out)
 
 
+def is_plain(plugin, records):
+    """Whether the plugin would cut these records as arrays (keys of two
+    widths are no key matrix at all)."""
+    columns = records_column(records)
+    return columns is not None and plugin._plain_batch(*columns) is not None
+
+
+def route_batch(plugin, records, reducers):
+    """``route_batch`` of the records' columns, as ``route``'s triples."""
+    routed = plugin.route_batch(*records_column(records), reducers)
+    if routed is None:
+        return None
+    parts, keys, values, ends = routed
+    return ([(part, kb, vb) for part, (kb, vb)
+             in zip(parts.tolist(), column_records(keys, values))], ends)
+
+
 @settings(max_examples=80, deadline=None)
 @given(range_records())
 def test_prepare_reduce_equals_object_path(case):
     mode, dtype, records, equal_widths = case
     fast, oracle = plugins(mode, dtype)
-    plain = fast._plain_batch(*zip(*records))
-    assert (plain is not None) == equal_widths
+    assert is_plain(fast, records) == equal_widths
     assert fast.prepare_reduce(records) == oracle.prepare_reduce(records)
     assert trajectory(fast) == trajectory(oracle)
 
@@ -108,18 +125,21 @@ def test_route_batch_equals_per_record_route(case, reducers):
     mode, dtype, records, equal_widths = case
     fast, oracle = plugins(mode, dtype)
     expected = [oracle.route(kb, vb, reducers) for kb, vb in records]
-    routed = fast.route_batch(*zip(*records), reducers)
     if not equal_widths:
-        assert routed is None and fast.routing_splits == 0
+        # keys of two widths are no key matrix: the engine never offers
+        # them as a batch, and they route record by record
+        assert records_column(records) is None
         return
-    pieces, ends = routed
+    columns = records_column(records)
+    parts, keys, values, ends = fast.route_batch(*columns, reducers)
+    pieces = [(part, kb, vb) for part, (kb, vb)
+              in zip(parts.tolist(), column_records(keys, values))]
     assert pieces == [piece for per_record in expected for piece in per_record]
     assert ends.tolist() == np.cumsum([len(p) for p in expected]).tolist()
     assert fast.routing_splits == oracle.routing_splits
-    # records inside one reducer's span pass through as the same objects
-    for (kb, vb), per_record, end in zip(records, expected, ends.tolist()):
-        if len(per_record) == 1:
-            assert pieces[end - 1][1] is kb and pieces[end - 1][2] is vb
+    if fast.routing_splits == 0:
+        # nothing straddles: the batch passes through as the same arrays
+        assert keys is columns[0] and values is columns[1]
 
 
 def test_route_batch_cuts_a_long_range_across_every_reducer():
@@ -128,7 +148,7 @@ def test_route_batch_cuts_a_long_range_across_every_reducer():
     key = config.key_serde().to_bytes(RangeKey(3, 5, 4000))
     value = config.block_serde().to_bytes(
         ValueBlock(4000, np.arange(4000, dtype="int32")))
-    pieces, ends = fast.route_batch([key], [value], 5)
+    pieces, ends = route_batch(fast, [(key, value)], 5)
     assert pieces == oracle.route(key, value, 5)
     assert [part for part, _, _ in pieces] == [0, 1, 2, 3, 4]
     assert ends.tolist() == [5] and fast.routing_splits == 4
@@ -150,8 +170,8 @@ def test_masked_block_sends_the_whole_run_through_the_object_path():
                         np.array([1, 1, 0, 1, 0, 1, 1, 0], bool))
     records = [_record(config, 0, 0, 12), _record(config, 0, 4, 8, masked),
                _record(config, 0, 6, 20)]
-    assert fast._plain_batch(*zip(*records)) is None
-    assert fast.route_batch(*zip(*records), 3) is None
+    assert not is_plain(fast, records)
+    assert route_batch(fast, records, 3) is None
     assert fast.prepare_reduce(records) == oracle.prepare_reduce(records)
     assert trajectory(fast) == trajectory(oracle)
 
@@ -167,7 +187,8 @@ def test_reaggregate_and_alignment_never_take_the_array_path(kwargs, overrides):
     oracle = ObjectPathPlugin(config, **kwargs)
     records = [_record(config, 0, 0, 12), _record(config, 0, 4, 8),
                _record(config, 0, 12, 4), _record(config, 0, 16, 4)]
-    assert fast._plain_batch(*zip(*records)) is None
+    assert not is_plain(fast, records)
+    assert route_batch(fast, records, 3) is None
     assert fast.prepare_reduce(records) == oracle.prepare_reduce(records)
     assert trajectory(fast) == trajectory(oracle)
 
@@ -199,7 +220,7 @@ def test_malformed_record_raises_what_the_object_path_raises(name):
     records = [good, bad[name]]
     fast = AggregateShufflePlugin(config)
     oracle = ObjectPathPlugin(config)
-    assert fast._plain_batch(*zip(*records)) is None
+    assert not is_plain(fast, records)
 
     def outcome(call):
         try:
@@ -213,7 +234,7 @@ def test_malformed_record_raises_what_the_object_path_raises(name):
         assert isinstance(reduce_outcome, type)
     # map side: the batch is declined untouched, and the per-record route
     # the engine falls back to is the object path itself
-    assert fast.route_batch(*zip(*records), 3) is None
+    assert route_batch(fast, records, 3) is None
     assert fast.routing_splits == 0
     route_outcome = outcome(lambda: [oracle.route(kb, vb, 3)
                                      for kb, vb in records])
@@ -269,9 +290,9 @@ class _Capture:
     def sink(self, kb, vb):
         self.records.append((kb, vb))
 
-    def batch_sink(self, key_blobs, value_blobs):
+    def batch_sink(self, keys, values):
         self.batches += 1
-        self.records.extend(zip(key_blobs, value_blobs))
+        self.records.extend(column_records(keys, values))
 
 
 @pytest.mark.parametrize("alignment", [1, 4])

@@ -6,10 +6,14 @@ independently so an equivalence failure in the full-engine A/B suite
 can be localized.
 """
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.mapreduce.columnar import PartitionBuffer
+from repro.mapreduce.columnar import PartitionBuffer, Ragged, column_records
 from repro.mapreduce.ifile import IFileReader, IFileWriter
 from repro.mapreduce.keys import CellKey, CellKeySerde, RangeKey, RangeKeySerde
 from repro.mapreduce.partition import HashPartitioner
@@ -27,6 +31,7 @@ from repro.mapreduce.sort import (
     sort_records,
 )
 from repro.queries.sliding_mean import SumCountSerde
+from repro.util.errors import CorruptRecordError
 
 RNG = np.random.default_rng(42)
 
@@ -274,6 +279,114 @@ def test_read_columnar_empty_segment():
     writer.close()
     kmat, vmat = IFileReader(writer.getvalue()).read_columnar(4, 2)
     assert kmat.shape == (0, 4) and vmat.shape == (0, 2)
+
+
+@st.composite
+def ragged_records(draw):
+    """One key width (130: a two-byte key-length vint) and values of 0,
+    1-127 and >= 128 bytes (a multi-byte value-length vint)."""
+    width = draw(st.sampled_from([1, 4, 12, 130]))
+    sizes = st.one_of(st.just(0), st.integers(1, 127), st.integers(128, 300))
+    return width, draw(st.lists(
+        st.tuples(st.binary(min_size=width, max_size=width),
+                  sizes.flatmap(lambda n: st.binary(min_size=n, max_size=n))),
+        max_size=10))
+
+
+def as_columns(width, records):
+    keys = np.frombuffer(b"".join(k for k, _ in records), np.uint8)
+    lengths = np.array([len(v) for _, v in records], np.int64)
+    return keys.reshape(-1, width), Ragged.from_lengths(
+        lengths, np.frombuffer(b"".join(v for _, v in records), np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_records(), st.sampled_from([None, 256, 700]), st.data())
+def test_ragged_append_batch_equals_append_loop(case, block_bytes, data):
+    """Bytes and stats equal per-record ``append`` in both layouts, also
+    when the batch is written in two parts after per-record appends (a
+    block is pending); the ragged reader reads back ``read_all``."""
+    width, records = case
+    loop = IFileWriter(None, block_bytes=block_bytes)
+    for kb, vb in records:
+        loop.append(kb, vb)
+    loop_stats = loop.close()
+
+    head, cut = sorted(data.draw(st.lists(
+        st.integers(0, len(records)), min_size=2, max_size=2)))
+    batch = IFileWriter(None, block_bytes=block_bytes)
+    for kb, vb in records[:head]:
+        batch.append(kb, vb)
+    keys, values = as_columns(width, records)
+    for lo, hi in ((head, cut), (cut, len(records))):
+        batch.append_batch(keys[lo:hi], values.take(np.arange(lo, hi)))
+    assert batch.close() == loop_stats
+    assert batch.getvalue() == loop.getvalue()
+
+    reader = IFileReader(batch.getvalue())
+    run = reader.read_columnar(width)
+    if block_bytes is not None:
+        assert run is None  # chunked segments are read as records
+        return
+    assert column_records(*run) == reader.read_all() == records
+
+
+@pytest.mark.parametrize("value_len", [57, 58, 59])
+def test_ragged_append_batch_seals_blocks_where_append_does(value_len):
+    """Records of 2 + 4 + 58 bytes fill a 256-byte block exactly at the
+    fourth: the block is sealed there, not one record later (57 and 59
+    land on either side)."""
+    records = [(b"k%03d" % i, bytes([i]) * value_len) for i in range(9)]
+    loop = IFileWriter(None, block_bytes=256)
+    for kb, vb in records:
+        loop.append(kb, vb)
+    loop.close()
+    batch = IFileWriter(None, block_bytes=256)
+    batch.append_batch(*as_columns(4, records))
+    batch.close()
+    # the footer lists every block's record count
+    assert batch.getvalue() == loop.getvalue()
+
+
+def _segment(payload: bytes) -> bytes:
+    """A plain null-codec segment around a raw record stream."""
+    return payload + zlib.crc32(payload).to_bytes(4, "big")
+
+
+#: a well-formed stream: key width 4, values of 0, 5 and 200 bytes
+GOOD = (b"\x04\x00" + b"k000"
+        + b"\x04\x05" + b"k001" + b"v" * 5
+        + b"\x04\x8f\xc8" + b"k002" + b"w" * 200
+        + b"\xff\xff")
+MALFORMED = {
+    "truncated-frame": GOOD[:-3] + GOOD[-2:],
+    "wrong-key-length": b"\x05" + GOOD[1:],
+    # a two-byte vint of -5
+    "bad-value-length": GOOD[:7] + b"\x87\x04" + GOOD[8:],
+    "trailing-bytes": GOOD + b"\x00",
+    "missing-eof-marker": GOOD[:-2],
+}
+
+
+def test_ragged_reader_reads_a_well_formed_stream():
+    reader = IFileReader(_segment(GOOD))
+    keys, values = reader.read_columnar(4)
+    assert column_records(keys, values) == reader.read_all() == [
+        (b"k000", b""), (b"k001", b"v" * 5), (b"k002", b"w" * 200)]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_ragged_reader_leaves_a_malformed_stream_to_read_all(name):
+    """The ragged reader says ``None``; ``read_all`` on the same reader
+    then raises what it raises on a fresh one."""
+    blob = _segment(MALFORMED[name])
+    with pytest.raises(CorruptRecordError) as fresh:
+        IFileReader(blob).read_all()
+    reader = IFileReader(blob)
+    assert reader.read_columnar(4) is None
+    with pytest.raises(type(fresh.value)) as after:
+        reader.read_all()
+    assert str(after.value) == str(fresh.value)
 
 
 # --------------------------------------------------------- PartitionBuffer

@@ -23,11 +23,13 @@ counters, and each reduce task's ``output_bytes``) is the end-to-end
 identity of that call, whose own properties live in
 ``test_reduce_batch.py``.
 
-Aggregate-key jobs (a shuffle plugin) have their own batched path --
-``emit_serialized_batch`` -> ``route_batch`` on the map side, the array
-overlap split inside ``prepare_reduce`` on the reduce side -- chosen by
-what the data is, not by ``Job.columnar`` alone; their section runs a
-third leg with the plugin's object path forced.  Their reduce is the
+Aggregate-key jobs (a shuffle plugin) run the same pipeline on ragged
+value columns -- ``emit_serialized_batch`` -> ``route_batch`` on the map
+side, ragged spills, segments and merges, then ``run_pieces`` cutting
+the merged run straight into the reducer's pieces -- wherever the data
+is plain; their section runs a third leg with the plugin's object path
+forced, on the clean path and on every irregular one (chunked segments,
+masked blocks, re-aggregation, a skipping retry).  Their reduce is the
 query's plain reducer behind a ``RangeGroupReducer``: one
 ``reduce_pieces`` call per reduce task expands the split run into cells
 for its ``reduce_batch``.  Structural guards pin both paths, plus the
@@ -60,6 +62,7 @@ from repro.mapreduce import (
     Mapper,
     Reducer,
 )
+from repro.mapreduce.columnar import PartitionBuffer, Ragged
 from repro.mapreduce.engine import run_map_task, run_reduce_task
 from repro.mapreduce.ifile import IFileReader, IFileWriter
 from repro.mapreduce.job import SkipPolicy
@@ -259,12 +262,21 @@ def plain_batches(monkeypatch):
     taken = []
     real = AggregateShufflePlugin._plain_batch
 
-    def spy(self, key_blobs, value_blobs):
-        batch = real(self, key_blobs, value_blobs)
+    def spy(self, keys, values):
+        batch = real(self, keys, values)
         taken.append(batch is not None)
         return batch
     monkeypatch.setattr(AggregateShufflePlugin, "_plain_batch", spy)
     return taken
+
+
+def force_object_path(patch):
+    """No batch is plain on either side, and without ``run_pieces`` the
+    engine reduces ``prepare_reduce``'s records range group by range
+    group."""
+    patch.setattr(AggregateShufflePlugin, "_plain_batch",
+                  lambda self, keys, values: None)
+    patch.delattr(AggregateShufflePlugin, "run_pieces")
 
 
 @pytest.mark.parametrize("name", AGGREGATE_QUERY_NAMES)
@@ -280,10 +292,7 @@ def test_aggregate_equivalence(tmp_path, grid, pair_grid, name,
     assert plain_batches and all(plain_batches)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(AggregateShufflePlugin, "_plain_batch",
-                      lambda self, key_blobs, value_blobs: None)
-        patch.setattr(AggregateShufflePlugin, "run_pieces",
-                      lambda self, records: None)
+        force_object_path(patch)
         workdir = str(tmp_path / "objects")
         with LocalJobRunner(workdir=workdir, keep_files=True) as runner:
             results["scalar"] = runner.run(make_job(), dataset)
@@ -374,6 +383,60 @@ def test_aggregate_fallback_is_taken_and_unchanged(tmp_path, grid, overrides,
     results, segments = run_both(tmp_path, grid, make_job)
     assert_identical(results, segments)
     assert plain_batches and not any(plain_batches)
+
+
+#: aggregate jobs off the clean path: chunked segments (read back as
+#: records), masked blocks, fused groups, and a poisoned reduce group
+#: whose skipping retry runs the record hooks
+AGGREGATE_LEGS = {
+    "chunked-segments": dict(num_map_tasks=3, num_reducers=2,
+                             ifile_block_bytes=256),
+    "chunked-segments-merge-passes": dict(ifile_block_bytes=256,
+                                          **AGGREGATE_SHAPE),
+    "alignment-8": dict(agg_overrides=dict(alignment=8), **AGGREGATE_SHAPE),
+    "reaggregate": dict(reaggregate=True, **AGGREGATE_SHAPE),
+    "poisoned-skipping-retry": AGGREGATE_SHAPE,
+}
+
+
+@pytest.mark.parametrize("leg", sorted(AGGREGATE_LEGS))
+def test_aggregate_irregular_equivalence(tmp_path, grid, leg):
+    """Columnar vs ``columnar=False`` vs the object path, off the clean
+    path: output, every counter, every segment file, and what the
+    skipping retry quarantined."""
+    query = SlidingMedianQuery(grid, "values", window=3)
+    results, segments, quarantined = {}, {}, {}
+    for label in ("columnar", "scalar", "objects"):
+        workdir = tmp_path / label
+        job = query.build_job("aggregate", **AGGREGATE_LEGS[leg])
+        job.columnar = label != "scalar"
+        injector = None
+        if leg == "poisoned-skipping-retry":
+            job = dataclasses.replace(job, skipping=SkipPolicy(
+                quarantine_dir=str(workdir / "q")))
+            injector = FaultInjector().poison("r00001", record=3)
+        with pytest.MonkeyPatch.context() as patch:
+            if label == "objects":
+                force_object_path(patch)
+            with LocalJobRunner(workdir=str(workdir), keep_files=True,
+                                fault_injector=injector) as runner:
+                results[label] = runner.run(job, grid)
+        segments[label] = segment_bytes(str(workdir))
+        quarantined[label] = {path.name: path.read_bytes()
+                              for path in workdir.glob("q/*")}
+    for other in ("scalar", "objects"):
+        assert_identical(
+            {"columnar": results["columnar"], "scalar": results[other]},
+            {"columnar": segments["columnar"], "scalar": segments[other]})
+        assert quarantined[other] == quarantined["columnar"]
+    counters = results["columnar"].counters
+    assert counters[C.KEY_SPLITS] > 0
+    if leg.endswith("merge-passes"):
+        assert counters[C.MERGE_PASS_BYTES] > 0
+    if leg == "poisoned-skipping-retry":
+        # one range group: every block stacked on its key
+        assert counters[C.RECORDS_SKIPPED] > 1
+        assert list(quarantined["columnar"]) == ["r00001-quarantine"]
 
 
 # ------------------------------------------------------------ reduce phase
@@ -684,16 +747,23 @@ def as_columnar(records):
     return keys.reshape(-1, KEY_WIDTH), values.reshape(-1, VALUE_WIDTH)
 
 
+def as_ragged(records):
+    keys, values = as_columnar(records)
+    return keys, Ragged.of(values)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(sorted_run, max_size=5), st.data())
 def test_merge_sorted_runs_equals_heap_merge(runs, data):
-    """Record for record, in every mix of forms -- ties in run order."""
+    """Record for record, in every mix of forms (records, fixed-width and
+    ragged columns) -- ties in run order."""
     expected = list(heapq.merge(*runs, key=itemgetter(0)))
     assert run_records(merge_sorted_runs(
         [as_columnar(r) for r in runs])) == expected
-    forms = data.draw(st.lists(st.booleans(), min_size=len(runs),
-                               max_size=len(runs)))
-    mixed = [as_columnar(r) if c else r for r, c in zip(runs, forms)]
+    forms = data.draw(st.lists(
+        st.sampled_from([list, as_columnar, as_ragged]),
+        min_size=len(runs), max_size=len(runs)))
+    mixed = [form(r) for r, form in zip(runs, forms)]
     assert run_records(merge_sorted_runs(mixed)) == expected
 
 
@@ -816,6 +886,28 @@ def test_aggregate_job_cuts_keys_as_arrays(monkeypatch, plain_batches):
     assert calls == {}
     # 4 flushes + 2 merged runs, all plain: a 100 % fast-path share
     assert plain_batches == [True] * 6
+
+
+def test_aggregate_job_never_takes_the_record_path(monkeypatch):
+    """Same job: no record is framed, parsed, routed, split or buffered
+    one at a time between the aggregator's flush and ``reduce_pieces``,
+    and no ragged column decays to per-record ``bytes``."""
+    dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
+    job = SlidingMedianQuery(dataset, "values", window=3).build_job(
+        "aggregate", variable_mode="index", num_map_tasks=4, num_reducers=2)
+
+    for cls, name in ((IFileWriter, "append"), (IFileReader, "__iter__"),
+                      (AggregateShufflePlugin, "route"),
+                      (AggregateShufflePlugin, "prepare_reduce"),
+                      (PartitionBuffer, "append"), (Ragged, "tolist")):
+        def never(*args, _name=f"{cls.__name__}.{name}", **kwargs):
+            raise AssertionError(f"{_name} entered on a clean aggregate job")
+        monkeypatch.setattr(cls, name, never)
+
+    with LocalJobRunner() as runner:
+        result = runner.run(job, dataset)
+    assert len(result.output) == 1000
+    assert result.counters[C.KEY_SPLITS] > 0
 
 
 def test_aggregate_median_job_reduces_in_one_call(monkeypatch):
