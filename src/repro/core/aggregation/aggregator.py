@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.aggregation.blocks import BlockSerde, ValueBlock
 from repro.core.aggregation.ranges import layered_run_arrays, layered_runs
 from repro.mapreduce.api import MapContext
-from repro.mapreduce.keys import RangeKeySerde
+from repro.mapreduce.keys import CellKeySerde, RangeKeySerde
 from repro.sfc.base import Curve, get_curve
 
 __all__ = ["AggregationConfig", "Aggregator"]
@@ -63,6 +63,10 @@ class AggregationConfig:
 
     def block_serde(self) -> BlockSerde:
         return BlockSerde(self.dtype)
+
+    def cell_key_serde(self) -> CellKeySerde:
+        """The per-cell keys the reduce side expands range groups into."""
+        return CellKeySerde(self.ndim, self.variable_mode)
 
 
 class Aggregator:

@@ -14,7 +14,8 @@ import numpy as np
 from repro.core.aggregation.aggregator import AggregationConfig
 from repro.core.aggregation.blocks import ValueBlock
 from repro.mapreduce.api import ReduceContext, Reducer
-from repro.mapreduce.keys import CellKey, RangeKey
+from repro.mapreduce.keys import CellKey, CellKeySerde, RangeKey
+from repro.mapreduce.output import PackedKeys
 from repro.sfc.base import Curve
 
 __all__ = ["Pieces", "expand_cells", "RangeGroupReducer"]
@@ -60,14 +61,16 @@ class Pieces(NamedTuple):
 
 
 def expand_cells(
-    pieces: Pieces, curve: Curve, origin: np.ndarray
-) -> tuple[list[CellKey], np.ndarray, np.ndarray]:
+    pieces: Pieces, curve: Curve, origin: np.ndarray, serde: CellKeySerde
+) -> tuple[PackedKeys | list[CellKey], np.ndarray, np.ndarray]:
     """Range groups to the ``(keys, values, bounds)`` of ``reduce_batch``.
 
     ``keys``: every cell holding a value, range groups in run order and
     curve order within each, from one ``curve.decode`` shifted by
-    ``origin``.  ``values``: each cell's in piece order, widened to
-    int64 / float64 as a plain value serde's ``read_column_array`` does.
+    ``origin``, packed under ``serde`` (a list of ``CellKey``s where the
+    variables' keys differ in width and make no one matrix).
+    ``values``: each cell's in piece order, widened to int64 / float64 as
+    a plain value serde's ``read_column_array`` does.
     """
     heads = pieces.heads()
     gstarts, gcounts = pieces.starts[heads], pieces.counts[heads]
@@ -92,10 +95,25 @@ def expand_cells(
     cells = cell_id[bounds[:-1]]
     g = np.searchsorted(first, cells, side="right") - 1
     coords = curve.decode(gstarts[g] + cells - first[g]) + origin
-    variables = [pieces.variables[w] for w in pieces.which[heads][g].tolist()]
-    return ([CellKey(v, tuple(row)) for v, row in zip(variables,
-                                                       coords.tolist())],
-            values, bounds)
+    return (_pack_cells(serde, pieces.variables, pieces.which[heads][g],
+                        coords), values, bounds)
+
+
+def _pack_cells(serde: CellKeySerde, variables: list, which: np.ndarray,
+                coords: np.ndarray) -> PackedKeys | list[CellKey]:
+    """Cell ``i``'s key ``CellKey(variables[which[i]], coords[i])`` as
+    one row matrix, variable by variable."""
+    used = np.unique(which).tolist()
+    blocks = [serde.pack_batch_keys(variables[w], coords[which == w])[0]
+              for w in used]
+    if len({block.shape[1] for block in blocks}) > 1:
+        return [CellKey(variables[w], tuple(row))
+                for w, row in zip(which.tolist(), coords.tolist())]
+    if len(blocks) == 1:
+        return PackedKeys(blocks[0], serde)
+    rows = np.empty((which.shape[0], blocks[0].shape[1]), dtype=np.uint8)
+    rows[np.argsort(which, kind="stable")] = np.concatenate(blocks)
+    return PackedKeys(rows, serde)
 
 
 class RangeGroupReducer(Reducer):
@@ -109,6 +127,7 @@ class RangeGroupReducer(Reducer):
                  origin: Sequence[int]) -> None:
         self.inner = inner
         self.curve = config.make_curve()
+        self.cell_serde = config.cell_key_serde()
         self.origin = np.asarray(origin, dtype=np.int64)
 
     def reduce(self, key: RangeKey, blocks: Sequence[ValueBlock],
@@ -122,7 +141,8 @@ class RangeGroupReducer(Reducer):
         ), ctx)
 
     def reduce_pieces(self, pieces: Pieces, ctx: ReduceContext) -> None:
-        keys, values, bounds = expand_cells(pieces, self.curve, self.origin)
+        keys, values, bounds = expand_cells(pieces, self.curve, self.origin,
+                                            self.cell_serde)
         batch = getattr(self.inner, "reduce_batch", None)
         if not keys or (batch is not None and batch(
                 keys, values, bounds, ctx) is not NotImplemented):

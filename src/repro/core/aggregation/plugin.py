@@ -96,6 +96,8 @@ class AggregateShufflePlugin:
         self.reaggregate = reaggregate
         self._key_serde = config.key_serde()
         self._block_serde = config.block_serde()
+        #: the serde of the cell keys its jobs' reducers emit
+        self.output_key_serde = config.cell_key_serde()
         self._curve_size = config.make_curve().size
         #: whether a plain batch may be decoded as arrays at all (the
         #: curve bound keeps ``start + count`` inside int64)

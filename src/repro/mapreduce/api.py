@@ -18,6 +18,7 @@ import numpy as np
 from repro.mapreduce.columnar import Ragged, column_records
 from repro.mapreduce.keys import CellKeySerde
 from repro.mapreduce.metrics import C, Counters
+from repro.mapreduce.output import PackedKeys, PackedOutput
 from repro.mapreduce.serde import Serde
 from repro.scidata.splits import InputSplit
 
@@ -196,15 +197,16 @@ class MapContext:
 class ReduceContext:
     """Collects reducer output (and exposes counters).
 
-    ``output`` is the task's ``(key, value)`` pairs in emission order.
-    :meth:`emit` appends one; :meth:`emit_batch` appends many and is
-    observably the same as calling :meth:`emit` pair by pair -- the
-    reduce-side mirror of :meth:`MapContext.emit_batch`.
+    ``output`` is the task's ``(key, value)`` pairs in emission order, a
+    :class:`~repro.mapreduce.output.PackedOutput`.  :meth:`emit` appends
+    one; :meth:`emit_batch` appends many and is observably the same as
+    calling :meth:`emit` pair by pair -- the reduce-side mirror of
+    :meth:`MapContext.emit_batch`.
     """
 
     def __init__(self, counters: Counters) -> None:
         self.counters = counters
-        self.output: list[tuple[Any, Any]] = []
+        self.output = PackedOutput()
 
     def emit(self, key: Any, value: Any) -> None:
         self.output.append((key, value))
@@ -213,13 +215,25 @@ class ReduceContext:
     def emit_batch(self, keys: Sequence[Any], values: Sequence[Any]) -> None:
         """Emit ``zip(keys, values)``, counted once.
 
-        Both are sequences of the Python objects :meth:`emit` would be
-        given (an array's ``tolist()``, not the array: numpy scalars
-        are not the values the per-group path emits).
+        ``values`` is a sequence of the Python objects :meth:`emit` would
+        be given, or a 1-D numeric ndarray standing for its ``tolist()``
+        (numpy scalars are not the values the per-group path emits).
+        ``keys`` is a sequence of keys -- such as the
+        :class:`~repro.mapreduce.output.PackedKeys` an engine hands
+        ``reduce_batch``, or rows of it (``keys.repeat``).  Packed keys
+        with an array stay packed: no key object is built until the
+        output is read.
         """
         n = len(keys)
         if n != len(values):
             raise ValueError(f"{n} keys vs {len(values)} values")
+        if isinstance(values, np.ndarray):
+            if (isinstance(keys, PackedKeys) and values.ndim == 1
+                    and values.dtype.kind in "biuf"):
+                self.output.add_batch(keys, values)
+                self.counters.incr(C.REDUCE_OUTPUT_RECORDS, n)
+                return
+            values = values.tolist()
         self.output.extend(zip(keys, values))
         self.counters.incr(C.REDUCE_OUTPUT_RECORDS, n)
 
@@ -274,7 +288,11 @@ class Reducer(ABC):
     of the per-group loop, when the task's merged run is columnar and
     the value serde decodes a column as an array (``read_column_array``):
 
-    - ``keys``: the decoded key of every group, in sorted order;
+    - ``keys``: the key of every group, in sorted order -- a sequence,
+      which for cell keys is a :class:`~repro.mapreduce.output.
+      PackedKeys` over the group-leader rows (``Serde.lazy_rows``):
+      ``len`` and indexing work, but a key is only built when read, so
+      hand the sequence on rather than iterating it;
     - ``values``: a 1-D int64 / float64 ndarray, every value of the run
       in merged order (``values.tolist()`` is what the groups' ``reduce``
       calls would have received, concatenated);
@@ -285,8 +303,11 @@ class Reducer(ABC):
     The contract is observational identity with the loop it replaces:
     the same ``ctx.output`` -- equal keys, **bit-identical** values of
     the same Python types, same order -- and the same counters (the
-    engine counts the input groups and records; use
-    :meth:`ReduceContext.emit_batch` for the output).  A fold that
+    engine counts the input groups and records).  Emit with
+    :meth:`ReduceContext.emit_batch`: packed ``keys`` -- or, for a pair
+    per record, ``keys.repeat(np.diff(bounds))`` -- with an ndarray of
+    one value per key keeps the output packed, rows and array, to the
+    job result.  A fold that
     cannot promise that for the column it was handed (a float ``sum``,
     whose result depends on association order) returns
     ``NotImplemented`` *before emitting anything*, and the engine runs

@@ -46,6 +46,7 @@ from repro.mapreduce.columnar import (
 from repro.mapreduce.ifile import IFileReader, IFileStats, IFileWriter
 from repro.mapreduce.job import Job
 from repro.mapreduce.metrics import C, Counters, TaskProfile
+from repro.mapreduce.output import PackedOutput
 from repro.mapreduce.sort import (
     Run,
     argsort_key_matrix,
@@ -78,7 +79,8 @@ Record = tuple[bytes, bytes]
 class JobResult:
     """Everything a job run produced and measured."""
 
-    output: list[tuple[Any, Any]]
+    #: every reduce task's ``(key, value)`` pairs, in partition order
+    output: PackedOutput
     counters: Counters
     task_profiles: list[TaskProfile]
     #: byte breakdown of the final (materialized) map output segments
@@ -123,7 +125,7 @@ class ReduceTaskResult:
     """Output and measurements of one reduce task."""
 
     task_id: str
-    output: list[tuple[Any, Any]]
+    output: PackedOutput
     counters: Counters
     profile: TaskProfile
     #: pipelined-shuffle side stats (first fetch latency, overlapped
@@ -621,9 +623,10 @@ def _reduce_batch(job: Job, reducer: Any, kmat: np.ndarray,
 
     Taken when the reducer defines ``reduce_batch`` (see
     :class:`~repro.mapreduce.api.Reducer`) and the value serde decodes a
-    column as an array: the group-leader key rows decode in one
-    ``read_rows`` pass, the value slab in one ``read_column_array``
-    pass, and the input counters move by their totals.  Returns False,
+    column as an array: the group-leader key rows go to the reducer as
+    ``lazy_rows`` (cell keys: checked, still packed), the value slab as
+    one ``read_column_array`` pass, and the input counters move by their
+    totals.  Returns False,
     having counted and emitted nothing, when that is not this run -- no
     ``reduce_batch``, no array decode, a decode that raises (the
     per-group loop then raises it at the group it belongs to, after the
@@ -635,7 +638,7 @@ def _reduce_batch(job: Job, reducer: Any, kmat: np.ndarray,
     if reduce_batch is None or read_array is None:
         return False
     try:
-        keys = job.key_serde.read_rows(kmat[bounds[:-1]])
+        keys = job.key_serde.lazy_rows(kmat[bounds[:-1]])
         values = read_array(vflat, kmat.shape[0])
     except CorruptRecordError:
         return False
@@ -809,9 +812,10 @@ def _merge_group_reduce(
         if not keep_files:
             os.unlink(part_path)
     else:
-        profile.output_bytes = sum(
-            len(repr(k)) + len(repr(v)) for k, v in ctx.output
-        )
+        # the output's packed size; an aggregate job's reducer emits cell
+        # keys, whose serde the plugin names
+        profile.output_bytes = ctx.output.packed_bytes(getattr(
+            plugin, "output_key_serde", job.key_serde))
     return ReduceTaskResult(task_id=task_id, output=ctx.output,
                             counters=counters, profile=profile)
 

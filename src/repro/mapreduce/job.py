@@ -84,6 +84,12 @@ class ShufflePlugin(Protocol):
         the per-group loop would.  Called when the reducer has
         ``reduce_pieces`` and no skipping hook is active; otherwise the
         engine calls ``prepare_reduce`` on the run's records.
+
+    ``output_key_serde``
+        The serde of the keys the job's reducer emits, when they are not
+        the intermediate keys (range keys reduce to cell keys); the
+        engine sizes ``TaskProfile.output_bytes`` under it.  Without it,
+        ``Job.key_serde``.
     """
 
     def route(self, key_bytes: bytes, value_bytes: bytes,

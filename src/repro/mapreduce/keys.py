@@ -16,10 +16,13 @@ array with one value per covered cell, "stored in order".
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from repro.mapreduce.output import PackedKeys
 from repro.mapreduce.serde import Int32Serde, Int64Serde, Serde, TextSerde
 from repro.util.errors import CorruptRecordError, MalformedRecordError
 
@@ -47,6 +50,41 @@ class CellKey:
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
         if not self.coords:
             raise ValueError("cell key needs at least one coordinate")
+
+
+def _cell_keys(variables: list, which: np.ndarray, coords: np.ndarray,
+               slots: np.ndarray) -> list[CellKey]:
+    """``CellKey``s of decoded key columns, built without
+    ``__post_init__``: a ``tolist()`` row is already a run of Python
+    ints, and a serde's ``ndim >= 1`` is checked when it is made.  The
+    three fields land in the instance dict in declaration order, as the
+    constructor leaves them, so equality, hashing, ordering and pickles
+    are the same.
+
+    The cyclic collector is paused for the build: the keys hold no
+    cycles, and the passes it would otherwise make over tens of
+    thousands of fresh objects are half the build's time."""
+    n = which.shape[0]
+    column = (repeat(variables[0], n) if len(variables) == 1
+              else [variables[w] for w in which.tolist()])
+    new = object.__new__
+    keys = []
+    append = keys.append
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for variable, cell, slot in zip(column, map(tuple, coords.tolist()),
+                                        slots.tolist()):
+            key = new(CellKey)
+            fields = key.__dict__
+            fields["variable"] = variable
+            fields["coords"] = cell
+            fields["slot"] = slot
+            append(key)
+    finally:
+        if collecting:
+            gc.enable()
+    return keys
 
 
 @dataclass(frozen=True, order=True)
@@ -247,34 +285,59 @@ class CellKeySerde(Serde):
         flat = mat.tobytes()
         return [flat[i * rec:(i + 1) * rec] for i in range(n)]
 
+    def _variables(self, rows: np.ndarray) -> tuple[list, np.ndarray, int]:
+        """``(variables, which, prefix length)`` of ``n >= 1`` key rows:
+        the one decode of a row matrix that can fail (the fixed-width
+        words are any bytes)."""
+        plen = rows.shape[1] - self.coord_width * self.ndim - (
+            4 if self.include_slot else 0)
+        if plen < 1:
+            raise MalformedRecordError(f"no cell keys of {rows.shape[1]} bytes")
+        return (*_unpack_variables(self._var_serde, rows[:, :plen]), plen)
+
+    def unpack_rows(
+        self, rows: np.ndarray
+    ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """Decode an ``(n, key_size)`` uint8 matrix of cell keys, ``n >=
+        1``, as columns: ``(variables, which, coords, slots)`` -- the
+        distinct variables in byte order, each row's index into them, the
+        ``(n, ndim)`` int64 coordinates and the int64 slots.  The
+        variable prefix is decoded once per distinct value and must fill
+        the row up to the fixed-width words (a
+        :class:`MalformedRecordError` otherwise); coordinates and slots
+        take one numpy pass each.
+        """
+        n = rows.shape[0]
+        variables, which, plen = self._variables(rows)
+        body = self.coord_width * self.ndim
+        coords = self._coord_serde.read_column_array(
+            np.ascontiguousarray(rows[:, plen:plen + body]), n * self.ndim)
+        if self.include_slot:
+            slots = _INT32.read_column_array(
+                np.ascontiguousarray(rows[:, plen + body:]), n)
+        else:
+            slots = np.zeros(n, dtype=np.int64)
+        return variables, which, coords.reshape(n, self.ndim), slots
+
     def read_rows(self, rows: np.ndarray) -> list[CellKey]:
         """Decode an ``(n, key_size)`` uint8 matrix of cell keys.
 
         The inverse of :meth:`pack_batch_keys` for rows of any mix of
         variables, equal to ``[from_bytes(row) for row in rows]``: the
-        variable prefix is decoded once per distinct value (and must
-        fill the row up to the fixed-width words, a
-        :class:`MalformedRecordError` otherwise), coordinates and slots
-        in one numpy pass each; every key is still built by
-        :class:`CellKey`'s validating constructor.
+        columns of :meth:`unpack_rows`, each key built straight from its
+        row's decoded fields (:func:`_cell_keys`).
         """
-        n, width = rows.shape
-        if n == 0:
+        if rows.shape[0] == 0:
             return []
-        body = self.coord_width * self.ndim
-        plen = width - body - (4 if self.include_slot else 0)
-        if plen < 1:
-            raise MalformedRecordError(f"no cell keys of {width} bytes")
-        variables, which = _unpack_variables(self._var_serde, rows[:, :plen])
-        coords = self._coord_serde.read_column_array(
-            np.ascontiguousarray(rows[:, plen:plen + body]), n * self.ndim)
-        if self.include_slot:
-            slots = _INT32.read_column_array(
-                np.ascontiguousarray(rows[:, plen + body:]), n).tolist()
-        else:
-            slots = [0] * n
-        return [CellKey(variables[w], c, s) for w, c, s in zip(
-            which.tolist(), coords.reshape(n, self.ndim).tolist(), slots)]
+        return _cell_keys(*self.unpack_rows(rows))
+
+    def lazy_rows(self, rows: np.ndarray) -> PackedKeys:
+        """:meth:`read_rows` decoded when read: the variable prefixes are
+        checked now, so a matrix ``read_rows`` would reject raises here,
+        and no key is built until the sequence is read."""
+        if rows.shape[0]:
+            self._variables(rows)
+        return PackedKeys(rows, self)
 
 
 class RangeKeySerde(Serde):

@@ -170,6 +170,10 @@ class TaskProfile:
     #: (in-process transports), and the simulator falls back to
     #: ``shuffle_bytes``
     wire_bytes: int | None = None
+    #: what the reduce task writes (a reduce's write phase): the part
+    #: file's materialized bytes when the job sets both output serdes,
+    #: else the output's packed size -- per record the key's serialized
+    #: width plus 8 bytes for the value (``PackedOutput.packed_bytes``)
     output_bytes: int = 0
     cpu_seconds: dict[str, float] = field(default_factory=dict)
 

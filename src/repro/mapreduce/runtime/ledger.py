@@ -22,6 +22,7 @@ from repro.mapreduce.engine import JobResult, MapTaskOutput, run_map_task
 from repro.mapreduce.ifile import IFileStats
 from repro.mapreduce.job import Job
 from repro.mapreduce.metrics import C, Counters, TaskProfile
+from repro.mapreduce.output import PackedOutput
 from repro.mapreduce.runtime.hosts import (
     HostHealthMonitor,
     expand_host_partition,
@@ -264,12 +265,14 @@ def assemble_result(job: Job, ledger: MapOutputLedger,
     whichever order the tasks *finished* in -- including tasks adopted
     from a checkpoint, whose counters ride inside their pickled results
     -- and one assembler serves every runner and both shuffle shapes,
-    which is what makes their byte-identity structural.
+    which is what makes their byte-identity structural.  The outputs
+    concatenate by chunk: a packed chunk's arrays are shared, not
+    copied.
     """
     counters = Counters()
     profiles: list[TaskProfile] = []
     map_stats = IFileStats()
-    output: list[tuple[Any, Any]] = []
+    output = PackedOutput()
     for map_id in ledger.map_ids:
         mo = ledger.results[map_id]
         counters.merge(mo.counters)

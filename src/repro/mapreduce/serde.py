@@ -15,7 +15,8 @@ Fixed-width serdes additionally support a *columnar* contract used by the
 engine's batched record pipeline: :meth:`Serde.pack_batch` serializes a
 whole value column into one contiguous blob and :meth:`Serde.read_batch` /
 :meth:`Serde.read_column` decode a run of values in one numpy pass, and
-:meth:`Serde.read_rows` decodes the rows of a key matrix.  All
+:meth:`Serde.read_rows` decodes the rows of a key matrix
+(:meth:`Serde.lazy_rows` when they are read).  All
 are byte-for-byte (and object-for-object) equivalent to looping the scalar
 :meth:`Serde.write` / :meth:`Serde.read` -- the engine's A/B equivalence
 suite pins that down.
@@ -139,6 +140,12 @@ class Serde(ABC):
         flat = rows.tobytes()  # C order, whatever the view's strides
         return [self.from_bytes(flat[i:i + width])
                 for i in range(0, len(flat), width)]
+
+    def lazy_rows(self, rows: np.ndarray) -> Sequence:
+        """:meth:`read_rows` as a sequence that may decode when read,
+        raising now whatever ``read_rows`` would.  This default decodes
+        now; ``CellKeySerde`` returns the rows packed."""
+        return self.read_rows(rows)
 
     def read_batch(self, blobs: Sequence[bytes]) -> list:
         """Decode one object from each blob (a reduce group's values)."""

@@ -84,7 +84,7 @@ def integer_fold_batch(fold, keys, values: np.ndarray, bounds: np.ndarray,
         peak = max(abs(int(values.min())), abs(int(values.max())))
         if peak * int(np.diff(bounds).max()) >= 1 << 63:
             return NotImplemented  # the builtin would grow a big int
-    ctx.emit_batch(keys, ufunc.reduceat(values, bounds[:-1]).tolist())
+    ctx.emit_batch(keys, ufunc.reduceat(values, bounds[:-1]))
 
 
 class GridQuery(ABC):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mapreduce.engine import LocalJobRunner
+from repro.mapreduce.keys import CellKeySerde
 from repro.queries.derived import BINARY_OPS, DerivedVariableQuery
 from repro.queries.sliding_algebraic import WINDOW_OPS, SlidingAggregateQuery
 from repro.queries.sliding_mean import SlidingMeanQuery
@@ -83,12 +84,26 @@ class Binary:
 PlanNode = Source | Subset | Window | Binary
 
 
+def _cells(output) -> tuple[np.ndarray, np.ndarray]:
+    """A job's ``(CellKey, value)`` output as ``(coords, values)`` arrays:
+    read straight off the key rows and value arrays when every chunk of
+    the output is packed cell keys, so no ``CellKey`` is built."""
+    chunks = getattr(output, "chunks", ())
+    if chunks and all(type(chunk) is tuple
+                      and isinstance(chunk[0].serde, CellKeySerde)
+                      for chunk in chunks):
+        return (np.concatenate([keys.serde.unpack_rows(keys.rows)[2]
+                                for keys, _ in chunks]),
+                np.concatenate([values for _, values in chunks]))
+    return (np.array([k.coords for k, _ in output], dtype=np.int64),
+            np.array([v for _, v in output]))
+
+
 def _materialize(output, name: str, dtype) -> Variable:
     """Turn a job's (CellKey, value) output into an in-memory variable."""
     if not output:
         raise ValueError(f"stage {name!r} produced no cells")
-    coords = np.array([k.coords for k, _ in output], dtype=np.int64)
-    values = np.array([v for _, v in output])
+    coords, values = _cells(output)
     corner = coords.min(axis=0)
     shape = coords.max(axis=0) - corner + 1
     grid = np.zeros(tuple(int(s) for s in shape), dtype=dtype)

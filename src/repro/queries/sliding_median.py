@@ -95,7 +95,7 @@ class PlainMedianReducer(Reducer):
             rows = np.flatnonzero(sizes == size)
             matrix = values[starts[rows, None] + np.arange(size)]
             medians[rows] = np.median(matrix, axis=1, overwrite_input=True)
-        ctx.emit_batch(keys, medians.tolist())
+        ctx.emit_batch(keys, medians)
 
 
 class AggregateWindowMapper(Mapper):

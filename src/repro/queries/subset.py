@@ -23,6 +23,7 @@ from repro.core.aggregation import (
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
+from repro.mapreduce.output import PackedKeys
 from repro.queries.base import GridQuery
 from repro.queries.sliding_median import value_serde_for
 from repro.scidata.dataset import Dataset
@@ -83,10 +84,15 @@ class IdentityReducer(Reducer):
             ctx.emit(key, v)
 
     def reduce_batch(self, keys, values, bounds, ctx):
-        """Every value straight through, its group's key beside it."""
-        sizes = np.diff(bounds).tolist()
-        ctx.emit_batch(list(chain.from_iterable(map(repeat, keys, sizes))),
-                       values.tolist())
+        """Every value straight through, its group's key beside it --
+        packed keys as the leader rows repeated by group size, i.e. the
+        merged run's own key rows."""
+        sizes = np.diff(bounds)
+        if isinstance(keys, PackedKeys):
+            keys = keys.repeat(sizes)
+        else:
+            keys = list(chain.from_iterable(map(repeat, keys, sizes.tolist())))
+        ctx.emit_batch(keys, values)
 
 
 class AggregateSubsetMapper(Mapper):

@@ -26,6 +26,7 @@ from repro.core.aggregation import (
 )
 from repro.mapreduce import LocalJobRunner, Reducer
 from repro.mapreduce.keys import CellKey, RangeKey
+from repro.mapreduce.output import PackedKeys
 from repro.queries import (
     BoxSubsetQuery,
     SlidingAggregateQuery,
@@ -37,6 +38,7 @@ from tests.core_aggregation import reference_reducers as ref
 
 CONFIG = AggregationConfig(curve="rowmajor", ndim=2, bits=2)   # 4 x 4
 CURVE = CONFIG.make_curve()
+CELLS = CONFIG.cell_key_serde()
 ORIGIN = np.array([10, 20])
 
 
@@ -58,7 +60,7 @@ def as_pieces(pairs):
 
 
 def expand(pairs):
-    keys, values, bounds = expand_cells(as_pieces(pairs), CURVE, ORIGIN)
+    keys, values, bounds = expand_cells(as_pieces(pairs), CURVE, ORIGIN, CELLS)
     return keys, values.tolist(), bounds.tolist()
 
 
@@ -82,6 +84,21 @@ class TestExpandCells:
         assert bounds == [0, 1, 2, 3, 4]
         assert as_pieces(pairs).groups == 3
 
+    def test_cell_keys_come_packed_variable_by_variable(self):
+        """Rows are packed per variable and put back in cell order;
+        names of several lengths make no one matrix, so those keys come
+        as a list."""
+        pairs = [(RangeKey("v", 9, 1), ValueBlock(1, np.array([7]))),
+                 (RangeKey("w", 1, 1), ValueBlock(1, np.array([8]))),
+                 (RangeKey("v", 2, 1), ValueBlock(1, np.array([9])))]
+        keys, _, _ = expand_cells(as_pieces(pairs), CURVE, ORIGIN, CELLS)
+        assert isinstance(keys, PackedKeys)
+        assert keys == [cell(9), cell(1, "w"), cell(2)]
+        pairs[1] = (RangeKey("wide", 1, 1), pairs[1][1])
+        keys, _, _ = expand_cells(as_pieces(pairs), CURVE, ORIGIN, CELLS)
+        assert keys == [cell(9), cell(1, "wide"), cell(2)]
+        assert type(keys) is list
+
     def test_masked_blocks_skip_cells_without_values(self):
         key = RangeKey("v", 0, 4)
         keys, values, bounds = expand([
@@ -101,7 +118,8 @@ class TestExpandCells:
                             ("float32", np.float64), ("float64", np.float64)):
             block = ValueBlock(2, np.array([1.5, -2], dtype=dtype))
             _, values, _ = expand_cells(
-                as_pieces([(RangeKey("v", 0, 2), block)]), CURVE, ORIGIN)
+                as_pieces([(RangeKey("v", 0, 2), block)]), CURVE, ORIGIN,
+                CELLS)
             assert values.dtype == wide
             # float32 widens exactly: 0.1f is not 0.1
         block = ValueBlock(1, np.array([0.1], np.float32))

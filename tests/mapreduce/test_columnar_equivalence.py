@@ -18,10 +18,10 @@ the decay-to-records against their record-path definitions, and a
 structural guard counts calls so a silent fall back to the record path
 fails tier-1 rather than a bench run.  A columnar merged run is reduced
 by one ``Reducer.reduce_batch`` call where the reducer defines one; the
-scalar leg always reduces group by group, so the same A/B (output,
-counters, and each reduce task's ``output_bytes``) is the end-to-end
-identity of that call, whose own properties live in
-``test_reduce_batch.py``.
+scalar leg always reduces group by group, so the same A/B (output, the
+``repr`` of every output value, counters, and each reduce task's
+``output_bytes``) is the end-to-end identity of that call, whose own
+properties live in ``test_reduce_batch.py``.
 
 Aggregate-key jobs (a shuffle plugin) run the same pipeline on ragged
 value columns -- ``emit_serialized_batch`` -> ``route_batch`` on the map
@@ -144,11 +144,16 @@ def reduce_output_bytes(result):
             if p.kind == "reduce"}
 
 
+def output_reprs(result):
+    return [repr(value) for _, value in result.output]
+
+
 def assert_identical(results, segments):
     col, sca = results["columnar"], results["scalar"]
     assert col.counters.as_dict() == sca.counters.as_dict()
     assert col.output == sca.output
-    # ``repr`` of every output pair: types and float digits, not just ==
+    # types and float digits, not just ==
+    assert output_reprs(col) == output_reprs(sca)
     assert reduce_output_bytes(col) == reduce_output_bytes(sca)
     assert segments["columnar"].keys() == segments["scalar"].keys()
     assert segments["columnar"] == segments["scalar"]
@@ -509,7 +514,7 @@ def test_float_grid_reduce_phase_equivalence(tmp_path, name):
     """float32 cells, NaN and -0.0 among them: the median and the
     pass-through still batch, the folds decline the float column (they
     are not exact monoids there) and loop -- identical either way, NaN
-    for NaN (``repr`` in ``output_bytes``; ``==`` cannot say it)."""
+    for NaN (``repr`` of every value; ``==`` cannot say it)."""
     rng = np.random.default_rng(79)
     cells = rng.normal(size=(5, 5, 5)).astype(np.float32)
     cells[rng.random(cells.shape) < 0.1] = np.nan
@@ -526,8 +531,7 @@ def test_float_grid_reduce_phase_equivalence(tmp_path, name):
     col, sca = results["columnar"], results["scalar"]
     assert col.counters.as_dict() == sca.counters.as_dict()
     assert [k for k, _ in col.output] == [k for k, _ in sca.output]
-    assert ([repr(v) for _, v in col.output]
-            == [repr(v) for _, v in sca.output])
+    assert output_reprs(col) == output_reprs(sca)
     assert reduce_output_bytes(col) == reduce_output_bytes(sca)
     assert segments["columnar"] == segments["scalar"]
     assert any(v != v for _, v in col.output)          # NaNs came through

@@ -35,10 +35,13 @@ def test_output_bytes_measured_when_serdes_given():
 
 
 def test_fallback_heuristic_without_serdes():
+    """No part file: the output's packed size under the job's key serde,
+    each value priced at 8 bytes."""
     grid = integer_grid((4, 4), seed=4)
     result = LocalJobRunner().run(make_job(), grid)
     reduce_profiles = [p for p in result.task_profiles if p.kind == "reduce"]
-    assert reduce_profiles[0].output_bytes > 0
+    # 16 records x (7-byte name + 8 coordinate + 4 slot bytes + 8)
+    assert reduce_profiles[0].output_bytes == 16 * (19 + 8)
 
 
 def test_part_files_kept_when_requested(tmp_path):
