@@ -36,7 +36,8 @@ from repro.mapreduce.serde import (
     ValueBlockSerde,
 )
 from repro.mapreduce.codecs import Codec, available_codecs, get_codec, register_codec
-from repro.mapreduce.api import Combiner, MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.api import (FoldReducer, MapContext, Mapper, Monoid,
+                                ReduceContext, Reducer)
 from repro.mapreduce.job import Job
 from repro.mapreduce.engine import JobResult, LocalJobRunner
 from repro.mapreduce.metrics import Counters, TaskProfile
@@ -66,7 +67,8 @@ __all__ = [
     "available_codecs",
     "Mapper",
     "Reducer",
-    "Combiner",
+    "Monoid",
+    "FoldReducer",
     "MapContext",
     "ReduceContext",
     "Job",

@@ -1,17 +1,19 @@
-"""User-facing Mapper / Combiner / Reducer APIs.
+"""User-facing Mapper / Reducer / Monoid APIs.
 
 Mirrors Hadoop's programming model (§II-A): a Map function from input
-records to intermediate key/value pairs, an optional Combiner that
-partially reduces map output, and a Reduce function from a key plus all
-its values to output pairs.  Contexts own serialization -- keys are
-converted to bytes the moment they are emitted, reproducing Hadoop
-assumption (b) of §II-B.
+records to intermediate key/value pairs and a Reduce function from a key
+plus all its values to output pairs.  Hadoop's optional combiner (Fig 1
+step 3) is not written by hand here: a reducer that declares a
+:class:`Monoid` has one, and ``Job.combine`` runs it map-side.
+Contexts own serialization -- keys are converted to bytes the moment
+they are emitted, reproducing Hadoop assumption (b) of §II-B.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -22,7 +24,8 @@ from repro.mapreduce.output import PackedKeys, PackedOutput
 from repro.mapreduce.serde import Serde
 from repro.scidata.splits import InputSplit
 
-__all__ = ["Mapper", "Reducer", "Combiner", "MapContext", "ReduceContext"]
+__all__ = ["Mapper", "Reducer", "Monoid", "FoldReducer", "MIN", "MAX", "SUM",
+           "SUM_COUNT", "MapContext", "ReduceContext"]
 
 
 class MapContext:
@@ -282,6 +285,11 @@ class Reducer(ABC):
     the only method a reducer must have; defining only it is always
     valid, for built-in reducers, user reducers and wrappers alike.
 
+    A reducer *may* declare ``monoid``, the :class:`Monoid` its
+    :meth:`reduce` folds a group's values with (:class:`FoldReducer`).
+    ``Job.combine`` requires it: the engine folds each sorted spill
+    group map-side with it, and the reducer folds the partial folds.
+
     A reducer *may* also define ``reduce_batch(keys, values, bounds,
     ctx)`` -- deliberately absent from this base class, so its presence
     is the opt-in.  The engine calls it once per reduce task, in place
@@ -307,7 +315,7 @@ class Reducer(ABC):
     :meth:`ReduceContext.emit_batch`: packed ``keys`` -- or, for a pair
     per record, ``keys.repeat(np.diff(bounds))`` -- with an ndarray of
     one value per key keeps the output packed, rows and array, to the
-    job result.  A fold that
+    job result.  A reducer that
     cannot promise that for the column it was handed (a float ``sum``,
     whose result depends on association order) returns
     ``NotImplemented`` *before emitting anything*, and the engine runs
@@ -320,9 +328,80 @@ class Reducer(ABC):
         """Process one key group (all values for one intermediate key)."""
 
 
-class Combiner(ABC):
-    """Optional map-side partial reduce, applied per sorted spill run."""
+@dataclass(eq=False)
+class Monoid:
+    """An associative fold: a reducer's algebra, declared once.
 
-    @abstractmethod
-    def combine(self, key: Any, values: Sequence[Any]) -> Sequence[Any]:
-        """Fold ``values`` for ``key``; return the surviving values."""
+    ``fold(values)`` is the definition: a fold of one group's non-empty
+    value list with builtin semantics.  On integers it promises
+    ``fold(xs + ys) == fold([fold(xs), fold(ys)])`` -- what folding spill
+    groups map-side (``Job.combine``), then the partial folds at the
+    reducer, relies on -- and, for every monoid declared here, that order
+    does not matter (``tests/mapreduce/test_monoid_laws.py`` states each
+    one's identity and checks the laws for every declared one).
+    On floats regrouping rounds, so a combined float job may differ from
+    an uncombined one in the last bits, as Hadoop's may.  ``ufunc`` is
+    the numpy ufunc whose ``reduceat`` equals ``fold`` on integers.
+    """
+
+    fold: Callable[[Sequence[Any]], Any]
+    ufunc: np.ufunc | None = None
+
+    def fold_batch(self, values: np.ndarray, bounds: np.ndarray):
+        """``fold`` of every group of a column, or ``NotImplemented``.
+
+        ``values`` is a 1-D int64 / float64 array, group ``g`` being
+        ``values[bounds[g]:bounds[g + 1]]`` (never empty).  Returns
+        ``ufunc.reduceat(values, bounds[:-1])`` only where its
+        ``tolist()`` is every group's ``fold`` bit for bit: an integer
+        column, and for sums only when ``max|v| x largest group`` stays
+        inside int64 (beyond it Python grows a big int).  Not on floats:
+        builtin ``min`` / ``max`` return whichever operand a NaN
+        comparison leaves standing (``min([nan, 1.0])`` is nan,
+        ``min([1.0, nan])`` is 1.0) where ``np.minimum`` propagates NaN,
+        and a float ``sum`` depends on association order and on the
+        Python version's summation algorithm.
+        """
+        ufunc = self.ufunc
+        if ufunc is None or values.dtype.kind != "i":
+            return NotImplemented
+        if ufunc is np.add:
+            peak = max(abs(int(values.min())), abs(int(values.max())))
+            if peak * int(np.diff(bounds).max()) >= 1 << 63:
+                return NotImplemented
+        return ufunc.reduceat(values, bounds[:-1])
+
+
+def _sum_pairs(pairs: Sequence[tuple[Any, Any]]) -> tuple[Any, Any]:
+    """Fold ``(total, count)`` pairs field by field."""
+    return sum(p[0] for p in pairs), sum(p[1] for p in pairs)
+
+
+MIN = Monoid(min, np.minimum)
+MAX = Monoid(max, np.maximum)
+SUM = Monoid(sum, np.add)
+#: the algebraic carrier of a mean: ``(total, count)`` pairs
+SUM_COUNT = Monoid(_sum_pairs)
+
+
+class FoldReducer(Reducer):
+    """Emits ``finish(monoid.fold(values))`` per group -- every algebraic
+    query's reducer.  Its ``monoid`` is also its combiner and, without a
+    ``finish`` (such as a mean's ``total / count``), its batched reduce.
+    """
+
+    def __init__(self, monoid: Monoid,
+                 finish: Callable[[Any], Any] | None = None) -> None:
+        self.monoid = monoid
+        self.finish = finish
+
+    def reduce(self, key, values, ctx):
+        value = self.monoid.fold(values)
+        ctx.emit(key, value if self.finish is None else self.finish(value))
+
+    def reduce_batch(self, keys, values, bounds, ctx):
+        folded = (NotImplemented if self.finish is not None
+                  else self.monoid.fold_batch(values, bounds))
+        if folded is NotImplemented:
+            return NotImplemented
+        ctx.emit_batch(keys, folded)

@@ -196,8 +196,8 @@ def _spill(
     Each partition takes the columnar path (numpy stable argsort of the
     key matrix, bulk IFile write) when its buffer is purely columnar, and
     the scalar path otherwise.  Both produce identical bytes and
-    counters; only the cost differs.  A combiner takes a fixed-width
-    run as columns and a ragged one as records.
+    counters; only the cost differs.  ``Job.combine`` folds the sorted
+    run in either form (:func:`_combine`).
     """
     out: dict[int, SpillSegment] = {}
     for part, pbuf in buffer.items():
@@ -212,17 +212,12 @@ def _spill(
                 order = argsort_key_matrix(kmat)
                 run: Run = (np.ascontiguousarray(kmat[order]),
                             take_rows(values, order))
-            if job.combiner is not None:
-                with clock.measure("combine"):
-                    run = (_combine(job, run_records(run), counters)
-                           if type(values) is Ragged
-                           else _combine_columnar(job, *run, counters))
         else:
             with clock.measure("sort"):
                 run = sort_records(pbuf.to_records())
-            if job.combiner is not None:
-                with clock.measure("combine"):
-                    run = _combine(job, run, counters)
+        if job.combine:
+            with clock.measure("combine"):
+                run = _combine(job, run, counters)
         _write_run(writer, run)
         stats = writer.close()
         counters.incr(C.SPILLED_RECORDS, stats.records)
@@ -232,53 +227,34 @@ def _spill(
     return out
 
 
-def _combine(job: Job, records: list[Record], counters: Counters) -> list[Record]:
-    """Run the job's combiner over one sorted run."""
-    combiner = job.combiner()
-    out: list[Record] = []
-    for kb, value_blobs in group_by_key(records):
-        counters.incr(C.COMBINE_INPUT_RECORDS, len(value_blobs))
-        key = job.key_serde.from_bytes(kb)
-        values = job.value_serde.read_batch(value_blobs)
-        for v in combiner.combine(key, values):
-            vout = bytearray()
-            job.value_serde.write(v, vout)
-            out.append((kb, bytes(vout)))
-            counters.incr(C.COMBINE_OUTPUT_RECORDS)
-    return out
+def _combine(job: Job, run: Run, counters: Counters) -> Run:
+    """Fold every group of one sorted spill run with the reducer's monoid.
 
-
-def _combine_columnar(
-    job: Job,
-    kmat: np.ndarray,
-    vmat: np.ndarray,
-    counters: Counters,
-) -> list[Record]:
-    """Run the combiner over one key-sorted columnar run.
-
-    Groups are adjacent equal key rows; each group's values decode in one
-    :meth:`~repro.mapreduce.serde.Serde.read_column` pass over the
-    contiguous value slab instead of one ``from_bytes`` call per record.
-    Output records (and counters) are identical to
-    ``_combine(job, <same run as records>)``.
+    A fixed-width run decodes each group's values by one ``read_column``
+    over its slice of the value slab; a record or ragged run decodes them
+    by ``read_batch``.  Each fold is written through ``write``, which
+    raises for a fold the value serde cannot hold.  No key is decoded.
     """
-    combiner = job.combiner()
+    monoid = job.reducer().monoid
+    serde = job.value_serde
+    if type(run) is tuple and type(run[1]) is not Ragged:
+        kmat, vmat = run
+        vw = vmat.shape[1]
+        vflat = memoryview(vmat).cast("B")
+        bounds = group_bounds(kmat).tolist()
+        groups = ((kmat[start].tobytes(),
+                   serde.read_column(vflat[start * vw:end * vw], end - start))
+                  for start, end in zip(bounds, bounds[1:]))
+    else:
+        groups = ((kb, serde.read_batch(blobs))
+                  for kb, blobs in group_by_key(run_records(run)))
     out: list[Record] = []
-    bounds = group_bounds(kmat)
-    vflat = memoryview(vmat).cast("B")
-    vw = vmat.shape[1]
-    for g in range(len(bounds) - 1):
-        start, end = int(bounds[g]), int(bounds[g + 1])
-        counters.incr(C.COMBINE_INPUT_RECORDS, end - start)
-        kb = kmat[start].tobytes()
-        key = job.key_serde.from_bytes(kb)
-        values = job.value_serde.read_column(
-            vflat[start * vw:end * vw], end - start)
-        for v in combiner.combine(key, values):
-            vout = bytearray()
-            job.value_serde.write(v, vout)
-            out.append((kb, bytes(vout)))
-            counters.incr(C.COMBINE_OUTPUT_RECORDS)
+    for kb, values in groups:
+        counters.incr(C.COMBINE_INPUT_RECORDS, len(values))
+        vout = bytearray()
+        serde.write(monoid.fold(values), vout)
+        out.append((kb, bytes(vout)))
+        counters.incr(C.COMBINE_OUTPUT_RECORDS)
     return out
 
 

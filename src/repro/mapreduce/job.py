@@ -1,7 +1,7 @@
 """Job configuration.
 
 One :class:`Job` describes everything the engine needs: the user code
-(mapper/reducer/combiner factories), the intermediate types, the codec
+(mapper/reducer factories), the intermediate types, the codec
 (§III plugs in here), the partitioner, spill/merge tuning, and an
 optional *shuffle plugin* -- the hook through which key aggregation
 (§IV) teaches the shuffle to split aggregate keys.  The plugin hook is
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from repro.mapreduce.api import Combiner, Mapper, Reducer
+from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.partition import HashPartitioner, Partitioner
 from repro.mapreduce.serde import Serde
 
@@ -109,7 +109,9 @@ class Job:
     value_serde: Serde
     num_reducers: int = 1
     num_map_tasks: int = 1
-    combiner: Callable[[], Combiner] | None = None
+    #: fold each sorted spill group map-side with the reducer's declared
+    #: ``monoid`` (Hadoop's combiner, Fig 1 step 3)
+    combine: bool = False
     #: codec registry name (see repro.mapreduce.codecs / core.stride.codec)
     codec: str = "null"
     codec_options: dict = field(default_factory=dict)
@@ -158,3 +160,5 @@ class Job:
         if self.ifile_block_bytes is not None and self.ifile_block_bytes < 256:
             raise ValueError(
                 f"ifile_block_bytes must be >= 256, got {self.ifile_block_bytes}")
+        if self.combine and getattr(self.reducer(), "monoid", None) is None:
+            raise ValueError(f"job {self.name!r}: combine=True needs a monoid")

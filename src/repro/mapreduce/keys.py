@@ -236,7 +236,7 @@ class CellKeySerde(Serde):
         coordinate words) -- the columnar form the batched spill path
         consumes without materializing per-record ``bytes`` objects.
         """
-        coords = np.asarray(coords, dtype=np.int64)
+        coords = np.ascontiguousarray(coords, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] != self.ndim:
             raise ValueError(f"expected (n, {self.ndim}) coords, got {coords.shape}")
         n = coords.shape[0]

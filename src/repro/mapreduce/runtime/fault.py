@@ -445,12 +445,13 @@ class PoisonedReducer(Reducer):
     """Wraps a job's reducer so one key group raises (``poison``).
 
     The poison record is the zero-based ordinal of the key group within
-    the reduce task's sorted input.
+    the reduce task's sorted input.  It declares the inner ``monoid``.
     """
 
     def __init__(self, inner: Reducer, record: int) -> None:
         self.inner = inner
         self.record = record
+        self.monoid = getattr(inner, "monoid", None)
         self._ordinal = -1
 
     def reduce(self, key, values, ctx: ReduceContext) -> None:

@@ -112,7 +112,7 @@ def job_fingerprint(job: Any, splits: Sequence[Any]) -> str:
         f"name={job.name}",
         f"mapper={_describe(job.mapper)}",
         f"reducer={_describe(job.reducer)}",
-        f"combiner={_describe(job.combiner)}",
+        f"combine={job.combine}",
         f"key_serde={_describe(type(job.key_serde))}",
         f"value_serde={_describe(type(job.value_serde))}",
         f"num_reducers={job.num_reducers}",

@@ -21,8 +21,7 @@ from repro.mapreduce.job import Job
 from repro.scidata.dataset import Dataset
 from repro.scidata.slab import Slab
 
-__all__ = ["window_offsets", "shifted_cells", "integer_fold_batch",
-           "GridQuery"]
+__all__ = ["window_offsets", "shifted_cells", "GridQuery"]
 
 
 def window_offsets(ndim: int, window: int) -> list[tuple[int, ...]]:
@@ -56,35 +55,6 @@ def shifted_cells(
         hi = lo + extent.shape[d]
         keep &= (shifted[:, d] >= lo) & (shifted[:, d] < hi)
     return shifted[keep], values[keep]
-
-
-#: builtin fold over a group's value list -> the ufunc whose ``reduceat``
-#: equals it on an integer column
-_FOLD_UFUNCS = {min: np.minimum, max: np.maximum, sum: np.add}
-
-
-def integer_fold_batch(fold, keys, values: np.ndarray, bounds: np.ndarray,
-                       ctx):
-    """``reduce_batch`` body of a reducer emitting ``fold(group values)``.
-
-    Taken only where the fold is an exact monoid, so regrouping cannot
-    change a bit: ``fold`` is the builtin ``min`` / ``max`` / ``sum`` and
-    the column is integer, sums provably inside int64.  Everything else
-    returns ``NotImplemented`` and keeps the per-group call -- float
-    columns in particular: builtin ``min`` / ``max`` return whichever
-    operand a NaN comparison leaves standing (``min([nan, 1.0])`` is
-    nan, ``min([1.0, nan])`` is 1.0) where ``np.minimum`` propagates
-    NaN, and a float ``sum`` depends on association order and on the
-    Python version's summation algorithm.
-    """
-    ufunc = _FOLD_UFUNCS.get(fold)
-    if ufunc is None or values.dtype.kind != "i":
-        return NotImplemented
-    if ufunc is np.add:
-        peak = max(abs(int(values.min())), abs(int(values.max())))
-        if peak * int(np.diff(bounds).max()) >= 1 << 63:
-            return NotImplemented  # the builtin would grow a big int
-    ctx.emit_batch(keys, ufunc.reduceat(values, bounds[:-1]))
 
 
 class GridQuery(ABC):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mapreduce.api import Combiner, Mapper, Reducer
+from repro.mapreduce.api import SUM, FoldReducer, Mapper
 from repro.mapreduce.job import Job
 from repro.mapreduce.serde import Int32Serde, Int64Serde
-from repro.queries.base import GridQuery, integer_fold_batch
+from repro.queries.base import GridQuery
 from repro.scidata.dataset import Dataset
 
 __all__ = ["HistogramQuery"]
@@ -40,23 +40,6 @@ class HistogramMapper(Mapper):
             ctx.value_serde.pack_batch(counts[occupied]), dtype=np.uint8
         ).reshape(occupied.size, -1)
         ctx.emit_batch(keys, vals)
-
-
-class CountCombiner(Combiner):
-    """Map-side partial sum of bin counts."""
-
-    def combine(self, key, values):
-        return [sum(values)]
-
-
-class CountReducer(Reducer):
-    """Final sum of bin counts."""
-
-    def reduce(self, key, values, ctx):
-        ctx.emit(key, sum(values))
-
-    def reduce_batch(self, keys, values, bounds, ctx):
-        return integer_fold_batch(sum, keys, values, bounds, ctx)
 
 
 class HistogramQuery(GridQuery):
@@ -86,8 +69,8 @@ class HistogramQuery(GridQuery):
         lo, hi, bins = self.lo, self.hi, self.bins
         return Job(
             mapper=lambda: HistogramMapper(lo, hi, bins),
-            reducer=CountReducer,
-            combiner=CountCombiner if use_combiner else None,
+            reducer=lambda: FoldReducer(SUM),
+            combine=use_combiner,
             key_serde=Int32Serde(),
             value_serde=Int64Serde(),
             **defaults,

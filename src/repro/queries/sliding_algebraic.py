@@ -2,20 +2,18 @@
 
 The median (holistic) and mean (algebraic with a (sum, count) carrier)
 have dedicated modules; this one covers the remaining common window
-aggregates, whose partial results fold with the same operator --
-so the plain mode's combiner is simply the operator itself applied
-map-side, Hadoop's textbook combiner case.
+aggregates, whose partial results fold with the same operator (a
+:class:`~repro.mapreduce.api.Monoid`) -- so the plain mode's combiner is
+the operator itself applied map-side, Hadoop's textbook combiner case.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.aggregation import AggregateShufflePlugin, RangeGroupReducer
-from repro.mapreduce.api import Combiner, Reducer
+from repro.mapreduce.api import MAX, MIN, SUM, FoldReducer, Monoid
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
-from repro.queries.base import GridQuery, integer_fold_batch, window_offsets
+from repro.queries.base import GridQuery, window_offsets
 from repro.queries.sliding_median import (
     AggregateWindowMapper,
     PlainWindowMapper,
@@ -25,31 +23,8 @@ from repro.scidata.dataset import Dataset
 
 __all__ = ["SlidingAggregateQuery", "WINDOW_OPS"]
 
-#: op name -> the fold over one cell's value list, in both modes
-WINDOW_OPS: dict[str, Callable] = {"min": min, "max": max, "sum": sum}
-
-
-class FoldCombiner(Combiner):
-    """Map-side partial fold with the reduce operator itself."""
-
-    def __init__(self, fold: Callable) -> None:
-        self.fold = fold
-
-    def combine(self, key, values):
-        return [self.fold(values)]
-
-
-class FoldReducer(Reducer):
-    """Final fold of all window values with the operator."""
-
-    def __init__(self, fold: Callable) -> None:
-        self.fold = fold
-
-    def reduce(self, key, values, ctx):
-        ctx.emit(key, self.fold(values))
-
-    def reduce_batch(self, keys, values, bounds, ctx):
-        return integer_fold_batch(self.fold, keys, values, bounds, ctx)
+#: op name -> the monoid folding one cell's value list, in both modes
+WINDOW_OPS: dict[str, Monoid] = {"min": MIN, "max": MAX, "sum": SUM}
 
 
 class SlidingAggregateQuery(GridQuery):
@@ -61,7 +36,7 @@ class SlidingAggregateQuery(GridQuery):
         if op not in WINDOW_OPS:
             raise ValueError(f"op must be one of {sorted(WINDOW_OPS)}, got {op!r}")
         self.op = op
-        self.fold = WINDOW_OPS[op]
+        self.monoid = WINDOW_OPS[op]
         self.window = window
         self.offsets = window_offsets(self.extent.ndim, window)
 
@@ -77,13 +52,13 @@ class SlidingAggregateQuery(GridQuery):
         defaults.update(job_overrides)
         var_ref = self.variable
         extent, offsets = self.extent, self.offsets
-        fold = self.fold
+        monoid = self.monoid
 
         if mode == "plain":
             return Job(
                 mapper=lambda: PlainWindowMapper(var_ref, extent, offsets),
-                reducer=lambda: FoldReducer(fold),
-                combiner=(lambda: FoldCombiner(fold)) if use_combiner else None,
+                reducer=lambda: FoldReducer(monoid),
+                combine=use_combiner,
                 key_serde=CellKeySerde(self.extent.ndim, "name"),
                 value_serde=value_serde_for(dtype),
                 **defaults,
@@ -94,7 +69,7 @@ class SlidingAggregateQuery(GridQuery):
             return Job(
                 mapper=lambda: AggregateWindowMapper(var_ref, extent, offsets,
                                                      config),
-                reducer=lambda: RangeGroupReducer(FoldReducer(fold), config,
+                reducer=lambda: RangeGroupReducer(FoldReducer(monoid), config,
                                                   origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),

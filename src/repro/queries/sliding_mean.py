@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.aggregation import AggregateShufflePlugin, RangeGroupReducer
-from repro.mapreduce.api import Combiner, Mapper, Reducer
+from repro.mapreduce.api import SUM_COUNT, FoldReducer, Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
 from repro.mapreduce.serde import Serde, _check_column
@@ -39,8 +39,8 @@ class SumCountSerde(Serde):
 
     def write(self, obj, out: bytearray) -> None:
         total, count = obj
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        if not 0 <= count < 1 << 32:
+            raise ValueError("count out of uint32 range")
         out.extend(_PAIR.pack(float(total), int(count)))
 
     def read(self, buf, offset: int):
@@ -92,27 +92,14 @@ class PlainMeanMapper(Mapper):
                 ctx.emit_cells(self.var_ref, shifted, pairs)
 
 
-class SumCountCombiner(Combiner):
-    """Fold (sum, count) pairs -- the algebraic partial reduce."""
-
-    def combine(self, key, values):
-        total = sum(v[0] for v in values)
-        count = sum(v[1] for v in values)
-        return [(total, count)]
-
-
-class PlainMeanReducer(Reducer):
-    """Final mean from folded (sum, count) pairs."""
-
-    def reduce(self, key, values, ctx):
-        total = sum(v[0] for v in values)
-        count = sum(v[1] for v in values)
-        ctx.emit(key, total / count)
+def _mean(pair: tuple[float, int]) -> float:
+    total, count = pair
+    return total / count
 
 
 class CellMeanReducer(Reducer):
     """Mean of a cell's raw values (an aggregate job's blocks carry the
-    values, not the (sum, count) pairs :class:`PlainMeanReducer` folds)."""
+    values, not the (sum, count) pairs the plain job folds)."""
 
     def reduce(self, key, values, ctx):
         ctx.emit(key, float(np.mean(values)))
@@ -147,8 +134,8 @@ class SlidingMeanQuery(GridQuery):
             extent, offsets = self.extent, self.offsets
             return Job(
                 mapper=lambda: PlainMeanMapper(var_ref, extent, offsets),
-                reducer=PlainMeanReducer,
-                combiner=SumCountCombiner if use_combiner else None,
+                reducer=lambda: FoldReducer(SUM_COUNT, finish=_mean),
+                combine=use_combiner,
                 key_serde=CellKeySerde(self.extent.ndim, variable_mode),
                 value_serde=SumCountSerde(),
                 **defaults,

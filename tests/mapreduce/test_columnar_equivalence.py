@@ -91,6 +91,7 @@ from repro.queries.sliding_median import PlainMedianReducer
 from repro.queries.subset import IdentityReducer
 from repro.scidata import Dataset, Slab, Variable, integer_grid
 from repro.scidata.splits import ArraySplitter
+from tests.mapreduce import reference_combiners as ref
 from tests.mapreduce.test_engine import make_job
 
 
@@ -732,6 +733,145 @@ def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
     stable = lambda counters: {k: v for k, v in counters.as_dict().items()
                                if k not in volatile}
     assert stable(result.counters) == stable(expected.counters)
+
+
+# ------------------------------------------------------- map-side combine
+
+#: the algebraic queries: each reducer declares a monoid, ``combine`` on
+COMBINE_QUERIES = ["histogram", "max", "mean", "min", "sum"]
+COMBINE_SHAPES = {
+    "1-map": dict(num_map_tasks=1, num_reducers=2),
+    "4-maps": dict(num_map_tasks=4, num_reducers=2),
+    "4-maps-1KiB": dict(num_map_tasks=4, num_reducers=2,
+                        sort_buffer_bytes=1024),
+}
+
+
+def combine_dataset(dtype: str, nan: bool) -> Dataset:
+    """A 5x5x4 grid of ``dtype``; float cells are fractional and carry
+    both signed zeros, and NaN when ``nan`` (a histogram cannot bin it)."""
+    rng = np.random.default_rng(80)
+    cells = rng.integers(-300, 300, (5, 5, 4)).astype(dtype)
+    if cells.dtype.kind == "f":
+        cells /= 8
+        cells[rng.random(cells.shape) < 0.1] = -0.0
+        cells[rng.random(cells.shape) < 0.1] = 0.0
+        if nan:
+            cells[rng.random(cells.shape) < 0.1] = np.nan
+    dataset = Dataset()
+    dataset.add(Variable("values", cells))
+    return dataset
+
+
+def combine_query(name: str, dataset: Dataset):
+    if name == "histogram":
+        return HistogramQuery(dataset, "values", bins=16)
+    if name == "mean":
+        return SlidingMeanQuery(dataset, "values", window=3)
+    return SlidingAggregateQuery(dataset, "values", op=name, window=3)
+
+
+def oracle_job(make_job, name):
+    """``make_job()`` with the query's reducer as first written; the
+    caller swaps the engine's combine for the oracle combiner's loops."""
+    job = dataclasses.replace(make_job(), reducer=ref.ORACLES[name][1],
+                              combine=False)
+    job.combine = True  # the oracle's combiner stands in for the monoid
+    return job
+
+
+def assert_same_job(a, b, segments_a, segments_b):
+    """Counters, keys, the ``repr`` of every value (NaN != NaN, so not
+    ``==``), reduce output bytes and every map output segment."""
+    assert a.counters.as_dict() == b.counters.as_dict()
+    assert [k for k, _ in a.output] == [k for k, _ in b.output]
+    assert output_reprs(a) == output_reprs(b)
+    assert reduce_output_bytes(a) == reduce_output_bytes(b)
+    assert segments_a == segments_b and segments_a
+
+
+@pytest.mark.parametrize("shape", sorted(COMBINE_SHAPES))
+@pytest.mark.parametrize("dtype", ["float32", "float64", "int32", "int64"])
+@pytest.mark.parametrize("name", COMBINE_QUERIES)
+def test_derived_combine_equals_the_oracle_combiners(tmp_path, monkeypatch,
+                                                     name, dtype, shape):
+    """The monoid-derived combine against the hand-written combiners and
+    reducers it replaced, columnar and ``columnar=False``: the same
+    segment bytes, ``COMBINE_*`` and every other counter, and output."""
+    import repro.mapreduce.engine as engine
+
+    dataset = combine_dataset(dtype, nan=name != "histogram")
+    query = combine_query(name, dataset)
+    make_job = lambda: query.build_job("plain", **COMBINE_SHAPES[shape])
+    derived, derived_segments = run_both(tmp_path / "derived", dataset,
+                                         make_job)
+    monkeypatch.setattr(engine, "_combine",
+                        ref.engine_combine(ref.ORACLES[name][0]))
+    oracle, oracle_segments = run_both(tmp_path / "oracle", dataset,
+                                       lambda: oracle_job(make_job, name))
+    for label in ("columnar", "scalar"):
+        assert_same_job(derived[label], oracle[label],
+                        derived_segments[label], oracle_segments[label])
+    counters = derived["columnar"].counters
+    if name != "histogram":  # (its mapper pre-counts: one small spill)
+        assert counters[C.COMBINE_OUTPUT_RECORDS] < counters[
+            C.COMBINE_INPUT_RECORDS]
+        assert counters[C.SPILL_COUNT] > (8 if shape.endswith("1KiB") else 0)
+    assert counters[C.COMBINE_OUTPUT_RECORDS] > 0
+
+
+def test_a_fold_outside_the_value_range_raises_what_write_raises(
+        tmp_path, monkeypatch):
+    """int32 cells near the top of the range: a window's partial sum
+    leaves int32.  ``write`` raises at the first such group -- what the
+    hand-written combiner raised, in both forms."""
+    import repro.mapreduce.engine as engine
+
+    dataset = Dataset()
+    dataset.add(Variable("values", np.full((3, 3), (1 << 31) - 5, np.int32)))
+    query = SlidingAggregateQuery(dataset, "values", op="sum", window=3)
+    make_job = lambda: query.build_job("plain", num_reducers=2)
+    raised = {}
+    for leg in ("derived", "oracle"):
+        if leg == "oracle":
+            monkeypatch.setattr(engine, "_combine",
+                                ref.engine_combine(ref.ORACLES["sum"][0]))
+        for columnar in (True, False):
+            job = (make_job() if leg == "derived"
+                   else oracle_job(make_job, "sum"))
+            job.columnar = columnar
+            with pytest.raises(ValueError) as info:
+                with LocalJobRunner(workdir=str(tmp_path / leg)) as runner:
+                    runner.run(job, dataset)
+            raised[leg, columnar] = (type(info.value), str(info.value))
+    assert len(set(raised.values())) == 1
+    assert "int32 out of range" in raised["derived", True][1]
+
+
+def test_the_combine_decodes_no_key(monkeypatch):
+    """int32 grid, plain sliding sum, several spills: the map-side
+    combine folds every group without decoding its key (and the reduce
+    side, batched, decodes none either)."""
+    dataset = integer_grid((6, 6, 6), seed=81, low=-500, high=500)
+    job = SlidingAggregateQuery(dataset, "values", op="sum").build_job(
+        "plain", num_map_tasks=2, num_reducers=2, sort_buffer_bytes=16384)
+
+    def never(name):
+        def entered(*args, **kwargs):
+            raise AssertionError(f"{name} entered on an integer fold")
+        return entered
+    monkeypatch.setattr(CellKeySerde, "from_bytes",
+                        never("CellKeySerde.from_bytes"))
+    monkeypatch.setattr(CellKeySerde, "read", never("CellKeySerde.read"))
+
+    with LocalJobRunner() as runner:
+        result = runner.run(job, dataset)
+    counters = result.counters
+    assert counters[C.SPILL_COUNT] > 2
+    assert counters[C.COMBINE_INPUT_RECORDS] == counters[C.MAP_OUTPUT_RECORDS]
+    assert counters[C.COMBINE_OUTPUT_RECORDS] < counters[
+        C.COMBINE_INPUT_RECORDS]
+    assert counters[C.REDUCE_INPUT_GROUPS] == 216
 
 
 # -------------------------------------------------- properties of the forms

@@ -6,13 +6,13 @@ import pytest
 from repro.mapreduce import (
     CellKey,
     CellKeySerde,
-    Combiner,
     Int32Serde,
     Job,
     LocalJobRunner,
     Mapper,
     Reducer,
 )
+from repro.mapreduce.api import SUM
 from repro.mapreduce.metrics import C
 from repro.scidata import integer_grid
 
@@ -34,14 +34,20 @@ class EmitCellsScalarMapper(Mapper):
             ctx.emit(CellKey(split.variable, coord), int(flat[i]))
 
 
+class EmitFOrderedCellsMapper(Mapper):
+    """EmitCellsMapper with its coordinates in Fortran order (the layout
+    of a transposed ``np.indices(...).reshape(ndim, -1)``)."""
+
+    def map(self, split, values, ctx):
+        coords = np.asfortranarray(split.slab.coords())
+        ctx.emit_cells(split.variable, coords, values.ravel())
+
+
 class SumReducer(Reducer):
+    monoid = SUM  # what ``combine=True`` folds spill groups with
+
     def reduce(self, key, values, ctx):
         ctx.emit(key, sum(values))
-
-
-class SumCombiner(Combiner):
-    def combine(self, key, values):
-        return [sum(values)]
 
 
 def make_job(**overrides):
@@ -123,6 +129,26 @@ class TestBasicJob:
                 assert p.local_write_bytes > 0
 
 
+@pytest.mark.parametrize("coord_width", [4, 8])
+@pytest.mark.parametrize("columnar", [True, False],
+                         ids=["batch-sink", "write-batch"])
+def test_emit_cells_takes_f_ordered_coordinates(grid, coord_width, columnar):
+    """Both ``emit_cells`` sinks (the columnar ``pack_batch_keys`` and the
+    scalar ``write_batch``) pack F-ordered coordinates as C-ordered."""
+    serde = CellKeySerde(ndim=2, variable_mode="name", coord_width=coord_width)
+    job = lambda mapper: make_job(mapper=mapper, key_serde=serde,
+                                  columnar=columnar, num_map_tasks=2)
+    expected = LocalJobRunner().run(job(EmitCellsMapper), grid)
+    result = LocalJobRunner().run(job(EmitFOrderedCellsMapper), grid)
+    assert result.output == expected.output
+    assert result.counters.as_dict() == expected.counters.as_dict()
+    coords = np.indices((3, 4)).reshape(2, -1).T
+    assert not coords.flags.c_contiguous
+    rows, _ = serde.pack_batch_keys("v", coords)
+    assert [row.tobytes() for row in rows] == serde.write_batch("v", coords) \
+        == [serde.to_bytes(CellKey("v", tuple(c))) for c in coords.tolist()]
+
+
 class TestSpillsAndMerge:
     def test_tiny_buffer_forces_spills(self, grid):
         job = make_job(sort_buffer_bytes=1024)
@@ -163,7 +189,7 @@ class TestCombiner:
                         ctx.emit(CellKey(split.variable, coord), 1)
 
         with_comb = LocalJobRunner().run(
-            make_job(mapper=DupMapper, combiner=SumCombiner), grid)
+            make_job(mapper=DupMapper, combine=True), grid)
         without = LocalJobRunner().run(make_job(mapper=DupMapper), grid)
         assert with_comb.counters[C.COMBINE_INPUT_RECORDS] == 20
         assert with_comb.counters[C.COMBINE_OUTPUT_RECORDS] == 4
@@ -200,6 +226,15 @@ class TestValidation:
             make_job(merge_factor=1)
         with pytest.raises(ValueError):
             make_job(sort_buffer_bytes=10)
+
+    def test_combine_needs_a_declared_monoid(self):
+        class PlainReducer(Reducer):
+            def reduce(self, key, values, ctx):
+                ctx.emit(key, sum(values))
+
+        with pytest.raises(ValueError, match="job 'test': combine=True"):
+            make_job(reducer=PlainReducer, combine=True)
+        assert make_job(reducer=PlainReducer).combine is False
 
     def test_empty_splits_rejected(self, grid):
         with pytest.raises(ValueError):

@@ -97,6 +97,24 @@ class TestFixedWidthSerdes:
                 serde.read_column(memoryview(hostile), count)
 
 
+class TestSumCountSerde:
+    @pytest.mark.parametrize("count", [-1, 1 << 32, 1 << 40])
+    def test_write_range_checks_the_count_like_pack_batch(self, count):
+        """A folded count that leaves uint32 is refused the same way by
+        the scalar and the column pack -- not a bare ``struct.error``."""
+        serde = SumCountSerde()
+        with pytest.raises(ValueError, match="count out of uint32 range"):
+            serde.pack_batch(np.array([[1.0, count]]))
+        with pytest.raises(ValueError, match="count out of uint32 range"):
+            serde.to_bytes((1.0, count))
+
+    def test_the_uint32_edges_pack_identically(self):
+        serde = SumCountSerde()
+        pairs = [(1.0, 0), (-2.5, (1 << 32) - 1)]
+        assert b"".join(map(serde.to_bytes, pairs)) == serde.pack_batch(
+            np.array(pairs))
+
+
 class TestTextSerde:
     def test_length_past_eof(self):
         blob = bytearray()

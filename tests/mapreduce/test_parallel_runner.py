@@ -21,7 +21,6 @@ from repro.mapreduce.simcluster.model import ClusterSimulator
 from repro.scidata import integer_grid
 from tests.mapreduce.test_engine import (
     EmitCellsMapper,
-    SumCombiner,
     SumReducer,
     make_job,
 )
@@ -65,7 +64,7 @@ class TestCounterEquivalence:
 
     def test_combiner(self, grid):
         serial, parallel = assert_equivalent(
-            grid, num_map_tasks=2, combiner=SumCombiner)
+            grid, num_map_tasks=2, combine=True)
         assert parallel.counters[C.COMBINE_INPUT_RECORDS] > 0
 
     def test_compression_codec(self, grid):

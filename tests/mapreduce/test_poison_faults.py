@@ -13,6 +13,8 @@ import pytest
 
 from repro.mapreduce import FaultInjector, LocalJobRunner
 from repro.mapreduce.api import Mapper, Reducer
+from repro.mapreduce.job import SkipPolicy
+from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime.fault import (
     Fault,
     PoisonedMapper,
@@ -190,6 +192,19 @@ class TestPoisonWrappers:
             wrapper.reduce("b", [2], ctx=None)
         wrapper.reduce("c", [3], ctx=None)
         assert inner.keys == ["a", "c"]
+
+    def test_poisoned_reduce_of_a_combining_job(self):
+        """The wrapper declares the inner reducer's monoid, so a job that
+        combines map-side can still have its reduce poisoned -- and its
+        skipping retry loses exactly the poisoned group."""
+        grid = integer_grid((8, 8), seed=11, low=0, high=100)
+        job = make_job(combine=True, skipping=SkipPolicy())
+        clean = LocalJobRunner().run(job, grid)
+        injector = FaultInjector().poison("r00000", record=3)
+        skipped = LocalJobRunner(fault_injector=injector).run(job, grid)
+        assert skipped.counters[C.RECORDS_SKIPPED] == 1
+        assert len(skipped.output) == len(clean.output) - 1
+        assert PoisonedReducer(job.reducer(), 3).monoid is job.reducer().monoid
 
 
 class TestSerialRunnerFaultSupport:

@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 import repro.queries  # noqa: F401  (registers every built-in reducer)
 from repro.core.aggregation import RangeGroupReducer
-from repro.mapreduce import CellKeySerde, Job, Mapper, Reducer
+from repro.mapreduce import CellKeySerde, Job, Mapper, ReduceContext, Reducer
+from repro.mapreduce.api import MAX, MIN, SUM, SUM_COUNT, FoldReducer
 from repro.mapreduce.codecs import get_codec
 from repro.mapreduce.engine import _merge_group_reduce
 from repro.mapreduce.metrics import C, Counters, TaskProfile
@@ -35,9 +36,7 @@ from repro.mapreduce.serde import (
     Int64Serde,
 )
 from repro.mapreduce.sort import argsort_key_matrix
-from repro.queries.histogram import CountReducer
-from repro.queries.sliding_algebraic import FoldReducer
-from repro.queries.sliding_mean import CellMeanReducer, PlainMeanReducer
+from repro.queries.sliding_mean import CellMeanReducer
 from repro.queries.sliding_median import PlainMedianReducer
 from repro.queries.subset import IdentityReducer
 from repro.util.errors import MalformedRecordError
@@ -68,10 +67,9 @@ COLUMNS = {
 REDUCERS = {
     "median": PlainMedianReducer,
     "identity": IdentityReducer,
-    "count": CountReducer,
-    "fold-min": lambda: FoldReducer(min),
-    "fold-max": lambda: FoldReducer(max),
-    "fold-sum": lambda: FoldReducer(sum),
+    "fold-min": lambda: FoldReducer(MIN),
+    "fold-max": lambda: FoldReducer(MAX),
+    "fold-sum": lambda: FoldReducer(SUM),   # also the histogram's reducer
 }
 
 
@@ -182,7 +180,9 @@ def runs(draw):
 
 def test_the_suite_covers_every_batched_reducer():
     """A reducer that gains ``reduce_batch`` must join ``REDUCERS``; the
-    ones without it say so here: a float64 (sum, count) carrier, the
+    ones that do not batch say so here: the plain mean's fold reducer
+    (its ``finish`` makes it decline, and its float64 (sum, count)
+    carrier has no array decode anyway), the
     per-cell mean of an aggregate job (it loops), and the aggregate
     wrapper, which takes range groups (one ``reduce`` call, or a run's
     ``reduce_pieces``) and hands their cells to the ``reduce_batch`` of
@@ -197,7 +197,12 @@ def test_the_suite_covers_every_batched_reducer():
                and hasattr(cls, "reduce_batch")}
     assert batched == {type(make()) for make in REDUCERS.values()}
     assert not hasattr(Reducer, "reduce_batch")
-    assert not hasattr(PlainMeanReducer, "reduce_batch")
+    ctx = ReduceContext(Counters())
+    for monoid in (SUM, SUM_COUNT):
+        finishing = FoldReducer(monoid, finish=float)
+        assert finishing.reduce_batch([0], np.arange(3), np.array([0, 3]),
+                                      ctx) is NotImplemented
+    assert len(ctx.output) == 0
     assert not hasattr(CellMeanReducer, "reduce_batch")
     assert not hasattr(RangeGroupReducer, "reduce_batch")
 
@@ -313,12 +318,14 @@ def float_run(groups):
 @pytest.mark.parametrize("fold, ufunc", [(min, np.minimum), (max, np.maximum),
                                          (sum, np.add)], ids=lambda f: f.__name__)
 def test_float_folds_decline_because_they_are_not_monoids(fold, ufunc):
-    """Why ``integer_fold_batch`` stops at integers.  Builtin ``min`` /
+    """Why ``Monoid.fold_batch`` stops at integers.  Builtin ``min`` /
     ``max`` keep whichever operand a NaN comparison leaves standing, so
     they are order-dependent where the ufunc propagates NaN; float
     addition is not associative, and builtin ``sum`` changed algorithm
     in Python 3.12 (Neumaier compensation).  Regrouping any of them can
     change bits, so the float column is declined whole."""
+    monoid = {min: MIN, max: MAX, sum: SUM}[fold]
+    assert monoid.ufunc is ufunc and monoid.fold([3, 1, 2]) == fold([3, 1, 2])
     if fold is sum:
         assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
         groups = [[1e16, 1.0, -1e16], [0.1, 0.2, 0.3]]
@@ -332,7 +339,7 @@ def test_float_folds_decline_because_they_are_not_monoids(fold, ufunc):
         assert np.isnan(ufunc.reduceat(np.array(groups[0] + groups[1]),
                                        [0, 2])).all()
     run = float_run(groups)
-    batch, oracle, looped = both_ways(lambda: FoldReducer(fold), *run)
+    batch, oracle, looped = both_ways(lambda: FoldReducer(monoid), *run)
     assert looped == len(groups)
     assert_same_result(batch, oracle)
     assert [v for _, v in oracle.output] == pytest.approx(
@@ -346,12 +353,12 @@ def test_integer_sum_declines_where_python_would_grow_a_big_int():
     vmat = np.frombuffer(Int64Serde().pack_batch(column), np.uint8)
     run = (serde, Int64Serde(), np.repeat(leaders, [2, 1], axis=0),
            vmat.reshape(3, 8))
-    batch, oracle, looped = both_ways(CountReducer, *run)
+    batch, oracle, looped = both_ways(lambda: FoldReducer(SUM), *run)
     assert looped == 2
     assert_same_result(batch, oracle)
     assert batch.output[0][1] == (1 << 64) - 2
     # min / max cannot overflow: same column, one call
-    batch, oracle, looped = both_ways(lambda: FoldReducer(max), *run)
+    batch, oracle, looped = both_ways(lambda: FoldReducer(MAX), *run)
     assert looped == 0
     assert_same_result(batch, oracle)
 
