@@ -20,22 +20,34 @@ socket.  Pinned here:
   surface as ``TransientFetchError`` through the real socket, and the
   full fetcher heals them within its retry budget;
 * the engine end to end: a serial network run is byte-identical to the
-  direct transport, and the trace carries ``wire_served`` events.
+  direct transport, and the trace carries ``wire_served`` events;
+* malformed requests are answered ``BAD_REQUEST`` without an exception
+  escaping the handler thread, and the client refuses a framed stream
+  that runs past its header's ``wire_length``;
+* a framed response leaves the server in one write, byte for byte the
+  documented framing, faults included.
 """
 
 import errno
+import json
 import os
+import random
 import socket
+import struct
+import threading
 import time
 import zlib
 
 import pytest
 
-from repro.mapreduce.codecs import NullCodec, available_codecs
+from repro.mapreduce.codecs import NullCodec, available_codecs, get_codec
 from repro.mapreduce.ifile import IFileWriter
 from repro.mapreduce.metrics import C, Counters
 from repro.mapreduce.runtime import FaultInjector
 from repro.mapreduce.runtime.netshuffle import (
+    BAD_REQUEST,
+    OK,
+    REQUEST_MAGIC,
     NetworkTransport,
     ShuffleService,
 )
@@ -73,6 +85,38 @@ def net_config(**overrides):
 @pytest.fixture
 def segment(tmp_path):
     return write_segment(tmp_path)
+
+
+@pytest.fixture
+def thread_errors(monkeypatch):
+    """Every exception that escapes a thread while the test runs."""
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", errors.append)
+    return errors
+
+
+def recv_exact(sock, n):
+    buf = b""
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            raise ConnectionError(f"closed after {len(buf)}/{n} bytes")
+        buf += chunk
+    return buf
+
+
+def rsh1_request(body: bytes) -> bytes:
+    return REQUEST_MAGIC + struct.pack(">I", len(body)) + body
+
+
+def read_error(sock):
+    """``(status, message)`` of a non-OK answer; status ``None`` if the
+    server hung up instead of answering."""
+    status = sock.recv(1)
+    if not status:
+        return None, ""
+    (length,) = struct.unpack(">I", recv_exact(sock, 4))
+    return status[0], recv_exact(sock, length).decode()
 
 
 class TestWireRoundTrip:
@@ -207,6 +251,108 @@ class TestProtocolRejections:
             transport.close()
         with open(path, "rb") as fh:
             assert got == fh.read()
+
+    @pytest.mark.parametrize("body", [
+        b"[]", b'"x"', b"7", b"null", b"", b"not json", b"\xff\xfe",
+        b"[" * 20000 + b"]" * 20000,
+        b'{"epoch": "0"}', b'{"attempt": 1.5}', b'{"chunk": null}',
+        b'{"epoch": true}', b'{"map_id": []}', b'{"codec": 3}',
+    ], ids=lambda body: body[:16].decode("latin-1"))
+    def test_malformed_request_is_answered_bad_request(
+            self, segment, thread_errors, body):
+        path, _ = segment
+        with ShuffleService.from_config(net_config()) as service:
+            service.register_map_output("m00000", [path])
+            before = set(threading.enumerate())
+            with socket.create_connection(service.address_for("m00000"),
+                                          timeout=5.0) as sock:
+                sock.sendall(rsh1_request(body))
+                status, message = read_error(sock)
+                handlers = set(threading.enumerate()) - before
+            for thread in handlers:  # the handler sees EOF and returns
+                thread.join(5.0)
+                assert not thread.is_alive()
+        assert status == BAD_REQUEST
+        assert message.startswith("malformed request")
+        assert [e.exc_type for e in thread_errors] == []
+
+    def test_connection_survives_a_malformed_request(self, segment):
+        """The length prefix keeps the stream in step: a good request on
+        the same connection is served."""
+        path, _ = segment
+        with ShuffleService.from_config(net_config()) as service:
+            service.register_map_output("m00000", [path])
+            with socket.create_connection(service.address_for("m00000"),
+                                          timeout=5.0) as sock:
+                sock.sendall(rsh1_request(b"[]"))
+                assert read_error(sock)[0] == BAD_REQUEST
+                sock.sendall(rsh1_request(json.dumps(
+                    {"map_id": "m00000", "path": path}).encode()))
+                assert sock.recv(1) == bytes([OK])
+
+
+class TestFramedStreamBound:
+    """The client stops a framed stream at the header's ``wire_length``
+    before buffering the frame that would overrun it."""
+
+    @staticmethod
+    def fake_server(response: bytes):
+        """A one-shot server: reads one request, writes ``response``,
+        then holds the connection open until the client hangs up."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def run():
+            with listener:
+                conn, _ = listener.accept()
+                with conn:
+                    (length,) = struct.unpack(">I", recv_exact(conn, 8)[4:])
+                    recv_exact(conn, length)
+                    conn.sendall(response)
+                    while conn.recv(1 << 16):
+                        pass
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return listener.getsockname()[:2], thread
+
+    @staticmethod
+    def framed_response(wire_length, frames, claimed_len):
+        """An OK framed response: ``frames`` in full, then the head of
+        one more frame claiming ``claimed_len`` bytes and no payload."""
+        header = json.dumps({"codec": "zlib", "length": 1, "crc": 0,
+                             "framed": True,
+                             "wire_length": wire_length}).encode()
+        stream = bytes([OK]) + struct.pack(">I", len(header)) + header
+        for frame in frames:
+            stream += struct.pack(">II", len(frame), zlib.crc32(frame))
+            stream += frame
+        return stream + struct.pack(">II", claimed_len, 0)
+
+    @pytest.mark.parametrize("frames, claimed_len", [
+        ([], 1 << 30),            # the first frame alone overruns
+        ([b"12345678"], 8),       # the second one would
+    ])
+    def test_overrunning_frame_is_refused_before_its_payload(
+            self, frames, claimed_len):
+        address, thread = self.fake_server(
+            self.framed_response(10, frames, claimed_len))
+        wire = []
+        transport = NetworkTransport(
+            net_config(wire_codec="zlib"),
+            counter_sink=lambda name, amount=1: wire.append(amount))
+        ref = SegmentRef(map_id="m00000", path="p", stats=None,
+                         address=address)
+        start = time.monotonic()
+        # The payload never comes: reading it would sit out the deadline.
+        with pytest.raises(TransientFetchError, match="overruns") as info:
+            transport.fetch(ref, 0, Deadline(5.0))
+        assert time.monotonic() - start < 2.0
+        received = sum(len(frame) for frame in frames)
+        assert info.value.bytes_received == received
+        assert sum(wire) == received
+        transport.close()
+        thread.join(5.0)
+        assert not thread.is_alive()  # the client hung up
 
 
 class TestCodecNegotiation:
@@ -506,3 +652,118 @@ class TestDamageAtRest:
         assert first == blob
         assert second == damaged  # served faithfully; decode will object
         assert zlib.crc32(second) != zlib.crc32(first)
+
+
+class RecordingConn:
+    """A socket stand-in that records every write a server makes."""
+
+    def __init__(self):
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def send(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def sendmsg(self, buffers, *args):
+        self.writes.append(b"".join(buffers))
+        return len(self.writes[-1])
+
+    def sendfile(self, fh):
+        self.writes.append(fh.read())
+
+    @property
+    def stream(self):
+        return b"".join(self.writes)
+
+
+def reference_response(blob, codec, chunk, op, offset_frac=0.5):
+    """The OK response for ``blob``, built from the documented rule:
+    status, ``u32 len | JSON header``, then the raw body (verbatim) or
+    ``u32 len | u32 crc32 | chunk`` frames and an all-zero terminator.
+    ``drop`` cuts the body and omits the terminator, ``truncate`` cuts
+    the frames and keeps it, ``flip`` damages the middle frame after
+    its CRC was taken."""
+    framed = codec != "null" or op in ("truncate", "flip")
+    comp = get_codec(codec).compress(blob) if framed else b""
+    header = json.dumps({
+        "codec": codec, "length": len(blob), "crc": zlib.crc32(blob),
+        "framed": framed, "wire_length": len(comp),
+    }).encode()
+    stream = bytes([OK]) + struct.pack(">I", len(header)) + header
+    if not framed:
+        keep = int(len(blob) * offset_frac) if op == "drop" else len(blob)
+        return stream + blob[:keep]
+    size = max(256, chunk)
+    frames = [comp[i:i + size] for i in range(0, len(comp), size)]
+    n = len(frames)
+    if op in ("drop", "truncate"):
+        frames = frames[:max(0, min(n - 1, int(n * offset_frac)))]
+    for i, frame in enumerate(frames):
+        crc = zlib.crc32(frame)
+        if op == "flip" and i == n // 2:
+            mid = len(frame) // 2
+            frame = frame[:mid] + bytes([frame[mid] ^ 0xFF]) + frame[mid + 1:]
+        stream += struct.pack(">II", len(frame), crc) + frame
+    if op != "drop":
+        stream += struct.pack(">II", 0, 0)
+    return stream
+
+
+class TestResponseWrites:
+    """How a response leaves the server: one write when framed (the
+    piecewise writes stalled on Nagle x delayed ACK), header then
+    ``sendfile`` when verbatim, and byte for byte the framing rule."""
+
+    @pytest.fixture(scope="class")
+    def big_segment(self, tmp_path_factory):
+        """~160 KiB of incompressible values: several 64 KiB frames."""
+        rng = random.Random(30)
+        path = str(tmp_path_factory.mktemp("writes") / "m00000-out-p0")
+        writer = IFileWriter(path, NullCodec())
+        for i in range(1200):
+            writer.append(f"k{i:05d}".encode(), rng.randbytes(128))
+        writer.close()
+        with open(path, "rb") as fh:
+            return path, fh.read()
+
+    @staticmethod
+    def serve(path, codec, chunk, op=None):
+        inj = FaultInjector()
+        if op is not None:
+            inj.fetch("m00000", "r00000", op=op, attempt=0)
+        config = net_config(wire_codec=codec, chunk_bytes=chunk)
+        with ShuffleService.from_config(
+                config, faults=inj.fetch_plan()) as service:
+            service.register_map_output("m00000", [path])
+            server = service.servers[service.server_index("m00000")]
+            conn = RecordingConn()
+            ok = server._serve(conn, {
+                "map_id": "m00000", "path": path, "epoch": 0,
+                "reduce_id": "r00000", "attempt": 0, "codec": codec,
+                "chunk": chunk})
+        return ok, conn
+
+    @pytest.mark.parametrize("chunk", [256, 64 * 1024])
+    def test_clean_framed_response_is_one_write(self, big_segment, chunk):
+        path, blob = big_segment
+        ok, conn = self.serve(path, "fastpred+zlib", chunk)
+        assert ok
+        assert len(conn.writes) == 1
+        assert conn.stream == reference_response(blob, "fastpred+zlib",
+                                                 chunk, None)
+
+    @pytest.mark.parametrize("chunk", [256, 64 * 1024])
+    @pytest.mark.parametrize("codec", ["null", "fastpred+zlib"])
+    @pytest.mark.parametrize("op", [None, "drop", "truncate", "flip"])
+    def test_stream_follows_the_framing_rule(self, big_segment, codec,
+                                             chunk, op):
+        path, blob = big_segment
+        ok, conn = self.serve(path, codec, chunk, op)
+        assert ok == (op != "drop")  # drop kills the connection
+        assert conn.stream == reference_response(blob, codec, chunk, op)
+        framed = codec != "null" or op in ("truncate", "flip")
+        # framed: one write, faults included; verbatim: header, body
+        assert len(conn.writes) == (1 if framed else 2)
