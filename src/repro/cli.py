@@ -27,8 +27,8 @@ def _registry() -> dict[str, tuple[str, Callable]]:
     from repro.experiments import ablations, chaos, cluster_runs, density, \
         e1_motivation, fig2_stream, fig3_table, fig4_scaling, \
         fig8_aggregation, figures_5_6_7, key_splitting, levers, locality, \
-        multivar, p2_columnar, p3_pipeline, parallel_speedup, r2_poison, \
-        r4_netshuffle, r5_hostchaos, r6_service, r7_memchaos
+        multivar, p3_pipeline, parallel_speedup, r2_poison, r4_netshuffle, \
+        r5_hostchaos, r6_service, r7_memchaos
 
     return {
         "E1": ("§I motivation: per-cell-key file sizes (paper-exact)",
@@ -75,9 +75,6 @@ def _registry() -> dict[str, tuple[str, Callable]]:
                 lambda: levers.run()),
         "P1": ("perf: serial vs parallel runtime on the Fig 8 job",
                lambda: parallel_speedup.run()),
-        "P2": ("perf: scalar vs columnar record pipeline, map-phase "
-               "throughput",
-               lambda: p2_columnar.run()),
         "P3": ("perf: pipelined shuffle vs the barrier -- overlap map, "
                "fetch, and reduce-side merge, with straggler speculation "
                "and mid-pipeline host loss",

@@ -12,8 +12,8 @@ routing and sorting phases":
   (Fig 7) and re-sorts, so byte-equal keys group all data for the same
   simple keys.
 
-Those two are the record contract.  A clean columnar job takes their
-column forms instead, and never builds a per-record ``bytes``:
+Those two are the record contract.  A clean job takes their column
+forms instead, and never builds a per-record ``bytes``:
 :meth:`route_batch` routes a whole aggregator flush (a key matrix and a
 ragged column of value blocks), and :meth:`run_pieces` splits a whole
 merged run straight into the :class:`~repro.core.aggregation.groups.

@@ -45,8 +45,9 @@ class MapContext:
         self.value_serde = value_serde
         self._sink = sink
         #: engine-supplied columnar sink taking ``(keys, values)`` uint8
-        #: matrices; ``None`` when the job runs the scalar path (then the
-        #: batched emits below decay to per-record ``sink`` calls)
+        #: matrices; ``None`` when the job has a shuffle plugin or the
+        #: context is sink-only (then the batched emits below decay to
+        #: per-record ``sink`` calls)
         self._batch_sink = batch_sink
         #: engine-supplied sink taking a key matrix and a ragged value
         #: column, the whole-batch form of ``sink`` for a shuffle plugin's
@@ -76,10 +77,9 @@ class MapContext:
         :class:`~repro.mapreduce.columnar.Ragged` column: row ``i`` is
         the pair ``(keys[i], values[i])``.  Equivalent to
         :meth:`emit_serialized` row by row, in order.  The aggregation
-        library hands over a whole flush this way: on a columnar job with
-        a shuffle plugin that routes batches, the engine routes and
-        buffers it as arrays; otherwise it decays to one ``sink`` call per
-        record.
+        library hands over a whole flush this way: with a shuffle plugin
+        that routes batches, the engine routes and buffers it as arrays;
+        otherwise it decays to one ``sink`` call per record.
         """
         keys = np.asarray(keys, dtype=np.uint8)
         if keys.ndim != 2:
@@ -103,9 +103,9 @@ class MapContext:
         ``keys`` is an ``(n, key_size)`` uint8 matrix, ``values`` an
         ``(n, value_size)`` uint8 matrix -- the columnar record form
         (obtained e.g. from ``CellKeySerde.pack_batch_keys`` and
-        ``Serde.pack_batch``).  On a columnar job the whole batch is
+        ``Serde.pack_batch``).  On a plugin-less job the whole batch is
         handed to the engine without creating per-record objects; on a
-        scalar job it decays to one ``sink`` call per record.
+        sink-only context it decays to one ``sink`` call per record.
         """
         keys = np.asarray(keys, dtype=np.uint8)
         values = np.asarray(values, dtype=np.uint8)
@@ -319,8 +319,8 @@ class Reducer(ABC):
     cannot promise that for the column it was handed (a float ``sum``,
     whose result depends on association order) returns
     ``NotImplemented`` *before emitting anything*, and the engine runs
-    the per-group loop instead.  ``columnar=False``, skipping retries and
-    record-form runs never consult it; a ``RangeGroupReducer`` tries it.
+    the per-group loop instead.  Skipping retries and record-form runs
+    never consult it; a ``RangeGroupReducer`` tries it.
     """
 
     @abstractmethod

@@ -146,7 +146,7 @@ class ReduceTaskResult:
 SpillSegment = tuple[str, IFileStats]
 
 
-def _read_run(job: Job, reader: IFileReader, stats: IFileStats) -> Run:
+def _read_run(reader: IFileReader, stats: IFileStats) -> Run:
     """Decode one plain segment as a run, columnar when it can be.
 
     The segment's own stats name the only key width a columnar run
@@ -154,12 +154,12 @@ def _read_run(job: Job, reader: IFileReader, stats: IFileStats) -> Run:
     evenly too, the only value width: a fixed-width read is tried first,
     then a ragged one (:meth:`IFileReader.read_columnar`), each
     verifying the EOF marker and every record's frame.  Anything else --
-    a scalar (``columnar=False``) job, an empty, chunked or malformed
-    segment, keys of several widths -- is ``read_all()``, so a malformed
-    segment is still diagnosed by the strict record iterator.
+    an empty, chunked or malformed segment, keys of several widths -- is
+    ``read_all()``, so a malformed segment is still diagnosed by the
+    strict record iterator.
     """
     n = stats.records
-    if job.columnar and n > 0 and stats.key_bytes % n == 0:
+    if n > 0 and stats.key_bytes % n == 0:
         run = None
         if stats.value_bytes % n == 0:
             run = reader.read_columnar(stats.key_bytes // n,
@@ -203,7 +203,7 @@ def _spill(
     for part, pbuf in buffer.items():
         if pbuf.records == 0:
             continue
-        colview = pbuf.columnar_view() if job.columnar else None
+        colview = pbuf.columnar_view()
         path = os.path.join(workdir, f"{task_id}-spill{spill_idx}-p{part}")
         writer = IFileWriter(path, codec)
         if colview is not None:
@@ -415,9 +415,8 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
     # batch.  MapContext falls back to per-record emission otherwise.
     ctx = MapContext(
         job.key_serde, job.value_serde, sink, counters,
-        batch_sink=batch_sink if (job.columnar and plugin is None) else None,
-        serialized_batch_sink=(serialized_batch_sink
-                               if job.columnar and route_batch else None),
+        batch_sink=batch_sink if plugin is None else None,
+        serialized_batch_sink=serialized_batch_sink if route_batch else None,
     )
     variable = dataset[split.variable]
     with clock.measure("read"):
@@ -452,8 +451,7 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
                 runs = []
                 for path, stats in part_spills:
                     profile.local_read_bytes += stats.materialized_bytes
-                    runs.append(_read_run(job, IFileReader(path, codec),
-                                          stats))
+                    runs.append(_read_run(IFileReader(path, codec), stats))
                 writer = IFileWriter(final_path, codec, atomic=True,
                                      block_bytes=job.ifile_block_bytes)
                 _write_run(writer, merge_sorted_runs(runs))
@@ -487,7 +485,6 @@ def run_reduce_task(
     part: int,
     segments: Sequence[Any],
     workdir: str,
-    keep_files: bool = False,
     *,
     segment_reader=None,
     prepare_filter=None,
@@ -511,7 +508,7 @@ def run_reduce_task(
     Each fetched segment decodes to a *run* in one of two forms
     (:func:`_read_run`): a key matrix + value column (a fixed matrix or
     a ragged one) when the segment's keys have one width and every
-    frame verifies (``Job.columnar`` on), the record list otherwise.
+    frame verifies, the record list otherwise.
     Empty runs are dropped by row count -- a zero-row columnar run is a
     truthy tuple -- so run order, and with it the merge's tie order, is
     the same in both forms.
@@ -562,7 +559,7 @@ def run_reduce_task(
         for ref, blob in zip(refs, blobs):
             profile.shuffle_bytes += ref.stats.materialized_bytes
             if segment_reader is None:
-                run = _read_run(job, IFileReader(blob, codec, path=ref.path),
+                run = _read_run(IFileReader(blob, codec, path=ref.path),
                                 ref.stats)
             else:
                 run = segment_reader(ref.path, codec, blob)
@@ -587,7 +584,6 @@ def run_reduce_task(
     with rent:
         return _merge_group_reduce(job, task_id, runs, run_sizes, workdir,
                                    codec, counters, clock, profile,
-                                   keep_files,
                                    prepare_filter=prepare_filter,
                                    group_driver=group_driver)
 
@@ -647,12 +643,11 @@ def _merge_group_reduce(
     counters: Counters,
     clock: CostClock,
     profile: TaskProfile,
-    keep_files: bool,
     *,
     prepare_filter=None,
     group_driver=None,
 ) -> ReduceTaskResult:
-    """Fig 1 steps 5-7: merge fetched runs, group, reduce, write output.
+    """Fig 1 steps 5-7: merge fetched runs, group, reduce, collect output.
 
     The single tail shared by the barrier reduce path above and the
     pipelined path (:func:`~repro.mapreduce.runtime.pipeline.
@@ -701,7 +696,7 @@ def _merge_group_reduce(
             stats = writer.close()
             profile.local_write_bytes += stats.materialized_bytes
             counters.incr(C.MERGE_PASS_BYTES, stats.materialized_bytes)
-            merged_back = _read_run(job, IFileReader(path, codec), stats)
+            merged_back = _read_run(IFileReader(path, codec), stats)
             profile.local_read_bytes += stats.materialized_bytes
         os.unlink(path)
         runs.append(merged_back)
@@ -772,26 +767,10 @@ def _merge_group_reduce(
         profile.cpu_seconds[category] = (
             profile.cpu_seconds.get(category, 0.0) + seconds
         )
-    if job.output_key_serde is not None and job.output_value_serde is not None:
-        # Write a real part file (Fig 1 step 7) so output bytes are
-        # measured, not estimated.
-        part_path = os.path.join(workdir, f"{task_id}-part")
-        writer = IFileWriter(part_path, codec)
-        for k, v in ctx.output:
-            kout = bytearray()
-            job.output_key_serde.write(k, kout)
-            vout = bytearray()
-            job.output_value_serde.write(v, vout)
-            writer.append(bytes(kout), bytes(vout))
-        part_stats = writer.close()
-        profile.output_bytes = part_stats.materialized_bytes
-        if not keep_files:
-            os.unlink(part_path)
-    else:
-        # the output's packed size; an aggregate job's reducer emits cell
-        # keys, whose serde the plugin names
-        profile.output_bytes = ctx.output.packed_bytes(getattr(
-            plugin, "output_key_serde", job.key_serde))
+    # the output's packed size; an aggregate job's reducer emits cell
+    # keys, whose serde the plugin names
+    profile.output_bytes = ctx.output.packed_bytes(getattr(
+        plugin, "output_key_serde", job.key_serde))
     return ReduceTaskResult(task_id=task_id, output=ctx.output,
                             counters=counters, profile=profile)
 
@@ -1033,7 +1012,7 @@ class LocalJobRunner:
                     kind, job, payload(), dataset, workdir, task_id=task_id,
                     attempt=attempt, fault=fault, skip_mode=skip_mode,
                     shuffle=self.shuffle, fetch_faults=fetch_faults,
-                    degrade=degrade, keep_files=self.keep_files)
+                    degrade=degrade)
             except Exception as exc:
                 record = classify(exc, job)
                 map_id = record["failed_map"]

@@ -57,9 +57,8 @@ class ShufflePlugin(Protocol):
 
     ``route`` and ``prepare_reduce`` are the record contract and the only
     methods a plugin must have.  A plugin may also define their column
-    forms, which a ``Job.columnar`` job then takes wherever it can; each
-    is an optimisation, never a behaviour change (same records, same
-    counts):
+    forms, which the engine then takes wherever it can; each is an
+    optimisation, never a behaviour change (same records, same counts):
 
     ``route_batch(keys, values, num_reducers)``
         ``keys`` an ``(n, key_size)`` uint8 matrix, ``values`` a
@@ -72,8 +71,8 @@ class ShufflePlugin(Protocol):
         ``MapContext.emit_serialized_batch`` through it (one call per
         batch, spills cut at the same input record as per-record
         routing, the pieces buffered as ragged chunks); a declined batch,
-        a plugin without the method, or a scalar job routes record by
-        record.
+        a plugin without the method, or a record emitted by
+        ``emit_serialized`` routes record by record.
 
     ``run_pieces(run)``
         ``prepare_reduce`` of a merged run in either form (records, or a
@@ -122,24 +121,9 @@ class Job:
     merge_factor: int = 10
     #: non-atomic key support (key aggregation installs itself here)
     shuffle_plugin: ShufflePlugin | None = None
-    #: batched/columnar record pipeline, map side and reduce side
-    #: (emit_batch / emit_serialized_batch -> partition or route at spill
-    #: -> columnar spill -> segments decoded to a key matrix + value
-    #: column -> concatenate + stable-argsort merge -> one batched
-    #: reduce).  Which form a run takes is
-    #: decided by what the data is (fixed-width, verified); ``False``
-    #: forces the record path everywhere.  Byte-identical to the scalar
-    #: path -- counters, spill files and reducer output do not change --
-    #: so this flag exists for A/B benchmarking and the equivalence
-    #: suite, not for correctness.
-    columnar: bool = True
     #: restrict input splits to these dataset variables (None = all);
     #: single-variable queries over multi-variable datasets need this
     input_variables: tuple[str, ...] | None = None
-    #: when both are set, reducer output is also written to real IFile
-    #: part files (Fig 1 step 7) so output bytes are measured exactly
-    output_key_serde: Serde | None = None
-    output_value_serde: Serde | None = None
     #: record-level skipping mode (None = a poison record fails the task
     #: after retries, exactly as before)
     skipping: SkipPolicy | None = None

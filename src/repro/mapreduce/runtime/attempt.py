@@ -143,7 +143,6 @@ def run_attempt(
     shuffle: Any = None,
     fetch_faults: Any = None,
     degrade: int = 0,
-    keep_files: bool = False,
     kill: Callable[[MemoryError], None] | None = None,
 ) -> dict[str, Any]:
     """Execute one task attempt in ``workdir``; returns its ok-record
@@ -197,7 +196,7 @@ def run_attempt(
         corrupt_input = corrupt and fault.where == "reduce-input"
         if pipelined and not skip_mode and not corrupt_input:
             value = run_reduce_task_pipelined(
-                job, part, segments, workdir, keep_files=keep_files,
+                job, part, segments, workdir,
                 shuffle=shuffle, fetch_faults=fetch_faults, memory=budget)
         else:
             if pipelined:
@@ -214,11 +213,11 @@ def run_attempt(
                              fault.offset_frac, fault.op)
             if skip_mode:
                 value = run_reduce_task_skipping(
-                    job, part, segments, workdir, keep_files=keep_files,
+                    job, part, segments, workdir,
                     shuffle=shuffle, fetch_faults=fetch_faults)
             else:
                 value = run_reduce_task(
-                    job, part, segments, workdir, keep_files=keep_files,
+                    job, part, segments, workdir,
                     shuffle=shuffle, fetch_faults=fetch_faults,
                     memory=budget)
     else:

@@ -248,7 +248,6 @@ def run_reduce_task_pipelined(
     part: int,
     plan: PipelinePlan,
     workdir: str,
-    keep_files: bool = False,
     *,
     shuffle: Any = None,
     fetch_faults: Any = None,
@@ -382,7 +381,7 @@ def run_reduce_task_pipelined(
                     with clock.measure("shuffle"):
                         blob = fetcher.fetch_one(ref)
                         decoded = _read_run(
-                            job, IFileReader(blob, codec, path=ref.path),
+                            IFileReader(blob, codec, path=ref.path),
                             ref.stats)
                 except BaseException:
                     fetcher.retire(price)
@@ -450,7 +449,7 @@ def run_reduce_task_pipelined(
     with rent:
         result = _merge_group_reduce(
             job, task_id, runs, run_sizes, workdir, codec, counters, clock,
-            profile, keep_files)
+            profile)
     result.pipeline = {
         "first_fetch_ms": first_fetch_ms,
         "overlapped_fetches": overlapped,

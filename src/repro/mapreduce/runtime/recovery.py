@@ -107,14 +107,18 @@ def job_fingerprint(job: Any, splits: Sequence[Any]) -> str:
     Two runs with the same fingerprint execute identical task functions
     over identical inputs, so any completed attempt of one is a valid
     completed attempt of the other -- the precondition for adoption.
+    Every :class:`~repro.mapreduce.job.Job` field is hashed: each one
+    changes what some task writes (the serdes by their state, not only
+    their class; ``ifile_block_bytes`` the segment layout; ``skipping``
+    which records a completed attempt kept).
     """
     parts = [
         f"name={job.name}",
         f"mapper={_describe(job.mapper)}",
         f"reducer={_describe(job.reducer)}",
         f"combine={job.combine}",
-        f"key_serde={_describe(type(job.key_serde))}",
-        f"value_serde={_describe(type(job.value_serde))}",
+        f"key_serde={_describe(job.key_serde)}",
+        f"value_serde={_describe(job.value_serde)}",
         f"num_reducers={job.num_reducers}",
         f"num_map_tasks={job.num_map_tasks}",
         f"codec={job.codec}",
@@ -124,8 +128,8 @@ def job_fingerprint(job: Any, splits: Sequence[Any]) -> str:
         f"merge_factor={job.merge_factor}",
         f"shuffle_plugin={_describe(job.shuffle_plugin)}",
         f"input_variables={_describe(job.input_variables)}",
-        f"output_key_serde={_describe(type(job.output_key_serde) if job.output_key_serde is not None else None)}",
-        f"output_value_serde={_describe(type(job.output_value_serde) if job.output_value_serde is not None else None)}",
+        f"skipping={_describe(job.skipping)}",
+        f"ifile_block_bytes={job.ifile_block_bytes}",
     ]
     for s in splits:
         parts.append(f"split={s.split_id}:{s.variable}:{s.slab!r}")

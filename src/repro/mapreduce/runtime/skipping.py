@@ -272,7 +272,6 @@ def run_reduce_task_skipping(
     part: int,
     segments: Sequence[Any],
     workdir: str,
-    keep_files: bool = False,
     shuffle: Any = None,
     fetch_faults: Any = None,
 ) -> ReduceTaskResult:
@@ -354,7 +353,7 @@ def run_reduce_task_skipping(
             ctx.output.extend(sub_ctx.output)
 
     result = run_reduce_task(
-        job, part, segments, workdir, keep_files=keep_files,
+        job, part, segments, workdir,
         segment_reader=segment_reader, prepare_filter=prepare_filter,
         group_driver=group_driver, shuffle=shuffle,
         fetch_faults=fetch_faults)

@@ -1,13 +1,15 @@
 """A/B equivalence: the columnar fast path is byte-identical to scalar.
 
-``Job.columnar`` switches the engine between the batched/columnar record
-pipeline and the original record-at-a-time one.  The fast path is only
-admissible because it changes *nothing* observable: for every built-in
-query, in both key modes, these tests run the same job twice (columnar
-on/off) and require identical counters, identical reducer output, and
-byte-identical final map-output segment files -- including under the
-multiprocess runner and under tiny sort buffers that force multi-spill
-merges.
+The engine runs a batched/columnar record pipeline wherever the data
+allows and the record-at-a-time one elsewhere; the ``record_path``
+fixture (``tests/mapreduce/record_path.py``) forces the latter on data
+that would run columnar.  The fast path is only admissible because it
+changes *nothing* observable: for every built-in query, in both key
+modes, these tests run the same job twice (columnar, then under
+``record_path``) and require identical counters, identical reducer
+output, and byte-identical final map-output segment files -- including
+under the multiprocess runner and under tiny sort buffers that force
+multi-spill merges.
 
 The reduce side is columnar too (a decoded run is a key matrix + value
 matrix, merged by one stable argsort), so the same A/B covers on-disk
@@ -92,6 +94,7 @@ from repro.queries.subset import IdentityReducer
 from repro.scidata import Dataset, Slab, Variable, integer_grid
 from repro.scidata.splits import ArraySplitter
 from tests.mapreduce import reference_combiners as ref
+from tests.mapreduce.record_path import record_path
 from tests.mapreduce.test_engine import make_job
 
 
@@ -127,16 +130,17 @@ def segment_bytes(workdir: str) -> dict[str, bytes]:
 
 
 def run_both(tmp_path, dataset, make_job, runner_cls=LocalJobRunner):
-    """Run a job columnar and scalar; return both results + segment maps."""
+    """Run a job columnar and scalar (under ``record_path``); return
+    both results + segment maps."""
     results, segments = {}, {}
-    for flag in (True, False):
-        label = "columnar" if flag else "scalar"
-        job = make_job()
-        job.columnar = flag
+    for label in ("columnar", "scalar"):
         workdir = str(tmp_path / label)
-        with runner_cls(workdir=workdir, keep_files=True) as runner:
-            results[label] = runner.run(job, dataset)
-            segments[label] = segment_bytes(workdir)
+        with pytest.MonkeyPatch.context() as patch:
+            if label == "scalar":
+                record_path(patch)
+            with runner_cls(workdir=workdir, keep_files=True) as runner:
+                results[label] = runner.run(make_job(), dataset)
+                segments[label] = segment_bytes(workdir)
     return results, segments
 
 
@@ -288,7 +292,7 @@ def force_object_path(patch):
 @pytest.mark.parametrize("name", AGGREGATE_QUERY_NAMES)
 def test_aggregate_equivalence(tmp_path, grid, pair_grid, name,
                                plain_batches):
-    """Batched vs ``columnar=False`` vs the object path on both sides
+    """Batched vs ``record_path`` vs the object path on both sides
     (its reduce range group by range group): output, every counter and
     every segment file."""
     dataset, query = aggregate_query(grid, pair_grid, name)
@@ -326,11 +330,11 @@ def test_aggregate_batch_spills_at_the_same_record(tmp_path, grid,
 
     query = SlidingMedianQuery(grid, "values", window=3)
     split = ArraySplitter(1).split(grid)[0]
-    spills = {}
+    spills, recorded = {}, []
     real_spill = engine._spill
 
     def recording_spill(job, workdir, task_id, spill_idx, buffer, *rest):
-        spills[job.columnar].append(
+        recorded.append(
             {part: pbuf.to_records() for part, pbuf in buffer.items()})
         return real_spill(job, workdir, task_id, spill_idx, buffer, *rest)
     monkeypatch.setattr(engine, "_spill", recording_spill)
@@ -339,11 +343,14 @@ def test_aggregate_batch_spills_at_the_same_record(tmp_path, grid,
         for flag in (True, False):
             job = query.build_job("aggregate", num_reducers=3,
                                   sort_buffer_bytes=sort_buffer_bytes)
-            job.columnar = flag
-            spills[flag] = []
             workdir = tmp_path / f"{sort_buffer_bytes}-{flag}"
             workdir.mkdir()
-            run_map_task(job, split, grid, str(workdir))
+            with pytest.MonkeyPatch.context() as patch:
+                if not flag:
+                    record_path(patch)
+                run_map_task(job, split, grid, str(workdir))
+            spills[flag] = recorded[:]
+            recorded.clear()
             assert job.shuffle_plugin.routing_splits > 0
         assert len(spills[True]) > 10
         assert spills[True] == spills[False]
@@ -407,7 +414,7 @@ AGGREGATE_LEGS = {
 
 @pytest.mark.parametrize("leg", sorted(AGGREGATE_LEGS))
 def test_aggregate_irregular_equivalence(tmp_path, grid, leg):
-    """Columnar vs ``columnar=False`` vs the object path, off the clean
+    """Columnar vs ``record_path`` vs the object path, off the clean
     path: output, every counter, every segment file, and what the
     skipping retry quarantined."""
     query = SlidingMedianQuery(grid, "values", window=3)
@@ -415,7 +422,6 @@ def test_aggregate_irregular_equivalence(tmp_path, grid, leg):
     for label in ("columnar", "scalar", "objects"):
         workdir = tmp_path / label
         job = query.build_job("aggregate", **AGGREGATE_LEGS[leg])
-        job.columnar = label != "scalar"
         injector = None
         if leg == "poisoned-skipping-retry":
             job = dataclasses.replace(job, skipping=SkipPolicy(
@@ -424,6 +430,8 @@ def test_aggregate_irregular_equivalence(tmp_path, grid, leg):
         with pytest.MonkeyPatch.context() as patch:
             if label == "objects":
                 force_object_path(patch)
+            elif label == "scalar":
+                record_path(patch)
             with LocalJobRunner(workdir=str(workdir), keep_files=True,
                                 fault_injector=injector) as runner:
                 results[label] = runner.run(job, grid)
@@ -650,14 +658,17 @@ def test_skipping_retry_equivalence(tmp_path, plane,
     dies, the skipping retry runs through the record hooks -- and
     quarantines the same records into the same side-file either way."""
     results, segments, quarantined = {}, {}, {}
-    for label, flag in (("columnar", True), ("scalar", False)):
+    for label in ("columnar", "scalar"):
         workdir = tmp_path / label
-        job = cell_job(reducer=reducer, columnar=flag, skipping=SkipPolicy(
+        job = cell_job(reducer=reducer, skipping=SkipPolicy(
             quarantine_dir=str(workdir / "q")))
         injector = FaultInjector().poison("r00001", record=3)
-        with LocalJobRunner(workdir=str(workdir), keep_files=True,
-                            fault_injector=injector) as runner:
-            results[label] = runner.run(job, plane)
+        with pytest.MonkeyPatch.context() as patch:
+            if label == "scalar":
+                record_path(patch)
+            with LocalJobRunner(workdir=str(workdir), keep_files=True,
+                                fault_injector=injector) as runner:
+                results[label] = runner.run(job, plane)
         segments[label] = segment_bytes(str(workdir))
         quarantined[label] = {
             path.name: path.read_bytes() for path in (workdir / "q").iterdir()}
@@ -678,8 +689,9 @@ def test_skipping_retry_equivalence_under_a_batched_reducer(tmp_path, plane):
 def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
     """m00000 re-executes *after* its run and m00001's were folded: the
     reducer refetches it at the bumped epoch, rebuilds the fold from the
-    retained runs, and still equals the scalar barrier reduce."""
-    job = cell_job(num_map_tasks=3, num_reducers=1, columnar=columnar)
+    retained runs, and still equals the scalar barrier reduce.  The
+    ``False`` leg maps and reduces under ``record_path``."""
+    job = cell_job(num_map_tasks=3, num_reducers=1)
 
     def map_outputs(tag):
         outs = []
@@ -689,13 +701,17 @@ def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
             outs.append(run_map_task(job, split, plane, str(workdir)))
         return outs
 
-    epoch0, epoch1 = map_outputs("e0"), map_outputs("e1")
+    with pytest.MonkeyPatch.context() as patch:
+        if not columnar:
+            record_path(patch)
+        epoch0, epoch1 = map_outputs("e0"), map_outputs("e1")
     barrier_dir = tmp_path / "barrier"
     barrier_dir.mkdir()
-    expected = run_reduce_task(
-        dataclasses.replace(job, columnar=False), 0,
-        [SegmentRef.from_pair(o.segments[0]) for o in epoch0],
-        str(barrier_dir))
+    with pytest.MonkeyPatch.context() as patch:
+        record_path(patch)
+        expected = run_reduce_task(
+            job, 0, [SegmentRef.from_pair(o.segments[0]) for o in epoch0],
+            str(barrier_dir))
 
     log = CommitLog(str(tmp_path / "commits"))
     for out in epoch0[:2]:
@@ -722,7 +738,11 @@ def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
     feeder = threading.Thread(target=feed)
     feeder.start()
     try:
-        result = run_reduce_task_pipelined(job, 0, plan, str(reduce_dir))
+        with pytest.MonkeyPatch.context() as patch:
+            if not columnar:
+                record_path(patch)
+            result = run_reduce_task_pipelined(job, 0, plan,
+                                               str(reduce_dir))
     finally:
         feeder.join(timeout=30)
     assert not feeder.is_alive()
@@ -796,7 +816,7 @@ def assert_same_job(a, b, segments_a, segments_b):
 def test_derived_combine_equals_the_oracle_combiners(tmp_path, monkeypatch,
                                                      name, dtype, shape):
     """The monoid-derived combine against the hand-written combiners and
-    reducers it replaced, columnar and ``columnar=False``: the same
+    reducers it replaced, columnar and under ``record_path``: the same
     segment bytes, ``COMBINE_*`` and every other counter, and output."""
     import repro.mapreduce.engine as engine
 
@@ -839,10 +859,13 @@ def test_a_fold_outside_the_value_range_raises_what_write_raises(
         for columnar in (True, False):
             job = (make_job() if leg == "derived"
                    else oracle_job(make_job, "sum"))
-            job.columnar = columnar
-            with pytest.raises(ValueError) as info:
-                with LocalJobRunner(workdir=str(tmp_path / leg)) as runner:
-                    runner.run(job, dataset)
+            with pytest.MonkeyPatch.context() as patch:
+                if not columnar:
+                    record_path(patch)
+                with pytest.raises(ValueError) as info:
+                    with LocalJobRunner(
+                            workdir=str(tmp_path / leg)) as runner:
+                        runner.run(job, dataset)
             raised[leg, columnar] = (type(info.value), str(info.value))
     assert len(set(raised.values())) == 1
     assert "int32 out of range" in raised["derived", True][1]

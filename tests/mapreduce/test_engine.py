@@ -15,6 +15,7 @@ from repro.mapreduce import (
 from repro.mapreduce.api import SUM
 from repro.mapreduce.metrics import C
 from repro.scidata import integer_grid
+from tests.mapreduce.record_path import record_path
 
 
 class EmitCellsMapper(Mapper):
@@ -130,14 +131,18 @@ class TestBasicJob:
 
 
 @pytest.mark.parametrize("coord_width", [4, 8])
-@pytest.mark.parametrize("columnar", [True, False],
+@pytest.mark.parametrize("batch_sink", [True, False],
                          ids=["batch-sink", "write-batch"])
-def test_emit_cells_takes_f_ordered_coordinates(grid, coord_width, columnar):
+def test_emit_cells_takes_f_ordered_coordinates(monkeypatch, grid,
+                                                coord_width, batch_sink):
     """Both ``emit_cells`` sinks (the columnar ``pack_batch_keys`` and the
-    scalar ``write_batch``) pack F-ordered coordinates as C-ordered."""
+    scalar ``write_batch``, under ``record_path``) pack F-ordered
+    coordinates as C-ordered."""
+    if not batch_sink:
+        record_path(monkeypatch)
     serde = CellKeySerde(ndim=2, variable_mode="name", coord_width=coord_width)
     job = lambda mapper: make_job(mapper=mapper, key_serde=serde,
-                                  columnar=columnar, num_map_tasks=2)
+                                  num_map_tasks=2)
     expected = LocalJobRunner().run(job(EmitCellsMapper), grid)
     result = LocalJobRunner().run(job(EmitFOrderedCellsMapper), grid)
     assert result.output == expected.output

@@ -5,11 +5,12 @@ Four layers of the memory model are pinned here:
 * :class:`MemoryBudget` itself -- charge modes (try / wait / enforce /
   force), grant-when-alone, per-owner quotas, the fault hooks the
   ``oom`` injector arms, and the no-leak guarantee of ``rent()``;
-* the spill boundary -- the scalar and columnar map paths must flush
-  at exactly the same record when the running byte count crosses
-  ``sort_buffer_bytes``, including one byte under, exactly on, and one
-  byte over a record-aligned threshold, and the ledger ends every
-  error path (a ``MemoryError`` mid-spill) at zero bytes held;
+* the spill boundary -- the scalar (``record_path``) and columnar map
+  paths must flush at exactly the same record when the running byte
+  count crosses ``sort_buffer_bytes``, including one byte under,
+  exactly on, and one byte over a record-aligned threshold, and the
+  ledger ends every error path (a ``MemoryError`` mid-spill) at zero
+  bytes held;
 * the degrade-on-retry ladder -- an injected OOM at any ledger site
   produces byte-identical output and *fully* counter-identical results
   between the serial and parallel runners;
@@ -36,6 +37,7 @@ from repro.mapreduce.runtime.memory import MemoryBudget, MemoryBudgetExceeded
 from repro.queries import BoxSubsetQuery
 from repro.scidata import Slab, integer_grid
 from repro.scidata.splits import ArraySplitter
+from tests.mapreduce.record_path import record_path
 
 
 @pytest.fixture(scope="module")
@@ -158,13 +160,14 @@ class TestSpillBoundary:
         rec = self._probe_record_bytes(grid)
         threshold = max(1024, (1024 // rec + 1) * rec) + offset
         results = {}
-        for flag in (False, True):
-            label = "columnar" if flag else "scalar"
+        for label in ("scalar", "columnar"):
             job = make_job(grid, sort_buffer_bytes=threshold)
-            job.columnar = flag
-            with LocalJobRunner(
-                    workdir=str(tmp_path / f"{label}{offset}")) as runner:
-                results[label] = runner.run(job, grid)
+            with pytest.MonkeyPatch.context() as patch:
+                if label == "scalar":
+                    record_path(patch)
+                with LocalJobRunner(
+                        workdir=str(tmp_path / f"{label}{offset}")) as runner:
+                    results[label] = runner.run(job, grid)
         col, sca = results["columnar"], results["scalar"]
         assert col.counters["SPILL_COUNT"] == sca.counters["SPILL_COUNT"]
         assert col.counters["SPILL_COUNT"] > 0

@@ -8,6 +8,7 @@ byte-identical to an uninterrupted serial run.  Validation is
 pessimistic: any doubt demotes a checkpoint to "re-run it".
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -16,7 +17,15 @@ import time
 
 import pytest
 
-from repro.mapreduce import LocalJobRunner, ParallelJobRunner
+from repro.mapreduce import (
+    CellKeySerde,
+    Int64Serde,
+    Job,
+    LocalJobRunner,
+    ParallelJobRunner,
+)
+from repro.mapreduce.job import SkipPolicy
+from repro.mapreduce.partition import HashPartitioner
 from repro.mapreduce.runtime.recovery import (
     MANIFEST_NAME,
     JobManifest,
@@ -27,7 +36,12 @@ from repro.mapreduce.runtime.recovery import (
 from repro.queries import BoxSubsetQuery
 from repro.scidata import integer_grid
 from repro.scidata.splits import ArraySplitter
-from tests.mapreduce.test_engine import EmitCellsMapper, make_job
+from tests.mapreduce.test_engine import (
+    EmitCellsMapper,
+    EmitCellsScalarMapper,
+    SumReducer,
+    make_job,
+)
 
 
 @pytest.fixture
@@ -192,6 +206,68 @@ class TestFingerprint:
         assert fp != job_fingerprint(
             make_job(num_map_tasks=4, num_reducers=3), splits)
         assert fp != job_fingerprint(base, splits[:-1])
+        # another block size rewrites every segment; a skipping attempt
+        # may have left quarantined records out
+        assert fp != job_fingerprint(
+            make_job(num_map_tasks=4, num_reducers=2, ifile_block_bytes=256),
+            splits)
+        assert fp != job_fingerprint(
+            make_job(num_map_tasks=4, num_reducers=2, skipping=SkipPolicy()),
+            splits)
+
+    def test_every_job_field_is_hashed_or_exempt(self, grid):
+        """A field the hash misses lets a resume adopt attempts run
+        under another value of it; a new field must land in one of the
+        two tables below."""
+        fields = {f.name for f in dataclasses.fields(Job)}
+        variants = field_variants(grid)
+        assert fields == variants.keys() | UNHASHED_FIELDS.keys()
+        assert not variants.keys() & UNHASHED_FIELDS.keys()
+        base = make_job(num_map_tasks=4, num_reducers=2)
+        splits = splits_for(base, grid)
+        fp = job_fingerprint(base, splits)
+        for name, value in variants.items():
+            changed = dataclasses.replace(base, **{name: value})
+            assert job_fingerprint(changed, splits) != fp, name
+
+
+class OtherSumReducer(SumReducer):
+    pass
+
+
+class OtherPartitioner(HashPartitioner):
+    pass
+
+
+#: ``Job`` fields the fingerprint deliberately leaves out, each with the
+#: reason a completed attempt stays valid across its values (none: every
+#: field changes what some task writes)
+UNHASHED_FIELDS: dict[str, str] = {}
+
+
+def field_variants(grid):
+    """One value per hashed ``Job`` field that differs from
+    ``make_job``'s -- for the serdes, in state only."""
+    query = BoxSubsetQuery(grid, "values", grid["values"].extent)
+    return {
+        "name": "other",
+        "mapper": EmitCellsScalarMapper,
+        "reducer": OtherSumReducer,
+        "key_serde": CellKeySerde(ndim=2, variable_mode="index"),
+        "value_serde": Int64Serde(),
+        "num_reducers": 3,
+        "num_map_tasks": 2,
+        "combine": True,
+        "codec": "zlib",
+        "codec_options": {"level": 1},
+        "partitioner": OtherPartitioner,
+        "sort_buffer_bytes": 1 << 20,
+        "merge_factor": 4,
+        "shuffle_plugin": query.build_job("aggregate").shuffle_plugin,
+        "input_variables": ("values",),
+        "skipping": SkipPolicy(),
+        "ifile_block_bytes": 256,
+    }
 
 
 # ----------------------------------------------------------------- resume

@@ -102,7 +102,7 @@ def reduce_run(reducer, key_serde, value_serde, kmat, vmat):
         return _merge_group_reduce(
             job, "r00000", [(kmat, vmat)], [kmat.nbytes + vmat.nbytes], "",
             get_codec("null"), Counters(), CostClock(),
-            TaskProfile(task_id="r00000", kind="reduce"), False)
+            TaskProfile(task_id="r00000", kind="reduce"))
 
 
 def pinned(output):
