@@ -213,10 +213,14 @@ class PartitionBuffer:
     :meth:`to_records`.
     """
 
-    __slots__ = ("_segments", "records", "nbytes")
+    __slots__ = ("_segments", "records", "nbytes", "presorted")
 
     def __init__(self) -> None:
         self._segments: list = []
+        #: the buffer holds exactly one chunk, appended by
+        #: :meth:`append_sorted`: it is key-sorted with ties in emission
+        #: order, so a spill writes it without sorting
+        self.presorted = False
         self.records = 0
         #: payload bytes held (sum of key+value lengths, no per-record
         #: overhead) -- identical between the scalar and columnar
@@ -227,6 +231,7 @@ class PartitionBuffer:
 
     def append(self, key: bytes, value: bytes) -> None:
         """Append one serialized record (scalar path)."""
+        self.presorted = False
         segments = self._segments
         if segments and type(segments[-1]) is list:
             segments[-1].append((key, value))
@@ -239,6 +244,7 @@ class PartitionBuffer:
                      values: np.ndarray | Ragged) -> None:
         """Append an ``(n, kw)`` key matrix and its value column, in
         emission order."""
+        self.presorted = False
         n = keys.shape[0]
         ragged = type(values) is Ragged
         rows = values.rows if ragged else values.shape[0]
@@ -250,6 +256,15 @@ class PartitionBuffer:
         self.records += n
         self.nbytes += n * keys.shape[1] + (
             values.data.shape[0] if ragged else values.size)
+
+    def append_sorted(self, keys: np.ndarray,
+                      values: np.ndarray | Ragged) -> None:
+        """:meth:`append_chunk` for a chunk already in spill order: sorted
+        by key bytes, equal keys in emission order.  The buffer stays
+        :attr:`presorted` while this chunk is all it holds."""
+        alone = not self._segments
+        self.append_chunk(keys, values)
+        self.presorted = alone and bool(self._segments)
 
     def columnar_view(self) -> tuple[np.ndarray, np.ndarray | Ragged] | None:
         """One ``(keys, values)`` chunk for the whole buffer.
@@ -285,5 +300,6 @@ class PartitionBuffer:
 
     def clear(self) -> None:
         self._segments.clear()
+        self.presorted = False
         self.records = 0
         self.nbytes = 0

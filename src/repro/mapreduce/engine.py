@@ -56,6 +56,7 @@ from repro.mapreduce.sort import (
     plan_merge_passes,
     run_records,
     run_rows,
+    sort_groups,
     sort_records,
 )
 from repro.scidata.dataset import Dataset
@@ -193,11 +194,12 @@ def _spill(
 ) -> dict[int, SpillSegment]:
     """Sort + (combine) + write one spill; returns per-partition files.
 
-    Each partition takes the columnar path (numpy stable argsort of the
-    key matrix, bulk IFile write) when its buffer is purely columnar, and
-    the scalar path otherwise.  Both produce identical bytes and
-    counters; only the cost differs.  ``Job.combine`` folds the sorted
-    run in either form (:func:`_combine`).
+    A buffer that ``route_staged`` filled with one chunk in the stage's
+    sorted order is written as it is.  Any other purely columnar buffer
+    takes the columnar path (stable argsort of the key matrix, bulk
+    IFile write), and a buffer holding records the scalar path.  All
+    three produce identical bytes and counters; only the cost differs.
+    ``Job.combine`` folds the sorted run in either form (:func:`_combine`).
     """
     out: dict[int, SpillSegment] = {}
     for part, pbuf in buffer.items():
@@ -206,12 +208,14 @@ def _spill(
         colview = pbuf.columnar_view()
         path = os.path.join(workdir, f"{task_id}-spill{spill_idx}-p{part}")
         writer = IFileWriter(path, codec)
-        if colview is not None:
+        if pbuf.presorted:
+            run: Run = colview
+        elif colview is not None:
             kmat, values = colview
             with clock.measure("sort"):
                 order = argsort_key_matrix(kmat)
-                run: Run = (np.ascontiguousarray(kmat[order]),
-                            take_rows(values, order))
+                run = (np.ascontiguousarray(kmat[order]),
+                       take_rows(values, order))
         else:
             with clock.measure("sort"):
                 run = sort_records(pbuf.to_records())
@@ -297,25 +301,28 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
     spills: list[dict[int, SpillSegment]] = []
 
     def route_staged() -> None:
-        # Partition once per spill rather than once per emitted chunk: a
-        # sliding window emits each target key from many chunks, and
-        # ``partition_batch`` hashes each *distinct* row of what it is
-        # given once.  Consecutive chunks of equal widths route as one
-        # matrix (normally the whole stage); row masks keep emission
-        # order within each partition.
-        if job.num_reducers == 1:
-            for keys, values in staged:
-                buffer[0].append_chunk(keys, values)
-        else:
-            for _, group in groupby(
-                    staged, key=lambda c: (c[0].shape[1], c[1].shape[1])):
-                chunks = list(group)
-                keys = np.concatenate([k for k, _ in chunks])
-                values = np.concatenate([v for _, v in chunks])
-                parts = partitioner.partition_batch(keys)
-                for part in np.unique(parts):
-                    mask = parts == part
-                    buffer[int(part)].append_chunk(keys[mask], values[mask])
+        # Partition once per spill rather than once per emitted chunk,
+        # and sort once for partitioning and the spill alike: one stable
+        # argsort of the stage finds its distinct keys by adjacent
+        # compares, ``partition_batch`` hashes each of them once (a
+        # sliding window emits each target key from many chunks), and
+        # each partition takes its rows in the stage's sorted order -- a
+        # stable sort filtered by partition is still stable, so equal
+        # keys keep emission order and the spill need not sort again.
+        # Consecutive chunks of equal widths route as one matrix
+        # (normally the whole stage).
+        for _, group in groupby(
+                staged, key=lambda c: (c[0].shape[1], c[1].shape[1])):
+            chunks = list(group)
+            keys = np.concatenate([k for k, _ in chunks])
+            values = np.concatenate([v for _, v in chunks])
+            with clock.measure("sort"):
+                order, bounds = sort_groups(keys)
+            distinct = partitioner.partition_batch(keys[order[bounds[:-1]]])
+            parts = np.repeat(distinct, np.diff(bounds))
+            for part in np.unique(distinct).tolist():
+                rows = order[parts == part]
+                buffer[part].append_sorted(keys[rows], values[rows])
         staged.clear()
 
     def flush() -> None:

@@ -13,6 +13,7 @@ the task profile.
 from __future__ import annotations
 
 import heapq
+import math
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -33,7 +34,9 @@ __all__ = [
     "run_records",
     "group_by_key",
     "plan_merge_passes",
+    "order_key",
     "argsort_key_matrix",
+    "sort_groups",
     "group_bounds",
 ]
 
@@ -44,20 +47,70 @@ Record = tuple[bytes, bytes]
 Run = list[Record] | tuple[np.ndarray, np.ndarray | Ragged]
 
 
+def order_key(keys: np.ndarray) -> np.ndarray:
+    """A 1-D key whose order and equality are the rows' raw-byte ones.
+
+    Each byte column of the ``(n, w)`` uint8 matrix that varies becomes
+    one digit of a mixed-radix integer, the leftmost column the most
+    significant, with its observed ``[lo, hi]`` as the digit's range;
+    constant columns cannot decide a comparison and drop out.  The
+    integer is held in the narrowest of uint16 / uint32 / uint64 that
+    fits the product of the spans -- a 20-byte cell key whose coordinates
+    vary in three bytes becomes a uint16 -- so a stable argsort of it
+    takes numpy's radix path.  A key space above 2**64 falls back to the
+    fixed-width ``S`` view, whose comparisons are raw-byte ones for rows
+    of one width.
+    """
+    n, width = keys.shape
+    if n == 0:
+        return np.zeros(0, np.uint16)
+    # column ranges on a transposed copy: per-row reductions over
+    # contiguous bytes cost far less than ``min(axis=0)`` on (n, w)
+    cols = np.ascontiguousarray(keys.T)
+    lo = cols.min(axis=1)
+    spans = (cols.max(axis=1) - lo).astype(np.int64) + 1
+    vary = np.flatnonzero(spans > 1).tolist()
+    space = math.prod(int(spans[c]) for c in vary)
+    for dtype in (np.uint16, np.uint32, np.uint64):
+        if space <= 1 << (8 * np.dtype(dtype).itemsize):
+            break
+    else:
+        return np.ascontiguousarray(keys).view(f"S{width}").ravel()
+    key = np.zeros(n, dtype)
+    for c in vary:
+        key *= dtype(spans[c])
+        key += cols[c] - lo[c]
+    return key
+
+
+def _bounds(sorted_key: np.ndarray) -> np.ndarray:
+    """Group boundaries of a sorted 1-D order key (see :func:`group_bounds`)."""
+    n = sorted_key.shape[0]
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    change = np.flatnonzero(sorted_key[1:] != sorted_key[:-1])
+    return np.concatenate(([0], change + 1, [n]))
+
+
 def argsort_key_matrix(keys: np.ndarray) -> np.ndarray:
     """Stable sort order of an ``(n, key_size)`` uint8 key matrix.
 
     The columnar counterpart of :func:`sort_records`: rows are compared
-    as raw key bytes (via a fixed-width ``S`` view, the same comparator
-    the record fast path uses), and ``kind='stable'`` preserves emission
-    order among equal keys -- so gathering records by the returned order
-    yields exactly the sequence :func:`sort_records` would produce.
+    as raw key bytes (through :func:`order_key`), and ``kind='stable'``
+    preserves emission order among equal keys -- so gathering records by
+    the returned order yields exactly the sequence :func:`sort_records`
+    would produce.
     """
-    n, width = keys.shape
-    if n < 2:
-        return np.arange(n)
-    view = np.ascontiguousarray(keys).view(f"S{width}").ravel()
-    return np.argsort(view, kind="stable")
+    return np.argsort(order_key(keys), kind="stable")
+
+
+def sort_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One stable sort serving both :func:`argsort_key_matrix` and
+    :func:`group_bounds`: ``(order, bounds)``, where ``keys[order]`` is
+    the sorted matrix and ``bounds`` its group boundaries."""
+    key = order_key(keys)
+    order = np.argsort(key, kind="stable")
+    return order, _bounds(key[order])
 
 
 def group_bounds(sorted_keys: np.ndarray) -> np.ndarray:
@@ -67,11 +120,7 @@ def group_bounds(sorted_keys: np.ndarray) -> np.ndarray:
     spans rows ``[b[g], b[g+1])``.  Grouping is by exact row (byte)
     equality, matching :func:`group_by_key`.
     """
-    n = sorted_keys.shape[0]
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    change = np.flatnonzero(np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1))
-    return np.concatenate(([0], change + 1, [n]))
+    return _bounds(order_key(sorted_keys))
 
 
 def sort_records(records: list[Record]) -> list[Record]:

@@ -983,6 +983,44 @@ def test_columnar_job_never_takes_the_record_path(monkeypatch):
     assert len(hashed) < result.counters[C.MAP_OUTPUT_RECORDS] / 5
 
 
+@pytest.mark.parametrize("num_reducers", [2, 1])
+def test_each_map_stage_is_sorted_once(monkeypatch, tmp_path, num_reducers):
+    """Same job, 4 maps, each spilling once: a map task stable-argsorts
+    its whole stage exactly once, for partitioning and spill alike --
+    ``_spill`` sorts nothing, since every buffer arrives presorted -- and
+    ``np.unique`` only ever sees distinct keys, never the stage."""
+    import repro.mapreduce.engine as engine
+    dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
+    job = SlidingMedianQuery(dataset, "values", window=3).build_job(
+        "plain", num_map_tasks=4, num_reducers=num_reducers)
+
+    calls = []
+    real_argsort, real_unique = np.argsort, np.unique
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: calls.append(
+        ("argsort", len(a), kw.get("kind"))) or real_argsort(a, *args, **kw))
+    monkeypatch.setattr(np, "unique", lambda a, *args, **kw: calls.append(
+        ("unique", len(a), None)) or real_unique(a, *args, **kw))
+    real_spill = engine._spill
+
+    def spill(*args):
+        before = len(calls)
+        out = real_spill(*args)
+        assert [c for c in calls[before:] if c[0] == "argsort"] == []
+        return out
+    monkeypatch.setattr(engine, "_spill", spill)
+
+    for split in ArraySplitter(job.num_map_tasks).split(dataset):
+        calls.clear()
+        workdir = tmp_path / f"m{split.split_id}"
+        workdir.mkdir()
+        out = run_map_task(job, split, dataset, str(workdir))
+        stage = out.counters[C.MAP_OUTPUT_RECORDS]
+        assert out.counters[C.SPILL_COUNT] == 1
+        assert [c for c in calls if c[0] == "argsort"] == [
+            ("argsort", stage, "stable")]
+        assert 0 < max(n for op, n, _ in calls if op == "unique") < stage / 5
+
+
 def test_plain_median_job_reduces_in_batches(monkeypatch):
     """Same job: no reduce task makes a per-group call -- not the
     reducer, not the key decoder, not the value decoder -- and
