@@ -12,28 +12,17 @@ SIGALRM only exists on POSIX and only fires in the main thread -- both
 true for this suite; elsewhere the watchdog degrades to a no-op.
 """
 
-import os
 import signal
 import threading
 
 import pytest
 
-_DEFAULT_TIMEOUT = 300.0
-
-
-def _deadline_seconds() -> float:
-    raw = os.environ.get("REPRO_TEST_TIMEOUT")
-    if raw is None:
-        return _DEFAULT_TIMEOUT
-    value = float(raw)
-    if value < 0:
-        raise ValueError(f"REPRO_TEST_TIMEOUT must be >= 0, got {value}")
-    return value  # 0 disables the watchdog
+from repro.settings import read
 
 
 @pytest.fixture(autouse=True)
 def _test_deadline(request):
-    seconds = _deadline_seconds()
+    seconds = read("REPRO_TEST_TIMEOUT")
     if (seconds == 0 or not hasattr(signal, "SIGALRM")
             or threading.current_thread() is not threading.main_thread()):
         yield

@@ -18,6 +18,8 @@ import os
 import sys
 from typing import Callable
 
+from repro import settings
+
 __all__ = ["main", "experiment_ids"]
 
 
@@ -118,10 +120,6 @@ def _run_tune(args, parser) -> int:
     the model predicts a material improvement, so applying it is never
     worse than doing nothing.
     """
-    if args.scale is not None:
-        if args.scale <= 0:
-            parser.error("--scale must be positive")
-        os.environ["REPRO_SCALE"] = str(args.scale)
     if args.nodes is not None and args.nodes < 1:
         parser.error("--nodes must be >= 1")
     if args.num_maps is not None and args.num_maps < 1:
@@ -186,9 +184,8 @@ def _run_tune(args, parser) -> int:
 
 
 def _service_root(args) -> str:
-    """The daemon's root directory (``--root`` > env > ./.repro-service)."""
-    return (args.root or os.environ.get("REPRO_SERVICE_ROOT")
-            or os.path.join(os.getcwd(), ".repro-service"))
+    """The daemon's root directory (``--root`` > ``REPRO_SERVICE_ROOT``)."""
+    return args.root or settings.read("REPRO_SERVICE_ROOT")
 
 
 def _run_serve(args, parser) -> int:
@@ -204,20 +201,6 @@ def _run_serve(args, parser) -> int:
     from repro.mapreduce.runtime.service.http import ServiceEndpoint
 
     root = _service_root(args)
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        os.environ["REPRO_SERVICE_WORKERS"] = str(args.workers)
-    if args.executors is not None:
-        if args.executors < 1:
-            parser.error("--executors must be >= 1")
-        os.environ["REPRO_SERVICE_EXECUTORS"] = str(args.executors)
-    if args.tenants is not None:
-        os.environ["REPRO_SERVICE_TENANTS"] = args.tenants
-    if args.max_memory is not None:
-        if args.max_memory < 1:
-            parser.error("--max-memory must be >= 1")
-        os.environ["REPRO_SERVICE_MAX_MEMORY"] = str(args.max_memory)
     try:
         config = ServiceConfig.from_env(root)
     except ValueError as exc:
@@ -342,10 +325,68 @@ def _run_client(args, parser) -> int:
     return 1 if isinstance(reply, dict) and reply.get("error") else 0
 
 
+def _flag_type(setting):
+    """An argparse ``type`` that parses and bounds through ``setting``
+    (a ``text`` knob is checked, then travels as its text)."""
+    def parse(raw: str):
+        try:
+            value = setting.parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{raw!r} {exc}") from None
+        return raw if setting.kind == "text" else value
+    return parse
+
+
+def _add_knob_flags(sub_parser, command: str) -> None:
+    """``command``'s knob flags, generated from :mod:`repro.settings`:
+    each is parsed by its own entry and lands in the ``args`` attribute
+    named after its variable."""
+    for setting in settings.flagged(command):
+        shown = ("off" if setting.default is False else setting.unset
+                 if setting.default is None else setting.default)
+        rules = " and ".join(settings.get(name).flag_for(value)
+                             for name, value in setting.requires)
+        extras = [setting.name, setting.note, f"default {shown}",
+                  rules and f"requires {rules}"]
+        if setting.kind == "bool":
+            how = {"action": argparse.BooleanOptionalAction
+                   if setting.negatable else "store_true"}
+        else:
+            how = {"type": _flag_type(setting), "metavar": setting.metavar}
+        sub_parser.add_argument(
+            setting.flag, dest=setting.name, default=None,
+            help=f"{setting.doc} ({'; '.join(filter(None, extras))})", **how)
+
+
+def _apply_knob_flags(args, parser, command: str) -> None:
+    """Check the given knob flags' ``requires`` rules, then write each
+    to ``os.environ`` -- the transport to harnesses, forked workers and
+    the daemon.  A rule the environment already satisfies holds."""
+    given = {s.name: getattr(args, s.name) for s in settings.flagged(command)
+             if getattr(args, s.name) is not None}
+    unmet: dict[tuple, list[str]] = {}
+    for name in given:
+        for other, want in settings.get(name).requires:
+            try:
+                have = (given[other] if other in given
+                        else settings.read(other))
+            except settings.ConfigError as exc:
+                parser.error(str(exc))
+            if (have is None) if want is None else (have != want):
+                unmet.setdefault((other, want), []).append(
+                    settings.get(name).flag)
+    for (other, want), flags in unmet.items():
+        verb = "requires" if len(flags) == 1 else "require"
+        parser.error(f"{', '.join(flags)} {verb} "
+                     f"{settings.get(other).flag_for(want)}")
+    for name, value in given.items():
+        if isinstance(value, bool):
+            value = int(value)
+        os.environ[name] = str(value)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
-    from repro.mapreduce.runtime.shuffle import TRANSPORTS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate tables/figures from 'Compressing "
@@ -361,9 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         "tune",
         help="fit the per-phase cost model on a sample run, validate it "
              "against the cluster simulator, and recommend knob settings")
-    tune_p.add_argument("--scale", type=float, default=None,
-                        help="REPRO_SCALE override for the sample job "
-                             "(1.0 = paper scale)")
+    _add_knob_flags(tune_p, "tune")
     tune_p.add_argument("--nodes", type=int, default=None,
                         help="cluster size the prediction targets "
                              "(default 5, the paper's testbed)")
@@ -379,23 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     serve_p.add_argument("--root", default=None,
                          help="service state directory (default: "
                               "REPRO_SERVICE_ROOT or ./.repro-service)")
-    serve_p.add_argument("--workers", type=int, default=None,
-                         help="worker-process slots in the shared pool "
-                              "(default: CPU count)")
-    serve_p.add_argument("--executors", type=int, default=None,
-                         help="concurrently executing jobs (default 2)")
-    serve_p.add_argument("--tenants", default=None,
-                         help="per-tenant weights and quotas as "
-                              "'name:weight:quota[:membytes],...' (e.g. "
-                              "'alice:2:4,bob:1:2:1048576'); the optional "
-                              "fourth field caps the tenant's outstanding "
-                              "priced job memory; unlisted tenants get "
-                              "weight 1 and no quota")
-    serve_p.add_argument("--max-memory", type=int, default=None,
-                         help="global cap on outstanding priced job "
-                              "memory in bytes; beyond it submissions "
-                              "are shed with OVERCOMMITTED_MEMORY 429s "
-                              "(default: uncapped)")
+    _add_knob_flags(serve_p, "serve")
     submit_p = sub.add_parser(
         "submit", help="submit a job to the daemon and print its id")
     submit_p.add_argument("--root", default=None,
@@ -469,96 +492,7 @@ def main(argv: list[str] | None = None) -> int:
                             help="service state directory of the daemon")
     run_p = sub.add_parser("run", help="run one experiment (or 'all')")
     run_p.add_argument("experiment", help="experiment id from 'list', or 'all'")
-    run_p.add_argument("--scale", type=float, default=None,
-                       help="REPRO_SCALE override (1.0 = paper scale)")
-    run_p.add_argument("--runner", choices=["serial", "parallel"], default=None,
-                       help="execution backend for the jobs the harnesses "
-                            "run (parallel = multiprocess task runtime; "
-                            "counters are byte-identical either way)")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="worker processes for --runner parallel "
-                            "(default: CPU count)")
-    run_p.add_argument("--task-timeout", type=float, default=None,
-                       help="hard per-attempt deadline in seconds for "
-                            "--runner parallel; a breaching attempt is "
-                            "killed and retried")
-    run_p.add_argument("--recovery-dir", default=None,
-                       help="directory for durable job manifests "
-                            "(checkpoint/resume state); --runner parallel")
-    run_p.add_argument("--resume", action="store_true",
-                       help="adopt completed tasks from the manifest in "
-                            "--recovery-dir instead of re-running them")
-    run_p.add_argument("--skip-budget", type=int, default=None,
-                       help="max records a task may skip into quarantine "
-                            "in record-skipping scenarios (R2; default "
-                            "4096)")
-    run_p.add_argument("--quarantine-dir", default=None,
-                       help="keep quarantine side-files under this "
-                            "directory instead of throwaway temp dirs "
-                            "(R2)")
-    run_p.add_argument("--transport", choices=TRANSPORTS, default=None,
-                       help="shuffle transport reducers fetch map "
-                            "segments through (either runner; direct "
-                            "reads segment files, network serves them "
-                            "over loopback TCP -- byte-identical "
-                            "output)")
-    run_p.add_argument("--wire-codec", default=None,
-                       help="codec segment bytes are compressed with on "
-                            "the wire (--transport network; 'null' "
-                            "serves verbatim via sendfile; see 'repro "
-                            "codecs' for choices)")
-    run_p.add_argument("--shuffle-port-base", type=int, default=None,
-                       help="first TCP port for the network shuffle "
-                            "servers (--transport network; default: "
-                            "ephemeral ports)")
-    run_p.add_argument("--fetch-retries", type=int, default=None,
-                       help="extra fetch attempts per segment after the "
-                            "first failure (default 3)")
-    run_p.add_argument("--fetch-timeout", type=float, default=None,
-                       help="per-fetch-attempt deadline in seconds "
-                            "(default: none)")
-    run_p.add_argument("--pipeline", dest="pipeline", default=None,
-                       action="store_true",
-                       help="pipelined shuffle: reducers run alongside "
-                            "late maps and fetch each map's segments as "
-                            "it commits (either runner; output and "
-                            "counters stay byte-identical to the "
-                            "barrier)")
-    run_p.add_argument("--no-pipeline", dest="pipeline",
-                       action="store_false",
-                       help="force the map/reduce barrier even when "
-                            "REPRO_PIPELINE is set")
-    run_p.add_argument("--starvation-threshold", type=int, default=None,
-                       help="missing-segment count at which a starved "
-                            "pipelined reducer triggers speculative "
-                            "re-execution of the late maps (default 2; "
-                            "requires --pipeline)")
-    run_p.add_argument("--memory-budget", type=int, default=None,
-                       help="per-task memory ledger capacity in bytes "
-                            "(>= 256; an enforced overrun triggers the "
-                            "degrade-on-retry ladder -- the attempt is "
-                            "retried with halved sort buffer and fetch "
-                            "window; output stays byte-identical)")
-    run_p.add_argument("--max-inflight-bytes", type=int, default=None,
-                       help="byte-based fetch backpressure: cap on the "
-                            "summed priced size of in-flight shuffle "
-                            "fetches per reduce task (default: "
-                            "count-based concurrency only)")
-    run_p.add_argument("--max-memory-retries", type=int, default=None,
-                       help="OOM-dead attempts of one task the degrade "
-                            "ladder absorbs before the job fails "
-                            "(default 2)")
-    run_p.add_argument("--worker-rlimit", type=int, default=None,
-                       help="real RLIMIT_AS address-space cap in bytes "
-                            "applied to forked workers (--runner "
-                            "parallel, Linux; allocations beyond it "
-                            "raise genuine MemoryErrors)")
-    run_p.add_argument("--num-hosts", type=int, default=None,
-                       help="simulated hosts tasks and segment servers are "
-                            "spread over (either runner; default 2)")
-    run_p.add_argument("--max-host-reexecs", type=int, default=None,
-                       help="max completed maps re-executed per lost host "
-                            "before the job fails (default 2)")
+    _add_knob_flags(run_p, "run")
     args = parser.parse_args(argv)
 
     if args.command == "codecs":
@@ -573,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
             cats = "+".join(cost_categories(get_codec(name)))
             print(f"{name:<{width}}  cost: {cats}")
         return 0
+
+    if args.command in ("run", "serve", "tune"):
+        _apply_knob_flags(args, parser, args.command)
 
     if args.command == "tune":
         return _run_tune(args, parser)
@@ -590,108 +527,6 @@ def main(argv: list[str] | None = None) -> int:
         for key, (desc, _) in registry.items():
             print(f"{key:<{width}}  {desc}")
         return 0
-
-    if args.scale is not None:
-        if args.scale <= 0:
-            parser.error("--scale must be positive")
-        os.environ["REPRO_SCALE"] = str(args.scale)
-    if args.runner is not None:
-        os.environ["REPRO_RUNNER"] = args.runner
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        os.environ["REPRO_WORKERS"] = str(args.workers)
-    if args.resume and args.recovery_dir is None:
-        parser.error("--resume requires --recovery-dir")
-    parallel_only = [("--task-timeout", args.task_timeout is not None),
-                     ("--recovery-dir", args.recovery_dir is not None),
-                     ("--resume", args.resume)]
-    if any(given for _, given in parallel_only):
-        runner = args.runner or os.environ.get("REPRO_RUNNER", "serial")
-        if runner.lower() != "parallel":
-            flags = ", ".join(f for f, given in parallel_only if given)
-            parser.error(f"{flags} require(s) --runner parallel")
-    if args.task_timeout is not None:
-        if args.task_timeout <= 0:
-            parser.error("--task-timeout must be positive")
-        os.environ["REPRO_TASK_TIMEOUT"] = str(args.task_timeout)
-    if args.recovery_dir is not None:
-        os.environ["REPRO_RECOVERY_DIR"] = args.recovery_dir
-    if args.resume:
-        os.environ["REPRO_RESUME"] = "1"
-    if args.skip_budget is not None:
-        if args.skip_budget < 1:
-            parser.error("--skip-budget must be >= 1")
-        os.environ["REPRO_SKIP_BUDGET"] = str(args.skip_budget)
-    if args.quarantine_dir is not None:
-        os.environ["REPRO_QUARANTINE_DIR"] = args.quarantine_dir
-    network_only = [("--wire-codec", args.wire_codec is not None),
-                    ("--shuffle-port-base",
-                     args.shuffle_port_base is not None)]
-    if any(given for _, given in network_only):
-        transport = args.transport or os.environ.get("REPRO_TRANSPORT", "")
-        if transport != "network":
-            flags = ", ".join(f for f, given in network_only if given)
-            parser.error(f"{flags} require(s) --transport network")
-    if args.transport is not None:
-        os.environ["REPRO_TRANSPORT"] = args.transport
-    if args.wire_codec is not None:
-        from repro.mapreduce.codecs import available_codecs
-        if args.wire_codec not in available_codecs():
-            parser.error(f"unknown --wire-codec {args.wire_codec!r}; "
-                         f"try 'repro codecs'")
-        os.environ["REPRO_WIRE_CODEC"] = args.wire_codec
-    if args.shuffle_port_base is not None:
-        if not 1024 <= args.shuffle_port_base <= 65535:
-            parser.error("--shuffle-port-base must be in 1024..65535")
-        os.environ["REPRO_SHUFFLE_PORT_BASE"] = str(args.shuffle_port_base)
-    if args.fetch_retries is not None:
-        if args.fetch_retries < 0:
-            parser.error("--fetch-retries must be >= 0")
-        os.environ["REPRO_FETCH_RETRIES"] = str(args.fetch_retries)
-    if args.fetch_timeout is not None:
-        if args.fetch_timeout <= 0:
-            parser.error("--fetch-timeout must be positive")
-        os.environ["REPRO_FETCH_TIMEOUT"] = str(args.fetch_timeout)
-    if args.pipeline is not None:
-        os.environ["REPRO_PIPELINE"] = "1" if args.pipeline else "0"
-    if args.starvation_threshold is not None:
-        if args.starvation_threshold < 1:
-            parser.error("--starvation-threshold must be >= 1")
-        pipelined = (args.pipeline if args.pipeline is not None
-                     else os.environ.get("REPRO_PIPELINE", "")
-                     .strip().lower() in ("1", "true", "yes", "on"))
-        if not pipelined:
-            parser.error("--starvation-threshold requires --pipeline")
-        os.environ["REPRO_STARVATION_THRESHOLD"] = str(
-            args.starvation_threshold)
-    if args.memory_budget is not None:
-        if args.memory_budget < 256:
-            parser.error("--memory-budget must be >= 256 (one IFile block)")
-        os.environ["REPRO_MEMORY_BUDGET"] = str(args.memory_budget)
-    if args.max_inflight_bytes is not None:
-        if args.max_inflight_bytes < 1:
-            parser.error("--max-inflight-bytes must be >= 1")
-        os.environ["REPRO_MAX_INFLIGHT_BYTES"] = str(args.max_inflight_bytes)
-    if args.max_memory_retries is not None:
-        if args.max_memory_retries < 1:
-            parser.error("--max-memory-retries must be >= 1")
-        os.environ["REPRO_MAX_MEMORY_RETRIES"] = str(args.max_memory_retries)
-    if args.worker_rlimit is not None:
-        if args.worker_rlimit < 1:
-            parser.error("--worker-rlimit must be >= 1")
-        runner = args.runner or os.environ.get("REPRO_RUNNER", "serial")
-        if runner.lower() != "parallel":
-            parser.error("--worker-rlimit requires --runner parallel")
-        os.environ["REPRO_WORKER_RLIMIT_BYTES"] = str(args.worker_rlimit)
-    if args.num_hosts is not None:
-        if args.num_hosts < 1:
-            parser.error("--num-hosts must be >= 1")
-        os.environ["REPRO_NUM_HOSTS"] = str(args.num_hosts)
-    if args.max_host_reexecs is not None:
-        if args.max_host_reexecs < 0:
-            parser.error("--max-host-reexecs must be >= 0")
-        os.environ["REPRO_MAX_HOST_REEXECS"] = str(args.max_host_reexecs)
 
     ids = list(registry) if args.experiment.lower() == "all" else [
         args.experiment.upper()

@@ -32,12 +32,13 @@ import signal
 import tempfile
 import time
 
-from repro.experiments.common import ExperimentResult, env_number, scaled
+from repro.experiments.common import ExperimentResult, scaled
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner
 from repro.mapreduce.runtime.recovery import MANIFEST_NAME, JobManifest
 from repro.queries.subset import BoxSubsetQuery
 from repro.scidata.generator import integer_grid
+from repro.settings import read
 from repro.util.rng import make_rng
 from repro.util.timing import wait_until
 
@@ -209,7 +210,7 @@ def run(num_seeds: int | None = None, resume_seeds: int = 3,
     plus ``resume_seeds`` mid-job scheduler-kill + resume scenarios.
     """
     if num_seeds is None:
-        num_seeds = env_number("REPRO_CHAOS_SEEDS", 20, minimum=1)
+        num_seeds = read("REPRO_CHAOS_SEEDS")
     if side is None:
         side = scaled(12, default_scale=1.0)
 

@@ -37,10 +37,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.experiments.common import ExperimentResult, env_number
+from repro.experiments.common import ExperimentResult
 from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import ParallelJobRunner, ShuffleConfig
+from repro.settings import DEFAULT, read
 from repro.util.rng import make_rng
 
 __all__ = ["Matrix", "Outcome", "Scenario", "build_query_job", "classify",
@@ -79,20 +80,20 @@ def build_query_job(grid, query: str, side: int, num_map_tasks: int,
 
 
 def fuzz_budget(experiment: str, num_fuzz: int | None,
-                seconds: float | None, *, default_fuzz: int,
-                default_seconds: float | None) -> tuple[int, float | None]:
+                seconds: float | None, *, default_fuzz=DEFAULT,
+                default_seconds=DEFAULT) -> tuple[int, float | None]:
     """A fuzz tail's seed count and wall-clock cap (``None`` = no cap).
 
-    Arguments win; else ``REPRO_<ID>_FUZZ`` (>= 0) / ``REPRO_<ID>_SECONDS``
-    (> 0); else the table's defaults.  Tables read this before running
-    anything, so a malformed value fails fast, naming its variable.
+    Arguments win; else ``REPRO_<ID>_FUZZ`` / ``REPRO_<ID>_SECONDS``;
+    else the table's defaults, which the registry holds
+    (:mod:`repro.settings`; ``default_fuzz`` / ``default_seconds``
+    override them).  Tables read this before running anything, so a
+    malformed value fails fast, naming its variable.
     """
-    prefix = f"REPRO_{experiment}_"
     if num_fuzz is None:
-        num_fuzz = env_number(prefix + "FUZZ", default_fuzz, minimum=0)
+        num_fuzz = read(f"REPRO_{experiment}_FUZZ", default_fuzz)
     if seconds is None:
-        seconds = env_number(prefix + "SECONDS", default_seconds,
-                             parse=float, above=0)
+        seconds = read(f"REPRO_{experiment}_SECONDS", default_seconds)
     return num_fuzz, seconds
 
 
@@ -256,7 +257,7 @@ class Matrix:
         self.promote = tuple(promote)
         self.runner = dict(runner or {})
         self.parallel = {**_PARALLEL_DEFAULTS, **(parallel or {})}
-        self.quarantine_root = os.environ.get(_QUARANTINE_VAR)
+        self.quarantine_root = read(_QUARANTINE_VAR)
         self.started = time.monotonic()
         self.fuzz_ran = self.fuzz_asked = 0
         #: the wall-clock cap that cut the fuzz tail short, if one did

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments.common import ExperimentResult, env_number, scaled
+from repro.experiments.common import ExperimentResult, scaled
 from repro.experiments.matrix import (
     Matrix,
     Scenario,
@@ -51,6 +51,7 @@ from repro.mapreduce.job import SkipPolicy
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import FaultInjector
 from repro.scidata.generator import integer_grid
+from repro.settings import read
 
 __all__ = ["run"]
 
@@ -116,11 +117,10 @@ def run(num_fuzz: int | None = None, seconds: float | None = None,
     side-files are written under ``REPRO_QUARANTINE_DIR`` when set
     (and left there for inspection), else throwaway temp dirs.
     """
-    fuzz = fuzz_budget("R2", num_fuzz, seconds, default_fuzz=6,
-                       default_seconds=None)
+    fuzz = fuzz_budget("R2", num_fuzz, seconds)
     if side is None:
         side = max(8, scaled(12, default_scale=1.0))
-    budget = env_number("REPRO_SKIP_BUDGET", 4096, minimum=1)
+    budget = read("REPRO_SKIP_BUDGET")
     grid = integer_grid((side, side), seed=7, low=0, high=500)
 
     def build(query, qdir, skip_budget=budget, **fields):

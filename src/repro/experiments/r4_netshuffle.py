@@ -134,8 +134,7 @@ def _row(sc: Scenario, runs) -> dict:
 def run(num_fuzz: int | None = None,
         seconds: float | None = None) -> ExperimentResult:
     """Execute the R4 matrix; returns the scenario table."""
-    budget = fuzz_budget("R4", num_fuzz, seconds, default_fuzz=3,
-                         default_seconds=120)
+    budget = fuzz_budget("R4", num_fuzz, seconds)
     side = scaled(1000, 0.048, minimum=24)
     num_map_tasks, num_reducers = 3, 2
     grid = integer_grid((side, side), seed=11)

@@ -100,8 +100,7 @@ def _quiet(serial, parallel) -> bool:
 def run(num_fuzz: int | None = None,
         seconds: float | None = None) -> ExperimentResult:
     """Execute the R5 host-chaos matrix; returns the scenario table."""
-    budget = fuzz_budget("R5", num_fuzz, seconds, default_fuzz=3,
-                         default_seconds=120)
+    budget = fuzz_budget("R5", num_fuzz, seconds)
     side = scaled(1000, 0.048, minimum=24)
     num_map_tasks, num_reducers = 3, 2
     grid = integer_grid((side, side), seed=11)

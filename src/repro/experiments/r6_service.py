@@ -49,6 +49,7 @@ from repro.mapreduce.runtime.service.http import (
     ServiceEndpoint,
     ServiceUnavailableError,
 )
+from repro.settings import read
 
 __all__ = ["run"]
 
@@ -185,7 +186,7 @@ def _shed_service(root: str) -> tuple[JobService, ServiceEndpoint,
 def run(seconds: float | None = None) -> ExperimentResult:
     """Execute the R6 service-chaos matrix; returns the scenario table."""
     if seconds is None:
-        seconds = float(os.environ.get("REPRO_R6_SECONDS", "240"))
+        seconds = read("REPRO_R6_SECONDS")
     t0 = time.monotonic()
 
     result = ExperimentResult(

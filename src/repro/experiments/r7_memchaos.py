@@ -117,8 +117,7 @@ def _row(sc: Scenario, runs) -> dict:
 def run(num_fuzz: int | None = None,
         seconds: float | None = None) -> ExperimentResult:
     """Execute the R7 memory-chaos matrix; returns the scenario table."""
-    budget = fuzz_budget("R7", num_fuzz, seconds, default_fuzz=3,
-                         default_seconds=120)
+    budget = fuzz_budget("R7", num_fuzz, seconds)
     side = scaled(1000, 0.032, minimum=32)
     num_map_tasks, num_reducers = 4, 2
     grid = integer_grid((side, side), seed=13)

@@ -49,6 +49,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.settings import read
 from repro.util.backoff import backoff_delay
 from repro.util.placement import placement_index
 
@@ -400,7 +401,7 @@ def provision_failover_workdir(primary: str, task_id: str, host: str,
         with open(marker, "w", encoding="utf-8") as fh:
             json.dump({"error": errno.errorcode[code], "host": host,
                        "detail": os.strerror(code)}, fh, sort_keys=True)
-    quarantine_dir = os.environ.get("REPRO_QUARANTINE_DIR")
+    quarantine_dir = read("REPRO_QUARANTINE_DIR")
     if quarantine_dir:
         os.makedirs(quarantine_dir, exist_ok=True)
         side = os.path.join(quarantine_dir, f"{task_id}-disk.json")

@@ -30,6 +30,8 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
+from repro import settings
+
 __all__ = ["AdmissionConfig", "AdmissionController", "AdmissionRejected"]
 
 
@@ -37,24 +39,22 @@ __all__ = ["AdmissionConfig", "AdmissionController", "AdmissionRejected"]
 class AdmissionConfig:
     """Budgets the controller enforces (service-config supplied)."""
 
-    max_queued: int = 16
-    max_queued_per_tenant: int = 8
+    max_queued: int = settings.default("REPRO_SERVICE_MAX_QUEUE")
+    max_queued_per_tenant: int = settings.default(
+        "REPRO_SERVICE_TENANT_QUEUE")
     #: predicted seconds above which a single job is unservable
-    max_job_seconds: float = 600.0
+    max_job_seconds: float = settings.default(
+        "REPRO_SERVICE_MAX_JOB_SECONDS")
     #: predicted seconds of admitted-but-unfinished work
-    max_outstanding_seconds: float = 3600.0
+    max_outstanding_seconds: float = settings.default(
+        "REPRO_SERVICE_MAX_OUTSTANDING_SECONDS")
     #: priced peak bytes of admitted-but-unfinished work; ``None``
     #: disables the memory budget (pre-memory-model behavior)
-    max_outstanding_memory_bytes: int | None = None
+    max_outstanding_memory_bytes: int | None = settings.default(
+        "REPRO_SERVICE_MAX_MEMORY")
 
     def __post_init__(self) -> None:
-        if self.max_queued < 1 or self.max_queued_per_tenant < 1:
-            raise ValueError("queue bounds must be >= 1")
-        if self.max_job_seconds <= 0 or self.max_outstanding_seconds <= 0:
-            raise ValueError("cost caps must be > 0")
-        if self.max_outstanding_memory_bytes is not None \
-                and self.max_outstanding_memory_bytes < 1:
-            raise ValueError("memory cap must be >= 1 or None")
+        settings.check_fields(self)
 
 
 class AdmissionRejected(RuntimeError):

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Any
 
+from repro import settings
 from repro.mapreduce.metrics import TaskProfile
 from repro.mapreduce.runtime.costmodel import CostModel, estimate_peak_memory
 from repro.mapreduce.runtime.pool import WorkerPool
@@ -55,65 +56,24 @@ from repro.mapreduce.runtime.service.workloads import (
 __all__ = ["ServiceConfig", "JobService"]
 
 
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = int(raw)
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    value = float(raw)
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-    return value
-
-
-def _parse_tenants(raw: str) -> dict[str, tuple[float, int, int | None]]:
-    """``name:weight:quota[:membytes],...`` -> {name: (weight, quota, mem)}.
-
-    The fourth field caps the tenant's outstanding *priced* job memory
-    (bytes); omitted means the tenant is bounded only by the global
-    memory cap (if any).
-    """
-    out: dict[str, tuple[float, int, int | None]] = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        fields = part.split(":")
-        if len(fields) not in (3, 4):
-            raise ValueError(
-                f"tenant entry {part!r} is not name:weight:quota[:membytes]")
-        name, weight, quota = fields[:3]
-        mem = int(fields[3]) if len(fields) == 4 else None
-        out[name] = (float(weight), int(quota), mem)
-    return out
-
-
 @dataclass
 class ServiceConfig:
     """Everything the daemon needs, resolvable from REPRO_SERVICE_*."""
 
     root: str
-    max_workers: int | None = None
+    max_workers: int | None = settings.default("REPRO_SERVICE_WORKERS")
     #: concurrently *executing* jobs (each borrows pool slots)
-    executors: int = 2
+    executors: int = settings.default("REPRO_SERVICE_EXECUTORS")
     #: tenant -> (DRR weight, concurrent-task quota, memory quota|None)
     tenants: dict[str, tuple[float, int, int | None]] = field(
         default_factory=dict)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    quantum_seconds: float = 5.0
+    quantum_seconds: float = settings.default("REPRO_SERVICE_QUANTUM")
     #: extra ParallelJobRunner keywords applied to every job
     runner_kwargs: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        settings.check_fields(self)
         for tenant, entry in self.tenants.items():
             if not isinstance(entry, (tuple, list)) or len(entry) != 3:
                 raise ValueError(
@@ -122,29 +82,13 @@ class ServiceConfig:
 
     @classmethod
     def from_env(cls, root: str) -> "ServiceConfig":
-        """Resolve the documented REPRO_SERVICE_* knobs (README table)."""
-        admission = AdmissionConfig(
-            max_queued=_env_int("REPRO_SERVICE_MAX_QUEUE", 16),
-            max_queued_per_tenant=_env_int(
-                "REPRO_SERVICE_TENANT_QUEUE", 8),
-            max_job_seconds=_env_float(
-                "REPRO_SERVICE_MAX_JOB_SECONDS", 600.0),
-            max_outstanding_seconds=_env_float(
-                "REPRO_SERVICE_MAX_OUTSTANDING_SECONDS", 3600.0),
-            max_outstanding_memory_bytes=(
-                _env_int("REPRO_SERVICE_MAX_MEMORY", 0, minimum=1)
-                if os.environ.get("REPRO_SERVICE_MAX_MEMORY") else None),
-        )
-        raw_workers = os.environ.get("REPRO_SERVICE_WORKERS")
-        return cls(
-            root=root,
-            max_workers=int(raw_workers) if raw_workers else None,
-            executors=_env_int("REPRO_SERVICE_EXECUTORS", 2),
-            tenants=_parse_tenants(
-                os.environ.get("REPRO_SERVICE_TENANTS", "")),
-            admission=admission,
-            quantum_seconds=_env_float("REPRO_SERVICE_QUANTUM", 5.0),
-        )
+        """Resolve the ``REPRO_SERVICE_*`` knobs (:mod:`repro.settings`);
+        a malformed or out-of-range value raises
+        :class:`~repro.settings.ConfigError` naming the variable."""
+        return cls(root=root,
+                   admission=AdmissionConfig(
+                       **settings.read_fields(AdmissionConfig)),
+                   **settings.read_fields(cls))
 
 
 class JobService:

@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import settings
 from repro.mapreduce.job import SkipPolicy
 from repro.mapreduce.runtime.costmodel import WorkloadSummary
 from repro.mapreduce.runtime.fault import FaultInjector
@@ -77,15 +78,11 @@ class JobSpec:
             raise ValueError("num_maps and num_reducers must be >= 1")
         if self.bins < 1:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
-        if self.memory_budget is not None and self.memory_budget < 256:
-            raise ValueError(
-                f"memory_budget must be >= 256 (one IFile block), "
-                f"got {self.memory_budget}")
-        if self.max_inflight_bytes is not None \
-                and self.max_inflight_bytes < 1:
-            raise ValueError(
-                f"max_inflight_bytes must be >= 1, "
-                f"got {self.max_inflight_bytes}")
+        # the per-job forms of two shuffle knobs, bounded like them
+        settings.check("REPRO_MEMORY_BUDGET", self.memory_budget,
+                       "memory_budget")
+        settings.check("REPRO_MAX_INFLIGHT_BYTES", self.max_inflight_bytes,
+                       "max_inflight_bytes")
         if self.query == "subset" and any(int(s) < 3 for s in self.shape):
             raise ValueError(
                 f"subset selects the interior box, so every extent must "

@@ -40,10 +40,12 @@ from dataclasses import dataclass
 from threading import Lock
 from typing import Mapping, Sequence
 
+from repro import settings
 from repro.mapreduce.ifile import IFileStats
 from repro.mapreduce.metrics import C, Counters
 from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.memory import MemoryBudget
+from repro.settings import ConfigError
 from repro.util.backoff import backoff_delay
 from repro.util.timing import Deadline
 
@@ -61,16 +63,7 @@ __all__ = [
     "TRANSPORTS",
 ]
 
-TRANSPORTS = ("direct", "network")
-
-
-class ConfigError(ValueError):
-    """A shuffle configuration value is malformed or out of range.
-
-    Raised instead of a bare ``ValueError`` so a typo in an environment
-    variable or CLI flag surfaces as one readable sentence naming the
-    offending setting, not a traceback from ``int()``.
-    """
+TRANSPORTS = settings.get("REPRO_TRANSPORT").choices
 
 
 @dataclass(frozen=True)
@@ -107,11 +100,11 @@ class SegmentRef:
 class ShuffleConfig:
     """Picklable knobs for the reduce-side shuffle (rides into workers)."""
 
-    transport: str = "direct"
+    transport: str = settings.default("REPRO_TRANSPORT")
     #: extra fetch attempts per segment after the first failure
-    fetch_retries: int = 3
+    fetch_retries: int = settings.default("REPRO_FETCH_RETRIES")
     #: per-fetch-attempt deadline in seconds (None = no deadline)
-    fetch_timeout: float | None = None
+    fetch_timeout: float | None = settings.default("REPRO_FETCH_TIMEOUT")
     #: base/cap for the capped, jittered inter-attempt backoff
     backoff: float = 0.02
     backoff_max: float = 0.25
@@ -121,9 +114,9 @@ class ShuffleConfig:
     chunk_bytes: int = 64 * 1024
     #: codec segment bytes are compressed with *on the wire* (network
     #: transport only; "null" serves segments verbatim via sendfile)
-    wire_codec: str = "null"
+    wire_codec: str = settings.default("REPRO_WIRE_CODEC")
     #: first TCP port for the network shuffle servers (None = ephemeral)
-    port_base: int | None = None
+    port_base: int | None = settings.default("REPRO_SHUFFLE_PORT_BASE")
     #: how many segment servers the service spreads map outputs across
     num_servers: int = 2
     #: concurrent requests one segment server will serve; further
@@ -132,33 +125,31 @@ class ShuffleConfig:
     #: pipelined shuffle: reducers start alongside maps and fetch each
     #: segment as its producing map commits, instead of waiting at the
     #: map->reduce barrier (output stays byte-identical either way)
-    pipeline: bool = False
+    pipeline: bool = settings.default("REPRO_PIPELINE")
     #: with pipelining on, a reducer starved on at most this many
     #: missing map outputs asks the scheduler to speculate them
-    starvation_threshold: int = 2
+    starvation_threshold: int = settings.default(
+        "REPRO_STARVATION_THRESHOLD")
     #: byte-based fetch backpressure: cap on the summed priced size of
     #: in-flight fetches per reduce task (None = count-based
     #: ``concurrency`` only).  Admission of the next fetch waits on
     #: budget headroom, priced from :class:`SegmentRef` stats.
-    max_inflight_bytes: int | None = None
+    max_inflight_bytes: int | None = settings.default(
+        "REPRO_MAX_INFLIGHT_BYTES")
     #: per-task memory ledger capacity in bytes (None = accounting
     #: only).  An enforced charge past this raises ``MemoryError`` and
     #: triggers the runners' degrade-on-retry ladder.
-    memory_budget: int | None = None
+    memory_budget: int | None = settings.default("REPRO_MEMORY_BUDGET")
     #: how many OOM-dead attempts of one task the degrade ladder
     #: absorbs (each retry halves the sort buffer / fetch window)
-    max_memory_retries: int = 2
+    max_memory_retries: int = settings.default(
+        "REPRO_MAX_MEMORY_RETRIES")
 
     def __post_init__(self) -> None:
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; have {TRANSPORTS}")
-        if self.fetch_retries < 0:
-            raise ValueError(
-                f"fetch_retries must be >= 0, got {self.fetch_retries}")
-        if self.fetch_timeout is not None and self.fetch_timeout <= 0:
-            raise ValueError(
-                f"fetch_timeout must be > 0, got {self.fetch_timeout}")
+        # the env-backed fields are bounded by their REPRO_* entries
+        settings.check_fields(self)
+        if not self.wire_codec:
+            raise ValueError("wire_codec must be a codec name")
         if self.backoff < 0 or self.backoff_max < 0:
             raise ValueError("backoff and backoff_max must be >= 0")
         if self.concurrency < 1:
@@ -167,11 +158,6 @@ class ShuffleConfig:
         if self.chunk_bytes < 256:
             raise ValueError(
                 f"chunk_bytes must be >= 256, got {self.chunk_bytes}")
-        if not self.wire_codec:
-            raise ValueError("wire_codec must be a codec name")
-        if self.port_base is not None and not 1024 <= self.port_base <= 65535:
-            raise ValueError(
-                f"port_base must be in 1024..65535, got {self.port_base}")
         if self.num_servers < 1:
             raise ValueError(
                 f"num_servers must be >= 1, got {self.num_servers}")
@@ -179,99 +165,15 @@ class ShuffleConfig:
             raise ValueError(
                 f"server_concurrency must be >= 1, "
                 f"got {self.server_concurrency}")
-        if self.starvation_threshold < 1:
-            raise ValueError(
-                f"starvation_threshold must be >= 1, "
-                f"got {self.starvation_threshold}")
-        if self.max_inflight_bytes is not None and self.max_inflight_bytes < 1:
-            raise ValueError(
-                f"max_inflight_bytes must be >= 1, "
-                f"got {self.max_inflight_bytes}")
-        # one IFile block (ifile.py floors block_bytes at 256) is the
-        # smallest allocation the data path makes; a budget below it
-        # could never admit anything
-        if self.memory_budget is not None and self.memory_budget < 256:
-            raise ValueError(
-                f"memory_budget must be >= 256 (one IFile block), "
-                f"got {self.memory_budget}")
-        if self.max_memory_retries < 1:
-            raise ValueError(
-                f"max_memory_retries must be >= 1, "
-                f"got {self.max_memory_retries}")
-
-
-def _env_value(kwargs: dict, key: str, var: str, parse) -> None:
-    """Parse one environment variable into ``kwargs[key]``.
-
-    A malformed value raises :class:`ConfigError` naming the variable
-    and the offending text instead of leaking ``int()``'s traceback.
-    """
-    raw = os.environ.get(var)
-    if raw is None:
-        return
-    try:
-        kwargs[key] = parse(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"invalid {var}={raw!r}: expected "
-            f"{getattr(parse, '__name__', 'value')} ({exc})") from exc
-
-
-def _parse_bool(raw: str) -> bool:
-    """Parse a boolean environment value (``1/0/true/false/yes/no/on/off``)."""
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-_parse_bool.__name__ = "boolean (1/0/true/false/yes/no/on/off)"
 
 
 def shuffle_config_from_env() -> ShuffleConfig | None:
-    """A :class:`ShuffleConfig` from ``REPRO_TRANSPORT`` /
-    ``REPRO_FETCH_RETRIES`` / ``REPRO_FETCH_TIMEOUT`` /
-    ``REPRO_WIRE_CODEC`` / ``REPRO_SHUFFLE_PORT_BASE`` /
-    ``REPRO_PIPELINE`` / ``REPRO_STARVATION_THRESHOLD`` /
-    ``REPRO_MAX_INFLIGHT_BYTES`` / ``REPRO_MEMORY_BUDGET`` /
-    ``REPRO_MAX_MEMORY_RETRIES``, or ``None`` when none of them is set
-    (runner default applies).
-
-    Malformed values -- a non-integer retry count, a negative timeout,
-    an unknown transport or codec -- raise :class:`ConfigError` with the
-    variable name, never a raw ``ValueError`` traceback.
-    """
-    kwargs: dict = {}
-    if (transport := os.environ.get("REPRO_TRANSPORT")) is not None:
-        if transport not in TRANSPORTS:
-            raise ConfigError(
-                f"invalid REPRO_TRANSPORT={transport!r}: "
-                f"available transports: {', '.join(TRANSPORTS)}")
-        kwargs["transport"] = transport
-    _env_value(kwargs, "fetch_retries", "REPRO_FETCH_RETRIES", int)
-    _env_value(kwargs, "fetch_timeout", "REPRO_FETCH_TIMEOUT", float)
-    if (wire_codec := os.environ.get("REPRO_WIRE_CODEC")) is not None:
-        from repro.mapreduce.codecs import available_codecs
-        if wire_codec not in available_codecs():
-            raise ConfigError(
-                f"invalid REPRO_WIRE_CODEC={wire_codec!r}: "
-                f"available codecs: {', '.join(available_codecs())}")
-        kwargs["wire_codec"] = wire_codec
-    _env_value(kwargs, "port_base", "REPRO_SHUFFLE_PORT_BASE", int)
-    _env_value(kwargs, "pipeline", "REPRO_PIPELINE", _parse_bool)
-    _env_value(kwargs, "starvation_threshold",
-               "REPRO_STARVATION_THRESHOLD", int)
-    _env_value(kwargs, "max_inflight_bytes", "REPRO_MAX_INFLIGHT_BYTES", int)
-    _env_value(kwargs, "memory_budget", "REPRO_MEMORY_BUDGET", int)
-    _env_value(kwargs, "max_memory_retries", "REPRO_MAX_MEMORY_RETRIES", int)
-    if not kwargs:
-        return None
-    try:
-        return ShuffleConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid shuffle configuration: {exc}") from exc
+    """A :class:`ShuffleConfig` from the ``REPRO_*`` knobs that fill its
+    fields (:mod:`repro.settings`), or ``None`` when none of them is set
+    (runner default applies).  A malformed or out-of-range value raises
+    :class:`ConfigError` naming the variable."""
+    fields = settings.read_fields(ShuffleConfig)
+    return ShuffleConfig(**fields) if fields else None
 
 
 class TransientFetchError(RuntimeError):

@@ -80,3 +80,103 @@ def test_service_knobs_documented():
                 "REPRO_SERVICE_MAX_OUTSTANDING_SECONDS",
                 "REPRO_SERVICE_TENANTS", "REPRO_SERVICE_QUANTUM"):
         assert var in documented, var
+
+
+# -- the tables rendered from the settings registry --------------------------
+#
+# README cells are checked against repro.settings, so a knob's default,
+# range and doc are written in one place and the tables cannot drift.
+
+def _default_cell(s) -> str:
+    if s.default is None:
+        return f"unset ({s.unset})"
+    if s.default is False:
+        return "off"
+    return f"`{s.default:g}`" if isinstance(s.default, float) \
+        else f"`{s.default}`"
+
+
+def _range_cell(s) -> str:
+    if s.kind in ("bool", "path"):
+        return {"bool": "boolean", "path": "path"}[s.kind]
+    if s.kind == "choice" and isinstance(s.choices, tuple):
+        return " / ".join(f"`{c}`" for c in s.choices)
+    if s.kind in ("int", "float"):
+        if s.high is not None:
+            bound = f"{s.kind} {s.low:g}–{s.high:g}"
+        elif s.low is not None:
+            bound = f"{s.kind} ≥ {s.low:g}"
+        else:
+            bound = f"{s.kind} > {s.above:g}"
+        return f"{bound} {s.note}".strip()
+    return s.note  # a text grammar, or a lazily listed choice
+
+
+def _flag_cell(s) -> str:
+    if s.kind != "bool":
+        return f"`{s.flag} {s.metavar}`"
+    negation = f" / `--no-{s.flag[2:]}`" if s.negatable else ""
+    return f"`{s.flag}`{negation}"
+
+
+def _effect_cell(s) -> str:
+    from repro.settings import get
+
+    rules = " and ".join(f"`{get(name).flag_for(value)}`"
+                         for name, value in s.requires)
+    return f"{s.doc} (requires {rules})" if rules else s.doc
+
+
+def _table_rows(first_cell: str) -> dict[str, list[str]]:
+    """README table rows whose first cell matches ``first_cell``, keyed
+    by the backticked ``REPRO_`` name in the row."""
+    rows: dict[str, list[str]] = {}
+    with open(README, encoding="utf-8") as fh:
+        for line in fh:
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if not line.startswith("|") or not re.fullmatch(first_cell,
+                                                            cells[0]):
+                continue
+            name = re.search(r"`(REPRO_[A-Z0-9_]+)`", line).group(1)
+            rows[name] = cells
+    return rows
+
+
+def test_env_table_matches_the_registry():
+    from repro.settings import SETTINGS
+
+    rows = _table_rows(r"`REPRO_[A-Z0-9_]+`")
+    assert list(rows) == [s.name for s in SETTINGS]
+    for s in SETTINGS:
+        assert rows[s.name][1:] == [_default_cell(s), _range_cell(s),
+                                    s.doc], s.name
+
+
+def test_flag_table_matches_the_registry():
+    from repro.settings import flagged
+
+    rows = _table_rows(r"`--.*")
+    run_flags = flagged("run")
+    assert list(rows) == [s.name for s in run_flags]
+    for s in run_flags:
+        assert rows[s.name] == [_flag_cell(s), f"`{s.name}`",
+                                _effect_cell(s)], s.name
+
+
+def test_ci_sets_only_registered_knobs():
+    """Every REPRO_* name CI sets is a registry entry, so CI cannot set
+    a knob nothing reads.  ``REPRO_${{ matrix.id }}_X`` is expanded over
+    the chaos matrix's ids."""
+    from repro.settings import SETTINGS
+
+    with open(os.path.join(ROOT, ".github", "workflows", "ci.yml"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+    names = {v for v in _VAR.findall(text) if not v.endswith("_")}
+    ids = re.findall(r"\bid: (\w+)", text)
+    suffixes = re.findall(r"REPRO_\$\{\{ matrix\.id \}\}_([A-Z0-9_]+)", text)
+    assert ids and suffixes
+    names |= {f"REPRO_{i}_{suffix}" for i in ids for suffix in suffixes}
+    assert names - {s.name for s in SETTINGS} == set()
+    assert {"REPRO_CHAOS_SEEDS", "REPRO_TEST_TIMEOUT", "REPRO_R6_SECONDS",
+            "REPRO_R2_FUZZ", "REPRO_R7_SECONDS"} <= names
