@@ -62,15 +62,22 @@ class _TransformCodec(Codec):
         raise NotImplementedError
 
     # codec interface -----------------------------------------------------
-    def _compress(self, data: bytes) -> bytes:
-        t0 = time.perf_counter()
-        transformed = self._transform(data)
-        t1 = time.perf_counter()
-        out = self._backend_compress(transformed)
-        t2 = time.perf_counter()
-        self.transform_seconds += t1 - t0
-        self.backend_seconds += t2 - t1
+    def prepare(self, data: bytes) -> bytes:
+        """The transform: the front stage, on the calling thread."""
+        start = time.perf_counter()
+        out = self._transform(data)
+        seconds = time.perf_counter() - start
+        self.transform_seconds += seconds
+        self.clock.add("compress", seconds)
         return out
+
+    def _compress(self, data: bytes) -> bytes:
+        # the back stage: ``finish`` runs it on the transformed bytes
+        return self._backend_compress(data)
+
+    def charge_finish(self, seconds: float) -> None:
+        super().charge_finish(seconds)
+        self.backend_seconds += seconds
 
     def _decompress(self, data: bytes) -> bytes:
         t0 = time.perf_counter()

@@ -10,11 +10,19 @@ Every codec reports CPU seconds spent compressing/decompressing via a
 :class:`~repro.util.timing.CostClock`, which the cluster simulator uses to
 reproduce §III-E's finding that the transform's CPU cost (about 2.9x
 gzip) can erase its I/O savings.
+
+Compression runs in two stages, so a map task can overlap them across
+partitions (``engine._commit_segments``): :meth:`Codec.prepare` is the
+front stage, which holds the GIL (the §III transform, or nothing for a
+plain codec), and :meth:`Codec.finish` the back stage, the zlib or bz2
+call, which releases it and touches no codec state, so it may run on
+another thread.  ``finish(prepare(x)) == compress(x)`` byte for byte.
 """
 
 from __future__ import annotations
 
 import bz2
+import time
 import zlib
 from abc import ABC, abstractmethod
 
@@ -47,9 +55,33 @@ class Codec(ABC):
     @abstractmethod
     def _decompress(self, data: bytes) -> bytes: ...
 
+    def prepare(self, data: bytes) -> bytes:
+        """Front stage of :meth:`compress`: the work that holds the GIL.
+
+        Runs on the calling thread and charges its own seconds.  Plain
+        codecs have none: the identity.
+        """
+        return data
+
+    def finish(self, data: bytes) -> bytes:
+        """Back stage of :meth:`compress`: the backend compressor.
+
+        Mutates no codec state, so it is safe on any thread; whoever
+        timed it charges the seconds through :meth:`charge_finish`.
+        """
+        return self._compress(data)
+
+    def charge_finish(self, seconds: float) -> None:
+        """Charge one back stage's seconds (on the thread that owns the
+        codec)."""
+        self.clock.add("compress", seconds)
+
     def compress(self, data: bytes) -> bytes:
-        with self.clock.measure("compress"):
-            return self._compress(data)
+        staged = self.prepare(data)
+        start = time.perf_counter()
+        out = self.finish(staged)
+        self.charge_finish(time.perf_counter() - start)
+        return out
 
     def decompress(self, data: bytes) -> bytes:
         """Decompress ``data``, charging CPU time to the cost clock.

@@ -28,15 +28,17 @@ import os
 import shutil
 import tempfile
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro import settings
 from repro.mapreduce.api import MapContext, ReduceContext
-from repro.mapreduce.codecs import cost_categories, get_codec
+from repro.mapreduce.codecs import NullCodec, cost_categories, get_codec
 from repro.mapreduce.columnar import (
     PartitionBuffer,
     Ragged,
@@ -181,6 +183,53 @@ def _write_run(writer: IFileWriter, run: Run) -> None:
             writer.append(kb, vb)
 
 
+def _commit_threads() -> int:
+    """Helper threads a map task may commit segments on: one per core
+    beyond the task's own, so none on one core."""
+    return (os.cpu_count() or 1) - 1
+
+
+def _commit_segments(items: Sequence[Any],
+                     seal: Callable[[Any], IFileWriter]) -> list[IFileStats]:
+    """Write one IFile segment per item, each codec stage where it pays.
+
+    ``seal(item)`` fills a writer and seals it on this thread: the
+    codec's front stage, which holds the GIL.  Each commit but the last
+    -- the back stage (zlib/bz2, which release the GIL), the CRC and the
+    write -- goes to a short-lived pool of :func:`_commit_threads`
+    threads, so partition p compresses while partition p+1 is prepared;
+    the last commits inline.  Every commit is joined before this returns
+    or raises.  A null codec, or a chunked writer (its blocks compressed
+    as they filled), commits inline: a thread would overlap nothing.
+    The back stages' seconds are charged to the codec here, in item
+    order, so no codec state is touched off this thread.
+    """
+    last = len(items) - 1
+    threads = min(_commit_threads(), last)
+    pool = None
+    writers: list[IFileWriter] = []
+    try:
+        futures = []
+        for i, item in enumerate(items):
+            writer = seal(item)
+            writers.append(writer)
+            if (i < last and threads > 0 and writer.block_bytes is None
+                    and not isinstance(writer.codec, NullCodec)):
+                if pool is None:
+                    pool = ThreadPoolExecutor(threads)
+                futures.append(pool.submit(writer.commit))
+            else:
+                writer.commit()
+        for future in futures:
+            future.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+    for writer in writers:
+        writer.codec.charge_finish(writer.finish_seconds)
+    return [writer.stats for writer in writers]
+
+
 def _spill(
     job: Job,
     workdir: str,
@@ -200,14 +249,17 @@ def _spill(
     IFile write), and a buffer holding records the scalar path.  All
     three produce identical bytes and counters; only the cost differs.
     ``Job.combine`` folds the sorted run in either form (:func:`_combine`).
+    Partitions are sealed in turn and committed by
+    :func:`_commit_segments`.
     """
-    out: dict[int, SpillSegment] = {}
-    for part, pbuf in buffer.items():
-        if pbuf.records == 0:
-            continue
+    parts = [part for part, pbuf in buffer.items() if pbuf.records]
+    paths = {part: os.path.join(workdir, f"{task_id}-spill{spill_idx}-p{part}")
+             for part in parts}
+
+    def seal(part: int) -> IFileWriter:
+        pbuf = buffer[part]
         colview = pbuf.columnar_view()
-        path = os.path.join(workdir, f"{task_id}-spill{spill_idx}-p{part}")
-        writer = IFileWriter(path, codec)
+        writer = IFileWriter(paths[part], codec)
         if pbuf.presorted:
             run: Run = colview
         elif colview is not None:
@@ -223,10 +275,14 @@ def _spill(
             with clock.measure("combine"):
                 run = _combine(job, run, counters)
         _write_run(writer, run)
-        stats = writer.close()
+        writer.seal()
+        return writer
+
+    out: dict[int, SpillSegment] = {}
+    for part, stats in zip(parts, _commit_segments(parts, seal)):
         counters.incr(C.SPILLED_RECORDS, stats.records)
         profile.local_write_bytes += stats.materialized_bytes
-        out[part] = (path, stats)
+        out[part] = (paths[part], stats)
     counters.incr(C.SPILL_COUNT)
     return out
 
@@ -447,26 +503,37 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
 
     # Merge spills into the final per-partition map output segments.
     out = MapTaskOutput(task_id=task_id, profile=profile, counters=counters)
-    for part in range(job.num_reducers):
-        part_spills = [s[part] for s in spills if part in s]
-        final_path = os.path.join(workdir, f"{task_id}-out-p{part}")
+    spilled = {part: [s[part] for s in spills if part in s]
+               for part in range(job.num_reducers)}
+    final_paths = {part: os.path.join(workdir, f"{task_id}-out-p{part}")
+                   for part in range(job.num_reducers)}
+    merged = []
+    for part, part_spills in spilled.items():
         if len(part_spills) == 1 and job.ifile_block_bytes is None:
             path, stats = part_spills[0]
-            os.replace(path, final_path)
+            os.replace(path, final_paths[part])
+            out.segments[part] = (final_paths[part], stats)
         else:
-            with clock.measure("merge"):
-                runs = []
-                for path, stats in part_spills:
-                    profile.local_read_bytes += stats.materialized_bytes
-                    runs.append(_read_run(IFileReader(path, codec), stats))
-                writer = IFileWriter(final_path, codec, atomic=True,
-                                     block_bytes=job.ifile_block_bytes)
-                _write_run(writer, merge_sorted_runs(runs))
-                stats = writer.close()
-                for path, _ in part_spills:
-                    os.unlink(path)
-            profile.local_write_bytes += stats.materialized_bytes
-        out.segments[part] = (final_path, stats)
+            merged.append(part)
+
+    def seal(part: int) -> IFileWriter:
+        with clock.measure("merge"):
+            runs = []
+            for path, stats in spilled[part]:
+                profile.local_read_bytes += stats.materialized_bytes
+                runs.append(_read_run(IFileReader(path, codec), stats))
+            writer = IFileWriter(final_paths[part], codec, atomic=True,
+                                 block_bytes=job.ifile_block_bytes)
+            _write_run(writer, merge_sorted_runs(runs))
+            writer.seal()
+        return writer
+
+    for part, stats in zip(merged, _commit_segments(merged, seal)):
+        for path, _ in spilled[part]:
+            os.unlink(path)
+        profile.local_write_bytes += stats.materialized_bytes
+        out.segments[part] = (final_paths[part], stats)
+    out.segments = dict(sorted(out.segments.items()))
 
     counters.incr(C.MAP_OUTPUT_BYTES,
                   sum(s.key_bytes + s.value_bytes for _, s in out.segments.values()))
@@ -840,11 +907,9 @@ class LocalJobRunner:
         if max_map_reexecs < 0:
             raise ValueError(
                 f"max_map_reexecs must be >= 0, got {max_map_reexecs}")
-        if num_hosts < 1:
-            raise ValueError(f"num_hosts must be >= 1, got {num_hosts}")
-        if max_host_reexecs < 0:
-            raise ValueError(
-                f"max_host_reexecs must be >= 0, got {max_host_reexecs}")
+        settings.check("REPRO_NUM_HOSTS", num_hosts, "num_hosts")
+        settings.check("REPRO_MAX_HOST_REEXECS", max_host_reexecs,
+                       "max_host_reexecs")
         self._own_workdir = workdir is None
         self.workdir = workdir or tempfile.mkdtemp(prefix="repro-mr-")
         self.keep_files = keep_files

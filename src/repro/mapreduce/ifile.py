@@ -36,6 +36,7 @@ re-running the producing map task (whole-segment repair).
 from __future__ import annotations
 
 import os
+import time
 import zlib
 from dataclasses import dataclass
 from typing import Iterator
@@ -212,6 +213,10 @@ class IFileWriter:
         writer.append(key_bytes, value_bytes)
         stats = writer.close()
 
+    ``close()`` is :meth:`seal` on the caller followed by :meth:`commit`,
+    which may run on another thread (the map task overlaps one
+    partition's commit with the next partition's seal).
+
     With ``block_bytes`` set the segment uses the chunked block layout
     (module docstring): records are sealed into independently
     compressed, individually checksummed blocks of about ``block_bytes``
@@ -234,12 +239,17 @@ class IFileWriter:
         #: per sealed block: (records, raw_len, comp_len, crc32)
         self._blocks: list[tuple[int, int, int, int]] = []
         self.stats = IFileStats()
+        self._sealed = False
         self._closed = False
+        #: the front stage's output, between seal() and commit()
+        self._staged: bytes | None = None
         self._blob: bytes | None = None
+        #: seconds commit() spent in the codec's back stage
+        self.finish_seconds = 0.0
 
     def append(self, key: bytes, value: bytes) -> None:
         """Append one serialized record."""
-        if self._closed:
+        if self._sealed:
             raise RuntimeError("writer already closed")
         frame = _frame(len(key), len(value))
         self.stats.overhead_bytes += len(frame)
@@ -270,7 +280,7 @@ class IFileWriter:
         a ragged one is built from a table of one frame per distinct
         value length.
         """
-        if self._closed:
+        if self._sealed:
             raise RuntimeError("writer already closed")
         n, kw = keys.shape
         ragged = type(values) is Ragged
@@ -333,21 +343,22 @@ class IFileWriter:
         self._block_buf.clear()
         self._block_records = 0
 
-    def close(self) -> IFileStats:
-        """Finish the segment; returns the final byte accounting."""
-        if self._closed:
-            return self.stats
-        self._closed = True
+    def seal(self) -> None:
+        """First half of :meth:`close`, on the calling thread: end the
+        record stream and run the codec's front stage
+        (:meth:`~repro.mapreduce.codecs.Codec.prepare`) over it.  The
+        chunked layout compresses its blocks as they fill, so it builds
+        the whole segment here."""
+        if self._sealed:
+            return
+        self._sealed = True
         if self.block_bytes is None:
             tail = bytearray()
             write_vlong(-1, tail)
             write_vlong(-1, tail)
             assert len(tail) == EOF_MARKER_BYTES
             self._buf.write(tail)
-            payload = self._buf.getvalue()
-            compressed = self.codec.compress(payload)
-            crc = zlib.crc32(compressed)
-            blob = compressed + crc.to_bytes(4, "big")
+            self._staged = self.codec.prepare(self._buf.getvalue())
             self.stats.overhead_bytes += TRAILER_BYTES
         else:
             self._seal_block()
@@ -358,7 +369,7 @@ class IFileWriter:
                 write_vlong(raw_len, footer)
                 write_vlong(comp_len, footer)
                 footer.extend(crc.to_bytes(4, "big"))
-            blob = (
+            self._blob = (
                 BLOCK_MAGIC
                 + self._buf.getvalue()
                 + bytes(footer)
@@ -366,6 +377,26 @@ class IFileWriter:
                 + zlib.crc32(bytes(footer)).to_bytes(4, "big")
             )
             self.stats.overhead_bytes += len(BLOCK_MAGIC) + len(footer) + 8
+        self._buf.clear()
+        self._block_buf.clear()
+
+    def commit(self) -> IFileStats:
+        """Second half of :meth:`close`: the codec's back stage
+        (:meth:`~repro.mapreduce.codecs.Codec.finish`), the CRC and the
+        write.  Touches nothing but this writer, so it may run on another
+        thread; the back stage's seconds are left in
+        :attr:`finish_seconds` for the codec's owner to charge."""
+        if self._closed:
+            return self.stats
+        if not self._sealed:
+            raise RuntimeError("seal() the writer first")
+        if self._staged is not None:
+            start = time.perf_counter()
+            compressed = self.codec.finish(self._staged)
+            self.finish_seconds = time.perf_counter() - start
+            self._staged = None
+            self._blob = compressed + zlib.crc32(compressed).to_bytes(4, "big")
+        blob = self._blob
         self.stats.materialized_bytes = len(blob)
         if self.path is not None:
             if self.atomic:
@@ -377,11 +408,19 @@ class IFileWriter:
             else:
                 with open(self.path, "wb") as fh:
                     fh.write(blob)
-        else:
-            self._blob = blob
-        self._buf.clear()
-        self._block_buf.clear()
+            self._blob = None
+        self._closed = True
         return self.stats
+
+    def close(self) -> IFileStats:
+        """Finish the segment (:meth:`seal`, then :meth:`commit`); returns
+        the final byte accounting."""
+        if self._closed:
+            return self.stats
+        self.seal()
+        stats = self.commit()
+        self.codec.charge_finish(self.finish_seconds)
+        return stats
 
     def getvalue(self) -> bytes:
         """In-memory segment bytes (only for ``path=None`` writers)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
+from repro import settings
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.partition import HashPartitioner, Partitioner
 from repro.mapreduce.serde import Serde
@@ -42,9 +43,7 @@ class SkipPolicy:
     quarantine_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.skip_budget < 1:
-            raise ValueError(
-                f"skip_budget must be >= 1, got {self.skip_budget}")
+        settings.check("REPRO_SKIP_BUDGET", self.skip_budget, "skip_budget")
 
 
 class ShufflePlugin(Protocol):

@@ -44,6 +44,7 @@ import tempfile
 import threading
 from typing import Any, Sequence
 
+from repro import settings
 from repro.mapreduce.engine import JobResult
 from repro.mapreduce.job import Job
 from repro.mapreduce.runtime.fault import FaultInjector
@@ -124,11 +125,9 @@ class ParallelJobRunner:
     ) -> None:
         if resume and recovery_dir is None:
             raise ValueError("resume=True requires recovery_dir")
-        if num_hosts < 1:
-            raise ValueError(f"num_hosts must be >= 1, got {num_hosts}")
-        if max_host_reexecs < 0:
-            raise ValueError(
-                f"max_host_reexecs must be >= 0, got {max_host_reexecs}")
+        settings.check("REPRO_NUM_HOSTS", num_hosts, "num_hosts")
+        settings.check("REPRO_MAX_HOST_REEXECS", max_host_reexecs,
+                       "max_host_reexecs")
         self.num_hosts = num_hosts
         self.max_host_reexecs = max_host_reexecs
         self._own_workdir = workdir is None

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.mapreduce import available_codecs, get_codec
 from repro.mapreduce.ifile import IFileReader, IFileWriter, TRAILER_BYTES
@@ -199,3 +199,55 @@ def test_ifile_roundtrip_property(records, codec_name):
     assert stats.records == len(records)
     out = IFileReader(w.getvalue(), get_codec(codec_name)).read_all()
     assert out == records
+
+
+def _stage_cases():
+    """Every registered codec at its defaults; the stride codecs also at
+    a chunk and stride small enough that short inputs span several
+    chunks and end mid-stride."""
+    for name in available_codecs():
+        yield name, {}
+        if name.startswith("fastpred"):
+            yield name, {"chunk_size": 16, "max_stride": 5}
+        elif name.startswith("stride"):
+            yield name, {"max_stride": 5}
+
+
+@st.composite
+def _streams(draw):
+    """Raw bytes, or records of one pitch stepping by a constant delta
+    (what the stride predictors lock onto) with a partial last record."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    pitch = draw(st.integers(1, 7))
+    base = draw(st.binary(min_size=pitch, max_size=pitch))
+    step = draw(st.integers(0, 255))
+    rows = draw(st.integers(0, 40))
+    body = b"".join(bytes((b + r * step) % 256 for b in base)
+                    for r in range(rows))
+    return body + base[:draw(st.integers(0, pitch - 1))]
+
+
+def _codec_state(codec):
+    return (codec.clock.as_dict(), getattr(codec, "transform_seconds", None),
+            getattr(codec, "backend_seconds", None))
+
+
+@pytest.mark.parametrize("name, options", list(_stage_cases()))
+@settings(max_examples=40, deadline=None)
+@given(data=_streams())
+@example(data=b"")
+@example(data=b"\x07")
+@example(data=bytes(range(40)) + b"\x01\x02")
+def test_codec_stages_compose_to_compress(name, options, data):
+    """The two compression stages the map task overlaps across partitions
+    (``prepare`` on the caller, ``finish`` on any thread) are
+    ``compress`` byte for byte, ``decompress`` inverts them, and the back
+    stage leaves the codec's state alone (its owner charges the seconds)."""
+    codec = get_codec(name, **options)
+    staged = codec.prepare(data)
+    before = _codec_state(codec)
+    out = codec.finish(staged)
+    assert _codec_state(codec) == before
+    assert out == get_codec(name, **options).compress(data)
+    assert codec.decompress(out) == data
