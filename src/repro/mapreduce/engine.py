@@ -360,10 +360,11 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
         # Partition once per spill rather than once per emitted chunk,
         # and sort once for partitioning and the spill alike: one stable
         # argsort of the stage finds its distinct keys by adjacent
-        # compares, ``partition_batch`` hashes each of them once (a
-        # sliding window emits each target key from many chunks), and
-        # each partition takes its rows in the stage's sorted order -- a
-        # stable sort filtered by partition is still stable, so equal
+        # compares, ``partition_rows`` hashes each of them once -- the
+        # group heads are already distinct, so nothing dedupes them again
+        # (a sliding window emits each target key from many chunks) --
+        # and each partition takes its rows in the stage's sorted order:
+        # a stable sort filtered by partition is still stable, so equal
         # keys keep emission order and the spill need not sort again.
         # Consecutive chunks of equal widths route as one matrix
         # (normally the whole stage).
@@ -374,7 +375,7 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
             values = np.concatenate([v for _, v in chunks])
             with clock.measure("sort"):
                 order, bounds = sort_groups(keys)
-            distinct = partitioner.partition_batch(keys[order[bounds[:-1]]])
+            distinct = partitioner.partition_rows(keys[order[bounds[:-1]]])
             parts = np.repeat(distinct, np.diff(bounds))
             for part in np.unique(distinct).tolist():
                 rows = order[parts == part]

@@ -138,8 +138,8 @@ def _unpack_variables(var_serde: Serde,
         first = np.zeros(1, dtype=np.int64)
         which = np.zeros(n, dtype=np.int64)
     else:
-        # rows of one width: ``S`` equality is byte equality (see
-        # ``Partitioner.partition_batch``); bytes come from the matrix
+        # rows of one width: ``S`` equality is byte equality; an ``S``
+        # scalar drops trailing NULs, so the bytes come from the matrix
         _, first, which = np.unique(prefixes.view(f"S{plen}").ravel(),
                                     return_index=True, return_inverse=True)
     variables = []

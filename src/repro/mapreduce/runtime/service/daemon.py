@@ -274,8 +274,8 @@ class JobService:
             return None
         state, _ = record.state()
         if state == "QUEUED" and self.scheduler.remove(job_id):
-            record.set_state("CANCELLED", "cancelled while queued")
             self._credit(job_id)
+            record.set_state("CANCELLED", "cancelled while queued")
         elif state in ("QUEUED", "RUNNING"):
             # Queued-but-claimed (an executor popped it) or running:
             # the executor observes the event and finalizes the state.
@@ -297,7 +297,11 @@ class JobService:
     # -------------------------------------------------------------- execution
 
     def _credit(self, job_id: str) -> None:
-        """Return a finished job's cost *and* priced memory."""
+        """Return a finished job's cost *and* priced memory.
+
+        Called before the job's terminal state is written, so a client
+        that reads DONE, FAILED or CANCELLED never finds the job still
+        counted as outstanding."""
         self.admission.credit(job_id)
         with self._memory_lock:
             entry = self._job_memory.pop(job_id, None)
@@ -330,12 +334,12 @@ class JobService:
         spec = record.load_spec()
         cancel_event = self._cancel_event(job_id)
         if spec is None:  # pragma: no cover - accepted jobs have specs
-            record.set_state("FAILED", "spec unreadable at execution time")
             self._credit(job_id)
+            record.set_state("FAILED", "spec unreadable at execution time")
             return
         if cancel_event.is_set():
-            record.set_state("CANCELLED", "cancelled before start")
             self._credit(job_id)
+            record.set_state("CANCELLED", "cancelled before start")
             return
         record.set_state("RUNNING", f"executing for tenant {spec.tenant}")
         runner_kwargs = dict(self.config.runner_kwargs)
@@ -372,20 +376,21 @@ class JobService:
                     "interrupted",
                     "daemon shutdown; resumable from manifest")
             else:
-                record.set_state("CANCELLED", "cancelled while running")
                 self._credit(job_id)
+                record.set_state("CANCELLED", "cancelled while running")
             return
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             # One tenant's failure must never take the daemon down.
-            record.set_state("FAILED", f"{type(exc).__name__}: {exc}")
             self._credit(job_id)
+            record.set_state("FAILED", f"{type(exc).__name__}: {exc}")
             return
-        # Result durability precedes the DONE claim.
+        # Result durability, the ledger credit and the profiles the next
+        # price() refits from all precede the DONE claim.
         record.save_result(result.output, result.counters)
-        record.set_state("DONE",
-                         f"{len(result.output)} output record(s)")
         self._credit(job_id)
         with self._fit_lock:
             self._fit_profiles = list(result.task_profiles)
+        record.set_state("DONE",
+                         f"{len(result.output)} output record(s)")
         with self._cancel_lock:
             self._cancel.pop(job_id, None)

@@ -70,6 +70,7 @@ from repro.mapreduce.ifile import IFileReader, IFileWriter
 from repro.mapreduce.job import SkipPolicy
 from repro.mapreduce.keys import RangeKeySerde
 from repro.mapreduce.metrics import C
+from repro.mapreduce import partition as partition_module
 from repro.mapreduce.partition import HashPartitioner, Partitioner
 from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner, ShuffleConfig
 from repro.mapreduce.runtime.pipeline import (
@@ -953,7 +954,10 @@ def test_columnar_decode_decays_to_read_all(records):
 def test_columnar_job_never_takes_the_record_path(monkeypatch):
     """10^3 cells, w=3, 4 maps x 2 reducers, plain median: no segment is
     ever iterated record by record, and the partitioner hashes each
-    spill's *distinct* keys once, not every emitted record."""
+    spill's *distinct* keys once, through the batch kernel, not every
+    emitted record -- it never calls the scalar ``partition`` per key,
+    and never dedupes the sorted stage's group heads a second time
+    through ``partition_batch``."""
     dataset = integer_grid((10, 10, 10), seed=3, low=0, high=900)
     job = SlidingMedianQuery(dataset, "values", window=3).build_job(
         "plain", num_map_tasks=4, num_reducers=2)
@@ -962,18 +966,31 @@ def test_columnar_job_never_takes_the_record_path(monkeypatch):
         raise AssertionError("IFileReader.__iter__ entered on a columnar job")
     monkeypatch.setattr(IFileReader, "__iter__", no_iteration)
 
-    hashed = []
+    per_key = []
     real_partition = HashPartitioner.partition
     monkeypatch.setattr(
         HashPartitioner, "partition",
-        lambda self, kb: hashed.append(kb) or real_partition(self, kb))
-    distinct_per_spill = []
-    real_batch = HashPartitioner.partition_batch
+        lambda self, kb: per_key.append(kb) or real_partition(self, kb))
+    hashed = []
+    real_column = partition_module.blake2b_column
 
-    def counting_batch(self, keys):
-        distinct_per_spill.append(len({row.tobytes() for row in keys}))
-        return real_batch(self, keys)
-    monkeypatch.setattr(HashPartitioner, "partition_batch", counting_batch)
+    def counting_column(rows):
+        hashed.extend(row.tobytes() for row in rows)
+        return real_column(rows)
+    monkeypatch.setattr(partition_module, "blake2b_column", counting_column)
+    distinct_per_spill = []
+    real_rows = HashPartitioner.partition_rows
+
+    def counting_rows(self, rows):
+        distinct = len({row.tobytes() for row in rows})
+        assert distinct == len(rows), "partition_rows handed duplicates"
+        distinct_per_spill.append(distinct)
+        return real_rows(self, rows)
+    monkeypatch.setattr(HashPartitioner, "partition_rows", counting_rows)
+
+    def second_dedupe(self, keys):
+        raise AssertionError("partition_batch entered on a sorted stage")
+    monkeypatch.setattr(HashPartitioner, "partition_batch", second_dedupe)
 
     with LocalJobRunner() as runner:
         result = runner.run(job, dataset)
@@ -981,6 +998,7 @@ def test_columnar_job_never_takes_the_record_path(monkeypatch):
     assert len(distinct_per_spill) == result.counters[C.SPILL_COUNT] == 4
     assert len(hashed) == sum(distinct_per_spill)
     assert len(hashed) < result.counters[C.MAP_OUTPUT_RECORDS] / 5
+    assert per_key == []
 
 
 @pytest.mark.parametrize("num_reducers", [2, 1])

@@ -26,6 +26,7 @@ from repro.mapreduce.runtime.service.http import (
     ServiceEndpoint,
     ServiceUnavailableError,
 )
+from repro.mapreduce.runtime.service.registry import JobRecord
 
 
 def _spec(**overrides) -> JobSpec:
@@ -96,6 +97,64 @@ class TestExecution:
             assert service.price(_spec(seed=11)) > 0
         finally:
             service.shutdown()
+
+
+class TestTerminalStateOrdering:
+    """A terminal state is published only after the job is credited back
+    (and, for DONE, after its profiles are kept for the next refit): the
+    check runs inside ``JobRecord.set_state`` itself, so it does not
+    depend on when a poller happens to look."""
+
+    TERMINAL = ("DONE", "FAILED", "CANCELLED")
+
+    @pytest.fixture()
+    def published(self, monkeypatch):
+        """``(service, seen)``: set ``service`` before any job ends; each
+        terminal write appends ``(state, outstanding seconds, outstanding
+        memory, fitted profile count)`` as of that moment."""
+        holder: dict = {}
+        seen: list = []
+        real = JobRecord.set_state
+
+        def checked(record, state, detail=""):
+            if state in self.TERMINAL:
+                service = holder["service"]
+                seen.append((state,
+                             service.admission.outstanding_seconds(),
+                             service.admission.outstanding_memory_bytes(),
+                             len(service._fit_profiles)))
+            return real(record, state, detail)
+        monkeypatch.setattr(JobRecord, "set_state", checked)
+        return holder, seen
+
+    def test_failed_and_done_are_published_after_the_credit(
+            self, tmp_path, published):
+        holder, seen = published
+        service = holder["service"] = JobService(_config(tmp_path))
+        service.start()
+        try:
+            # One job at a time, so the job being finished is the only
+            # one the ledger can hold at the moment its state is written.
+            bad = service.submit(_spec(query="subset", shape=(8, 8),
+                                       poison=(("m00000", 1),)))
+            assert _wait_state(service, bad["job_id"],
+                               ("FAILED", "DONE")) == "FAILED"
+            good = service.submit(_spec(seed=9))
+            assert _wait_state(service, good["job_id"],
+                               ("DONE", "FAILED")) == "DONE"
+        finally:
+            service.shutdown()
+        assert [s[0] for s in seen] == ["FAILED", "DONE"]
+        assert all(s[1] == 0.0 and s[2] == 0 for s in seen), seen
+        assert seen[1][3] > 0  # profiles kept before DONE
+
+    def test_queued_cancel_is_published_after_the_credit(
+            self, tmp_path, published):
+        holder, seen = published
+        service = holder["service"] = JobService(_config(tmp_path))
+        reply = service.submit(_spec())  # no executors: stays queued
+        assert service.cancel(reply["job_id"])["state"] == "CANCELLED"
+        assert seen == [("CANCELLED", 0.0, 0, 0)]
 
 
 class TestCancellation:
