@@ -187,9 +187,9 @@ def run_bench(side: int | None = None, num_map_tasks: int = 8,
     for ``straggler_seconds``.  The barrier pays those costs end to
     end: all maps, then the hang, then every transfer, then the merge.
     The pipeline hides the transfers *inside* the map phase and the
-    hang -- each segment is fetched the moment its producer commits,
-    and the merge folds forward -- leaving only the straggler's own
-    transfer and the residual merge after the last commit.
+    hang -- each segment is fetched and decoded the moment its producer
+    commits -- leaving only the straggler's own transfer and the merge
+    after the last commit.
 
     Speculation is off in both modes so neither gets rescued: the
     comparison isolates the wave shape itself.  Runs alternate

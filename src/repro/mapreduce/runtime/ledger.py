@@ -153,8 +153,9 @@ class MapOutputLedger:
         self.results[map_id] = mo
         epoch = self.epochs[map_id]
         if self.service is not None:
+            # In partition order: the service stages in that order.
             self.service.register_map_output(
-                map_id, [path for path, _ in mo.segments.values()],
+                map_id, [mo.segments[p][0] for p in sorted(mo.segments)],
                 epoch=epoch)
         if self.commitlog is not None:
             self.commitlog.commit(CommitRecord(

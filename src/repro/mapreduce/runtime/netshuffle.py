@@ -56,6 +56,26 @@ an idle socket, against ≈4 ms in one write.  One write also cuts the
 syscall and packet count, so no socket option (``TCP_NODELAY``) is
 needed on top.
 
+Where the whole-segment compress happens: once per segment, when it is
+published, not when it is fetched.  A service with a wire codec other
+than ``null`` queues each registered segment for *staging*; a window
+of ``W`` staged segments (two per helper thread, one helper per core up
+to four) fills in partition-major order -- the order reducers fetch.
+Staging reads the segment once, feeding both the CRC cache and the
+codec's front stage (:meth:`~repro.mapreduce.codecs.Codec.prepare`,
+the GIL-bound §III transform), which runs on whichever thread staged
+it: the publisher at registration, or a handler that just served a
+segment and so freed a slot.  The back stage (``finish``: zlib or bz2,
+which release the GIL) runs on the service's helper threads.  A fetch
+takes the finished payload, validated against the file's current
+``(size, mtime_ns)`` and the negotiated codec, and sends it.  Anything
+not staged compresses inline at serve time, as every fetch once did: a
+segment still queued (it is then never staged), a file rewritten in
+place by repair or damaged at rest, a codec that negotiated
+differently, or a retry after the staged copy was consumed.  Either way
+the payload is ``codec.compress(segment)`` byte for byte, so frames,
+faults, CRCs and counters do not depend on which path served it.
+
 Codec negotiation: the client *requests* a wire codec; a server that
 does not know it answers with ``codec: "null"`` in the header and the
 client decodes whatever the header names -- an unknown codec degrades
@@ -75,6 +95,8 @@ so counters and escalation stay byte-identical across transports.
 from __future__ import annotations
 
 import errno
+import heapq
+import itertools
 import json
 import os
 import socket
@@ -82,9 +104,10 @@ import struct
 import threading
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
-from repro.mapreduce.codecs import get_codec
+from repro.mapreduce.codecs import Codec, get_codec
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.memory import MemoryBudget
@@ -119,6 +142,16 @@ _FRAME_HEAD = struct.Struct(">II")
 #: must have its default's JSON type (``true`` is no integer)
 _REQUEST_DEFAULTS = {"map_id": "", "path": "", "epoch": 0, "reduce_id": "",
                      "attempt": 0, "codec": "null", "chunk": 0}
+#: name prefix of the helper threads that run staged back stages
+STAGE_THREAD_PREFIX = "netshuffle-stage"
+#: staged segments a service holds per helper thread (the window W)
+_WINDOW_PER_HELPER = 2
+
+
+def _stage_helpers() -> int:
+    """Helper threads a service runs staged back stages on: one per
+    core, at most four.  Zero turns staging off."""
+    return min(os.cpu_count() or 1, 4)
 
 
 def _parse_request(body: bytes) -> dict:
@@ -203,6 +236,28 @@ class _MapEntry:
         self.draining = False
 
 
+class _Stage:
+    """One segment's wire payload in the staging window.
+
+    Every field but ``done`` changes only under the service lock, and
+    only while the stage is not ``dropped``.
+    """
+
+    __slots__ = ("path", "key", "charged", "payload", "done", "dropped")
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        #: ``(size, mtime_ns)`` of the bytes staged, once read
+        self.key: tuple[int, int] | None = None
+        #: bytes charged to the service ledger for what the stage holds
+        self.charged = 0
+        #: the compressed segment, once the back stage finished
+        self.payload: bytes | None = None
+        #: set when the payload is ready or the stage was dropped
+        self.done = threading.Event()
+        self.dropped = False
+
+
 class ShuffleService:
     """A fleet of segment servers plus the registry they serve from.
 
@@ -228,10 +283,12 @@ class ShuffleService:
         self.chunk_bytes = chunk_bytes
         self.faults = dict(faults) if faults else {}
         self.trace = trace
-        #: unbounded accounting ledger for server-side transients (the
-        #: whole-segment compress working set); servers charge it with
-        #: ``force=True`` so serving never blocks on accounting, and
-        #: its peak makes server memory visible next to the tasks'
+        #: unbounded accounting ledger for the server-side compress
+        #: working set: staged segments (site ``stage``) and inline
+        #: compresses (site ``compress``).  Charged with ``force=True``
+        #: so serving never blocks on accounting; nothing outside this
+        #: module reads it but tests, which pin its peak and its return
+        #: to zero after a job
         self.memory = MemoryBudget(None, name="netshuffle")
         self._lock = threading.Lock()
         self._registry: dict[str, _MapEntry] = {}
@@ -242,6 +299,18 @@ class ShuffleService:
         self._crc_cache: dict[str, tuple[int, int, int]] = {}
         self.servers: list[SegmentServer] = []
         self._started = False
+        # Staging (see the module docstring); off while ``_helpers`` is
+        # None: a null or unknown wire codec, or a stopped service.
+        self._helpers: ThreadPoolExecutor | None = None
+        self._window = 0
+        #: ``(partition, seq, path)`` of registered segments not yet
+        #: staged; an entry whose seq ``_queued`` no longer names was
+        #: dropped or fetched first, and is skipped
+        self._queue: list[tuple[int, int, str]] = []
+        self._queued: dict[str, int] = {}
+        self._seq = itertools.count()
+        #: path -> stage, for every segment holding a window slot
+        self._staged: dict[str, _Stage] = {}
 
     @classmethod
     def from_config(cls, config: ShuffleConfig,
@@ -261,8 +330,24 @@ class ShuffleService:
             return self
         for index in range(self.num_servers):
             self.servers.append(self._spawn(index))
+        helpers = _stage_helpers() if self._codec_known() else 0
+        if helpers > 0:
+            self._helpers = ThreadPoolExecutor(
+                helpers, thread_name_prefix=STAGE_THREAD_PREFIX)
+            self._window = _WINDOW_PER_HELPER * helpers
         self._started = True
         return self
+
+    def _codec_known(self) -> bool:
+        """Whether this service's wire codec compresses anything: not
+        ``null``, and registered (an unknown one negotiates to null)."""
+        if self.wire_codec == "null":
+            return False
+        try:
+            get_codec(self.wire_codec)
+        except KeyError:
+            return False
+        return True
 
     def _spawn(self, index: int) -> "SegmentServer":
         port = 0 if self.port_base is None else self.port_base + index
@@ -272,10 +357,19 @@ class ShuffleService:
         return server
 
     def stop(self) -> None:
+        """Stop every server, drop every staged and queued segment, and
+        join the helper threads (queued back stages are cancelled)."""
         for server in self.servers:
             server.stop()
         self.servers = []
         self._started = False
+        with self._lock:
+            helpers, self._helpers = self._helpers, None
+            self._unstage(list(self._staged))
+            self._queue.clear()
+            self._queued.clear()
+        if helpers is not None:
+            helpers.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "ShuffleService":
         return self.start()
@@ -304,27 +398,45 @@ class ShuffleService:
                             epoch: int = 0) -> None:
         """Publish (or re-publish) one map task's committed segments.
 
-        Primes the CRC cache for each path and re-spawns any dead
-        server, so a registration after map re-execution both ends the
-        drain and heals a killed server.
+        Re-spawns any dead server, so a registration after map
+        re-execution both ends the drain and heals a killed server.
+        Without staging, primes the CRC cache for each path.  With it,
+        drops whatever the map had staged or queued, queues ``paths``
+        -- position ``i`` is partition ``i``, the key of the window's
+        partition-major order -- and stages on this thread while the
+        window has room.
         """
         self._revive_dead_servers()
-        for path in paths:
-            self._segment_crc(path)
+        staging = self._helpers is not None
+        if not staging:
+            for path in paths:
+                self._segment_crc(path)
         with self._lock:
+            old = self._registry.get(map_id)
+            if old is not None:
+                self._unstage(old.paths)
             self._registry[map_id] = _MapEntry(epoch, frozenset(paths))
+            if staging:
+                for part, path in enumerate(paths):
+                    seq = next(self._seq)
+                    self._queued[path] = seq
+                    heapq.heappush(self._queue, (part, seq, path))
+        if staging:
+            self._pump()
 
     def invalidate(self, map_id: str) -> None:
         """Begin draining ``map_id``: every request is now epoch-stale.
 
         Called when map re-execution starts, *before* the old segment
         files are deleted -- in-flight fetches get a clean transient
-        rejection instead of racing file deletion.
+        rejection instead of racing file deletion.  The map's staged
+        and queued segments are dropped, freeing their window slots.
         """
         with self._lock:
             entry = self._registry.get(map_id)
             if entry is not None:
                 entry.draining = True
+                self._unstage(entry.paths)
 
     def _lookup(self, map_id: str) -> _MapEntry | None:
         with self._lock:
@@ -358,8 +470,9 @@ class ShuffleService:
 
     # ------------------------------------------------------------ integrity
 
-    def _segment_crc(self, path: str) -> tuple[int, int]:
-        """``(size, crc32)`` of the file at ``path``, stat-validated.
+    def _segment_crc(self, path: str) -> tuple[int, int, int]:
+        """``(size, mtime_ns, crc32)`` of the file at ``path``,
+        stat-validated.
 
         The cache key is ``(size, mtime_ns)``: an unchanged committed
         segment is never re-read (the verbatim path stays zero-copy),
@@ -371,12 +484,124 @@ class ShuffleService:
         with self._lock:
             cached = self._crc_cache.get(path)
             if cached is not None and cached[:2] == key:
-                return st.st_size, cached[2]
+                return cached
         with open(path, "rb") as fh:
             crc = zlib.crc32(fh.read())
         with self._lock:
-            self._crc_cache[path] = (st.st_size, st.st_mtime_ns, crc)
-        return st.st_size, crc
+            self._crc_cache[path] = (*key, crc)
+        return (*key, crc)
+
+    # -------------------------------------------------------------- staging
+
+    def _unstage(self, paths) -> None:
+        """Drop ``paths`` from the queue and the window, releasing what
+        their stages held and waking their waiters (lock held)."""
+        for path in paths:
+            self._queued.pop(path, None)
+            stage = self._staged.pop(path, None)
+            if stage is not None:
+                stage.dropped = True
+                self.memory.release(stage.charged, site="stage")
+                stage.charged = 0
+                stage.done.set()
+
+    def _recharge(self, stage: _Stage, nbytes: int) -> bool:
+        """Charge ``stage`` for holding ``nbytes`` now instead of what it
+        held before; ``False`` if it was dropped (lock held)."""
+        if stage.dropped:
+            return False
+        self.memory.release(stage.charged, site="stage")
+        self.memory.charge(nbytes, site="stage", force=True)
+        stage.charged = nbytes
+        return True
+
+    def _pump(self) -> None:
+        """Stage queued segments on this thread while the window has
+        room, lowest partition first."""
+        while True:
+            with self._lock:
+                stage = None
+                while (self._helpers is not None and self._queue
+                       and len(self._staged) < self._window):
+                    _, seq, path = heapq.heappop(self._queue)
+                    if self._queued.get(path) == seq:
+                        del self._queued[path]
+                        stage = self._staged[path] = _Stage(path)
+                        break
+            if stage is None:
+                return
+            self._stage(stage)
+
+    def _stage(self, stage: _Stage) -> None:
+        """Read one claimed segment once, for the CRC cache and the
+        codec's front stage, and hand the back stage to a helper.
+
+        A stage that fails is dropped: the fetch compresses inline,
+        which meets the same failure where the fetch can report it.
+        """
+        try:
+            with open(stage.path, "rb") as fh:
+                st = os.fstat(fh.fileno())
+                blob = fh.read()
+            key = (st.st_size, st.st_mtime_ns)
+            crc = zlib.crc32(blob)
+            with self._lock:
+                self._crc_cache[stage.path] = (*key, crc)
+                if not self._recharge(stage, len(blob)):
+                    return
+                stage.key = key
+            codec = get_codec(self.wire_codec)
+            prepared = codec.prepare(blob)
+            del blob
+            with self._lock:
+                if self._recharge(stage, len(prepared)):
+                    self._helpers.submit(self._finish, stage, codec,
+                                         prepared)
+        except Exception:
+            with self._lock:
+                if self._staged.get(stage.path) is stage:
+                    self._unstage([stage.path])
+
+    def _finish(self, stage: _Stage, codec: Codec, prepared: bytes) -> None:
+        """The back stage, on a helper thread.  It must end the stage
+        one way or the other: a fetch may be waiting on ``done``."""
+        try:
+            payload = codec.finish(prepared)
+        except Exception:
+            payload = None
+        with self._lock:
+            if payload is not None and self._recharge(stage, len(payload)):
+                stage.payload = payload
+                stage.done.set()
+            elif self._staged.get(stage.path) is stage:
+                self._unstage([stage.path])
+
+    def _take_staged(self, path: str, codec_name: str,
+                     key: tuple[int, int]) -> bytes | None:
+        """The staged payload for ``path``, or ``None``: compress inline.
+
+        A segment still queued leaves the queue for good.  A staged one
+        leaves the window, waiting for its back stage if need be; its
+        payload is returned only if it was staged from the bytes at
+        ``key`` for ``codec_name``, and then stays charged to the
+        ``stage`` site until the caller releases it.
+        """
+        if codec_name != self.wire_codec:
+            return None
+        with self._lock:
+            stage = self._staged.get(path)
+            if stage is None:
+                self._queued.pop(path, None)
+                return None
+        stage.done.wait()
+        with self._lock:
+            if self._staged.get(path) is not stage:
+                return None  # dropped, or another fetch took it
+            if stage.key != key:
+                self._unstage([path])  # rewritten in place since staging
+                return None
+            del self._staged[path]
+            return stage.payload
 
     def _record(self, map_id: str, attempt: int, event: str,
                 detail: str) -> None:
@@ -577,7 +802,7 @@ class SegmentServer:
             return False
 
         try:
-            length, crc = service._segment_crc(path)
+            length, mtime_ns, crc = service._segment_crc(path)
         except OSError as exc:
             self._error(conn, MISSING_FILE, f"segment missing: {exc}")
             return True
@@ -596,25 +821,34 @@ class SegmentServer:
 
         comp = b""
         rented = 0
+        site = "compress"
         if framed:
-            # Compress the segment *whole*: the stride transform needs
-            # the full key stream to detect its pattern.  The raw copy
-            # is rented from the service ledger only for the compress
-            # call; the compressed copy stays charged until sent.
-            try:
-                with open(path, "rb") as fh:
-                    blob = fh.read()
-            except OSError as exc:
-                self._error(conn, MISSING_FILE, f"segment missing: {exc}")
-                return True
-            service.memory.charge(len(blob), site="compress", force=True)
-            try:
-                comp = get_codec(codec_name).compress(blob)
-            finally:
-                service.memory.release(len(blob), site="compress")
-            del blob
+            staged = service._take_staged(path, codec_name,
+                                          (length, mtime_ns))
+            if staged is not None:
+                # Charged to the stage site since its back stage ended.
+                comp, site = staged, "stage"
+            else:
+                # Compress the segment *whole*: the stride transform
+                # needs the full key stream to detect its pattern.  The
+                # raw copy is rented from the service ledger only for
+                # the compress call; the compressed copy stays charged
+                # until sent.
+                try:
+                    with open(path, "rb") as fh:
+                        blob = fh.read()
+                except OSError as exc:
+                    self._error(conn, MISSING_FILE,
+                                f"segment missing: {exc}")
+                    return True
+                service.memory.charge(len(blob), site=site, force=True)
+                try:
+                    comp = get_codec(codec_name).compress(blob)
+                finally:
+                    service.memory.release(len(blob), site=site)
+                del blob
+                service.memory.charge(len(comp), site=site, force=True)
             rented = len(comp)
-            service.memory.charge(rented, site="compress", force=True)
         header = json.dumps({
             "codec": codec_name, "length": length, "crc": crc,
             "framed": framed, "wire_length": len(comp),
@@ -631,7 +865,9 @@ class SegmentServer:
             return False
         finally:
             if rented:
-                service.memory.release(rented, site="compress")
+                service.memory.release(rented, site=site)
+            if framed:
+                service._pump()  # a window slot may have come free
         if ok:
             service._record(map_id, attempt, "wire_served",
                             f"{os.path.basename(path)} -> {reduce_id}"

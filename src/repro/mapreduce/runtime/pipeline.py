@@ -17,26 +17,24 @@ module removes it:
   :func:`run_reduce_task_pipelined`: it fetches and decodes each
   partition segment as its producing map commits (partial-availability
   fetch over a pending-set), re-fetching at the new epoch when a
-  producer is re-executed mid-pipeline, and -- when the job's merge
-  factor allows -- folds fetched runs into an accumulated merge so
-  reduce-side merge work overlaps the map tail too;
-* final output is held until the pending-set drains, so the merged
-  stream, the output, and every task counter are **byte-identical** to
-  the barrier path (and therefore to the serial runner).
+  producer is re-executed mid-pipeline;
+* once the pending-set drains, the decoded runs are merged, grouped
+  and reduced by :func:`~repro.mapreduce.engine._merge_group_reduce`,
+  the tail the barrier path runs over the same runs in the same order
+  -- so the merged stream, the output, and every task counter are
+  **byte-identical** to the barrier path (and therefore to the serial
+  runner).
 
 A reducer that has fetched everything committed so far but still has
 maps pending writes a ``_starved`` marker naming the missing producers;
 the scheduler turns that into *progress-triggered speculation* of the
 stragglers, instead of waiting for wave deadlines.
 
-Merge-behavior invariant: incremental folding is only enabled when the
-map count fits inside ``job.merge_factor``, which guarantees the
-barrier path would plan **zero** on-disk merge passes -- so folding
-(a stable prefix merge, associative for ``heapq.merge``'s run-order
-tie-breaking) changes neither ``MERGE_PASS_BYTES`` nor the merged
-record order.  With more runs than the merge factor, the pipelined path
-only overlaps fetch + decode and runs the identical multi-pass merge at
-drain time.
+What overlaps the map tail is fetch + decode, not the merge.  Folding
+each arrival into a prefix merge would re-merge the whole prefix every
+time (2 + 3 + ... + n run-units against n for one merge at drain): the
+last fold alone would cost a full merge, so the drain would get no
+shorter.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from repro.mapreduce.runtime.shuffle import (
     ShuffleConfig,
     ShuffleFetcher,
 )
-from repro.mapreduce.sort import Run, merge_sorted_runs, run_rows
+from repro.mapreduce.sort import Run, run_rows
 from repro.util.fsio import atomic_write_bytes
 from repro.util.timing import CostClock
 
@@ -257,27 +255,26 @@ def run_reduce_task_pipelined(
 
     Fetches and decodes each producer's partition segment as its commit
     record appears (latest epoch wins; an epoch bump after a successful
-    fetch discards the old run and re-fetches), folds decoded runs into
-    an accumulated prefix merge when ``job.merge_factor`` allows, and
-    runs the exact barrier merge/group/reduce tail once the pending-set
-    drains -- output and counters byte-identical to
+    fetch discards the old run and re-fetches), and runs the exact
+    barrier merge/group/reduce tail once the pending-set drains --
+    output and counters byte-identical to
     :func:`~repro.mapreduce.engine.run_reduce_task` over the same final
     segments.
 
-    Only active fetch/decode/merge work is charged to the task's cost
+    Only active fetch/decode work is charged to the task's cost
     clock; poll sleeps while waiting on late maps are recorded
     separately in the result's ``pipeline`` stats (they are overlap, not
     work, and must not skew fitted cost models).
 
     Byte-based backpressure: when ``shuffle.max_inflight_bytes`` is set,
     each producer's priced bytes are charged against the fetcher's byte
-    window *for as long as its decoded run is resident*.  The
-    next-in-fold-order fetch is always admitted (``force=True`` --
-    liveness), so only out-of-order prefetches gate on headroom: a
-    gated commit simply stays in the pending-set and is retried on the
-    next poll round.  Fold order is fixed by ``plan.map_ids``, so
-    deferral changes *when* a run is fetched but never what is merged --
-    output and counters stay byte-identical.
+    window *for as long as its decoded run is resident*.  The next
+    pending fetch in ``plan.map_ids`` order is always admitted
+    (``force=True`` -- liveness), so only out-of-order prefetches gate
+    on headroom: a gated commit simply stays in the pending-set and is
+    retried on the next poll round.  Merge order is fixed by
+    ``plan.map_ids``, so deferral changes *when* a run is fetched but
+    never what is merged -- output and counters stay byte-identical.
     """
     task_id = f"r{part:05d}"
     counters = Counters()
@@ -293,16 +290,8 @@ def run_reduce_task_pipelined(
     #: map_id -> priced bytes charged while its decoded run is resident
     held: dict[str, int] = {}
     deferrals = 0
-    #: map_id -> (epoch, decoded run, ref) for everything fetched;
-    #: decoded runs are retained even once folded so an epoch bump of
-    #: an already-folded producer can rebuild the fold without refetching
-    #: its unaffected neighbors
+    #: map_id -> (epoch, decoded run, ref) for everything fetched
     fetched: dict[str, tuple[int, Run, SegmentRef]] = {}
-    # Incremental prefix folding is only byte-safe when the barrier path
-    # would plan zero on-disk merge passes (see module docstring).
-    fold_enabled = len(plan.map_ids) <= job.merge_factor
-    folded: Run = []
-    fold_upto = 0  # prefix length of plan.map_ids merged into ``folded``
 
     started = time.monotonic()
     first_fetch_ms: float | None = None
@@ -310,19 +299,6 @@ def run_reduce_task_pipelined(
     refetches = 0
     wait_seconds = 0.0
     last_starved: tuple[str, ...] | None = None
-
-    def advance_fold() -> None:
-        nonlocal folded, fold_upto
-        while fold_upto < len(plan.map_ids):
-            mid = plan.map_ids[fold_upto]
-            if mid in pending:
-                break
-            run = fetched[mid][1]
-            if run_rows(run):
-                with clock.measure("merge"):
-                    folded = merge_sorted_runs([folded, run]) \
-                        if run_rows(folded) else run
-            fold_upto += 1
 
     try:
         while True:
@@ -366,7 +342,7 @@ def run_reduce_task_pipelined(
                     price = fetcher.admit(ref, force=True)
                 elif record.map_id == next(
                         (m for m in plan.map_ids if m in pending), None):
-                    # The next run in fold order must always proceed,
+                    # The next run in merge order must always proceed,
                     # however full the window: liveness beats the cap.
                     price = fetcher.admit(ref, force=True)
                 else:
@@ -393,16 +369,8 @@ def run_reduce_task_pipelined(
                     overlapped += 1
                 if stale:
                     refetches += 1
-                    if plan.map_ids.index(record.map_id) < fold_upto:
-                        # A folded run went stale: rebuild the fold from
-                        # the retained decoded runs (cheap vs refetching
-                        # the whole prefix).
-                        folded = []
-                        fold_upto = 0
                 fetched[record.map_id] = (record.epoch, decoded, ref)
                 pending.discard(record.map_id)
-                if fold_enabled:
-                    advance_fold()
             if work and not progressed:
                 # Every visible commit was an out-of-order prefetch the
                 # window deferred; wait for headroom or the next commit.
@@ -426,16 +394,8 @@ def run_reduce_task_pipelined(
     if getattr(config, "transport", "") == "network":
         profile.wire_bytes = counters.get(C.SHUFFLE_WIRE_BYTES)
 
-    if fold_enabled:
-        runs = [folded] if run_rows(folded) else []
-        run_sizes = [sum(fetched[mid][2].stats.key_bytes
-                         + fetched[mid][2].stats.value_bytes
-                         for mid in plan.map_ids[:fold_upto])] if runs \
-            else []
-        tail = plan.map_ids[fold_upto:]
-    else:
-        runs, run_sizes, tail = [], [], plan.map_ids
-    for mid in tail:
+    runs, run_sizes = [], []
+    for mid in plan.map_ids:
         run = fetched[mid][1]
         if run_rows(run):
             runs.append(run)
