@@ -558,7 +558,7 @@ def run_map_task(job: Job, split: InputSplit, dataset: Dataset,
 def run_reduce_task(
     job: Job,
     part: int,
-    segments: Sequence[Any],
+    segments: Any,
     workdir: str,
     *,
     segment_reader=None,
@@ -568,17 +568,32 @@ def run_reduce_task(
     fetch_faults=None,
     memory=None,
 ) -> ReduceTaskResult:
-    """Execute one reduce task (Fig 1 steps 4-7).
+    """Execute one reduce task (Fig 1 steps 4-7) -- the only reduce body.
 
-    ``segments`` is this partition's final map output segment per map
-    task, **in map task order** -- each a :class:`~repro.mapreduce.
-    runtime.shuffle.SegmentRef` (legacy ``(path, stats)`` tuples are
-    adopted).  Segment bytes arrive through a shuffle transport
-    (``shuffle`` is a :class:`~repro.mapreduce.runtime.shuffle.
-    ShuffleConfig`; ``None`` = the default direct transport, byte-
-    identical to reading the files), so the map->reduce hop is a real,
-    failable transfer in every runner.  ``fetch_faults`` is this reduce
-    task's slice of a fault injector's fetch plan.
+    ``segments`` names this partition's map output segments in one of
+    two shapes.  A list holds the final segment of every map task, **in
+    map task order** -- each a :class:`~repro.mapreduce.runtime.shuffle.
+    SegmentRef` (legacy ``(path, stats)`` tuples are adopted): the
+    barrier shuffle.  A :class:`~repro.mapreduce.runtime.pipeline.
+    PipelinePlan` names the commit log the maps publish into while they
+    still run: the pipelined shuffle, scheduled by
+    :func:`~repro.mapreduce.runtime.pipeline.commit_batches`.  Either
+    way the task takes batches of ready refs -- a list is one batch --
+    fetches each batch concurrently, and decodes every blob into its
+    map's slot; a producer re-published at a bumped epoch is fetched
+    again and replaces its slot.  Once every slot holds its producer's
+    latest segment, the runs are merged in slot order, so the merged
+    stream, the output and every counter depend on the final segments
+    alone, never on when they arrived.  ``SHUFFLE_BYTES`` is charged
+    once, from the final refs; a plan also leaves its poll telemetry on
+    ``result.pipeline``.
+
+    Segment bytes arrive through a shuffle transport (``shuffle`` is a
+    :class:`~repro.mapreduce.runtime.shuffle.ShuffleConfig`; ``None`` =
+    the default direct transport, byte-identical to reading the files),
+    so the map->reduce hop is a real, failable transfer in every runner.
+    ``fetch_faults`` is this reduce task's slice of a fault injector's
+    fetch plan.
 
     Each fetched segment decodes to a *run* in one of two forms
     (:func:`_read_run`): a key matrix + value column (a fixed matrix or
@@ -607,6 +622,7 @@ def run_reduce_task(
     """
     # Lazy import: the runtime package imports this module's task
     # functions, so the engine cannot import runtime modules at the top.
+    from repro.mapreduce.runtime.pipeline import PipelinePlan, commit_batches
     from repro.mapreduce.runtime.shuffle import (
         SegmentRef,
         ShuffleConfig,
@@ -618,26 +634,48 @@ def run_reduce_task(
     profile = TaskProfile(task_id=task_id, kind="reduce")
     codec = get_codec(job.codec, **job.codec_options)
 
-    # Shuffle: fetch this partition's segment from every map task
-    # through the transport, then decode.  Each run's payload size (sum
-    # of key+value bytes) is recorded once, from the segment's
-    # IFileStats, so merge-pass planning below never re-scans a run's
-    # records to size it.
-    refs = [SegmentRef.from_pair(s) for s in segments]
+    pipeline: dict | None = None
+    if isinstance(segments, PipelinePlan):
+        pipeline = {}
+        batches = commit_batches(segments, part, workdir, pipeline)
+        slots = len(segments.map_ids)
+    else:
+        refs = [SegmentRef.from_pair(s) for s in segments]
+        batches = [list(enumerate(refs))]
+        slots = len(refs)
+    #: per producer slot: its latest ref and the run decoded from it
+    #: (the raw blob, for a segment_reader)
+    held: list[Any] = [None] * slots
     fetcher = ShuffleFetcher(
         shuffle if shuffle is not None else ShuffleConfig(),
         counters, task_id, fetch_faults, memory=memory)
+    try:
+        for batch in batches:
+            with clock.measure("shuffle"):
+                for (slot, ref), blob in zip(
+                        batch, fetcher.fetch_all([ref for _, ref in batch])):
+                    if segment_reader is not None:
+                        # It quarantines what it salvages, so it must
+                        # see final segments only: it decodes below,
+                        # once every producer is in.
+                        held[slot] = (ref, blob)
+                    else:
+                        held[slot] = (ref, _read_run(
+                            IFileReader(blob, codec, path=ref.path),
+                            ref.stats))
+    finally:
+        fetcher.close()
+
+    # Each run's payload size (sum of key+value bytes) is recorded once,
+    # from the segment's IFileStats, so merge-pass planning never
+    # re-scans a run's records to size it.
     runs: list[Run] = []
     run_sizes: list[int] = []
     with clock.measure("shuffle"):
-        blobs = fetcher.fetch_all(refs)
-        for ref, blob in zip(refs, blobs):
+        for ref, run in held:
             profile.shuffle_bytes += ref.stats.materialized_bytes
-            if segment_reader is None:
-                run = _read_run(IFileReader(blob, codec, path=ref.path),
-                                ref.stats)
-            else:
-                run = segment_reader(ref.path, codec, blob)
+            if segment_reader is not None:
+                run = segment_reader(ref.path, codec, run)
             if run_rows(run):
                 runs.append(run)
                 run_sizes.append(ref.stats.key_bytes + ref.stats.value_bytes)
@@ -657,10 +695,12 @@ def run_reduce_task(
     rent = (memory.rent(sum(run_sizes), site="merge")
             if memory is not None else nullcontext())
     with rent:
-        return _merge_group_reduce(job, task_id, runs, run_sizes, workdir,
-                                   codec, counters, clock, profile,
-                                   prepare_filter=prepare_filter,
-                                   group_driver=group_driver)
+        result = _merge_group_reduce(job, task_id, runs, run_sizes, workdir,
+                                     codec, counters, clock, profile,
+                                     prepare_filter=prepare_filter,
+                                     group_driver=group_driver)
+    result.pipeline = pipeline
+    return result
 
 
 def _reduce_batch(job: Job, reducer: Any, kmat: np.ndarray,
@@ -724,11 +764,9 @@ def _merge_group_reduce(
 ) -> ReduceTaskResult:
     """Fig 1 steps 5-7: merge fetched runs, group, reduce, collect output.
 
-    The single tail shared by the barrier reduce path above and the
-    pipelined path (:func:`~repro.mapreduce.runtime.pipeline.
-    run_reduce_task_pipelined`): given the decoded non-empty runs **in
-    the order the barrier path would hold them**, both produce
-    byte-identical merged streams, counters, and output.
+    The tail of :func:`run_reduce_task`, whichever way its segments
+    arrived: given the decoded non-empty runs **in map task order**,
+    the merged stream, counters, and output depend on those runs alone.
 
     Runs may be columnar (fixed-width or ragged values) or record
     lists, in any mix.  On-disk passes and the final merge go through

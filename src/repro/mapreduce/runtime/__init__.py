@@ -14,7 +14,7 @@ scheduler:
 
 * :mod:`~repro.mapreduce.runtime.attempt` -- ``run_attempt``, the whole
   body of one map/reduce attempt (poison wrapping, OOM degrade, memory
-  budget arming, strict / skipping / pipelined body selection, corrupt
+  budget arming, strict / skipping body selection, corrupt
   fault application), and ``classify``, the error record the recovery
   ladder dispatches on;
 * :mod:`~repro.mapreduce.runtime.ledger` -- ``MapOutputLedger``, every
@@ -54,8 +54,9 @@ Around them:
   disk-fault workdir failover;
 * :mod:`~repro.mapreduce.runtime.pipeline` -- pipelined shuffle: a
   commit-log completion-event stream lets reduce attempts run alongside
-  late maps, fetching and merging segments as their producers commit,
-  with byte-identical output and counters to the barrier path;
+  late maps, fetching and decoding segments as their producers commit;
+  the reduce body is the barrier's own, so output and counters are
+  byte-identical to the barrier path;
 * :mod:`~repro.mapreduce.runtime.trace` -- per-task timeline events and
   measured profiles, consumable by the cluster simulator;
 * :mod:`~repro.mapreduce.runtime.runner` -- the drop-in
@@ -83,7 +84,6 @@ from repro.mapreduce.runtime.pipeline import (
     CommitRecord,
     PipelinePlan,
     aggregate_pipeline_stats,
-    run_reduce_task_pipelined,
 )
 from repro.mapreduce.runtime.recovery import (
     JobManifest,
@@ -156,7 +156,6 @@ __all__ = [
     "job_fingerprint",
     "poisoned_job",
     "run_map_task_skipping",
-    "run_reduce_task_pipelined",
     "run_reduce_task_skipping",
     "shuffle_config_from_env",
 ]

@@ -10,6 +10,12 @@ them inside a forked worker and ships the record back through a durable
 result file.  Serial/parallel identity of output and counters under
 every data-shaped fault is therefore structural: there is no second
 copy of any of these decisions to drift.
+
+Body selection turns on skip mode alone: a map attempt runs
+:func:`~repro.mapreduce.engine.run_map_task` or its skipping twin, a
+reduce attempt :func:`~repro.mapreduce.engine.run_reduce_task` or its
+skipping twin, over resolved refs and a pipelined shuffle's plan
+alike, and every body is handed the attempt's memory ledger.
 """
 
 from __future__ import annotations
@@ -22,11 +28,7 @@ from repro.mapreduce.engine import run_map_task, run_reduce_task
 from repro.mapreduce.ifile import IFileCorruptError
 from repro.mapreduce.runtime.fault import Fault, corrupt_file, poisoned_job
 from repro.mapreduce.runtime.memory import MemoryBudget
-from repro.mapreduce.runtime.pipeline import (
-    PipelinePlan,
-    drain_refs,
-    run_reduce_task_pipelined,
-)
+from repro.mapreduce.runtime.pipeline import PipelinePlan, drain_refs
 from repro.mapreduce.runtime.shuffle import FetchFailedError, SegmentRef
 from repro.mapreduce.runtime.skipping import (
     is_skip_eligible,
@@ -151,7 +153,8 @@ def run_attempt(
     ``payload`` is the task input: an ``InputSplit`` for map tasks, a
     ``(partition, segments)`` pair for reduce tasks, where ``segments``
     is either resolved :class:`SegmentRef` s (barrier shuffle) or a
-    :class:`PipelinePlan` (pipelined shuffle).  ``fault`` is the
+    :class:`PipelinePlan` (pipelined shuffle) -- the reduce body takes
+    both.  ``fault`` is the
     injector's data-shaped fault for this attempt (``poison`` /
     ``corrupt`` / ``oom``; process faults are the worker's business),
     ``skip_mode`` runs the body in record-level skipping mode (set after
@@ -178,11 +181,8 @@ def run_attempt(
     corrupt = fault is not None and fault.mode == "corrupt"
 
     if kind == "map":
-        if skip_mode:
-            value: Any = run_map_task_skipping(job, payload, dataset, workdir)
-        else:
-            value = run_map_task(job, payload, dataset, workdir,
-                                 memory=budget)
+        body = run_map_task_skipping if skip_mode else run_map_task
+        value: Any = body(job, payload, dataset, workdir, memory=budget)
         if corrupt and fault.where == "map-output":
             # The task *believes* it succeeded; the damage is only
             # discoverable by a reducer's checksum verification.
@@ -192,34 +192,22 @@ def run_attempt(
                          fault.op)
     elif kind == "reduce":
         part, segments = payload
-        pipelined = isinstance(segments, PipelinePlan)
-        corrupt_input = corrupt and fault.where == "reduce-input"
-        if pipelined and not skip_mode and not corrupt_input:
-            value = run_reduce_task_pipelined(
-                job, part, segments, workdir,
-                shuffle=shuffle, fetch_faults=fetch_faults, memory=budget)
-        else:
-            if pipelined:
-                # Skipping mode and corrupt-input targeting need the
-                # full segment list up front; wait for every producer
-                # to commit (barrier semantics for this one attempt,
-                # byte-identical by definition).
+        if corrupt and fault.where == "reduce-input":
+            if isinstance(segments, PipelinePlan):
+                # The damage goes into a segment file before the body
+                # fetches it, so this one attempt waits for every
+                # producer to commit (barrier semantics, byte-identical
+                # by definition).
                 segments = drain_refs(segments, part)
-            if corrupt_input and segments:
+            if segments:
                 index = fault.segment if fault.segment is not None else 0
                 target = segments[index % len(segments)]
                 corrupt_file(target.path if isinstance(target, SegmentRef)
                              else target[0],
                              fault.offset_frac, fault.op)
-            if skip_mode:
-                value = run_reduce_task_skipping(
-                    job, part, segments, workdir,
-                    shuffle=shuffle, fetch_faults=fetch_faults)
-            else:
-                value = run_reduce_task(
-                    job, part, segments, workdir,
-                    shuffle=shuffle, fetch_faults=fetch_faults,
-                    memory=budget)
+        body = run_reduce_task_skipping if skip_mode else run_reduce_task
+        value = body(job, part, segments, workdir, shuffle=shuffle,
+                     fetch_faults=fetch_faults, memory=budget)
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     return {"status": "ok", "value": value,

@@ -134,9 +134,6 @@ class HostRegistry:
     def states(self) -> dict[str, str]:
         return {name: h.state for name, h in sorted(self._hosts.items())}
 
-    def usable_hosts(self) -> list[str]:
-        return [n for n in self.names() if self._hosts[n].usable]
-
     def __len__(self) -> int:
         return self.num_hosts
 

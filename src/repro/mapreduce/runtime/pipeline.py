@@ -13,17 +13,17 @@ module removes it:
   :class:`CommitLog` directory -- the completion-event stream reducers
   poll;
 * a reduce attempt launched *alongside* the maps receives a
-  :class:`PipelinePlan` instead of resolved segment refs and runs
-  :func:`run_reduce_task_pipelined`: it fetches and decodes each
-  partition segment as its producing map commits (partial-availability
-  fetch over a pending-set), re-fetching at the new epoch when a
-  producer is re-executed mid-pipeline;
-* once the pending-set drains, the decoded runs are merged, grouped
-  and reduced by :func:`~repro.mapreduce.engine._merge_group_reduce`,
-  the tail the barrier path runs over the same runs in the same order
-  -- so the merged stream, the output, and every task counter are
-  **byte-identical** to the barrier path (and therefore to the serial
-  runner).
+  :class:`PipelinePlan` instead of resolved segment refs and runs the
+  one reduce body, :func:`~repro.mapreduce.engine.run_reduce_task`,
+  fed by :func:`commit_batches`: each poll round's new commits (and
+  re-publications at a bumped epoch, when a producer re-executed
+  mid-pipeline) are fetched and decoded into their producer's slot
+  while the later maps still run;
+* once every producer is held at its latest epoch, the body runs the
+  same merge/group/reduce tail over the same runs in the same order as
+  a reduce fed the resolved refs -- so the merged stream, the output,
+  and every task counter are **byte-identical** to the barrier path
+  (and therefore to the serial runner) by construction, not by test.
 
 A reducer that has fetched everything committed so far but still has
 maps pending writes a ``_starved`` marker naming the missing producers;
@@ -43,27 +43,13 @@ import json
 import os
 import pickle
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Iterator
 
-from repro.mapreduce.codecs import get_codec
-from repro.mapreduce.engine import (
-    ReduceTaskResult,
-    _merge_group_reduce,
-    _read_run,
-)
-from repro.mapreduce.ifile import IFileReader, IFileStats
-from repro.mapreduce.job import Job
-from repro.mapreduce.metrics import C, Counters, TaskProfile
-from repro.mapreduce.runtime.shuffle import (
-    SegmentRef,
-    ShuffleConfig,
-    ShuffleFetcher,
-)
-from repro.mapreduce.sort import Run, run_rows
+from repro.mapreduce.ifile import IFileStats
+from repro.mapreduce.metrics import C
+from repro.mapreduce.runtime.shuffle import SegmentRef
 from repro.util.fsio import atomic_write_bytes
-from repro.util.timing import CostClock
 
 __all__ = [
     "COMMITS_DIRNAME",
@@ -72,8 +58,8 @@ __all__ = [
     "CommitLog",
     "PipelinePlan",
     "aggregate_pipeline_stats",
+    "commit_batches",
     "drain_refs",
-    "run_reduce_task_pipelined",
 ]
 
 #: commit-log directory name inside a run's workdir
@@ -213,208 +199,88 @@ def _write_starved(workdir: str, missing: list[str]) -> None:
         pass
 
 
-def drain_refs(plan: PipelinePlan, part: int) -> list[SegmentRef]:
-    """Wait for *every* producer to commit; return barrier-shaped refs.
-
-    The escape hatch for reduce paths that need the full segment list up
-    front (skipping mode, corrupt-input fault targeting): it restores
-    the barrier semantics for this one attempt, byte-identically, while
-    the rest of the wave stays pipelined.  Termination is the caller's
-    concern (task/wave deadlines), same as any fetch.
-    """
-    log = CommitLog(plan.commit_dir)
-    while True:
-        records = log.poll()
-        if all(mid in records for mid in plan.map_ids):
-            return [SegmentRef(map_id=mid,
-                               path=records[mid].segments[part][0],
-                               stats=records[mid].segments[part][1],
-                               epoch=records[mid].epoch,
-                               address=records[mid].address)
-                    for mid in plan.map_ids]
-        time.sleep(plan.poll_interval)
-
-
 def _ref_for(record: CommitRecord, part: int) -> SegmentRef:
     path, stats = record.segments[part]
     return SegmentRef(map_id=record.map_id, path=path, stats=stats,
                       epoch=record.epoch, address=record.address)
 
 
-def run_reduce_task_pipelined(
-    job: Job,
-    part: int,
-    plan: PipelinePlan,
-    workdir: str,
-    *,
-    shuffle: Any = None,
-    fetch_faults: Any = None,
-    memory: Any = None,
-) -> ReduceTaskResult:
-    """Execute one reduce task against a still-filling commit log.
+def drain_refs(plan: PipelinePlan, part: int) -> list[SegmentRef]:
+    """Wait for *every* producer to commit; return barrier-shaped refs.
 
-    Fetches and decodes each producer's partition segment as its commit
-    record appears (latest epoch wins; an epoch bump after a successful
-    fetch discards the old run and re-fetches), and runs the exact
-    barrier merge/group/reduce tail once the pending-set drains --
-    output and counters byte-identical to
-    :func:`~repro.mapreduce.engine.run_reduce_task` over the same final
-    segments.
-
-    Only active fetch/decode work is charged to the task's cost
-    clock; poll sleeps while waiting on late maps are recorded
-    separately in the result's ``pipeline`` stats (they are overlap, not
-    work, and must not skew fitted cost models).
-
-    Byte-based backpressure: when ``shuffle.max_inflight_bytes`` is set,
-    each producer's priced bytes are charged against the fetcher's byte
-    window *for as long as its decoded run is resident*.  The next
-    pending fetch in ``plan.map_ids`` order is always admitted
-    (``force=True`` -- liveness), so only out-of-order prefetches gate
-    on headroom: a gated commit simply stays in the pending-set and is
-    retried on the next poll round.  Merge order is fixed by
-    ``plan.map_ids``, so deferral changes *when* a run is fetched but
-    never what is merged -- output and counters stay byte-identical.
+    For the one attempt that needs every segment's path up front -- a
+    ``corrupt`` fault aimed at the reduce input damages its target file
+    before the body fetches it -- this restores the barrier semantics,
+    byte-identically, while the rest of the wave stays pipelined.
+    Termination is the caller's concern (task/wave deadlines), same as
+    any fetch.
     """
-    task_id = f"r{part:05d}"
-    counters = Counters()
-    clock = CostClock()
-    profile = TaskProfile(task_id=task_id, kind="reduce")
-    codec = get_codec(job.codec, **job.codec_options)
-    config = shuffle if shuffle is not None else ShuffleConfig()
-    fetcher = ShuffleFetcher(config, counters, task_id, fetch_faults,
-                             memory=memory)
     log = CommitLog(plan.commit_dir)
+    while True:
+        records = log.poll()
+        if all(mid in records for mid in plan.map_ids):
+            return [_ref_for(records[mid], part) for mid in plan.map_ids]
+        time.sleep(plan.poll_interval)
 
-    pending = set(plan.map_ids)
-    #: map_id -> priced bytes charged while its decoded run is resident
-    held: dict[str, int] = {}
-    deferrals = 0
-    #: map_id -> (epoch, decoded run, ref) for everything fetched
-    fetched: dict[str, tuple[int, Run, SegmentRef]] = {}
 
+def commit_batches(plan: PipelinePlan, part: int, workdir: str,
+                   stats: dict) -> Iterator[list[tuple[int, SegmentRef]]]:
+    """The pipelined reducer's fetch schedule, one segment at a time.
+
+    Polls the commit log and yields, one ``[(slot, ref)]`` batch each,
+    every commit that is new or re-published at a bumped epoch since it
+    was last yielded (the producer re-executed; its old files are
+    gone), where ``slot`` is the producer's index in ``plan.map_ids`` --
+    the merge order.  The caller fetches and decodes a batch before
+    asking for the next.  Stops once every producer has been yielded at
+    its latest epoch.
+
+    One segment per batch, where a ref list is one batch of all: these
+    fetches already overlap the map tail, and a fetch pool thread costs
+    its own glibc malloc arena -- fetching each poll round concurrently
+    (pool of four) raised the spine's ``median-par-pipelined`` peak RSS
+    by ≈9 MiB and gained no wall-clock.
+
+    Between rounds it sleeps ``plan.poll_interval`` per empty poll and
+    writes the ``_starved`` marker naming the missing producers
+    whenever that set changes.  ``stats`` is filled with the task's
+    ``pipeline`` stats: ``first_fetch_ms`` (start to the first segment
+    in hand), ``overlapped_fetches`` (segments fetched while some
+    producer had not yet committed), ``refetches`` and
+    ``wait_seconds`` (poll sleeps: overlap, not work, so never charged
+    to the task's cost clock).
+    """
+    log = CommitLog(plan.commit_dir)
+    #: map_id -> epoch of the segment last yielded for it
+    yielded: dict[str, int] = {}
     started = time.monotonic()
-    first_fetch_ms: float | None = None
-    overlapped = 0
-    refetches = 0
-    wait_seconds = 0.0
-    last_starved: tuple[str, ...] | None = None
-
-    try:
-        while True:
-            records = log.poll()
-            work: list[CommitRecord] = []
-            for mid in plan.map_ids:
-                record = records.get(mid)
-                if record is None:
-                    continue
-                if mid in pending:
-                    work.append(record)
-                elif record.epoch > fetched[mid][0]:
-                    # The producer re-executed after we consumed it:
-                    # discard the stale run and re-fetch at the new
-                    # epoch (identical bytes by determinism, but the
-                    # old files are gone and their faults out of scope).
-                    work.append(record)
-            if not work:
-                if not pending:
-                    break
-                missing = sorted(pending - set(records))
-                if missing and tuple(missing) != last_starved:
-                    # Everything committed is consumed; name the
-                    # stragglers so the scheduler can speculate them.
-                    _write_starved(workdir, missing)
-                    last_starved = tuple(missing)
-                time.sleep(plan.poll_interval)
-                wait_seconds += plan.poll_interval
-                continue
-            visible = sum(1 for mid in plan.map_ids if mid in records)
-            progressed = False
-            for record in work:
-                ref = _ref_for(record, part)
-                stale = record.map_id not in pending
-                if stale:
-                    # A refetch replaces an already-resident run: swap
-                    # the charge rather than stacking a second one.
-                    old = held.pop(record.map_id, None)
-                    if old is not None:
-                        fetcher.retire(old)
-                    price = fetcher.admit(ref, force=True)
-                elif record.map_id == next(
-                        (m for m in plan.map_ids if m in pending), None):
-                    # The next run in merge order must always proceed,
-                    # however full the window: liveness beats the cap.
-                    price = fetcher.admit(ref, force=True)
-                else:
-                    price = fetcher.admit(ref, block=False)
-                    if price is None:
-                        # No headroom for an out-of-order prefetch:
-                        # leave it pending for the next poll round.
-                        deferrals += 1
-                        continue
-                progressed = True
-                try:
-                    with clock.measure("shuffle"):
-                        blob = fetcher.fetch_one(ref)
-                        decoded = _read_run(
-                            IFileReader(blob, codec, path=ref.path),
-                            ref.stats)
-                except BaseException:
-                    fetcher.retire(price)
-                    raise
-                held[record.map_id] = price
-                if first_fetch_ms is None:
-                    first_fetch_ms = (time.monotonic() - started) * 1000.0
-                if visible < len(plan.map_ids):
-                    overlapped += 1
-                if stale:
-                    refetches += 1
-                fetched[record.map_id] = (record.epoch, decoded, ref)
-                pending.discard(record.map_id)
-            if work and not progressed:
-                # Every visible commit was an out-of-order prefetch the
-                # window deferred; wait for headroom or the next commit.
-                time.sleep(plan.poll_interval)
-                wait_seconds += plan.poll_interval
-    finally:
-        # The drain is complete (or the attempt is dying): the fetch
-        # window's residency charges end here, before the merge rent.
-        for price in held.values():
-            fetcher.retire(price)
-        held.clear()
-        fetcher.close()
-
-    # Drain: the pending-set is empty and every run is at its final
-    # epoch.  Account shuffle bytes once, from the final fetched set --
-    # exactly what the barrier path charges.
-    final_refs = [fetched[mid][2] for mid in plan.map_ids]
-    profile.shuffle_bytes = sum(ref.stats.materialized_bytes
-                                for ref in final_refs)
-    counters.incr(C.SHUFFLE_BYTES, profile.shuffle_bytes)
-    if getattr(config, "transport", "") == "network":
-        profile.wire_bytes = counters.get(C.SHUFFLE_WIRE_BYTES)
-
-    runs, run_sizes = [], []
-    for mid in plan.map_ids:
-        run = fetched[mid][1]
-        if run_rows(run):
-            runs.append(run)
-            run_sizes.append(fetched[mid][2].stats.key_bytes
-                             + fetched[mid][2].stats.value_bytes)
-
-    if memory is not None:
-        memory.note_waits(fetcher.backpressure_waits + deferrals)
-    rent = (memory.rent(sum(run_sizes), site="merge")
-            if memory is not None else nullcontext())
-    with rent:
-        result = _merge_group_reduce(
-            job, task_id, runs, run_sizes, workdir, codec, counters, clock,
-            profile)
-    result.pipeline = {
-        "first_fetch_ms": first_fetch_ms,
-        "overlapped_fetches": overlapped,
-        "refetches": refetches,
-        "wait_seconds": round(wait_seconds, 6),
-        "fetch_deferrals": deferrals,
-    }
-    return result
+    stats.update(first_fetch_ms=None, overlapped_fetches=0, refetches=0,
+                 wait_seconds=0.0)
+    last_starved: list[str] | None = None
+    while True:
+        records = log.poll()
+        work = [(slot, _ref_for(records[mid], part))
+                for slot, mid in enumerate(plan.map_ids)
+                if mid in records and records[mid].epoch > yielded.get(mid, -1)]
+        if work:
+            all_visible = all(mid in records for mid in plan.map_ids)
+            for slot, ref in work:
+                yield [(slot, ref)]
+                if stats["first_fetch_ms"] is None:
+                    stats["first_fetch_ms"] = (
+                        time.monotonic() - started) * 1e3
+                stats["overlapped_fetches"] += not all_visible
+                stats["refetches"] += ref.map_id in yielded
+                yielded[ref.map_id] = ref.epoch
+            continue
+        if len(yielded) == len(plan.map_ids):
+            stats["wait_seconds"] = round(stats["wait_seconds"], 6)
+            return
+        missing = sorted(set(plan.map_ids) - set(records))
+        if missing and missing != last_starved:
+            # Everything committed is consumed; name the stragglers so
+            # the scheduler can speculate them.
+            _write_starved(workdir, missing)
+            last_starved = missing
+        time.sleep(plan.poll_interval)
+        stats["wait_seconds"] += plan.poll_interval

@@ -303,12 +303,17 @@ class ShuffleFetcher:
     With ``config.max_inflight_bytes`` set, admission of the next fetch
     additionally waits on *byte* headroom: each fetch is priced from its
     ref's :class:`~repro.mapreduce.ifile.IFileStats` before being
-    issued and charged against a window budget until its blob is
-    yielded.  ``memory`` (the task's :class:`~repro.mapreduce.runtime.
+    issued and charged against a window budget until its transfer
+    completes.  ``memory`` (the task's :class:`~repro.mapreduce.runtime.
     memory.MemoryBudget`, if any) sees the same in-flight charges under
     the ``"fetch"`` site -- where ``oom`` faults and threshold kills
     are applied -- as *forced* charges, since in-flight totals are
     timing-dependent and must never raise on their own.
+
+    One fetcher serves a reduce task for its whole fetch phase, however
+    many :meth:`fetch_all` calls that takes (one per committed segment
+    on the pipelined shuffle), so pooled connections are reused across
+    calls; the task calls :meth:`close` once, when it stops fetching.
     """
 
     def __init__(
@@ -326,15 +331,20 @@ class ShuffleFetcher:
         self._window = (MemoryBudget(config.max_inflight_bytes,
                                      name=f"{reduce_id}:fetch-window")
                         if config.max_inflight_bytes is not None else None)
-        self._lock = Lock()
+        lock = Lock()
+
+        def incr(name: str, amount: int = 1) -> None:
+            with lock:
+                counters.incr(name, amount)
+
+        # A closure, not a bound method: a transport holding its fetcher
+        # would keep a fetcher dropped without close() -- and with it
+        # the pooled connections -- alive until the cycle collector ran.
+        self._incr = incr
         self.transport = make_transport(config, fetch_faults,
-                                        counter_sink=self._incr,
+                                        counter_sink=incr,
                                         reduce_id=reduce_id,
                                         memory=memory)
-
-    def _incr(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self.counters.incr(name, amount)
 
     @staticmethod
     def price(ref: SegmentRef) -> int:
@@ -342,24 +352,19 @@ class ShuffleFetcher:
         transfer from the segment's materialized size."""
         return max(1, ref.stats.materialized_bytes)
 
-    def admit(self, ref: SegmentRef, *, block: bool = True,
-              force: bool = False) -> int | None:
+    def admit(self, ref: SegmentRef, *, block: bool = True) -> int | None:
         """Charge one fetch against the byte window and the task ledger.
 
-        ``block=True`` waits for window headroom (the first in-flight
-        fetch is always admitted -- grant-when-alone); ``block=False``
-        returns ``None`` instead of waiting, for callers (the pipelined
-        reducer's out-of-order prefetches) that have something better to
-        do; ``force=True`` admits unconditionally -- the pipelined
-        reducer's *next-in-fold-order* fetch, which must proceed for
-        liveness no matter how full the window is.  Returns the price to
-        hand back to :meth:`retire`.
+        ``block=True`` waits for window headroom; ``block=False``
+        returns ``None`` instead of waiting, so :meth:`fetch_all` can
+        collect a completion first.  Either way the first in-flight
+        fetch is always admitted (grant-when-alone), which is what keeps
+        a window smaller than any one segment live.  Returns the price
+        to hand back to :meth:`retire`.
         """
         price = self.price(ref)
         if self._window is not None:
-            if force:
-                self._window.charge(price, site="fetch", force=True)
-            elif block:
+            if block:
                 self._window.charge(price, site="fetch", wait=True)
             elif not self._window.try_charge(price, site="fetch"):
                 return None
@@ -388,48 +393,25 @@ class ShuffleFetcher:
                 if self._window is not None else 0)
 
     def fetch_all(self, refs: Sequence[SegmentRef]) -> list[bytes]:
-        """Fetch every segment; raises :class:`FetchFailedError` on the
-        first segment that exhausts its retry budget.  Blobs come back
-        **in input order** regardless of which fetch finished first.
-        Pooled transport connections are closed before returning either
-        way."""
-        refs = list(refs)
-        if not refs:
-            return []
-        try:
-            blobs: list[bytes | None] = [None] * len(refs)
-            for index, blob in self.fetch_iter(refs):
-                blobs[index] = blob
-            return blobs  # type: ignore[return-value]
-        finally:
-            self.close()
+        """Fetch every segment concurrently; blobs come back **in input
+        order** regardless of which fetch finished first.
 
-    def fetch_iter(self, refs: Sequence[SegmentRef]):
-        """Fetch segments concurrently, yielding ``(index, blob)`` pairs
-        in *completion* order.
-
-        The index ties each blob back to its ref, so callers that need
-        deterministic downstream behavior (every caller that merges)
-        re-order by index; callers that overlap fetch with decode (the
-        pipelined reduce path) consume results as they land.  Raises
-        :class:`FetchFailedError` from the first segment that exhausts
-        its retry budget; remaining in-flight fetches are cancelled or
-        abandoned.  Does *not* close the transport -- callers that are
-        done fetching call :meth:`close`.
+        Raises :class:`FetchFailedError` from the first segment that
+        exhausts its retry budget; fetches still in flight are cancelled
+        or abandoned.  Pooled transport connections stay open for the
+        next call -- whoever is done fetching calls :meth:`close`.
         """
         refs = list(refs)
-        if not refs:
-            return
+        blobs: list[bytes | None] = [None] * len(refs)
         workers = min(self.config.concurrency, len(refs))
-        if workers == 1:
+        if workers <= 1:
             for index, ref in enumerate(refs):
                 price = self.admit(ref)
                 try:
-                    blob = self.fetch_one(ref)
+                    blobs[index] = self.fetch_one(ref)
                 finally:
                     self.retire(price)
-                yield index, blob
-            return
+            return blobs  # type: ignore[return-value]
         from concurrent.futures import (FIRST_COMPLETED, ThreadPoolExecutor,
                                         wait)
         with ThreadPoolExecutor(max_workers=workers,
@@ -453,14 +435,14 @@ class ShuffleFetcher:
                     for future in done:
                         index, price = in_flight.pop(future)
                         try:
-                            blob = future.result()
+                            blobs[index] = future.result()
                         finally:
                             self.retire(price)
-                        yield index, blob
             finally:
                 for future, (_, price) in in_flight.items():
                     future.cancel()
                     self.retire(price)
+        return blobs  # type: ignore[return-value]
 
     def close(self) -> None:
         """Release pooled transport connections (idempotent)."""

@@ -33,7 +33,7 @@ clean path stays byte-identical to a runtime without this module.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.mapreduce.api import MapContext, ReduceContext
 from repro.mapreduce.codecs import NullCodec
@@ -199,7 +199,8 @@ def _require_policy(job: Job, task_id: str) -> Any:
 
 
 def run_map_task_skipping(job: Job, split: Any, dataset: Any,
-                          workdir: str) -> MapTaskOutput:
+                          workdir: str, *, memory: Any = None
+                          ) -> MapTaskOutput:
     """Re-run a failed map attempt in skipping mode.
 
     Bisects the split's flat cell index range with throwaway probe
@@ -207,7 +208,8 @@ def run_map_task_skipping(job: Job, split: Any, dataset: Any,
     isolated poison cells (tag ``<task_id>/map-input/<index>``, value =
     the cell's raw input bytes), then maps the clean ranges with the
     engine-provided mapper and real context.  Counters gain the skip
-    totals on top of the standard accounting.
+    totals on top of the standard accounting.  ``memory`` is the
+    attempt's ledger, charged exactly as the strict body charges it.
     """
     task_id = f"m{split.split_id:05d}"
     policy = _require_policy(job, task_id)
@@ -262,7 +264,8 @@ def run_map_task_skipping(job: Job, split: Any, dataset: Any,
             quarantine.add_tagged(
                 f"{task_id}/map-input/{index}", flat[index:index + 1].tobytes())
 
-    out = run_map_task(job, split, dataset, workdir, driver=driver)
+    out = run_map_task(job, split, dataset, workdir, driver=driver,
+                       memory=memory)
     quarantine.commit(out.counters)
     return out
 
@@ -270,10 +273,12 @@ def run_map_task_skipping(job: Job, split: Any, dataset: Any,
 def run_reduce_task_skipping(
     job: Job,
     part: int,
-    segments: Sequence[Any],
+    segments: Any,
     workdir: str,
+    *,
     shuffle: Any = None,
     fetch_faults: Any = None,
+    memory: Any = None,
 ) -> ReduceTaskResult:
     """Re-run a failed reduce attempt in skipping mode.
 
@@ -291,6 +296,10 @@ def run_reduce_task_skipping(
 
     Whole-segment corruption still raises :class:`IFileCorruptError`:
     that is the repair rung's job, not skipping's.
+
+    ``segments``, ``shuffle``, ``fetch_faults`` and ``memory`` go to
+    :func:`~repro.mapreduce.engine.run_reduce_task` as they are -- a
+    ref list or a pipelined shuffle's plan alike.
     """
     task_id = f"r{part:05d}"
     policy = _require_policy(job, task_id)
@@ -356,6 +365,6 @@ def run_reduce_task_skipping(
         job, part, segments, workdir,
         segment_reader=segment_reader, prepare_filter=prepare_filter,
         group_driver=group_driver, shuffle=shuffle,
-        fetch_faults=fetch_faults)
+        fetch_faults=fetch_faults, memory=memory)
     quarantine.commit(result.counters)
     return result

@@ -145,8 +145,7 @@ class TestOneAttemptBody:
         "reduce-input")`` attempt used to run the pipelined body
         serially but the drain-then-barrier body in a worker."""
         baseline = LocalJobRunner().run(subset_job(grid), grid)
-        bodies = ("run_reduce_task", "run_reduce_task_pipelined",
-                  "run_reduce_task_skipping")
+        bodies = ("run_reduce_task", "run_reduce_task_skipping")
         shuffle = ShuffleConfig(pipeline=True)
         logs = {}
         results = {}
@@ -171,11 +170,11 @@ class TestOneAttemptBody:
         serial, parallel = read_calls(logs["serial"]), read_calls(
             logs["parallel"])
         assert serial == parallel
-        # the corrupting attempt needs the full ref list up front
-        # (barrier body); the post-repair retry is pipelined again
+        # the corrupting attempt needs the full ref list up front, the
+        # post-repair retry takes the plan: one body either way
         assert serial["r00001"] == [["run_reduce_task"],
-                                    ["run_reduce_task_pipelined"]]
-        assert serial["r00000"] == [["run_reduce_task_pipelined"]]
+                                    ["run_reduce_task"]]
+        assert serial["r00000"] == [["run_reduce_task"]]
         for result in results.values():
             assert result.output == baseline.output
             assert result.counters == baseline.counters
@@ -205,6 +204,67 @@ class TestOneAttemptBody:
         # sanity: the recording mapper does record on a clean run
         LocalJobRunner().run(job, grid)
         assert os.path.exists(calls)
+
+    def test_pipelined_skip_mode_takes_the_plan(self, grid, tmp_path,
+                                                monkeypatch):
+        """Under ``pipeline=True`` a skip-mode reduce retry is fed the
+        commit-log plan itself, not refs drained from it, and lands on
+        the barrier run's output and counters in both runners."""
+        def job(name):
+            return subset_job(grid, skipping=SkipPolicy(
+                quarantine_dir=str(tmp_path / f"q-{name}")))
+
+        def poison():
+            return FaultInjector().poison("r00001", record=3)
+
+        barrier = LocalJobRunner(fault_injector=poison()).run(
+            job("barrier"), grid)
+        assert barrier.counters[C.RECORDS_SKIPPED] > 0
+        shuffle = ShuffleConfig(pipeline=True)
+        for name in ("serial", "parallel"):
+            log = str(tmp_path / f"{name}.log")
+            with monkeypatch.context() as patch:
+                record_calls(
+                    patch, log, attempt_mod, "run_reduce_task_skipping",
+                    lambda args, kwargs: [f"r{args[1]:05d}",
+                                          type(args[2]).__name__])
+                runner = (LocalJobRunner(shuffle=shuffle,
+                                         fault_injector=poison())
+                          if name == "serial"
+                          else parallel_runner(shuffle=shuffle,
+                                               fault_injector=poison()))
+                with runner:
+                    result = runner.run(job(name), grid)
+            assert read_calls(log) == {"r00001": [["PipelinePlan"]]}
+            assert result.output == barrier.output
+            assert result.counters == barrier.counters
+
+    @pytest.mark.parametrize("skip_mode", [False, True])
+    def test_every_body_charges_the_attempts_memory_ledger(
+            self, grid, tmp_path, skip_mode):
+        """Regression: skip-mode map and reduce attempts ran without the
+        attempt's memory ledger, so a configured budget read a peak of
+        0 there while the strict bodies charged theirs."""
+        job = subset_job(grid, skipping=SkipPolicy())
+        shuffle = ShuffleConfig(memory_budget=1 << 30)
+        splits = ArraySplitter(job.num_map_tasks).split(grid)
+        outputs = []
+        for split in splits:
+            workdir = tmp_path / f"m{split.split_id}"
+            workdir.mkdir()
+            record = attempt_mod.run_attempt(
+                "map", job, split, grid, str(workdir),
+                task_id=f"m{split.split_id:05d}", skip_mode=skip_mode,
+                shuffle=shuffle)
+            assert record["memory"]["peak"] > 0
+            outputs.append(record["value"])
+        workdir = tmp_path / "r0"
+        workdir.mkdir()
+        record = attempt_mod.run_attempt(
+            "reduce", job, (0, [out.segments[0] for out in outputs]), grid,
+            str(workdir), task_id="r00000", skip_mode=skip_mode,
+            shuffle=shuffle)
+        assert record["memory"]["peak"] > 0
 
 
 # -------------------------------------------------------------- one classifier

@@ -78,7 +78,6 @@ from repro.mapreduce.runtime.pipeline import (
     CommitLog,
     CommitRecord,
     PipelinePlan,
-    run_reduce_task_pipelined,
 )
 from repro.mapreduce.runtime.shuffle import SegmentRef
 from repro.mapreduce.sort import merge_sorted_runs, run_records
@@ -742,8 +741,7 @@ def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
         with pytest.MonkeyPatch.context() as patch:
             if not columnar:
                 record_path(patch)
-            result = run_reduce_task_pipelined(job, 0, plan,
-                                               str(reduce_dir))
+            result = run_reduce_task(job, 0, plan, str(reduce_dir))
     finally:
         feeder.join(timeout=30)
     assert not feeder.is_alive()

@@ -1,12 +1,15 @@
 """Documentation hygiene: every public module/class/function is documented.
 
 Deliverable (e) requires doc comments on every public item; this test
-keeps that true as the codebase evolves.
+keeps that true as the codebase evolves.  DESIGN.md's runner-parts
+table is held to the code the same way: every name in it must resolve.
 """
 
 import importlib
 import inspect
+import os
 import pkgutil
+import re
 
 import repro
 
@@ -48,3 +51,63 @@ def test_public_methods_documented_on_key_apis():
             if name.startswith("_"):
                 continue
             assert (member.__doc__ or "").strip(), f"{cls.__name__}.{name}"
+
+
+def _design_parts_table():
+    """``(part, where, owns)`` cells of DESIGN.md's runner-parts table."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "DESIGN.md")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| part | where | owns |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _resolve_where(cell):
+    """The objects a ``where`` cell names.  Three spellings: ``mod.name``
+    (a module under ``repro.mapreduce`` or its ``runtime``),
+    ``dir/mod.py: name``, and a bare ``name`` in the module named
+    before it in the same cell."""
+    objects, module = [], None
+    for token in re.findall(r"`([^`]+)`", cell):
+        if ":" in token:
+            path, name = (part.strip() for part in token.split(":"))
+            module = importlib.import_module(
+                "repro.mapreduce." + path.removesuffix(".py").replace("/", "."))
+        elif "." in token:
+            mod, name = token.rsplit(".", 1)
+            for package in ("repro.mapreduce.", "repro.mapreduce.runtime."):
+                try:
+                    module = importlib.import_module(package + mod)
+                    break
+                except ModuleNotFoundError:
+                    continue
+            else:
+                raise AssertionError(f"no module {mod!r} for `{token}`")
+        else:
+            name = token
+        assert module is not None, f"`{token}` names no module"
+        assert hasattr(module, name), f"{module.__name__} has no {name!r}"
+        objects.append(getattr(module, name))
+    return objects
+
+
+def test_design_parts_table_names_resolve():
+    """Every code name in DESIGN.md's ``part | where | owns`` table
+    exists: a ``where`` name imports, and an ``owns`` name is an
+    attribute of one of its row's objects or a word of their source."""
+    rows = _design_parts_table()
+    assert rows, "DESIGN.md parts table missing"
+    for part, where, owns in rows:
+        objects = _resolve_where(where)
+        assert objects, f"row {part!r} names no code"
+        sources = " ".join(inspect.getsource(obj) for obj in objects)
+        for name in re.findall(r"`([^`]+)`", owns):
+            assert (any(hasattr(obj, name) for obj in objects)
+                    or re.search(rf"\b{re.escape(name)}\b", sources)), (
+                f"DESIGN.md row {part!r}: `{name}` not found in {where}")
