@@ -28,7 +28,6 @@ import os
 import shutil
 import tempfile
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -183,12 +182,6 @@ def _write_run(writer: IFileWriter, run: Run) -> None:
             writer.append(kb, vb)
 
 
-def _commit_threads() -> int:
-    """Helper threads a map task may commit segments on: one per core
-    beyond the task's own, so none on one core."""
-    return (os.cpu_count() or 1) - 1
-
-
 def _commit_segments(items: Sequence[Any],
                      seal: Callable[[Any], IFileWriter]) -> list[IFileStats]:
     """Write one IFile segment per item, each codec stage where it pays.
@@ -196,35 +189,35 @@ def _commit_segments(items: Sequence[Any],
     ``seal(item)`` fills a writer and seals it on this thread: the
     codec's front stage, which holds the GIL.  Each commit but the last
     -- the back stage (zlib/bz2, which release the GIL), the CRC and the
-    write -- goes to a short-lived pool of :func:`_commit_threads`
-    threads, so partition p compresses while partition p+1 is prepared;
-    the last commits inline.  Every commit is joined before this returns
-    or raises.  A null codec, or a chunked writer (its blocks compressed
-    as they filled), commits inline: a thread would overlap nothing.
-    The back stages' seconds are charged to the codec here, in item
-    order, so no codec state is touched off this thread.
+    write -- goes to the process's helper pool
+    (:mod:`~repro.mapreduce.runtime.helpers`), so partition p compresses
+    while partition p+1 is prepared; the last commits inline.  Every
+    commit is finished or cancelled before this returns or raises.  A
+    null codec, a chunked writer (its blocks compressed as they filled),
+    or a process without a pool commits inline: a thread would overlap
+    nothing.  The back stages' seconds are charged to the codec here, in
+    item order, so no codec state is touched off this thread.
     """
+    from repro.mapreduce.runtime.helpers import drain, pool
+
     last = len(items) - 1
-    threads = min(_commit_threads(), last)
-    pool = None
     writers: list[IFileWriter] = []
+    futures = []
     try:
-        futures = []
         for i, item in enumerate(items):
             writer = seal(item)
             writers.append(writer)
-            if (i < last and threads > 0 and writer.block_bytes is None
-                    and not isinstance(writer.codec, NullCodec)):
-                if pool is None:
-                    pool = ThreadPoolExecutor(threads)
-                futures.append(pool.submit(writer.commit))
-            else:
+            executor = (pool() if i < last and writer.block_bytes is None
+                        and not isinstance(writer.codec, NullCodec)
+                        else None)
+            if executor is None:
                 writer.commit()
+            else:
+                futures.append(executor.submit(writer.commit))
         for future in futures:
             future.result()
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        drain(futures)
     for writer in writers:
         writer.codec.charge_finish(writer.finish_seconds)
     return [writer.stats for writer in writers]

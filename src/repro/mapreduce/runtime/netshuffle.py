@@ -59,14 +59,17 @@ needed on top.
 Where the whole-segment compress happens: once per segment, when it is
 published, not when it is fetched.  A service with a wire codec other
 than ``null`` queues each registered segment for *staging*; a window
-of ``W`` staged segments (two per helper thread, one helper per core up
-to four) fills in partition-major order -- the order reducers fetch.
-Staging reads the segment once, feeding both the CRC cache and the
-codec's front stage (:meth:`~repro.mapreduce.codecs.Codec.prepare`,
+of ``W`` staged segments (two per CPU the process may run on, counting
+at most four) fills in partition-major order -- the order reducers
+fetch.  Staging reads the segment once, feeding both the CRC cache and
+the codec's front stage (:meth:`~repro.mapreduce.codecs.Codec.prepare`,
 the GIL-bound §III transform), which runs on whichever thread staged
 it: the publisher at registration, or a handler that just served a
 segment and so freed a slot.  The back stage (``finish``: zlib or bz2,
-which release the GIL) runs on the service's helper threads.  A fetch
+which release the GIL) runs on the process's helper pool
+(:mod:`~repro.mapreduce.runtime.helpers`); a fetch that finds it still
+queued there takes the work and runs it on its handler.  A process
+without a helper pool (one CPU) stages nothing.  A fetch
 takes the finished payload, validated against the file's current
 ``(size, mtime_ns)`` and the negotiated codec, and sends it.  Anything
 not staged compresses inline at serve time, as every fetch once did: a
@@ -104,11 +107,12 @@ import struct
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from typing import Callable, Mapping, Sequence
 
 from repro.mapreduce.codecs import Codec, get_codec
 from repro.mapreduce.metrics import C
+from repro.mapreduce.runtime import helpers
 from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.memory import MemoryBudget
 from repro.mapreduce.runtime.shuffle import (
@@ -142,16 +146,10 @@ _FRAME_HEAD = struct.Struct(">II")
 #: must have its default's JSON type (``true`` is no integer)
 _REQUEST_DEFAULTS = {"map_id": "", "path": "", "epoch": 0, "reduce_id": "",
                      "attempt": 0, "codec": "null", "chunk": 0}
-#: name prefix of the helper threads that run staged back stages
-STAGE_THREAD_PREFIX = "netshuffle-stage"
-#: staged segments a service holds per helper thread (the window W)
-_WINDOW_PER_HELPER = 2
-
-
-def _stage_helpers() -> int:
-    """Helper threads a service runs staged back stages on: one per
-    core, at most four.  Zero turns staging off."""
-    return min(os.cpu_count() or 1, 4)
+#: staged segments a service holds per CPU, counting at most
+#: ``_WINDOW_CPUS`` of them (the window W)
+_WINDOW_PER_CPU = 2
+_WINDOW_CPUS = 4
 
 
 def _parse_request(body: bytes) -> dict:
@@ -239,11 +237,13 @@ class _MapEntry:
 class _Stage:
     """One segment's wire payload in the staging window.
 
-    Every field but ``done`` changes only under the service lock, and
-    only while the stage is not ``dropped``.
+    Every field changes only under the service lock, and only while the
+    stage is not ``dropped``; each change to ``future``, ``payload`` or
+    ``dropped`` is announced on the service's ``_changed`` condition.
     """
 
-    __slots__ = ("path", "key", "charged", "payload", "done", "dropped")
+    __slots__ = ("path", "key", "charged", "prepared", "future", "payload",
+                 "dropped")
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -251,10 +251,12 @@ class _Stage:
         self.key: tuple[int, int] | None = None
         #: bytes charged to the service ledger for what the stage holds
         self.charged = 0
+        #: the front stage's output, until the back stage takes it
+        self.prepared: bytes | None = None
+        #: the back stage on the helper pool, once submitted
+        self.future: Future | None = None
         #: the compressed segment, once the back stage finished
         self.payload: bytes | None = None
-        #: set when the payload is ready or the stage was dropped
-        self.done = threading.Event()
         self.dropped = False
 
 
@@ -291,6 +293,8 @@ class ShuffleService:
         #: to zero after a job
         self.memory = MemoryBudget(None, name="netshuffle")
         self._lock = threading.Lock()
+        #: a stage's back stage was submitted, or it finished or dropped
+        self._changed = threading.Condition(self._lock)
         self._registry: dict[str, _MapEntry] = {}
         #: path -> (size, mtime_ns, crc32) -- revalidated by stat on
         #: every request, so damage-at-rest is served as-is (and caught
@@ -299,9 +303,9 @@ class ShuffleService:
         self._crc_cache: dict[str, tuple[int, int, int]] = {}
         self.servers: list[SegmentServer] = []
         self._started = False
-        # Staging (see the module docstring); off while ``_helpers`` is
-        # None: a null or unknown wire codec, or a stopped service.
-        self._helpers: ThreadPoolExecutor | None = None
+        # Staging (see the module docstring); off while the window is
+        # 0: a null or unknown wire codec, a process without a helper
+        # pool, or a stopped service.
         self._window = 0
         #: ``(partition, seq, path)`` of registered segments not yet
         #: staged; an entry whose seq ``_queued`` no longer names was
@@ -311,6 +315,8 @@ class ShuffleService:
         self._seq = itertools.count()
         #: path -> stage, for every segment holding a window slot
         self._staged: dict[str, _Stage] = {}
+        #: back stages submitted and not yet done, dropped ones included
+        self._back_stages: set[Future] = set()
 
     @classmethod
     def from_config(cls, config: ShuffleConfig,
@@ -330,11 +336,9 @@ class ShuffleService:
             return self
         for index in range(self.num_servers):
             self.servers.append(self._spawn(index))
-        helpers = _stage_helpers() if self._codec_known() else 0
-        if helpers > 0:
-            self._helpers = ThreadPoolExecutor(
-                helpers, thread_name_prefix=STAGE_THREAD_PREFIX)
-            self._window = _WINDOW_PER_HELPER * helpers
+        if self._codec_known() and helpers.pool() is not None:
+            self._window = _WINDOW_PER_CPU * min(helpers.threads() + 1,
+                                                 _WINDOW_CPUS)
         self._started = True
         return self
 
@@ -357,19 +361,19 @@ class ShuffleService:
         return server
 
     def stop(self) -> None:
-        """Stop every server, drop every staged and queued segment, and
-        join the helper threads (queued back stages are cancelled)."""
+        """Stop every server and drop every staged and queued segment:
+        back stages not yet started are cancelled, running ones are
+        waited for."""
         for server in self.servers:
             server.stop()
         self.servers = []
         self._started = False
         with self._lock:
-            helpers, self._helpers = self._helpers, None
+            self._window = 0
             self._unstage(list(self._staged))
             self._queue.clear()
             self._queued.clear()
-        if helpers is not None:
-            helpers.shutdown(wait=True, cancel_futures=True)
+        helpers.drain(list(self._back_stages))
 
     def __enter__(self) -> "ShuffleService":
         return self.start()
@@ -407,7 +411,7 @@ class ShuffleService:
         window has room.
         """
         self._revive_dead_servers()
-        staging = self._helpers is not None
+        staging = self._window > 0
         if not staging:
             for path in paths:
                 self._segment_crc(path)
@@ -494,16 +498,20 @@ class ShuffleService:
     # -------------------------------------------------------------- staging
 
     def _unstage(self, paths) -> None:
-        """Drop ``paths`` from the queue and the window, releasing what
-        their stages held and waking their waiters (lock held)."""
+        """Drop ``paths`` from the queue and the window, cancelling back
+        stages not yet started, releasing what their stages held and
+        waking their waiters (lock held)."""
         for path in paths:
             self._queued.pop(path, None)
             stage = self._staged.pop(path, None)
             if stage is not None:
                 stage.dropped = True
+                stage.prepared = None
+                if stage.future is not None:
+                    stage.future.cancel()
                 self.memory.release(stage.charged, site="stage")
                 stage.charged = 0
-                stage.done.set()
+                self._changed.notify_all()
 
     def _recharge(self, stage: _Stage, nbytes: int) -> bool:
         """Charge ``stage`` for holding ``nbytes`` now instead of what it
@@ -521,8 +529,7 @@ class ShuffleService:
         while True:
             with self._lock:
                 stage = None
-                while (self._helpers is not None and self._queue
-                       and len(self._staged) < self._window):
+                while self._queue and len(self._staged) < self._window:
                     _, seq, path = heapq.heappop(self._queue)
                     if self._queued.get(path) == seq:
                         del self._queued[path]
@@ -534,7 +541,7 @@ class ShuffleService:
 
     def _stage(self, stage: _Stage) -> None:
         """Read one claimed segment once, for the CRC cache and the
-        codec's front stage, and hand the back stage to a helper.
+        codec's front stage, and hand the back stage to the helper pool.
 
         A stage that fails is dropped: the fetch compresses inline,
         which meets the same failure where the fetch can report it.
@@ -555,24 +562,33 @@ class ShuffleService:
             del blob
             with self._lock:
                 if self._recharge(stage, len(prepared)):
-                    self._helpers.submit(self._finish, stage, codec,
-                                         prepared)
+                    stage.prepared = prepared
+                    stage.future = helpers.pool().submit(self._finish,
+                                                         stage, codec)
+                    self._back_stages.add(stage.future)
+                    stage.future.add_done_callback(
+                        self._back_stages.discard)
+                    self._changed.notify_all()
         except Exception:
             with self._lock:
                 if self._staged.get(stage.path) is stage:
                     self._unstage([stage.path])
 
-    def _finish(self, stage: _Stage, codec: Codec, prepared: bytes) -> None:
-        """The back stage, on a helper thread.  It must end the stage
-        one way or the other: a fetch may be waiting on ``done``."""
+    def _finish(self, stage: _Stage, codec: Codec) -> None:
+        """The back stage, on a helper thread or on a handler that took
+        the work.  It must end the stage one way or the other: a fetch
+        may be waiting for it."""
+        with self._lock:
+            prepared, stage.prepared = stage.prepared, None
         try:
-            payload = codec.finish(prepared)
+            payload = None if prepared is None else codec.finish(prepared)
         except Exception:
             payload = None
+        del prepared
         with self._lock:
             if payload is not None and self._recharge(stage, len(payload)):
                 stage.payload = payload
-                stage.done.set()
+                self._changed.notify_all()
             elif self._staged.get(stage.path) is stage:
                 self._unstage([stage.path])
 
@@ -585,6 +601,11 @@ class ShuffleService:
         payload is returned only if it was staged from the bytes at
         ``key`` for ``codec_name``, and then stays charged to the
         ``stage`` site until the caller releases it.
+
+        A back stage still queued on the helper pool is not waited for:
+        this handler takes the work, cancelling the stage's future and
+        running ``finish`` itself.  The fetch being served may be the
+        very pool work that stage is queued behind.
         """
         if codec_name != self.wire_codec:
             return None
@@ -593,7 +614,13 @@ class ShuffleService:
             if stage is None:
                 self._queued.pop(path, None)
                 return None
-        stage.done.wait()
+            take = False
+            while stage.payload is None and not stage.dropped and not take:
+                take = stage.future is not None and stage.future.cancel()
+                if not take:
+                    self._changed.wait()
+        if take:
+            self._finish(stage, get_codec(codec_name))
         with self._lock:
             if self._staged.get(path) is not stage:
                 return None  # dropped, or another fetch took it

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from threading import Lock
 from typing import Mapping, Sequence
@@ -43,6 +45,7 @@ from typing import Mapping, Sequence
 from repro import settings
 from repro.mapreduce.ifile import IFileStats
 from repro.mapreduce.metrics import C, Counters
+from repro.mapreduce.runtime import helpers
 from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.memory import MemoryBudget
 from repro.settings import ConfigError
@@ -393,18 +396,21 @@ class ShuffleFetcher:
                 if self._window is not None else 0)
 
     def fetch_all(self, refs: Sequence[SegmentRef]) -> list[bytes]:
-        """Fetch every segment concurrently; blobs come back **in input
-        order** regardless of which fetch finished first.
+        """Fetch every segment, up to ``config.concurrency`` at a time on
+        the process's helper pool; blobs come back **in input order**
+        regardless of which fetch finished first.
 
         Raises :class:`FetchFailedError` from the first segment that
-        exhausts its retry budget; fetches still in flight are cancelled
-        or abandoned.  Pooled transport connections stay open for the
-        next call -- whoever is done fetching calls :meth:`close`.
+        exhausts its retry budget; every fetch still in flight is
+        cancelled or finished first.  Pooled transport connections stay
+        open for the next call -- whoever is done fetching calls
+        :meth:`close`.
         """
         refs = list(refs)
         blobs: list[bytes | None] = [None] * len(refs)
         workers = min(self.config.concurrency, len(refs))
-        if workers <= 1:
+        executor = helpers.pool() if workers > 1 else None
+        if executor is None:
             for index, ref in enumerate(refs):
                 price = self.admit(ref)
                 try:
@@ -412,36 +418,36 @@ class ShuffleFetcher:
                 finally:
                     self.retire(price)
             return blobs  # type: ignore[return-value]
-        from concurrent.futures import (FIRST_COMPLETED, ThreadPoolExecutor,
-                                        wait)
-        with ThreadPoolExecutor(max_workers=workers,
-                                thread_name_prefix="fetch") as pool:
-            in_flight: dict = {}
-            next_up = 0
-            try:
-                while next_up < len(refs) or in_flight:
-                    # submit while the byte window has headroom; with
-                    # nothing in flight the next fetch always goes out
-                    # (grant-when-alone), so the loop cannot starve
-                    while next_up < len(refs):
-                        ref = refs[next_up]
-                        price = self.admit(ref, block=not in_flight)
-                        if price is None:
-                            break  # wait for a completion to free bytes
-                        future = pool.submit(self.fetch_one, ref)
-                        in_flight[future] = (next_up, price)
-                        next_up += 1
-                    done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index, price = in_flight.pop(future)
-                        try:
-                            blobs[index] = future.result()
-                        finally:
-                            self.retire(price)
-            finally:
-                for future, (_, price) in in_flight.items():
-                    future.cancel()
-                    self.retire(price)
+        admitted: deque[tuple[int, int]] = deque()  # waiting for a slot
+        running: dict[Future, tuple[int, int]] = {}
+        next_up = 0
+        try:
+            while next_up < len(refs) or admitted or running:
+                # admit while the byte window has headroom; with nothing
+                # in flight the next fetch always goes out
+                # (grant-when-alone), so the loop cannot starve
+                while next_up < len(refs):
+                    price = self.admit(refs[next_up],
+                                       block=not (admitted or running))
+                    if price is None:
+                        break  # wait for a completion to free bytes
+                    admitted.append((next_up, price))
+                    next_up += 1
+                while admitted and len(running) < workers:
+                    index, price = admitted.popleft()
+                    future = executor.submit(self.fetch_one, refs[index])
+                    running[future] = (index, price)
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index, price = running.pop(future)
+                    try:
+                        blobs[index] = future.result()
+                    finally:
+                        self.retire(price)
+        finally:
+            helpers.drain(running)
+            for _, price in (*running.values(), *admitted):
+                self.retire(price)
         return blobs  # type: ignore[return-value]
 
     def close(self) -> None:

@@ -2,11 +2,11 @@
 
 A service with a wire codec compresses each segment once, when its map
 is registered: the codec's front stage on the staging thread, its back
-stage on helper threads, into a window of ``W`` segments filled in
-partition-major order.  Pinned here:
+stage on the process's helper pool, into a window of ``W`` segments
+filled in partition-major order.  Pinned here:
 
 * identity: every job equals the same job with staging off (no helper
-  threads, so every fetch compresses inline) in output, counters, wire
+  pool, so every fetch compresses inline) in output, counters, wire
   bytes and retries -- over wire codecs, every server-side fetch fault,
   both runners, pipeline off and on -- and faults still surface as
   retried ``TransientFetchError``s;
@@ -14,7 +14,7 @@ partition-major order.  Pinned here:
   and queued segments and free their slots; a segment rewritten in
   place is served from the file; a fetch that beats its staging
   compresses inline and the segment is never staged afterwards;
-  ``stop()`` cancels queued work and joins the named helper threads;
+  ``stop()`` cancels queued back stages and waits for running ones;
   the service's memory ledger returns to zero after a job and peaks at
   no more than ``W`` segments plus one inline compress;
 * under racing fetches and re-registrations every fetch gets its bytes
@@ -37,12 +37,7 @@ from repro.mapreduce.codecs import NullCodec, get_codec
 from repro.mapreduce.ifile import IFileWriter
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner
-from repro.mapreduce.runtime import netshuffle
-from repro.mapreduce.runtime.netshuffle import (
-    STAGE_THREAD_PREFIX,
-    NetworkTransport,
-    ShuffleService,
-)
+from repro.mapreduce.runtime.netshuffle import NetworkTransport, ShuffleService
 from repro.mapreduce.runtime.shuffle import SegmentRef, ShuffleConfig
 from repro.queries import SlidingMedianQuery
 from repro.scidata import integer_grid
@@ -60,27 +55,23 @@ def grid():
 
 
 @pytest.fixture
-def taken(monkeypatch):
-    """How many fetches were served a staged payload."""
-    served = []
-    real = ShuffleService._take_staged
+def stages(monkeypatch):
+    """Every stage a service claimed, to check its back stage."""
+    claimed = []
+    real = ShuffleService._stage
 
-    def spy(self, *args):
-        payload = real(self, *args)
-        served.append(payload is not None)
-        return payload
+    def spy(self, stage):
+        claimed.append(stage)
+        return real(self, stage)
 
-    monkeypatch.setattr(ShuffleService, "_take_staged", spy)
-    return served
-
-
-def helpers(monkeypatch, count):
-    monkeypatch.setattr(netshuffle, "_stage_helpers", lambda: count)
+    monkeypatch.setattr(ShuffleService, "_stage", spy)
+    return claimed
 
 
-def no_stage_threads():
-    return not [t for t in threading.enumerate()
-                if t.name.startswith(STAGE_THREAD_PREFIX)]
+def no_stage_pending(stages):
+    """No back stage is queued or running on the helper pool."""
+    return all(stage.future is None or stage.future.done()
+               for stage in stages)
 
 
 def run_job(grid, codec, fault, parallel, pipeline):
@@ -120,11 +111,12 @@ class TestIdentity:
     @pytest.mark.parametrize(
         "codec, fault, parallel, pipeline", list(identity_cases()),
         ids=lambda v: {True: "on", False: "off"}.get(v, str(v)))
-    def test_staged_job_equals_inline_job(self, monkeypatch, taken, grid,
+    def test_staged_job_equals_inline_job(self, helper_threads, taken, grid,
                                           codec, fault, parallel, pipeline):
+        helper_threads(2)
         staged = run_job(grid, codec, fault, parallel, pipeline)
         assert any(taken)  # staging engaged
-        helpers(monkeypatch, 0)
+        helper_threads(0)
         taken.clear()
         inline = run_job(grid, codec, fault, parallel, pipeline)
         assert not any(taken)
@@ -187,40 +179,45 @@ def wait_for(condition):
 
 def settle(service):
     """Wait for every staged back stage to finish."""
-    for stage in list(service._staged.values()):
-        stage.done.wait(5.0)
+    with service._changed:
+        assert service._changed.wait_for(
+            lambda: all(stage.payload is not None
+                        for stage in service._staged.values()), 5.0)
 
 
 class TestLifecycle:
     @pytest.fixture(autouse=True)
-    def one_helper(self, monkeypatch):
-        helpers(monkeypatch, 1)  # W = 2
+    def one_helper(self, helper_threads):
+        helper_threads(1)  # W = 4
 
     def test_window_fills_in_partition_order(self, tmp_path):
-        a, b, c = (write_segments(tmp_path, f"m{m:05d}", 2)
-                   for m in range(3))
+        a, b, c, d, e = (write_segments(tmp_path, f"m{m:05d}", 2)
+                         for m in range(5))
         with ShuffleService.from_config(config()) as service:
-            assert service._window == 2
-            for m, segs in enumerate((a, b, c)):
+            assert service._window == 4
+            for m, segs in enumerate((a, b, c, d, e)):
                 service.register_map_output(f"m{m:05d}",
                                             [p for p, _ in segs])
             settle(service)
-            assert set(service._staged) == {a[0][0], a[1][0]}
+            assert set(service._staged) == {a[0][0], a[1][0],
+                                            b[0][0], b[1][0]}
             # Each freed slot goes to the lowest queued partition, the
-            # order reducers fetch in: b0, then c0 (not b1).
+            # order reducers fetch in: c0, then d0 (not c1).
             fetch(service, "m00000", a[0][0])
-            wait_for(lambda: set(service._staged) == {a[1][0], b[0][0]})
+            wait_for(lambda: set(service._staged) == {
+                a[1][0], b[0][0], b[1][0], c[0][0]})
             fetch(service, "m00000", a[1][0])
-            wait_for(lambda: set(service._staged) == {b[0][0], c[0][0]})
+            wait_for(lambda: set(service._staged) == {
+                b[0][0], b[1][0], c[0][0], d[0][0]})
 
     def test_invalidate_drops_staged_and_queued(self, tmp_path):
-        a = write_segments(tmp_path, "m00000", 3)
+        a = write_segments(tmp_path, "m00000", 5)
         b = write_segments(tmp_path, "m00001", 2)
         with ShuffleService.from_config(config()) as service:
             service.register_map_output("m00000", [p for p, _ in a])
             settle(service)
-            assert len(service._staged) == 2
-            assert list(service._queued) == [a[2][0]]
+            assert len(service._staged) == 4
+            assert list(service._queued) == [a[4][0]]
             service.invalidate("m00000")
             assert service._staged == {} and service._queued == {}
             assert service.memory.used == 0
@@ -256,32 +253,33 @@ class TestLifecycle:
             wait_for(lambda: service.memory.used == 0)
 
     def test_fetch_before_staging_compresses_inline(self, tmp_path, taken):
-        segs = write_segments(tmp_path, "m00000", 3)
+        segs = write_segments(tmp_path, "m00000", 5)
         paths = [p for p, _ in segs]
         with ShuffleService.from_config(config()) as service:
             service.register_map_output("m00000", paths)
             settle(service)
-            assert list(service._queued) == [paths[2]]
-            assert fetch(service, "m00000", paths[2]) == segs[2][1]
+            assert list(service._queued) == [paths[4]]
+            assert fetch(service, "m00000", paths[4]) == segs[4][1]
             assert taken == [False]
             assert service._queued == {}
             # Freeing a slot stages nothing: the queue is empty.
             assert fetch(service, "m00000", paths[0]) == segs[0][1]
-            assert paths[2] not in service._staged
+            assert paths[4] not in service._staged
             assert taken == [False, True]
             # A retry after the staged copy was consumed is inline.
             assert fetch(service, "m00000", paths[0]) == segs[0][1]
             assert taken == [False, True, False]
 
-    def test_stop_cancels_queued_work_and_joins_helpers(self, tmp_path):
+    def test_stop_cancels_queued_work_and_joins_helpers(self, tmp_path,
+                                                        stages):
         service = ShuffleService.from_config(config()).start()
         for m in range(4):
             segs = write_segments(tmp_path, f"m{m:05d}", 2)
             service.register_map_output(f"m{m:05d}", [p for p, _ in segs])
         assert service._queued
-        assert not no_stage_threads()
+        assert len(stages) == service._window
         service.stop()
-        assert no_stage_threads()
+        assert no_stage_pending(stages)
         assert service._staged == {} and service._queued == {}
         assert service._queue == []
         assert service.memory.used == 0
@@ -298,13 +296,15 @@ class TestLifecycle:
 
 class TestJobMemory:
     def test_ledger_drains_and_peaks_within_the_window(
-            self, monkeypatch, tmp_path, grid):
+            self, monkeypatch, helper_threads, stages, tmp_path, grid):
+        helper_threads(1)  # W = 4
         services = []
         real_start = ShuffleService.start
 
         def start(self):
-            services.append(self)
-            return real_start(self)
+            started = real_start(self)
+            services.append((self, self._window))
+            return started
 
         monkeypatch.setattr(ShuffleService, "start", start)
         job = SlidingMedianQuery(grid, "values", window=3).build_job(
@@ -317,23 +317,23 @@ class TestJobMemory:
             with LocalJobRunner(workdir=workdir, keep_files=True,
                                 shuffle=shuffle) as runner:
                 runner.run(dataclasses.replace(job), grid)
-            service = services[-1]
+            service, window = services[-1]
             wait_for(lambda: service.memory.used == 0)
-            assert no_stage_threads()
+            assert no_stage_pending(stages)
         largest = max(os.path.getsize(p)
                       for p in glob.glob(os.path.join(workdir, "*-out-p*")))
-        window = service._window
-        assert window == 2 * netshuffle._stage_helpers()
+        assert window == 4
         assert 0 < service.memory.peak <= (window + 1) * largest
 
 
 class TestStress:
-    def test_fetches_race_republication(self, monkeypatch, tmp_path):
+    def test_fetches_race_republication(self, helper_threads, stages,
+                                        tmp_path):
         """More fetching threads than cores, a tiny switch interval, and
         a publisher re-registering every map meanwhile: every fetch gets
         its segment's bytes, the window never overflows, and the ledger
         balances to zero."""
-        helpers(monkeypatch, 2)  # W = 4
+        helper_threads(2)  # W = 6
         maps = {f"m{m:05d}": write_segments(tmp_path, f"m{m:05d}", 3,
                                             records=100)
                 for m in range(6)}
@@ -385,4 +385,4 @@ class TestStress:
             sys.setswitchinterval(old_interval)
         assert errors == [] and overflows == []
         wait_for(lambda: service.memory.used == 0)
-        assert no_stage_threads()
+        assert no_stage_pending(stages)
