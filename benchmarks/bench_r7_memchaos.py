@@ -1,4 +1,4 @@
-"""R7 -- memory chaos: OOM kills, rlimit pressure, byte backpressure.
+"""R7 -- memory chaos: OOM kills, rlimit pressure, one fetch in flight.
 
 Pins the memory rung of the robustness ladder.  Every byte-holding
 stage rents from a per-task memory ledger, and the ledger is attacked:
@@ -11,17 +11,16 @@ assertions are the PR's acceptance criteria:
   byte-for-byte on output and the *full* counter set (including the
   ``MEMORY_*`` tallies) and every completed run matches the unbudgeted
   serial baseline's bytes exactly;
-* with a budget and a fetch byte-window configured but no faults, the
-  run is byte-identical to the baseline on output AND counters over
-  every transport x pipeline combination, and the ledger's recorded
-  peak never exceeds the budget;
+* with a budget configured but no faults, the run is byte-identical
+  to the baseline on output AND counters over every transport x
+  pipeline combination, and the ledger's recorded peak never exceeds
+  the budget;
 * an OOM at any ledger site (sort / fetch / merge) on either reduce
-  path kills the attempt and the degraded retry -- halved sort buffer
-  and fetch window -- lands on the baseline bytes;
-* under a sticky kill threshold, a skewed fetch plan completes only
-  when ``max_inflight_bytes`` holds in-flight bytes under the wire:
-  with the window the job is byte-identical, without it the job fails
-  the same way in both runners;
+  path kills the attempt and the degraded retry, on a halved sort
+  buffer, lands on the baseline bytes;
+* a reducer whose segments sum past a sticky ``fetch`` kill threshold,
+  each one below it, completes byte-identically: it holds one segment
+  in transfer at a time, whatever the host's CPU count;
 * a sticky fault outlasting ``max_memory_retries`` fails cleanly.
 
 The matrix summary is written to ``benchmarks/results/r7.json`` every
@@ -53,8 +52,8 @@ def _as_json(result) -> dict:
     return {
         "experiment": "R7",
         "metric": "memory-chaos matrix: OOM raise/kill/alloc at "
-                  "sort/fetch/merge, RLIMIT_AS workers, and byte-window "
-                  "backpressure, serial vs parallel",
+                  "sort/fetch/merge, RLIMIT_AS workers, and one fetch "
+                  "in flight, serial vs parallel",
         "rows": len(result.rows),
         "outcomes": outcomes,
         "drift_rows": outcomes.get("DRIFT", 0),
@@ -66,12 +65,8 @@ def _as_json(result) -> dict:
         },
         "oom_recoveries": sum(r["oom_events"] for r in degraded),
         "degraded_attempts": sum(r["degraded"] for r in degraded),
-        "backpressure": {
-            "with_window": result.row_by(
-                "scenario", "backpressure-on")["outcome"],
-            "without_window": result.row_by(
-                "scenario", "backpressure-off")["outcome"],
-        },
+        "fetch_one_in_flight": result.row_by(
+            "scenario", "fetch-one-in-flight")["outcome"],
         "rlimit_rows": len([r for r in result.rows
                             if r["scenario"].startswith("rlimit-")]),
     }
@@ -119,12 +114,10 @@ def test_r7_memory_chaos(tabulate):
         assert result.row_by("scenario", "rlimit-alloc")["outcome"] \
             == "degraded"
 
-    # Backpressure or death: the byte window is the difference between
-    # a byte-identical run and a consistent two-runner failure.
-    assert result.row_by("scenario", "backpressure-on")["outcome"] \
+    # One segment in transfer at a time: segments that sum past the
+    # sticky fetch kill, each one below it, never trip it.
+    assert result.row_by("scenario", "fetch-one-in-flight")["outcome"] \
         == "identical"
-    assert result.row_by("scenario", "backpressure-off")["outcome"] \
-        == "failed"
 
     # A sticky fault outlasting the retry budget fails cleanly.
     assert result.row_by("scenario", "bounded")["outcome"] == "failed"

@@ -281,7 +281,6 @@ def _run_client(args, parser) -> int:
                     num_maps=args.num_maps,
                     num_reducers=args.num_reducers,
                     memory_budget=args.memory_budget,
-                    max_inflight_bytes=args.max_inflight_bytes,
                     skip_budget=args.skip_budget,
                     poison=tuple(
                         (t, int(r)) for t, r in
@@ -446,9 +445,6 @@ def main(argv: list[str] | None = None) -> int:
                           help="per-task memory ledger capacity in bytes "
                                "for this job (>= 256; overruns degrade "
                                "and retry with halved buffers)")
-    submit_p.add_argument("--max-inflight-bytes", type=int, default=None,
-                          help="reduce-side fetch byte window for this "
-                               "job (bytes of in-flight shuffle data)")
     submit_p.add_argument("--skip-budget", type=int, default=None,
                           help="enable record skipping with this "
                                "quarantine budget")

@@ -230,8 +230,7 @@ def run_bench(side: int | None = None, num_map_tasks: int = 8,
         for _ in range(repeats):
             for mode in ("barrier", "pipelined"):
                 cfg = ShuffleConfig(transport=transport,
-                                    pipeline=(mode == "pipelined"),
-                                    concurrency=1)
+                                    pipeline=(mode == "pipelined"))
                 runner = ParallelJobRunner(
                     max_workers=workers, shuffle=cfg,
                     fault_injector=make_injector(), speculation=False,

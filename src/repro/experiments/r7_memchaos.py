@@ -1,22 +1,21 @@
-"""R7 -- memory chaos: OOM kills, rlimit pressure, byte backpressure.
+"""R7 -- memory chaos: OOM kills, rlimit pressure, one fetch in flight.
 
 Not a paper figure: this is the robustness ladder's memory rung.
 Every byte-holding stage of a task rents from a per-task
 :class:`~repro.mapreduce.runtime.memory.MemoryBudget` (the map sort
-buffer under ``"sort"``, in-flight shuffle fetches under ``"fetch"``,
-the decoded reduce runs under ``"merge"``), and the ledger is then
-attacked.  Pinned here:
+buffer under ``"sort"``, the shuffle segment in transfer under
+``"fetch"``, the decoded reduce runs under ``"merge"``), and the ledger
+is then attacked.  Pinned here:
 
-* **clean equivalence under accounting** -- with a budget and a fetch
-  byte window configured but no faults, queries x transports x
+* **clean equivalence under accounting** -- with a budget configured
+  but no faults, queries x transports x
   pipeline on/off x runners must stay byte-identical to the unbudgeted
   serial baseline on output AND counters, with the ledger peak never
   exceeding the budget;
 * **degrade-on-retry** -- an injected ``MemoryError`` (simulated
   ``raise``, threshold ``kill``, or a *genuine* allocation failure via
   ``alloc``) at any site kills the attempt; the retry runs with a
-  deterministically halved sort buffer / fetch window and the output
-  never changes.  ``MEMORY_OOM_EVENTS`` / ``MEMORY_DEGRADED_ATTEMPTS``
+  deterministically halved sort buffer and the output never changes.  ``MEMORY_OOM_EVENTS`` / ``MEMORY_DEGRADED_ATTEMPTS``
   count identically in both runners;
 * **OOM-kill divergence** -- the serial runner surfaces a threshold
   kill as an in-process ``MemoryError`` while a parallel worker dies
@@ -26,10 +25,10 @@ attacked.  Pinned here:
   workers run under a genuine ``RLIMIT_AS``; an ``alloc`` fault that
   would otherwise succeed becomes a real kernel-refused allocation and
   still degrades to the baseline bytes (Linux only);
-* **backpressure or death** -- a skewed fetch plan under a sticky
-  ``kill`` threshold completes only when ``max_inflight_bytes``
-  holds the in-flight bytes below the trip wire; without the window
-  the same job must fail identically in both runners;
+* **one fetch in flight** -- a reducer whose segments sum past a
+  sticky ``fetch`` ``kill`` threshold, each one below it, completes
+  byte-identically: a reduce task holds one segment in transfer at a
+  time, on every host, whatever its CPU count;
 * **bounded** -- a sticky ``raise`` fault outlasting
   ``max_memory_retries`` fails the job cleanly in both runners.
 
@@ -81,14 +80,12 @@ _VOLATILE = frozenset({
 
 def _shuffle(transport: str = "direct", *, pipeline: bool = False,
              memory_budget: int | None = 1 << 20,
-             max_inflight_bytes: int | None = 4096,
              max_memory_retries: int = 2) -> ShuffleConfig:
     return ShuffleConfig(
         transport=transport, fetch_retries=2, fetch_timeout=2.0,
         backoff=0.005, backoff_max=0.02, pipeline=pipeline,
         wire_codec="fastpred+zlib" if transport == "network" else "null",
         memory_budget=memory_budget,
-        max_inflight_bytes=max_inflight_bytes,
         max_memory_retries=max_memory_retries)
 
 
@@ -110,8 +107,7 @@ def _row(sc: Scenario, runs) -> dict:
             "pipeline": "on" if sc.shuffle.pipeline else "off",
             "oom_events": first.counter(C.MEMORY_OOM_EVENTS),
             "degraded": first.counter(C.MEMORY_DEGRADED_ATTEMPTS),
-            "peak_bytes": first.memory.get("peak_bytes", 0),
-            "waits": first.memory.get("backpressure_waits", 0)}
+            "peak_bytes": first.memory.get("peak_bytes", 0)}
 
 
 def run(num_fuzz: int | None = None,
@@ -124,11 +120,10 @@ def run(num_fuzz: int | None = None,
     m = Matrix(
         ExperimentResult(
             experiment="R7",
-            title="Memory chaos: OOM kills, rlimit pressure, and "
-                  "byte-based shuffle backpressure",
+            title="Memory chaos: OOM kills, rlimit pressure, and one "
+                  "shuffle fetch in flight",
             columns=["scenario", "query", "transport", "pipeline", "fault",
-                     "oom_events", "degraded", "peak_bytes", "waits",
-                     "outcome"]),
+                     "oom_events", "degraded", "peak_bytes", "outcome"]),
         grid,
         lambda query, qdir, **fields: build_query_job(
             grid, "subset-plain" if query == "subset" else query, side,
@@ -187,18 +182,14 @@ def run(num_fuzz: int | None = None,
                        _shuffle(), sides="parallel", strict=False,
                        expect="degraded",
                        parallel={"worker_rlimit_bytes": 4 << 30}))
-    # Backpressure or death: each reducer's four segments sum past 4096
-    # priced bytes.  With the 2048-byte window, in-flight fetch charges
-    # stay below the sticky 4200-byte kill threshold; without the window
-    # every segment is in flight at once and the kill fires every time.
-    fetch_kill = _oom("r00000", site="fetch", op="kill", nbytes=4200,
-                      sticky=True)
-    m.add(Scenario("backpressure-on", "subset",
-                   "fetch kill above 4200 (r00000), window 2048", fetch_kill,
-                   _shuffle(max_inflight_bytes=2048), expect="identical"))
-    m.add(Scenario("backpressure-off", "subset",
-                   "fetch kill above 4200 (r00000), no window", fetch_kill,
-                   _shuffle(max_inflight_bytes=None), expect="failed"))
+    # One fetch in flight: r00000's four segments sum past 4200 priced
+    # bytes, each one below it.  The reducer holds one segment in
+    # transfer at a time, so the sticky kill never fires, on any host.
+    m.add(Scenario("fetch-one-in-flight", "subset",
+                   "fetch kill above 4200 (r00000), sticky",
+                   _oom("r00000", site="fetch", op="kill", nbytes=4200,
+                        sticky=True),
+                   _shuffle(), expect="identical"))
     m.add(Scenario("bounded", "histogram",
                    "sticky raise at sort (m00000), max_memory_retries=1",
                    _oom("m00000", site="sort", op="raise", sticky=True),
@@ -222,8 +213,8 @@ def run(num_fuzz: int | None = None,
         f"reducers, sort buffer {_SORT_BUFFER} B",
         "oom_events/degraded are the serial run's MEMORY_OOM_EVENTS / "
         "MEMORY_DEGRADED_ATTEMPTS (parallel must count identically); "
-        "peak_bytes/waits come from JobResult.memory_stats and are "
-        "telemetry, never compared",
+        "peak_bytes comes from JobResult.memory_stats and is telemetry, "
+        "never compared",
         "outcome=identical: byte-identical output and stable counters vs "
         "the unbudgeted serial baseline; outcome=degraded: same, after "
-        "OOM-killed attempts were retried with halved memory knobs")
+        "OOM-killed attempts were retried with a halved sort buffer")

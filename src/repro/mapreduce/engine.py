@@ -570,16 +570,16 @@ def run_reduce_task(
     barrier shuffle.  A :class:`~repro.mapreduce.runtime.pipeline.
     PipelinePlan` names the commit log the maps publish into while they
     still run: the pipelined shuffle, scheduled by
-    :func:`~repro.mapreduce.runtime.pipeline.commit_batches`.  Either
-    way the task takes batches of ready refs -- a list is one batch --
-    fetches each batch concurrently, and decodes every blob into its
-    map's slot; a producer re-published at a bumped epoch is fetched
-    again and replaces its slot.  Once every slot holds its producer's
-    latest segment, the runs are merged in slot order, so the merged
-    stream, the output and every counter depend on the final segments
-    alone, never on when they arrived.  ``SHUFFLE_BYTES`` is charged
-    once, from the final refs; a plan also leaves its poll telemetry on
-    ``result.pipeline``.
+    :func:`~repro.mapreduce.runtime.pipeline.commit_pairs`.  Either
+    way the task walks ``(slot, ref)`` pairs -- a list is enumerated --
+    and fetches each segment on its own thread, decoding it into its
+    map's slot before the next fetch; a producer re-published at a
+    bumped epoch is fetched again and replaces its slot.  Once every
+    slot holds its producer's latest segment, the runs are merged in
+    slot order, so the merged stream, the output and every counter
+    depend on the final segments alone, never on when they arrived.
+    ``SHUFFLE_BYTES`` is charged once, from the final refs; a plan also
+    leaves its poll telemetry on ``result.pipeline``.
 
     Segment bytes arrive through a shuffle transport (``shuffle`` is a
     :class:`~repro.mapreduce.runtime.shuffle.ShuffleConfig`; ``None`` =
@@ -606,16 +606,16 @@ def run_reduce_task(
     they only run on the retry after a strict attempt failed.
 
     ``memory`` is the task's :class:`~repro.mapreduce.runtime.memory.
-    MemoryBudget` (``None`` = unaccounted).  The fetcher charges each
-    in-flight transfer's priced bytes under the ``"fetch"`` site; the
-    decoded runs rent their payload bytes under ``"merge"`` for the
+    MemoryBudget` (``None`` = unaccounted).  The fetcher charges the
+    one transfer in flight its priced bytes under the ``"fetch"`` site;
+    the decoded runs rent their payload bytes under ``"merge"`` for the
     duration of the merge-group-reduce tail.  The merge rent is an
     *enforced* charge sized from deterministic ``IFileStats``, so both
     runners overrun (and degrade) identically.
     """
     # Lazy import: the runtime package imports this module's task
     # functions, so the engine cannot import runtime modules at the top.
-    from repro.mapreduce.runtime.pipeline import PipelinePlan, commit_batches
+    from repro.mapreduce.runtime.pipeline import PipelinePlan, commit_pairs
     from repro.mapreduce.runtime.shuffle import (
         SegmentRef,
         ShuffleConfig,
@@ -630,11 +630,11 @@ def run_reduce_task(
     pipeline: dict | None = None
     if isinstance(segments, PipelinePlan):
         pipeline = {}
-        batches = commit_batches(segments, part, workdir, pipeline)
+        pairs = commit_pairs(segments, part, workdir, pipeline)
         slots = len(segments.map_ids)
     else:
         refs = [SegmentRef.from_pair(s) for s in segments]
-        batches = [list(enumerate(refs))]
+        pairs = enumerate(refs)
         slots = len(refs)
     #: per producer slot: its latest ref and the run decoded from it
     #: (the raw blob, for a segment_reader)
@@ -643,19 +643,18 @@ def run_reduce_task(
         shuffle if shuffle is not None else ShuffleConfig(),
         counters, task_id, fetch_faults, memory=memory)
     try:
-        for batch in batches:
+        for slot, ref in pairs:
             with clock.measure("shuffle"):
-                for (slot, ref), blob in zip(
-                        batch, fetcher.fetch_all([ref for _, ref in batch])):
-                    if segment_reader is not None:
-                        # It quarantines what it salvages, so it must
-                        # see final segments only: it decodes below,
-                        # once every producer is in.
-                        held[slot] = (ref, blob)
-                    else:
-                        held[slot] = (ref, _read_run(
-                            IFileReader(blob, codec, path=ref.path),
-                            ref.stats))
+                if segment_reader is not None:
+                    # It quarantines what it salvages, so it must see
+                    # final segments only: it decodes below, once every
+                    # producer is in.
+                    held[slot] = (ref, fetcher.fetch_one(ref))
+                else:
+                    held[slot] = (ref, _read_run(
+                        IFileReader(fetcher.fetch_one(ref), codec,
+                                    path=ref.path),
+                        ref.stats))
     finally:
         fetcher.close()
 
@@ -679,8 +678,6 @@ def run_reduce_task(
         # the logical payload when present.
         profile.wire_bytes = counters.get(C.SHUFFLE_WIRE_BYTES)
 
-    if memory is not None:
-        memory.note_waits(fetcher.backpressure_waits)
     # The decoded runs stay resident through the whole merge tail; rent
     # their payload bytes (deterministic, from IFileStats) under the
     # "merge" site so the ledger sees the reduce-side peak and an ``oom``

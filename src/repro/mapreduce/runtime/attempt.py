@@ -81,7 +81,7 @@ def new_memory_tally() -> dict[str, Any]:
     the assembler turns it into ``MEMORY_*`` counters and
     ``JobResult.memory_stats``."""
     return {"oom_events": 0, "degraded_attempts": 0, "peak_bytes": 0,
-            "backpressure_waits": 0, "used_budget": False}
+            "used_budget": False}
 
 
 def note_memory(tally: dict[str, Any], stats: dict | None) -> None:
@@ -90,7 +90,6 @@ def note_memory(tally: dict[str, Any], stats: dict | None) -> None:
         return
     tally["used_budget"] = True
     tally["peak_bytes"] = max(tally["peak_bytes"], stats.get("peak", 0))
-    tally["backpressure_waits"] += stats.get("backpressure_waits", 0)
 
 
 def _arm_budget(name: str, shuffle: Any, fault: Fault | None,
@@ -163,8 +162,8 @@ def run_attempt(
 
     ``degrade`` is how many OOM deaths this task has already suffered:
     each level deterministically halves the sort buffer (floored at the
-    Job minimum) and the fetch byte window, so an injected OOM run
-    spills and fetches identically wherever the attempt executes.
+    Job minimum), so an injected OOM run spills identically wherever
+    the attempt executes.
     """
     if fault is not None and fault.mode == "poison":
         # Built inside the process that runs the task: the factory
@@ -173,10 +172,6 @@ def run_attempt(
     if degrade:
         job = dc_replace(job, sort_buffer_bytes=max(
             1024, job.sort_buffer_bytes >> degrade))
-        window = getattr(shuffle, "max_inflight_bytes", None)
-        if window is not None:
-            shuffle = dc_replace(
-                shuffle, max_inflight_bytes=max(1, window >> degrade))
     budget = _arm_budget(f"{task_id}.{attempt}", shuffle, fault, kill)
     corrupt = fault is not None and fault.mode == "corrupt"
 

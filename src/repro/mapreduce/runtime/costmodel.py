@@ -381,8 +381,7 @@ class CostModel:
 
 
 def estimate_peak_memory(workload: WorkloadSummary, *,
-                         num_workers: int,
-                         max_inflight_bytes: int | None = None) -> int:
+                         num_workers: int) -> int:
     """Priced peak resident bytes of one job: the cost model's memory
     term, consumed by the service's admission controller.
 
@@ -391,11 +390,10 @@ def estimate_peak_memory(workload: WorkloadSummary, *,
 
     * a **map** worker holds at most one sort buffer (``flush`` rents
       exactly the buffered bytes, bounded by ``sort_buffer_bytes``);
-    * a **reduce** worker holds its in-flight fetch window (priced
-      materialized bytes; the whole per-reduce shuffle share when no
-      window bounds it) plus the decoded runs of the merge (raw
-      key+value bytes, approximated by the per-reduce share of the raw
-      map output).
+    * a **reduce** worker holds its fetched segments (priced
+      materialized bytes, the whole per-reduce shuffle share) plus the
+      decoded runs of the merge (raw key+value bytes, approximated by
+      the per-reduce share of the raw map output).
 
     Every worker slot is priced at the *worse* of the two roles -- the
     admission controller cannot know the map/reduce mix of the moment,
@@ -406,11 +404,9 @@ def estimate_peak_memory(workload: WorkloadSummary, *,
     w = workload
     map_peak = w.sort_buffer_bytes
     shuffle_per_reduce = math.ceil(w.shuffle_bytes / max(1, w.num_reducers))
-    window = (min(max_inflight_bytes, shuffle_per_reduce)
-              if max_inflight_bytes is not None else shuffle_per_reduce)
     decoded_per_reduce = math.ceil(w.raw_map_output_bytes
                                    / max(1, w.num_reducers))
-    reduce_peak = window + decoded_per_reduce
+    reduce_peak = shuffle_per_reduce + decoded_per_reduce
     return num_workers * max(map_peak, reduce_peak, 1)
 
 

@@ -70,7 +70,7 @@ MODES = ("kill", "crash", "hang", "corrupt", "stall", "poison", "fetch",
 #: host-level failure domains (keyed by host name, not task id)
 HOST_MODES = ("host_crash", "host_partition", "disk_fault")
 #: memory-ledger sites an ``oom`` fault can target (``where``): the map
-#: sort buffer, the reduce fetch window, or the reduce-side merge
+#: sort buffer, the reduce's segment in transfer, or the reduce-side merge
 OOM_SITES = ("sort", "fetch", "merge")
 #: how an ``oom`` fault fires: ``raise`` (simulated ``MemoryError`` at
 #: the site's next ledger charge), ``kill`` (SIGKILL-style worker death

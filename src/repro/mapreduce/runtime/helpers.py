@@ -1,12 +1,11 @@
 """One helper thread pool per process.
 
-A map task's segment commits (``engine._commit_segments``), the network
-shuffle's wire staging (``ShuffleService``) and a reduce task's
-concurrent fetches (``ShuffleFetcher.fetch_all``) hand work to another
-thread.  They share this one executor, so the threads a process runs
--- and the glibc malloc arenas that keep freed memory resident, one per
-thread that allocates -- stay fixed however many spills, services and
-fetch calls it makes.
+A map task's segment commits (``engine._commit_segments``) and the
+network shuffle's wire staging (``ShuffleService``) hand work to
+another thread.  They share this one executor, so the threads a process
+runs -- and the glibc malloc arenas that keep freed memory resident,
+one per thread that allocates -- stay fixed however many spills and
+services it makes.  A reduce task fetches on its own thread.
 
 The pool is sized to the CPUs this process may run on minus the
 caller's own (:func:`threads`), is created on first use, and starts its
@@ -14,11 +13,9 @@ threads as work arrives.  On one CPU there is none and every caller
 runs inline.  A forked child starts with no pool of its own: its
 parent's threads did not fork with it.
 
-Pool work never waits for other pool work, with one exception its
-caller breaks: a pooled network fetch can reach a server handler that
-waits for a wire stage queued behind that same fetch, so the handler
-takes the work -- it cancels the queued stage and runs it itself
-(``ShuffleService._take_staged``).
+Pool work never waits for other pool work: a commit or a wire stage
+waits on nothing queued, and the server handler that waits for a wire
+stage runs on its own thread.
 """
 
 from __future__ import annotations

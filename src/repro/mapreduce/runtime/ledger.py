@@ -314,11 +314,10 @@ def assemble_result(job: Job, ledger: MapOutputLedger,
                       memory_tally["degraded_attempts"])
     memory_stats = None
     if memory_tally["used_budget"]:
-        # Peaks and waits are wall-clock-shaped: outside ``counters``.
+        # Peaks are telemetry: outside ``counters``.
         memory_stats = {
             "budget": getattr(shuffle, "memory_budget", None),
             "peak_bytes": memory_tally["peak_bytes"],
-            "backpressure_waits": memory_tally["backpressure_waits"],
             "oom_events": memory_tally["oom_events"],
             "degraded_attempts": memory_tally["degraded_attempts"],
         }

@@ -6,7 +6,7 @@ two roles:
 
 * **per-task** -- each worker builds one budget from the job's
   ``ShuffleConfig.memory_budget`` and hands it to the task body; the
-  sort buffer, the shuffle fetch window, and the reduce-side merge all
+  sort buffer, the segment in transfer, and the reduce-side merge all
   rent their resident bytes from it.  An *enforced* charge that would
   overrun capacity raises :class:`MemoryBudgetExceeded` (a
   ``MemoryError``), which the runners' degrade-on-retry ladder turns
@@ -16,13 +16,10 @@ two roles:
   per-``owner`` charges with optional quotas to bound a tenant's
   outstanding priced memory across jobs.
 
-Backpressure is the *waiting* flavor of a charge: ``charge(n,
-wait=True)`` blocks until headroom opens (a releasing thread notifies).
-Liveness is guaranteed by the **grant-when-alone** rule: a charge
-larger than capacity is admitted when nothing else is charged -- a
-single oversized allocation cannot be made smaller by waiting, so the
-ledger records the overdraft instead of deadlocking.  Waiting never
-raises; only enforced non-waiting charges do.
+A charge never waits.  The **grant-when-alone** rule admits a charge
+larger than capacity when nothing else is charged -- a single oversized
+allocation cannot be made smaller, so the ledger records the overdraft
+instead of refusing it.  Only enforced charges raise.
 
 Fault hooks make memory a first-class injected failure: ``fail_next``
 plants a simulated ``MemoryError`` at the next charge against a chosen
@@ -32,9 +29,8 @@ callback -- SIGKILL-style in workers -- when a site's charged bytes
 cross a threshold, which is how the R7 skew scenario simulates the
 kernel OOM killer.
 
-Telemetry (``backpressure_waits``, peaks) is wall-clock-shaped and
-lives in ``JobResult.memory_stats`` / trace events, never in the
-counter-equality set.
+Telemetry (peaks) lives in ``JobResult.memory_stats`` / trace events,
+never in the counter-equality set.
 """
 
 from __future__ import annotations
@@ -63,10 +59,10 @@ class MemoryBudgetExceeded(MemoryError):
 
 
 class MemoryBudget:
-    """A thread-safe byte ledger with backpressure and fault hooks.
+    """A thread-safe byte ledger with fault hooks.
 
     ``capacity=None`` means unlimited: the ledger still tracks usage
-    and peaks (accounting-only mode) but never blocks or raises.
+    and peaks (accounting-only mode) but never refuses or raises.
     """
 
     def __init__(self, capacity: int | None = None, *,
@@ -78,7 +74,7 @@ class MemoryBudget:
                     f"capacity must be >= 1 or None, got {capacity}")
         self.name = name
         self.capacity = capacity
-        self._cond = threading.Condition(threading.Lock())
+        self._lock = threading.Lock()
         self._used = 0
         self._peak = 0
         self._sites: dict[str, int] = defaultdict(int)
@@ -86,7 +82,6 @@ class MemoryBudget:
         self._owners: dict[str, int] = defaultdict(int)
         self._owner_peaks: dict[str, int] = defaultdict(int)
         self._quotas: dict[str, int] = {}
-        self._waits = 0
         self._charges = 0
         # fault hooks (armed per attempt by the worker / serial runner)
         self._fail_sites: dict[str, int] = {}
@@ -100,7 +95,7 @@ class MemoryBudget:
     def fail_next(self, site: str, times: int = 1) -> None:
         """Raise a simulated ``MemoryError`` at the next ``times``
         charges against ``site`` (``-1`` = every one)."""
-        with self._cond:
+        with self._lock:
             self._fail_sites[site] = times
 
     def alloc_next(self, site: str, nbytes: int) -> None:
@@ -109,7 +104,7 @@ class MemoryBudget:
         ``MemoryError`` before any page is touched.  Size it well past
         physical RAM (or run under an rlimit): an allocation that
         merely *fits* is freed immediately and injects nothing."""
-        with self._cond:
+        with self._lock:
             self._alloc_sites[site] = int(nbytes)
 
     def kill_above(self, threshold: int,
@@ -118,14 +113,14 @@ class MemoryBudget:
         """Invoke ``callback(charged_bytes)`` the moment charged bytes
         (for ``site``, or the whole ledger) cross ``threshold`` --
         the simulated kernel OOM killer."""
-        with self._cond:
+        with self._lock:
             self._kill_at = int(threshold)
             self._kill_site = site
             self._on_kill = callback
 
     def _poke(self, site: str) -> None:
         """Apply any armed fault for a charge against ``site``."""
-        with self._cond:
+        with self._lock:
             remaining = self._fail_sites.get(site)
             if remaining:
                 if remaining > 0:
@@ -173,18 +168,15 @@ class MemoryBudget:
             else self._used
 
     def charge(self, n: int, *, site: str = "", owner: str | None = None,
-               wait: bool = False, enforce: bool = False,
-               force: bool = False) -> bool:
+               enforce: bool = False, force: bool = False) -> bool:
         """Charge ``n`` bytes against the ledger.
 
-        * ``wait=True``  -- block until headroom admits the charge
-          (backpressure); always succeeds eventually (grant-when-alone).
         * ``enforce=True`` -- raise :class:`MemoryBudgetExceeded` if the
           charge does not fit *right now* (the deterministic simulated-
           rlimit mode the degrade ladder reacts to).
         * ``force=True`` -- apply unconditionally, recording overdraft;
-          for timing-dependent accounting (in-flight fetch bytes) that
-          must observe the fault hooks but never block or raise.
+          for accounting (the segment in transfer, staged wire bytes)
+          that must observe the fault hooks but never refuse or raise.
         * none of them  -- return ``False`` if the charge does not fit
           (``try_charge`` flavor).
         """
@@ -192,21 +184,15 @@ class MemoryBudget:
         if n < 0:
             raise ValueError(f"charge must be >= 0, got {n}")
         self._poke(site)
-        waited = False
-        with self._cond:
-            while not force and not self._admits(n, owner):
-                if not wait:
-                    if enforce:
-                        raise MemoryBudgetExceeded(
-                            f"{self.name} budget exceeded at {site or '?'}: "
-                            f"charge {n} with {self._used}/{self.capacity} "
-                            f"used", requested=n, used=self._used,
-                            capacity=self.capacity)
-                    return False
-                if not waited:
-                    waited = True
-                    self._waits += 1
-                self._cond.wait(0.05)
+        with self._lock:
+            if not force and not self._admits(n, owner):
+                if enforce:
+                    raise MemoryBudgetExceeded(
+                        f"{self.name} budget exceeded at {site or '?'}: "
+                        f"charge {n} with {self._used}/{self.capacity} "
+                        f"used", requested=n, used=self._used,
+                        capacity=self.capacity)
+                return False
             watched = self._apply(n, site, owner)
             kill = (self._on_kill if self._kill_at is not None
                     and watched >= self._kill_at
@@ -218,45 +204,38 @@ class MemoryBudget:
 
     def try_charge(self, n: int, *, site: str = "",
                    owner: str | None = None) -> bool:
-        """Non-blocking, non-raising charge; ``False`` if no headroom."""
+        """Non-raising charge; ``False`` if no headroom."""
         return self.charge(n, site=site, owner=owner)
 
     def release(self, n: int, *, site: str = "",
                 owner: str | None = None) -> None:
         """Return ``n`` bytes; floors defensively at zero (a double
-        release must never corrupt the ledger) and wakes waiters."""
+        release must never corrupt the ledger)."""
         n = int(n)
         if n < 0:
             raise ValueError(f"release must be >= 0, got {n}")
-        with self._cond:
+        with self._lock:
             self._used = max(0, self._used - n)
             self._sites[site] = max(0, self._sites[site] - n)
             if owner is not None:
                 self._owners[owner] = max(0, self._owners[owner] - n)
-            self._cond.notify_all()
 
     @contextmanager
     def rent(self, n: int, *, site: str = "", owner: str | None = None,
-             wait: bool = False, enforce: bool = True) -> Iterator[None]:
+             enforce: bool = True) -> Iterator[None]:
         """Charge for the duration of a ``with`` block; the release is
         unconditional, so no exception path can leak charged bytes."""
-        self.charge(n, site=site, owner=owner, wait=wait, enforce=enforce)
+        self.charge(n, site=site, owner=owner, enforce=enforce)
         try:
             yield
         finally:
             self.release(n, site=site, owner=owner)
 
-    def note_waits(self, n: int) -> None:
-        """Fold in backpressure waits observed by a satellite budget
-        (e.g. a fetcher's byte window) so one ledger tells the story."""
-        with self._cond:
-            self._waits += int(n)
-
     # ------------------------------------------------------------ quotas
 
     def set_quota(self, owner: str, nbytes: int | None) -> None:
         """Cap one owner's concurrent charged bytes (``None`` clears)."""
-        with self._cond:
+        with self._lock:
             if nbytes is None:
                 self._quotas.pop(owner, None)
             else:
@@ -267,36 +246,31 @@ class MemoryBudget:
                 self._quotas[owner] = nbytes
 
     def owner_used(self, owner: str) -> int:
-        with self._cond:
+        with self._lock:
             return self._owners.get(owner, 0)
 
     # ------------------------------------------------------------ queries
 
     @property
     def used(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._used
 
     @property
     def peak(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._peak
-
-    @property
-    def backpressure_waits(self) -> int:
-        with self._cond:
-            return self._waits
 
     def headroom(self) -> int | None:
         """Bytes until capacity; ``None`` when unlimited."""
-        with self._cond:
+        with self._lock:
             if self.capacity is None:
                 return None
             return max(0, self.capacity - self._used)
 
     def stats(self) -> dict:
         """Snapshot for ``/health`` and ``memory_stats`` reporting."""
-        with self._cond:
+        with self._lock:
             return {
                 "capacity": self.capacity,
                 "used": self._used,
@@ -308,7 +282,6 @@ class MemoryBudget:
                 "owners": {k: v for k, v in sorted(self._owners.items())},
                 "owner_peaks": dict(sorted(self._owner_peaks.items())),
                 "quotas": dict(sorted(self._quotas.items())),
-                "backpressure_waits": self._waits,
                 "charges": self._charges,
             }
 

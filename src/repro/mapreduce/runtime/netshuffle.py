@@ -19,13 +19,13 @@ ends of that wire:
 
 * :class:`NetworkTransport` -- the client side, plugged into
   :class:`~repro.mapreduce.runtime.shuffle.ShuffleFetcher` by
-  ``make_transport``.  Maintains a per-address connection pool (sockets
-  are returned after a fully-consumed response and reused), enforces
+  ``make_transport``.  Keeps one idle connection per address (a socket
+  is returned after a fully-consumed response and reused), enforces
   the fetcher's per-attempt deadline as socket timeouts, verifies every
   frame CRC plus a whole-segment CRC32, and accounts
   ``SHUFFLE_WIRE_BYTES`` (compressed payload actually transmitted) and
-  ``SHUFFLE_WIRE_BYTES_UNCOMPRESSED`` through the fetcher's locked
-  counter sink.
+  ``SHUFFLE_WIRE_BYTES_UNCOMPRESSED`` through the fetcher's counter
+  sink.
 
 Wire protocol (all integers big-endian):
 
@@ -604,8 +604,10 @@ class ShuffleService:
 
         A back stage still queued on the helper pool is not waited for:
         this handler takes the work, cancelling the stage's future and
-        running ``finish`` itself.  The fetch being served may be the
-        very pool work that stage is queued behind.
+        running ``finish`` itself, instead of queueing behind the other
+        stages.  Liveness does not need this: fetches run on their
+        reduce task's thread, never on the pool, so no pool work waits
+        for a stage.
         """
         if codec_name != self.wire_codec:
             return None
@@ -962,8 +964,10 @@ class NetworkTransport:
     """Fetch segments from :class:`SegmentServer` sockets.
 
     One instance serves one reduce task's :class:`~repro.mapreduce.
-    runtime.shuffle.ShuffleFetcher`; ``fetch`` runs on the fetcher's
-    worker threads, so the connection pool is locked.  All wire damage
+    runtime.shuffle.ShuffleFetcher`, which fetches one segment at a
+    time, so it keeps at most one idle connection per server address
+    for the next fetch.  The pool is locked all the same: ``close``
+    must never race a check-in.  All wire damage
     -- refused connections, timeouts, short reads, frame CRC or segment
     CRC mismatches, codec failures -- surfaces as
     :class:`TransientFetchError`; an explicit *unknown segment* or
@@ -980,7 +984,8 @@ class NetworkTransport:
         self.reduce_id = reduce_id
         self._memory = memory
         self._sink = counter_sink or (lambda name, amount=1: None)
-        self._pool: dict[tuple[str, int], list[socket.socket]] = {}
+        #: address -> its one idle connection
+        self._pool: dict[tuple[str, int], socket.socket] = {}
         self._lock = threading.Lock()
         self._closed = False
 
@@ -989,9 +994,9 @@ class NetworkTransport:
     def _checkout(self, address: tuple[str, int],
                   deadline: Deadline) -> socket.socket:
         with self._lock:
-            idle = self._pool.get(address)
-            if idle:
-                return idle.pop()
+            idle = self._pool.pop(address, None)
+        if idle is not None:
+            return idle
         try:
             return socket.create_connection(
                 address, timeout=_op_timeout(deadline))
@@ -1004,20 +1009,17 @@ class NetworkTransport:
                  sock: socket.socket) -> None:
         """Return a healthy connection to the pool -- or close it.
 
-        Two leak paths guarded here: a fetch thread finishing *after*
-        ``close()`` ran (the fetcher closes the transport in a
-        ``finally`` while pool.map results are still draining) would
-        park its socket in a pool nobody will ever close again, and
-        repeated wire faults churn connections faster than reuse drains
-        them, growing the per-address pool without bound.  Past either
-        limit the socket is closed instead of pooled.
+        Two leak paths guarded here: a check-in *after* ``close()`` ran
+        would park its socket in a pool nobody will ever close again,
+        and repeated wire faults churn connections faster than reuse
+        drains them.  A closed transport, or an address that already
+        holds an idle connection, closes the socket instead of pooling
+        it.
         """
         with self._lock:
-            if not self._closed:
-                idle = self._pool.setdefault(address, [])
-                if len(idle) < self.config.concurrency:
-                    idle.append(sock)
-                    return
+            if not self._closed and address not in self._pool:
+                self._pool[address] = sock
+                return
         try:
             sock.close()
         except OSError:  # pragma: no cover - already closed
@@ -1026,21 +1028,20 @@ class NetworkTransport:
     def pool_size(self) -> int:
         """Idle pooled connections across every address (test hook)."""
         with self._lock:
-            return sum(len(idle) for idle in self._pool.values())
+            return len(self._pool)
 
     def close(self) -> None:
-        """Close every pooled connection (fetcher calls this after
-        ``fetch_all``; idempotent).  Later check-ins close their socket
-        instead of re-populating the pool."""
+        """Close every pooled connection (the fetcher calls this when
+        its task stops fetching; idempotent).  Later check-ins close
+        their socket instead of re-populating the pool."""
         with self._lock:
             self._closed = True
-            pools, self._pool = self._pool, {}
-        for idle in pools.values():
-            for sock in idle:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
+            pool, self._pool = self._pool, {}
+        for sock in pool.values():
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
 
     # -------------------------------------------------------------- fetch
 
@@ -1159,7 +1160,7 @@ class NetworkTransport:
         # The decompressed blob is already priced at the fetcher's
         # "fetch" site; the compressed copy alive across decompress is
         # the transport's own transient, rented under "wire" (forced:
-        # in-flight totals are timing-dependent and must never raise).
+        # accounting that must never refuse or raise).
         if self._memory is not None:
             self._memory.charge(wire_length, site="wire", force=True)
         try:

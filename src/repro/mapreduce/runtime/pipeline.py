@@ -15,10 +15,10 @@ module removes it:
 * a reduce attempt launched *alongside* the maps receives a
   :class:`PipelinePlan` instead of resolved segment refs and runs the
   one reduce body, :func:`~repro.mapreduce.engine.run_reduce_task`,
-  fed by :func:`commit_batches`: each poll round's new commits (and
+  fed by :func:`commit_pairs`: each poll round's new commits (and
   re-publications at a bumped epoch, when a producer re-executed
-  mid-pipeline) are fetched and decoded into their producer's slot
-  while the later maps still run;
+  mid-pipeline) are fetched one at a time and decoded into their
+  producer's slot while the later maps still run;
 * once every producer is held at its latest epoch, the body runs the
   same merge/group/reduce tail over the same runs in the same order as
   a reduce fed the resolved refs -- so the merged stream, the output,
@@ -58,7 +58,7 @@ __all__ = [
     "CommitLog",
     "PipelinePlan",
     "aggregate_pipeline_stats",
-    "commit_batches",
+    "commit_pairs",
     "drain_refs",
 ]
 
@@ -223,25 +223,17 @@ def drain_refs(plan: PipelinePlan, part: int) -> list[SegmentRef]:
         time.sleep(plan.poll_interval)
 
 
-def commit_batches(plan: PipelinePlan, part: int, workdir: str,
-                   stats: dict) -> Iterator[list[tuple[int, SegmentRef]]]:
+def commit_pairs(plan: PipelinePlan, part: int, workdir: str,
+                 stats: dict) -> Iterator[tuple[int, SegmentRef]]:
     """The pipelined reducer's fetch schedule, one segment at a time.
 
-    Polls the commit log and yields, one ``[(slot, ref)]`` batch each,
+    Polls the commit log and yields, as one ``(slot, ref)`` pair each,
     every commit that is new or re-published at a bumped epoch since it
     was last yielded (the producer re-executed; its old files are
     gone), where ``slot`` is the producer's index in ``plan.map_ids`` --
-    the merge order.  The caller fetches and decodes a batch before
-    asking for the next.  Stops once every producer has been yielded at
-    its latest epoch.
-
-    One segment per batch, where a ref list is one batch of all: these
-    fetches already overlap the map tail, and a batch of one is fetched
-    inline, while a larger one runs on the helper pool, whose thread
-    brings its own glibc malloc arena -- fetching each poll round
-    concurrently raised a ``median-par-pipelined`` worker's peak RSS by
-    ≈4.5 MiB on the one-thread pool of a 2-CPU host and gained no
-    wall-clock.
+    the merge order.  The caller fetches and decodes a segment before
+    asking for the next, exactly as it walks a barrier ref list.  Stops
+    once every producer has been yielded at its latest epoch.
 
     Between rounds it sleeps ``plan.poll_interval`` per empty poll and
     writes the ``_starved`` marker naming the missing producers
@@ -267,7 +259,7 @@ def commit_batches(plan: PipelinePlan, part: int, workdir: str,
         if work:
             all_visible = all(mid in records for mid in plan.map_ids)
             for slot, ref in work:
-                yield [(slot, ref)]
+                yield slot, ref
                 if stats["first_fetch_ms"] is None:
                     stats["first_fetch_ms"] = (
                         time.monotonic() - started) * 1e3

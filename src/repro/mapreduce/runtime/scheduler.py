@@ -422,7 +422,7 @@ class TaskScheduler:
         #: without charging the reduce's ``max_retries`` budget
         fetch_requeues: dict[str, int] = defaultdict(int)
         #: OOM deaths per task: the degrade level ``run_attempt`` halves
-        #: the task's sort buffer and fetch window by on the next launch,
+        #: the task's sort buffer by on the next launch,
         #: uncharged against ``max_retries`` but bounded by
         #: ``max_memory_retries``.
         oom_requeues: dict[str, int] = defaultdict(int)
@@ -651,7 +651,7 @@ class TaskScheduler:
             self.memory_tally["degraded_attempts"] += 1
             trace.record(task_id, attempt.number, spec.kind, "oom_degraded",
                          f"degrade level {oom_requeues[task_id]}: sort "
-                         f"buffer and fetch window halved")
+                         f"buffer halved")
             if any(a.spec.task_id == task_id for a in running) \
                     or any(s.task_id == task_id for s, _ in pending):
                 return  # a rival attempt or queued retry already covers it

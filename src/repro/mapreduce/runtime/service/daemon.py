@@ -207,8 +207,7 @@ class JobService:
         """Predicted peak resident bytes for a spec, pre-execution."""
         return estimate_peak_memory(
             estimate_workload(spec),
-            num_workers=self.pool.max_workers,
-            max_inflight_bytes=spec.max_inflight_bytes)
+            num_workers=self.pool.max_workers)
 
     def submit(self, spec: JobSpec) -> dict[str, Any]:
         """Price, admit, durably accept, and enqueue one submission.
@@ -343,18 +342,14 @@ class JobService:
             return
         record.set_state("RUNNING", f"executing for tenant {spec.tenant}")
         runner_kwargs = dict(self.config.runner_kwargs)
-        if spec.memory_budget is not None or spec.max_inflight_bytes is not None:
-            # Per-spec memory knobs override the service-wide shuffle
-            # config (or a default one) for this job only.
+        if spec.memory_budget is not None:
+            # A per-spec memory budget overrides the service-wide
+            # shuffle config (or a default one) for this job only.
             from repro.mapreduce.runtime.shuffle import ShuffleConfig
 
             base = runner_kwargs.get("shuffle") or ShuffleConfig()
-            overrides: dict[str, Any] = {}
-            if spec.memory_budget is not None:
-                overrides["memory_budget"] = spec.memory_budget
-            if spec.max_inflight_bytes is not None:
-                overrides["max_inflight_bytes"] = spec.max_inflight_bytes
-            runner_kwargs["shuffle"] = dc_replace(base, **overrides)
+            runner_kwargs["shuffle"] = dc_replace(
+                base, memory_budget=spec.memory_budget)
         try:
             job, dataset = build_workload(spec)
             runner = ParallelJobRunner(

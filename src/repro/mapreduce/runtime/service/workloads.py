@@ -59,8 +59,6 @@ class JobSpec:
     #: per-task memory ledger capacity (bytes); overruns take the
     #: degrade-on-retry ladder instead of killing the job
     memory_budget: int | None = None
-    #: reduce-side fetch byte window (bytes of in-flight shuffle data)
-    max_inflight_bytes: int | None = None
     skip_budget: int | None = None
     poison: tuple[tuple[str, int], ...] = field(default_factory=tuple)
     fetch_faults: tuple[tuple[str, str, str], ...] = field(
@@ -78,11 +76,9 @@ class JobSpec:
             raise ValueError("num_maps and num_reducers must be >= 1")
         if self.bins < 1:
             raise ValueError(f"bins must be >= 1, got {self.bins}")
-        # the per-job forms of two shuffle knobs, bounded like them
+        # the per-job form of a shuffle knob, bounded like it
         settings.check("REPRO_MEMORY_BUDGET", self.memory_budget,
                        "memory_budget")
-        settings.check("REPRO_MAX_INFLIGHT_BYTES", self.max_inflight_bytes,
-                       "max_inflight_bytes")
         if self.query == "subset" and any(int(s) < 3 for s in self.shape):
             raise ValueError(
                 f"subset selects the interior box, so every extent must "
@@ -109,7 +105,6 @@ class JobSpec:
             "num_maps": self.num_maps,
             "num_reducers": self.num_reducers,
             "memory_budget": self.memory_budget,
-            "max_inflight_bytes": self.max_inflight_bytes,
             "skip_budget": self.skip_budget,
             "poison": [list(p) for p in self.poison],
             "fetch_faults": [list(f) for f in self.fetch_faults],
@@ -129,9 +124,6 @@ class JobSpec:
                 num_reducers=int(obj.get("num_reducers", 2)),
                 memory_budget=(None if obj.get("memory_budget") is None
                                else int(obj["memory_budget"])),
-                max_inflight_bytes=(
-                    None if obj.get("max_inflight_bytes") is None
-                    else int(obj["max_inflight_bytes"])),
                 skip_budget=(None if obj.get("skip_budget") is None
                              else int(obj["skip_budget"])),
                 poison=tuple((str(t), int(r))

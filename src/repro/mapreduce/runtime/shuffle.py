@@ -16,13 +16,14 @@ makes the transfer a first-class, failable step:
   stream a :class:`~repro.mapreduce.runtime.fault.FaultInjector`
   ``fetch`` fault can drop, delay, stall, truncate, or bit-flip in
   flight;
-* the :class:`ShuffleFetcher` drives bounded-concurrency fetches with
-  per-fetch deadlines, capped exponential backoff with deterministic
-  jitter (:mod:`repro.util.backoff`), and ``SHUFFLE_*`` counter
-  accounting.  A segment that stays unfetchable raises
-  :class:`FetchFailedError` naming the producing map task -- the signal
-  the scheduler's fetch-failure accounting turns into map re-execution
-  (Hadoop's "too many fetch failures" protocol).
+* the :class:`ShuffleFetcher` fetches one segment at a time, on the
+  reduce task's own thread, with per-fetch deadlines, capped
+  exponential backoff with deterministic jitter
+  (:mod:`repro.util.backoff`), and ``SHUFFLE_*`` counter accounting.
+  A segment that stays unfetchable raises :class:`FetchFailedError`
+  naming the producing map task -- the signal the scheduler's
+  fetch-failure accounting turns into map re-execution (Hadoop's "too
+  many fetch failures" protocol).
 
 The failure ladder this module adds, from cheapest rung up: fetch retry
 (with backoff) -> reduce-attempt requeue (uncharged against the retry
@@ -36,16 +37,12 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
-from threading import Lock
 from typing import Mapping, Sequence
 
 from repro import settings
 from repro.mapreduce.ifile import IFileStats
 from repro.mapreduce.metrics import C, Counters
-from repro.mapreduce.runtime import helpers
 from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.memory import MemoryBudget
 from repro.settings import ConfigError
@@ -111,7 +108,8 @@ class ShuffleConfig:
     #: base/cap for the capped, jittered inter-attempt backoff
     backoff: float = 0.02
     backoff_max: float = 0.25
-    #: concurrent in-flight fetches per reduce task
+    #: accepted and validated (>= 1) for callers that still pass it,
+    #: but selects nothing: a reduce task fetches one segment at a time
     concurrency: int = 4
     #: wire frame size (bytes of segment per CRC-framed chunk)
     chunk_bytes: int = 64 * 1024
@@ -133,18 +131,12 @@ class ShuffleConfig:
     #: missing map outputs asks the scheduler to speculate them
     starvation_threshold: int = settings.default(
         "REPRO_STARVATION_THRESHOLD")
-    #: byte-based fetch backpressure: cap on the summed priced size of
-    #: in-flight fetches per reduce task (None = count-based
-    #: ``concurrency`` only).  Admission of the next fetch waits on
-    #: budget headroom, priced from :class:`SegmentRef` stats.
-    max_inflight_bytes: int | None = settings.default(
-        "REPRO_MAX_INFLIGHT_BYTES")
     #: per-task memory ledger capacity in bytes (None = accounting
     #: only).  An enforced charge past this raises ``MemoryError`` and
     #: triggers the runners' degrade-on-retry ladder.
     memory_budget: int | None = settings.default("REPRO_MEMORY_BUDGET")
     #: how many OOM-dead attempts of one task the degrade ladder
-    #: absorbs (each retry halves the sort buffer / fetch window)
+    #: absorbs (each retry halves the sort buffer)
     max_memory_retries: int = settings.default(
         "REPRO_MAX_MEMORY_RETRIES")
 
@@ -296,27 +288,19 @@ def make_transport(config: ShuffleConfig,
 
 
 class ShuffleFetcher:
-    """Reduce-side fetch loop: bounded concurrency, deadlines, retries.
+    """Reduce-side fetch loop: one segment at a time, deadlines, retries.
 
-    ``fetch_all`` returns segment blobs **in input order** regardless of
-    completion order, so downstream merge behavior -- and therefore
-    output bytes -- never depends on scheduling.  Counter totals are
-    order-independent sums, guarded by a lock (fetches run on threads).
+    A reduce task fetches each segment on its own thread and decodes it
+    before asking for the next, so at most one transfer is in flight and
+    the blobs it holds never depend on the host's CPU count.  ``memory``
+    (the task's :class:`~repro.mapreduce.runtime.memory.MemoryBudget`,
+    if any) sees that transfer's priced bytes under the ``"fetch"``
+    site -- where ``oom`` faults and threshold kills are applied -- as a
+    *forced* charge, released when the transfer ends.
 
-    With ``config.max_inflight_bytes`` set, admission of the next fetch
-    additionally waits on *byte* headroom: each fetch is priced from its
-    ref's :class:`~repro.mapreduce.ifile.IFileStats` before being
-    issued and charged against a window budget until its transfer
-    completes.  ``memory`` (the task's :class:`~repro.mapreduce.runtime.
-    memory.MemoryBudget`, if any) sees the same in-flight charges under
-    the ``"fetch"`` site -- where ``oom`` faults and threshold kills
-    are applied -- as *forced* charges, since in-flight totals are
-    timing-dependent and must never raise on their own.
-
-    One fetcher serves a reduce task for its whole fetch phase, however
-    many :meth:`fetch_all` calls that takes (one per committed segment
-    on the pipelined shuffle), so pooled connections are reused across
-    calls; the task calls :meth:`close` once, when it stops fetching.
+    One fetcher serves a reduce task for its whole fetch phase, so
+    pooled connections are reused across segments; the task calls
+    :meth:`close` once, when it stops fetching.
     """
 
     def __init__(
@@ -331,124 +315,16 @@ class ShuffleFetcher:
         self.counters = counters
         self.reduce_id = reduce_id
         self.memory = memory
-        self._window = (MemoryBudget(config.max_inflight_bytes,
-                                     name=f"{reduce_id}:fetch-window")
-                        if config.max_inflight_bytes is not None else None)
-        lock = Lock()
-
-        def incr(name: str, amount: int = 1) -> None:
-            with lock:
-                counters.incr(name, amount)
-
-        # A closure, not a bound method: a transport holding its fetcher
-        # would keep a fetcher dropped without close() -- and with it
-        # the pooled connections -- alive until the cycle collector ran.
-        self._incr = incr
         self.transport = make_transport(config, fetch_faults,
-                                        counter_sink=incr,
+                                        counter_sink=counters.incr,
                                         reduce_id=reduce_id,
                                         memory=memory)
 
-    @staticmethod
-    def price(ref: SegmentRef) -> int:
-        """What one fetch costs the byte window, priced *before* the
-        transfer from the segment's materialized size."""
-        return max(1, ref.stats.materialized_bytes)
-
-    def admit(self, ref: SegmentRef, *, block: bool = True) -> int | None:
-        """Charge one fetch against the byte window and the task ledger.
-
-        ``block=True`` waits for window headroom; ``block=False``
-        returns ``None`` instead of waiting, so :meth:`fetch_all` can
-        collect a completion first.  Either way the first in-flight
-        fetch is always admitted (grant-when-alone), which is what keeps
-        a window smaller than any one segment live.  Returns the price
-        to hand back to :meth:`retire`.
-        """
-        price = self.price(ref)
-        if self._window is not None:
-            if block:
-                self._window.charge(price, site="fetch", wait=True)
-            elif not self._window.try_charge(price, site="fetch"):
-                return None
-        if self.memory is not None:
-            try:
-                self.memory.charge(price, site="fetch", force=True)
-            except MemoryError:
-                # the injected-fault path: give the window bytes back
-                # before propagating, or the next attempt starts starved
-                if self._window is not None:
-                    self._window.release(price, site="fetch")
-                raise
-        return price
-
-    def retire(self, price: int) -> None:
-        """Return one admitted fetch's bytes to the window and ledger."""
-        if self._window is not None:
-            self._window.release(price, site="fetch")
-        if self.memory is not None:
-            self.memory.release(price, site="fetch")
-
-    @property
-    def backpressure_waits(self) -> int:
-        """How many fetch admissions blocked on byte headroom."""
-        return (self._window.backpressure_waits
-                if self._window is not None else 0)
-
     def fetch_all(self, refs: Sequence[SegmentRef]) -> list[bytes]:
-        """Fetch every segment, up to ``config.concurrency`` at a time on
-        the process's helper pool; blobs come back **in input order**
-        regardless of which fetch finished first.
-
-        Raises :class:`FetchFailedError` from the first segment that
-        exhausts its retry budget; every fetch still in flight is
-        cancelled or finished first.  Pooled transport connections stay
-        open for the next call -- whoever is done fetching calls
-        :meth:`close`.
-        """
-        refs = list(refs)
-        blobs: list[bytes | None] = [None] * len(refs)
-        workers = min(self.config.concurrency, len(refs))
-        executor = helpers.pool() if workers > 1 else None
-        if executor is None:
-            for index, ref in enumerate(refs):
-                price = self.admit(ref)
-                try:
-                    blobs[index] = self.fetch_one(ref)
-                finally:
-                    self.retire(price)
-            return blobs  # type: ignore[return-value]
-        admitted: deque[tuple[int, int]] = deque()  # waiting for a slot
-        running: dict[Future, tuple[int, int]] = {}
-        next_up = 0
-        try:
-            while next_up < len(refs) or admitted or running:
-                # admit while the byte window has headroom; with nothing
-                # in flight the next fetch always goes out
-                # (grant-when-alone), so the loop cannot starve
-                while next_up < len(refs):
-                    price = self.admit(refs[next_up],
-                                       block=not (admitted or running))
-                    if price is None:
-                        break  # wait for a completion to free bytes
-                    admitted.append((next_up, price))
-                    next_up += 1
-                while admitted and len(running) < workers:
-                    index, price = admitted.popleft()
-                    future = executor.submit(self.fetch_one, refs[index])
-                    running[future] = (index, price)
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index, price = running.pop(future)
-                    try:
-                        blobs[index] = future.result()
-                    finally:
-                        self.retire(price)
-        finally:
-            helpers.drain(running)
-            for _, price in (*running.values(), *admitted):
-                self.retire(price)
-        return blobs  # type: ignore[return-value]
+        """Every segment's blob, **in input order**, fetched one at a
+        time.  Raises :class:`FetchFailedError` from the first segment
+        that exhausts its retry budget."""
+        return [self.fetch_one(ref) for ref in refs]
 
     def close(self) -> None:
         """Release pooled transport connections (idempotent)."""
@@ -457,31 +333,44 @@ class ShuffleFetcher:
             close()
 
     def fetch_one(self, ref: SegmentRef) -> bytes:
-        """Fetch one segment through the full retry ladder."""
+        """Fetch one segment through the full retry ladder, charged to
+        the task ledger's ``"fetch"`` site (priced from its materialized
+        size) while it is in transfer."""
+        price = max(1, ref.stats.materialized_bytes)
+        if self.memory is not None:
+            self.memory.charge(price, site="fetch", force=True)
+        try:
+            return self._fetch_with_retries(ref)
+        finally:
+            if self.memory is not None:
+                self.memory.release(price, site="fetch")
+
+    def _fetch_with_retries(self, ref: SegmentRef) -> bytes:
         last = "no attempts made"
+        incr = self.counters.incr
         for attempt in range(self.config.fetch_retries + 1):
             if attempt > 0:
-                self._incr(C.SHUFFLE_RETRIES)
+                incr(C.SHUFFLE_RETRIES)
                 time.sleep(backoff_delay(
                     self.config.backoff, attempt, self.config.backoff_max,
                     key=f"{self.reduce_id}:{ref.map_id}:{ref.epoch}"))
-            self._incr(C.SHUFFLE_FETCHES)
+            incr(C.SHUFFLE_FETCHES)
             deadline = Deadline(self.config.fetch_timeout)
             try:
                 blob = self.transport.fetch(ref, attempt, deadline)
             except FileNotFoundError as exc:
                 # The segment is *gone* (invalidated or lost): no retry
                 # of this epoch can succeed, so escalate immediately.
-                self._incr(C.SHUFFLE_FAILED_FETCHES)
+                incr(C.SHUFFLE_FAILED_FETCHES)
                 raise FetchFailedError(
                     ref.map_id, self.reduce_id, attempt + 1,
                     f"segment missing: {exc}") from exc
             except TransientFetchError as exc:
-                self._incr(C.SHUFFLE_FAILED_FETCHES)
-                self._incr(C.SHUFFLE_BYTES_TRANSFERRED, exc.bytes_received)
+                incr(C.SHUFFLE_FAILED_FETCHES)
+                incr(C.SHUFFLE_BYTES_TRANSFERRED, exc.bytes_received)
                 last = str(exc)
                 continue
-            self._incr(C.SHUFFLE_BYTES_TRANSFERRED, len(blob))
+            incr(C.SHUFFLE_BYTES_TRANSFERRED, len(blob))
             return blob
         raise FetchFailedError(ref.map_id, self.reduce_id,
                                self.config.fetch_retries + 1, last)

@@ -237,10 +237,6 @@ SETTINGS: tuple[Setting, ...] = (
             "capacity; OOM-killed attempts retry with halved buffers",
             low=256, note="bytes", field="ShuffleConfig.memory_budget",
             flag="--memory-budget"),
-    Setting("REPRO_MAX_INFLIGHT_BYTES", "int", "reduce-side fetch byte "
-            "window (backpressure on in-flight shuffle bytes)", low=1,
-            note="bytes", field="ShuffleConfig.max_inflight_bytes",
-            flag="--max-inflight-bytes"),
     Setting("REPRO_MAX_MEMORY_RETRIES", "int", "OOM deaths a task may "
             "degrade through before the job fails", default=2, low=1,
             field="ShuffleConfig.max_memory_retries",

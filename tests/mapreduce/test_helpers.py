@@ -1,11 +1,11 @@
 """The process's one helper pool (``runtime/helpers.py``).
 
-Spill commits, wire-codec staging and shuffle fetches share one
-executor.  Pinned here:
+Spill commits and wire-codec staging share one executor; a reduce
+task fetches on its own thread.  Pinned here:
 
-* the wait chain sharing creates -- a pooled fetch reaching a server
-  handler that waits for a back stage queued behind that same fetch --
-  is broken: the handler takes the work, so no fetch times out;
+* no wait chain: a server handler waiting for a back stage queued on
+  a one-thread pool never wedges the fetch it serves, so no fetch
+  times out;
 * the pool's threads are started once per process and never exceed its
   size, over consecutive jobs (counted, not timed);
 * a forked worker builds its own pool: a parallel job run while the
@@ -71,8 +71,7 @@ def network(pipeline=False):
     # A fetch deadline turns a wedged fetch into a counted retry rather
     # than a hang.
     return ShuffleConfig(transport="network", wire_codec=WIRE,
-                         concurrency=4, fetch_timeout=2.0, backoff=0.0,
-                         pipeline=pipeline)
+                         fetch_timeout=2.0, backoff=0.0, pipeline=pipeline)
 
 
 def run_serial(job, grid, shuffle):
@@ -122,11 +121,11 @@ def attempts(monkeypatch):
                          ids=["barrier", "pipelined"])
 def test_one_helper_thread_breaks_the_wait_chain(helper_threads, taken,
                                                  attempts, grid, pipeline):
-    """Four fetches queue on one helper thread; each served segment
-    frees a window slot whose back stage queues behind the fetches
-    still waiting.  A handler that waited for such a stage would wedge
-    the fetch holding the thread until its deadline: a retry, and past
-    the retry budget a failed reduce attempt."""
+    """Back stages queue on one helper thread while the reducer
+    fetches on its own; each served segment frees a window slot whose
+    stage queues behind the rest.  No fetch runs on the pool, so no
+    handler's wait can wedge one: no retry, one attempt per segment,
+    and the bytes of a run with no pool."""
     job = build_job(grid)
     helper_threads(1)
     pooled = run_serial(job, grid, network(pipeline))
@@ -163,8 +162,7 @@ def test_consecutive_jobs_start_no_helper_thread_after_the_first(
         monkeypatch, helper_threads, started, grid):
     monkeypatch.setattr(helpers, "ThreadPoolExecutor", RecordingPool)
     helper_threads(2)
-    # A fastpred spill, wire staging and a barrier fetch at
-    # concurrency 4: all three callers, every job.
+    # A fastpred spill and wire staging: both callers, every job.
     job = build_job(grid, codec=WIRE)
     per_job = []
     first = None

@@ -2,8 +2,8 @@
 
 Four layers of the memory model are pinned here:
 
-* :class:`MemoryBudget` itself -- charge modes (try / wait / enforce /
-  force), grant-when-alone, per-owner quotas, the fault hooks the
+* :class:`MemoryBudget` itself -- charge modes (try / enforce / force),
+  grant-when-alone, per-owner quotas, the fault hooks the
   ``oom`` injector arms, and the no-leak guarantee of ``rent()``;
 * the spill boundary -- the scalar (``record_path``) and columnar map
   paths must flush at exactly the same record when the running byte
@@ -14,17 +14,19 @@ Four layers of the memory model are pinned here:
 * the degrade-on-retry ladder -- an injected OOM at any ledger site
   produces byte-identical output and *fully* counter-identical results
   between the serial and parallel runners;
+* one fetch in flight -- a reducer whose segments sum past a sticky
+  ``fetch`` kill threshold, each one below it, completes on the
+  baseline bytes whatever the helper pool's size;
 * a real ``RLIMIT_AS`` on forked workers (the ``rlimit`` marker,
   Linux-only) turning an otherwise-satisfiable allocation into a
   genuine kernel refusal the ladder must absorb.
 """
 
 import sys
-import threading
-import time
 
 import pytest
 
+from repro.experiments.matrix import build_query_job
 from repro.mapreduce.columnar import PartitionBuffer
 from repro.mapreduce.engine import LocalJobRunner, run_map_task
 from repro.mapreduce.metrics import C
@@ -84,24 +86,6 @@ class TestMemoryBudget:
         # degrade ladder has exactly one except clause for both the
         # simulated and the genuine article.
         assert issubclass(MemoryBudgetExceeded, MemoryError)
-
-    def test_wait_backpressure(self):
-        budget = MemoryBudget(100)
-        budget.charge(80, site="fetch")
-        done = threading.Event()
-
-        def waiter():
-            budget.charge(40, site="fetch", wait=True)
-            done.set()
-
-        thread = threading.Thread(target=waiter, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        assert not done.is_set()  # parked: 80 + 40 > 100
-        budget.release(80, site="fetch")
-        assert done.wait(2.0)
-        thread.join(2.0)
-        assert budget.backpressure_waits >= 1
 
     def test_rent_releases_on_error(self):
         budget = MemoryBudget(1000)
@@ -228,8 +212,7 @@ def run_pair(grid, shuffle, plan, **overrides):
 
 
 class TestDegradeLadder:
-    SHUFFLE = ShuffleConfig(memory_budget=1 << 20, max_inflight_bytes=4096,
-                            max_memory_retries=2)
+    SHUFFLE = ShuffleConfig(memory_budget=1 << 20, max_memory_retries=2)
 
     @pytest.mark.parametrize("site,task", [
         ("sort", "m00001"), ("fetch", "r00000"), ("merge", "r00001"),
@@ -281,6 +264,49 @@ class TestDegradeLadder:
         assert 0 < stats["peak_bytes"] <= 1 << 20
         assert stats["oom_events"] == 0
         assert result.counters[C.MEMORY_OOM_EVENTS] == 0
+
+
+# ------------------------------------------------------ one fetch in flight
+
+
+#: counters a faulted, budgeted run may move against the plain baseline
+#: (they measure the fetches, not the data)
+_FETCH_VOLATILE = frozenset({
+    C.SHUFFLE_FETCHES, C.SHUFFLE_RETRIES, C.SHUFFLE_FAILED_FETCHES,
+    C.SHUFFLE_BYTES_TRANSFERRED, C.MEMORY_OOM_EVENTS,
+    C.MEMORY_DEGRADED_ATTEMPTS,
+})
+
+
+def _stable(counters):
+    return {k: v for k, v in counters.as_dict().items()
+            if k not in _FETCH_VOLATILE}
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_one_fetch_in_flight_stays_under_a_fetch_kill(helper_threads,
+                                                      threads):
+    """R7's ``fetch-one-in-flight`` job: ``r00000``'s four segments
+    sum past the sticky 4200-byte ``fetch`` kill, each one is below it.
+    A reducer holds one segment in transfer at a time, so the kill never
+    fires, with no helper pool (one CPU) or with two helper threads."""
+    grid = integer_grid((32, 32), seed=13)
+    job = build_query_job(grid, "subset-plain", 32, 4, 2,
+                          sort_buffer_bytes=2048)
+    baseline = LocalJobRunner().run(job, grid)
+    helper_threads(threads)
+    shuffle = ShuffleConfig(memory_budget=1 << 20, fetch_retries=2,
+                            fetch_timeout=2.0, backoff=0.005,
+                            backoff_max=0.02)
+    result = LocalJobRunner(
+        shuffle=shuffle,
+        fault_injector=FaultInjector().oom("r00000", site="fetch",
+                                           op="kill", nbytes=4200,
+                                           sticky=True),
+    ).run(job, grid)
+    assert result.output == baseline.output
+    assert _stable(result.counters) == _stable(baseline.counters)
+    assert result.counters[C.MEMORY_OOM_EVENTS] == 0
 
 
 # ----------------------------------------------------------- real RLIMIT_AS

@@ -8,17 +8,16 @@ Pinned here:
   environment variables, with malformed values surfacing as
   :class:`ConfigError` naming the variable;
 * ``ShuffleFetcher.fetch_all`` returns blobs in **input order** no
-  matter the segment sizes, fetch concurrency, or completion order --
-  the property every merge (and therefore every output byte) rests on;
+  matter the segment sizes or the (selecting nothing) ``concurrency``
+  -- the property every merge (and therefore every output byte) rests
+  on;
 * the commit log is a crash-safe completion-event stream: atomic
   publish, stat-signature re-reads, epoch bumps visible to a polling
   reader, torn/missing records tolerated;
 * a producer re-executed *after* a pipelined reducer already consumed
   it (the mid-pipeline STALE_EPOCH) is discarded and re-fetched at the
   bumped epoch, and the reduce output is byte-identical to the barrier
-  path over the same final segments;
-* a fetch byte window smaller than any segment cannot wedge a
-  pipelined reducer: grant-when-alone admits one fetch at a time.
+  path over the same final segments.
 """
 
 import dataclasses
@@ -36,7 +35,6 @@ from repro.mapreduce.engine import run_map_task, run_reduce_task
 from repro.mapreduce.ifile import IFileWriter
 from repro.mapreduce.metrics import C, Counters
 from repro.mapreduce.runtime.pipeline import (
-    STARVED_NAME,
     CommitLog,
     CommitRecord,
     PipelinePlan,
@@ -290,59 +288,3 @@ class TestStaleEpochMidPipeline:
         # ...but shuffle bytes are charged once, from the final set.
         assert (result.counters[C.SHUFFLE_BYTES]
                 == expected.counters[C.SHUFFLE_BYTES])
-
-
-class TestTinyWindowLiveness:
-    """A fetch byte window smaller than any one segment: grant-when-alone
-    must still admit each fetch in turn, across poll rounds."""
-
-    def test_completes_with_barrier_output_and_counters(self, tmp_path):
-        grid = integer_grid((12, 12), seed=29, low=0, high=100)
-        job = make_job(num_map_tasks=4, num_reducers=1)
-        outs = []
-        for split in ArraySplitter(job.num_map_tasks).split(grid):
-            workdir = str(tmp_path / f"m{split.split_id:05d}")
-            os.makedirs(workdir)
-            outs.append(run_map_task(job, split, grid, workdir))
-        shuffle = ShuffleConfig(max_inflight_bytes=1)
-        assert all(o.segments[0][1].materialized_bytes > 1 for o in outs)
-
-        barrier_dir = str(tmp_path / "barrier")
-        os.makedirs(barrier_dir)
-        expected = run_reduce_task(
-            job, 0, [SegmentRef.from_pair(o.segments[0]) for o in outs],
-            barrier_dir)
-
-        log = CommitLog(str(tmp_path / "commits"))
-        for out in outs[:2]:
-            log.commit(CommitRecord(map_id=out.task_id, epoch=0,
-                                    segments=out.segments))
-        plan = PipelinePlan(commit_dir=log.directory,
-                            map_ids=tuple(o.task_id for o in outs),
-                            poll_interval=0.01)
-        reduce_dir = tmp_path / "pipelined"
-        reduce_dir.mkdir()
-
-        def feed():
-            # the second round lands once the first is consumed
-            deadline = time.monotonic() + 30
-            while not (reduce_dir / STARVED_NAME).exists():
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            for out in outs[2:]:
-                log.commit(CommitRecord(map_id=out.task_id, epoch=0,
-                                        segments=out.segments))
-
-        feeder = threading.Thread(target=feed)
-        feeder.start()
-        try:
-            result = run_reduce_task(job, 0, plan, str(reduce_dir),
-                                     shuffle=shuffle)
-        finally:
-            feeder.join(timeout=30)
-        assert not feeder.is_alive()
-
-        assert result.output == expected.output
-        assert result.counters == expected.counters
-        assert result.pipeline["overlapped_fetches"] >= 2
-        assert result.pipeline["refetches"] == 0

@@ -7,6 +7,7 @@ queued and running jobs, and a second service over the same root
 rebuilds queue + ledger from the registry alone.
 """
 
+import os
 import threading
 import time
 
@@ -26,7 +27,12 @@ from repro.mapreduce.runtime.service.http import (
     ServiceEndpoint,
     ServiceUnavailableError,
 )
-from repro.mapreduce.runtime.service.registry import JobRecord
+from repro.mapreduce.runtime.service.registry import (
+    SPEC_NAME,
+    JobRecord,
+    _envelope,
+)
+from repro.util.fsio import atomic_write_bytes
 
 
 def _spec(**overrides) -> JobSpec:
@@ -399,14 +405,30 @@ class TestMemoryAdmission:
             == reply["predicted_memory_bytes"]
 
     def test_spec_memory_knobs_round_trip(self):
-        spec = _spec(memory_budget=1 << 20, max_inflight_bytes=4096)
+        spec = _spec(memory_budget=1 << 20)
         again = JobSpec.from_json(spec.to_json())
         assert again.memory_budget == 1 << 20
-        assert again.max_inflight_bytes == 4096
         with pytest.raises(ValueError):
             _spec(memory_budget=255)
-        with pytest.raises(ValueError):
-            _spec(max_inflight_bytes=0)
+
+    def test_spec_with_a_fetch_window_still_recovers(self, tmp_path):
+        """A spec written when jobs could carry a fetch byte window
+        (``max_inflight_bytes``, now gone: a reducer has one fetch in
+        flight) still loads, and a daemon restarted over it recovers
+        the job."""
+        spec = _spec(memory_budget=1 << 20)
+        first = JobService(_config(tmp_path))  # executors never started
+        reply = first.submit(spec)
+        record = first.registry.get(reply["job_id"])
+        old = {**spec.to_json(), "max_inflight_bytes": 4096}
+        atomic_write_bytes(os.path.join(record.dir, SPEC_NAME),
+                           _envelope(old))
+        assert JobSpec.from_json(old) == spec
+        assert record.load_spec() == spec
+        second = JobService(_config(tmp_path))
+        assert second.recover() == 1
+        assert second.stats()["outstanding_memory_bytes"] \
+            == reply["predicted_memory_bytes"]
 
 
 class TestEventsSince:

@@ -179,8 +179,7 @@ class TestSegmentRef:
 _CONFIG_ENV_VARS = ("REPRO_TRANSPORT", "REPRO_FETCH_RETRIES",
                     "REPRO_FETCH_TIMEOUT", "REPRO_WIRE_CODEC",
                     "REPRO_SHUFFLE_PORT_BASE", "REPRO_PIPELINE",
-                    "REPRO_STARVATION_THRESHOLD",
-                    "REPRO_MAX_INFLIGHT_BYTES", "REPRO_MEMORY_BUDGET",
+                    "REPRO_STARVATION_THRESHOLD", "REPRO_MEMORY_BUDGET",
                     "REPRO_MAX_MEMORY_RETRIES")
 
 
@@ -223,11 +222,9 @@ class TestShuffleConfig:
     def test_from_env_memory_round_trip(self, monkeypatch):
         for name in _CONFIG_ENV_VARS:
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("REPRO_MAX_INFLIGHT_BYTES", "65536")
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1048576")
         monkeypatch.setenv("REPRO_MAX_MEMORY_RETRIES", "3")
         config = shuffle_config_from_env()
-        assert config.max_inflight_bytes == 65536
         assert config.memory_budget == 1048576
         assert config.max_memory_retries == 3
 
@@ -254,7 +251,6 @@ class TestShuffleConfig:
         ("REPRO_FETCH_RETRIES", "-2"),
         ("REPRO_FETCH_TIMEOUT", "0"),
         ("REPRO_SHUFFLE_PORT_BASE", "80"),   # below the unprivileged range
-        ("REPRO_MAX_INFLIGHT_BYTES", "0"),   # window must admit a byte
         ("REPRO_MEMORY_BUDGET", "255"),      # below one IFile block
         ("REPRO_MAX_MEMORY_RETRIES", "0"),   # ladder needs one rung
         ("REPRO_MAX_MEMORY_RETRIES", "2.5"),

@@ -273,7 +273,7 @@ def test_resume_with_recovery_dir(clean_env, tmp_path):
 
 def test_registry_is_consistent():
     names = [s.name for s in SETTINGS]
-    assert len(names) == len(set(names)) == 44
+    assert len(names) == len(set(names)) == 43
     for s in SETTINGS:
         assert s.kind in ("int", "float", "bool", "choice", "path", "text")
         assert (s.low is None) != (s.above is None) or \
