@@ -11,19 +11,30 @@ That inversion is this module.
 
 :class:`WorkerPool` tracks two budgets under one lock:
 
-* a **global slot count** (``max_workers``) -- the hard bound on live
-  worker processes across every concurrently running job; and
+* a **global slot count** (``max_workers``) -- the hard bound on
+  attempts in flight across every concurrently running job; and
 * **per-tenant quotas** -- a tenant may be capped below the global
   bound, so one tenant's wide job cannot starve the rest of the pool
   even when slots are free (the service sets quotas from its config).
 
 A scheduler asks for a :class:`PoolLease` (tagged with its tenant) and
-then *spawns through the lease*: every successful spawn charges one
-global slot and one tenant slot; every release returns both.  The pool
-also keeps the multiprocessing context (fork server, start-method
-choice) alive across jobs -- the "warm" half of the warm pool: job N+1
-forks from the same parent image job N did, with no per-job runtime
-setup or teardown.
+then *spawns attempts through the lease*: every successful spawn charges
+one global slot and one tenant slot; every release returns both.  The
+pool also keeps the multiprocessing context (start-method choice) alive
+across jobs.
+
+**Workers outlive attempts.**  A lease keeps the worker processes it
+forked (Hadoop's ``mapred.job.reuse.jvm.num.tasks``).  An attempt runs
+on an idle worker of the lease, and a new worker is forked only when
+none is idle, so a job forks at most as many workers as it runs
+attempts at once.  A worker inherits, at fork, the objects the spawn
+names as ``inherit`` (the job and the dataset); each attempt's target
+and arguments then reach it over a pipe, with those inherited objects
+passed by reference rather than pickled.  It reports completion on the
+pipe (:mod:`~repro.mapreduce.runtime.worker` sets up its signals and
+allocator).  An attempt that is killed or exits takes its worker with
+it.  An idle worker holds no slot; :meth:`PoolLease.shutdown` stops and
+reaps every worker, and a worker whose runner dies exits by itself.
 
 A scheduler constructed *without* a pool builds a private single-tenant
 one, so standalone ``repro run`` behaves exactly as before -- the
@@ -32,14 +43,18 @@ refactor changes ownership, not behavior.
 
 from __future__ import annotations
 
+import io
 import multiprocessing
+import multiprocessing.connection
 import os
+import pickle
 import threading
 from typing import Any
 
 from repro.mapreduce.runtime.memory import MemoryBudget
+from repro.mapreduce.runtime.worker import prepare_process
 
-__all__ = ["PoolSaturatedError", "WorkerPool", "PoolLease"]
+__all__ = ["PoolSaturatedError", "WorkerPool", "PoolLease", "AttemptHandle"]
 
 
 class PoolSaturatedError(RuntimeError):
@@ -52,13 +67,13 @@ class PoolSaturatedError(RuntimeError):
 
 
 class WorkerPool:
-    """Bounded, tenant-aware factory for worker processes.
+    """Bounded, tenant-aware slots for task attempts.
 
     Thread-safe: the service's concurrent job executors all spawn
-    through the same pool.  ``max_workers`` bounds live processes
+    through the same pool.  ``max_workers`` bounds attempts in flight
     globally; :meth:`set_quota` bounds one tenant's share.  The pool
     never *queues* spawn requests -- capacity checks are the caller's
-    poll loop's job -- it only accounts and forks.
+    poll loop's job -- it only accounts; leases fork.
     """
 
     def __init__(self, max_workers: int | None = None,
@@ -84,7 +99,7 @@ class WorkerPool:
     # -------------------------------------------------------------- config
 
     def set_quota(self, tenant: str, max_tasks: int) -> None:
-        """Cap ``tenant`` at ``max_tasks`` concurrent worker processes."""
+        """Cap ``tenant`` at ``max_tasks`` attempts in flight."""
         if max_tasks < 1:
             raise ValueError(f"quota must be >= 1, got {max_tasks}")
         with self._lock:
@@ -135,12 +150,12 @@ class WorkerPool:
     # --------------------------------------------------------------- queries
 
     def running(self) -> int:
-        """Live worker processes across every lease."""
+        """Attempts in flight across every lease."""
         with self._lock:
             return self._running
 
     def running_for(self, tenant: str) -> int:
-        """Live worker processes charged to one tenant."""
+        """Attempts in flight charged to one tenant."""
         with self._lock:
             return self._tenant_running.get(tenant, 0)
 
@@ -157,14 +172,162 @@ class WorkerPool:
         return out
 
 
+class _Worker:
+    """A lease's worker process and the parent's end of its pipe."""
+
+    __slots__ = ("process", "conn", "inherit", "refs")
+
+    def __init__(self, context: Any, inherit: tuple) -> None:
+        parent_end, child_end = context.Pipe()
+        self.process = context.Process(target=_serve,
+                                       args=(child_end, inherit),
+                                       daemon=True)
+        self.process.start()
+        child_end.close()
+        self.conn = parent_end
+        #: held, so no later object can take an inherited one's ``id``
+        self.inherit = inherit
+        #: ``id`` of each inherited object -> its index in ``inherit``
+        self.refs = {id(obj): i for i, obj in enumerate(inherit)
+                     if obj is not None}
+
+    def covers(self, inherit: tuple) -> bool:
+        """Whether every object ``inherit`` names was inherited here."""
+        return all(obj is None or id(obj) in self.refs for obj in inherit)
+
+    def submit(self, target: Any, args: tuple) -> None:
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: self.refs.get(id(obj))
+        pickler.dump((target, args))
+        self.conn.send_bytes(buf.getvalue())
+
+
+def _serve(conn: Any, inherit: tuple) -> None:
+    """A worker's process target: run attempts until told to stop.
+
+    An empty message stops the worker.  So does its runner's death:
+    every worker forked after this one holds a copy of the runner's
+    end of this pipe, so EOF alone would not say the runner is gone.
+    """
+    prepare_process()
+    watched = [conn, multiprocessing.parent_process().sentinel]
+    while True:
+        if conn not in multiprocessing.connection.wait(watched):
+            return  # the runner died
+        try:
+            message = conn.recv_bytes()
+        except EOFError:
+            return
+        if not message:
+            return
+        unpickler = pickle.Unpickler(io.BytesIO(message))
+        unpickler.persistent_load = inherit.__getitem__
+        target, args = unpickler.load()
+        del message, unpickler
+        target(*args)
+        del target, args  # an idle worker holds no attempt's arguments
+        conn.send_bytes(b"done")
+
+
+class AttemptHandle:
+    """One attempt on a leased worker, shaped like the
+    :class:`multiprocessing.Process` the scheduler used to poll:
+    ``sentinel``, ``is_alive``, ``join``, ``exitcode``, ``terminate``
+    and ``kill``.
+
+    The attempt ends when its worker reports completion (exit code 0;
+    the worker goes back to the lease) or when the worker dies.
+    ``terminate`` and ``kill`` act on the worker while the attempt still
+    owns it, and that worker is never reused.
+    """
+
+    def __init__(self, lease: "PoolLease", worker: _Worker) -> None:
+        self._lease = lease
+        self._worker: _Worker | None = worker
+        self._process = worker.process
+        self._lost = False
+
+    @property
+    def pid(self) -> int | None:
+        return self._process.pid
+
+    @property
+    def sentinel(self) -> Any:
+        """Ready when the attempt may have ended."""
+        if self._worker is not None:
+            return self._worker.conn
+        return self._process.sentinel
+
+    @property
+    def exitcode(self) -> int | None:
+        if self._lost:
+            return self._process.exitcode
+        return None if self._worker is not None else 0
+
+    def _settle(self) -> None:
+        """Notice a completion report or the worker's death."""
+        worker = self._worker
+        if worker is None:
+            return
+        try:
+            if worker.conn.poll():
+                worker.conn.recv_bytes()
+                self._worker = None
+                self._lease._idle.append(worker)
+                return
+        except (EOFError, OSError):
+            pass
+        else:
+            if self._process.is_alive():
+                return
+        self._lose()
+
+    def _lose(self) -> None:
+        """The worker died, or is being killed, mid-attempt: it stays
+        with the lease only to be reaped."""
+        self._worker.conn.close()
+        self._worker = None
+        self._lost = True
+
+    def is_alive(self) -> bool:
+        self._settle()
+        if self._lost:
+            return self._process.is_alive()
+        return self._worker is not None
+
+    def join(self, timeout: float | None = None) -> None:
+        worker = self._worker
+        if worker is not None:
+            multiprocessing.connection.wait(
+                [worker.conn, self._process.sentinel], timeout)
+            self._settle()
+        if self._lost:
+            self._process.join(timeout)
+
+    def terminate(self) -> None:
+        if self._worker is not None:
+            self._lose()
+        if self._lost:
+            self._process.terminate()
+
+    def kill(self) -> None:
+        if self._worker is not None:
+            self._lose()
+        if self._lost:
+            self._process.kill()
+
+
 class PoolLease:
-    """One scheduler's borrowing handle on a shared :class:`WorkerPool`.
+    """One scheduler's borrowing handle on a shared :class:`WorkerPool`,
+    and the owner of that scheduler's worker processes.
 
     Every :meth:`spawn` charges a slot; the matching :meth:`release`
-    must follow when the process is reaped or killed.  The lease keeps
+    must follow when the attempt is reaped or killed.  The lease keeps
     its own outstanding count so :meth:`close` can return slots leaked
     by an error path -- a crashed scheduler must never permanently
-    shrink the daemon's pool.
+    shrink the daemon's pool.  :meth:`shutdown` also stops and reaps
+    the workers.  A lease is driven by one thread.
     """
 
     def __init__(self, pool: WorkerPool, tenant: str) -> None:
@@ -172,31 +335,78 @@ class PoolLease:
         self.tenant = tenant
         self._lock = threading.Lock()
         self._outstanding = 0
+        #: every worker not yet reaped, and the idle ones among them
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
 
     def available(self) -> int:
         """Slots a spawn could take right now (global AND tenant caps)."""
         return self.pool._available(self.tenant)
 
     def spawn(self, target: Any, args: tuple, *,
-              daemon: bool = True) -> Any:
-        """Fork-and-start one worker process inside a charged slot."""
+              inherit: tuple = ()) -> AttemptHandle:
+        """Run ``target(*args)`` on an idle worker, or on a new one
+        forked when none is idle, inside a charged slot.
+
+        A worker forked here inherits ``inherit``; an idle worker is
+        used only if it inherited those same objects (an idle worker
+        that did not is stopped, so the lease never holds more workers
+        than it has run attempts at once).
+        """
         if not self.pool._acquire(self.tenant):
             raise PoolSaturatedError(
                 f"no worker slot free for tenant {self.tenant!r} "
                 f"({self.pool.stats()})")
         try:
-            process = self.pool.context.Process(
-                target=target, args=args, daemon=daemon)
-            process.start()
+            worker = self._start(target, args, inherit)
         except BaseException:
             self.pool._release(self.tenant)
             raise
         with self._lock:
             self._outstanding += 1
-        return process
+        return AttemptHandle(self, worker)
+
+    def _start(self, target: Any, args: tuple, inherit: tuple) -> _Worker:
+        while self._idle:
+            worker = self._idle.pop()
+            if worker.covers(inherit):
+                try:
+                    worker.submit(target, args)
+                    return worker
+                except OSError:  # it died since it reported
+                    pass
+                except BaseException:  # the arguments did not pickle
+                    self._idle.append(worker)
+                    raise
+            self._stop(worker)
+        self._workers = [w for w in self._workers
+                         if w.process.exitcode is None]
+        worker = _Worker(self.pool.context, inherit)
+        self._workers.append(worker)
+        try:
+            worker.submit(target, args)
+        except BaseException:
+            self._stop(worker)
+            raise
+        return worker
+
+    def _stop(self, worker: _Worker) -> None:
+        """Stop and reap one worker that runs no attempt (or was
+        killed)."""
+        try:
+            worker.conn.send_bytes(b"")
+        except OSError:
+            pass
+        worker.process.join(timeout=5)
+        if worker.process.is_alive():  # pragma: no cover - wedged
+            worker.process.kill()
+            worker.process.join()
+        worker.conn.close()
+        if worker in self._workers:
+            self._workers.remove(worker)
 
     def release(self) -> None:
-        """Return one slot (the process was reaped or killed)."""
+        """Return one slot (the attempt was reaped or killed)."""
         with self._lock:
             if self._outstanding <= 0:
                 return  # already balanced; never double-credit the pool
@@ -211,3 +421,16 @@ class PoolLease:
                     return
                 self._outstanding -= 1
             self.pool._release(self.tenant)
+
+    def shutdown(self) -> None:
+        """Stop and reap every worker, then return every slot.
+
+        Idle workers are told to stop; a worker still running an
+        attempt is killed.
+        """
+        for worker in list(self._workers):
+            if worker not in self._idle:
+                worker.process.kill()
+            self._stop(worker)
+        self._idle = []
+        self.close()

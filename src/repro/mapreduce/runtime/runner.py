@@ -251,6 +251,7 @@ class ParallelJobRunner:
                                      monitor)
             completed = True
         finally:
+            scheduler.close()
             # A failed recovery run keeps its directory: the manifest and
             # checkpoints *are* the resume state.  A completed one is
             # emptied (the caller-supplied directory itself survives,

@@ -3,7 +3,11 @@ attempt deadlines, heartbeat monitoring, and checkpoint adoption.
 
 The scheduler executes one *wave* of independent tasks (all maps, then
 all reduces -- the shuffle barrier between them is the job DAG) on a
-bounded pool of worker processes.  It owns the whole robustness story:
+bounded pool of worker processes, which the scheduler's lease keeps
+for the whole job: an attempt runs on an idle worker, and a worker is
+forked only when none is idle (see :mod:`~repro.mapreduce.runtime.pool`).
+:meth:`TaskScheduler.close` stops them.  It owns the whole robustness
+story:
 
 * **Retry with backoff** -- an attempt that dies (no result file) or
   returns an error is re-queued with exponential backoff, up to
@@ -136,7 +140,8 @@ class JobCancelledError(RuntimeError):
 
 
 class _Attempt:
-    """Book-keeping for one in-flight worker process."""
+    """Book-keeping for one in-flight attempt; ``process`` is its
+    :class:`~repro.mapreduce.runtime.pool.AttemptHandle`."""
 
     __slots__ = ("spec", "number", "process", "dir", "result_path",
                  "heartbeat_path", "started", "speculative", "host")
@@ -156,8 +161,8 @@ class _Attempt:
 
 
 def _kill_process(process, grace: float = 0.5) -> None:
-    """Terminate a worker, escalating to SIGKILL for stubborn or
-    stopped processes (SIGTERM never reaches a SIGSTOPped worker)."""
+    """Terminate an attempt's worker, escalating to SIGKILL for stopped
+    processes (SIGTERM never reaches a SIGSTOPped worker)."""
     process.terminate()
     process.join(timeout=grace)
     if process.is_alive():
@@ -209,7 +214,8 @@ class TaskScheduler:
         disables.  Breach raises :class:`WaveDeadlineError`.
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheap, no pickling of job/dataset on launch).  Only
+        available (a worker inherits the job and dataset; other methods
+        pickle them once per worker).  Only
         consulted when the scheduler builds its own private pool --
         a borrowed ``pool`` brings its own context.
     pool / tenant:
@@ -339,6 +345,10 @@ class TaskScheduler:
         self.tenant = tenant
         self.cancel_event = cancel_event
         self._lease = pool.lease(tenant)
+
+    def close(self) -> None:
+        """Stop and reap this scheduler's worker processes."""
+        self._lease.shutdown()
 
     # ------------------------------------------------------------------ wave
 
@@ -477,6 +487,7 @@ class TaskScheduler:
                      # suffered; the attempt body halves its memory
                      # knobs once per level.
                      oom_requeues[spec.task_id]),
+                    inherit=(job, dataset),
                 )
             except PoolSaturatedError:
                 # Lost the race for the last shared slot to a concurrent

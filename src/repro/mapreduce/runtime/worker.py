@@ -1,5 +1,9 @@
 """What runs inside one task worker process.
 
+A worker process runs many attempts of one job, one at a time (see
+:mod:`~repro.mapreduce.runtime.pool`); :func:`prepare_process` sets it
+up once, right after fork, and :func:`worker_entry` is one attempt.
+
 The worker executes exactly the attempt body the serial runner calls
 inline (:func:`repro.mapreduce.runtime.attempt.run_attempt`) inside its
 own attempt directory, then hands the pickled result -- the ok-record,
@@ -11,7 +15,7 @@ result, which is the retry signal; :func:`load_result` additionally
 treats a torn or truncated pickle as "no result" rather than crashing
 the scheduler.
 
-While the task runs, a daemon **heartbeat thread** touches
+While the attempt runs, a daemon **heartbeat thread** touches
 ``<attempt_dir>/_heartbeat`` every ``heartbeat_interval`` seconds.  The
 scheduler uses the file's mtime to detect a worker that is *alive but
 wedged* (e.g. stopped by the kernel, or stuck in uninterruptible I/O):
@@ -21,11 +25,28 @@ attempt is killed and retried.
 Process-shaped faults from a :class:`~repro.mapreduce.runtime.fault.
 FaultInjector` (``kill`` / ``crash`` / ``hang`` / ``stall``) are applied
 *only* here, in the child process, so an injected ``kill`` can never
-take down the scheduler.
+take down the scheduler.  A ``kill``, ``hang`` or ``stall`` takes the
+worker with it (the scheduler kills what it cannot wait for), and the
+next launch forks a replacement.
+
+**Signals.**  A worker is forked from a runner that routes SIGTERM and
+SIGINT to its cancel event.  The worker restores SIGTERM's default, so
+the scheduler's ``terminate`` kills it at once, and ignores SIGINT: a
+Ctrl-C reaches the whole process group, and cancelling is the runner's
+job.
+
+**Allocator.**  A worker runs attempt after attempt, so the heap one
+attempt frees should serve the next without being faulted in again.
+glibc returns freed memory to the kernel eagerly -- large blocks are
+``mmap``-ed and unmapped on free, and the heap top is trimmed past
+128 KiB -- so :func:`prepare_process` raises both thresholds through
+``mallopt`` (:data:`MMAP_THRESHOLD_BYTES`, :data:`TRIM_THRESHOLD_BYTES`);
+elsewhere it skips the step.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
@@ -38,10 +59,40 @@ from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.hosts import provision_failover_workdir
 from repro.util.fsio import fsync_file, replace_durably
 
-__all__ = ["worker_entry", "load_result", "HEARTBEAT_NAME"]
+__all__ = ["worker_entry", "load_result", "prepare_process",
+           "HEARTBEAT_NAME", "MMAP_THRESHOLD_BYTES", "TRIM_THRESHOLD_BYTES"]
 
 #: heartbeat filename inside an attempt directory
 HEARTBEAT_NAME = "_heartbeat"
+
+#: a worker's ``M_MMAP_THRESHOLD``: smaller blocks come from the heap,
+#: which a later attempt reuses
+MMAP_THRESHOLD_BYTES = 4 << 20
+#: a worker's ``M_TRIM_THRESHOLD``: free heap top it keeps mapped
+TRIM_THRESHOLD_BYTES = 32 << 20
+#: ``mallopt`` parameter numbers (glibc ``<malloc.h>``)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _tune_allocator() -> None:
+    """Keep freed heap for the next attempt (glibc only)."""
+    try:
+        os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return  # not glibc
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
+def prepare_process() -> None:
+    """Set up a freshly forked worker: signal dispositions, allocator."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _tune_allocator()
 
 
 def _apply_rlimit(rlimit_bytes: int | None) -> None:
@@ -67,8 +118,9 @@ def _apply_rlimit(rlimit_bytes: int | None) -> None:
         pass
 
 
-def _start_heartbeat(attempt_dir: str, interval: float) -> None:
-    """Touch the attempt's heartbeat file on a cadence, forever.
+def _start_heartbeat(attempt_dir: str, interval: float) -> threading.Event:
+    """Touch the attempt's heartbeat file on a cadence until the
+    returned event is set.
 
     Runs as a daemon thread so it dies with the process; any OSError
     (e.g. the scheduler already deleted the attempt directory while
@@ -76,17 +128,19 @@ def _start_heartbeat(attempt_dir: str, interval: float) -> None:
     *signal*, never an error.
     """
     path = os.path.join(attempt_dir, HEARTBEAT_NAME)
+    done = threading.Event()
 
     def beat() -> None:
-        while True:
+        while not done.is_set():
             try:
                 with open(path, "a"):
                     os.utime(path)
             except OSError:
                 return
-            time.sleep(interval)
+            done.wait(interval)
 
     threading.Thread(target=beat, daemon=True, name="heartbeat").start()
+    return done
 
 
 def _write_result(result_path: str, result: dict[str, Any]) -> None:
@@ -156,7 +210,8 @@ def worker_entry(
     rlimit_bytes: int | None = None,
     degrade: int = 0,
 ) -> None:
-    """Process target: run one task attempt and persist its result.
+    """One attempt on a worker: run the task attempt and persist its
+    result.
 
     Heartbeat + rlimit + :func:`~repro.mapreduce.runtime.attempt.
     run_attempt` + a durable result write; ``payload``, ``fault``,
@@ -168,7 +223,7 @@ def worker_entry(
     body then runs in a spare workdir (the attempt directory keeps its
     heartbeat and result file -- only spills and segments fail over).
     """
-    _start_heartbeat(attempt_dir, heartbeat_interval)
+    heartbeat = _start_heartbeat(attempt_dir, heartbeat_interval)
     _apply_rlimit(rlimit_bytes)
 
     def oom_killed(exc: MemoryError) -> None:
@@ -196,3 +251,5 @@ def worker_entry(
         record = classify(exc, job)
         record["message"] = f"failed to serialize task result: {exc}"
         _write_result(result_path, record)
+    finally:
+        heartbeat.set()

@@ -388,6 +388,26 @@ class TestPoolingAndServers:
             transport.close()
             assert transport._pool == {}
 
+    def test_verbatim_fetches_on_a_pooled_connection_do_not_wait(
+            self, tmp_path):
+        # A verbatim body smaller than one TCP segment, written after
+        # its header, must not sit in Nagle's buffer until the client's
+        # delayed ACK of the header (≈40 ms per fetch on Linux).
+        path, stats = write_segment(tmp_path, records=340)
+        assert 3000 < os.path.getsize(path) < 6000
+        config = net_config()
+        with ShuffleService.from_config(config) as service:
+            service.register_map_output("m00000", [path])
+            transport = NetworkTransport(config)
+            ref = make_ref(service, path, stats)
+            started = time.perf_counter()
+            for _ in range(6):
+                transport.fetch(ref, 0, Deadline(None))
+            elapsed = time.perf_counter() - started
+            assert len(transport._pool) == 1  # one connection throughout
+            transport.close()
+        assert elapsed < 0.1
+
     def test_port_base_pins_server_ports(self, tmp_path, segment):
         path, stats = segment
         config = net_config(port_base=29750, num_servers=2)

@@ -4,9 +4,15 @@ The pool-ownership inversion only works if the accounting is airtight:
 slots charged on spawn, returned exactly once on release, per-tenant
 quotas enforced under the global bound, and error paths unable to leak
 or mint capacity.  These tests pin that ledger, plus the scheduler's
-standalone fallback (no pool given -> private pool, old behavior).
+standalone fallback (no pool given -> private pool, old behavior), and
+the lease's workers: an idle one runs the next attempt, a killed
+attempt takes its worker, ``shutdown`` reaps them all, and SIGTERM
+kills a worker forked under a runner's signal handlers.
 """
 
+import multiprocessing
+import os
+import signal
 import time
 
 import pytest
@@ -26,6 +32,11 @@ def _noop():
     pass
 
 
+def _mark_then_sleep(path):
+    open(path, "w").close()
+    time.sleep(60)
+
+
 def test_available_respects_global_bound():
     pool = WorkerPool(max_workers=2)
     lease = pool.lease("a")
@@ -43,7 +54,7 @@ def test_available_respects_global_bound():
         for p in (p1, p2):
             p.terminate()
             p.join()
-        lease.close()
+        lease.shutdown()
     assert pool.running() == 0
 
 
@@ -62,7 +73,7 @@ def test_tenant_quota_caps_below_global():
     finally:
         p1.terminate()
         p1.join()
-        small.close()
+        small.shutdown()
     assert pool.running_for("small") == 0
 
 
@@ -71,12 +82,14 @@ def test_release_is_idempotent_per_spawn():
     lease = pool.lease("t")
     p = lease.spawn(_noop, ())
     p.join()
+    assert p.exitcode == 0
     lease.release()
     # Extra releases must not mint phantom capacity.
     lease.release()
     lease.release()
     assert pool.running() == 0
     assert lease.available() == 2
+    lease.shutdown()
 
 
 def test_close_sweeps_leaked_slots():
@@ -90,6 +103,70 @@ def test_close_sweeps_leaked_slots():
     assert pool.running() == 0
     lease.close()  # second sweep is a no-op
     assert pool.running() == 0
+    pids = {p.pid for p in procs}
+    lease.shutdown()
+    assert not pids & {c.pid for c in multiprocessing.active_children()}
+
+
+def test_idle_worker_runs_the_next_attempt():
+    """A finished attempt hands its worker back: the next spawn runs
+    there instead of forking, and an idle worker holds no slot."""
+    pool = WorkerPool(max_workers=2)
+    lease = pool.lease("t")
+    first = lease.spawn(os.getpid, ())
+    first.join()
+    lease.release()
+    assert pool.running() == 0
+    second = lease.spawn(_sleep_forever, ())
+    try:
+        assert second.pid == first.pid
+        assert second.is_alive()
+        assert pool.running() == 1
+    finally:
+        lease.shutdown()
+    assert not second.is_alive()
+    assert pool.running() == 0
+
+
+def test_killed_attempt_takes_its_worker():
+    pool = WorkerPool(max_workers=1)
+    lease = pool.lease("t")
+    doomed = lease.spawn(_sleep_forever, ())
+    doomed.kill()
+    doomed.join()
+    assert doomed.exitcode == -signal.SIGKILL
+    lease.release()
+    fresh = lease.spawn(_noop, ())
+    fresh.join()
+    assert fresh.pid != doomed.pid and fresh.exitcode == 0
+    lease.shutdown()
+    assert fresh.pid not in {c.pid for c in multiprocessing.active_children()}
+
+
+def test_sigterm_kills_a_worker_forked_under_runner_handlers(tmp_path):
+    """A runner routes SIGTERM to its cancel event on the main thread;
+    a worker forked from it must still die on ``terminate`` at once,
+    not wait out the scheduler's grace for SIGKILL."""
+    from repro.mapreduce.runtime.scheduler import _kill_process
+
+    marker = tmp_path / "running"
+    previous = signal.signal(signal.SIGTERM, lambda *_: None)
+    pool = WorkerPool(max_workers=1)
+    lease = pool.lease("t")
+    try:
+        attempt = lease.spawn(_mark_then_sleep, (str(marker),))
+        deadline = time.monotonic() + 10
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert marker.exists()
+        started = time.perf_counter()
+        _kill_process(attempt)
+        elapsed = time.perf_counter() - started
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        lease.shutdown()
+    assert attempt.exitcode == -signal.SIGTERM
+    assert elapsed < 0.1
 
 
 def test_two_leases_share_the_global_budget():
@@ -105,8 +182,8 @@ def test_two_leases_share_the_global_budget():
         for p in (pa, pb):
             p.terminate()
             p.join()
-        a.close()
-        b.close()
+        a.shutdown()
+        b.shutdown()
     assert pool.running() == 0
 
 
@@ -130,7 +207,7 @@ def test_stats_snapshot():
     finally:
         p.terminate()
         p.join()
-        lease.close()
+        lease.shutdown()
 
 
 def test_scheduler_without_pool_builds_private_one():
