@@ -10,7 +10,7 @@ ratio) simulated runtime *increases* versus the uncompressed baseline.
 """
 
 from repro.experiments.cluster_runs import run
-from repro.mapreduce.engine import LocalJobRunner
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.queries.sliding_median import SlidingMedianQuery
 from repro.scidata import integer_grid
 

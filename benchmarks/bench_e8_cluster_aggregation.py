@@ -11,7 +11,7 @@ partitioning across map tasks yields less aggregation than one mapper.
 
 from repro.experiments.cluster_runs import run as cluster_run
 from repro.experiments.fig8_aggregation import run as fig8_run
-from repro.mapreduce.engine import LocalJobRunner
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.queries.sliding_median import SlidingMedianQuery
 from repro.scidata import integer_grid
 

@@ -128,7 +128,7 @@ def _run_tune(args, parser) -> int:
         parser.error("--num-reducers must be >= 1")
 
     from repro.experiments.common import ExperimentResult, scaled
-    from repro.mapreduce.engine import LocalJobRunner
+    from repro.mapreduce.runtime import LocalJobRunner
     from repro.mapreduce.runtime.costmodel import CostModel, WorkloadSummary
     from repro.mapreduce.simcluster.model import ClusterSpec
     from repro.queries.histogram import HistogramQuery

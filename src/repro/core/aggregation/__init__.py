@@ -41,7 +41,12 @@ from repro.core.aggregation.splitter import (
     split_at_boundaries,
     split_overlaps,
 )
-from repro.core.aggregation.groups import Pieces, RangeGroupReducer, expand_cells
+from repro.core.aggregation.groups import (
+    Pieces,
+    RangeGroupReducer,
+    expand_cells,
+    range_group_reducer,
+)
 from repro.core.aggregation.plugin import AggregateShufflePlugin
 
 __all__ = [
@@ -60,4 +65,5 @@ __all__ = [
     "Pieces",
     "expand_cells",
     "RangeGroupReducer",
+    "range_group_reducer",
 ]

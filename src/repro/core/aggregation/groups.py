@@ -7,7 +7,7 @@ query's plain reducer already takes, behind a :class:`RangeGroupReducer`.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from repro.mapreduce.keys import CellKey, CellKeySerde, RangeKey
 from repro.mapreduce.output import PackedKeys
 from repro.sfc.base import Curve
 
-__all__ = ["Pieces", "expand_cells", "RangeGroupReducer"]
+__all__ = ["Pieces", "expand_cells", "RangeGroupReducer",
+           "range_group_reducer"]
 
 
 class Pieces(NamedTuple):
@@ -114,6 +115,18 @@ def _pack_cells(serde: CellKeySerde, variables: list, which: np.ndarray,
     rows = np.empty((which.shape[0], blocks[0].shape[1]), dtype=np.uint8)
     rows[np.argsort(which, kind="stable")] = np.concatenate(blocks)
     return PackedKeys(rows, serde)
+
+
+def range_group_reducer(inner: Callable[[], Reducer],
+                        config: AggregationConfig,
+                        origin: Sequence[int]) -> "RangeGroupReducer":
+    """A fresh :class:`RangeGroupReducer` around a fresh ``inner()``.
+
+    Bound with :func:`functools.partial`, it is a job's reducer factory
+    that pickles -- a worker started by ``spawn`` receives the job by
+    pickle, where a ``lambda`` factory cannot go.
+    """
+    return RangeGroupReducer(inner(), config, origin)
 
 
 class RangeGroupReducer(Reducer):

@@ -8,7 +8,7 @@ path), silent segment corruption, and SIGSTOP stalls (caught only by
 heartbeat staleness) -- and runs the same aggregation job through the
 parallel runtime under that schedule.  Every run must produce reduce
 output and merged counters **byte-identical** to the serial
-:class:`~repro.mapreduce.engine.LocalJobRunner` baseline.
+:class:`~repro.mapreduce.runtime.LocalJobRunner` baseline.
 
 On top of the per-seed schedules, ``resume_seeds`` scenarios exercise
 the durable-recovery path end to end: the whole scheduler process is
@@ -33,8 +33,11 @@ import tempfile
 import time
 
 from repro.experiments.common import ExperimentResult, scaled
-from repro.mapreduce.engine import LocalJobRunner
-from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner
+from repro.mapreduce.runtime import (
+    FaultInjector,
+    LocalJobRunner,
+    ParallelJobRunner,
+)
 from repro.mapreduce.runtime.recovery import MANIFEST_NAME, JobManifest
 from repro.queries.subset import BoxSubsetQuery
 from repro.scidata.generator import integer_grid

@@ -28,8 +28,8 @@ def scaled(paper_value: int, default_scale: float, minimum: int = 1) -> int:
 def make_runner(**runner_kwargs):
     """The execution backend every harness runs its jobs through.
 
-    ``REPRO_RUNNER`` picks it (``serial`` -> in-process loop,
-    ``parallel`` -> multiprocess runtime), and the runner and shuffle
+    ``REPRO_RUNNER`` picks it (``serial`` -> one inline slot,
+    ``parallel`` -> worker processes), and the runner and shuffle
     knobs come from the environment as :mod:`repro.settings` declares
     them (the CLI's ``repro run`` flags write them there).  Explicit
     ``runner_kwargs`` win.  Both backends produce byte-identical
@@ -44,7 +44,7 @@ def make_runner(**runner_kwargs):
     knobs = {"num_hosts": read("REPRO_NUM_HOSTS"),
              "max_host_reexecs": read("REPRO_MAX_HOST_REEXECS")}
     if read("REPRO_RUNNER") != "parallel":  # serial, or its alias local
-        from repro.mapreduce.engine import LocalJobRunner
+        from repro.mapreduce.runtime import LocalJobRunner
 
         return LocalJobRunner(**{**knobs, **runner_kwargs})
     from repro.mapreduce.runtime import ParallelJobRunner

@@ -3,7 +3,7 @@
 Every robustness matrix (R2, R4, R5, R7, P3) defends the same contract:
 output and counters stay byte-identical across runners, transports and
 every injected fault.  Each runs a list of :class:`Scenario` rows
-through the serial :class:`~repro.mapreduce.engine.LocalJobRunner`
+through the serial :class:`~repro.mapreduce.runtime.LocalJobRunner`
 and/or the parallel :class:`~repro.mapreduce.runtime.ParallelJobRunner`
 and compares the outcomes with each other and with a clean serial
 baseline.  This module owns everything those tables share:
@@ -38,9 +38,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
-from repro.mapreduce.runtime import ParallelJobRunner, ShuffleConfig
+from repro.mapreduce.runtime import (
+    LocalJobRunner,
+    ParallelJobRunner,
+    ShuffleConfig,
+)
 from repro.settings import DEFAULT, read
 from repro.util.rng import make_rng
 

@@ -48,10 +48,10 @@ from repro.experiments.matrix import (
     fuzz_budget,
     stable_counters,
 )
-from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import (
     FaultInjector,
+    LocalJobRunner,
     ParallelJobRunner,
     ShuffleConfig,
     host_for,

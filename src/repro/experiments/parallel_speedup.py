@@ -31,8 +31,7 @@ import time
 
 from repro.experiments.common import ExperimentResult, make_runner, scaled
 from repro.mapreduce.api import Mapper
-from repro.mapreduce.engine import LocalJobRunner
-from repro.mapreduce.runtime import ParallelJobRunner
+from repro.mapreduce.runtime import LocalJobRunner, ParallelJobRunner
 from repro.queries.subset import BoxSubsetQuery
 from repro.scidata.generator import integer_grid
 

@@ -23,7 +23,7 @@ and checks the failure ladder lands every scenario on the right rung:
 * a skip budget too small for the damage **fails the job** -- skipping
   must never silently eat unbounded data loss;
 * every scenario runs through both the serial
-  :class:`~repro.mapreduce.engine.LocalJobRunner` and the parallel
+  :class:`~repro.mapreduce.runtime.LocalJobRunner` and the parallel
   :class:`~repro.mapreduce.runtime.ParallelJobRunner`, and the two must
   agree byte-for-byte on output, counters, and quarantine contents.
 

@@ -47,9 +47,12 @@ from repro.experiments.matrix import (
     build_query_job,
     fuzz_budget,
 )
-from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.metrics import C
-from repro.mapreduce.runtime import FaultInjector, ShuffleConfig
+from repro.mapreduce.runtime import (
+    FaultInjector,
+    LocalJobRunner,
+    ShuffleConfig,
+)
 from repro.mapreduce.runtime.ledger import MapOutputLedger
 from repro.mapreduce.runtime.netshuffle import ShuffleService
 from repro.scidata.generator import integer_grid

@@ -33,7 +33,7 @@ import threading
 import time
 
 from repro.experiments.common import ExperimentResult
-from repro.mapreduce.engine import LocalJobRunner
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.mapreduce.runtime.service import (
     AdmissionConfig,
     AdmissionRejected,

@@ -14,12 +14,12 @@ the paper's primary metric -- are *measured*, not modeled:
 * :mod:`~repro.mapreduce.codecs` -- the pluggable compression hook the
   paper's §III codec slots into;
 * :mod:`~repro.mapreduce.api`, :mod:`~repro.mapreduce.job`,
-  :mod:`~repro.mapreduce.engine` -- mapper/reducer APIs and a local job
-  runner with real spills, combiners, external merge sort and counters;
-* :mod:`~repro.mapreduce.runtime` -- the multiprocess task runtime
-  (scheduler, retries, speculative execution, fault injection) whose
-  :class:`ParallelJobRunner` is a drop-in for the local runner with
-  byte-identical counters;
+  :mod:`~repro.mapreduce.engine` -- mapper/reducer APIs and the task
+  bodies, with real spills, combiners, external merge sort and counters;
+* :mod:`~repro.mapreduce.runtime` -- the task runtime (scheduler,
+  retries, speculative execution, fault injection) and its two runners:
+  :class:`LocalJobRunner` on one inline slot, :class:`ParallelJobRunner`
+  on worker processes, with byte-identical counters;
 * :mod:`~repro.mapreduce.simcluster` -- the discrete-event cluster
   simulator that turns measured task profiles into wall-clock estimates.
 """
@@ -39,10 +39,11 @@ from repro.mapreduce.codecs import Codec, available_codecs, get_codec, register_
 from repro.mapreduce.api import (FoldReducer, MapContext, Mapper, Monoid,
                                 ReduceContext, Reducer)
 from repro.mapreduce.job import Job
-from repro.mapreduce.engine import JobResult, LocalJobRunner
+from repro.mapreduce.engine import JobResult
 from repro.mapreduce.metrics import Counters, TaskProfile
 from repro.mapreduce.runtime import (
     FaultInjector,
+    LocalJobRunner,
     ParallelJobRunner,
     RuntimeTrace,
     TaskScheduler,

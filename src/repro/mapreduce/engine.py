@@ -16,8 +16,9 @@ Executes every phase of the paper's Fig 1 data flow in-process, through
 
 The task bodies -- :func:`run_map_task` and :func:`run_reduce_task` --
 are standalone top-level functions so they are picklable and shared by
-both execution backends: the serial :class:`LocalJobRunner` here and the
-multiprocess :class:`~repro.mapreduce.runtime.ParallelJobRunner`.
+both executors of the job runners in :mod:`repro.mapreduce.runtime.
+runner`: the calling process (``LocalJobRunner``) and worker processes
+(``ParallelJobRunner``).
 Wall-clock on a real cluster can also be *simulated* from the per-task
 profiles these tasks measure -- see :mod:`repro.mapreduce.simcluster`.
 """
@@ -25,17 +26,13 @@ profiles these tasks measure -- see :mod:`repro.mapreduce.simcluster`.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
-from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro import settings
 from repro.mapreduce.api import MapContext, ReduceContext
 from repro.mapreduce.codecs import NullCodec, cost_categories, get_codec
 from repro.mapreduce.columnar import (
@@ -61,7 +58,7 @@ from repro.mapreduce.sort import (
     sort_records,
 )
 from repro.scidata.dataset import Dataset
-from repro.scidata.splits import ArraySplitter, InputSplit
+from repro.scidata.splits import InputSplit
 from repro.util.errors import CorruptRecordError
 from repro.util.timing import CostClock
 
@@ -89,9 +86,8 @@ class JobResult:
     map_output_stats: IFileStats
     num_map_tasks: int = 0
     num_reduce_tasks: int = 0
-    #: execution timeline, populated by runners that record one (the
-    #: parallel runtime attaches a ``RuntimeTrace``; the serial runner
-    #: leaves it ``None``)
+    #: execution timeline: the ``RuntimeTrace`` either runner records
+    #: (``None`` only for results assembled outside a runner)
     trace: Any = None
     #: aggregated pipelined-shuffle stats (``REDUCE_FIRST_FETCH_MS`` /
     #: ``PIPELINE_OVERLAP`` and friends), populated only when the run
@@ -99,10 +95,10 @@ class JobResult:
     #: on/off compares byte-identical
     pipeline_stats: dict | None = None
     #: aggregated memory-ledger telemetry (peak charged bytes, budget,
-    #: backpressure waits, OOM events absorbed) when any task ran with
-    #: a :class:`~repro.mapreduce.runtime.memory.MemoryBudget`; peaks
-    #: and waits are wall-clock-shaped, so this lives outside
-    #: ``counters`` like ``pipeline_stats``
+    #: OOM events absorbed) when any task ran with a
+    #: :class:`~repro.mapreduce.runtime.memory.MemoryBudget`; peaks are
+    #: allocation-shaped, so this lives outside ``counters`` like
+    #: ``pipeline_stats``
     memory_stats: dict | None = None
 
     @property
@@ -876,320 +872,3 @@ def _merge_group_reduce(
         plugin, "output_key_serde", job.key_serde))
     return ReduceTaskResult(task_id=task_id, output=ctx.output,
                             counters=counters, profile=profile)
-
-
-# -------------------------------------------------------------------- runner
-
-
-class LocalJobRunner:
-    """Run :class:`~repro.mapreduce.job.Job` objects against a dataset.
-
-    Executes every task serially in-process.  Usable as a context
-    manager: leaving the ``with`` block removes an owned (auto-created)
-    workdir even when files were kept or a task failed.
-
-    The runner is the parallel runtime's parts driven by an inline loop:
-    each attempt is :func:`~repro.mapreduce.runtime.attempt.run_attempt`
-    called directly (no worker, no attempt directory, no result file),
-    each failure is dispatched on :func:`~repro.mapreduce.runtime.
-    attempt.classify`'s record, map outputs live in a
-    :class:`~repro.mapreduce.runtime.ledger.MapOutputLedger`, and
-    :func:`~repro.mapreduce.runtime.ledger.assemble_result` folds the
-    job result -- so output and counters match
-    :class:`~repro.mapreduce.runtime.ParallelJobRunner` byte for byte
-    under every fault this runner accepts, by construction.
-
-    ``fault_injector`` accepts the data-shaped faults that make sense
-    without worker processes -- ``poison``, ``corrupt``, ``oom``,
-    ``fetch`` and the host-level modes.  A plan naming a process-level
-    mode (``kill`` / ``crash`` / ``hang`` / ``stall``) is rejected when
-    ``run`` is entered, before any task runs: there is no worker process
-    to kill.
-
-    ``shuffle`` selects the transport reducers fetch map segments
-    through (default: direct reads).  A reduce whose fetch retries are
-    exhausted charges the producing map a strike; at
-    ``fetch_failure_threshold`` strikes the map is re-executed in place
-    (bumping its fetch *epoch*, which is how epoch-pinned fetch faults
-    stop applying), at most ``max_map_reexecs`` times per map.
-
-    Host-level faults are keyed by the stable task->host hash
-    (``num_hosts`` buckets): ``host_crash`` re-executes every completed
-    map homed on the host at the shuffle barrier (at most
-    ``max_host_reexecs`` per host), ``host_partition`` expands into
-    deterministic per-link fetch drops healed by the retry ladder, and
-    ``disk_fault`` fails the affected tasks' spills over to a spare
-    workdir, quarantining the bad one.
-    """
-
-    def __init__(self, workdir: str | None = None, keep_files: bool = False,
-                 fault_injector: Any = None, *,
-                 shuffle: Any = None,
-                 fetch_failure_threshold: int = 2,
-                 max_map_reexecs: int = 2,
-                 num_hosts: int = 2,
-                 max_host_reexecs: int = 2) -> None:
-        if fetch_failure_threshold < 1:
-            raise ValueError(
-                f"fetch_failure_threshold must be >= 1, "
-                f"got {fetch_failure_threshold}")
-        if max_map_reexecs < 0:
-            raise ValueError(
-                f"max_map_reexecs must be >= 0, got {max_map_reexecs}")
-        settings.check("REPRO_NUM_HOSTS", num_hosts, "num_hosts")
-        settings.check("REPRO_MAX_HOST_REEXECS", max_host_reexecs,
-                       "max_host_reexecs")
-        self._own_workdir = workdir is None
-        self.workdir = workdir or tempfile.mkdtemp(prefix="repro-mr-")
-        self.keep_files = keep_files
-        self.fault_injector = fault_injector
-        self.shuffle = shuffle
-        self.fetch_failure_threshold = fetch_failure_threshold
-        self.max_map_reexecs = max_map_reexecs
-        self.num_hosts = num_hosts
-        self.max_host_reexecs = max_host_reexecs
-        #: planned disk faults by home host (populated per run)
-        self._disk_plan: dict[str, Any] = {}
-        os.makedirs(self.workdir, exist_ok=True)
-
-    def __enter__(self) -> "LocalJobRunner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Remove an owned workdir (no-op for caller-supplied dirs)."""
-        if self._own_workdir and os.path.isdir(self.workdir):
-            shutil.rmtree(self.workdir, ignore_errors=True)
-
-    def run(
-        self,
-        job: Job,
-        dataset: Dataset,
-        splits: Sequence[InputSplit] | None = None,
-    ) -> JobResult:
-        """Execute ``job`` over ``dataset``; returns outputs and metrics."""
-        if self.fault_injector is not None:
-            # Validate the whole plan before any work: a process fault
-            # aimed at the last reducer must not surface only after
-            # every other task has run and written files.
-            for task_id, fault in self.fault_injector.planned():
-                if fault.mode in ("kill", "crash", "hang", "stall"):
-                    raise ValueError(
-                        f"fault mode {fault.mode!r} (planned for {task_id}) "
-                        f"is not supported by the serial runner (no worker "
-                        f"process to fail)")
-        # A runner may be reused across jobs; cleanup after a previous run
-        # may have removed an (empty) owned workdir.
-        os.makedirs(self.workdir, exist_ok=True)
-        if splits is None:
-            variables = (list(job.input_variables)
-                         if job.input_variables is not None else None)
-            splits = ArraySplitter(job.num_map_tasks).split(dataset, variables)
-        if not splits:
-            raise ValueError("job has no input splits")
-
-        # Snapshot the workdir so a failing task can be cleaned up without
-        # disturbing pre-existing (caller-owned) files.
-        preexisting = set(os.listdir(self.workdir))
-        try:
-            return self._run_all(job, dataset, splits)
-        except BaseException:
-            self._remove_new_files(preexisting)
-            raise
-
-    # The runtime modules are imported lazily because they in turn import
-    # the task functions defined above.
-
-    def _make_ledger(self, *args, **kwargs):
-        from repro.mapreduce.runtime.ledger import MapOutputLedger
-        return MapOutputLedger(*args, **kwargs)
-
-    def _run_all(self, job: Job, dataset: Dataset,
-                 splits: Sequence[InputSplit]) -> JobResult:
-        from repro.mapreduce.runtime.attempt import new_memory_tally
-        from repro.mapreduce.runtime.hosts import (
-            HostHealthMonitor,
-            HostRegistry,
-        )
-        from repro.mapreduce.runtime.ledger import assemble_result
-        from repro.mapreduce.runtime.pipeline import COMMITS_DIRNAME
-
-        # Serial pipeline mode publishes a commit log that is complete
-        # before the first reduce polls it -- the degenerate no-overlap
-        # case of the pipelined shuffle, byte-identical to the barrier
-        # path and counter-comparable with a pipelined parallel run.
-        pipeline = getattr(self.shuffle, "pipeline", False)
-        ledger = self._make_ledger(
-            job, dataset, splits,
-            hosts=HostHealthMonitor(HostRegistry(self.num_hosts),
-                                    max_host_reexecs=self.max_host_reexecs),
-            # In place: segments live at fixed paths in the task's
-            # workdir (its spare volume when a disk fault failed it over).
-            rerun_dir=lambda map_id, epoch: self._task_workdir(map_id),
-            shuffle=self.shuffle, injector=self.fault_injector,
-            commit_dir=(os.path.join(self.workdir, COMMITS_DIRNAME)
-                        if pipeline else None))
-        self._disk_plan = {h: ledger.host_plan[h]
-                           for h in ledger.hosts_with("disk_fault")}
-        #: run-wide ladder state: one map's fetch-failure strikes
-        #: accumulate over every reduce that fails to fetch it
-        state = {"tally": new_memory_tally(), "strikes": defaultdict(int),
-                 "reexecs": defaultdict(int)}
-
-        map_outputs = [
-            self._run_task("map", map_id, lambda split=split: split,
-                           job, dataset, ledger, state)
-            for map_id, split in zip(ledger.map_ids, splits)]
-        reduce_results = {}
-        with ledger:
-            for mo in map_outputs:
-                ledger.publish(mo.task_id, mo)
-            # Shuffle barrier: whole-host crashes land here, exactly
-            # where Hadoop's lost-tasktracker handling runs.
-            for host in ledger.hosts_with("host_crash"):
-                ledger.lose_host(host, "injected host_crash at barrier")
-            for part, rid in enumerate(ledger.reduce_ids):
-                reduce_results[rid] = self._run_task(
-                    "reduce", rid, lambda part=part: ledger.payload(part),
-                    job, None, ledger, state)
-        result = assemble_result(job, ledger, reduce_results, state["tally"],
-                                 shuffle=self.shuffle)
-        if not self.keep_files:
-            self._cleanup(ledger.results.values())
-        return result
-
-    def _task_workdir(self, task_id: str) -> str:
-        """Where this task's files live: the runner workdir, or -- when
-        the task's home host has a planned ``disk_fault`` -- the spare
-        volume the failover provisions (marker + quarantine side-file
-        written on first use, idempotently)."""
-        if not self._disk_plan:
-            return self.workdir
-        from repro.mapreduce.runtime.hosts import (
-            host_for,
-            provision_failover_workdir,
-        )
-        host = host_for(task_id, self.num_hosts)
-        fault = self._disk_plan.get(host)
-        if fault is None:
-            return self.workdir
-        return provision_failover_workdir(self.workdir, task_id, host, fault)
-
-    def _run_task(self, kind: str, task_id: str, payload: Any, job: Job,
-                  dataset: Dataset | None, ledger: Any,
-                  state: dict[str, Any]) -> Any:
-        """One task through the failure ladder, inline.
-
-        The single runner-specific loop: a strict first attempt (zero
-        overhead on the clean path), then whichever rung the attempt's
-        error record names -- the same record, from the same
-        :func:`~repro.mapreduce.runtime.attempt.classify`, the
-        scheduler's ``handle_exit`` dispatches on.  ``payload()`` builds
-        the task input afresh per attempt, so a reduce retried after a
-        map re-execution sees the re-pointed refs.  There is no generic
-        retry budget: inline, an unrecognised failure is deterministic
-        and re-raises as itself.
-        """
-        from repro.mapreduce.runtime.attempt import (
-            classify,
-            note_memory,
-            run_attempt,
-        )
-        injector = self.fault_injector
-        workdir = self._task_workdir(task_id)
-        fetch_faults = (injector.fetch_plan_for(task_id) or None
-                        if injector is not None and kind == "reduce"
-                        else None)
-        tally = state["tally"]
-        attempt = degrade = repairs = 0
-        skip_mode = False
-        while True:
-            fault = (injector.fault_for(task_id, attempt)
-                     if injector is not None else None)
-            try:
-                result = run_attempt(
-                    kind, job, payload(), dataset, workdir, task_id=task_id,
-                    attempt=attempt, fault=fault, skip_mode=skip_mode,
-                    shuffle=self.shuffle, fetch_faults=fetch_faults,
-                    degrade=degrade)
-            except Exception as exc:
-                record = classify(exc, job)
-                map_id = record["failed_map"]
-                if map_id is not None:
-                    # Charge the producing map a strike; at the threshold
-                    # re-execute it (bumping its epoch), at most
-                    # ``max_map_reexecs`` times -- past that the fetch
-                    # failure is the job's failure, the analogue of the
-                    # scheduler's ``TaskFailedError``.
-                    state["strikes"][map_id] += 1
-                    if (state["strikes"][map_id]
-                            >= self.fetch_failure_threshold):
-                        if state["reexecs"][map_id] >= self.max_map_reexecs:
-                            raise
-                        state["strikes"][map_id] = 0
-                        state["reexecs"][map_id] += 1
-                        ledger.rerun(map_id)
-                elif record["oom"]:
-                    # Degrade-on-retry, bounded by the memory retry
-                    # budget; the exhausting death raises untallied.
-                    if degrade >= getattr(self.shuffle,
-                                          "max_memory_retries", 2):
-                        raise
-                    tally["oom_events"] += 1
-                    tally["degraded_attempts"] += 1
-                    degrade += 1
-                elif record["skip_eligible"] and not skip_mode:
-                    skip_mode = True
-                elif (kind == "reduce" and record["corrupt_path"] is not None
-                        and repairs < len(ledger.map_ids)):
-                    ledger.repair(record["corrupt_path"])
-                    repairs += 1
-                else:
-                    raise
-                attempt += 1
-                continue
-            note_memory(tally, result["memory"])
-            return result["value"]
-
-    def _remove_new_files(self, preexisting: set[str]) -> None:
-        """Delete everything a failed run left behind in the workdir."""
-        if not os.path.isdir(self.workdir):
-            return
-        for name in set(os.listdir(self.workdir)) - preexisting:
-            path = os.path.join(self.workdir, name)
-            if os.path.isdir(path):
-                shutil.rmtree(path, ignore_errors=True)
-            else:
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-        if self._own_workdir and not os.listdir(self.workdir):
-            shutil.rmtree(self.workdir, ignore_errors=True)
-
-    def _cleanup(self, map_outputs: Iterable[MapTaskOutput]) -> None:
-        for mo in map_outputs:
-            for path, _ in mo.segments.values():
-                if os.path.exists(path):
-                    os.unlink(path)
-        for name in ("_commits", "_starved"):
-            path = os.path.join(self.workdir, name)
-            if os.path.isdir(path):
-                shutil.rmtree(path, ignore_errors=True)
-            elif os.path.exists(path):
-                os.unlink(path)
-        if self._disk_plan:
-            # Disk-failover artifacts are run state, not user output:
-            # the (now empty) spare volume and the quarantine marker.
-            from repro.mapreduce.runtime.hosts import DISK_MARKER
-            spare = os.path.join(self.workdir, "spare")
-            if os.path.isdir(spare):
-                shutil.rmtree(spare, ignore_errors=True)
-            marker = os.path.join(self.workdir, DISK_MARKER)
-            if os.path.exists(marker):
-                os.unlink(marker)
-        if self._own_workdir and os.path.isdir(self.workdir):
-            if not os.listdir(self.workdir):
-                shutil.rmtree(self.workdir, ignore_errors=True)

@@ -1,37 +1,40 @@
-"""Parallel task runtime: a multiprocess execution layer for the engine.
+"""Task runtime: the job runners and the execution layer under them.
 
-The serial :class:`~repro.mapreduce.engine.LocalJobRunner` executes
-tasks one at a time and leaves cluster wall-clock to the simulator;
-this package actually *uses* the hardware.  It decomposes a job into
-the same map -> shuffle -> reduce task DAG, runs the identical task
-functions in worker processes over IFile segments on shared disk, and
-layers on the robustness a real cluster runtime needs.
+The runtime decomposes a job into the map -> shuffle -> reduce task
+DAG, runs the task functions over IFile segments on disk, and layers
+on the robustness a real cluster runtime needs.  It has one wave
+loop and two executors: :class:`ParallelJobRunner` schedules
+attempts on worker processes, and :class:`LocalJobRunner` -- the
+serial runner -- is the same wave loop and scheduler on one inline slot,
+running each attempt in the calling process.
 
 Three modules define what a task attempt and its outcome *are*, once,
-for both runners -- the serial runner is these parts driven by an
-inline loop, the parallel runner the same parts driven by the
-scheduler:
+for both executors:
 
 * :mod:`~repro.mapreduce.runtime.attempt` -- ``run_attempt``, the whole
   body of one map/reduce attempt (poison wrapping, OOM degrade, memory
   budget arming, strict / skipping body selection, corrupt
-  fault application), and ``classify``, the error record the recovery
-  ladder dispatches on;
+  fault application), ``classify``, the error record the recovery
+  ladder dispatches on, and ``execute_attempt``, which joins them
+  behind the disk-failover workdir for every executor;
 * :mod:`~repro.mapreduce.runtime.ledger` -- ``MapOutputLedger``, every
   map's current output, epoch, segment-server address and commit
   record, with the publish / re-run / repair / lose-host transitions;
   and ``assemble_result``, the one fold of task results into a
   ``JobResult``;
 * :mod:`~repro.mapreduce.runtime.worker` -- the process shell around
-  ``run_attempt``: heartbeat, rlimit, process-shaped faults, durable
-  result file.
+  ``execute_attempt``: heartbeat, rlimit, process-shaped faults,
+  durable result file.
 
 Around them:
 
-* :mod:`~repro.mapreduce.runtime.scheduler` -- bounded worker pool,
-  per-task retry with exponential backoff, speculative re-execution of
-  stragglers, per-attempt deadlines, heartbeat-staleness kills, and a
-  wave deadline with stuck-task diagnosis;
+* :mod:`~repro.mapreduce.runtime.scheduler` -- the one recovery ladder
+  over a bounded pool, per-task retry with exponential backoff,
+  speculative re-execution of stragglers, per-attempt deadlines,
+  heartbeat-staleness kills, and a wave deadline with stuck-task
+  diagnosis;
+* :mod:`~repro.mapreduce.runtime.pool` -- the executors: the shared
+  worker-process pool and the inline pool;
 * :mod:`~repro.mapreduce.runtime.recovery` -- durable job manifests
   (checkpoint + resume): completed tasks are recorded with file CRCs
   and adopted by a re-run instead of re-executed;
@@ -59,8 +62,9 @@ Around them:
   byte-identical to the barrier path;
 * :mod:`~repro.mapreduce.runtime.trace` -- per-task timeline events and
   measured profiles, consumable by the cluster simulator;
-* :mod:`~repro.mapreduce.runtime.runner` -- the drop-in
-  :class:`ParallelJobRunner` with byte-identical counters.
+* :mod:`~repro.mapreduce.runtime.runner` -- the wave loop:
+  :class:`ParallelJobRunner` and :class:`LocalJobRunner`, with
+  byte-identical counters.
 """
 
 from repro.mapreduce.runtime.fault import (
@@ -90,7 +94,7 @@ from repro.mapreduce.runtime.recovery import (
     TaskRecord,
     job_fingerprint,
 )
-from repro.mapreduce.runtime.runner import ParallelJobRunner
+from repro.mapreduce.runtime.runner import LocalJobRunner, ParallelJobRunner
 from repro.mapreduce.runtime.scheduler import (
     TaskFailedError,
     TaskScheduler,
@@ -129,6 +133,7 @@ __all__ = [
     "HostRegistry",
     "HostState",
     "JobManifest",
+    "LocalJobRunner",
     "ParallelJobRunner",
     "PipelinePlan",
     "PoisonRecordError",

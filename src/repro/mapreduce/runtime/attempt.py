@@ -1,15 +1,17 @@
 """One task attempt: what it executes, and what its failure means.
 
-Both runners drive the same two functions.  :func:`run_attempt` is the
-whole body of one map or reduce attempt -- fault application, memory
-degrade, budget arming, body selection -- and :func:`classify` turns
-whatever it raised into the error record the recovery ladder dispatches
-on.  The serial :class:`~repro.mapreduce.engine.LocalJobRunner` calls
-them inline; :func:`~repro.mapreduce.runtime.worker.worker_entry` calls
-them inside a forked worker and ships the record back through a durable
-result file.  Serial/parallel identity of output and counters under
-every data-shaped fault is therefore structural: there is no second
-copy of any of these decisions to drift.
+:func:`run_attempt` is the whole body of one map or reduce attempt --
+fault application, memory degrade, budget arming, body selection -- and
+:func:`classify` turns whatever it raised into the error record the
+scheduler's recovery ladder dispatches on.  :func:`execute_attempt`
+joins them for every executor: it takes an :class:`AttemptSpec`, fails
+its workdir over on a planned disk fault, runs the body and classifies
+the outcome.  The inline pool the serial runner schedules on calls it in
+the driving process; :func:`~repro.mapreduce.runtime.worker.worker_entry`
+calls it inside a forked worker and ships the record back through a
+durable result file.  Serial/parallel identity of output and counters
+under every data-shaped fault is therefore structural: there is no
+second copy of any of these decisions to drift.
 
 Body selection turns on skip mode alone: a map attempt runs
 :func:`~repro.mapreduce.engine.run_map_task` or its skipping twin, a
@@ -20,13 +22,16 @@ alike, and every body is handed the attempt's memory ledger.
 
 from __future__ import annotations
 
+import os
 import traceback
+from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from typing import Any, Callable
 
 from repro.mapreduce.engine import run_map_task, run_reduce_task
 from repro.mapreduce.ifile import IFileCorruptError
 from repro.mapreduce.runtime.fault import Fault, corrupt_file, poisoned_job
+from repro.mapreduce.runtime.hosts import provision_failover_workdir
 from repro.mapreduce.runtime.memory import MemoryBudget
 from repro.mapreduce.runtime.pipeline import PipelinePlan, drain_refs
 from repro.mapreduce.runtime.shuffle import FetchFailedError, SegmentRef
@@ -36,7 +41,37 @@ from repro.mapreduce.runtime.skipping import (
     run_reduce_task_skipping,
 )
 
-__all__ = ["run_attempt", "classify", "new_memory_tally", "note_memory"]
+__all__ = ["AttemptSpec", "execute_attempt", "run_attempt", "classify"]
+
+
+@dataclass(frozen=True)
+class AttemptSpec:
+    """One launch of one task, as the scheduler hands it to an executor:
+    :func:`run_attempt`'s arguments plus the attempt directory, the
+    placement (``host``, a planned ``disk_fault`` on the home host) and
+    a worker's ``heartbeat_interval`` and ``rlimit_bytes``."""
+
+    task_id: str
+    kind: str
+    number: int
+    attempt_dir: str
+    job: Any
+    dataset: Any
+    payload: Any
+    fault: Fault | None = None
+    skip_mode: bool = False
+    shuffle: Any = None
+    fetch_faults: Any = None
+    degrade: int = 0
+    host: str | None = None
+    disk_fault: Fault | None = None
+    heartbeat_interval: float = 0.25
+    rlimit_bytes: int | None = None
+
+    @property
+    def result_path(self) -> str:
+        """Where a worker commits this attempt's record."""
+        return os.path.join(self.attempt_dir, "_result.pkl")
 
 
 def classify(exc: BaseException, job: Any) -> dict[str, Any]:
@@ -74,22 +109,6 @@ def classify(exc: BaseException, job: Any) -> dict[str, Any]:
         "corrupt_path": (exc.path if isinstance(exc, IFileCorruptError)
                          and not skippable else None),
     }
-
-
-def new_memory_tally() -> dict[str, Any]:
-    """Job-level ledger telemetry a runner accumulates across attempts;
-    the assembler turns it into ``MEMORY_*`` counters and
-    ``JobResult.memory_stats``."""
-    return {"oom_events": 0, "degraded_attempts": 0, "peak_bytes": 0,
-            "used_budget": False}
-
-
-def note_memory(tally: dict[str, Any], stats: dict | None) -> None:
-    """Fold one winning attempt's ``MemoryBudget.stats()`` into the run."""
-    if not stats:
-        return
-    tally["used_budget"] = True
-    tally["peak_bytes"] = max(tally["peak_bytes"], stats.get("peak", 0))
 
 
 def _arm_budget(name: str, shuffle: Any, fault: Fault | None,
@@ -207,3 +226,48 @@ def run_attempt(
         raise ValueError(f"unknown task kind {kind!r}")
     return {"status": "ok", "value": value,
             "memory": budget.stats() if budget is not None else None}
+
+
+def execute_attempt(
+    spec: AttemptSpec,
+    workdir: str,
+    *,
+    prelude: Callable[[AttemptSpec], None] | None = None,
+    kill: Callable[[dict[str, Any]], None] | None = None,
+    commit: Callable[[dict[str, Any]], None] | None = None,
+) -> tuple[dict[str, Any], BaseException | None]:
+    """Run one attempt in ``workdir``; returns its record and, for an
+    error record, the exception it classifies.
+
+    Every executor's path: the spare workdir on a planned disk fault,
+    the executor's ``prelude`` (a worker's process faults),
+    :func:`run_attempt`, and :func:`classify` of whatever raised.
+    ``kill`` takes a simulated OOM kill's error record and must not
+    return.  ``commit`` delivers the record (a worker's result file); a
+    record it cannot deliver is replaced by an error record.
+    """
+    job = spec.job
+    error = None
+    try:
+        if spec.disk_fault is not None:
+            workdir = provision_failover_workdir(
+                workdir, spec.task_id, spec.host or "", spec.disk_fault)
+        if prelude is not None:
+            prelude(spec)
+        record = run_attempt(
+            spec.kind, job, spec.payload, spec.dataset, workdir,
+            task_id=spec.task_id, attempt=spec.number, fault=spec.fault,
+            skip_mode=spec.skip_mode, shuffle=spec.shuffle,
+            fetch_faults=spec.fetch_faults, degrade=spec.degrade,
+            kill=None if kill is None else (
+                lambda exc: kill(classify(exc, job))))
+    except BaseException as exc:
+        record, error = classify(exc, job), exc
+    if commit is not None:
+        try:
+            commit(record)
+        except BaseException as exc:
+            record, error = classify(exc, job), exc
+            record["message"] = f"failed to serialize task result: {exc}"
+            commit(record)
+    return record, error

@@ -5,8 +5,8 @@ one piece of state: which output each map currently has, at which
 *epoch*, served from where, and -- under the pipelined shuffle --
 published through which commit record.  :class:`MapOutputLedger` owns
 that state and every transition on it (publish, re-run at a bumped
-epoch, in-place repair, whole-host loss) for both runners; the runners
-differ only in *when* they call it (inline between tasks, or from the
+epoch, in-place repair, whole-host loss) for both runners, which call
+it from one wave loop (at the shuffle barrier, or from the
 scheduler's ``on_complete`` / ``reexec`` / ``repair`` hooks).
 :func:`assemble_result` is the matching single fold of per-task results
 into a :class:`~repro.mapreduce.engine.JobResult`.
@@ -54,9 +54,8 @@ class MapOutputLedger:
     reducers poll.
 
     ``rerun_dir(map_id, epoch)`` names the directory a re-execution
-    writes into: the serial runner re-runs in place (segments live at
-    fixed paths in its workdir), the parallel runner into a fresh
-    per-epoch directory.  ``hosts`` supplies the stable task->host hash
+    writes into (the runners give a fresh one per epoch).  ``hosts``
+    supplies the stable task->host hash
     and the per-host re-execution budget, and accumulates the job-level
     ``HOSTS_LOST`` / ``MAPS_REEXECUTED_HOST`` accounting.
     """

@@ -39,6 +39,11 @@ reaps every worker, and a worker whose runner dies exits by itself.
 A scheduler constructed *without* a pool builds a private single-tenant
 one, so standalone ``repro run`` behaves exactly as before -- the
 refactor changes ownership, not behavior.
+
+:class:`InlinePool` is the other executor behind the same ``launch``:
+one slot, no process -- the serial runner's.  Both run an
+:class:`~repro.mapreduce.runtime.attempt.AttemptSpec` through one
+:func:`~repro.mapreduce.runtime.attempt.execute_attempt`.
 """
 
 from __future__ import annotations
@@ -48,13 +53,20 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import shutil
 import threading
 from typing import Any
 
+from repro.mapreduce.runtime.attempt import AttemptSpec, execute_attempt
 from repro.mapreduce.runtime.memory import MemoryBudget
-from repro.mapreduce.runtime.worker import prepare_process
+from repro.mapreduce.runtime.worker import (
+    load_result,
+    prepare_process,
+    worker_entry,
+)
 
-__all__ = ["PoolSaturatedError", "WorkerPool", "PoolLease", "AttemptHandle"]
+__all__ = ["PoolSaturatedError", "WorkerPool", "PoolLease", "AttemptHandle",
+           "InlinePool", "FinishedAttempt"]
 
 
 class PoolSaturatedError(RuntimeError):
@@ -247,6 +259,13 @@ class AttemptHandle:
         self._worker: _Worker | None = worker
         self._process = worker.process
         self._lost = False
+        #: where a launched task attempt commits its record
+        self.result_path: str | None = None
+
+    def record(self) -> dict[str, Any] | None:
+        """The task attempt's record from its result file; ``None`` when
+        the worker died without committing one."""
+        return load_result(self.result_path)
 
     @property
     def pid(self) -> int | None:
@@ -366,6 +385,19 @@ class PoolLease:
             self._outstanding += 1
         return AttemptHandle(self, worker)
 
+    def launch(self, spec: AttemptSpec, *,
+               inherit: tuple = ()) -> AttemptHandle:
+        """Run one task attempt (:func:`~repro.mapreduce.runtime.worker.
+        worker_entry`) on a worker, in its own attempt directory."""
+        os.makedirs(spec.attempt_dir, exist_ok=True)
+        try:
+            handle = self.spawn(worker_entry, (spec,), inherit=inherit)
+        except BaseException:
+            shutil.rmtree(spec.attempt_dir, ignore_errors=True)
+            raise
+        handle.result_path = spec.result_path
+        return handle
+
     def _start(self, target: Any, args: tuple, inherit: tuple) -> _Worker:
         while self._idle:
             worker = self._idle.pop()
@@ -434,3 +466,61 @@ class PoolLease:
             self._stop(worker)
         self._idle = []
         self.close()
+
+
+class FinishedAttempt:
+    """An inline attempt's handle, shaped like :class:`AttemptHandle`:
+    finished before it is returned.  ``error`` is the exception an error
+    record classifies, which a job the attempt ends raises itself."""
+
+    exitcode = 0
+
+    def __init__(self, record: dict[str, Any],
+                 error: BaseException | None) -> None:
+        self._record = record
+        self.error = error
+
+    def record(self) -> dict[str, Any]:
+        """The attempt's record."""
+        return self._record
+
+    def is_alive(self) -> bool:
+        """Never: the attempt ran to completion at launch."""
+        return False
+
+    def join(self, timeout: float | None = None) -> None:
+        """Nothing to wait for, stop or kill."""
+
+    terminate = kill = join
+
+
+class InlinePool:
+    """One slot in the calling process; a :class:`WorkerPool` stand-in
+    that is its own lease.
+
+    :meth:`launch` runs the attempt to completion before it returns --
+    no process, thread, heartbeat or result file -- in its wave
+    directory: with one slot no two attempts run at once, so a retry
+    overwrites what its predecessor left at the same paths.
+    """
+
+    max_workers = 1
+
+    def lease(self, tenant: str = "default") -> "InlinePool":
+        """The pool itself: there is one slot and one user."""
+        return self
+
+    def available(self) -> int:
+        """The one slot (the scheduler never holds it across polls)."""
+        return 1
+
+    def launch(self, spec: AttemptSpec, *,
+               inherit: tuple = ()) -> FinishedAttempt:
+        """Run one task attempt here and now."""
+        return FinishedAttempt(*execute_attempt(
+            spec, os.path.dirname(spec.attempt_dir)))
+
+    def release(self) -> None:
+        """No slot accounting to return."""
+
+    close = shutdown = release

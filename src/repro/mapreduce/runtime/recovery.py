@@ -31,6 +31,7 @@ the chaos soak harness (`benchmarks/bench_r1_chaos.py`) pins down.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -86,6 +87,10 @@ def _describe(obj: Any, depth: int = 0) -> str:
         return "{" + ",".join(f"{k}={v}" for k, v in items) + "}"
     if isinstance(obj, type):
         return f"{obj.__module__}.{obj.__qualname__}"
+    if isinstance(obj, functools.partial):  # a factory and what it binds
+        return (f"partial({_describe(obj.func, depth)},"
+                f"{_describe(list(obj.args), depth + 1)},"
+                f"{_describe(obj.keywords, depth + 1)})")
     qualname = getattr(obj, "__qualname__", None)
     if callable(obj) and qualname is not None:  # function / method / lambda
         return f"{getattr(obj, '__module__', '?')}.{qualname}"

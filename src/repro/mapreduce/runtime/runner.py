@@ -1,17 +1,18 @@
-"""Multiprocess drop-in replacement for the serial job runner.
+"""The job runners: one wave loop, on worker processes or inline.
 
-``ParallelJobRunner.run(job, dataset, splits)`` has the same signature
-and returns the same :class:`~repro.mapreduce.engine.JobResult` as
-:class:`~repro.mapreduce.engine.LocalJobRunner.run` -- with
-byte-identical :class:`~repro.mapreduce.metrics.Counters`, because both
-runners execute the *same* attempt body
-(:func:`~repro.mapreduce.runtime.attempt.run_attempt`), keep map
-outputs in the *same* :class:`~repro.mapreduce.runtime.ledger.
-MapOutputLedger` and fold results with the *same*
-:func:`~repro.mapreduce.runtime.ledger.assemble_result`; only the
-execution vehicle changes (a
-:class:`~repro.mapreduce.runtime.scheduler.TaskScheduler` driving
-worker processes over segments on shared disk, instead of a loop).
+:class:`ParallelJobRunner` drives a job's tasks through a
+:class:`~repro.mapreduce.runtime.scheduler.TaskScheduler` around one
+:class:`~repro.mapreduce.runtime.ledger.MapOutputLedger`, and folds
+the result with :func:`~repro.mapreduce.runtime.ledger.
+assemble_result`.  :class:`LocalJobRunner` -- the serial runner -- is
+the same wave loop on a scheduler with one inline slot
+(:class:`~repro.mapreduce.runtime.pool.InlinePool`): no retry budget,
+no speculation, no deadlines.  Both run every attempt through one
+:func:`~repro.mapreduce.runtime.attempt.execute_attempt` and climb one
+recovery ladder, so their output and
+:class:`~repro.mapreduce.metrics.Counters` are byte-identical by
+construction; only the executor differs (worker processes over
+segments on shared disk, or the driving process).
 
 The job DAG is two waves with a shuffle barrier: every map task runs
 first, writing one final IFile segment per reducer partition into its
@@ -42,7 +43,7 @@ import shutil
 import signal
 import tempfile
 import threading
-from typing import Any, Sequence
+from typing import Any, Collection, Sequence
 
 from repro import settings
 from repro.mapreduce.engine import JobResult
@@ -58,23 +59,27 @@ from repro.mapreduce.runtime.recovery import (
     file_crc32,
     job_fingerprint,
 )
-from repro.mapreduce.runtime.pool import WorkerPool
-from repro.mapreduce.runtime.scheduler import TaskScheduler, TaskSpec
+from repro.mapreduce.runtime.pool import InlinePool, WorkerPool
+from repro.mapreduce.runtime.scheduler import (
+    TaskScheduler,
+    TaskSpec,
+    check_knobs,
+)
 from repro.mapreduce.runtime.shuffle import ShuffleConfig
 from repro.mapreduce.runtime.trace import RuntimeTrace
 from repro.mapreduce.runtime.worker import load_result
 from repro.scidata.dataset import Dataset
 from repro.scidata.splits import ArraySplitter, InputSplit
 
-__all__ = ["ParallelJobRunner"]
+__all__ = ["ParallelJobRunner", "LocalJobRunner"]
 
 
 class ParallelJobRunner:
     """Run jobs on a bounded pool of worker processes.
 
-    Constructor keywords mirror :class:`TaskScheduler`'s knobs; runner
-    lifecycle (workdir ownership, ``keep_files``, context-manager
-    cleanup) mirrors :class:`~repro.mapreduce.engine.LocalJobRunner`.
+    Constructor keywords mirror :class:`TaskScheduler`'s knobs.  Usable
+    as a context manager: leaving the ``with`` block removes an owned
+    (auto-created) workdir.
 
     ``recovery_dir`` enables durable checkpointing there; ``resume``
     additionally adopts any valid completed work a previous (killed)
@@ -88,8 +93,8 @@ class ParallelJobRunner:
     worker is killed, segment servers stop, and a recovery-enabled
     run leaves its manifest behind for a later ``resume=True``.
     ``run()`` also wires SIGTERM/SIGINT to that event when called on
-    the main thread, so a terminated standalone run drains cleanly
-    instead of leaking children.
+    the main thread with worker processes, so a terminated standalone
+    run drains cleanly instead of leaking children.
     """
 
     def __init__(
@@ -115,7 +120,7 @@ class ParallelJobRunner:
         recovery_dir: str | None = None,
         resume: bool = False,
         start_method: str | None = None,
-        pool: WorkerPool | None = None,
+        pool: WorkerPool | InlinePool | None = None,
         tenant: str = "default",
         cancel_event: threading.Event | None = None,
         fault_injector: FaultInjector | None = None,
@@ -130,10 +135,6 @@ class ParallelJobRunner:
                        "max_host_reexecs")
         self.num_hosts = num_hosts
         self.max_host_reexecs = max_host_reexecs
-        self._own_workdir = workdir is None
-        self.workdir = workdir or tempfile.mkdtemp(prefix="repro-mrp-")
-        self.keep_files = keep_files
-        os.makedirs(self.workdir, exist_ok=True)
         self.max_workers = max_workers
         self.recovery_dir = recovery_dir
         self.resume = resume
@@ -163,6 +164,11 @@ class ParallelJobRunner:
             fault_injector=fault_injector,
             worker_rlimit_bytes=worker_rlimit_bytes,
         )
+        check_knobs(**self._scheduler_kwargs)
+        self._own_workdir = workdir is None
+        self.workdir = workdir or tempfile.mkdtemp(prefix="repro-mrp-")
+        self.keep_files = keep_files
+        os.makedirs(self.workdir, exist_ok=True)
         #: trace of the most recent run (also on ``JobResult.trace``)
         self.last_trace: RuntimeTrace | None = None
         #: tasks adopted from the manifest in the most recent run
@@ -227,7 +233,8 @@ class ParallelJobRunner:
         # Signal handlers only work on the main thread; service executor
         # threads use per-job cancel events instead.
         previous_handlers: dict[int, Any] = {}
-        if threading.current_thread() is threading.main_thread():
+        if (threading.current_thread() is threading.main_thread()
+                and not isinstance(self.pool, InlinePool)):
             def _on_signal(signum: int, frame: Any) -> None:
                 self.cancel_event.set()
             for sig in (signal.SIGTERM, signal.SIGINT):
@@ -237,7 +244,7 @@ class ParallelJobRunner:
                     pass
 
         if self.recovery_dir is None:
-            run_dir = tempfile.mkdtemp(prefix="run-", dir=self.workdir)
+            run_dir = self._open_run_dir()
             manifest, adopted = None, {}
         else:
             run_dir = self.recovery_dir
@@ -256,15 +263,14 @@ class ParallelJobRunner:
             # checkpoints *are* the resume state.  A completed one is
             # emptied (the caller-supplied directory itself survives,
             # like a caller-supplied workdir).
-            if not self.keep_files:
-                if self.recovery_dir is None:
-                    shutil.rmtree(run_dir, ignore_errors=True)
-                elif completed:
-                    self._clear_stale_attempts(run_dir)
-                    try:
-                        os.unlink(os.path.join(run_dir, MANIFEST_NAME))
-                    except OSError:  # pragma: no cover - already gone
-                        pass
+            if self.recovery_dir is None:
+                self._close_run_dir(run_dir, completed)
+            elif completed and not self.keep_files:
+                self._clear_run_dir(run_dir)
+                try:
+                    os.unlink(os.path.join(run_dir, MANIFEST_NAME))
+                except OSError:  # pragma: no cover - already gone
+                    pass
             if (self._own_workdir and os.path.isdir(self.workdir)
                     and not os.listdir(self.workdir)):
                 shutil.rmtree(self.workdir, ignore_errors=True)
@@ -275,6 +281,19 @@ class ParallelJobRunner:
                     pass
         self.last_trace = trace
         return result
+
+    def _open_run_dir(self) -> str:
+        """A fresh directory under the workdir for this run's attempts."""
+        return tempfile.mkdtemp(prefix="run-", dir=self.workdir)
+
+    def _close_run_dir(self, run_dir: str, completed: bool) -> None:
+        if not self.keep_files:
+            shutil.rmtree(run_dir, ignore_errors=True)
+
+    def _make_ledger(self, *args: Any, **kwargs: Any) -> MapOutputLedger:
+        """The run's map-output ledger (a seam tests and harnesses use
+        to inject ledger-level failures)."""
+        return MapOutputLedger(*args, **kwargs)
 
     # ------------------------------------------------------------- recovery
 
@@ -306,7 +325,7 @@ class ParallelJobRunner:
                                  problem)
                 # The checkpoints may be fine, but without a trustworthy
                 # manifest nothing vouches for them: clean restart.
-                self._clear_stale_attempts(run_dir)
+                self._clear_run_dir(run_dir)
         if previous is not None and previous.job_hash != fingerprint:
             previous = None  # different job: nothing is adoptable
 
@@ -323,17 +342,19 @@ class ParallelJobRunner:
                 manifest.tasks[record.task_id] = record
         if not self.resume:
             # A deliberate fresh start invalidates any stale checkpoints.
-            self._clear_stale_attempts(run_dir)
+            self._clear_run_dir(run_dir)
         manifest.save()
         return manifest, adopted
 
     @staticmethod
-    def _clear_stale_attempts(run_dir: str) -> None:
-        for name in os.listdir(run_dir):
+    def _clear_run_dir(run_dir: str,
+                       keep: Collection[str] = (MANIFEST_NAME,)) -> None:
+        """Remove every entry of ``run_dir`` not named in ``keep``."""
+        for name in set(os.listdir(run_dir)).difference(keep):
             path = os.path.join(run_dir, name)
             if os.path.isdir(path):
                 shutil.rmtree(path, ignore_errors=True)
-            elif name != MANIFEST_NAME:
+            else:
                 try:
                     os.unlink(path)
                 except OSError:  # pragma: no cover - already gone
@@ -409,8 +430,9 @@ class ParallelJobRunner:
         crash.  Overlap measurements land in ``pipeline_stats``, never
         in counters.
 
-        Either way output and counters are byte-identical to the serial
-        runner: same attempt body, same ledger, same assembler.
+        Either way output and counters are the same on every executor:
+        same attempt body, same ladder, same ledger, same assembler.  A
+        re-executed map writes into a fresh directory per epoch.
         """
         recovering = manifest is not None
         injector = self._scheduler_kwargs.get("fault_injector")
@@ -422,7 +444,7 @@ class ParallelJobRunner:
             os.makedirs(path, exist_ok=True)
             return path
 
-        ledger = MapOutputLedger(
+        ledger = self._make_ledger(
             job, dataset, splits, hosts=monitor, rerun_dir=fresh_dir,
             shuffle=shuffle_cfg, injector=injector, trace=trace,
             commit_dir=(os.path.join(run_dir, COMMITS_DIRNAME)
@@ -521,7 +543,8 @@ class ParallelJobRunner:
                         repair=repair,
                         precomputed={**adopted_maps, **adopted_reduces},
                         reexec=reexec, on_complete=on_complete,
-                        keep_result_files=recovering, pipeline=True)
+                        keep_result_files=recovering, pipeline=True,
+                        max_repairs=len(ledger.map_ids))
             else:
                 wave_kwargs: dict[str, Any] = {}
                 if recovering:
@@ -538,9 +561,69 @@ class ParallelJobRunner:
                     reduce_results = scheduler.run_wave(
                         reduce_specs(), job, None, run_dir, repair=repair,
                         precomputed=adopted_reduces, reexec=reexec,
-                        **wave_kwargs)
+                        max_repairs=len(ledger.map_ids), **wave_kwargs)
         finally:
             self.last_map_reexecs = ledger.map_reexecs
         return assemble_result(job, ledger, reduce_results,
                                scheduler.memory_tally, shuffle=shuffle_cfg,
                                trace=trace)
+
+
+class LocalJobRunner(ParallelJobRunner):
+    """Run :class:`~repro.mapreduce.job.Job` objects serially, in-process.
+
+    :class:`ParallelJobRunner` on one inline slot
+    (:class:`~repro.mapreduce.runtime.pool.InlinePool`), with
+    ``max_retries=0``, no backoff, no speculation and no deadlines: the
+    same wave loop, ladder, ledger and assembler, so output, counters and
+    ``result.trace`` match a parallel run's.  A failure no rung absorbs
+    raises as itself.  Files live in the workdir itself; a run removes
+    what it added there unless it completes with ``keep_files``.
+
+    ``fault_injector`` accepts every data-shaped and host-level fault; a
+    plan naming a process fault (``kill`` / ``crash`` / ``hang`` /
+    ``stall``) is rejected before any task runs.
+    """
+
+    def __init__(self, workdir: str | None = None, keep_files: bool = False,
+                 fault_injector: FaultInjector | None = None, *,
+                 shuffle: ShuffleConfig | None = None,
+                 fetch_failure_threshold: int = 2,
+                 max_map_reexecs: int = 2,
+                 num_hosts: int = 2,
+                 max_host_reexecs: int = 2) -> None:
+        super().__init__(
+            workdir, keep_files, max_retries=0, retry_backoff=0.0,
+            speculation=False, pool=InlinePool(),
+            fault_injector=fault_injector, shuffle=shuffle,
+            fetch_failure_threshold=fetch_failure_threshold,
+            max_map_reexecs=max_map_reexecs, num_hosts=num_hosts,
+            max_host_reexecs=max_host_reexecs)
+
+    def run(
+        self,
+        job: Job,
+        dataset: Dataset,
+        splits: Sequence[InputSplit] | None = None,
+    ) -> JobResult:
+        """Execute ``job`` over ``dataset``; returns outputs and metrics."""
+        injector = self._scheduler_kwargs["fault_injector"]
+        if injector is not None:
+            # Validate the whole plan before any work: a process fault
+            # aimed at the last reducer must not surface only after
+            # every other task has run and written files.
+            for task_id, fault in injector.planned():
+                if fault.mode in ("kill", "crash", "hang", "stall"):
+                    raise ValueError(
+                        f"fault mode {fault.mode!r} (planned for {task_id}) "
+                        f"is not supported by the serial runner (no worker "
+                        f"process to fail)")
+        return super().run(job, dataset, splits)
+
+    def _open_run_dir(self) -> str:
+        self._preexisting = set(os.listdir(self.workdir))
+        return self.workdir
+
+    def _close_run_dir(self, run_dir: str, completed: bool) -> None:
+        if not (completed and self.keep_files):
+            self._clear_run_dir(run_dir, keep=self._preexisting)

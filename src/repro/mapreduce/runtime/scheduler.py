@@ -1,13 +1,17 @@
-"""Bounded multiprocess task scheduler: retries, backoff, speculation,
-attempt deadlines, heartbeat monitoring, and checkpoint adoption.
+"""Bounded task scheduler: retries, backoff, speculation, attempt
+deadlines, heartbeat monitoring, and checkpoint adoption.
 
 The scheduler executes one *wave* of independent tasks (all maps, then
 all reduces -- the shuffle barrier between them is the job DAG) on a
-bounded pool of worker processes, which the scheduler's lease keeps
+bounded pool.  A :class:`~repro.mapreduce.runtime.pool.WorkerPool`
+runs attempts in worker processes, which the scheduler's lease keeps
 for the whole job: an attempt runs on an idle worker, and a worker is
 forked only when none is idle (see :mod:`~repro.mapreduce.runtime.pool`).
-:meth:`TaskScheduler.close` stops them.  It owns the whole robustness
-story:
+:meth:`TaskScheduler.close` stops them.  An :class:`~repro.mapreduce.
+runtime.pool.InlinePool` runs each attempt in the calling process
+instead -- the serial runner is this scheduler on one inline slot, so
+both runners climb one recovery ladder (``handle_error`` in
+:meth:`TaskScheduler.run_wave`).  It owns the whole robustness story:
 
 * **Retry with backoff** -- an attempt that dies (no result file) or
   returns an error is re-queued with exponential backoff, up to
@@ -32,13 +36,15 @@ story:
 * **Corrupt-segment repair** -- a reduce attempt failing a segment
   checksum reports the offending path; the caller-supplied ``repair``
   hook re-generates that map output in place and the reduce retries
-  (Hadoop's fetch-failure -> re-execute-the-mapper protocol).
+  (Hadoop's fetch-failure -> re-execute-the-mapper protocol), without
+  spending ``max_retries``, at most ``max_repairs`` times per task.
 * **Record skipping** -- when a job carries a
   :class:`~repro.mapreduce.job.SkipPolicy` and an attempt fails with a
   skip-eligible error (user-code or record-local corruption), every
   later attempt of that task runs in record-level skipping mode (see
   :mod:`~repro.mapreduce.runtime.skipping`): poison records are
   bisected out into quarantine and the task completes over the rest.
+  Entering skip mode is free; a failure in skip mode is charged.
 * **Checkpoint adoption** -- ``run_wave(..., precomputed=...)`` seeds
   the wave with results recovered from a job manifest (see
   :mod:`~repro.mapreduce.runtime.recovery`); adopted tasks are recorded
@@ -63,21 +69,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.mapreduce.metrics import C
-from repro.mapreduce.runtime.attempt import new_memory_tally, note_memory
+from repro.mapreduce.runtime.attempt import AttemptSpec
 from repro.mapreduce.runtime.fault import Fault, FaultInjector
 from repro.mapreduce.runtime.hosts import HostHealthMonitor
 from repro.mapreduce.runtime.pipeline import STARVED_NAME
-from repro.mapreduce.runtime.pool import PoolSaturatedError, WorkerPool
+from repro.mapreduce.runtime.pool import InlinePool, PoolSaturatedError, WorkerPool
 from repro.mapreduce.runtime.trace import RuntimeTrace
-from repro.mapreduce.runtime.worker import (
-    HEARTBEAT_NAME,
-    load_result,
-    worker_entry,
-)
+from repro.mapreduce.runtime.worker import HEARTBEAT_NAME
 from repro.util.backoff import backoff_delay
 
 __all__ = ["TaskSpec", "TaskFailedError", "WaveDeadlineError",
-           "JobCancelledError", "TaskScheduler"]
+           "JobCancelledError", "TaskScheduler", "check_knobs"]
 
 
 @dataclass(frozen=True)
@@ -141,23 +143,24 @@ class JobCancelledError(RuntimeError):
 
 class _Attempt:
     """Book-keeping for one in-flight attempt; ``process`` is its
-    :class:`~repro.mapreduce.runtime.pool.AttemptHandle`."""
+    executor's handle (:class:`~repro.mapreduce.runtime.pool.
+    AttemptHandle` or :class:`~repro.mapreduce.runtime.pool.
+    FinishedAttempt`)."""
 
     __slots__ = ("spec", "number", "process", "dir", "result_path",
                  "heartbeat_path", "started", "speculative", "host")
 
-    def __init__(self, spec: TaskSpec, number: int, process, attempt_dir: str,
-                 result_path: str, speculative: bool,
-                 host: str | None = None) -> None:
+    def __init__(self, spec: TaskSpec, launch: AttemptSpec,
+                 speculative: bool) -> None:
         self.spec = spec
-        self.number = number
-        self.process = process
-        self.dir = attempt_dir
-        self.result_path = result_path
-        self.heartbeat_path = os.path.join(attempt_dir, HEARTBEAT_NAME)
+        self.number = launch.number
+        self.process: Any = None
+        self.dir = launch.attempt_dir
+        self.result_path = launch.result_path
+        self.heartbeat_path = os.path.join(self.dir, HEARTBEAT_NAME)
         self.started = time.monotonic()
         self.speculative = speculative
-        self.host = host
+        self.host = launch.host
 
 
 def _kill_process(process, grace: float = 0.5) -> None:
@@ -170,8 +173,51 @@ def _kill_process(process, grace: float = 0.5) -> None:
         process.join(timeout=5)
 
 
+def check_knobs(*, max_retries: int, retry_backoff: float,
+                retry_backoff_max: float, fetch_failure_threshold: int,
+                max_map_reexecs: int, straggler_factor: float,
+                speculation_min_completed: int, task_timeout: float | None,
+                heartbeat_interval: float, heartbeat_timeout: float | None,
+                wave_deadline: float | None, **_others: Any) -> None:
+    """Raise ``ValueError`` on an invalid :class:`TaskScheduler` knob --
+    the scheduler's own check, which a runner makes at construction
+    (other keywords are ignored)."""
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+    if retry_backoff < 0:
+        raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
+    if retry_backoff_max < 0:
+        raise ValueError(
+            f"retry_backoff_max must be >= 0, got {retry_backoff_max}")
+    if fetch_failure_threshold < 1:
+        raise ValueError(
+            f"fetch_failure_threshold must be >= 1, "
+            f"got {fetch_failure_threshold}")
+    if max_map_reexecs < 0:
+        raise ValueError(
+            f"max_map_reexecs must be >= 0, got {max_map_reexecs}")
+    if straggler_factor <= 1.0:
+        raise ValueError(
+            f"straggler_factor must be > 1, got {straggler_factor}")
+    if speculation_min_completed < 1:
+        raise ValueError("speculation_min_completed must be >= 1")
+    if task_timeout is not None and task_timeout <= 0:
+        raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
+    if heartbeat_interval <= 0:
+        raise ValueError(
+            f"heartbeat_interval must be > 0, got {heartbeat_interval}")
+    if heartbeat_timeout is not None:
+        if heartbeat_timeout <= heartbeat_interval:
+            raise ValueError(
+                f"heartbeat_timeout ({heartbeat_timeout}) must exceed "
+                f"heartbeat_interval ({heartbeat_interval})")
+    if wave_deadline is not None and wave_deadline <= 0:
+        raise ValueError(f"wave_deadline must be > 0, got {wave_deadline}")
+
+
 class TaskScheduler:
-    """Run waves of tasks on a bounded pool of worker processes.
+    """Run waves of tasks on a bounded pool: worker processes, or one
+    inline slot.
 
     Parameters
     ----------
@@ -220,7 +266,8 @@ class TaskScheduler:
         a borrowed ``pool`` brings its own context.
     pool / tenant:
         The :class:`~repro.mapreduce.runtime.pool.WorkerPool` worker
-        slots are leased from, and the tenant the lease is charged to.
+        slots are leased from (or an :class:`~repro.mapreduce.runtime.
+        pool.InlinePool`), and the tenant the lease is charged to.
         Without a pool the scheduler builds a private one sized
         ``max_workers`` -- the pre-service ownership model, byte-for-
         byte.  With a shared pool (the job service), every launch
@@ -266,7 +313,7 @@ class TaskScheduler:
         wave_deadline: float | None = None,
         poll_interval: float = 0.005,
         start_method: str | None = None,
-        pool: WorkerPool | None = None,
+        pool: WorkerPool | InlinePool | None = None,
         tenant: str = "default",
         cancel_event: threading.Event | None = None,
         fault_injector: FaultInjector | None = None,
@@ -277,37 +324,15 @@ class TaskScheduler:
         if max_workers is None and pool is not None:
             max_workers = pool.max_workers
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
-        if retry_backoff_max < 0:
-            raise ValueError(
-                f"retry_backoff_max must be >= 0, got {retry_backoff_max}")
-        if fetch_failure_threshold < 1:
-            raise ValueError(
-                f"fetch_failure_threshold must be >= 1, "
-                f"got {fetch_failure_threshold}")
-        if max_map_reexecs < 0:
-            raise ValueError(
-                f"max_map_reexecs must be >= 0, got {max_map_reexecs}")
-        if straggler_factor <= 1.0:
-            raise ValueError(
-                f"straggler_factor must be > 1, got {straggler_factor}")
-        if speculation_min_completed < 1:
-            raise ValueError("speculation_min_completed must be >= 1")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
-        if heartbeat_interval <= 0:
-            raise ValueError(
-                f"heartbeat_interval must be > 0, got {heartbeat_interval}")
-        if heartbeat_timeout is not None:
-            if heartbeat_timeout <= heartbeat_interval:
-                raise ValueError(
-                    f"heartbeat_timeout ({heartbeat_timeout}) must exceed "
-                    f"heartbeat_interval ({heartbeat_interval})")
-        if wave_deadline is not None and wave_deadline <= 0:
-            raise ValueError(f"wave_deadline must be > 0, got {wave_deadline}")
+        check_knobs(
+            max_retries=max_retries, retry_backoff=retry_backoff,
+            retry_backoff_max=retry_backoff_max,
+            fetch_failure_threshold=fetch_failure_threshold,
+            max_map_reexecs=max_map_reexecs,
+            straggler_factor=straggler_factor,
+            speculation_min_completed=speculation_min_completed,
+            task_timeout=task_timeout, heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout, wave_deadline=wave_deadline)
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
@@ -327,8 +352,11 @@ class TaskScheduler:
         self.hosts = hosts
         self.worker_rlimit_bytes = worker_rlimit_bytes
         #: ledger telemetry aggregated across waves -- consumed by the
-        #: runner for ``JobResult.memory_stats`` and the MEMORY_* counters
-        self.memory_tally: dict[str, Any] = new_memory_tally()
+        #: assembler for ``JobResult.memory_stats`` and the MEMORY_*
+        #: counters
+        self.memory_tally: dict[str, Any] = {
+            "oom_events": 0, "degraded_attempts": 0, "peak_bytes": 0,
+            "used_budget": False}
         #: planned disk faults by home host, applied inside workers
         self._disk_faults: dict[str, Fault] = {}
         if fault_injector is not None:
@@ -364,14 +392,18 @@ class TaskScheduler:
         keep_result_files: bool = False,
         reexec: Callable[[str], Mapping[str, Any]] | None = None,
         pipeline: bool = False,
+        max_repairs: int = 0,
     ) -> dict[str, Any]:
         """Run every task in ``specs`` to completion; returns results by id.
 
         Raises :class:`TaskFailedError` when any task exhausts its retry
         budget, or :class:`WaveDeadlineError` on ``wave_deadline``
-        breach.  ``repair`` is invoked with the corrupt segment path
-        when an attempt fails integrity verification, before that
-        task's retry is queued.
+        breach; an attempt run inline that ends the wave raises its own
+        exception instead.  ``repair`` is invoked with the corrupt
+        segment path when a reduce attempt fails integrity
+        verification, before that task's retry is queued -- at most
+        ``max_repairs`` times per task (the runner passes the job's map
+        count); a corrupt segment past that bound is a charged failure.
 
         ``precomputed`` maps task ids to already-recovered results
         (checkpoint adoption): those tasks are marked ``adopted`` in the
@@ -439,6 +471,9 @@ class TaskScheduler:
         #: tasks whose next attempts run in record-skipping mode; sticky
         #: for the rest of the wave once a skip-eligible failure is seen
         skip_tasks: set[str] = set()
+        #: corrupt-segment repairs per reduce, uncharged against
+        #: ``max_retries`` but bounded by ``max_repairs``
+        repairs: dict[str, int] = defaultdict(int)
         next_attempt: dict[str, int] = defaultdict(int)
         #: completed-attempt durations by task kind: a combined
         #: (pipelined) wave must not let long wait-bound reduce attempts
@@ -456,48 +491,36 @@ class TaskScheduler:
             spec = by_id[spec.task_id]
             number = next_attempt[spec.task_id]
             attempt_dir = os.path.join(wave_dir, f"{spec.task_id}.{number}")
-            os.makedirs(attempt_dir, exist_ok=True)
-            result_path = os.path.join(attempt_dir, "_result.pkl")
-            fault = (self.fault_injector.fault_for(spec.task_id, number)
-                     if self.fault_injector is not None else None)
-            fetch_faults = (
-                self.fault_injector.fetch_plan_for(spec.task_id)
-                if self.fault_injector is not None and spec.kind == "reduce"
-                else None) or None
             skip_mode = spec.task_id in skip_tasks
             host = disk_fault = None
             if self.hosts is not None:
                 host = self.hosts.place(spec.task_id)
                 if self._disk_faults:
                     # Disk faults follow the task's *home* host (the
-                    # serial runner has no placement, so parity demands
-                    # the stable hash decide who fails over).
+                    # stable hash, not the placement, decides who fails
+                    # over, wherever the attempt runs).
                     disk_fault = self._disk_faults.get(
                         self.hosts.host_for(spec.task_id))
-            try:
-                process = self._lease.spawn(
-                    worker_entry,
-                    (spec.task_id, spec.kind, number, attempt_dir,
-                     result_path, job,
-                     dataset if spec.kind == "map" else None,
-                     spec.payload, fault, self.heartbeat_interval,
-                     skip_mode, self.shuffle, fetch_faults,
-                     host, disk_fault, self.worker_rlimit_bytes,
-                     # Degrade-on-retry: the OOM deaths this task has
-                     # suffered; the attempt body halves its memory
-                     # knobs once per level.
-                     oom_requeues[spec.task_id]),
-                    inherit=(job, dataset),
-                )
-            except PoolSaturatedError:
-                # Lost the race for the last shared slot to a concurrent
-                # job between the availability check and the spawn; the
-                # attempt number stays unspent and the caller requeues.
-                shutil.rmtree(attempt_dir, ignore_errors=True)
-                return False
-            next_attempt[spec.task_id] += 1
-            running.append(_Attempt(spec, number, process, attempt_dir,
-                                    result_path, speculative, host))
+            injector = self.fault_injector
+            attempt_spec = AttemptSpec(
+                spec.task_id, spec.kind, number, attempt_dir, job,
+                dataset if spec.kind == "map" else None, spec.payload,
+                fault=(injector.fault_for(spec.task_id, number)
+                       if injector is not None else None),
+                skip_mode=skip_mode, shuffle=self.shuffle,
+                fetch_faults=(injector.fetch_plan_for(spec.task_id)
+                              if injector is not None
+                              and spec.kind == "reduce" else None) or None,
+                # Degrade-on-retry: the OOM deaths this task has
+                # suffered; the attempt body halves its memory knobs
+                # once per level.
+                degrade=oom_requeues[spec.task_id],
+                host=host, disk_fault=disk_fault,
+                heartbeat_interval=self.heartbeat_interval,
+                rlimit_bytes=self.worker_rlimit_bytes)
+            attempt = _Attempt(spec, attempt_spec, speculative)
+            # Recorded before the launch: an inline executor has run the
+            # attempt by the time ``launch`` returns.
             if disk_fault is not None:
                 trace.record(spec.task_id, number, spec.kind,
                              "disk_failover",
@@ -509,6 +532,17 @@ class TaskScheduler:
                 trace.record(spec.task_id, number, spec.kind, "skipping",
                              "record-level skipping after eligible failure")
             trace.record(spec.task_id, number, spec.kind, "started")
+            try:
+                attempt.process = self._lease.launch(
+                    attempt_spec, inherit=(job, dataset))
+            except PoolSaturatedError:
+                # Lost the race for the last shared slot to a concurrent
+                # job between the availability check and the spawn; the
+                # attempt number stays unspent (its retry records
+                # ``started`` again) and the caller requeues.
+                return False
+            next_attempt[spec.task_id] += 1
+            running.append(attempt)
             return True
 
         def retire(attempt: _Attempt) -> None:
@@ -527,20 +561,39 @@ class TaskScheduler:
                              "discarded")
                 shutil.rmtree(rival.dir, ignore_errors=True)
 
-        def record_failure(attempt: _Attempt, detail: str,
-                           corrupt_path: str | None = None,
-                           skip_eligible: bool = False) -> None:
-            """Common failure path: cleanup, repair, requeue or raise."""
+        def note_failure(attempt: _Attempt, detail: str,
+                         charge_host: bool = True) -> None:
+            """Trace a failed attempt and discard its directory."""
             spec = attempt.spec
-            task_id = spec.task_id
-            trace.record(task_id, attempt.number, spec.kind, "failed", detail)
+            trace.record(spec.task_id, attempt.number, spec.kind, "failed",
+                         detail)
             shutil.rmtree(attempt.dir, ignore_errors=True)
-            if self.hosts is not None and attempt.host is not None:
+            if (charge_host and self.hosts is not None
+                    and attempt.host is not None):
                 self.hosts.record_task_failure(attempt.host, detail)
-            if corrupt_path is not None and repair is not None:
-                repair(corrupt_path)
-            if skip_eligible and getattr(job, "skipping", None) is not None:
-                skip_tasks.add(task_id)
+
+        def covered(task_id: str) -> bool:
+            """A rival attempt or a queued retry already stands in."""
+            return (any(a.spec.task_id == task_id for a in running)
+                    or any(s.task_id == task_id for s, _ in pending))
+
+        def requeue(attempt: _Attempt, why: str, count: int) -> None:
+            """Queue a retry that ``max_retries`` does not pay for;
+            ``count`` (this rung's requeues of the task) paces it."""
+            task_id = attempt.spec.task_id
+            delay = backoff_delay(self.retry_backoff, count,
+                                  self.retry_backoff_max,
+                                  key=f"{task_id}:{why}")
+            pending.append((by_id[task_id], time.monotonic() + delay))
+            trace.record(task_id, attempt.number, attempt.spec.kind,
+                         "retried", f"{why}, backoff {delay:.3f}s "
+                         f"(retry budget uncharged)")
+
+        def record_failure(attempt: _Attempt, detail: str) -> None:
+            """A failure the task's ``max_retries`` budget pays for:
+            requeue, or raise once the budget is spent."""
+            task_id = attempt.spec.task_id
+            note_failure(attempt, detail)
             failures[task_id] += 1
             rival_running = any(a.spec.task_id == task_id for a in running)
             if failures[task_id] > self.max_retries:
@@ -552,8 +605,8 @@ class TaskScheduler:
             delay = backoff_delay(self.retry_backoff, failures[task_id],
                                   self.retry_backoff_max, key=task_id)
             pending.append((by_id[task_id], time.monotonic() + delay))
-            trace.record(task_id, attempt.number, spec.kind, "retried",
-                         f"backoff {delay:.3f}s")
+            trace.record(task_id, attempt.number, attempt.spec.kind,
+                         "retried", f"backoff {delay:.3f}s")
 
         def reexec_map(map_id: str, detail: str) -> None:
             """Re-execute a completed map and re-point its consumers."""
@@ -602,12 +655,10 @@ class TaskScheduler:
             ``max_map_reexecs`` bounds how often one map may be re-run
             before the wave fails.
             """
-            spec = attempt.spec
-            task_id = spec.task_id
-            trace.record(task_id, attempt.number, spec.kind, "failed", detail)
-            trace.record(task_id, attempt.number, spec.kind, "fetch_failure",
-                         f"{map_id}: {detail}")
-            shutil.rmtree(attempt.dir, ignore_errors=True)
+            task_id = attempt.spec.task_id
+            note_failure(attempt, detail, charge_host=False)
+            trace.record(task_id, attempt.number, attempt.spec.kind,
+                         "fetch_failure", f"{map_id}: {detail}")
             if self.hosts is not None:
                 # The strike lands on the host *serving* the unfetchable
                 # segments -- evidence toward DEAD only if that host has
@@ -620,17 +671,9 @@ class TaskScheduler:
                         task_id, fetch_requeues[task_id] + 1,
                         f"{detail} (no re-execution hook installed)")
                 reexec_map(map_id, detail)
-            if any(a.spec.task_id == task_id for a in running) \
-                    or any(s.task_id == task_id for s, _ in pending):
-                return  # a rival or a reexec requeue already covers it
-            fetch_requeues[task_id] += 1
-            delay = backoff_delay(self.retry_backoff, fetch_requeues[task_id],
-                                  self.retry_backoff_max,
-                                  key=f"{task_id}:fetch")
-            pending.append((by_id[task_id], time.monotonic() + delay))
-            trace.record(task_id, attempt.number, spec.kind, "retried",
-                         f"fetch failure, backoff {delay:.3f}s "
-                         f"(retry budget uncharged)")
+            if not covered(task_id):  # else a rival or reexec requeue
+                fetch_requeues[task_id] += 1
+                requeue(attempt, "fetch failure", fetch_requeues[task_id])
 
         def handle_oom(attempt: _Attempt, detail: str) -> None:
             """An attempt died out of memory (injected, budget overrun,
@@ -642,10 +685,8 @@ class TaskScheduler:
             memory knobs.  Hosts are not charged either: the task's
             footprint, not the host's disks, is at fault.
             """
-            spec = attempt.spec
-            task_id = spec.task_id
-            trace.record(task_id, attempt.number, spec.kind, "failed", detail)
-            shutil.rmtree(attempt.dir, ignore_errors=True)
+            task_id = attempt.spec.task_id
+            note_failure(attempt, detail, charge_host=False)
             limit = (getattr(self.shuffle, "max_memory_retries", 2)
                      if self.shuffle is not None else 2)
             oom_requeues[task_id] += 1
@@ -656,23 +697,47 @@ class TaskScheduler:
                     task_id, oom_requeues[task_id],
                     f"{detail} (exhausted {limit} memory retries)")
             # Tallied only for deaths that earn a degraded retry -- the
-            # exhausting death raises untallied, in either runner's
-            # loop, so the counters match whenever a job completes.
+            # exhausting death raises untallied, so the counters are a
+            # function of the fault plan whenever a job completes.
             self.memory_tally["oom_events"] += 1
             self.memory_tally["degraded_attempts"] += 1
-            trace.record(task_id, attempt.number, spec.kind, "oom_degraded",
+            trace.record(task_id, attempt.number, attempt.spec.kind,
+                         "oom_degraded",
                          f"degrade level {oom_requeues[task_id]}: sort "
                          f"buffer halved")
-            if any(a.spec.task_id == task_id for a in running) \
-                    or any(s.task_id == task_id for s, _ in pending):
-                return  # a rival attempt or queued retry already covers it
-            delay = backoff_delay(self.retry_backoff, oom_requeues[task_id],
-                                  self.retry_backoff_max,
-                                  key=f"{task_id}:oom")
-            pending.append((by_id[task_id], time.monotonic() + delay))
-            trace.record(task_id, attempt.number, spec.kind, "retried",
-                         f"oom, backoff {delay:.3f}s "
-                         f"(retry budget uncharged)")
+            if not covered(task_id):
+                requeue(attempt, "oom", oom_requeues[task_id])
+
+        def handle_error(attempt: _Attempt, result: dict[str, Any]) -> None:
+            """Climb the recovery ladder on ``classify``'s error record:
+            the one dispatch on a failed attempt, in the record's order.
+
+            Fetch failures, OOM deaths, the entry into skip mode (once
+            per task, sticky) and corrupt-segment repairs (at most
+            ``max_repairs`` per reduce) requeue without charging
+            ``max_retries``; any other failure is charged.
+            """
+            task_id = attempt.spec.task_id
+            detail = f"{result['error_type']}: {result['message']}"
+            if result["failed_map"] is not None:
+                handle_fetch_failure(attempt, result["failed_map"], detail)
+            elif result["oom"]:
+                handle_oom(attempt, detail)
+            elif result["skip_eligible"] and task_id not in skip_tasks:
+                note_failure(attempt, detail)
+                skip_tasks.add(task_id)
+                if not covered(task_id):
+                    requeue(attempt, "skip mode", 1)
+            elif (attempt.spec.kind == "reduce" and repair is not None
+                    and result["corrupt_path"] is not None
+                    and repairs[task_id] < max_repairs):
+                note_failure(attempt, detail)
+                repair(result["corrupt_path"])
+                repairs[task_id] += 1
+                if not covered(task_id):
+                    requeue(attempt, "segment repaired", repairs[task_id])
+            else:
+                record_failure(attempt, detail)
 
         def handle_exit(attempt: _Attempt) -> None:
             spec = attempt.spec
@@ -683,59 +748,55 @@ class TaskScheduler:
                              "discarded", "lost to rival attempt")
                 shutil.rmtree(attempt.dir, ignore_errors=True)
                 return
-            result = load_result(attempt.result_path)
-            if result is not None and result["status"] == "ok":
-                results[task_id] = result["value"]
-                durations[spec.kind].append(time.monotonic() - attempt.started)
-                trace.record(task_id, attempt.number, spec.kind, "finished")
-                if self.hosts is not None and attempt.host is not None:
-                    # A completed attempt is both liveness evidence and a
-                    # clean attempt toward probation reinstatement.
-                    self.hosts.record_heartbeat(attempt.host)
-                    self.hosts.record_task_success(attempt.host)
-                counters = getattr(result["value"], "counters", None)
-                skipped = (counters.get(C.RECORDS_SKIPPED)
-                           if counters is not None else 0)
-                if skipped:
-                    trace.record(
-                        task_id, attempt.number, spec.kind, "quarantined",
-                        f"{skipped} record(s) skipped into quarantine")
-                mem = result.get("memory")
-                if mem:
-                    note_memory(self.memory_tally, mem)
-                    trace.record(
-                        task_id, attempt.number, spec.kind, "memory_peak",
-                        f"{mem.get('peak', 0)}/{mem.get('capacity')}")
-                if on_complete is not None:
-                    on_complete(spec, attempt.number, attempt.dir,
-                                attempt.result_path, result["value"])
-                if not keep_result_files:
-                    try:
-                        os.unlink(attempt.result_path)
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-                kill_rivals(task_id, attempt)
-                return
-            # Failure: worker died without a result, or reported an error.
+            result = attempt.process.record()
             if result is None:
-                detail = (f"worker exited with code "
-                          f"{attempt.process.exitcode} and no result")
-                corrupt_path = None
-                skip_eligible = False
-            else:
-                # ``classify``'s record: the same dispatch, in the same
-                # order, as the serial runner's inline loop.
-                detail = f"{result['error_type']}: {result['message']}"
-                if result["failed_map"] is not None:
-                    handle_fetch_failure(attempt, result["failed_map"],
-                                         detail)
-                    return
-                if result["oom"]:
-                    handle_oom(attempt, detail)
-                    return
-                corrupt_path = result["corrupt_path"]
-                skip_eligible = result["skip_eligible"]
-            record_failure(attempt, detail, corrupt_path, skip_eligible)
+                record_failure(attempt, f"worker exited with code "
+                               f"{attempt.process.exitcode} and no result")
+                return
+            if result["status"] != "ok":
+                try:
+                    handle_error(attempt, result)
+                except TaskFailedError:
+                    # An inline attempt that ends the job raises as
+                    # itself, not as the scheduler's summary of it.
+                    error = getattr(attempt.process, "error", None)
+                    if error is None:
+                        raise
+                    raise error from None
+                return
+            results[task_id] = result["value"]
+            durations[spec.kind].append(time.monotonic() - attempt.started)
+            trace.record(task_id, attempt.number, spec.kind, "finished")
+            if self.hosts is not None and attempt.host is not None:
+                # A completed attempt is both liveness evidence and a
+                # clean attempt toward probation reinstatement.
+                self.hosts.record_heartbeat(attempt.host)
+                self.hosts.record_task_success(attempt.host)
+            counters = getattr(result["value"], "counters", None)
+            skipped = (counters.get(C.RECORDS_SKIPPED)
+                       if counters is not None else 0)
+            if skipped:
+                trace.record(
+                    task_id, attempt.number, spec.kind, "quarantined",
+                    f"{skipped} record(s) skipped into quarantine")
+            mem = result.get("memory")
+            if mem:
+                tally = self.memory_tally
+                tally["used_budget"] = True
+                tally["peak_bytes"] = max(tally["peak_bytes"],
+                                          mem.get("peak", 0))
+                trace.record(
+                    task_id, attempt.number, spec.kind, "memory_peak",
+                    f"{mem.get('peak', 0)}/{mem.get('capacity')}")
+            if on_complete is not None:
+                on_complete(spec, attempt.number, attempt.dir,
+                            attempt.result_path, result["value"])
+            if not keep_result_files:
+                try:
+                    os.unlink(attempt.result_path)
+                except OSError:  # no file (inline), or already gone
+                    pass
+            kill_rivals(task_id, attempt)
 
         def deadline_breach(attempt: _Attempt, now: float) -> str | None:
             """Why this attempt must die now, or ``None`` to let it run."""

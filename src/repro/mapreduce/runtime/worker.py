@@ -4,16 +4,17 @@ A worker process runs many attempts of one job, one at a time (see
 :mod:`~repro.mapreduce.runtime.pool`); :func:`prepare_process` sets it
 up once, right after fork, and :func:`worker_entry` is one attempt.
 
-The worker executes exactly the attempt body the serial runner calls
-inline (:func:`repro.mapreduce.runtime.attempt.run_attempt`) inside its
-own attempt directory, then hands the pickled result -- the ok-record,
-or :func:`~repro.mapreduce.runtime.attempt.classify`'s error record --
-back to the scheduler through a file on shared disk.  The result file is committed durably
-(tmp + fsync + rename), so the scheduler observes either a complete
-result or none at all -- a worker killed mid-task simply leaves no
-result, which is the retry signal; :func:`load_result` additionally
-treats a torn or truncated pickle as "no result" rather than crashing
-the scheduler.
+:func:`worker_entry` wraps the attempt executor every pool shares
+(:func:`repro.mapreduce.runtime.attempt.execute_attempt`) in what only
+a process needs: a heartbeat, an rlimit, process-shaped faults, and a
+durable result file that hands the record -- the ok-record, or
+:func:`~repro.mapreduce.runtime.attempt.classify`'s error record --
+back to the scheduler on shared disk.  The result file is committed
+durably (tmp + fsync + rename), so the scheduler observes either a
+complete result or none at all -- a worker killed mid-task simply
+leaves no result, which is the retry signal; :func:`load_result`
+additionally treats a torn or truncated pickle as "no result" rather
+than crashing the scheduler.
 
 While the attempt runs, a daemon **heartbeat thread** touches
 ``<attempt_dir>/_heartbeat`` every ``heartbeat_interval`` seconds.  The
@@ -47,6 +48,7 @@ elsewhere it skips the step.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -54,9 +56,7 @@ import threading
 import time
 from typing import Any
 
-from repro.mapreduce.runtime.attempt import classify, run_attempt
-from repro.mapreduce.runtime.fault import Fault
-from repro.mapreduce.runtime.hosts import provision_failover_workdir
+from repro.mapreduce.runtime.attempt import AttemptSpec, execute_attempt
 from repro.util.fsio import fsync_file, replace_durably
 
 __all__ = ["worker_entry", "load_result", "prepare_process",
@@ -168,20 +168,19 @@ def load_result(result_path: str) -> dict[str, Any] | None:
         return None
 
 
-
-
-def _apply_process_fault(fault: Fault | None, task_id: str,
-                         attempt: int) -> None:
+def _apply_process_fault(spec: AttemptSpec) -> None:
     """Process-shaped faults only a worker can suffer (the serial runner
     rejects a plan naming them): data-shaped ones belong to
     :func:`~repro.mapreduce.runtime.attempt.run_attempt`."""
+    fault = spec.fault
     if fault is None:
         return
     if fault.mode == "kill":
         # Abrupt death: no result file, no cleanup, no goodbye.
         os._exit(fault.exit_code)
     if fault.mode == "crash":
-        raise RuntimeError(f"injected crash in {task_id} attempt {attempt}")
+        raise RuntimeError(
+            f"injected crash in {spec.task_id} attempt {spec.number}")
     if fault.mode == "hang":
         time.sleep(fault.seconds)
     if fault.mode == "stall":
@@ -191,65 +190,27 @@ def _apply_process_fault(fault: Fault | None, task_id: str,
         os.kill(os.getpid(), signal.SIGSTOP)
 
 
-def worker_entry(
-    task_id: str,
-    kind: str,
-    attempt: int,
-    attempt_dir: str,
-    result_path: str,
-    job: Any,
-    dataset: Any,
-    payload: Any,
-    fault: Fault | None,
-    heartbeat_interval: float = 0.25,
-    skip_mode: bool = False,
-    shuffle: Any = None,
-    fetch_faults: Any = None,
-    host: str | None = None,
-    disk_fault: Fault | None = None,
-    rlimit_bytes: int | None = None,
-    degrade: int = 0,
-) -> None:
-    """One attempt on a worker: run the task attempt and persist its
-    result.
+def worker_entry(spec: AttemptSpec) -> None:
+    """One attempt on a worker: execute it and persist its record.
 
     Heartbeat + rlimit + :func:`~repro.mapreduce.runtime.attempt.
-    run_attempt` + a durable result write; ``payload``, ``fault``,
-    ``skip_mode``, ``shuffle``, ``fetch_faults`` and ``degrade`` are
-    forwarded to the attempt body unchanged.
-
-    ``host`` is the simulated host this attempt was placed on, and
-    ``disk_fault`` a planned ``disk_fault`` against that host: the task
-    body then runs in a spare workdir (the attempt directory keeps its
-    heartbeat and result file -- only spills and segments fail over).
+    execute_attempt` with the process-shaped faults as its prelude and
+    a durable result write as its commit.  A planned disk fault moves
+    only spills and segments to the spare volume: the attempt directory
+    keeps its heartbeat and result file.
     """
-    heartbeat = _start_heartbeat(attempt_dir, heartbeat_interval)
-    _apply_rlimit(rlimit_bytes)
+    heartbeat = _start_heartbeat(spec.attempt_dir, spec.heartbeat_interval)
+    _apply_rlimit(spec.rlimit_bytes)
+    commit = functools.partial(_write_result, spec.result_path)
 
-    def oom_killed(exc: MemoryError) -> None:
+    def oom_killed(record: dict[str, Any]) -> None:
         # The simulated kernel OOM killer: SIGKILL's exit status, but
         # with the error record already durable.
-        _write_result(result_path, classify(exc, job))
+        commit(record)
         os._exit(137)
 
     try:
-        workdir = attempt_dir
-        if disk_fault is not None:
-            workdir = provision_failover_workdir(
-                attempt_dir, task_id, host or "", disk_fault)
-        _apply_process_fault(fault, task_id, attempt)
-        result = run_attempt(
-            kind, job, payload, dataset, workdir, task_id=task_id,
-            attempt=attempt, fault=fault, skip_mode=skip_mode,
-            shuffle=shuffle, fetch_faults=fetch_faults, degrade=degrade,
-            kill=oom_killed)
-    except BaseException as exc:
-        result = classify(exc, job)
-    try:
-        _write_result(result_path, result)
-    except BaseException as exc:  # e.g. unpicklable user output
-        record = classify(exc, job)
-        record["message"] = f"failed to serialize task result: {exc}"
-        _write_result(result_path, record)
+        execute_attempt(spec, spec.attempt_dir, prelude=_apply_process_fault,
+                        kill=oom_killed, commit=commit)
     finally:
         heartbeat.set()

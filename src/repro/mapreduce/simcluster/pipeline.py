@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mapreduce.engine import JobResult, LocalJobRunner
+from repro.mapreduce.engine import JobResult
 from repro.mapreduce.job import Job
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.mapreduce.simcluster.dfs import SimDFS
 from repro.mapreduce.simcluster.model import ClusterSimulator, ClusterSpec, _schedule
 from repro.mapreduce.simcluster.schedule import MapTaskSpec, schedule_maps

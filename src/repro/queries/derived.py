@@ -12,6 +12,7 @@ slab -- and is also a realistic SciHadoop workload in its own right
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.core.aggregation import (
     AggregationConfig,
     AggregateShufflePlugin,
     Aggregator,
-    RangeGroupReducer,
+    range_group_reducer,
 )
 from repro.mapreduce.api import Mapper
 from repro.mapreduce.job import Job
@@ -137,8 +138,8 @@ class DerivedVariableQuery(GridQuery):
 
         if mode == "plain":
             return Job(
-                mapper=lambda: PlainDerivedMapper(primary, out_name, other,
-                                                  op, dtype),
+                mapper=partial(PlainDerivedMapper, primary, out_name, other,
+                               op, dtype),
                 reducer=IdentityReducer,
                 key_serde=CellKeySerde(self.extent.ndim, "name"),
                 value_serde=value_serde_for(dtype),
@@ -149,10 +150,10 @@ class DerivedVariableQuery(GridQuery):
                 dtype=str(dtype), **(agg_overrides or {}))
             origin = self.extent.corner
             return Job(
-                mapper=lambda: AggregateDerivedMapper(
-                    primary, out_name, other, op, dtype, origin, config),
-                reducer=lambda: RangeGroupReducer(IdentityReducer(), config,
-                                                  origin),
+                mapper=partial(AggregateDerivedMapper, primary, out_name,
+                               other, op, dtype, origin, config),
+                reducer=partial(range_group_reducer, IdentityReducer, config,
+                                origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config),

@@ -8,6 +8,8 @@ exercises the combiner path (bin counts fold associatively).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.mapreduce.api import SUM, FoldReducer, Mapper
@@ -68,8 +70,8 @@ class HistogramQuery(GridQuery):
         defaults.update(job_overrides)
         lo, hi, bins = self.lo, self.hi, self.bins
         return Job(
-            mapper=lambda: HistogramMapper(lo, hi, bins),
-            reducer=lambda: FoldReducer(SUM),
+            mapper=partial(HistogramMapper, lo, hi, bins),
+            reducer=partial(FoldReducer, SUM),
             combine=use_combiner,
             key_serde=Int32Serde(),
             value_serde=Int64Serde(),

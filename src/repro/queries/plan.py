@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.keys import CellKeySerde
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.queries.derived import BINARY_OPS, DerivedVariableQuery
 from repro.queries.sliding_algebraic import WINDOW_OPS, SlidingAggregateQuery
 from repro.queries.sliding_mean import SlidingMeanQuery

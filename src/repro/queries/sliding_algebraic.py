@@ -9,7 +9,9 @@ the operator itself applied map-side, Hadoop's textbook combiner case.
 
 from __future__ import annotations
 
-from repro.core.aggregation import AggregateShufflePlugin, RangeGroupReducer
+from functools import partial
+
+from repro.core.aggregation import AggregateShufflePlugin, range_group_reducer
 from repro.mapreduce.api import MAX, MIN, SUM, FoldReducer, Monoid
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
@@ -56,8 +58,8 @@ class SlidingAggregateQuery(GridQuery):
 
         if mode == "plain":
             return Job(
-                mapper=lambda: PlainWindowMapper(var_ref, extent, offsets),
-                reducer=lambda: FoldReducer(monoid),
+                mapper=partial(PlainWindowMapper, var_ref, extent, offsets),
+                reducer=partial(FoldReducer, monoid),
                 combine=use_combiner,
                 key_serde=CellKeySerde(self.extent.ndim, "name"),
                 value_serde=value_serde_for(dtype),
@@ -67,10 +69,10 @@ class SlidingAggregateQuery(GridQuery):
             config = self.aggregation_config(**(agg_overrides or {}))
             origin = self.extent.corner
             return Job(
-                mapper=lambda: AggregateWindowMapper(var_ref, extent, offsets,
-                                                     config),
-                reducer=lambda: RangeGroupReducer(FoldReducer(monoid), config,
-                                                  origin),
+                mapper=partial(AggregateWindowMapper, var_ref, extent,
+                               offsets, config),
+                reducer=partial(range_group_reducer,
+                                partial(FoldReducer, monoid), config, origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config),

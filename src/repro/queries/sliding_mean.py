@@ -11,11 +11,12 @@ compare both levers.
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.aggregation import AggregateShufflePlugin, RangeGroupReducer
+from repro.core.aggregation import AggregateShufflePlugin, range_group_reducer
 from repro.mapreduce.api import SUM_COUNT, FoldReducer, Mapper, Reducer
 from repro.mapreduce.job import Job
 from repro.mapreduce.keys import CellKeySerde
@@ -133,8 +134,8 @@ class SlidingMeanQuery(GridQuery):
         if mode == "plain":
             extent, offsets = self.extent, self.offsets
             return Job(
-                mapper=lambda: PlainMeanMapper(var_ref, extent, offsets),
-                reducer=lambda: FoldReducer(SUM_COUNT, finish=_mean),
+                mapper=partial(PlainMeanMapper, var_ref, extent, offsets),
+                reducer=partial(FoldReducer, SUM_COUNT, finish=_mean),
                 combine=use_combiner,
                 key_serde=CellKeySerde(self.extent.ndim, variable_mode),
                 value_serde=SumCountSerde(),
@@ -146,8 +147,10 @@ class SlidingMeanQuery(GridQuery):
             extent, offsets = self.extent, self.offsets
             origin = self.extent.corner
             return Job(
-                mapper=lambda: AggregateWindowMapper(var_ref, extent, offsets, config),
-                reducer=lambda: RangeGroupReducer(CellMeanReducer(), config, origin),
+                mapper=partial(AggregateWindowMapper, var_ref, extent, offsets,
+                               config),
+                reducer=partial(range_group_reducer, CellMeanReducer, config,
+                                origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config, reaggregate=reaggregate),

@@ -13,6 +13,7 @@ outputs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.core.aggregation import (
     AggregationConfig,
     Aggregator,
     AggregateShufflePlugin,
-    RangeGroupReducer,
+    range_group_reducer,
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.job import Job
@@ -153,7 +154,7 @@ class SlidingMedianQuery(GridQuery):
         if mode == "plain":
             extent, offsets = self.extent, self.offsets
             return Job(
-                mapper=lambda: PlainWindowMapper(var_ref, extent, offsets),
+                mapper=partial(PlainWindowMapper, var_ref, extent, offsets),
                 reducer=PlainMedianReducer,
                 key_serde=CellKeySerde(self.extent.ndim, variable_mode),
                 value_serde=value_serde_for(dtype),
@@ -165,8 +166,10 @@ class SlidingMedianQuery(GridQuery):
             extent, offsets = self.extent, self.offsets
             origin = self.extent.corner
             return Job(
-                mapper=lambda: AggregateWindowMapper(var_ref, extent, offsets, config),
-                reducer=lambda: RangeGroupReducer(PlainMedianReducer(), config, origin),
+                mapper=partial(AggregateWindowMapper, var_ref, extent, offsets,
+                               config),
+                reducer=partial(range_group_reducer, PlainMedianReducer,
+                                config, origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config, reaggregate=reaggregate),

@@ -10,6 +10,7 @@ aggregation numbers.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.core.aggregation import (
     AggregationConfig,
     AggregateShufflePlugin,
     Aggregator,
-    RangeGroupReducer,
+    range_group_reducer,
 )
 from repro.mapreduce.api import Mapper, Reducer
 from repro.mapreduce.job import Job
@@ -165,7 +166,7 @@ class BoxSubsetQuery(GridQuery):
         if mode == "plain":
             box = self.box
             return Job(
-                mapper=lambda: PlainSubsetMapper(var_ref, box),
+                mapper=partial(PlainSubsetMapper, var_ref, box),
                 reducer=IdentityReducer,
                 key_serde=CellKeySerde(self.extent.ndim, variable_mode),
                 value_serde=value_serde_for(dtype),
@@ -176,8 +177,10 @@ class BoxSubsetQuery(GridQuery):
                 variable_mode=variable_mode, **(agg_overrides or {}))
             box, origin = self.box, self.extent.corner
             return Job(
-                mapper=lambda: AggregateSubsetMapper(var_ref, box, origin, config),
-                reducer=lambda: RangeGroupReducer(IdentityReducer(), config, origin),
+                mapper=partial(AggregateSubsetMapper, var_ref, box, origin,
+                               config),
+                reducer=partial(range_group_reducer, IdentityReducer, config,
+                                origin),
                 key_serde=config.key_serde(),
                 value_serde=config.block_serde(),
                 shuffle_plugin=AggregateShufflePlugin(config, reaggregate=reaggregate),

@@ -9,7 +9,7 @@ from repro.experiments.cluster_runs import (
     native_parity_profiles,
     run,
 )
-from repro.mapreduce.engine import LocalJobRunner
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.queries.sliding_median import SlidingMedianQuery
 from repro.scidata import integer_grid
 

@@ -109,12 +109,12 @@ class TestOneAttemptBody:
         for name in ("serial", "parallel"):
             logs[name] = str(tmp_path / f"{name}.log")
             with monkeypatch.context() as patch:
-                # The serial loop resolves the name from the attempt
-                # module at call time; the worker bound it at import.
+                # Both executors reach the body through
+                # ``execute_attempt``, which resolves the name from the
+                # attempt module at call time (a worker forked after the
+                # patch inherits it).
                 record_calls(patch, logs[name], attempt_mod, "run_attempt",
                              fields)
-                patch.setattr(worker_mod, "run_attempt",
-                              attempt_mod.run_attempt)
                 job = subset_job(grid, skipping=SkipPolicy(
                     quarantine_dir=str(tmp_path / f"q-{name}")))
                 runner = (LocalJobRunner(fault_injector=self.plan())
@@ -332,8 +332,9 @@ class TestClassify:
         # outlive the test
         worker = multiprocessing.get_context("fork").Process(
             target=worker_mod.worker_entry,
-            args=("r00000", "reduce", 0, str(tmp_path), result_path, job,
-                  None, (0, [mo.segments[0]]), None))
+            args=(attempt_mod.AttemptSpec(
+                "r00000", "reduce", 0, str(tmp_path), job, None,
+                (0, [mo.segments[0]])),))
         worker.start()
         worker.join(timeout=60)
         assert worker.exitcode == 0

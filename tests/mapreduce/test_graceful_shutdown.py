@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.mapreduce.engine import LocalJobRunner
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.mapreduce.runtime.recovery import MANIFEST_NAME
 from repro.mapreduce.runtime.runner import ParallelJobRunner
 from repro.mapreduce.runtime.scheduler import JobCancelledError

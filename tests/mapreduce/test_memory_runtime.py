@@ -28,10 +28,11 @@ import pytest
 
 from repro.experiments.matrix import build_query_job
 from repro.mapreduce.columnar import PartitionBuffer
-from repro.mapreduce.engine import LocalJobRunner, run_map_task
+from repro.mapreduce.engine import run_map_task
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime import (
     FaultInjector,
+    LocalJobRunner,
     ParallelJobRunner,
     ShuffleConfig,
 )

@@ -12,7 +12,7 @@ import zlib
 
 import pytest
 
-from repro.mapreduce.engine import LocalJobRunner
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.mapreduce.runtime.service.admission import (
     AdmissionConfig,
     AdmissionController,

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.mapreduce.engine import LocalJobRunner
+from repro.mapreduce.runtime import LocalJobRunner
 from repro.mapreduce.runtime.service import (
     AdmissionConfig,
     AdmissionRejected,

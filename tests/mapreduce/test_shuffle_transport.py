@@ -29,7 +29,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.mapreduce.engine import LocalJobRunner
 from repro.mapreduce.ifile import (
     IFileCorruptError,
     IFileWriter,
@@ -39,6 +38,7 @@ from repro.mapreduce.codecs import NullCodec
 from repro.mapreduce.metrics import C, Counters
 from repro.mapreduce.runtime import (
     FaultInjector,
+    LocalJobRunner,
     ParallelJobRunner,
     TaskFailedError,
     is_skip_eligible,
@@ -584,7 +584,9 @@ class TestEndToEnd:
         assert len(lost) == 1
         assert runner.ledger.map_reexecs == 1
         assert runner.ledger.epochs == {"m00000": 0, "m00001": 1}
-        assert os.path.exists(lost[0])  # re-created in place by the re-run
+        # the re-run wrote a fresh per-epoch directory the ledger points at
+        current = runner.ledger.results["m00001"].segments[0][0]
+        assert current != lost[0] and os.path.exists(current)
         assert result.counters[C.MAPS_REEXECUTED] == 1
         assert result.output == baseline.output
 

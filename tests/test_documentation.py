@@ -43,7 +43,7 @@ def test_every_public_class_and_function_has_a_docstring():
 def test_public_methods_documented_on_key_apis():
     """Spot-check the surfaces a downstream user programs against."""
     from repro.mapreduce.api import MapContext, Mapper, Reducer
-    from repro.mapreduce.engine import LocalJobRunner
+    from repro.mapreduce.runtime import LocalJobRunner
     from repro.sfc.base import Curve
 
     for cls in [Mapper, Reducer, MapContext, LocalJobRunner, Curve]:
