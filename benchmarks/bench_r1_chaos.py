@@ -7,10 +7,12 @@ roughly half the seeds) must still produce counters and reduce output
 byte-identical to the serial baseline.  Second, **liveness**: hangs and
 stalls are reclaimed by the ``task_timeout`` / heartbeat-staleness
 deadline path, so seeds that draw them record timeout kills instead of
-wedging the suite.  Third, **durable recovery**: the kill+resume
-scenarios SIGKILL the whole scheduler process mid-job, then resume from
-the on-disk manifest -- adoption must be non-zero and the result still
-byte-identical.
+wedging the suite.  Third, **durable recovery**: in the kill+resume
+scenarios the whole scheduler process SIGKILLs itself right after its
+N-th durable checkpoint (N from the seed), then a fresh runner resumes
+from the on-disk manifest -- it must adopt exactly those N tasks, run
+every other task once, and still be byte-identical.  These rows are
+deterministic, so CI compares them with the committed table.
 
 Seed count is bounded by ``REPRO_CHAOS_SEEDS`` (CI pins a small value;
 the default soak is 20 schedules).
@@ -32,6 +34,13 @@ def test_r1_chaos_soak(tabulate):
     assert sum(result.column("timeouts")) >= 1
     assert sum(result.column("retried")) >= 1
 
-    # Resume is only meaningful if the manifest actually saved work.
+    # The resume adopts exactly the N checkpoints the killed scheduler
+    # made, and runs each of the other tasks once.
     resumes = [r for r in result.rows if r["scenario"] == "kill+resume"]
-    assert resumes and all(r["adopted"] >= 1 for r in resumes)
+    assert resumes
+    tasks = 6 + 2  # run()'s maps and reducers
+    for row in resumes:
+        n = int(row["plan"].split("@ ")[1].split()[0])
+        assert 1 <= n < 6
+        assert row["adopted"] == n, row
+        assert row["attempts"] == tasks - n, row

@@ -11,10 +11,12 @@ output and merged counters **byte-identical** to the serial
 :class:`~repro.mapreduce.runtime.LocalJobRunner` baseline.
 
 On top of the per-seed schedules, ``resume_seeds`` scenarios exercise
-the durable-recovery path end to end: the whole scheduler process is
-SIGKILLed mid-job (the cluster-master loss case), then a fresh runner
-resumes from the on-disk job manifest, adopting the completed tasks it
-can validate and re-running the rest -- again to byte-identical output.
+the durable-recovery path end to end: the whole scheduler process
+SIGKILLs itself right after its N-th durable checkpoint (the
+cluster-master loss case; N comes from the seed, between 1 and the map
+count minus one), then a fresh runner resumes from the on-disk job
+manifest, adopting the N tasks it can validate and re-running the rest
+-- again to byte-identical output.
 
 The table reports, per scenario, the fault plan, how many attempts ran,
 how many retries / deadline kills / adoptions the trace recorded, and
@@ -38,12 +40,10 @@ from repro.mapreduce.runtime import (
     LocalJobRunner,
     ParallelJobRunner,
 )
-from repro.mapreduce.runtime.recovery import MANIFEST_NAME, JobManifest
 from repro.queries.subset import BoxSubsetQuery
 from repro.scidata.generator import integer_grid
 from repro.settings import read
 from repro.util.rng import make_rng
-from repro.util.timing import wait_until
 
 __all__ = ["run", "random_fault_plan"]
 
@@ -139,53 +139,70 @@ def _format_plan(injector: FaultInjector) -> str:
                     for tid, f in injector.planned())
 
 
+class _KilledAfterCheckpoints(ParallelJobRunner):
+    """A runner whose process SIGKILLs itself right after its
+    ``kill_after``-th checkpoint is durable: the scheduler dies with
+    exactly that many tasks in the manifest."""
+
+    def __init__(self, kill_after: int, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.kill_after = kill_after
+        self.checkpoints = 0
+
+    def _checkpoint(self, *args) -> None:
+        super()._checkpoint(*args)
+        self.checkpoints += 1
+        if self.checkpoints == self.kill_after:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
 def _run_job_child(recovery_dir: str, side: int, num_map_tasks: int,
-                   num_reducers: int, map_delay: float) -> None:
+                   num_reducers: int, map_delay: float,
+                   kill_after: int) -> None:
     """Child-process body for the mid-job scheduler-kill scenario.
 
     Re-derives the job from first principles (nothing is shared with
     the parent but the recovery directory -- exactly the real resume
-    situation) and slows maps down so the parent can kill us with the
-    job provably in flight.
+    situation) and dies after ``kill_after`` checkpoints.
     """
     grid, job = _make_slow_job(side, num_map_tasks, num_reducers, map_delay)
-    ParallelJobRunner(max_workers=2, recovery_dir=recovery_dir,
-                      retry_backoff=0.01).run(job, grid)
+    _KilledAfterCheckpoints(kill_after, max_workers=2,
+                            recovery_dir=recovery_dir,
+                            retry_backoff=0.01).run(job, grid)
 
 
 def _kill_resume_scenario(seed: int, side: int, num_map_tasks: int,
                           num_reducers: int, baseline) -> dict:
     """SIGKILL the scheduler mid-job, then resume from the manifest."""
     recovery_dir = tempfile.mkdtemp(prefix="repro-chaos-rec-")
-    manifest_path = os.path.join(recovery_dir, MANIFEST_NAME)
     map_delay = 0.15
+    # Mid-job by construction: at least one map is durable, at least
+    # one is not.
+    kill_after = int(make_rng(seed).integers(1, num_map_tasks))
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else None)
     child = ctx.Process(
         target=_run_job_child,
-        args=(recovery_dir, side, num_map_tasks, num_reducers, map_delay))
+        args=(recovery_dir, side, num_map_tasks, num_reducers, map_delay,
+              kill_after))
     child.start()
-    # Kill once the manifest proves at least one task checkpointed --
-    # mid-job by construction, never before the first durable record.
-    def checkpointed_or_dead() -> bool:
-        if not child.is_alive():
-            return True
-        manifest = JobManifest.load(manifest_path)
-        return manifest is not None and len(manifest) >= 1
-
-    wait_until(checkpointed_or_dead, timeout=60.0, interval=0.02)
-    os.kill(child.pid, signal.SIGKILL)
-    child.join()
+    child.join(timeout=60.0)
+    if child.exitcode != -signal.SIGKILL:
+        child.kill()
+        child.join()
+        shutil.rmtree(recovery_dir, ignore_errors=True)
+        raise RuntimeError(f"the scheduler did not die at checkpoint "
+                           f"{kill_after} (exit code {child.exitcode})")
     time.sleep(0.5)  # let orphaned workers drain their current attempt
-    manifest = JobManifest.load(manifest_path)
-    checkpointed = len(manifest) if manifest is not None else 0
 
     grid, job = _make_slow_job(side, num_map_tasks, num_reducers, map_delay)
     try:
+        # Without speculation every task not adopted runs exactly once.
         runner = ParallelJobRunner(
             max_workers=2, recovery_dir=recovery_dir, resume=True,
-            retry_backoff=0.01, task_timeout=_TASK_TIMEOUT)
+            retry_backoff=0.01, task_timeout=_TASK_TIMEOUT,
+            speculation=False)
         result = runner.run(job, grid)
         trace = runner.last_trace
         identical = (result.counters == baseline.counters
@@ -193,7 +210,7 @@ def _kill_resume_scenario(seed: int, side: int, num_map_tasks: int,
         return {
             "scenario": "kill+resume",
             "seed": seed,
-            "plan": f"SIGKILL scheduler @ {checkpointed} checkpointed",
+            "plan": f"SIGKILL scheduler @ {kill_after} checkpointed",
             "attempts": trace.count("started"),
             "retried": trace.count("retried"),
             "timeouts": trace.count("timeout"),
@@ -271,7 +288,9 @@ def run(num_seeds: int | None = None, resume_seeds: int = 3,
                 f"completion there rides on the deadline path alone); "
                 f"heartbeat_timeout={_HEARTBEAT_TIMEOUT}s reclaims "
                 f"SIGSTOPped ones")
-    result.note("kill+resume: the scheduler process is SIGKILLed after "
-                "the first durable checkpoint; a fresh runner adopts "
-                "validated manifest records and re-runs the rest")
+    result.note("kill+resume: the scheduler process SIGKILLs itself "
+                "right after its N-th durable checkpoint (N from the "
+                "seed, 1..maps-1); a fresh runner without speculation "
+                "adopts the N validated manifest records and runs each "
+                "other task once")
     return result

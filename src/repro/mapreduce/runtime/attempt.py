@@ -48,8 +48,11 @@ __all__ = ["AttemptSpec", "execute_attempt", "run_attempt", "classify"]
 class AttemptSpec:
     """One launch of one task, as the scheduler hands it to an executor:
     :func:`run_attempt`'s arguments plus the attempt directory, the
-    placement (``host``, a planned ``disk_fault`` on the home host) and
-    a worker's ``heartbeat_interval`` and ``rlimit_bytes``."""
+    placement (``host``, a planned ``disk_fault`` on the home host), a
+    worker's ``heartbeat_interval`` and ``rlimit_bytes``, and whether
+    the record must also reach ``result_path`` when the attempt runs
+    inline (``durable``: the wave keeps result files for a resume; a
+    worker always commits one)."""
 
     task_id: str
     kind: str
@@ -67,6 +70,7 @@ class AttemptSpec:
     disk_fault: Fault | None = None
     heartbeat_interval: float = 0.25
     rlimit_bytes: int | None = None
+    durable: bool = False
 
     @property
     def result_path(self) -> str:

@@ -48,6 +48,7 @@ one slot, no process -- the serial runner's.  Both run an
 
 from __future__ import annotations
 
+import functools
 import io
 import multiprocessing
 import multiprocessing.connection
@@ -60,6 +61,7 @@ from typing import Any
 from repro.mapreduce.runtime.attempt import AttemptSpec, execute_attempt
 from repro.mapreduce.runtime.memory import MemoryBudget
 from repro.mapreduce.runtime.worker import (
+    _write_result,
     load_result,
     prepare_process,
     worker_entry,
@@ -499,9 +501,11 @@ class InlinePool:
     that is its own lease.
 
     :meth:`launch` runs the attempt to completion before it returns --
-    no process, thread, heartbeat or result file -- in its wave
-    directory: with one slot no two attempts run at once, so a retry
-    overwrites what its predecessor left at the same paths.
+    no process, thread or heartbeat -- in its wave directory: with one
+    slot no two attempts run at once, so a retry overwrites what its
+    predecessor left at the same paths.  It writes a result file only
+    for a ``durable`` attempt (a recoverable job's checkpoint), through
+    the worker's durable writer.
     """
 
     max_workers = 1
@@ -517,8 +521,12 @@ class InlinePool:
     def launch(self, spec: AttemptSpec, *,
                inherit: tuple = ()) -> FinishedAttempt:
         """Run one task attempt here and now."""
+        commit = None
+        if spec.durable:
+            os.makedirs(spec.attempt_dir, exist_ok=True)
+            commit = functools.partial(_write_result, spec.result_path)
         return FinishedAttempt(*execute_attempt(
-            spec, os.path.dirname(spec.attempt_dir)))
+            spec, os.path.dirname(spec.attempt_dir), commit=commit))
 
     def release(self) -> None:
         """No slot accounting to return."""

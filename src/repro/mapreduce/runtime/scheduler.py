@@ -10,8 +10,16 @@ forked only when none is idle (see :mod:`~repro.mapreduce.runtime.pool`).
 :meth:`TaskScheduler.close` stops them.  An :class:`~repro.mapreduce.
 runtime.pool.InlinePool` runs each attempt in the calling process
 instead -- the serial runner is this scheduler on one inline slot, so
-both runners climb one recovery ladder (``handle_error`` in
-:meth:`TaskScheduler.run_wave`).  It owns the whole robustness story:
+both runners climb one recovery ladder (``_Wave.handle_error``).
+
+:meth:`TaskScheduler.run_wave` is a loop around one ``_Wave``, which
+makes every decision; only the loop reads the clock, the heartbeat
+files and the ``_starved`` markers, and passes them in as arguments.
+``tests/mapreduce/test_wave_machine.py`` drives ``_Wave`` on a fake
+executor at chosen times and checks the ladder's invariants in seconds,
+beside ``tests/mapreduce/test_one_ladder.py``, which runs its rungs
+end to end under both executors.  The scheduler owns the whole
+robustness story:
 
 * **Retry with backoff** -- an attempt that dies (no result file) or
   returns an error is re-queued with exponential backoff, up to
@@ -80,6 +88,10 @@ from repro.util.backoff import backoff_delay
 
 __all__ = ["TaskSpec", "TaskFailedError", "WaveDeadlineError",
            "JobCancelledError", "TaskScheduler", "check_knobs"]
+
+#: the longest the wave loop waits for a worker to exit or a backoff
+#: gate to open before it looks again
+POLL_INTERVAL = 0.005
 
 
 @dataclass(frozen=True)
@@ -151,14 +163,14 @@ class _Attempt:
                  "heartbeat_path", "started", "speculative", "host")
 
     def __init__(self, spec: TaskSpec, launch: AttemptSpec,
-                 speculative: bool) -> None:
+                 speculative: bool, started: float) -> None:
         self.spec = spec
         self.number = launch.number
         self.process: Any = None
         self.dir = launch.attempt_dir
         self.result_path = launch.result_path
         self.heartbeat_path = os.path.join(self.dir, HEARTBEAT_NAME)
-        self.started = time.monotonic()
+        self.started = started
         self.speculative = speculative
         self.host = launch.host
 
@@ -311,7 +323,6 @@ class TaskScheduler:
         heartbeat_interval: float = 0.25,
         heartbeat_timeout: float | None = None,
         wave_deadline: float | None = None,
-        poll_interval: float = 0.005,
         start_method: str | None = None,
         pool: WorkerPool | InlinePool | None = None,
         tenant: str = "default",
@@ -347,7 +358,6 @@ class TaskScheduler:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.wave_deadline = wave_deadline
-        self.poll_interval = poll_interval
         self.fault_injector = fault_injector
         self.hosts = hosts
         self.worker_rlimit_bytes = worker_rlimit_bytes
@@ -396,711 +406,691 @@ class TaskScheduler:
     ) -> dict[str, Any]:
         """Run every task in ``specs`` to completion; returns results by id.
 
-        Raises :class:`TaskFailedError` when any task exhausts its retry
+        Raises :class:`TaskFailedError` when a task exhausts its retry
         budget, or :class:`WaveDeadlineError` on ``wave_deadline``
-        breach; an attempt run inline that ends the wave raises its own
-        exception instead.  ``repair`` is invoked with the corrupt
-        segment path when a reduce attempt fails integrity
-        verification, before that task's retry is queued -- at most
-        ``max_repairs`` times per task (the runner passes the job's map
-        count); a corrupt segment past that bound is a charged failure.
-
-        ``precomputed`` maps task ids to already-recovered results
-        (checkpoint adoption): those tasks are marked ``adopted`` in the
-        trace and never scheduled.  ``on_complete(spec, attempt_number,
+        breach; an inline attempt that ends the wave raises its own
+        exception instead.  ``repair(corrupt_path)`` re-generates a
+        segment a reduce attempt found corrupt, at most ``max_repairs``
+        times per task (the runner passes the job's map count).
+        ``precomputed`` maps task ids to adopted checkpoint results,
+        never scheduled.  ``on_complete(spec, attempt_number,
         attempt_dir, result_path, value)`` fires once per freshly won
-        task -- the manifest-recording hook.  With ``keep_result_files``
-        the winning attempt's pickled result survives on disk so a
-        later resume can reload it.
+        task; with ``keep_result_files`` the winner's record stays on
+        disk (an inline attempt commits one too) for a later resume.
+        ``reexec(map_id)`` re-runs a completed map whose segments drew
+        ``fetch_failure_threshold`` fetch-failure strikes and returns
+        ``{reduce_id: new_payload}`` for this wave's reduces.
+        ``pipeline`` marks a *combined* wave (reduce payloads carry a
+        :class:`~repro.mapreduce.runtime.pipeline.PipelinePlan`): only
+        maps are speculated on the duration median, and maps a
+        reducer's ``_starved`` marker names are speculated at once.
 
-        ``reexec`` is the map re-execution hook for reduce waves: called
-        with a map task id whose segments have accumulated
-        ``fetch_failure_threshold`` fetch-failure strikes, it must
-        re-run that completed map and return ``{reduce_id: new_payload}``
-        for every reduce task in this wave.  The scheduler re-points
-        queued reduces at the new payloads, kills and requeues running
-        attempts that were reading the invalidated segments, and resets
-        the map's strike count.
-
-        ``pipeline`` marks a *combined* wave (maps and reduces admitted
-        together; reduce payloads carry a :class:`~repro.mapreduce.
-        runtime.pipeline.PipelinePlan` instead of resolved refs).  It
-        changes two policies: median-based speculation considers only
-        map attempts (a pipelined reducer's duration is mostly waiting
-        on late maps, not work), and reducers that report starvation
-        (the ``_starved`` marker in their attempt dir naming at most
-        ``shuffle.starvation_threshold`` missing producers) trigger
-        immediate speculation of those straggling maps -- progress-based
-        rather than deadline-based straggler detection.
+        The loop reads the clock, the heartbeat files and the
+        ``_starved`` markers, and hands what it read to the wave's
+        decisions (:class:`_Wave`); then it waits.
         """
-        specs = list(specs)
-        by_id = {s.task_id: s for s in specs}
-        if len(by_id) != len(specs):
-            raise ValueError("duplicate task ids in wave")
+        wave = _Wave(self, specs, job, dataset, wave_dir, time.monotonic(),
+                     repair=repair, precomputed=precomputed,
+                     on_complete=on_complete,
+                     keep_result_files=keep_result_files, reexec=reexec,
+                     pipeline=pipeline, max_repairs=max_repairs)
         os.makedirs(wave_dir, exist_ok=True)
-
-        trace = self.trace
-        results: dict[str, Any] = {}
-        if precomputed:
-            unknown = sorted(set(precomputed) - set(by_id))
-            if unknown:
-                raise ValueError(
-                    f"precomputed results for tasks not in wave: {unknown}")
-            for task_id, value in precomputed.items():
-                results[task_id] = value
-                trace.record(task_id, 0, by_id[task_id].kind, "adopted",
-                             "validated checkpoint from manifest")
-        #: (spec, not-before monotonic time), FIFO with backoff gates
-        pending: list[tuple[TaskSpec, float]] = [
-            (s, 0.0) for s in specs if s.task_id not in results]
-        running: list[_Attempt] = []
-        failures: dict[str, int] = defaultdict(int)
-        #: fetch-failure strikes per *map* task (reduce waves only);
-        #: cleared when the map is re-executed
-        fetch_strikes: dict[str, int] = defaultdict(int)
-        #: how many times each map has been re-executed this wave
-        map_reexecs: dict[str, int] = defaultdict(int)
-        #: fetch-failure requeues per reduce -- paces the retry backoff
-        #: without charging the reduce's ``max_retries`` budget
-        fetch_requeues: dict[str, int] = defaultdict(int)
-        #: OOM deaths per task: the degrade level ``run_attempt`` halves
-        #: the task's sort buffer by on the next launch,
-        #: uncharged against ``max_retries`` but bounded by
-        #: ``max_memory_retries``.
-        oom_requeues: dict[str, int] = defaultdict(int)
-        #: tasks whose next attempts run in record-skipping mode; sticky
-        #: for the rest of the wave once a skip-eligible failure is seen
-        skip_tasks: set[str] = set()
-        #: corrupt-segment repairs per reduce, uncharged against
-        #: ``max_retries`` but bounded by ``max_repairs``
-        repairs: dict[str, int] = defaultdict(int)
-        next_attempt: dict[str, int] = defaultdict(int)
-        #: completed-attempt durations by task kind: a combined
-        #: (pipelined) wave must not let long wait-bound reduce attempts
-        #: skew the map straggler median, or vice versa
-        durations: dict[str, list[float]] = {"map": [], "reduce": []}
-        wave_started = time.monotonic()
-
-        for s, _ in pending:
-            trace.record(s.task_id, 0, s.kind, "queued")
-
-        def launch(spec: TaskSpec, speculative: bool) -> bool:
-            # Always launch the *current* spec for this task id: a map
-            # re-execution may have re-pointed the payload since this
-            # spec object was queued.
-            spec = by_id[spec.task_id]
-            number = next_attempt[spec.task_id]
-            attempt_dir = os.path.join(wave_dir, f"{spec.task_id}.{number}")
-            skip_mode = spec.task_id in skip_tasks
-            host = disk_fault = None
-            if self.hosts is not None:
-                host = self.hosts.place(spec.task_id)
-                if self._disk_faults:
-                    # Disk faults follow the task's *home* host (the
-                    # stable hash, not the placement, decides who fails
-                    # over, wherever the attempt runs).
-                    disk_fault = self._disk_faults.get(
-                        self.hosts.host_for(spec.task_id))
-            injector = self.fault_injector
-            attempt_spec = AttemptSpec(
-                spec.task_id, spec.kind, number, attempt_dir, job,
-                dataset if spec.kind == "map" else None, spec.payload,
-                fault=(injector.fault_for(spec.task_id, number)
-                       if injector is not None else None),
-                skip_mode=skip_mode, shuffle=self.shuffle,
-                fetch_faults=(injector.fetch_plan_for(spec.task_id)
-                              if injector is not None
-                              and spec.kind == "reduce" else None) or None,
-                # Degrade-on-retry: the OOM deaths this task has
-                # suffered; the attempt body halves its memory knobs
-                # once per level.
-                degrade=oom_requeues[spec.task_id],
-                host=host, disk_fault=disk_fault,
-                heartbeat_interval=self.heartbeat_interval,
-                rlimit_bytes=self.worker_rlimit_bytes)
-            attempt = _Attempt(spec, attempt_spec, speculative)
-            # Recorded before the launch: an inline executor has run the
-            # attempt by the time ``launch`` returns.
-            if disk_fault is not None:
-                trace.record(spec.task_id, number, spec.kind,
-                             "disk_failover",
-                             f"workdir on {host} raises {disk_fault.op}; "
-                             f"spilling to spare volume")
-            if speculative:
-                trace.record(spec.task_id, number, spec.kind, "speculated")
-            if skip_mode:
-                trace.record(spec.task_id, number, spec.kind, "skipping",
-                             "record-level skipping after eligible failure")
-            trace.record(spec.task_id, number, spec.kind, "started")
-            try:
-                attempt.process = self._lease.launch(
-                    attempt_spec, inherit=(job, dataset))
-            except PoolSaturatedError:
-                # Lost the race for the last shared slot to a concurrent
-                # job between the availability check and the spawn; the
-                # attempt number stays unspent (its retry records
-                # ``started`` again) and the caller requeues.
-                return False
-            next_attempt[spec.task_id] += 1
-            running.append(attempt)
-            return True
-
-        def retire(attempt: _Attempt) -> None:
-            """Drop a reaped/killed attempt and return its pool slot."""
-            running.remove(attempt)
-            self._lease.release()
-
-        def kill_rivals(task_id: str, winner: _Attempt) -> None:
-            for rival in [a for a in running
-                          if a.spec.task_id == task_id and a is not winner]:
-                _kill_process(rival.process)
-                retire(rival)
-                trace.record(task_id, rival.number, rival.spec.kind,
-                             "killed", "rival attempt won")
-                trace.record(task_id, rival.number, rival.spec.kind,
-                             "discarded")
-                shutil.rmtree(rival.dir, ignore_errors=True)
-
-        def note_failure(attempt: _Attempt, detail: str,
-                         charge_host: bool = True) -> None:
-            """Trace a failed attempt and discard its directory."""
-            spec = attempt.spec
-            trace.record(spec.task_id, attempt.number, spec.kind, "failed",
-                         detail)
-            shutil.rmtree(attempt.dir, ignore_errors=True)
-            if (charge_host and self.hosts is not None
-                    and attempt.host is not None):
-                self.hosts.record_task_failure(attempt.host, detail)
-
-        def covered(task_id: str) -> bool:
-            """A rival attempt or a queued retry already stands in."""
-            return (any(a.spec.task_id == task_id for a in running)
-                    or any(s.task_id == task_id for s, _ in pending))
-
-        def requeue(attempt: _Attempt, why: str, count: int) -> None:
-            """Queue a retry that ``max_retries`` does not pay for;
-            ``count`` (this rung's requeues of the task) paces it."""
-            task_id = attempt.spec.task_id
-            delay = backoff_delay(self.retry_backoff, count,
-                                  self.retry_backoff_max,
-                                  key=f"{task_id}:{why}")
-            pending.append((by_id[task_id], time.monotonic() + delay))
-            trace.record(task_id, attempt.number, attempt.spec.kind,
-                         "retried", f"{why}, backoff {delay:.3f}s "
-                         f"(retry budget uncharged)")
-
-        def record_failure(attempt: _Attempt, detail: str) -> None:
-            """A failure the task's ``max_retries`` budget pays for:
-            requeue, or raise once the budget is spent."""
-            task_id = attempt.spec.task_id
-            note_failure(attempt, detail)
-            failures[task_id] += 1
-            rival_running = any(a.spec.task_id == task_id for a in running)
-            if failures[task_id] > self.max_retries:
-                if rival_running:
-                    return  # a speculative rival may still win
-                raise TaskFailedError(task_id, failures[task_id] + 1, detail)
-            if rival_running:
-                return  # the rival attempt *is* the retry
-            delay = backoff_delay(self.retry_backoff, failures[task_id],
-                                  self.retry_backoff_max, key=task_id)
-            pending.append((by_id[task_id], time.monotonic() + delay))
-            trace.record(task_id, attempt.number, attempt.spec.kind,
-                         "retried", f"backoff {delay:.3f}s")
-
-        def reexec_map(map_id: str, detail: str) -> None:
-            """Re-execute a completed map and re-point its consumers."""
-            map_reexecs[map_id] += 1
-            if map_reexecs[map_id] > self.max_map_reexecs:
-                raise TaskFailedError(
-                    map_id, map_reexecs[map_id],
-                    f"map re-executed {self.max_map_reexecs} time(s) and "
-                    f"its segments remain unfetchable: {detail}")
-            fetch_strikes[map_id] = 0
-            new_payloads = reexec(map_id)
-            trace.record(map_id, map_reexecs[map_id], "map", "map_reexec",
-                         f"fetch-failure threshold "
-                         f"({self.fetch_failure_threshold}) reached: {detail}")
-            for reduce_id, payload in new_payloads.items():
-                if reduce_id not in by_id or reduce_id in results:
-                    continue
-                new_spec = TaskSpec(reduce_id, "reduce", payload)
-                by_id[reduce_id] = new_spec
-                for i, (queued_spec, not_before) in enumerate(pending):
-                    if queued_spec.task_id == reduce_id:
-                        pending[i] = (new_spec, not_before)
-                # Running attempts are reading segments that no longer
-                # exist: kill them and requeue the task immediately.
-                stale = [a for a in running if a.spec.task_id == reduce_id]
-                for a in stale:
-                    _kill_process(a.process)
-                    retire(a)
-                    trace.record(reduce_id, a.number, "reduce", "killed",
-                                 f"segments of {map_id} invalidated by "
-                                 f"re-execution")
-                    shutil.rmtree(a.dir, ignore_errors=True)
-                if stale and not any(s.task_id == reduce_id
-                                     for s, _ in pending):
-                    pending.append((new_spec, 0.0))
-
-        def handle_fetch_failure(attempt: _Attempt, map_id: str,
-                                 detail: str) -> None:
-            """A reduce exhausted its fetch retries against one map.
-
-            The failure is charged to the *link* (a strike against the
-            producing map), not to the reduce's retry budget: the reduce
-            did nothing wrong and must survive as many requeues as map
-            re-execution needs.  Termination is still guaranteed --
-            strikes accumulate to ``fetch_failure_threshold``, and
-            ``max_map_reexecs`` bounds how often one map may be re-run
-            before the wave fails.
-            """
-            task_id = attempt.spec.task_id
-            note_failure(attempt, detail, charge_host=False)
-            trace.record(task_id, attempt.number, attempt.spec.kind,
-                         "fetch_failure", f"{map_id}: {detail}")
-            if self.hosts is not None:
-                # The strike lands on the host *serving* the unfetchable
-                # segments -- evidence toward DEAD only if that host has
-                # also gone silent (partition-vs-death rule).
-                self.hosts.record_fetch_strike(self.hosts.host_for(map_id))
-            fetch_strikes[map_id] += 1
-            if fetch_strikes[map_id] >= self.fetch_failure_threshold:
-                if reexec is None:
-                    raise TaskFailedError(
-                        task_id, fetch_requeues[task_id] + 1,
-                        f"{detail} (no re-execution hook installed)")
-                reexec_map(map_id, detail)
-            if not covered(task_id):  # else a rival or reexec requeue
-                fetch_requeues[task_id] += 1
-                requeue(attempt, "fetch failure", fetch_requeues[task_id])
-
-        def handle_oom(attempt: _Attempt, detail: str) -> None:
-            """An attempt died out of memory (injected, budget overrun,
-            simulated OOM kill, or a real rlimit ``MemoryError``).
-
-            Requeued *uncharged* against ``max_retries`` -- the memory
-            ladder has its own bound (``max_memory_retries``) -- with
-            the degrade level bumped so the next launch runs on halved
-            memory knobs.  Hosts are not charged either: the task's
-            footprint, not the host's disks, is at fault.
-            """
-            task_id = attempt.spec.task_id
-            note_failure(attempt, detail, charge_host=False)
-            limit = (getattr(self.shuffle, "max_memory_retries", 2)
-                     if self.shuffle is not None else 2)
-            oom_requeues[task_id] += 1
-            if oom_requeues[task_id] > limit:
-                if any(a.spec.task_id == task_id for a in running):
-                    return  # a speculative rival may still win
-                raise TaskFailedError(
-                    task_id, oom_requeues[task_id],
-                    f"{detail} (exhausted {limit} memory retries)")
-            # Tallied only for deaths that earn a degraded retry -- the
-            # exhausting death raises untallied, so the counters are a
-            # function of the fault plan whenever a job completes.
-            self.memory_tally["oom_events"] += 1
-            self.memory_tally["degraded_attempts"] += 1
-            trace.record(task_id, attempt.number, attempt.spec.kind,
-                         "oom_degraded",
-                         f"degrade level {oom_requeues[task_id]}: sort "
-                         f"buffer halved")
-            if not covered(task_id):
-                requeue(attempt, "oom", oom_requeues[task_id])
-
-        def handle_error(attempt: _Attempt, result: dict[str, Any]) -> None:
-            """Climb the recovery ladder on ``classify``'s error record:
-            the one dispatch on a failed attempt, in the record's order.
-
-            Fetch failures, OOM deaths, the entry into skip mode (once
-            per task, sticky) and corrupt-segment repairs (at most
-            ``max_repairs`` per reduce) requeue without charging
-            ``max_retries``; any other failure is charged.
-            """
-            task_id = attempt.spec.task_id
-            detail = f"{result['error_type']}: {result['message']}"
-            if result["failed_map"] is not None:
-                handle_fetch_failure(attempt, result["failed_map"], detail)
-            elif result["oom"]:
-                handle_oom(attempt, detail)
-            elif result["skip_eligible"] and task_id not in skip_tasks:
-                note_failure(attempt, detail)
-                skip_tasks.add(task_id)
-                if not covered(task_id):
-                    requeue(attempt, "skip mode", 1)
-            elif (attempt.spec.kind == "reduce" and repair is not None
-                    and result["corrupt_path"] is not None
-                    and repairs[task_id] < max_repairs):
-                note_failure(attempt, detail)
-                repair(result["corrupt_path"])
-                repairs[task_id] += 1
-                if not covered(task_id):
-                    requeue(attempt, "segment repaired", repairs[task_id])
-            else:
-                record_failure(attempt, detail)
-
-        def handle_exit(attempt: _Attempt) -> None:
-            spec = attempt.spec
-            task_id = spec.task_id
-            if task_id in results:
-                # A rival attempt already won while this one was finishing.
-                trace.record(task_id, attempt.number, spec.kind,
-                             "discarded", "lost to rival attempt")
-                shutil.rmtree(attempt.dir, ignore_errors=True)
-                return
-            result = attempt.process.record()
-            if result is None:
-                record_failure(attempt, f"worker exited with code "
-                               f"{attempt.process.exitcode} and no result")
-                return
-            if result["status"] != "ok":
-                try:
-                    handle_error(attempt, result)
-                except TaskFailedError:
-                    # An inline attempt that ends the job raises as
-                    # itself, not as the scheduler's summary of it.
-                    error = getattr(attempt.process, "error", None)
-                    if error is None:
-                        raise
-                    raise error from None
-                return
-            results[task_id] = result["value"]
-            durations[spec.kind].append(time.monotonic() - attempt.started)
-            trace.record(task_id, attempt.number, spec.kind, "finished")
-            if self.hosts is not None and attempt.host is not None:
-                # A completed attempt is both liveness evidence and a
-                # clean attempt toward probation reinstatement.
-                self.hosts.record_heartbeat(attempt.host)
-                self.hosts.record_task_success(attempt.host)
-            counters = getattr(result["value"], "counters", None)
-            skipped = (counters.get(C.RECORDS_SKIPPED)
-                       if counters is not None else 0)
-            if skipped:
-                trace.record(
-                    task_id, attempt.number, spec.kind, "quarantined",
-                    f"{skipped} record(s) skipped into quarantine")
-            mem = result.get("memory")
-            if mem:
-                tally = self.memory_tally
-                tally["used_budget"] = True
-                tally["peak_bytes"] = max(tally["peak_bytes"],
-                                          mem.get("peak", 0))
-                trace.record(
-                    task_id, attempt.number, spec.kind, "memory_peak",
-                    f"{mem.get('peak', 0)}/{mem.get('capacity')}")
-            if on_complete is not None:
-                on_complete(spec, attempt.number, attempt.dir,
-                            attempt.result_path, result["value"])
-            if not keep_result_files:
-                try:
-                    os.unlink(attempt.result_path)
-                except OSError:  # no file (inline), or already gone
-                    pass
-            kill_rivals(task_id, attempt)
-
-        def deadline_breach(attempt: _Attempt, now: float) -> str | None:
-            """Why this attempt must die now, or ``None`` to let it run."""
-            age = now - attempt.started
-            if self.task_timeout is not None and age > self.task_timeout:
-                return (f"attempt exceeded task_timeout="
-                        f"{self.task_timeout:.3f}s (ran {age:.3f}s)")
-            if self.heartbeat_timeout is not None and age > self.heartbeat_timeout:
-                try:
-                    beat_age = time.time() - os.path.getmtime(
-                        attempt.heartbeat_path)
-                except OSError:
-                    # No heartbeat file at all after the grace window:
-                    # the worker never got far enough to start beating.
-                    if self.hosts is not None and attempt.host is not None:
-                        self.hosts.record_missed_heartbeat(attempt.host)
-                    return (f"no heartbeat after {age:.3f}s "
-                            f"(timeout {self.heartbeat_timeout:.3f}s)")
-                if beat_age > self.heartbeat_timeout:
-                    if self.hosts is not None and attempt.host is not None:
-                        self.hosts.record_missed_heartbeat(attempt.host)
-                    return (f"heartbeat stale for {beat_age:.3f}s "
-                            f"(timeout {self.heartbeat_timeout:.3f}s)")
-                if self.hosts is not None and attempt.host is not None:
-                    self.hosts.record_heartbeat(attempt.host)
-            return None
-
-        def enforce_deadlines(now: float) -> None:
-            for attempt in list(running):
-                reason = deadline_breach(attempt, now)
-                if reason is None:
-                    continue
-                _kill_process(attempt.process)
-                retire(attempt)
-                trace.record(attempt.spec.task_id, attempt.number,
-                             attempt.spec.kind, "timeout", reason)
-                record_failure(attempt, reason)
-            if (self.wave_deadline is not None
-                    and now - wave_started > self.wave_deadline):
-                unfinished = [t for t in by_id if t not in results]
-                raise WaveDeadlineError(unfinished, self.wave_deadline,
-                                        trace.diagnose(unfinished))
-
-        def drain_dead_hosts() -> None:
-            """Absorb hosts the monitor declared dead since last poll.
-
-            Every in-flight attempt placed on a dead host is killed and
-            requeued *uncharged* (the task did nothing wrong), and --
-            in a reduce wave -- every completed map whose only segment
-            copies lived on the host is bulk re-executed through the
-            ``reexec`` hook, bounded by the monitor's
-            ``max_host_reexecs`` budget.
-            """
-            if self.hosts is None:
-                return
-            for host in self.hosts.take_newly_dead():
-                for a in [x for x in running if x.host == host]:
-                    _kill_process(a.process)
-                    retire(a)
-                    trace.record(a.spec.task_id, a.number, a.spec.kind,
-                                 "killed", f"{host} declared dead")
-                    shutil.rmtree(a.dir, ignore_errors=True)
-                    task_id = a.spec.task_id
-                    if (task_id not in results
-                            and not any(x.spec.task_id == task_id
-                                        for x in running)
-                            and not any(s.task_id == task_id
-                                        for s, _ in pending)):
-                        pending.append((by_id[task_id], 0.0))
-                        trace.record(task_id, a.number, a.spec.kind,
-                                     "retried", f"{host} died under it "
-                                     f"(retry budget uncharged)")
-                if reexec is None:
-                    continue
-                # Completed maps served from the dead host: their only
-                # segment copies are gone, so re-execute them before the
-                # reducers starve against vanished files.
-                try:
-                    lost = sorted({
-                        ref.map_id
-                        for s in by_id.values() if s.kind == "reduce"
-                        for ref in s.payload[1]
-                        if self.hosts.host_for(ref.map_id) == host})
-                except (AttributeError, IndexError, TypeError):
-                    lost = []  # payloads are not segment-ref shaped
-                if not lost:
-                    # Pipelined (combined) waves carry no refs in the
-                    # reduce payloads; the completed maps homed on the
-                    # dead host are exactly this wave's map results.
-                    lost = sorted(
-                        t for t, s in by_id.items()
-                        if s.kind == "map" and t in results
-                        and self.hosts.host_for(t) == host)
-                if lost:
-                    self.hosts.charge_host_reexec(host, len(lost))
-                    for map_id in lost:
-                        reexec_map(map_id,
-                                   f"{host} died holding its segments")
-
-        def maybe_speculate(now: float) -> None:
-            if not self.speculation:
-                return
-            thresholds = {
-                kind: max(self.straggler_factor * statistics.median(done),
-                          self.min_straggler_seconds)
-                for kind, done in durations.items()
-                if len(done) >= self.speculation_min_completed}
-            if not thresholds:
-                return
-            in_flight = defaultdict(int)
-            for a in running:
-                in_flight[a.spec.task_id] += 1
-            queued = {s.task_id for s, _ in pending}
-            for a in list(running):
-                if (len(running) >= self.max_workers
-                        or self._lease.available() <= 0):
-                    return
-                if pipeline and a.spec.kind == "reduce":
-                    # A pipelined reducer's age is dominated by waiting
-                    # on late maps; duplicating it burns a slot the map
-                    # stragglers (the actual bottleneck) may need.  The
-                    # starvation path below covers the pipeline.
-                    continue
-                threshold = thresholds.get(a.spec.kind)
-                if threshold is None:
-                    continue
-                if (a.speculative or in_flight[a.spec.task_id] > 1
-                        or a.spec.task_id in results
-                        or a.spec.task_id in queued):
-                    continue
-                if now - a.started > threshold:
-                    if launch(a.spec, speculative=True):
-                        in_flight[a.spec.task_id] += 1
-
-        def check_starvation(now: float) -> None:
-            """Progress-triggered speculation for pipelined waves.
-
-            A pipelined reducer that has consumed every committed
-            segment but still waits on a small set of missing producers
-            writes a ``_starved`` marker naming them.  Those maps are
-            the measured bottleneck of the whole wave *right now* --
-            speculate them immediately (bounded by the starvation
-            threshold and the attempt-age floor) instead of waiting for
-            the duration median to notice.
-            """
-            if not pipeline or not self.speculation:
-                return
-            threshold = (getattr(self.shuffle, "starvation_threshold", 2)
-                         if self.shuffle is not None else 2)
-            in_flight: dict[str, list[_Attempt]] = defaultdict(list)
-            for a in running:
-                in_flight[a.spec.task_id].append(a)
-            queued = {s.task_id for s, _ in pending}
-            reducers = [a for a in running
-                        if a.spec.kind == "reduce" and not a.speculative]
-            for reducer in reducers:
-                try:
-                    with open(os.path.join(reducer.dir, STARVED_NAME),
-                              encoding="utf-8") as fh:
-                        missing = json.load(fh).get("missing", [])
-                except (OSError, ValueError):
-                    continue
-                missing = [m for m in missing
-                           if m in by_id and by_id[m].kind == "map"
-                           and m not in results]
-                if not missing or len(missing) > threshold:
-                    # Starved on many maps = the wave is young, not
-                    # straggling; let ordinary scheduling catch up.
-                    continue
-                for map_id in missing:
-                    if (len(running) >= self.max_workers
-                            or self._lease.available() <= 0):
-                        return
-                    attempts = in_flight.get(map_id, [])
-                    if (len(attempts) != 1 or attempts[0].speculative
-                            or map_id in queued):
-                        continue
-                    if now - attempts[0].started <= self.min_straggler_seconds:
-                        continue
-                    trace.record(map_id, attempts[0].number, "map",
-                                 "pipeline_starved",
-                                 f"{reducer.spec.task_id} starved on "
-                                 f"{len(missing)} missing segment(s)")
-                    if launch(by_id[map_id], speculative=True):
-                        in_flight[map_id].append(running[-1])
-
-        def preempt_for_maps(now: float) -> None:
-            """Combined-wave deadlock breaker: maps outrank reducers.
-
-            With fewer slots than tasks, every slot can end up holding a
-            pipelined reducer that waits on a map which will never get a
-            slot (e.g. a map retry queued after the reducers launched).
-            Hadoop resolves this with reduce preemption; so do we: when
-            a map is launchable and no slot is free, the youngest
-            running reduce attempt is killed and requeued *uncharged*
-            (it did nothing wrong, and its restart is byte-identical by
-            determinism).
-            """
-            if not pipeline:
-                return
-            if (len(running) < self.max_workers
-                    and self._lease.available() > 0):
-                return  # a free slot exists; no need to evict anyone
-            launchable_map = any(
-                s.kind == "map" and nb <= now and s.task_id not in results
-                for s, nb in pending)
-            if not launchable_map:
-                return
-            victims = [a for a in running if a.spec.kind == "reduce"]
-            if not victims:
-                return
-            victim = max(victims, key=lambda a: a.started)
-            _kill_process(victim.process)
-            retire(victim)
-            task_id = victim.spec.task_id
-            trace.record(task_id, victim.number, "reduce", "killed",
-                         "preempted for pending map work")
-            shutil.rmtree(victim.dir, ignore_errors=True)
-            if (task_id not in results
-                    and not any(a.spec.task_id == task_id for a in running)
-                    and not any(s.task_id == task_id for s, _ in pending)):
-                pending.append((by_id[task_id], 0.0))
-                trace.record(task_id, victim.number, "reduce", "retried",
-                             "preempted (retry budget uncharged)")
-
         try:
-            while len(results) < len(by_id):
+            while not wave.done():
                 if (self.cancel_event is not None
                         and self.cancel_event.is_set()):
                     # The finally sweep kills in-flight workers; every
                     # already-won task is in the manifest (on_complete
                     # fired), so a resume continues from here.
-                    raise JobCancelledError(
-                        [t for t in by_id if t not in results])
+                    raise JobCancelledError(wave.unfinished())
                 now = time.monotonic()
-                if pipeline:
-                    # Maps outrank reduces for free slots (a pipelined
-                    # reduce can only drain after every map commits);
-                    # stable, so within-kind FIFO order is preserved.
-                    pending.sort(key=lambda e: e[0].kind != "map")
-                preempt_for_maps(now)
-                # Launch work while slots are free (both this wave's own
-                # concurrency cap and the shared pool must have room).
-                i = 0
-                while (i < len(pending)
-                       and len(running) < self.max_workers
-                       and self._lease.available() > 0):
-                    spec, not_before = pending[i]
-                    if spec.task_id in results:
-                        pending.pop(i)
+                wave.admit(now)
+                wave.maybe_speculate(now)
+                starved: dict[_Attempt, list[str]] = {}
+                for reducer in wave.starvation_watch():
+                    try:
+                        with open(os.path.join(reducer.dir, STARVED_NAME),
+                                  encoding="utf-8") as fh:
+                            starved[reducer] = json.load(fh).get("missing", [])
+                    except (OSError, ValueError):
                         continue
-                    if not_before > now:
-                        i += 1
-                        continue
-                    pending.pop(i)
-                    if not launch(spec, speculative=False):
-                        # Spawn raced a concurrent job for the last
-                        # slot and lost; put the task back and wait.
-                        pending.insert(i, (spec, not_before))
-                        break
-                maybe_speculate(now)
-                check_starvation(now)
-                enforce_deadlines(now)
-                # Reap finished workers.
-                progressed = False
-                for attempt in list(running):
-                    if attempt not in running or attempt.process.is_alive():
-                        continue
-                    attempt.process.join()
-                    retire(attempt)
-                    progressed = True
-                    handle_exit(attempt)
-                drain_dead_hosts()
+                wave.check_starvation(now, starved)
+                wall, beats = time.time(), {}
+                for attempt in wave.heartbeats_due(now):
+                    try:
+                        beats[attempt] = wall - os.path.getmtime(
+                            attempt.heartbeat_path)
+                    except OSError:  # the worker never started beating
+                        beats[attempt] = None
+                wave.enforce_deadlines(now, beats)
+                progressed = wave.reap(now)
+                wave.drain_dead_hosts()
                 if not progressed:
-                    sentinels = [a.process.sentinel for a in running]
+                    sentinels = [a.process.sentinel for a in wave.running]
                     if sentinels:
                         # Wake the instant any worker exits instead of
                         # burning a fixed poll quantum.
                         multiprocessing.connection.wait(
-                            sentinels, timeout=self.poll_interval)
-                    elif pending:
-                        # Nothing in flight: sleep just long enough for
-                        # the earliest backoff gate to open -- or, when
-                        # the shared pool has no slot for us, one poll
-                        # quantum (never hot-spin while other jobs hold
-                        # the machine).
-                        gate = min(nb for _, nb in pending)
-                        delay = min(max(gate - now, 0.0),
-                                    self.poll_interval)
-                        if delay <= 0 and self._lease.available() <= 0:
-                            delay = self.poll_interval
-                        time.sleep(delay)
-                    else:  # pragma: no cover - defensive
-                        time.sleep(self.poll_interval)
+                            sentinels, timeout=POLL_INTERVAL)
+                    else:
+                        time.sleep(wave.idle_delay(now))
         finally:
-            # Error-path safety net: never leak worker processes.
-            for attempt in running:
-                attempt.process.terminate()
-            for attempt in running:
-                attempt.process.join(timeout=2)
-                if attempt.process.is_alive():
-                    attempt.process.kill()
-                    attempt.process.join(timeout=5)
-            # Return every slot still charged to this wave: a shared
-            # pool must come out whole no matter how the wave ended.
+            # Never leak a worker, and return every slot still charged
+            # to this wave: a shared pool must come out whole.
+            for attempt in wave.running:
+                _kill_process(attempt.process)
             self._lease.close()
-        return results
+        return wave.results
+
+
+class _Wave:
+    """One :meth:`TaskScheduler.run_wave` call: its tasks' state and the
+    recovery ladder they climb.
+
+    Each decision is a method that takes the loop's ``now`` and what
+    the loop observed as arguments: heartbeat ages (``None`` where no
+    heartbeat file exists) and the maps a ``_starved`` marker names.
+    Beyond those it touches only the executor (the lease and each
+    attempt's handle), the trace, the host monitor and the hooks.
+    """
+
+    def __init__(self, scheduler: TaskScheduler, specs: Sequence[TaskSpec],
+                 job: Any, dataset: Any, wave_dir: str, now: float, *,
+                 repair=None, precomputed=None, on_complete=None,
+                 keep_result_files=False, reexec=None, pipeline=False,
+                 max_repairs=0) -> None:
+        """``run_wave``'s arguments, and the ``now`` it starts at."""
+        specs = list(specs)
+        self.by_id = {s.task_id: s for s in specs}
+        if len(self.by_id) != len(specs):
+            raise ValueError("duplicate task ids in wave")
+        self.scheduler = scheduler
+        self.trace = scheduler.trace
+        self.hosts = scheduler.hosts
+        self.lease = scheduler._lease
+        self.job, self.dataset, self.wave_dir = job, dataset, wave_dir
+        self.repair, self.reexec, self.on_complete = repair, reexec, on_complete
+        self.keep_result_files, self.pipeline = keep_result_files, pipeline
+        self.max_repairs, self.started = max_repairs, now
+        self.results: dict[str, Any] = {}
+        if precomputed:
+            unknown = sorted(set(precomputed) - set(self.by_id))
+            if unknown:
+                raise ValueError(
+                    f"precomputed results for tasks not in wave: {unknown}")
+            for task_id, value in precomputed.items():
+                self.results[task_id] = value
+                self.trace.record(task_id, 0, self.by_id[task_id].kind,
+                                  "adopted",
+                                  "validated checkpoint from manifest")
+        #: (spec, not-before monotonic time), FIFO with backoff gates
+        self.pending: list[tuple[TaskSpec, float]] = [
+            (s, 0.0) for s in specs if s.task_id not in self.results]
+        self.running: list[_Attempt] = []
+        #: per task: charged failures (against ``max_retries``), OOM
+        #: deaths (the next launch's degrade level, bounded by
+        #: ``max_memory_retries``), repairs (by ``max_repairs``),
+        #: fetch-failure requeues (pacing their backoff) and attempts
+        self.failures: dict[str, int] = defaultdict(int)
+        self.oom_requeues: dict[str, int] = defaultdict(int)
+        self.repairs: dict[str, int] = defaultdict(int)
+        self.fetch_requeues: dict[str, int] = defaultdict(int)
+        self.next_attempt: dict[str, int] = defaultdict(int)
+        #: per map: fetch-failure strikes since its last re-execution,
+        #: and its re-executions
+        self.fetch_strikes: dict[str, int] = defaultdict(int)
+        self.map_reexecs: dict[str, int] = defaultdict(int)
+        #: tasks whose attempts run in record-skipping mode (sticky)
+        self.skip_tasks: set[str] = set()
+        #: completed-attempt durations by kind: a combined wave's
+        #: wait-bound reduces must not skew the map straggler median
+        self.durations: dict[str, list[float]] = {"map": [], "reduce": []}
+        for s, _ in self.pending:
+            self.trace.record(s.task_id, 0, s.kind, "queued")
+
+    def done(self) -> bool:
+        return len(self.results) >= len(self.by_id)
+
+    def unfinished(self) -> list[str]:
+        return [t for t in self.by_id if t not in self.results]
+
+    def full(self) -> bool:
+        """No slot for another attempt: this wave's cap or the pool's."""
+        return (len(self.running) >= self.scheduler.max_workers
+                or self.lease.available() <= 0)
+
+    def is_running(self, task_id: str) -> bool:
+        return any(a.spec.task_id == task_id for a in self.running)
+
+    def covered(self, task_id: str) -> bool:
+        """A rival attempt or a queued retry already stands in."""
+        return (self.is_running(task_id)
+                or any(s.task_id == task_id for s, _ in self.pending))
+
+    def starvation_watch(self) -> list[_Attempt]:
+        """The reducers whose ``_starved`` marker the loop reads."""
+        if not self.pipeline or not self.scheduler.speculation:
+            return []
+        return [a for a in self.running
+                if a.spec.kind == "reduce" and not a.speculative]
+
+    def heartbeats_due(self, now: float) -> list[_Attempt]:
+        """The attempts whose heartbeat age the loop reads."""
+        timeout = self.scheduler.heartbeat_timeout
+        if timeout is None:
+            return []
+        return [a for a in self.running if now - a.started > timeout]
+
+    def idle_delay(self, now: float) -> float:
+        """How long a loop with nothing in flight sleeps: until the
+        earliest backoff gate, at most one poll quantum -- a whole one
+        when the shared pool has no slot for us (never hot-spin)."""
+        if not self.pending:  # pragma: no cover - defensive
+            return POLL_INTERVAL
+        gate = min(nb for _, nb in self.pending)
+        if gate <= now and self.lease.available() <= 0:
+            return POLL_INTERVAL
+        return min(max(gate - now, 0.0), POLL_INTERVAL)
+
+    def launch(self, spec: TaskSpec, speculative: bool, now: float) -> bool:
+        # Always launch the *current* spec for this task id: a map
+        # re-execution may have re-pointed the payload since this
+        # spec object was queued.
+        sched = self.scheduler
+        spec = self.by_id[spec.task_id]
+        number = self.next_attempt[spec.task_id]
+        attempt_dir = os.path.join(self.wave_dir, f"{spec.task_id}.{number}")
+        skip_mode = spec.task_id in self.skip_tasks
+        host = disk_fault = None
+        if self.hosts is not None:
+            host = self.hosts.place(spec.task_id)
+            if sched._disk_faults:
+                # Disk faults follow the task's *home* host (the stable
+                # hash, not the placement, decides who fails over,
+                # wherever the attempt runs).
+                disk_fault = sched._disk_faults.get(
+                    self.hosts.host_for(spec.task_id))
+        injector = sched.fault_injector
+        attempt_spec = AttemptSpec(
+            spec.task_id, spec.kind, number, attempt_dir, self.job,
+            self.dataset if spec.kind == "map" else None, spec.payload,
+            fault=(injector.fault_for(spec.task_id, number)
+                   if injector is not None else None),
+            skip_mode=skip_mode, shuffle=sched.shuffle,
+            fetch_faults=(injector.fetch_plan_for(spec.task_id)
+                          if injector is not None
+                          and spec.kind == "reduce" else None) or None,
+            # Degrade-on-retry: the OOM deaths this task has suffered;
+            # the attempt body halves its memory knobs once per level.
+            degrade=self.oom_requeues[spec.task_id],
+            host=host, disk_fault=disk_fault,
+            heartbeat_interval=sched.heartbeat_interval,
+            rlimit_bytes=sched.worker_rlimit_bytes,
+            durable=self.keep_result_files)
+        attempt = _Attempt(spec, attempt_spec, speculative, now)
+        # Recorded before the launch: an inline executor has run the
+        # attempt by the time ``launch`` returns.
+        if disk_fault is not None:
+            self.record(attempt, "disk_failover",
+                        f"workdir on {host} raises {disk_fault.op}; "
+                        f"spilling to spare volume")
+        if speculative:
+            self.record(attempt, "speculated")
+        if skip_mode:
+            self.record(attempt, "skipping",
+                        "record-level skipping after eligible failure")
+        self.record(attempt, "started")
+        try:
+            attempt.process = self.lease.launch(
+                attempt_spec, inherit=(self.job, self.dataset))
+        except PoolSaturatedError:
+            # Lost the race for the last shared slot to a concurrent job
+            # between the availability check and the spawn; the attempt
+            # number stays unspent (its retry records ``started`` again)
+            # and the caller requeues.
+            return False
+        self.next_attempt[spec.task_id] += 1
+        self.running.append(attempt)
+        return True
+
+    def record(self, attempt: _Attempt, event: str, detail: str = "") -> None:
+        self.trace.record(attempt.spec.task_id, attempt.number,
+                          attempt.spec.kind, event, detail)
+
+    def retire(self, attempt: _Attempt) -> None:
+        """Drop a reaped/killed attempt and return its pool slot."""
+        self.running.remove(attempt)
+        self.lease.release()
+
+    def kill(self, attempt: _Attempt, reason: str,
+             event: str = "killed") -> None:
+        """Stop a running attempt, trace why, discard its directory."""
+        _kill_process(attempt.process)
+        self.retire(attempt)
+        self.record(attempt, event, reason)
+        shutil.rmtree(attempt.dir, ignore_errors=True)
+
+    def restart(self, attempt: _Attempt, why: str | None) -> None:
+        """Requeue a killed attempt's task at once, uncharged, unless it
+        won or is covered; ``why`` (if any) is traced as ``retried``."""
+        task_id = attempt.spec.task_id
+        if task_id in self.results or self.covered(task_id):
+            return
+        self.pending.append((self.by_id[task_id], 0.0))
+        if why is not None:
+            self.record(attempt, "retried", f"{why} (retry budget uncharged)")
+
+    def note_failure(self, attempt: _Attempt, detail: str,
+                     charge_host: bool = True) -> None:
+        """Trace a failed attempt and discard its directory."""
+        self.record(attempt, "failed", detail)
+        shutil.rmtree(attempt.dir, ignore_errors=True)
+        if (charge_host and self.hosts is not None
+                and attempt.host is not None):
+            self.hosts.record_task_failure(attempt.host, detail)
+
+    def requeue(self, attempt: _Attempt, now: float, count: int,
+                why: str | None = None) -> None:
+        """Queue a retry behind its backoff gate; ``count`` (the task's
+        failures on this rung) paces it.  ``why`` names a rung that
+        ``max_retries`` does not pay for; ``None`` is a charged retry."""
+        sched = self.scheduler
+        task_id = attempt.spec.task_id
+        delay = backoff_delay(
+            sched.retry_backoff, count, sched.retry_backoff_max,
+            key=task_id if why is None else f"{task_id}:{why}")
+        self.pending.append((self.by_id[task_id], now + delay))
+        detail = f"backoff {delay:.3f}s"
+        if why is not None:
+            detail = f"{why}, {detail} (retry budget uncharged)"
+        self.record(attempt, "retried", detail)
+
+    def record_failure(self, attempt: _Attempt, detail: str,
+                       now: float) -> None:
+        """A failure the task's ``max_retries`` budget pays for:
+        requeue, or raise once the budget is spent."""
+        task_id = attempt.spec.task_id
+        self.note_failure(attempt, detail)
+        self.failures[task_id] += 1
+        rival_running = self.is_running(task_id)
+        if self.failures[task_id] > self.scheduler.max_retries:
+            if rival_running:
+                return  # a speculative rival may still win
+            raise TaskFailedError(task_id, self.failures[task_id] + 1, detail)
+        if not rival_running:  # else the rival attempt *is* the retry
+            self.requeue(attempt, now, self.failures[task_id])
+
+    def reexec_map(self, map_id: str, detail: str) -> None:
+        """Re-execute a completed map and re-point its consumers."""
+        sched = self.scheduler
+        self.map_reexecs[map_id] += 1
+        if self.map_reexecs[map_id] > sched.max_map_reexecs:
+            raise TaskFailedError(
+                map_id, self.map_reexecs[map_id],
+                f"map re-executed {sched.max_map_reexecs} time(s) and "
+                f"its segments remain unfetchable: {detail}")
+        self.fetch_strikes[map_id] = 0
+        new_payloads = self.reexec(map_id)
+        self.trace.record(map_id, self.map_reexecs[map_id], "map",
+                          "map_reexec",
+                          f"fetch-failure threshold "
+                          f"({sched.fetch_failure_threshold}) reached: "
+                          f"{detail}")
+        for reduce_id, payload in new_payloads.items():
+            if reduce_id not in self.by_id or reduce_id in self.results:
+                continue
+            self.by_id[reduce_id] = TaskSpec(reduce_id, "reduce", payload)
+            # A queued retry launches the new spec (``launch`` looks
+            # it up by id).  Running attempts are reading segments that no longer
+            # exist: kill them and requeue the task immediately.
+            for a in [a for a in self.running
+                      if a.spec.task_id == reduce_id]:
+                self.kill(a, f"segments of {map_id} invalidated by "
+                             f"re-execution")
+                self.restart(a, None)
+
+    def handle_fetch_failure(self, attempt: _Attempt, map_id: str,
+                             detail: str, now: float) -> None:
+        """A reduce exhausted its fetch retries against one map: a
+        strike against the *link* (the producing map), not the reduce's
+        retry budget.  Strikes reach ``fetch_failure_threshold`` and
+        ``max_map_reexecs`` bounds the re-runs, so the wave terminates.
+        """
+        task_id = attempt.spec.task_id
+        self.note_failure(attempt, detail, charge_host=False)
+        self.record(attempt, "fetch_failure", f"{map_id}: {detail}")
+        if self.hosts is not None:
+            # The strike lands on the host *serving* the unfetchable
+            # segments -- evidence toward DEAD only if that host has
+            # also gone silent (partition-vs-death rule).
+            self.hosts.record_fetch_strike(self.hosts.host_for(map_id))
+        self.fetch_strikes[map_id] += 1
+        if self.fetch_strikes[map_id] >= self.scheduler.fetch_failure_threshold:
+            if self.reexec is None:
+                raise TaskFailedError(
+                    task_id, self.fetch_requeues[task_id] + 1,
+                    f"{detail} (no re-execution hook installed)")
+            self.reexec_map(map_id, detail)
+        if not self.covered(task_id):  # else a rival or reexec requeue
+            self.fetch_requeues[task_id] += 1
+            self.requeue(attempt, now, self.fetch_requeues[task_id],
+                         "fetch failure")
+
+    def handle_oom(self, attempt: _Attempt, detail: str, now: float) -> None:
+        """An attempt died out of memory: requeued uncharged (the memory
+        ladder's bound is ``max_memory_retries``) one degrade level
+        down, so the next launch halves its memory knobs.  No host is
+        charged: the task's footprint is at fault, not the host.
+        """
+        shuffle = self.scheduler.shuffle
+        task_id = attempt.spec.task_id
+        self.note_failure(attempt, detail, charge_host=False)
+        limit = (getattr(shuffle, "max_memory_retries", 2)
+                 if shuffle is not None else 2)
+        self.oom_requeues[task_id] += 1
+        if self.oom_requeues[task_id] > limit:
+            if self.is_running(task_id):
+                return  # a speculative rival may still win
+            raise TaskFailedError(
+                task_id, self.oom_requeues[task_id],
+                f"{detail} (exhausted {limit} memory retries)")
+        # Tallied only for deaths that earn a degraded retry -- the
+        # exhausting death raises untallied, so the counters are a
+        # function of the fault plan whenever a job completes.
+        tally = self.scheduler.memory_tally
+        tally["oom_events"] += 1
+        tally["degraded_attempts"] += 1
+        self.record(attempt, "oom_degraded",
+                    f"degrade level {self.oom_requeues[task_id]}: sort "
+                    f"buffer halved")
+        if not self.covered(task_id):
+            self.requeue(attempt, now, self.oom_requeues[task_id], "oom")
+
+    def handle_error(self, attempt: _Attempt, result: dict[str, Any],
+                     now: float) -> None:
+        """The one dispatch on a failed attempt's ``classify`` record.
+        Fetch failures, OOM deaths, the entry into skip mode (once per
+        task, sticky) and corrupt-segment repairs (``max_repairs`` per
+        reduce) requeue uncharged; any other failure is charged."""
+        task_id = attempt.spec.task_id
+        detail = f"{result['error_type']}: {result['message']}"
+        if result["failed_map"] is not None:
+            self.handle_fetch_failure(attempt, result["failed_map"], detail,
+                                      now)
+        elif result["oom"]:
+            self.handle_oom(attempt, detail, now)
+        elif result["skip_eligible"] and task_id not in self.skip_tasks:
+            self.note_failure(attempt, detail)
+            self.skip_tasks.add(task_id)
+            if not self.covered(task_id):
+                self.requeue(attempt, now, 1, "skip mode")
+        elif (attempt.spec.kind == "reduce" and self.repair is not None
+                and result["corrupt_path"] is not None
+                and self.repairs[task_id] < self.max_repairs):
+            self.note_failure(attempt, detail)
+            self.repair(result["corrupt_path"])
+            self.repairs[task_id] += 1
+            if not self.covered(task_id):
+                self.requeue(attempt, now, self.repairs[task_id],
+                             "segment repaired")
+        else:
+            self.record_failure(attempt, detail, now)
+
+    def handle_exit(self, attempt: _Attempt, now: float) -> None:
+        """Judge an exited attempt: a win, a lost race, or a failure."""
+        spec = attempt.spec
+        task_id = spec.task_id
+        if task_id in self.results:
+            # A rival attempt already won while this one was finishing.
+            self.record(attempt, "discarded", "lost to rival attempt")
+            shutil.rmtree(attempt.dir, ignore_errors=True)
+            return
+        result = attempt.process.record()
+        if result is None:
+            self.record_failure(attempt, f"worker exited with code "
+                                f"{attempt.process.exitcode} and no result",
+                                now)
+            return
+        if result["status"] != "ok":
+            try:
+                self.handle_error(attempt, result, now)
+            except TaskFailedError:
+                # An inline attempt that ends the job raises as itself,
+                # not as the scheduler's summary of it.
+                error = getattr(attempt.process, "error", None)
+                if error is None:
+                    raise
+                raise error from None
+            return
+        self.results[task_id] = result["value"]
+        self.durations[spec.kind].append(now - attempt.started)
+        self.record(attempt, "finished")
+        if self.hosts is not None and attempt.host is not None:
+            # A completed attempt is both liveness evidence and a clean
+            # attempt toward probation reinstatement.
+            self.hosts.record_heartbeat(attempt.host)
+            self.hosts.record_task_success(attempt.host)
+        counters = getattr(result["value"], "counters", None)
+        skipped = (counters.get(C.RECORDS_SKIPPED)
+                   if counters is not None else 0)
+        if skipped:
+            self.record(attempt, "quarantined",
+                        f"{skipped} record(s) skipped into quarantine")
+        mem = result.get("memory")
+        if mem:
+            tally = self.scheduler.memory_tally
+            tally["used_budget"] = True
+            tally["peak_bytes"] = max(tally["peak_bytes"], mem.get("peak", 0))
+            self.record(attempt, "memory_peak",
+                        f"{mem.get('peak', 0)}/{mem.get('capacity')}")
+        if self.on_complete is not None:
+            self.on_complete(spec, attempt.number, attempt.dir,
+                             attempt.result_path, result["value"])
+        if not self.keep_result_files:
+            try:
+                os.unlink(attempt.result_path)
+            except OSError:  # no file (inline), or already gone
+                pass
+        for rival in [a for a in self.running
+                      if a.spec.task_id == task_id]:
+            self.kill(rival, "rival attempt won")
+            self.record(rival, "discarded")
+
+    def admit(self, now: float) -> None:
+        """Launch queued work whose backoff gate is open while slots
+        are free."""
+        if self.pipeline:
+            # Maps outrank reduces for free slots (a pipelined reduce
+            # can only drain after every map commits); stable, so
+            # within-kind FIFO order is preserved.
+            self.pending.sort(key=lambda e: e[0].kind != "map")
+        self.preempt_for_maps(now)
+        i = 0
+        while i < len(self.pending) and not self.full():
+            spec, not_before = self.pending[i]
+            if not_before > now:
+                i += 1
+                continue
+            self.pending.pop(i)
+            if not self.launch(spec, False, now):
+                # Spawn raced a concurrent job for the last slot and
+                # lost; put the task back and wait.
+                self.pending.insert(i, (spec, not_before))
+                break
+
+    def reap(self, now: float) -> bool:
+        """Retire and judge every exited attempt; ``True`` if any."""
+        progressed = False
+        for attempt in list(self.running):
+            if attempt not in self.running or attempt.process.is_alive():
+                continue
+            attempt.process.join()
+            self.retire(attempt)
+            progressed = True
+            self.handle_exit(attempt, now)
+        return progressed
+
+    def deadline_breach(self, attempt: _Attempt, now: float,
+                        beats: Mapping[_Attempt, float | None]) -> str | None:
+        """Why this attempt must die now, or ``None`` to let it run;
+        ``beats`` has the heartbeat age of each attempt
+        :meth:`heartbeats_due` named (``None``: no heartbeat file)."""
+        sched = self.scheduler
+        hosts = self.hosts if attempt.host is not None else None
+        age = now - attempt.started
+        if sched.task_timeout is not None and age > sched.task_timeout:
+            return (f"attempt exceeded task_timeout="
+                    f"{sched.task_timeout:.3f}s (ran {age:.3f}s)")
+        timeout = sched.heartbeat_timeout
+        if timeout is None or age <= timeout:
+            return None
+        beat_age = beats[attempt]
+        if beat_age is not None and beat_age <= timeout:
+            if hosts is not None:
+                hosts.record_heartbeat(attempt.host)
+            return None
+        if hosts is not None:
+            hosts.record_missed_heartbeat(attempt.host)
+        if beat_age is None:
+            # No heartbeat file at all after the grace window: the
+            # worker never got far enough to start beating.
+            return f"no heartbeat after {age:.3f}s (timeout {timeout:.3f}s)"
+        return f"heartbeat stale for {beat_age:.3f}s (timeout {timeout:.3f}s)"
+
+    def enforce_deadlines(self, now: float,
+                          beats: Mapping[_Attempt, float | None]) -> None:
+        """Kill attempts past a deadline (a charged failure); fail the
+        wave past ``wave_deadline``."""
+        for attempt in list(self.running):
+            reason = self.deadline_breach(attempt, now, beats)
+            if reason is not None:
+                self.kill(attempt, reason, event="timeout")
+                self.record_failure(attempt, reason, now)
+        deadline = self.scheduler.wave_deadline
+        if deadline is not None and now - self.started > deadline:
+            unfinished = self.unfinished()
+            raise WaveDeadlineError(unfinished, deadline,
+                                    self.trace.diagnose(unfinished))
+
+    def drain_dead_hosts(self) -> None:
+        """Absorb hosts the monitor declared dead since last poll: kill
+        and requeue (uncharged) their attempts, and re-execute the
+        completed maps whose only segment copies lived there (bounded
+        by the monitor's ``max_host_reexecs``)."""
+        if self.hosts is None:
+            return
+        for host in self.hosts.take_newly_dead():
+            for a in [x for x in self.running if x.host == host]:
+                self.kill(a, f"{host} declared dead")
+                self.restart(a, f"{host} died under it")
+            if self.reexec is None:
+                continue
+            host_for = self.hosts.host_for
+            if self.pipeline:
+                # A combined wave's reduce payloads carry a plan, not
+                # refs: the completed maps homed on the dead host are
+                # exactly this wave's finished maps.
+                lost = sorted(t for t, s in self.by_id.items()
+                              if s.kind == "map" and t in self.results
+                              and host_for(t) == host)
+            else:
+                # A barrier reduce wave: the maps its refs read from the
+                # dead host.
+                lost = sorted({ref.map_id for s in self.by_id.values()
+                               if s.kind == "reduce"
+                               for ref in s.payload[1]
+                               if host_for(ref.map_id) == host})
+            if lost:
+                self.hosts.charge_host_reexec(host, len(lost))
+                for map_id in lost:
+                    self.reexec_map(map_id,
+                                    f"{host} died holding its segments")
+
+    def maybe_speculate(self, now: float) -> None:
+        """Duplicate stragglers past ``straggler_factor`` x median."""
+        sched = self.scheduler
+        if not sched.speculation:
+            return
+        thresholds = {
+            kind: max(sched.straggler_factor * statistics.median(done),
+                      sched.min_straggler_seconds)
+            for kind, done in self.durations.items()
+            if len(done) >= sched.speculation_min_completed}
+        if not thresholds:
+            return
+        in_flight: dict[str, int] = defaultdict(int)
+        for a in self.running:
+            in_flight[a.spec.task_id] += 1
+        for a in list(self.running):
+            if self.full():
+                return
+            if self.pipeline and a.spec.kind == "reduce":
+                # A pipelined reducer's age is dominated by waiting on
+                # late maps; duplicating it burns a slot the map
+                # stragglers (the actual bottleneck) may need.  The
+                # starvation path covers the pipeline.
+                continue
+            threshold = thresholds.get(a.spec.kind)
+            if threshold is None:
+                continue
+            if (not a.speculative and in_flight[a.spec.task_id] == 1
+                    and now - a.started > threshold
+                    and self.launch(a.spec, True, now)):
+                in_flight[a.spec.task_id] += 1
+
+    def check_starvation(self, now: float,
+                         starved: Mapping[_Attempt, Sequence[str]]) -> None:
+        """Progress-triggered speculation for pipelined waves: a reducer
+        that waits on a few missing producers names them in its
+        ``_starved`` marker (``starved`` maps each watched reducer to
+        those names).  They are the wave's bottleneck right now, so they
+        are speculated at once, within the starvation threshold and the
+        attempt-age floor.
+        """
+        if not starved:
+            return
+        shuffle = self.scheduler.shuffle
+        threshold = (getattr(shuffle, "starvation_threshold", 2)
+                     if shuffle is not None else 2)
+        in_flight: dict[str, list[_Attempt]] = defaultdict(list)
+        for a in self.running:
+            in_flight[a.spec.task_id].append(a)
+        for reducer, missing in starved.items():
+            missing = [m for m in missing
+                       if m in self.by_id and self.by_id[m].kind == "map"
+                       and m not in self.results]
+            if not missing or len(missing) > threshold:
+                # Starved on many maps = the wave is young, not
+                # straggling; let ordinary scheduling catch up.
+                continue
+            for map_id in missing:
+                if self.full():
+                    return
+                attempts = in_flight.get(map_id, [])
+                if (len(attempts) != 1 or attempts[0].speculative
+                        or now - attempts[0].started
+                        <= self.scheduler.min_straggler_seconds):
+                    continue
+                self.record(attempts[0], "pipeline_starved",
+                            f"{reducer.spec.task_id} starved on "
+                            f"{len(missing)} missing segment(s)")
+                if self.launch(self.by_id[map_id], True, now):
+                    in_flight[map_id].append(self.running[-1])
+
+    def preempt_for_maps(self, now: float) -> None:
+        """Combined-wave deadlock breaker (Hadoop's reduce preemption):
+        when every slot holds a pipelined reducer waiting on a map that
+        cannot get one, the youngest reduce attempt (the last launched)
+        is killed and requeued uncharged -- its restart is
+        byte-identical by determinism.
+        """
+        if not self.pipeline or not self.full():
+            return
+        if not any(s.kind == "map" and nb <= now
+                   and s.task_id not in self.results
+                   for s, nb in self.pending):
+            return
+        victims = [a for a in self.running if a.spec.kind == "reduce"]
+        if victims:
+            self.kill(victims[-1], "preempted for pending map work")
+            self.restart(victims[-1], "preempted")

@@ -17,6 +17,7 @@ import pytest
 from repro.mapreduce import FaultInjector, LocalJobRunner, ParallelJobRunner
 from repro.mapreduce.job import SkipPolicy
 from repro.mapreduce.metrics import C
+from repro.mapreduce.runtime.pool import InlinePool
 from repro.mapreduce.runtime.shuffle import ShuffleConfig
 from repro.mapreduce.runtime.worker import HEARTBEAT_NAME
 from repro.queries.subset import BoxSubsetQuery
@@ -163,3 +164,27 @@ def test_a_clean_serial_run_stays_cheap(grid, tmp_path, monkeypatch):
     assert all(name.startswith("helper_") for name in started), started
     written = {name for _, _, names in os.walk(workdir) for name in names}
     assert not written & {"_result.pkl", HEARTBEAT_NAME}
+
+
+def test_a_recoverable_job_runs_on_the_inline_slot(grid, tmp_path):
+    """A recoverable job on the inline executor commits each task's
+    record durably, so its checkpoints resume like a worker's."""
+    job = make_job(num_map_tasks=3, num_reducers=2)
+    with LocalJobRunner() as serial:
+        reference = serial.run(job, grid)
+    recovery = str(tmp_path / "recovery")
+    first = ParallelJobRunner(pool=InlinePool(), recovery_dir=recovery,
+                              keep_files=True)
+    result = first.run(job, grid)
+    assert result.output == reference.output
+    assert result.counters == reference.counters
+    written = {name for _, _, names in os.walk(recovery) for name in names}
+    assert "_result.pkl" in written and HEARTBEAT_NAME not in written
+
+    again = ParallelJobRunner(pool=InlinePool(), recovery_dir=recovery,
+                              resume=True)
+    resumed = again.run(job, grid)
+    assert again.last_adopted == 5
+    assert again.last_trace.count("started") == 0
+    assert resumed.output == reference.output
+    assert resumed.counters == reference.counters

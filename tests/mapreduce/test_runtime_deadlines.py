@@ -15,7 +15,10 @@ import pytest
 
 from repro.mapreduce import FaultInjector, LocalJobRunner, ParallelJobRunner
 from repro.mapreduce.runtime import TaskScheduler, WaveDeadlineError
+from repro.mapreduce.runtime.hosts import HostHealthMonitor, HostRegistry
+from repro.mapreduce.runtime.scheduler import TaskSpec
 from repro.scidata import integer_grid
+from tests.mapreduce.fake_executor import FakePool, make_wave, poll
 from tests.mapreduce.test_engine import make_job
 
 
@@ -103,3 +106,95 @@ class TestKnobValidation:
             TaskScheduler(heartbeat_interval=0)
         with pytest.raises(ValueError, match="must exceed"):
             TaskScheduler(heartbeat_interval=0.5, heartbeat_timeout=0.5)
+
+
+#: one step past a bound: the scheduler compares ages with ``>``
+EPS = 1e-6
+
+
+def one_map_wave(tmp_path, **knobs):
+    """A one-map wave on a fake executor, its attempt launched at 0."""
+    wave = make_wave([TaskSpec("m00000", "map", None)], FakePool(1),
+                     str(tmp_path), 0.0, **knobs)
+    poll(wave, 0.0)
+    (attempt,) = wave.running
+    return wave, attempt
+
+
+def events(wave, name):
+    return [e for e in wave.trace.events if e.event == name]
+
+
+class TestDeadlinesOnChosenTime:
+    """The same deadlines, decided by ``_Wave`` at chosen ``now`` values
+    with chosen heartbeat ages: no process, no sleep."""
+
+    def test_task_timeout_kills_just_past_the_bound(self, tmp_path):
+        wave, attempt = one_map_wave(tmp_path, task_timeout=1.0)
+        poll(wave, 1.0)
+        assert wave.running == [attempt] and not events(wave, "timeout")
+        poll(wave, 1.0 + EPS)
+        assert attempt.process.killed and wave.running == []
+        (timeout,) = events(wave, "timeout")
+        assert "task_timeout=1.000s" in timeout.detail
+        assert wave.failures["m00000"] == 1
+        # The kill is a charged failure, retried behind its backoff.
+        assert [s.task_id for s, _ in wave.pending] == ["m00000"]
+
+    def test_stale_heartbeat_kills_just_past_the_bound(self, tmp_path):
+        wave, attempt = one_map_wave(tmp_path, heartbeat_interval=0.1,
+                                     heartbeat_timeout=0.5)
+        # Within the grace window no heartbeat is read at all.
+        assert wave.heartbeats_due(0.5) == []
+        assert wave.heartbeats_due(0.5 + EPS) == [attempt]
+        poll(wave, 0.6, beats={attempt: 0.5})
+        assert wave.running == [attempt]
+        poll(wave, 0.6, beats={attempt: 0.5 + EPS})
+        assert attempt.process.killed
+        (timeout,) = events(wave, "timeout")
+        assert timeout.detail.startswith("heartbeat stale for 0.500s")
+
+    def test_missing_heartbeat_kills_after_the_grace_window(self, tmp_path):
+        wave, attempt = one_map_wave(tmp_path, heartbeat_interval=0.1,
+                                     heartbeat_timeout=0.5)
+        poll(wave, 0.5, beats={attempt: None})
+        assert wave.running == [attempt]
+        poll(wave, 0.5 + EPS, beats={attempt: None})
+        assert attempt.process.killed
+        (timeout,) = events(wave, "timeout")
+        assert timeout.detail.startswith("no heartbeat after 0.500s")
+
+    @pytest.mark.parametrize("beat", [None, 2.0])
+    def test_missed_heartbeat_is_charged_to_the_placed_host(
+            self, tmp_path, beat):
+        now = [0.0]
+        hosts = HostHealthMonitor(HostRegistry(2), clock=lambda: now[0])
+        home = hosts.host_for("m00000")
+        for _ in range(hosts.blacklist_failures):
+            hosts.record_task_failure(home, "benched for this test")
+        wave, attempt = one_map_wave(
+            tmp_path, hosts=hosts, heartbeat_interval=0.1,
+            heartbeat_timeout=0.5)
+        assert attempt.host != home
+        poll(wave, 0.6, beats={attempt: beat})
+        assert attempt.process.killed
+        assert hosts.registry.get(attempt.host).missed_heartbeats == 1
+        assert hosts.registry.get(home).missed_heartbeats == 0
+
+    def test_fresh_heartbeat_is_liveness_for_the_placed_host(self, tmp_path):
+        hosts = HostHealthMonitor(HostRegistry(2), clock=lambda: 0.0)
+        wave, attempt = one_map_wave(
+            tmp_path, hosts=hosts, heartbeat_interval=0.1,
+            heartbeat_timeout=0.5)
+        hosts.registry.get(attempt.host).missed_heartbeats = 1
+        poll(wave, 0.6, beats={attempt: 0.1})
+        assert wave.running == [attempt]
+        assert hosts.registry.get(attempt.host).missed_heartbeats == 0
+
+    def test_wave_deadline_fails_just_past_the_bound(self, tmp_path):
+        wave, attempt = one_map_wave(tmp_path, wave_deadline=2.0)
+        poll(wave, 2.0)
+        with pytest.raises(WaveDeadlineError) as excinfo:
+            poll(wave, 2.0 + EPS)
+        assert excinfo.value.unfinished == ["m00000"]
+        assert "m00000" in str(excinfo.value)
