@@ -19,7 +19,7 @@ is then attacked.  Pinned here:
   count identically in both runners;
 * **OOM-kill divergence** -- the serial runner surfaces a threshold
   kill as an in-process ``MemoryError`` while a parallel worker dies
-  SIGKILL-style (``os._exit(137)`` after durably recording the OOM),
+  SIGKILL-style (``os._exit(137)`` right after sending the OOM record),
   yet both take the same ladder to the same bytes;
 * **real rlimit** -- with ``worker_rlimit_bytes`` set the parallel
   workers run under a genuine ``RLIMIT_AS``; an ``alloc`` fault that

@@ -556,6 +556,7 @@ def run_reduce_task(
     shuffle=None,
     fetch_faults=None,
     memory=None,
+    on_starved=None,
 ) -> ReduceTaskResult:
     """Execute one reduce task (Fig 1 steps 4-7) -- the only reduce body.
 
@@ -575,7 +576,8 @@ def run_reduce_task(
     slot order, so the merged stream, the output and every counter
     depend on the final segments alone, never on when they arrived.
     ``SHUFFLE_BYTES`` is charged once, from the final refs; a plan also
-    leaves its poll telemetry on ``result.pipeline``.
+    leaves its poll telemetry on ``result.pipeline``, and hands each
+    change in the set of producers it waits for to ``on_starved``.
 
     Segment bytes arrive through a shuffle transport (``shuffle`` is a
     :class:`~repro.mapreduce.runtime.shuffle.ShuffleConfig`; ``None`` =
@@ -626,7 +628,7 @@ def run_reduce_task(
     pipeline: dict | None = None
     if isinstance(segments, PipelinePlan):
         pipeline = {}
-        pairs = commit_pairs(segments, part, workdir, pipeline)
+        pairs = commit_pairs(segments, part, pipeline, on_starved)
         slots = len(segments.map_ids)
     else:
         refs = [SegmentRef.from_pair(s) for s in segments]

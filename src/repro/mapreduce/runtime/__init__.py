@@ -23,8 +23,8 @@ for both executors:
   and ``assemble_result``, the one fold of task results into a
   ``JobResult``;
 * :mod:`~repro.mapreduce.runtime.worker` -- the process shell around
-  ``execute_attempt``: heartbeat, rlimit, process-shaped faults,
-  durable result file.
+  ``execute_attempt``: heartbeat, rlimit, process-shaped faults, and
+  the pipe that carries beats, starvation reports and the record.
 
 Around them:
 

@@ -8,8 +8,8 @@ joins them for every executor: it takes an :class:`AttemptSpec`, fails
 its workdir over on a planned disk fault, runs the body and classifies
 the outcome.  The inline pool the serial runner schedules on calls it in
 the driving process; :func:`~repro.mapreduce.runtime.worker.worker_entry`
-calls it inside a forked worker and ships the record back through a
-durable result file.  Serial/parallel identity of output and counters
+calls it inside a forked worker and sends the record back on the
+worker's pipe.  Serial/parallel identity of output and counters
 under every data-shaped fault is therefore structural: there is no
 second copy of any of these decisions to drift.
 
@@ -50,9 +50,8 @@ class AttemptSpec:
     :func:`run_attempt`'s arguments plus the attempt directory, the
     placement (``host``, a planned ``disk_fault`` on the home host), a
     worker's ``heartbeat_interval`` and ``rlimit_bytes``, and whether
-    the record must also reach ``result_path`` when the attempt runs
-    inline (``durable``: the wave keeps result files for a resume; a
-    worker always commits one)."""
+    the record is also committed to ``result_path`` (``durable``: the
+    wave keeps result files for a resume)."""
 
     task_id: str
     kind: str
@@ -74,7 +73,7 @@ class AttemptSpec:
 
     @property
     def result_path(self) -> str:
-        """Where a worker commits this attempt's record."""
+        """Where a ``durable`` attempt commits its record."""
         return os.path.join(self.attempt_dir, "_result.pkl")
 
 
@@ -124,9 +123,9 @@ def _arm_budget(name: str, shuffle: Any, fault: Fault | None,
     allocation-free.  The ``kill`` op models the kernel OOM killer: the
     moment the site's charged bytes cross the threshold the attempt dies
     with a ``MemoryError``.  How it dies is the one runner-specific part:
-    a worker passes ``kill`` to persist the error record durably and
+    a worker passes ``kill`` to send the error record and
     ``os._exit(137)`` (the SIGKILL status, except the scheduler gets a
-    deterministic signal instead of a missing result file); inline there
+    deterministic record instead of none); inline there
     is no process to kill, so the ``MemoryError`` simply propagates and
     takes the same degrade ladder.
     """
@@ -168,6 +167,7 @@ def run_attempt(
     fetch_faults: Any = None,
     degrade: int = 0,
     kill: Callable[[MemoryError], None] | None = None,
+    on_starved: Callable[[list[str]], None] | None = None,
 ) -> dict[str, Any]:
     """Execute one task attempt in ``workdir``; returns its ok-record
     ``{"status": "ok", "value": ..., "memory": ...}`` or raises.
@@ -181,7 +181,8 @@ def run_attempt(
     ``corrupt`` / ``oom``; process faults are the worker's business),
     ``skip_mode`` runs the body in record-level skipping mode (set after
     a skip-eligible failure of a previous attempt), ``fetch_faults`` is
-    a reduce task's slice of the injector's fetch plan.
+    a reduce task's slice of the injector's fetch plan, and
+    ``on_starved`` takes a pipelined reducer's starvation reports.
 
     ``degrade`` is how many OOM deaths this task has already suffered:
     each level deterministically halves the sort buffer (floored at the
@@ -225,7 +226,8 @@ def run_attempt(
                              fault.offset_frac, fault.op)
         body = run_reduce_task_skipping if skip_mode else run_reduce_task
         value = body(job, part, segments, workdir, shuffle=shuffle,
-                     fetch_faults=fetch_faults, memory=budget)
+                     fetch_faults=fetch_faults, memory=budget,
+                     on_starved=on_starved)
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     return {"status": "ok", "value": value,
@@ -239,6 +241,7 @@ def execute_attempt(
     prelude: Callable[[AttemptSpec], None] | None = None,
     kill: Callable[[dict[str, Any]], None] | None = None,
     commit: Callable[[dict[str, Any]], None] | None = None,
+    on_starved: Callable[[list[str]], None] | None = None,
 ) -> tuple[dict[str, Any], BaseException | None]:
     """Run one attempt in ``workdir``; returns its record and, for an
     error record, the exception it classifies.
@@ -247,8 +250,9 @@ def execute_attempt(
     the executor's ``prelude`` (a worker's process faults),
     :func:`run_attempt`, and :func:`classify` of whatever raised.
     ``kill`` takes a simulated OOM kill's error record and must not
-    return.  ``commit`` delivers the record (a worker's result file); a
-    record it cannot deliver is replaced by an error record.
+    return.  ``commit`` readies the record for delivery (a worker
+    pickles it); a record it cannot commit is replaced by an error
+    record.  ``on_starved`` goes to :func:`run_attempt`.
     """
     job = spec.job
     error = None
@@ -264,7 +268,8 @@ def execute_attempt(
             skip_mode=spec.skip_mode, shuffle=spec.shuffle,
             fetch_faults=spec.fetch_faults, degrade=spec.degrade,
             kill=None if kill is None else (
-                lambda exc: kill(classify(exc, job))))
+                lambda exc: kill(classify(exc, job))),
+            on_starved=on_starved)
     except BaseException as exc:
         record, error = classify(exc, job), exc
     if commit is not None:

@@ -210,7 +210,7 @@ class HostHealthMonitor:
     # ------------------------------------------------------------ evidence
 
     def record_heartbeat(self, host: str) -> None:
-        """A worker on ``host`` touched its heartbeat file recently."""
+        """A worker on ``host`` sent a heartbeat recently."""
         h = self.registry.get(host)
         h.missed_heartbeats = 0
         if h.state == "SUSPECT":

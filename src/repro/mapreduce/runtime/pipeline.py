@@ -26,9 +26,9 @@ module removes it:
   (and therefore to the serial runner) by construction, not by test.
 
 A reducer that has fetched everything committed so far but still has
-maps pending writes a ``_starved`` marker naming the missing producers;
-the scheduler turns that into *progress-triggered speculation* of the
-stragglers, instead of waiting for wave deadlines.
+maps pending reports the missing producers to its ``on_starved``
+callback; the scheduler turns that into *progress-triggered
+speculation* of the stragglers, instead of waiting for wave deadlines.
 
 What overlaps the map tail is fetch + decode, not the merge.  Folding
 each arrival into a prefix merge would re-merge the whole prefix every
@@ -39,12 +39,11 @@ shorter.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.mapreduce.ifile import IFileStats
 from repro.mapreduce.metrics import C
@@ -53,7 +52,6 @@ from repro.util.fsio import atomic_write_bytes
 
 __all__ = [
     "COMMITS_DIRNAME",
-    "STARVED_NAME",
     "CommitRecord",
     "CommitLog",
     "PipelinePlan",
@@ -64,9 +62,6 @@ __all__ = [
 
 #: commit-log directory name inside a run's workdir
 COMMITS_DIRNAME = "_commits"
-#: marker a starved reducer writes into its own workdir (JSON naming the
-#: missing producers), the scheduler's cue to speculate map stragglers
-STARVED_NAME = "_starved"
 
 
 @dataclass(frozen=True)
@@ -190,15 +185,6 @@ def aggregate_pipeline_stats(per_task: list[dict]) -> dict | None:
     }
 
 
-def _write_starved(workdir: str, missing: list[str]) -> None:
-    """Publish the reducer's starvation state for the scheduler."""
-    blob = json.dumps({"missing": missing}).encode("utf-8")
-    try:
-        atomic_write_bytes(os.path.join(workdir, STARVED_NAME), blob)
-    except OSError:  # pragma: no cover - workdir being torn down
-        pass
-
-
 def _ref_for(record: CommitRecord, part: int) -> SegmentRef:
     path, stats = record.segments[part]
     return SegmentRef(map_id=record.map_id, path=path, stats=stats,
@@ -223,8 +209,10 @@ def drain_refs(plan: PipelinePlan, part: int) -> list[SegmentRef]:
         time.sleep(plan.poll_interval)
 
 
-def commit_pairs(plan: PipelinePlan, part: int, workdir: str,
-                 stats: dict) -> Iterator[tuple[int, SegmentRef]]:
+def commit_pairs(
+    plan: PipelinePlan, part: int, stats: dict,
+    on_starved: Callable[[list[str]], None] | None = None,
+) -> Iterator[tuple[int, SegmentRef]]:
     """The pipelined reducer's fetch schedule, one segment at a time.
 
     Polls the commit log and yields, as one ``(slot, ref)`` pair each,
@@ -236,13 +224,13 @@ def commit_pairs(plan: PipelinePlan, part: int, workdir: str,
     once every producer has been yielded at its latest epoch.
 
     Between rounds it sleeps ``plan.poll_interval`` per empty poll and
-    writes the ``_starved`` marker naming the missing producers
-    whenever that set changes.  ``stats`` is filled with the task's
-    ``pipeline`` stats: ``first_fetch_ms`` (start to the first segment
-    in hand), ``overlapped_fetches`` (segments fetched while some
-    producer had not yet committed), ``refetches`` and
-    ``wait_seconds`` (poll sleeps: overlap, not work, so never charged
-    to the task's cost clock).
+    passes the missing producers to ``on_starved`` whenever that set
+    changes.  ``stats`` is filled with the task's ``pipeline`` stats:
+    ``first_fetch_ms`` (start to the first segment in hand),
+    ``overlapped_fetches`` (segments fetched while some producer had
+    not yet committed), ``refetches`` and ``wait_seconds`` (poll
+    sleeps: overlap, not work, so never charged to the task's cost
+    clock).
     """
     log = CommitLog(plan.commit_dir)
     #: map_id -> epoch of the segment last yielded for it
@@ -271,10 +259,10 @@ def commit_pairs(plan: PipelinePlan, part: int, workdir: str,
             stats["wait_seconds"] = round(stats["wait_seconds"], 6)
             return
         missing = sorted(set(plan.map_ids) - set(records))
-        if missing and missing != last_starved:
+        if missing and missing != last_starved and on_starved is not None:
             # Everything committed is consumed; name the stragglers so
             # the scheduler can speculate them.
-            _write_starved(workdir, missing)
+            on_starved(missing)
             last_starved = missing
         time.sleep(plan.poll_interval)
         stats["wait_seconds"] += plan.poll_interval

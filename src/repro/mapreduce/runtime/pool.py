@@ -30,11 +30,12 @@ none is idle, so a job forks at most as many workers as it runs
 attempts at once.  A worker inherits, at fork, the objects the spawn
 names as ``inherit`` (the job and the dataset); each attempt's target
 and arguments then reach it over a pipe, with those inherited objects
-passed by reference rather than pickled.  It reports completion on the
-pipe (:mod:`~repro.mapreduce.runtime.worker` sets up its signals and
-allocator).  An attempt that is killed or exits takes its worker with
-it.  An idle worker holds no slot; :meth:`PoolLease.shutdown` stops and
-reaps every worker, and a worker whose runner dies exits by itself.
+passed by reference rather than pickled.  The pipe is also the
+worker's only channel back (:mod:`~repro.mapreduce.runtime.worker`
+names its messages).  An attempt that is killed or exits takes its
+worker with it.  An idle worker holds no slot;
+:meth:`PoolLease.shutdown` stops and reaps every worker, and a worker
+whose runner dies exits by itself.
 
 A scheduler constructed *without* a pool builds a private single-tenant
 one, so standalone ``repro run`` behaves exactly as before -- the
@@ -43,7 +44,8 @@ refactor changes ownership, not behavior.
 :class:`InlinePool` is the other executor behind the same ``launch``:
 one slot, no process -- the serial runner's.  Both run an
 :class:`~repro.mapreduce.runtime.attempt.AttemptSpec` through one
-:func:`~repro.mapreduce.runtime.attempt.execute_attempt`.
+:func:`~repro.mapreduce.runtime.attempt.execute_attempt` and hand its
+record back in memory.
 """
 
 from __future__ import annotations
@@ -56,13 +58,16 @@ import os
 import pickle
 import shutil
 import threading
+import time
 from typing import Any
 
 from repro.mapreduce.runtime.attempt import AttemptSpec, execute_attempt
 from repro.mapreduce.runtime.memory import MemoryBudget
 from repro.mapreduce.runtime.worker import (
-    _write_result,
-    load_result,
+    DONE,
+    EXIT,
+    Channel,
+    commit_record,
     prepare_process,
     worker_entry,
 )
@@ -186,6 +191,11 @@ class WorkerPool:
         return out
 
 
+#: stands for the worker's :class:`~repro.mapreduce.runtime.worker.
+#: Channel` in a spawn's arguments
+CHANNEL = object()
+
+
 class _Worker:
     """A lease's worker process and the parent's end of its pipe."""
 
@@ -204,6 +214,7 @@ class _Worker:
         #: ``id`` of each inherited object -> its index in ``inherit``
         self.refs = {id(obj): i for i, obj in enumerate(inherit)
                      if obj is not None}
+        self.refs[id(CHANNEL)] = len(inherit)
 
     def covers(self, inherit: tuple) -> bool:
         """Whether every object ``inherit`` names was inherited here."""
@@ -218,13 +229,16 @@ class _Worker:
 
 
 def _serve(conn: Any, inherit: tuple) -> None:
-    """A worker's process target: run attempts until told to stop.
+    """A worker's process target: run attempts until told to stop; each
+    ends with a ``DONE`` message carrying what its target returned.
 
     An empty message stops the worker.  So does its runner's death:
     every worker forked after this one holds a copy of the runner's
     end of this pipe, so EOF alone would not say the runner is gone.
     """
     prepare_process()
+    channel = Channel(conn)
+    refs = (*inherit, channel)
     watched = [conn, multiprocessing.parent_process().sentinel]
     while True:
         if conn not in multiprocessing.connection.wait(watched):
@@ -236,12 +250,11 @@ def _serve(conn: Any, inherit: tuple) -> None:
         if not message:
             return
         unpickler = pickle.Unpickler(io.BytesIO(message))
-        unpickler.persistent_load = inherit.__getitem__
+        unpickler.persistent_load = refs.__getitem__
         target, args = unpickler.load()
         del message, unpickler
-        target(*args)
+        channel.send(DONE, target(*args))
         del target, args  # an idle worker holds no attempt's arguments
-        conn.send_bytes(b"done")
 
 
 class AttemptHandle:
@@ -250,10 +263,10 @@ class AttemptHandle:
     ``sentinel``, ``is_alive``, ``join``, ``exitcode``, ``terminate``
     and ``kill``.
 
-    The attempt ends when its worker reports completion (exit code 0;
-    the worker goes back to the lease) or when the worker dies.
-    ``terminate`` and ``kill`` act on the worker while the attempt still
-    owns it, and that worker is never reused.
+    The attempt ends when its worker sends the record (exit code 0; the
+    worker goes back to the lease, unless the record was its last word)
+    or dies.  ``terminate`` and ``kill`` act on the worker while the
+    attempt still owns it, and that worker is never reused.
     """
 
     def __init__(self, lease: "PoolLease", worker: _Worker) -> None:
@@ -261,13 +274,19 @@ class AttemptHandle:
         self._worker: _Worker | None = worker
         self._process = worker.process
         self._lost = False
-        #: where a launched task attempt commits its record
-        self.result_path: str | None = None
+        #: the latest payload of each message kind the worker sent
+        self._heard: dict[str, Any] = {}
+
+    def heard(self, kind: str) -> Any:
+        """The latest payload of ``kind`` the worker sent, or ``None``."""
+        self._settle()
+        return self._heard.get(kind)
 
     def record(self) -> dict[str, Any] | None:
-        """The task attempt's record from its result file; ``None`` when
-        the worker died without committing one."""
-        return load_result(self.result_path)
+        """The task attempt's record; ``None`` when the worker died
+        without sending one."""
+        blob = self._heard.get(DONE) or self._heard.get(EXIT)
+        return None if blob is None else pickle.loads(blob)
 
     @property
     def pid(self) -> int | None:
@@ -287,22 +306,25 @@ class AttemptHandle:
         return None if self._worker is not None else 0
 
     def _settle(self) -> None:
-        """Notice a completion report or the worker's death."""
+        """Read what the worker sent; notice the record or its death."""
         worker = self._worker
         if worker is None:
             return
+        # Asked first: what a dead worker sent is already in the pipe.
+        alive = self._process.is_alive()
         try:
-            if worker.conn.poll():
-                worker.conn.recv_bytes()
-                self._worker = None
-                self._lease._idle.append(worker)
-                return
+            while worker.conn.poll():
+                kind, payload = worker.conn.recv()
+                self._heard[kind] = payload
+                if kind == DONE:
+                    self._worker = None
+                    self._lease._idle.append(worker)
+                    return
+                alive = alive and kind != EXIT  # EXIT: its last word
         except (EOFError, OSError):
-            pass
-        else:
-            if self._process.is_alive():
-                return
-        self._lose()
+            alive = False
+        if not alive:
+            self._lose()
 
     def _lose(self) -> None:
         """The worker died, or is being killed, mid-attempt: it stays
@@ -318,10 +340,12 @@ class AttemptHandle:
         return self._worker is not None
 
     def join(self, timeout: float | None = None) -> None:
-        worker = self._worker
-        if worker is not None:
+        end = None if timeout is None else time.monotonic() + timeout
+        while self._worker is not None and (
+                end is None or time.monotonic() < end):
             multiprocessing.connection.wait(
-                [worker.conn, self._process.sentinel], timeout)
+                [self._worker.conn, self._process.sentinel],
+                None if end is None else end - time.monotonic())
             self._settle()
         if self._lost:
             self._process.join(timeout)
@@ -393,12 +417,10 @@ class PoolLease:
         worker_entry`) on a worker, in its own attempt directory."""
         os.makedirs(spec.attempt_dir, exist_ok=True)
         try:
-            handle = self.spawn(worker_entry, (spec,), inherit=inherit)
+            return self.spawn(worker_entry, (spec, CHANNEL), inherit=inherit)
         except BaseException:
             shutil.rmtree(spec.attempt_dir, ignore_errors=True)
             raise
-        handle.result_path = spec.result_path
-        return handle
 
     def _start(self, target: Any, args: tuple, inherit: tuple) -> _Worker:
         while self._idle:
@@ -486,6 +508,9 @@ class FinishedAttempt:
         """The attempt's record."""
         return self._record
 
+    def heard(self, kind: str) -> None:
+        """Nothing: an inline attempt sends no message."""
+
     def is_alive(self) -> bool:
         """Never: the attempt ran to completion at launch."""
         return False
@@ -504,8 +529,8 @@ class InlinePool:
     no process, thread or heartbeat -- in its wave directory: with one
     slot no two attempts run at once, so a retry overwrites what its
     predecessor left at the same paths.  It writes a result file only
-    for a ``durable`` attempt (a recoverable job's checkpoint), through
-    the worker's durable writer.
+    for a ``durable`` attempt (a recoverable job's checkpoint), as a
+    worker does.
     """
 
     max_workers = 1
@@ -521,10 +546,8 @@ class InlinePool:
     def launch(self, spec: AttemptSpec, *,
                inherit: tuple = ()) -> FinishedAttempt:
         """Run one task attempt here and now."""
-        commit = None
-        if spec.durable:
-            os.makedirs(spec.attempt_dir, exist_ok=True)
-            commit = functools.partial(_write_result, spec.result_path)
+        commit = (functools.partial(commit_record, spec) if spec.durable
+                  else None)
         return FinishedAttempt(*execute_attempt(
             spec, os.path.dirname(spec.attempt_dir), commit=commit))
 

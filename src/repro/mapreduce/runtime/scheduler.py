@@ -13,15 +13,15 @@ instead -- the serial runner is this scheduler on one inline slot, so
 both runners climb one recovery ladder (``_Wave.handle_error``).
 
 :meth:`TaskScheduler.run_wave` is a loop around one ``_Wave``, which
-makes every decision; only the loop reads the clock, the heartbeat
-files and the ``_starved`` markers, and passes them in as arguments.
+makes every decision; only the loop reads the clock and what each
+attempt's worker last sent, and passes them in as arguments.
 ``tests/mapreduce/test_wave_machine.py`` drives ``_Wave`` on a fake
 executor at chosen times and checks the ladder's invariants in seconds,
 beside ``tests/mapreduce/test_one_ladder.py``, which runs its rungs
 end to end under both executors.  The scheduler owns the whole
 robustness story:
 
-* **Retry with backoff** -- an attempt that dies (no result file) or
+* **Retry with backoff** -- an attempt that dies (no record) or
   returns an error is re-queued with exponential backoff, up to
   ``max_retries`` extra attempts; the job fails only when a task
   exhausts its budget with no rival attempt still in flight.
@@ -33,10 +33,10 @@ robustness story:
   clock: an attempt that exceeds it is killed and the kill counts as a
   retryable failure.  This is what guarantees progress when speculation
   is disabled: a hung worker used to stall ``run_wave`` forever.
-* **Heartbeat staleness** -- workers touch a heartbeat file on a
-  cadence; with ``heartbeat_timeout`` set, an attempt whose heartbeat
-  mtime goes stale is killed even though ``is_alive()`` still reports
-  true (a stopped or wedged process, not a dead one).
+* **Heartbeat staleness** -- workers send heartbeats on a cadence;
+  with ``heartbeat_timeout`` set, an attempt whose latest beat goes
+  stale is killed even though ``is_alive()`` still reports true (a
+  stopped or wedged process, not a dead one).
 * **Wave deadline** -- ``wave_deadline`` bounds the whole wave; on
   breach the wave fails with a :class:`WaveDeadlineError` carrying a
   per-task diagnosis from the :class:`~repro.mapreduce.runtime.trace.
@@ -65,7 +65,6 @@ tests pin down against the serial runner.
 
 from __future__ import annotations
 
-import json
 import multiprocessing.connection
 import os
 import shutil
@@ -80,10 +79,9 @@ from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime.attempt import AttemptSpec
 from repro.mapreduce.runtime.fault import Fault, FaultInjector
 from repro.mapreduce.runtime.hosts import HostHealthMonitor
-from repro.mapreduce.runtime.pipeline import STARVED_NAME
 from repro.mapreduce.runtime.pool import InlinePool, PoolSaturatedError, WorkerPool
 from repro.mapreduce.runtime.trace import RuntimeTrace
-from repro.mapreduce.runtime.worker import HEARTBEAT_NAME
+from repro.mapreduce.runtime.worker import BEAT, STARVED
 from repro.util.backoff import backoff_delay
 
 __all__ = ["TaskSpec", "TaskFailedError", "WaveDeadlineError",
@@ -154,22 +152,21 @@ class JobCancelledError(RuntimeError):
 
 
 class _Attempt:
-    """Book-keeping for one in-flight attempt; ``process`` is its
+    """Book-keeping for one in-flight ``launch``; ``process`` is its
     executor's handle (:class:`~repro.mapreduce.runtime.pool.
     AttemptHandle` or :class:`~repro.mapreduce.runtime.pool.
     FinishedAttempt`)."""
 
-    __slots__ = ("spec", "number", "process", "dir", "result_path",
-                 "heartbeat_path", "started", "speculative", "host")
+    __slots__ = ("spec", "launch", "number", "process", "dir", "started",
+                 "speculative", "host")
 
     def __init__(self, spec: TaskSpec, launch: AttemptSpec,
                  speculative: bool, started: float) -> None:
         self.spec = spec
+        self.launch = launch
         self.number = launch.number
         self.process: Any = None
         self.dir = launch.attempt_dir
-        self.result_path = launch.result_path
-        self.heartbeat_path = os.path.join(self.dir, HEARTBEAT_NAME)
         self.started = started
         self.speculative = speculative
         self.host = launch.host
@@ -262,11 +259,11 @@ class TaskScheduler:
         Hard per-attempt deadline in seconds; ``None`` disables.  A
         breaching attempt is killed and the kill is a retryable failure.
     heartbeat_interval:
-        Cadence (seconds) at which workers touch their heartbeat file.
+        Cadence (seconds) at which workers send a heartbeat.
     heartbeat_timeout:
-        Kill an attempt whose heartbeat file mtime is older than this
-        many seconds (and whose age exceeds it); ``None`` disables.
-        Must be comfortably larger than ``heartbeat_interval``.
+        Kill an attempt whose latest heartbeat is older than this many
+        seconds (and whose age exceeds it); ``None`` disables.  Must be
+        comfortably larger than ``heartbeat_interval``.
     wave_deadline:
         Overall wall-clock budget for one ``run_wave`` call; ``None``
         disables.  Breach raises :class:`WaveDeadlineError`.
@@ -415,19 +412,19 @@ class TaskScheduler:
         ``precomputed`` maps task ids to adopted checkpoint results,
         never scheduled.  ``on_complete(spec, attempt_number,
         attempt_dir, result_path, value)`` fires once per freshly won
-        task; with ``keep_result_files`` the winner's record stays on
-        disk (an inline attempt commits one too) for a later resume.
+        task; with ``keep_result_files`` every attempt commits its
+        record durably to ``result_path`` for a later resume.
         ``reexec(map_id)`` re-runs a completed map whose segments drew
         ``fetch_failure_threshold`` fetch-failure strikes and returns
         ``{reduce_id: new_payload}`` for this wave's reduces.
         ``pipeline`` marks a *combined* wave (reduce payloads carry a
         :class:`~repro.mapreduce.runtime.pipeline.PipelinePlan`): only
         maps are speculated on the duration median, and maps a
-        reducer's ``_starved`` marker names are speculated at once.
+        reducer's starvation report names are speculated at once.
 
-        The loop reads the clock, the heartbeat files and the
-        ``_starved`` markers, and hands what it read to the wave's
-        decisions (:class:`_Wave`); then it waits.
+        The loop reads the clock and what each attempt's worker last
+        sent, and hands them to the wave's decisions (:class:`_Wave`);
+        then it waits.
         """
         wave = _Wave(self, specs, job, dataset, wave_dir, time.monotonic(),
                      repair=repair, precomputed=precomputed,
@@ -446,30 +443,22 @@ class TaskScheduler:
                 now = time.monotonic()
                 wave.admit(now)
                 wave.maybe_speculate(now)
-                starved: dict[_Attempt, list[str]] = {}
-                for reducer in wave.starvation_watch():
-                    try:
-                        with open(os.path.join(reducer.dir, STARVED_NAME),
-                                  encoding="utf-8") as fh:
-                            starved[reducer] = json.load(fh).get("missing", [])
-                    except (OSError, ValueError):
-                        continue
-                wave.check_starvation(now, starved)
-                wall, beats = time.time(), {}
-                for attempt in wave.heartbeats_due(now):
-                    try:
-                        beats[attempt] = wall - os.path.getmtime(
-                            attempt.heartbeat_path)
-                    except OSError:  # the worker never started beating
-                        beats[attempt] = None
-                wave.enforce_deadlines(now, beats)
+                wave.check_starvation(now, {
+                    r: r.process.heard(STARVED) or []
+                    for r in wave.starvation_watch()})
+                beats = {a: a.process.heard(BEAT)
+                         for a in wave.heartbeats_due(now)}
+                # an age per beat; None: the worker never started beating
+                wave.enforce_deadlines(now, {
+                    a: None if beat is None else now - beat
+                    for a, beat in beats.items()})
                 progressed = wave.reap(now)
                 wave.drain_dead_hosts()
                 if not progressed:
                     sentinels = [a.process.sentinel for a in wave.running]
                     if sentinels:
-                        # Wake the instant any worker exits instead of
-                        # burning a fixed poll quantum.
+                        # Wake the instant any worker sends a message or
+                        # exits instead of burning a fixed poll quantum.
                         multiprocessing.connection.wait(
                             sentinels, timeout=POLL_INTERVAL)
                     else:
@@ -489,7 +478,7 @@ class _Wave:
 
     Each decision is a method that takes the loop's ``now`` and what
     the loop observed as arguments: heartbeat ages (``None`` where no
-    heartbeat file exists) and the maps a ``_starved`` marker names.
+    beat has arrived) and the maps a starvation report names.
     Beyond those it touches only the executor (the lease and each
     attempt's handle), the trace, the host monitor and the hooks.
     """
@@ -568,7 +557,7 @@ class _Wave:
                 or any(s.task_id == task_id for s, _ in self.pending))
 
     def starvation_watch(self) -> list[_Attempt]:
-        """The reducers whose ``_starved`` marker the loop reads."""
+        """The reducers whose starvation reports the loop reads."""
         if not self.pipeline or not self.scheduler.speculation:
             return []
         return [a for a in self.running
@@ -885,12 +874,7 @@ class _Wave:
                         f"{mem.get('peak', 0)}/{mem.get('capacity')}")
         if self.on_complete is not None:
             self.on_complete(spec, attempt.number, attempt.dir,
-                             attempt.result_path, result["value"])
-        if not self.keep_result_files:
-            try:
-                os.unlink(attempt.result_path)
-            except OSError:  # no file (inline), or already gone
-                pass
+                             attempt.launch.result_path, result["value"])
         for rival in [a for a in self.running
                       if a.spec.task_id == task_id]:
             self.kill(rival, "rival attempt won")
@@ -934,7 +918,7 @@ class _Wave:
                         beats: Mapping[_Attempt, float | None]) -> str | None:
         """Why this attempt must die now, or ``None`` to let it run;
         ``beats`` has the heartbeat age of each attempt
-        :meth:`heartbeats_due` named (``None``: no heartbeat file)."""
+        :meth:`heartbeats_due` named (``None``: no beat yet)."""
         sched = self.scheduler
         hosts = self.hosts if attempt.host is not None else None
         age = now - attempt.started
@@ -952,8 +936,8 @@ class _Wave:
         if hosts is not None:
             hosts.record_missed_heartbeat(attempt.host)
         if beat_age is None:
-            # No heartbeat file at all after the grace window: the
-            # worker never got far enough to start beating.
+            # No beat at all after the grace window: the worker never
+            # got far enough to start beating.
             return f"no heartbeat after {age:.3f}s (timeout {timeout:.3f}s)"
         return f"heartbeat stale for {beat_age:.3f}s (timeout {timeout:.3f}s)"
 
@@ -1042,7 +1026,7 @@ class _Wave:
                          starved: Mapping[_Attempt, Sequence[str]]) -> None:
         """Progress-triggered speculation for pipelined waves: a reducer
         that waits on a few missing producers names them in its
-        ``_starved`` marker (``starved`` maps each watched reducer to
+        starvation report (``starved`` maps each watched reducer to
         those names).  They are the wave's bottleneck right now, so they
         are speculated at once, within the starvation threshold and the
         attempt-age floor.

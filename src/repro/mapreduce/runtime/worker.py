@@ -6,22 +6,20 @@ up once, right after fork, and :func:`worker_entry` is one attempt.
 
 :func:`worker_entry` wraps the attempt executor every pool shares
 (:func:`repro.mapreduce.runtime.attempt.execute_attempt`) in what only
-a process needs: a heartbeat, an rlimit, process-shaped faults, and a
-durable result file that hands the record -- the ok-record, or
+a process needs: a heartbeat, an rlimit, process-shaped faults, and the
+worker's pipe to its runner, its only channel to the scheduler
+(:class:`Channel`).  While the attempt runs, a daemon **heartbeat
+thread** sends its ``time.monotonic()`` every ``heartbeat_interval``
+seconds; on Linux that clock is system-wide, so the scheduler ages the
+beat on its own clock to detect a worker that is *alive but wedged*
+(stopped by the kernel, or stuck in uninterruptible I/O).  A pipelined
+reducer's starvation reports travel on the pipe too, and so does the
+record -- the ok-record or
 :func:`~repro.mapreduce.runtime.attempt.classify`'s error record --
-back to the scheduler on shared disk.  The result file is committed
-durably (tmp + fsync + rename), so the scheduler observes either a
-complete result or none at all -- a worker killed mid-task simply
-leaves no result, which is the retry signal; :func:`load_result`
-additionally treats a torn or truncated pickle as "no result" rather
-than crashing the scheduler.
-
-While the attempt runs, a daemon **heartbeat thread** touches
-``<attempt_dir>/_heartbeat`` every ``heartbeat_interval`` seconds.  The
-scheduler uses the file's mtime to detect a worker that is *alive but
-wedged* (e.g. stopped by the kernel, or stuck in uninterruptible I/O):
-``is_alive()`` still says yes, but the heartbeat goes stale and the
-attempt is killed and retried.
+once the beat thread has stopped.  A worker killed mid-task sends no
+record, which is the retry signal.  Only a ``durable`` attempt (a
+recoverable wave's) also commits its record to a result file, before
+sending it; :func:`load_result` reads one back to adopt a checkpoint.
 
 Process-shaped faults from a :class:`~repro.mapreduce.runtime.fault.
 FaultInjector` (``kill`` / ``crash`` / ``hang`` / ``stall``) are applied
@@ -54,16 +52,19 @@ import pickle
 import signal
 import threading
 import time
-from typing import Any
+from typing import Any, Callable
 
 from repro.mapreduce.runtime.attempt import AttemptSpec, execute_attempt
-from repro.util.fsio import fsync_file, replace_durably
+from repro.util.fsio import atomic_write_bytes
 
-__all__ = ["worker_entry", "load_result", "prepare_process",
-           "HEARTBEAT_NAME", "MMAP_THRESHOLD_BYTES", "TRIM_THRESHOLD_BYTES"]
+__all__ = ["Channel", "worker_entry", "commit_record", "load_result",
+           "prepare_process", "BEAT", "STARVED", "DONE", "EXIT",
+           "MMAP_THRESHOLD_BYTES", "TRIM_THRESHOLD_BYTES"]
 
-#: heartbeat filename inside an attempt directory
-HEARTBEAT_NAME = "_heartbeat"
+#: the kinds of message a worker sends: a heartbeat (its monotonic
+#: clock), a starvation report (the missing maps), and its attempt's
+#: pickled record -- as its last word (``EXIT``) when it exits next
+BEAT, STARVED, DONE, EXIT = "beat", "starved", "done", "exit"
 
 #: a worker's ``M_MMAP_THRESHOLD``: smaller blocks come from the heap,
 #: which a later attempt reuses
@@ -118,37 +119,53 @@ def _apply_rlimit(rlimit_bytes: int | None) -> None:
         pass
 
 
-def _start_heartbeat(attempt_dir: str, interval: float) -> threading.Event:
-    """Touch the attempt's heartbeat file on a cadence until the
-    returned event is set.
+class Channel:
+    """A worker's end of the pipe to its runner: one lock guards every
+    :meth:`send` of a ``(kind, payload)`` message."""
 
-    Runs as a daemon thread so it dies with the process; any OSError
-    (e.g. the scheduler already deleted the attempt directory while
-    killing us) silently ends the beat -- a missing heartbeat is the
-    *signal*, never an error.
+    def __init__(self, conn: Any) -> None:
+        self._conn, self._lock = conn, threading.Lock()
+
+    def send(self, kind: str, payload: Any) -> None:
+        with self._lock:
+            self._conn.send((kind, payload))
+
+
+def _start_heartbeat(channel: Channel,
+                     interval: float) -> Callable[[], None]:
+    """Send ``time.monotonic()`` as a :data:`BEAT` every ``interval``
+    seconds; returns the function that stops and joins the thread.
+
+    A daemon thread, so it dies with the process; an OSError (the
+    scheduler closed its end while killing us) silently ends the beat.
     """
-    path = os.path.join(attempt_dir, HEARTBEAT_NAME)
     done = threading.Event()
 
     def beat() -> None:
         while not done.is_set():
             try:
-                with open(path, "a"):
-                    os.utime(path)
+                channel.send(BEAT, time.monotonic())
             except OSError:
                 return
             done.wait(interval)
 
-    threading.Thread(target=beat, daemon=True, name="heartbeat").start()
-    return done
+    thread = threading.Thread(target=beat, daemon=True, name="heartbeat")
+    thread.start()
+
+    def stop() -> None:
+        done.set()
+        thread.join()
+    return stop
 
 
-def _write_result(result_path: str, result: dict[str, Any]) -> None:
-    tmp = f"{result_path}.tmp"
-    with open(tmp, "wb") as fh:
-        pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        fsync_file(fh)
-    replace_durably(tmp, result_path)
+def commit_record(spec: AttemptSpec, record: dict[str, Any]) -> bytes:
+    """An attempt's record, pickled; a ``durable`` attempt also commits
+    it to ``spec.result_path`` (tmp + fsync + rename)."""
+    blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+    if spec.durable:
+        os.makedirs(spec.attempt_dir, exist_ok=True)
+        atomic_write_bytes(spec.result_path, blob)
+    return blob
 
 
 def load_result(result_path: str) -> dict[str, Any] | None:
@@ -176,7 +193,7 @@ def _apply_process_fault(spec: AttemptSpec) -> None:
     if fault is None:
         return
     if fault.mode == "kill":
-        # Abrupt death: no result file, no cleanup, no goodbye.
+        # Abrupt death: no record, no cleanup, no goodbye.
         os._exit(fault.exit_code)
     if fault.mode == "crash":
         raise RuntimeError(
@@ -190,27 +207,36 @@ def _apply_process_fault(spec: AttemptSpec) -> None:
         os.kill(os.getpid(), signal.SIGSTOP)
 
 
-def worker_entry(spec: AttemptSpec) -> None:
-    """One attempt on a worker: execute it and persist its record.
+def worker_entry(spec: AttemptSpec, channel: Channel) -> bytes:
+    """One attempt on a worker; returns its pickled record for the
+    :data:`DONE` message.
 
     Heartbeat + rlimit + :func:`~repro.mapreduce.runtime.attempt.
     execute_attempt` with the process-shaped faults as its prelude and
-    a durable result write as its commit.  A planned disk fault moves
-    only spills and segments to the spare volume: the attempt directory
-    keeps its heartbeat and result file.
+    :func:`commit_record` as its commit.  The beat thread is joined
+    before the record is returned, so no beat trails into the worker's
+    next attempt.
     """
-    heartbeat = _start_heartbeat(spec.attempt_dir, spec.heartbeat_interval)
+    stop_heartbeat = _start_heartbeat(channel, spec.heartbeat_interval)
     _apply_rlimit(spec.rlimit_bytes)
-    commit = functools.partial(_write_result, spec.result_path)
+    blob = b""
+
+    def commit(record: dict[str, Any]) -> None:
+        nonlocal blob
+        blob = commit_record(spec, record)
 
     def oom_killed(record: dict[str, Any]) -> None:
         # The simulated kernel OOM killer: SIGKILL's exit status, but
-        # with the error record already durable.
+        # with the error record already sent.
         commit(record)
+        stop_heartbeat()
+        channel.send(EXIT, blob)
         os._exit(137)
 
     try:
         execute_attempt(spec, spec.attempt_dir, prelude=_apply_process_fault,
-                        kill=oom_killed, commit=commit)
+                        kill=oom_killed, commit=commit,
+                        on_starved=functools.partial(channel.send, STARVED))
     finally:
-        heartbeat.set()
+        stop_heartbeat()
+    return blob

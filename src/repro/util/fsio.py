@@ -4,8 +4,9 @@
 new one, never a mix) but not *durable*: after a crash the filesystem
 may replay the rename without the data, surfacing an empty or truncated
 committed file.  Every commit point in the runtime -- IFile segments,
-worker result files, job manifests -- goes through these helpers so the
-rename target is valid even if the host dies mid-write:
+the commit log, a recoverable wave's result files, job manifests --
+goes through these helpers so the rename target is valid even if the
+host dies mid-write:
 
 1. write the payload to a sibling temp file,
 2. ``fsync`` the temp file (data hits the platter before the rename),

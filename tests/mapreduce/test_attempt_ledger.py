@@ -10,7 +10,6 @@ exclusive, and every ledger transition does all of its steps.
 
 import dataclasses
 import json
-import multiprocessing
 import os
 
 import pytest
@@ -21,7 +20,6 @@ from repro.mapreduce.ifile import IFileBlockCorruptError, IFileCorruptError
 from repro.mapreduce.job import SkipPolicy
 from repro.mapreduce.metrics import C, Counters
 from repro.mapreduce.runtime import attempt as attempt_mod
-from repro.mapreduce.runtime import worker as worker_mod
 from repro.mapreduce.runtime.attempt import classify
 from repro.mapreduce.runtime.fault import Fault
 from repro.mapreduce.runtime.hosts import (
@@ -32,6 +30,7 @@ from repro.mapreduce.runtime.hosts import (
 )
 from repro.mapreduce.runtime.ledger import MapOutputLedger
 from repro.mapreduce.runtime.pipeline import CommitLog
+from repro.mapreduce.runtime.pool import WorkerPool
 from repro.mapreduce.runtime.shuffle import (
     FetchFailedError,
     ShuffleConfig,
@@ -324,21 +323,22 @@ class TestClassify:
             def reduce(self, key, values, ctx):
                 ctx.emit(key, lambda: None)  # output that cannot pickle
 
-        result_path = str(tmp_path / "_result.pkl")
         splits = ArraySplitter(1).split(grid)
         mo = run_map_task(base, splits[0], grid, str(tmp_path))
         job = dataclasses.replace(base, reducer=LeakyReducer)
-        # a real (forked) worker: in-process the heartbeat thread would
-        # outlive the test
-        worker = multiprocessing.get_context("fork").Process(
-            target=worker_mod.worker_entry,
-            args=(attempt_mod.AttemptSpec(
-                "r00000", "reduce", 0, str(tmp_path), job, None,
-                (0, [mo.segments[0]])),))
-        worker.start()
-        worker.join(timeout=60)
-        assert worker.exitcode == 0
-        record = worker_mod.load_result(result_path)
+        # a real (forked) worker, which inherits the job: in-process the
+        # heartbeat thread would outlive the test
+        lease = WorkerPool(max_workers=1, start_method="fork").lease()
+        try:
+            handle = lease.launch(attempt_mod.AttemptSpec(
+                "r00000", "reduce", 0, str(tmp_path / "r00000.0"), job,
+                None, (0, [mo.segments[0]])), inherit=(job,))
+            handle.join(timeout=60)
+            assert not handle.is_alive()
+            assert handle.exitcode == 0
+            record = handle.record()
+        finally:
+            lease.shutdown()
         assert record["status"] == "error"
         assert record["message"].startswith(
             "failed to serialize task result")

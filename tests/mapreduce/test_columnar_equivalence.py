@@ -43,7 +43,6 @@ import heapq
 import os
 import re
 import threading
-import time
 from operator import itemgetter
 
 import numpy as np
@@ -74,7 +73,6 @@ from repro.mapreduce import partition as partition_module
 from repro.mapreduce.partition import HashPartitioner, Partitioner
 from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner, ShuffleConfig
 from repro.mapreduce.runtime.pipeline import (
-    STARVED_NAME,
     CommitLog,
     CommitRecord,
     PipelinePlan,
@@ -723,13 +721,12 @@ def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
     reduce_dir = tmp_path / "pipelined"
     reduce_dir.mkdir()
 
+    starved = threading.Event()
+
     def feed():
-        # the marker appears once both committed runs are consumed (and
+        # the report comes once both committed runs are consumed (and
         # folded) with m00002 still pending
-        deadline = time.monotonic() + 30
-        while not (reduce_dir / STARVED_NAME).exists():
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
+        assert starved.wait(timeout=30)
         log.commit(CommitRecord(map_id="m00000", epoch=1,
                                 segments=epoch1[0].segments))
         log.commit(CommitRecord(map_id="m00002", epoch=0,
@@ -741,7 +738,9 @@ def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
         with pytest.MonkeyPatch.context() as patch:
             if not columnar:
                 record_path(patch)
-            result = run_reduce_task(job, 0, plan, str(reduce_dir))
+            result = run_reduce_task(
+                job, 0, plan, str(reduce_dir),
+                on_starved=lambda missing: starved.set())
     finally:
         feeder.join(timeout=30)
     assert not feeder.is_alive()

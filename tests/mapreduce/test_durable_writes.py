@@ -11,7 +11,8 @@ import os
 import pickle
 
 from repro.mapreduce.ifile import IFileReader, IFileWriter
-from repro.mapreduce.runtime.worker import _write_result, load_result
+from repro.mapreduce.runtime.attempt import AttemptSpec
+from repro.mapreduce.runtime.worker import commit_record, load_result
 from repro.util.fsio import atomic_write_bytes
 
 
@@ -39,9 +40,12 @@ class TestLoadResult:
         assert load_result(str(path)) is None
 
     def test_write_result_commits_durably(self, tmp_path):
-        path = str(tmp_path / "_result.pkl")
-        _write_result(path, {"status": "ok", "value": 42})
+        spec = AttemptSpec("m00000", "map", 0, str(tmp_path), None, None,
+                           None, durable=True)
+        path = spec.result_path
+        blob = commit_record(spec, {"status": "ok", "value": 42})
         assert load_result(path) == {"status": "ok", "value": 42}
+        assert pickle.loads(blob) == load_result(path)
         # The temp file never outlives the commit.
         assert os.listdir(tmp_path) == ["_result.pkl"]
 

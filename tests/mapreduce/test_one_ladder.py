@@ -19,7 +19,6 @@ from repro.mapreduce.job import SkipPolicy
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime.pool import InlinePool
 from repro.mapreduce.runtime.shuffle import ShuffleConfig
-from repro.mapreduce.runtime.worker import HEARTBEAT_NAME
 from repro.queries.subset import BoxSubsetQuery
 from repro.scidata import integer_grid
 from repro.scidata.slab import Slab
@@ -163,7 +162,7 @@ def test_a_clean_serial_run_stays_cheap(grid, tmp_path, monkeypatch):
     assert calls == []
     assert all(name.startswith("helper_") for name in started), started
     written = {name for _, _, names in os.walk(workdir) for name in names}
-    assert not written & {"_result.pkl", HEARTBEAT_NAME}
+    assert not written & {"_result.pkl", "_heartbeat"}
 
 
 def test_a_recoverable_job_runs_on_the_inline_slot(grid, tmp_path):
@@ -179,7 +178,7 @@ def test_a_recoverable_job_runs_on_the_inline_slot(grid, tmp_path):
     assert result.output == reference.output
     assert result.counters == reference.counters
     written = {name for _, _, names in os.walk(recovery) for name in names}
-    assert "_result.pkl" in written and HEARTBEAT_NAME not in written
+    assert "_result.pkl" in written and "_heartbeat" not in written
 
     again = ParallelJobRunner(pool=InlinePool(), recovery_dir=recovery,
                               resume=True)
