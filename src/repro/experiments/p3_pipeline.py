@@ -5,10 +5,11 @@ phases: no reducer may start until every map has committed, so one
 straggling map idles the whole reduce fleet.  The pipelined mode
 removes the barrier the way MapReduce Online does: reducers are
 admitted alongside the maps, fetch each producer's segments the moment
-it commits (a commit-log completion-event stream replaces the barrier),
-and run their merge incrementally over the runs already fetched --
-while holding the *final* reduce until the last producer lands, so the
-output and every counter stay byte-identical to the barrier run.
+it commits (its segment refs, sent down each reducer's worker pipe,
+replace the barrier), and run their merge incrementally over the runs
+already fetched -- while holding the *final* reduce until the last
+producer lands, so the output and every counter stay byte-identical to
+the barrier run.
 
 The matrix pins that identity claim from every direction:
 

@@ -556,7 +556,7 @@ def run_reduce_task(
     shuffle=None,
     fetch_faults=None,
     memory=None,
-    on_starved=None,
+    link=None,
 ) -> ReduceTaskResult:
     """Execute one reduce task (Fig 1 steps 4-7) -- the only reduce body.
 
@@ -565,8 +565,9 @@ def run_reduce_task(
     map task order** -- each a :class:`~repro.mapreduce.runtime.shuffle.
     SegmentRef` (legacy ``(path, stats)`` tuples are adopted): the
     barrier shuffle.  A :class:`~repro.mapreduce.runtime.pipeline.
-    PipelinePlan` names the commit log the maps publish into while they
-    still run: the pipelined shuffle, scheduled by
+    PipelinePlan` holds the segments published so far while the maps
+    still run, and ``link`` brings the later ones: the pipelined
+    shuffle, scheduled by
     :func:`~repro.mapreduce.runtime.pipeline.commit_pairs`.  Either
     way the task walks ``(slot, ref)`` pairs -- a list is enumerated --
     and fetches each segment on its own thread, decoding it into its
@@ -576,8 +577,8 @@ def run_reduce_task(
     slot order, so the merged stream, the output and every counter
     depend on the final segments alone, never on when they arrived.
     ``SHUFFLE_BYTES`` is charged once, from the final refs; a plan also
-    leaves its poll telemetry on ``result.pipeline``, and hands each
-    change in the set of producers it waits for to ``on_starved``.
+    leaves its wait telemetry on ``result.pipeline``, and reports each
+    change in the set of producers it waits for to ``link.starved``.
 
     Segment bytes arrive through a shuffle transport (``shuffle`` is a
     :class:`~repro.mapreduce.runtime.shuffle.ShuffleConfig`; ``None`` =
@@ -628,7 +629,7 @@ def run_reduce_task(
     pipeline: dict | None = None
     if isinstance(segments, PipelinePlan):
         pipeline = {}
-        pairs = commit_pairs(segments, part, pipeline, on_starved)
+        pairs = commit_pairs(segments, pipeline, link)
         slots = len(segments.map_ids)
     else:
         refs = [SegmentRef.from_pair(s) for s in segments]

@@ -56,9 +56,10 @@ Around them:
   ALIVE -> SUSPECT -> DEAD / BLACKLISTED (with probation), and
   disk-fault workdir failover;
 * :mod:`~repro.mapreduce.runtime.pipeline` -- pipelined shuffle: a
-  commit-log completion-event stream lets reduce attempts run alongside
-  late maps, fetching and decoding segments as their producers commit;
-  the reduce body is the barrier's own, so output and counters are
+  completion-event stream (each map's segment refs, sent down each
+  reducer's worker pipe) lets reduce attempts run alongside late maps,
+  fetching and decoding segments as their producers commit; the
+  reduce body is the barrier's own, so output and counters are
   byte-identical to the barrier path;
 * :mod:`~repro.mapreduce.runtime.trace` -- per-task timeline events and
   measured profiles, consumable by the cluster simulator;
@@ -84,8 +85,6 @@ from repro.mapreduce.runtime.hosts import (
     provision_failover_workdir,
 )
 from repro.mapreduce.runtime.pipeline import (
-    CommitLog,
-    CommitRecord,
     PipelinePlan,
     aggregate_pipeline_stats,
 )
@@ -122,8 +121,6 @@ from repro.mapreduce.runtime.skipping import (
 from repro.mapreduce.runtime.trace import RuntimeTrace, TaskEvent
 
 __all__ = [
-    "CommitLog",
-    "CommitRecord",
     "DirectTransport",
     "Fault",
     "FaultInjector",

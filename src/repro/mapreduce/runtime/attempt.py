@@ -167,7 +167,7 @@ def run_attempt(
     fetch_faults: Any = None,
     degrade: int = 0,
     kill: Callable[[MemoryError], None] | None = None,
-    on_starved: Callable[[list[str]], None] | None = None,
+    link: Any = None,
 ) -> dict[str, Any]:
     """Execute one task attempt in ``workdir``; returns its ok-record
     ``{"status": "ok", "value": ..., "memory": ...}`` or raises.
@@ -181,8 +181,9 @@ def run_attempt(
     ``corrupt`` / ``oom``; process faults are the worker's business),
     ``skip_mode`` runs the body in record-level skipping mode (set after
     a skip-eligible failure of a previous attempt), ``fetch_faults`` is
-    a reduce task's slice of the injector's fetch plan, and
-    ``on_starved`` takes a pipelined reducer's starvation reports.
+    a reduce task's slice of the injector's fetch plan, and ``link``
+    is a pipelined reducer's channel to the scheduler (a worker's
+    :class:`~repro.mapreduce.runtime.worker.Channel`).
 
     ``degrade`` is how many OOM deaths this task has already suffered:
     each level deterministically halves the sort buffer (floored at the
@@ -217,7 +218,7 @@ def run_attempt(
                 # fetches it, so this one attempt waits for every
                 # producer to commit (barrier semantics, byte-identical
                 # by definition).
-                segments = drain_refs(segments, part)
+                segments = drain_refs(segments, link)
             if segments:
                 index = fault.segment if fault.segment is not None else 0
                 target = segments[index % len(segments)]
@@ -226,8 +227,7 @@ def run_attempt(
                              fault.offset_frac, fault.op)
         body = run_reduce_task_skipping if skip_mode else run_reduce_task
         value = body(job, part, segments, workdir, shuffle=shuffle,
-                     fetch_faults=fetch_faults, memory=budget,
-                     on_starved=on_starved)
+                     fetch_faults=fetch_faults, memory=budget, link=link)
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     return {"status": "ok", "value": value,
@@ -241,7 +241,7 @@ def execute_attempt(
     prelude: Callable[[AttemptSpec], None] | None = None,
     kill: Callable[[dict[str, Any]], None] | None = None,
     commit: Callable[[dict[str, Any]], None] | None = None,
-    on_starved: Callable[[list[str]], None] | None = None,
+    link: Any = None,
 ) -> tuple[dict[str, Any], BaseException | None]:
     """Run one attempt in ``workdir``; returns its record and, for an
     error record, the exception it classifies.
@@ -252,7 +252,7 @@ def execute_attempt(
     ``kill`` takes a simulated OOM kill's error record and must not
     return.  ``commit`` readies the record for delivery (a worker
     pickles it); a record it cannot commit is replaced by an error
-    record.  ``on_starved`` goes to :func:`run_attempt`.
+    record.  ``link`` goes to :func:`run_attempt`.
     """
     job = spec.job
     error = None
@@ -269,7 +269,7 @@ def execute_attempt(
             fetch_faults=spec.fetch_faults, degrade=spec.degrade,
             kill=None if kill is None else (
                 lambda exc: kill(classify(exc, job))),
-            on_starved=on_starved)
+            link=link)
     except BaseException as exc:
         record, error = classify(exc, job), exc
     if commit is not None:

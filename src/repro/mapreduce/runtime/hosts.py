@@ -105,11 +105,6 @@ class HostState:
     reason: str = ""
     extra: dict = field(default_factory=dict)
 
-    @property
-    def usable(self) -> bool:
-        """May the scheduler place new work here?"""
-        return self.state in ("ALIVE", "SUSPECT")
-
 
 class HostRegistry:
     """Fixed fleet of simulated hosts with stable task placement."""

@@ -3,7 +3,7 @@
 Between "a map task finished" and "a reducer fetched its segment" sits
 one piece of state: which output each map currently has, at which
 *epoch*, served from where, and -- under the pipelined shuffle --
-published through which commit record.  :class:`MapOutputLedger` owns
+which segments it has published to each partition.  :class:`MapOutputLedger` owns
 that state and every transition on it (publish, re-run at a bumped
 epoch, in-place repair, whole-host loss) for both runners, which call
 it from one wave loop (at the shuffle barrier, or from the
@@ -15,7 +15,7 @@ into a :class:`~repro.mapreduce.engine.JobResult`.
 from __future__ import annotations
 
 import os
-import shutil
+from collections import defaultdict
 from typing import Any, Callable, Sequence
 
 from repro.mapreduce.engine import JobResult, MapTaskOutput, run_map_task
@@ -29,8 +29,6 @@ from repro.mapreduce.runtime.hosts import (
 )
 from repro.mapreduce.runtime.netshuffle import ShuffleService
 from repro.mapreduce.runtime.pipeline import (
-    CommitLog,
-    CommitRecord,
     PipelinePlan,
     aggregate_pipeline_stats,
 )
@@ -40,7 +38,8 @@ __all__ = ["MapOutputLedger", "assemble_result"]
 
 
 class MapOutputLedger:
-    """Every map's current output, epoch, server address and commit record.
+    """Every map's current output, epoch, server address and published
+    segments.
 
     Construction snapshots the injector's host-level plan and expands
     ``host_partition`` faults into deterministic per-link fetch ``drop``
@@ -49,9 +48,10 @@ class MapOutputLedger:
     plan -- retry counters become pure functions of the plan, identical
     wherever the reducers run.  With ``transport="network"`` the ledger
     owns real loopback segment servers (started and stopped by using it
-    as a context manager); with ``commit_dir`` it publishes each output
-    as a :class:`CommitRecord`, the completion-event stream pipelined
-    reducers poll.
+    as a context manager); with ``pipeline`` it publishes each output's
+    segment of every partition onto that partition's ``published``
+    list, the completion-event stream pipelined reducers read (see
+    :meth:`payload`).
 
     ``rerun_dir(map_id, epoch)`` names the directory a re-execution
     writes into (the runners give a fresh one per epoch).  ``hosts``
@@ -64,7 +64,7 @@ class MapOutputLedger:
                  hosts: HostHealthMonitor,
                  rerun_dir: Callable[[str, int], str],
                  shuffle: Any = None, injector: Any = None,
-                 commit_dir: str | None = None, trace: Any = None) -> None:
+                 pipeline: bool = False, trace: Any = None) -> None:
         self.job = job
         self.dataset = dataset
         self.hosts = hosts
@@ -95,12 +95,11 @@ class MapOutputLedger:
             self.service = self._make_service(
                 shuffle,
                 injector.fetch_plan() if injector is not None else None)
-        self.commitlog = None
-        if commit_dir is not None:
-            # Stale records from an interrupted run may point at attempt
-            # directories nothing vouches for any more.
-            shutil.rmtree(commit_dir, ignore_errors=True)
-            self.commitlog = CommitLog(commit_dir)
+        #: partition -> each segment ref published to it, in publish
+        #: order (pipelined shuffle only); a reduce payload's plan holds
+        #: its partition's very list
+        self.published: defaultdict[int, list[SegmentRef]] | None = (
+            defaultdict(list) if pipeline else None)
 
     def _make_service(self, shuffle: Any, faults: Any) -> ShuffleService:
         return ShuffleService.from_config(shuffle, faults=faults,
@@ -123,19 +122,20 @@ class MapOutputLedger:
 
     def refs(self, part: int) -> list[SegmentRef]:
         """Partition ``part``'s segment of every map, in map task order."""
-        return [SegmentRef(map_id=map_id,
-                           path=self.results[map_id].segments[part][0],
-                           stats=self.results[map_id].segments[part][1],
-                           epoch=self.epochs[map_id],
-                           address=self._address(map_id))
-                for map_id in self.map_ids]
+        return [self._ref(map_id, part) for map_id in self.map_ids]
+
+    def _ref(self, map_id: str, part: int) -> SegmentRef:
+        path, stats = self.results[map_id].segments[part]
+        return SegmentRef(map_id=map_id, path=path, stats=stats,
+                          epoch=self.epochs[map_id],
+                          address=self._address(map_id))
 
     def payload(self, part: int) -> tuple[int, Any]:
         """A reduce task's input: resolved refs, or -- under the
-        pipelined shuffle -- the plan naming the commit log to poll."""
-        if self.commitlog is not None:
-            return part, PipelinePlan(commit_dir=self.commitlog.directory,
-                                      map_ids=self.map_ids)
+        pipelined shuffle -- a plan holding the partition's live
+        ``published`` list."""
+        if self.published is not None:
+            return part, PipelinePlan(self.map_ids, self.published[part])
         return part, self.refs(part)
 
     def _address(self, map_id: str) -> tuple[str, int] | None:
@@ -147,7 +147,7 @@ class MapOutputLedger:
     def publish(self, map_id: str, mo: MapTaskOutput, *, attempt: int = 0,
                 detail: str = "") -> None:
         """Record one map's output at its current epoch: the completion
-        event.  Registration precedes the commit record so the address
+        event.  Registration precedes publication so the address
         reflects a server revived by the registration itself."""
         self.results[map_id] = mo
         epoch = self.epochs[map_id]
@@ -156,10 +156,9 @@ class MapOutputLedger:
             self.service.register_map_output(
                 map_id, [mo.segments[p][0] for p in sorted(mo.segments)],
                 epoch=epoch)
-        if self.commitlog is not None:
-            self.commitlog.commit(CommitRecord(
-                map_id=map_id, epoch=epoch, segments=dict(mo.segments),
-                address=self._address(map_id)))
+        if self.published is not None:
+            for part in mo.segments:
+                self.published[part].append(self._ref(map_id, part))
             if self.trace is not None:
                 self.trace.record(map_id, attempt, "map", "pipeline_commit",
                                   detail or f"epoch {epoch}")
@@ -182,8 +181,7 @@ class MapOutputLedger:
         the new epoch, re-spawning the hosting server if it died.  Old
         paths the re-run did not overwrite are deleted, so a straggling
         reader fails fast; a pipelined reducer that already consumed the
-        old epoch sees the re-published commit record in its next poll
-        and re-fetches.  ``charge`` feeds ``MAPS_REEXECUTED``;
+        old epoch is sent the re-published segment and re-fetches.  ``charge`` feeds ``MAPS_REEXECUTED``;
         host-loss re-runs are charged to the host instead.
         """
         split = self._split_of(map_id, f"fetch failure naming {map_id}")

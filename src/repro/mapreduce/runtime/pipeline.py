@@ -8,27 +8,31 @@ each completed map's output individually addressable and safely
 re-fetchable, so the barrier is pure scheduling conservatism.  This
 module removes it:
 
-* each completed map publishes a :class:`CommitRecord` (segment paths +
-  stats, epoch, optional segment-server address) into a shared
-  :class:`CommitLog` directory -- the completion-event stream reducers
-  poll;
+* each completed map publishes its segment of each reduce partition,
+  a :class:`~repro.mapreduce.runtime.shuffle.SegmentRef` at its epoch,
+  onto that partition's list in the map-output ledger's ``published``
+  -- the completion-event stream (a producer re-executed mid-pipeline
+  is published again, at its bumped epoch);
 * a reduce attempt launched *alongside* the maps receives a
-  :class:`PipelinePlan` instead of resolved segment refs and runs the
-  one reduce body, :func:`~repro.mapreduce.engine.run_reduce_task`,
-  fed by :func:`commit_pairs`: each poll round's new commits (and
-  re-publications at a bumped epoch, when a producer re-executed
-  mid-pipeline) are fetched one at a time and decoded into their
-  producer's slot while the later maps still run;
+  :class:`PipelinePlan` (its partition's refs published so far)
+  instead of resolved segment refs, the scheduler sends it each later
+  ref on its worker's pipe, and it runs the one reduce body,
+  :func:`~repro.mapreduce.engine.run_reduce_task`, fed by
+  :func:`commit_pairs`: each new segment (and each re-publication at a
+  bumped epoch) is fetched and decoded into its producer's slot while
+  the later maps still run;
 * once every producer is held at its latest epoch, the body runs the
   same merge/group/reduce tail over the same runs in the same order as
   a reduce fed the resolved refs -- so the merged stream, the output,
   and every task counter are **byte-identical** to the barrier path
   (and therefore to the serial runner) by construction, not by test.
 
-A reducer that has fetched everything committed so far but still has
-maps pending reports the missing producers to its ``on_starved``
-callback; the scheduler turns that into *progress-triggered
-speculation* of the stragglers, instead of waiting for wave deadlines.
+A reducer that has fetched everything published so far reports the
+missing producers through its ``link`` (a worker's
+:class:`~repro.mapreduce.runtime.worker.Channel`) and blocks on it for
+the next ref; the scheduler turns the report into
+*progress-triggered speculation* of the stragglers, instead of waiting
+for wave deadlines.
 
 What overlaps the map tail is fetch + decode, not the merge.  Folding
 each arrival into a prefix merge would re-merge the whole prefix every
@@ -39,127 +43,34 @@ shorter.
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Any, Iterator
 
-from repro.mapreduce.ifile import IFileStats
 from repro.mapreduce.metrics import C
 from repro.mapreduce.runtime.shuffle import SegmentRef
-from repro.util.fsio import atomic_write_bytes
 
 __all__ = [
-    "COMMITS_DIRNAME",
-    "CommitRecord",
-    "CommitLog",
     "PipelinePlan",
     "aggregate_pipeline_stats",
     "commit_pairs",
     "drain_refs",
 ]
 
-#: commit-log directory name inside a run's workdir
-COMMITS_DIRNAME = "_commits"
-
-
-@dataclass(frozen=True)
-class CommitRecord:
-    """One completed map's published output: the completion event."""
-
-    map_id: str
-    #: segment generation; bumped every time the producer re-executes
-    #: (fetch-failure escalation or host loss), so a mid-pipeline reader
-    #: can tell a re-published record from the one it already consumed
-    epoch: int
-    #: partition -> ``(path, stats)`` for every reducer partition
-    segments: dict[int, tuple[str, IFileStats]] = field(default_factory=dict)
-    #: ``(host, port)`` of the segment server holding these segments
-    #: (network transport only)
-    address: tuple[str, int] | None = None
-
-
-class CommitLog:
-    """Crash-safe completion-event stream over a shared directory.
-
-    Writers (the runner, as each map commits) pickle one
-    :class:`CommitRecord` per map into ``<dir>/<map_id>.commit`` via an
-    atomic replace -- readers see the old record or the new one, never a
-    torn write.  Readers poll with :meth:`poll`; records are re-read
-    only when their stat signature changes (an epoch bump rewrites the
-    file onto a new inode), so steady-state polling is one ``listdir``
-    plus ``stat`` calls, not repeated unpickling.
-    """
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        self._cache: dict[str, tuple[tuple[int, int, int], CommitRecord]] = {}
-
-    def commit(self, record: CommitRecord) -> None:
-        """Publish (or re-publish, at a bumped epoch) one map's record."""
-        os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(self.directory, f"{record.map_id}.commit")
-        atomic_write_bytes(path, pickle.dumps(record))
-
-    def poll(self) -> dict[str, CommitRecord]:
-        """Every currently-published record, keyed by map id.
-
-        Tolerant of races with writers: a record mid-replace, a missing
-        directory, or a torn read simply leaves that map absent until
-        the next poll.
-        """
-        out: dict[str, CommitRecord] = {}
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return out
-        for name in names:
-            if not name.endswith(".commit"):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                st = os.stat(path)
-                sig = (st.st_ino, st.st_mtime_ns, st.st_size)
-                cached = self._cache.get(name)
-                if cached is not None and cached[0] == sig:
-                    record = cached[1]
-                else:
-                    with open(path, "rb") as fh:
-                        record = pickle.loads(fh.read())
-                    if not isinstance(record, CommitRecord):
-                        # Bytes that unpickle to garbage are as torn as
-                        # bytes that do not unpickle at all.
-                        raise pickle.UnpicklingError(
-                            f"not a CommitRecord: {type(record).__name__}")
-                    self._cache[name] = (sig, record)
-            except OSError:
-                continue
-            except Exception:
-                # A torn or partial record -- a writer that died
-                # mid-write without the atomic-replace discipline, a
-                # truncated tail after a host crash -- can fail
-                # unpickling with nearly any exception type
-                # (EOFError, UnpicklingError, AttributeError, ...).
-                # Skip it; nothing is cached for it, so the next poll
-                # re-reads and picks it up once a complete record lands.
-                continue
-            out[record.map_id] = record
-        return out
-
 
 @dataclass(frozen=True)
 class PipelinePlan:
-    """What a pipelined reduce attempt needs instead of resolved refs:
-    where the completion events land and which producers to wait for.
-    Picklable, so it rides to workers exactly like a segment list."""
+    """What a pipelined reduce attempt needs instead of resolved refs.
+    Picklable, so it rides to workers exactly like a segment list: an
+    inline attempt reads the ledger's list itself, a forked one the
+    snapshot pickled at launch."""
 
-    commit_dir: str
     #: every producing map id, **in map task order** -- the order that
     #: fixes merge behavior and therefore output bytes
     map_ids: tuple[str, ...]
-    #: seconds between commit-log polls when no fetch work is available
-    poll_interval: float = 0.02
+    #: the partition's segment of each map, in publish order; a map
+    #: re-executed mid-pipeline appears again at its bumped epoch
+    refs: list[SegmentRef]
 
 
 def aggregate_pipeline_stats(per_task: list[dict]) -> dict | None:
@@ -185,13 +96,16 @@ def aggregate_pipeline_stats(per_task: list[dict]) -> dict | None:
     }
 
 
-def _ref_for(record: CommitRecord, part: int) -> SegmentRef:
-    path, stats = record.segments[part]
-    return SegmentRef(map_id=record.map_id, path=path, stats=stats,
-                      epoch=record.epoch, address=record.address)
+def _next_ref(link: Any, missing: list[str]) -> SegmentRef:
+    """The next ref ``link`` brings; an inline attempt (no ``link``)
+    has nothing to wait on, so a missing producer fails it."""
+    if link is None:
+        raise RuntimeError(f"pipelined reduce started before {missing} "
+                           f"published")
+    return link.receive()
 
 
-def drain_refs(plan: PipelinePlan, part: int) -> list[SegmentRef]:
+def drain_refs(plan: PipelinePlan, link: Any = None) -> list[SegmentRef]:
     """Wait for *every* producer to commit; return barrier-shaped refs.
 
     For the one attempt that needs every segment's path up front -- a
@@ -201,38 +115,38 @@ def drain_refs(plan: PipelinePlan, part: int) -> list[SegmentRef]:
     Termination is the caller's concern (task/wave deadlines), same as
     any fetch.
     """
-    log = CommitLog(plan.commit_dir)
-    while True:
-        records = log.poll()
-        if all(mid in records for mid in plan.map_ids):
-            return [_ref_for(records[mid], part) for mid in plan.map_ids]
-        time.sleep(plan.poll_interval)
+    latest = {ref.map_id: ref for ref in plan.refs}
+    while missing := [mid for mid in plan.map_ids if mid not in latest]:
+        ref = _next_ref(link, missing)
+        latest[ref.map_id] = ref
+    return [latest[mid] for mid in plan.map_ids]
 
 
 def commit_pairs(
-    plan: PipelinePlan, part: int, stats: dict,
-    on_starved: Callable[[list[str]], None] | None = None,
+    plan: PipelinePlan, stats: dict, link: Any = None,
 ) -> Iterator[tuple[int, SegmentRef]]:
     """The pipelined reducer's fetch schedule, one segment at a time.
 
-    Polls the commit log and yields, as one ``(slot, ref)`` pair each,
-    every commit that is new or re-published at a bumped epoch since it
-    was last yielded (the producer re-executed; its old files are
-    gone), where ``slot`` is the producer's index in ``plan.map_ids`` --
-    the merge order.  The caller fetches and decodes a segment before
-    asking for the next, exactly as it walks a barrier ref list.  Stops
-    once every producer has been yielded at its latest epoch.
+    Yields, as one ``(slot, ref)`` pair each, every producer's segment
+    that is new or re-published at a bumped epoch since it was last
+    yielded (the producer re-executed; its old files are gone), where
+    ``slot`` is the producer's index in ``plan.map_ids`` -- the merge
+    order.  The caller fetches and decodes a segment before asking for
+    the next, exactly as it walks a barrier ref list.  Stops once every
+    producer has been yielded at its latest epoch.
 
-    Between rounds it sleeps ``plan.poll_interval`` per empty poll and
-    passes the missing producers to ``on_starved`` whenever that set
-    changes.  ``stats`` is filled with the task's ``pipeline`` stats:
-    ``first_fetch_ms`` (start to the first segment in hand),
-    ``overlapped_fetches`` (segments fetched while some producer had
-    not yet committed), ``refetches`` and ``wait_seconds`` (poll
-    sleeps: overlap, not work, so never charged to the task's cost
-    clock).
+    With nothing left to yield it reports the missing producers through
+    ``link.starved`` whenever that set changes, and blocks on
+    ``link.receive()`` for the next ref (without a ``link`` it raises
+    ``RuntimeError``).  ``stats`` is filled with the task's
+    ``pipeline`` stats: ``first_fetch_ms`` (start to the first segment
+    in hand), ``overlapped_fetches`` (segments fetched while some
+    producer had not yet committed), ``refetches`` and ``wait_seconds``
+    (time blocked on the link: overlap, not work, so never charged to
+    the task's cost clock).
     """
-    log = CommitLog(plan.commit_dir)
+    #: map_id -> its latest ref (publish order: epochs only grow)
+    latest = {ref.map_id: ref for ref in plan.refs}
     #: map_id -> epoch of the segment last yielded for it
     yielded: dict[str, int] = {}
     started = time.monotonic()
@@ -240,12 +154,10 @@ def commit_pairs(
                  wait_seconds=0.0)
     last_starved: list[str] | None = None
     while True:
-        records = log.poll()
-        work = [(slot, _ref_for(records[mid], part))
-                for slot, mid in enumerate(plan.map_ids)
-                if mid in records and records[mid].epoch > yielded.get(mid, -1)]
+        work = [(slot, latest[mid]) for slot, mid in enumerate(plan.map_ids)
+                if mid in latest and latest[mid].epoch > yielded.get(mid, -1)]
         if work:
-            all_visible = all(mid in records for mid in plan.map_ids)
+            all_visible = len(latest) == len(plan.map_ids)
             for slot, ref in work:
                 yield slot, ref
                 if stats["first_fetch_ms"] is None:
@@ -258,11 +170,13 @@ def commit_pairs(
         if len(yielded) == len(plan.map_ids):
             stats["wait_seconds"] = round(stats["wait_seconds"], 6)
             return
-        missing = sorted(set(plan.map_ids) - set(records))
-        if missing and missing != last_starved and on_starved is not None:
+        missing = [mid for mid in plan.map_ids if mid not in latest]
+        if link is not None and missing != last_starved:
             # Everything committed is consumed; name the stragglers so
             # the scheduler can speculate them.
-            on_starved(missing)
+            link.starved(missing)
             last_starved = missing
-        time.sleep(plan.poll_interval)
-        stats["wait_seconds"] += plan.poll_interval
+        waited = time.monotonic()
+        ref = _next_ref(link, missing)
+        stats["wait_seconds"] += time.monotonic() - waited
+        latest[ref.map_id] = ref

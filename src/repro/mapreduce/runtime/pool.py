@@ -56,6 +56,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import select
 import shutil
 import threading
 import time
@@ -64,6 +65,7 @@ from typing import Any
 from repro.mapreduce.runtime.attempt import AttemptSpec, execute_attempt
 from repro.mapreduce.runtime.memory import MemoryBudget
 from repro.mapreduce.runtime.worker import (
+    COMMIT,
     DONE,
     EXIT,
     Channel,
@@ -235,13 +237,14 @@ def _serve(conn: Any, inherit: tuple) -> None:
     An empty message stops the worker.  So does its runner's death:
     every worker forked after this one holds a copy of the runner's
     end of this pipe, so EOF alone would not say the runner is gone.
+    A ``COMMIT`` message here was sent for an attempt that has ended,
+    and is dropped.
     """
     prepare_process()
-    channel = Channel(conn)
+    channel = Channel(conn, multiprocessing.parent_process().sentinel)
     refs = (*inherit, channel)
-    watched = [conn, multiprocessing.parent_process().sentinel]
     while True:
-        if conn not in multiprocessing.connection.wait(watched):
+        if conn not in multiprocessing.connection.wait(channel.watched):
             return  # the runner died
         try:
             message = conn.recv_bytes()
@@ -253,6 +256,8 @@ def _serve(conn: Any, inherit: tuple) -> None:
         unpickler.persistent_load = refs.__getitem__
         target, args = unpickler.load()
         del message, unpickler
+        if target == COMMIT:
+            continue
         channel.send(DONE, target(*args))
         del target, args  # an idle worker holds no attempt's arguments
 
@@ -281,6 +286,23 @@ class AttemptHandle:
         """The latest payload of ``kind`` the worker sent, or ``None``."""
         self._settle()
         return self._heard.get(kind)
+
+    def send(self, kind: str, payload: Any) -> bool:
+        """Send the attempt's worker a message if its pipe has room
+        (polled writable, it takes a small message whole); ``False``,
+        sending nothing, if a worker not reading it filled it.  One to
+        a worker that has died is dropped (the reap notices that)."""
+        if self._worker is None:
+            return True
+        poller = select.poll()
+        poller.register(self._worker.conn.fileno(), select.POLLOUT)
+        if not poller.poll(0):
+            return False
+        try:
+            self._worker.conn.send((kind, payload))
+        except OSError:
+            pass
+        return True
 
     def record(self) -> dict[str, Any] | None:
         """The task attempt's record; ``None`` when the worker died

@@ -51,7 +51,6 @@ from repro.mapreduce.job import Job
 from repro.mapreduce.runtime.fault import FaultInjector
 from repro.mapreduce.runtime.hosts import HostHealthMonitor, HostRegistry
 from repro.mapreduce.runtime.ledger import MapOutputLedger, assemble_result
-from repro.mapreduce.runtime.pipeline import COMMITS_DIRNAME
 from repro.mapreduce.runtime.recovery import (
     MANIFEST_NAME,
     JobManifest,
@@ -419,13 +418,13 @@ class ParallelJobRunner:
         segment refs.  The segment servers live for the reduce wave.
 
         *Pipelined* (``shuffle.pipeline``): one combined wave.  Each
-        completed map's ``on_complete`` publishes its commit record --
-        the completion-event stream reducers poll -- so reducers fetch
-        and merge as producers commit, holding final output until their
-        pending-set drains.  Re-pointing after a re-execution is the
-        commit log's job (readers observe the new record, or a
-        STALE_EPOCH fetch), so the ``reexec`` hook returns no payload
-        updates; an injected ``host_crash`` fires the moment the host's
+        completed map's ``on_complete`` publishes its segments -- the
+        completion-event stream the scheduler sends running reducers --
+        so reducers fetch and merge as producers commit, holding final
+        output until their pending-set drains.  Re-pointing after a
+        re-execution is the re-publication's job (readers are sent the
+        new segment, or hit a STALE_EPOCH fetch), so the ``reexec`` hook
+        returns no payload updates; an injected ``host_crash`` fires the moment the host's
         last homed map commits -- the pipelined analogue of the barrier
         crash.  Overlap measurements land in ``pipeline_stats``, never
         in counters.
@@ -447,8 +446,7 @@ class ParallelJobRunner:
         ledger = self._make_ledger(
             job, dataset, splits, hosts=monitor, rerun_dir=fresh_dir,
             shuffle=shuffle_cfg, injector=injector, trace=trace,
-            commit_dir=(os.path.join(run_dir, COMMITS_DIRNAME)
-                        if pipeline else None))
+            pipeline=pipeline)
         map_specs = [TaskSpec(map_id, "map", split)
                      for map_id, split in zip(ledger.map_ids, splits)]
         if recovering:
@@ -472,7 +470,7 @@ class ParallelJobRunner:
         def reexec(map_id: str) -> dict[str, Any]:
             """Fetch-failure escalation (or a mid-wave host death):
             re-run the completed map; returns the re-pointed payload of
-            every reduce task (none when the commit log re-points)."""
+            every reduce task (none when re-publication re-points)."""
             ledger.rerun(map_id)
             forget_checkpoint(map_id)
             return {} if pipeline else reduce_payloads()
@@ -530,7 +528,7 @@ class ParallelJobRunner:
                 specs = map_specs + reduce_specs()
                 with ledger:
                     # Adopted tasks never fire on_complete: publish
-                    # their commit records up front so pipelined
+                    # their segments up front so pipelined
                     # reducers see them immediately, and fire any crash
                     # whose homed maps were all adopted (or which homes
                     # no maps at all).

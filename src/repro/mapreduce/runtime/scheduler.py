@@ -81,7 +81,7 @@ from repro.mapreduce.runtime.fault import Fault, FaultInjector
 from repro.mapreduce.runtime.hosts import HostHealthMonitor
 from repro.mapreduce.runtime.pool import InlinePool, PoolSaturatedError, WorkerPool
 from repro.mapreduce.runtime.trace import RuntimeTrace
-from repro.mapreduce.runtime.worker import BEAT, STARVED
+from repro.mapreduce.runtime.worker import BEAT, COMMIT, STARVED
 from repro.util.backoff import backoff_delay
 
 __all__ = ["TaskSpec", "TaskFailedError", "WaveDeadlineError",
@@ -155,10 +155,12 @@ class _Attempt:
     """Book-keeping for one in-flight ``launch``; ``process`` is its
     executor's handle (:class:`~repro.mapreduce.runtime.pool.
     AttemptHandle` or :class:`~repro.mapreduce.runtime.pool.
-    FinishedAttempt`)."""
+    FinishedAttempt`).  ``told`` is, for a pipelined reducer, how many
+    of its plan's published refs it holds (its launch snapshot, then
+    each one sent), and ``None`` otherwise."""
 
     __slots__ = ("spec", "launch", "number", "process", "dir", "started",
-                 "speculative", "host")
+                 "speculative", "host", "told")
 
     def __init__(self, spec: TaskSpec, launch: AttemptSpec,
                  speculative: bool, started: float) -> None:
@@ -170,6 +172,7 @@ class _Attempt:
         self.started = started
         self.speculative = speculative
         self.host = launch.host
+        self.told: int | None = None
 
 
 def _kill_process(process, grace: float = 0.5) -> None:
@@ -423,8 +426,7 @@ class TaskScheduler:
         reducer's starvation report names are speculated at once.
 
         The loop reads the clock and what each attempt's worker last
-        sent, and hands them to the wave's decisions (:class:`_Wave`);
-        then it waits.
+        sent, and hands them to one :meth:`_Wave.step`; then it waits.
         """
         wave = _Wave(self, specs, job, dataset, wave_dir, time.monotonic(),
                      repair=repair, precomputed=precomputed,
@@ -441,19 +443,14 @@ class TaskScheduler:
                     # fired), so a resume continues from here.
                     raise JobCancelledError(wave.unfinished())
                 now = time.monotonic()
-                wave.admit(now)
-                wave.maybe_speculate(now)
-                wave.check_starvation(now, {
-                    r: r.process.heard(STARVED) or []
-                    for r in wave.starvation_watch()})
-                beats = {a: a.process.heard(BEAT)
-                         for a in wave.heartbeats_due(now)}
-                # an age per beat; None: the worker never started beating
-                wave.enforce_deadlines(now, {
-                    a: None if beat is None else now - beat
-                    for a, beat in beats.items()})
-                progressed = wave.reap(now)
-                wave.drain_dead_hosts()
+
+                def beat_age(attempt: _Attempt) -> float | None:
+                    # None: the worker never started beating
+                    beat = attempt.process.heard(BEAT)
+                    return None if beat is None else now - beat
+
+                progressed = wave.step(
+                    now, lambda r: r.process.heard(STARVED) or [], beat_age)
                 if not progressed:
                     sentinels = [a.process.sentinel for a in wave.running]
                     if sentinels:
@@ -481,6 +478,7 @@ class _Wave:
     beat has arrived) and the maps a starvation report names.
     Beyond those it touches only the executor (the lease and each
     attempt's handle), the trace, the host monitor and the hooks.
+    :meth:`step` is one pass of the loop over all of them.
     """
 
     def __init__(self, scheduler: TaskScheduler, specs: Sequence[TaskSpec],
@@ -537,6 +535,27 @@ class _Wave:
         for s, _ in self.pending:
             self.trace.record(s.task_id, 0, s.kind, "queued")
 
+    def step(self, now: float,
+             starved: Callable[[_Attempt], Sequence[str]],
+             beat_age: Callable[[_Attempt], float | None]) -> bool:
+        """One pass of the wave loop at ``now``; ``True`` if an attempt
+        ended.  ``starved`` reads a watched reducer's latest starvation
+        report, ``beat_age`` an attempt's heartbeat age (``None``: no
+        beat yet).  Starvation goes before the duration median, so a
+        report names its straggler first; published segments go out
+        last, once this pass's reaps and host losses have published
+        theirs."""
+        self.admit(now)
+        self.check_starvation(now, {r: starved(r)
+                                    for r in self.starvation_watch()})
+        self.maybe_speculate(now)
+        self.enforce_deadlines(now, {a: beat_age(a)
+                                     for a in self.heartbeats_due(now)})
+        progressed = self.reap(now)
+        self.drain_dead_hosts()
+        self.send_commits()
+        return progressed
+
     def done(self) -> bool:
         return len(self.results) >= len(self.by_id)
 
@@ -570,13 +589,22 @@ class _Wave:
             return []
         return [a for a in self.running if now - a.started > timeout]
 
+    def reduces_held(self) -> bool:
+        """Whether queued reduces wait for every map to win: an inline
+        slot runs a pipelined reduce to its end at launch, with no map
+        beside it to wait on."""
+        return (self.pipeline and isinstance(self.lease, InlinePool)
+                and any(s.kind == "map" and t not in self.results
+                        for t, s in self.by_id.items()))
+
     def idle_delay(self, now: float) -> float:
         """How long a loop with nothing in flight sleeps: until the
         earliest backoff gate, at most one poll quantum -- a whole one
         when the shared pool has no slot for us (never hot-spin)."""
-        if not self.pending:  # pragma: no cover - defensive
-            return POLL_INTERVAL
-        gate = min(nb for _, nb in self.pending)
+        hold = self.reduces_held()
+        gate = min((nb for s, nb in self.pending
+                    if not (hold and s.kind == "reduce")),
+                   default=now + POLL_INTERVAL)
         if gate <= now and self.lease.available() <= 0:
             return POLL_INTERVAL
         return min(max(gate - now, 0.0), POLL_INTERVAL)
@@ -617,6 +645,9 @@ class _Wave:
             rlimit_bytes=sched.worker_rlimit_bytes,
             durable=self.keep_result_files)
         attempt = _Attempt(spec, attempt_spec, speculative, now)
+        if self.pipeline and spec.kind == "reduce":
+            # the plan's refs, as the launch pickles them
+            attempt.told = len(spec.payload[1].refs)
         # Recorded before the launch: an inline executor has run the
         # attempt by the time ``launch`` returns.
         if disk_fault is not None:
@@ -889,10 +920,11 @@ class _Wave:
             # within-kind FIFO order is preserved.
             self.pending.sort(key=lambda e: e[0].kind != "map")
         self.preempt_for_maps(now)
+        hold = self.reduces_held()
         i = 0
         while i < len(self.pending) and not self.full():
             spec, not_before = self.pending[i]
-            if not_before > now:
+            if not_before > now or (hold and spec.kind == "reduce"):
                 i += 1
                 continue
             self.pending.pop(i)
@@ -989,6 +1021,19 @@ class _Wave:
                 for map_id in lost:
                     self.reexec_map(map_id,
                                     f"{host} died holding its segments")
+
+    def send_commits(self) -> None:
+        """Send each running pipelined reducer, in publish order, the
+        refs published to its partition since it last heard, while its
+        pipe has room; the rest wait for a later pass, so a reducer
+        that is not reading never holds up the loop."""
+        for attempt in self.running:
+            if attempt.told is None:
+                continue
+            refs = attempt.spec.payload[1].refs
+            while (attempt.told < len(refs)
+                   and attempt.process.send(COMMIT, refs[attempt.told])):
+                attempt.told += 1
 
     def maybe_speculate(self, now: float) -> None:
         """Duplicate stragglers past ``straggler_factor`` x median."""

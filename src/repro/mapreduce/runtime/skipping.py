@@ -279,7 +279,7 @@ def run_reduce_task_skipping(
     shuffle: Any = None,
     fetch_faults: Any = None,
     memory: Any = None,
-    on_starved: Any = None,
+    link: Any = None,
 ) -> ReduceTaskResult:
     """Re-run a failed reduce attempt in skipping mode.
 
@@ -299,7 +299,7 @@ def run_reduce_task_skipping(
     that is the repair rung's job, not skipping's.
 
     ``segments``, ``shuffle``, ``fetch_faults``, ``memory`` and
-    ``on_starved`` go to :func:`~repro.mapreduce.engine.run_reduce_task`
+    ``link`` go to :func:`~repro.mapreduce.engine.run_reduce_task`
     as they are -- a ref list or a pipelined shuffle's plan alike.
     """
     task_id = f"r{part:05d}"
@@ -366,6 +366,6 @@ def run_reduce_task_skipping(
         job, part, segments, workdir,
         segment_reader=segment_reader, prepare_filter=prepare_filter,
         group_driver=group_driver, shuffle=shuffle,
-        fetch_faults=fetch_faults, memory=memory, on_starved=on_starved)
+        fetch_faults=fetch_faults, memory=memory, link=link)
     quarantine.commit(result.counters)
     return result

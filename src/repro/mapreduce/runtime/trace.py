@@ -48,7 +48,7 @@ EVENT_KINDS = (
     "host_reinstated",  # a blacklisted host finished probation cleanly
     "disk_failover",    # a task's workdir failed and spilled to a spare
     "manifest_corrupt", # a resume checkpoint failed CRC/parse validation
-    "pipeline_commit",  # a map's output was published to the commit log
+    "pipeline_commit",  # a map's segments were published to reducers
                         # (pipelined shuffle's completion-event stream)
     "pipeline_starved", # a pipelined reducer named missing producers and
                         # the scheduler speculated the stragglers

@@ -17,7 +17,10 @@ reducer's starvation reports travel on the pipe too, and so does the
 record -- the ok-record or
 :func:`~repro.mapreduce.runtime.attempt.classify`'s error record --
 once the beat thread has stopped.  A worker killed mid-task sends no
-record, which is the retry signal.  Only a ``durable`` attempt (a
+record, which is the retry signal.  The other way, the scheduler sends
+a pipelined reducer each segment a map publishes to its partition as a
+:data:`COMMIT` message, which the reducer blocks on
+(:meth:`Channel.receive`).  Only a ``durable`` attempt (a
 recoverable wave's) also commits its record to a result file, before
 sending it; :func:`load_result` reads one back to adopt a checkpoint.
 
@@ -46,7 +49,7 @@ elsewhere it skips the step.
 from __future__ import annotations
 
 import ctypes
-import functools
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -58,13 +61,16 @@ from repro.mapreduce.runtime.attempt import AttemptSpec, execute_attempt
 from repro.util.fsio import atomic_write_bytes
 
 __all__ = ["Channel", "worker_entry", "commit_record", "load_result",
-           "prepare_process", "BEAT", "STARVED", "DONE", "EXIT",
+           "prepare_process", "BEAT", "STARVED", "DONE", "EXIT", "COMMIT",
            "MMAP_THRESHOLD_BYTES", "TRIM_THRESHOLD_BYTES"]
 
 #: the kinds of message a worker sends: a heartbeat (its monotonic
 #: clock), a starvation report (the missing maps), and its attempt's
 #: pickled record -- as its last word (``EXIT``) when it exits next
 BEAT, STARVED, DONE, EXIT = "beat", "starved", "done", "exit"
+#: the kind of message a pipelined reducer's worker receives: a
+#: published :class:`~repro.mapreduce.runtime.shuffle.SegmentRef`
+COMMIT = "commit"
 
 #: a worker's ``M_MMAP_THRESHOLD``: smaller blocks come from the heap,
 #: which a later attempt reuses
@@ -121,14 +127,30 @@ def _apply_rlimit(rlimit_bytes: int | None) -> None:
 
 class Channel:
     """A worker's end of the pipe to its runner: one lock guards every
-    :meth:`send` of a ``(kind, payload)`` message."""
+    :meth:`send` of a ``(kind, payload)`` message.  It is a pipelined
+    reducer's ``link`` (:func:`~repro.mapreduce.runtime.pipeline.
+    commit_pairs`): :meth:`starved` and :meth:`receive`."""
 
-    def __init__(self, conn: Any) -> None:
+    def __init__(self, conn: Any, runner: Any) -> None:
         self._conn, self._lock = conn, threading.Lock()
+        #: what a wait on the runner watches: the pipe and the runner's
+        #: sentinel (its death)
+        self.watched = [conn, runner]
 
     def send(self, kind: str, payload: Any) -> None:
         with self._lock:
             self._conn.send((kind, payload))
+
+    def starved(self, missing: list[str]) -> None:
+        """Report the maps a pipelined reducer waits on."""
+        self.send(STARVED, missing)
+
+    def receive(self) -> Any:
+        """The segment ref the runner sends next as a :data:`COMMIT`;
+        raises ``EOFError`` if the runner dies first."""
+        if self._conn not in multiprocessing.connection.wait(self.watched):
+            raise EOFError("the runner exited")
+        return self._conn.recv()[1]
 
 
 def _start_heartbeat(channel: Channel,
@@ -235,8 +257,7 @@ def worker_entry(spec: AttemptSpec, channel: Channel) -> bytes:
 
     try:
         execute_attempt(spec, spec.attempt_dir, prelude=_apply_process_fault,
-                        kill=oom_killed, commit=commit,
-                        on_starved=functools.partial(channel.send, STARVED))
+                        kill=oom_killed, commit=commit, link=channel)
     finally:
         stop_heartbeat()
     return blob

@@ -3,8 +3,8 @@
 ``os.replace`` makes a write *atomic* (readers see the old file or the
 new one, never a mix) but not *durable*: after a crash the filesystem
 may replay the rename without the data, surfacing an empty or truncated
-committed file.  Every commit point in the runtime -- IFile segments,
-the commit log, a recoverable wave's result files, job manifests --
+committed file.  Every commit point in the runtime -- IFile segments, a
+recoverable wave's result files, job manifests --
 goes through these helpers so the rename target is valid even if the
 host dies mid-write:
 

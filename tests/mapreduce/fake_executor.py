@@ -6,9 +6,9 @@ and hands out :class:`FakeHandle`\\ s that stay running until the test
 gives them an outcome.  With :func:`make_wave` a test builds a
 ``_Wave`` on a :class:`~repro.mapreduce.runtime.scheduler.TaskScheduler`
 over this pool and calls its decision methods at chosen ``now`` values;
-:func:`poll` runs one pass of ``run_wave``'s loop body with the
-observations (heartbeat ages, ``_starved`` markers) supplied by the
-test instead of read from disk.
+:func:`poll` runs one pass of ``run_wave``'s loop (``_Wave.step``) with
+the observations (heartbeat ages, starvation reports) supplied by the
+test instead of read from each worker's pipe.
 """
 
 from __future__ import annotations
@@ -35,13 +35,23 @@ def error_record(*, failed_map: str | None = None, oom: bool = False,
 
 class FakeHandle:
     """An attempt's handle: alive until :meth:`finish`; a killed handle
-    never has its record read."""
+    never has its record read.  ``sent`` keeps every message the wave
+    sent it; while ``full`` its pipe has no room and takes none."""
 
     def __init__(self, spec: Any) -> None:
         self.spec = spec
         self.finished = False
         self.killed = False
+        self.full = False
+        self.sent: list[tuple[str, Any]] = []
         self._record: dict[str, Any] | None = None
+
+    def send(self, kind: str, payload: Any) -> bool:
+        assert self.is_alive(), "a message was sent to an ended attempt"
+        if self.full:
+            return False
+        self.sent.append((kind, payload))
+        return True
 
     def finish(self, record: dict[str, Any] | None) -> None:
         """End the attempt with ``record`` (``None``: died without one)."""
@@ -119,19 +129,11 @@ def make_wave(specs: list, pool: FakePool, wave_dir: str, now: float = 0.0,
 def poll(wave: _Wave, now: float,
          beats: Mapping[Any, float | None] | None = None,
          starved: Mapping[str, list[str]] | None = None) -> bool:
-    """One pass of ``run_wave``'s loop body at ``now``.  ``beats`` maps
-    an attempt to its heartbeat age (``None``: no heartbeat file;
-    attempts it leaves out read as just beaten); ``starved`` maps a
-    reduce task id to the maps its watched attempt's marker names."""
+    """One pass of ``run_wave``'s loop at ``now``.  ``beats`` maps an
+    attempt to its heartbeat age (``None``: no beat yet; attempts it
+    leaves out read as just beaten); ``starved`` maps a reduce task id
+    to the maps its watched attempt's latest report names."""
     beats = beats or {}
     starved = starved or {}
-    wave.admit(now)
-    wave.maybe_speculate(now)
-    wave.check_starvation(now, {r: starved[r.spec.task_id]
-                                for r in wave.starvation_watch()
-                                if r.spec.task_id in starved})
-    wave.enforce_deadlines(now, {a: beats.get(a, 0.0)
-                                 for a in wave.heartbeats_due(now)})
-    progressed = wave.reap(now)
-    wave.drain_dead_hosts()
-    return progressed
+    return wave.step(now, lambda r: starved.get(r.spec.task_id, []),
+                     lambda a: beats.get(a, 0.0))

@@ -29,7 +29,6 @@ from repro.mapreduce.runtime.hosts import (
     host_for,
 )
 from repro.mapreduce.runtime.ledger import MapOutputLedger
-from repro.mapreduce.runtime.pipeline import CommitLog
 from repro.mapreduce.runtime.pool import WorkerPool
 from repro.mapreduce.runtime.shuffle import (
     FetchFailedError,
@@ -354,7 +353,7 @@ class TestLedger:
     NUM_HOSTS = 2
 
     def make(self, grid, tmp_path, *, num_maps=3, max_host_reexecs=2,
-             shuffle=None, commit_dir=None, injector=None, fresh=True):
+             shuffle=None, pipeline=False, injector=None, fresh=True):
         job = make_job(num_map_tasks=num_maps, num_reducers=2)
         splits = ArraySplitter(num_maps).split(grid)
         workdir = str(tmp_path / "work")
@@ -372,7 +371,7 @@ class TestLedger:
             hosts=HostHealthMonitor(HostRegistry(self.NUM_HOSTS),
                                     max_host_reexecs=max_host_reexecs),
             rerun_dir=rerun_dir, shuffle=shuffle, injector=injector,
-            commit_dir=commit_dir)
+            pipeline=pipeline)
         outputs = [run_map_task(job, s, grid, workdir) for s in splits]
         return ledger, outputs
 
@@ -397,16 +396,16 @@ class TestLedger:
         assert ledger.payload(1) == (1, ledger.refs(1))
 
     def test_rerun_does_every_step(self, grid, tmp_path):
-        commit_dir = str(tmp_path / "commits")
         ledger, outputs = self.make(
-            grid, tmp_path, commit_dir=commit_dir,
+            grid, tmp_path, pipeline=True,
             shuffle=ShuffleConfig(transport="network"))
         with ledger:
             for mo in outputs:
                 ledger.publish(mo.task_id, mo)
             before = self.fetch(ledger, 0)
             old_paths = [p for p, _ in outputs[1].segments.values()]
-            assert CommitLog(commit_dir).poll()["m00001"].epoch == 0
+            assert [(r.map_id, r.epoch) for r in ledger.published[0]] == [
+                ("m00000", 0), ("m00001", 0), ("m00002", 0)]
 
             fresh = ledger.rerun("m00001")
 
@@ -416,17 +415,19 @@ class TestLedger:
             new_paths = [p for p, _ in fresh.segments.values()]
             assert not any(os.path.exists(p) for p in old_paths)
             assert all(os.path.exists(p) for p in new_paths)
-            record = CommitLog(commit_dir).poll()["m00001"]
-            assert record.epoch == 1
-            assert [p for p, _ in record.segments.values()] == new_paths
-            assert record.address == ledger.service.address_for("m00001")
-            ref = ledger.refs(0)[1]
-            assert (ref.epoch, ref.path) == (1, new_paths[0])
+            # each partition's stream gains m00001 at its new epoch
+            republished = [ledger.published[p][-1] for p in range(2)]
+            assert republished == [ledger.refs(p)[1] for p in range(2)]
+            assert [r.path for r in republished] == new_paths
+            assert all(r.map_id == "m00001" and r.epoch == 1
+                       and r.address == ledger.service.address_for("m00001")
+                       for r in republished)
             # the live service serves the new epoch: identical bytes
             assert self.fetch(ledger, 0) == before
-            # ...and under a PipelinePlan, payloads never change
+            # ...and under a PipelinePlan, payloads never change: the
+            # plan holds its partition's live list
             part, plan = ledger.payload(0)
-            assert plan.commit_dir == commit_dir
+            assert plan.refs is ledger.published[0]
             assert plan.map_ids == ("m00000", "m00001", "m00002")
 
     def test_rerun_in_place_keeps_the_overwritten_paths(self, grid,

@@ -42,7 +42,6 @@ import dataclasses
 import heapq
 import os
 import re
-import threading
 from operator import itemgetter
 
 import numpy as np
@@ -72,11 +71,7 @@ from repro.mapreduce.metrics import C
 from repro.mapreduce import partition as partition_module
 from repro.mapreduce.partition import HashPartitioner, Partitioner
 from repro.mapreduce.runtime import FaultInjector, ParallelJobRunner, ShuffleConfig
-from repro.mapreduce.runtime.pipeline import (
-    CommitLog,
-    CommitRecord,
-    PipelinePlan,
-)
+from repro.mapreduce.runtime.pipeline import PipelinePlan
 from repro.mapreduce.runtime.shuffle import SegmentRef
 from repro.mapreduce.sort import merge_sorted_runs, run_records
 from repro.queries import (
@@ -94,6 +89,7 @@ from repro.scidata.splits import ArraySplitter
 from tests.mapreduce import reference_combiners as ref
 from tests.mapreduce.record_path import record_path
 from tests.mapreduce.test_engine import make_job
+from tests.mapreduce.test_pipelined_shuffle import ScriptedLink
 
 
 @pytest.fixture(scope="module")
@@ -711,39 +707,21 @@ def test_pipelined_fold_rebuilt_after_reexecution(tmp_path, plane, columnar):
             job, 0, [SegmentRef.from_pair(o.segments[0]) for o in epoch0],
             str(barrier_dir))
 
-    log = CommitLog(str(tmp_path / "commits"))
-    for out in epoch0[:2]:
-        log.commit(CommitRecord(map_id=out.task_id, epoch=0,
-                                segments=out.segments))
-    plan = PipelinePlan(commit_dir=log.directory,
-                        map_ids=tuple(o.task_id for o in epoch0),
-                        poll_interval=0.01)
+    plan = PipelinePlan(tuple(o.task_id for o in epoch0),
+                        [SegmentRef.from_pair(o.segments[0])
+                         for o in epoch0[:2]])
     reduce_dir = tmp_path / "pipelined"
     reduce_dir.mkdir()
-
-    starved = threading.Event()
-
-    def feed():
-        # the report comes once both committed runs are consumed (and
-        # folded) with m00002 still pending
-        assert starved.wait(timeout=30)
-        log.commit(CommitRecord(map_id="m00000", epoch=1,
-                                segments=epoch1[0].segments))
-        log.commit(CommitRecord(map_id="m00002", epoch=0,
-                                segments=epoch0[2].segments))
-
-    feeder = threading.Thread(target=feed)
-    feeder.start()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            if not columnar:
-                record_path(patch)
-            result = run_reduce_task(
-                job, 0, plan, str(reduce_dir),
-                on_starved=lambda missing: starved.set())
-    finally:
-        feeder.join(timeout=30)
-    assert not feeder.is_alive()
+    link = ScriptedLink([
+        SegmentRef.from_pair(epoch1[0].segments[0], epoch=1),
+        SegmentRef.from_pair(epoch0[2].segments[0])])
+    with pytest.MonkeyPatch.context() as patch:
+        if not columnar:
+            record_path(patch)
+        result = run_reduce_task(job, 0, plan, str(reduce_dir), link=link)
+    # the report came once both published runs were consumed (and
+    # folded) with m00002 still pending
+    assert link.script == [] and link.reports == [["m00002"]]
 
     assert result.output == expected.output
     assert result.pipeline["refetches"] == 1

@@ -1,5 +1,5 @@
-"""Pipelined-shuffle building blocks: config, commit log, mid-stream
-epoch bumps, and fetch ordering.
+"""Pipelined-shuffle building blocks: config, mid-stream epoch bumps,
+and fetch ordering.
 
 Pinned here:
 
@@ -11,20 +11,16 @@ Pinned here:
   matter the segment sizes or the (selecting nothing) ``concurrency``
   -- the property every merge (and therefore every output byte) rests
   on;
-* the commit log is a crash-safe completion-event stream: atomic
-  publish, stat-signature re-reads, epoch bumps visible to a polling
-  reader, torn/missing records tolerated;
 * a producer re-executed *after* a pipelined reducer already consumed
   it (the mid-pipeline STALE_EPOCH) is discarded and re-fetched at the
   bumped epoch, and the reduce output is byte-identical to the barrier
-  path over the same final segments.
+  path over the same final segments.  The reducer's link to the
+  scheduler is a :class:`ScriptedLink`, so the interleaving is fixed
+  without a thread or a sleep.
 """
 
 import dataclasses
 import os
-import pickle
-import threading
-import time
 from contextlib import ExitStack
 
 import numpy as np
@@ -34,12 +30,13 @@ from repro.mapreduce.codecs import NullCodec
 from repro.mapreduce.engine import run_map_task, run_reduce_task
 from repro.mapreduce.ifile import IFileWriter
 from repro.mapreduce.metrics import C, Counters
+from repro.mapreduce import FaultInjector, LocalJobRunner, ParallelJobRunner
 from repro.mapreduce.runtime.pipeline import (
-    CommitLog,
-    CommitRecord,
     PipelinePlan,
     aggregate_pipeline_stats,
+    drain_refs,
 )
+from repro.mapreduce.runtime.pool import InlinePool
 from repro.mapreduce.runtime.shuffle import (
     ConfigError,
     SegmentRef,
@@ -55,6 +52,23 @@ _ENV_VARS = ("REPRO_TRANSPORT", "REPRO_FETCH_RETRIES",
              "REPRO_FETCH_TIMEOUT", "REPRO_WIRE_CODEC",
              "REPRO_SHUFFLE_PORT_BASE", "REPRO_PIPELINE",
              "REPRO_STARVATION_THRESHOLD")
+
+
+class ScriptedLink:
+    """A pipelined reducer's link that plays a script: ``receive()``
+    returns the script's next segment ref; ``reports`` keeps each starvation
+    report, in order."""
+
+    def __init__(self, refs):
+        self.script = list(refs)
+        self.reports = []
+
+    def starved(self, missing):
+        self.reports.append(list(missing))
+
+    def receive(self):
+        assert self.script, "the reducer waited past the script"
+        return self.script.pop(0)
 
 
 @pytest.fixture
@@ -164,41 +178,6 @@ class TestFetchAllOrdering:
         assert fetcher.fetch_all([]) == []
 
 
-class TestCommitLog:
-    def record(self, map_id="m00000", epoch=0):
-        return CommitRecord(map_id=map_id, epoch=epoch,
-                            segments={0: ("/tmp/none", None)})
-
-    def test_publish_then_poll(self, tmp_path):
-        log = CommitLog(str(tmp_path / "commits"))
-        assert log.poll() == {}
-        log.commit(self.record())
-        log.commit(self.record(map_id="m00001"))
-        records = log.poll()
-        assert set(records) == {"m00000", "m00001"}
-        assert records["m00000"].epoch == 0
-
-    def test_epoch_bump_visible_to_cached_reader(self, tmp_path):
-        log = CommitLog(str(tmp_path / "commits"))
-        log.commit(self.record())
-        reader = CommitLog(log.directory)
-        assert reader.poll()["m00000"].epoch == 0
-        log.commit(self.record(epoch=1))
-        assert reader.poll()["m00000"].epoch == 1
-
-    def test_torn_record_skipped(self, tmp_path):
-        log = CommitLog(str(tmp_path / "commits"))
-        log.commit(self.record())
-        blob = pickle.dumps(self.record(map_id="m00001"))
-        with open(os.path.join(log.directory, "m00001.commit"),
-                  "wb") as fh:
-            fh.write(blob[:len(blob) // 2])
-        assert set(CommitLog(log.directory).poll()) == {"m00000"}
-
-    def test_missing_directory_is_empty(self, tmp_path):
-        assert CommitLog(str(tmp_path / "nope")).poll() == {}
-
-
 class TestAggregateStats:
     def test_rollup(self):
         stats = aggregate_pipeline_stats([
@@ -245,32 +224,17 @@ class TestStaleEpochMidPipeline:
             job, 0, [SegmentRef.from_pair(o.segments[0]) for o in epoch0],
             barrier_dir)
 
-        commit_dir = str(tmp_path / "commits")
-        log = CommitLog(commit_dir)
-        log.commit(CommitRecord(map_id="m00000", epoch=0,
-                                segments=epoch0[0].segments))
-        plan = PipelinePlan(commit_dir=commit_dir,
-                            map_ids=("m00000", "m00001"),
-                            poll_interval=0.01)
-
-        def feed():
-            # Let the reducer consume m00000 at epoch 0, then re-publish
-            # it at epoch 1 and finally commit the straggler m00001.
-            time.sleep(0.15)
-            log.commit(CommitRecord(map_id="m00000", epoch=1,
-                                    segments=epoch1.segments))
-            time.sleep(0.05)
-            log.commit(CommitRecord(map_id="m00001", epoch=0,
-                                    segments=epoch0[1].segments))
-
-        feeder = threading.Thread(target=feed)
-        feeder.start()
+        plan = PipelinePlan(("m00000", "m00001"),
+                            [SegmentRef.from_pair(epoch0[0].segments[0])])
+        # The reducer consumes m00000 at epoch 0; then it is sent
+        # m00000 re-published at epoch 1 and finally the straggler.
+        link = ScriptedLink([
+            SegmentRef.from_pair(epoch1.segments[0], epoch=1),
+            SegmentRef.from_pair(epoch0[1].segments[0])])
         reduce_dir = str(tmp_path / "pipelined")
         os.makedirs(reduce_dir)
-        try:
-            result = run_reduce_task(job, 0, plan, reduce_dir)
-        finally:
-            feeder.join()
+        result = run_reduce_task(job, 0, plan, reduce_dir, link=link)
+        assert link.script == [] and link.reports == [["m00001"]]
 
         assert result.output == expected.output
         # The extra fetch moves only the transfer accounting; every
@@ -288,3 +252,37 @@ class TestStaleEpochMidPipeline:
         # ...but shuffle bytes are charged once, from the final set.
         assert (result.counters[C.SHUFFLE_BYTES]
                 == expected.counters[C.SHUFFLE_BYTES])
+
+
+def test_an_unpublished_producer_without_a_link_raises(tmp_path):
+    """An inline reducer has no link to wait on: a plan missing a
+    producer's segment fails the attempt instead of hanging it, in the
+    reduce body and in the barrier drain a corrupt fault takes."""
+    job = make_job(num_map_tasks=2, num_reducers=1)
+    plan = PipelinePlan(("m00000", "m00001"), [])
+    with pytest.raises(RuntimeError, match=r"\['m00000', 'm00001'\]"):
+        run_reduce_task(job, 0, plan, str(tmp_path))
+    with pytest.raises(RuntimeError, match=r"\['m00000', 'm00001'\]"):
+        drain_refs(plan)
+
+
+def test_an_inline_slot_holds_the_reducer_until_every_map_wins():
+    """On one inline slot a combined wave does not launch its reducer
+    while a map waits behind a backoff gate (an OOM death here): the
+    reducer runs once, after the last map, and fails nothing."""
+    grid = integer_grid((8, 8), seed=13, low=0, high=100)
+    job = make_job(num_map_tasks=3, num_reducers=1)
+    with ParallelJobRunner(pool=InlinePool(),
+                           shuffle=ShuffleConfig(pipeline=True),
+                           fault_injector=FaultInjector().oom(
+                               "m00001", site="sort")) as runner:
+        result = runner.run(job, grid)
+    events = [(e.task_id, e.attempt, e.event) for e in result.trace.events]
+    assert ("m00001", 1, "finished") in events
+    reducer = [e[1:] for e in events if e[0] == "r00000"]
+    assert [e for e in reducer if e[1] in ("started", "failed")] == [
+        (0, "started")], reducer
+    assert events.index(("r00000", 0, "started")) > events.index(
+        ("m00001", 1, "finished"))
+    with LocalJobRunner() as serial:
+        assert result.output == serial.run(job, grid).output

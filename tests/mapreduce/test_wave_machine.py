@@ -5,7 +5,7 @@ The machine launches nothing real.  Its handles (``fake_executor``)
 stay running until a rule ends them -- with an ok record, no record, or
 any error record ``classify`` emits -- and a ``poll`` rule runs one pass
 of ``run_wave``'s loop at a chosen ``now`` with chosen heartbeat ages
-and ``_starved`` markers.  Beside the wave the machine keeps its own
+and starvation reports.  Beside the wave the machine keeps its own
 model of the ladder, replayed from the trace in event order: which
 failures ``max_retries`` pays for, skip mode, OOM deaths, fetch strikes
 and map re-executions.  Against it, after every step:
@@ -22,6 +22,10 @@ and map re-executions.  Against it, after every step:
 * attempts in flight never exceed the slots, each holds one slot, and
   none is left charged when the wave ends or raises;
 * a task is queued at most once, never while an attempt of it runs;
+* in a combined wave, each running reducer has been sent, once and in
+  publish order, each segment published to its partition after its
+  launch snapshot -- all of them whenever its pipe had room in the last
+  poll;
 * when every later attempt succeeds, the wave finishes.
 """
 
@@ -41,11 +45,13 @@ from hypothesis.stateful import (
 )
 
 from repro.mapreduce.runtime.hosts import HostHealthMonitor, HostRegistry
+from repro.mapreduce.runtime.pipeline import PipelinePlan
 from repro.mapreduce.runtime.scheduler import (
     TaskFailedError,
     TaskSpec,
     WaveDeadlineError,
 )
+from repro.mapreduce.runtime.worker import COMMIT
 from tests.mapreduce.fake_executor import (
     FakePool,
     error_record,
@@ -93,6 +99,14 @@ class WaveMachine(RuleBasedStateMachine):
         self.threshold = fetch_failure_threshold
         self.max_map_reexecs = max_map_reexecs
         self.wave_deadline = wave_deadline
+        #: a combined wave's published ``(map, epoch)`` per partition,
+        #: each reducer's plan's list
+        self.published: dict[int, list[tuple[str, int]]] = {0: [], 1: []}
+        self.epochs: dict[str, int] = defaultdict(int)
+        #: per reduce attempt: how many refs its plan held at launch
+        self.snapshots: dict[tuple[str, int], int] = {}
+        #: the reduce attempts whose pipe had room in the last poll
+        self.open_pipes: set[tuple[str, int]] = set()
         if shape == "map":
             specs = [TaskSpec(f"m{i}", "map", i) for i in range(tasks)]
             self.maps = [s.task_id for s in specs]
@@ -101,10 +115,11 @@ class WaveMachine(RuleBasedStateMachine):
                      for i in range(tasks)]
             self.maps = list(UPSTREAM)
         else:
-            specs = ([TaskSpec(f"m{i}", "map", i) for i in range(tasks)]
-                     + [TaskSpec(f"r{i}", "reduce", (i, "plan"))
-                        for i in range(2)])
             self.maps = [f"m{i}" for i in range(tasks)]
+            specs = ([TaskSpec(m, "map", i) for i, m in enumerate(self.maps)]
+                     + [TaskSpec(f"r{i}", "reduce", (i, PipelinePlan(
+                         tuple(self.maps), self.published[i])))
+                        for i in range(2)])
         self.reduces = [s.task_id for s in specs if s.kind == "reduce"]
         hooks = {"on_complete": self.on_complete}
         if shape != "map":
@@ -159,6 +174,13 @@ class WaveMachine(RuleBasedStateMachine):
         assert spec.task_id not in self.completed, (
             f"{spec.task_id} completed twice")
         self.completed.add(spec.task_id)
+        if self.shape == "combined" and spec.kind == "map":
+            self.publish(spec.task_id)
+
+    def publish(self, map_id: str) -> None:
+        """What the ledger does for a combined wave's map."""
+        for stream in self.published.values():
+            stream.append((map_id, self.epochs[map_id]))
 
     def repair(self, path: str) -> None:
         self.repair_calls[path.split("/")[0]] += 1
@@ -166,7 +188,11 @@ class WaveMachine(RuleBasedStateMachine):
     def reexec(self, map_id: str) -> dict:
         self.reexec_calls[map_id] += 1
         if self.shape == "combined":
-            return {}  # the commit log re-points a combined wave
+            # the re-published segments re-point a combined wave
+            self.epochs[map_id] += 1
+            if map_id in self.completed:
+                self.publish(map_id)
+            return {}
         return {r: self.refs(int(r[1:])) for r in self.reduces}
 
     def on_launch(self, spec) -> None:
@@ -177,6 +203,10 @@ class WaveMachine(RuleBasedStateMachine):
         assert spec.skip_mode == (spec.task_id in self.skip), (
             f"{spec.task_id} skip_mode={spec.skip_mode}")
         assert spec.task_id not in self.completed
+        if self.shape == "combined" and spec.kind == "reduce":
+            assert spec.payload[1].refs is self.published[spec.payload[0]]
+            self.snapshots[spec.task_id, spec.number] = len(
+                spec.payload[1].refs)
 
     # ---------------------------------------------------------------- model
 
@@ -296,6 +326,18 @@ class WaveMachine(RuleBasedStateMachine):
                         st.sampled_from(self.maps), max_size=3, unique=True))
         self.step(beats, starved)
 
+    @precondition(lambda self: self.over is None and self.reducers())
+    @rule(data=st.data())
+    def clog(self, data):
+        """A running reducer's pipe fills (it stopped reading), or
+        drains."""
+        handle = data.draw(st.sampled_from(self.reducers()))
+        handle.full = not handle.full
+
+    def reducers(self):
+        return [h for h in self.live()
+                if h.spec.kind == "reduce" and self.shape == "combined"]
+
     @precondition(lambda self: self.over is None and self.steps >= 12)
     @rule()
     def settle(self):
@@ -342,6 +384,9 @@ class WaveMachine(RuleBasedStateMachine):
             self.over = "raised"
             return
         self.replay()
+        self.open_pipes = {(a.spec.task_id, a.number)
+                           for a in self.wave.running
+                           if not a.process.full}
         assert self.expected is None, (
             f"the wave did not raise for {self.expected}")
         assert not (self.wave_deadline is not None
@@ -378,6 +423,23 @@ class WaveMachine(RuleBasedStateMachine):
             t: n for t, n in self.repairs.items() if n}
 
     @invariant()
+    def reducers_hear_their_partition_once_in_order(self):
+        if self.over == "raised":
+            return  # the pass that raised sent nothing
+        for attempt in self.wave.running:
+            if attempt.spec.kind != "reduce" or self.shape != "combined":
+                continue
+            key = attempt.spec.task_id, attempt.number
+            stream = self.published[attempt.spec.payload[0]]
+            start = self.snapshots[key]
+            sent = attempt.process.sent
+            assert all(kind == COMMIT for kind, _ in sent), sent
+            assert [ref for _, ref in sent] == stream[
+                start:start + len(sent)], (key, sent, stream)
+            if key in self.open_pipes:
+                assert start + len(sent) == len(stream), (key, sent, stream)
+
+    @invariant()
     def skip_mode_is_sticky(self):
         assert self.wave.skip_tasks == self.skip
 
@@ -402,3 +464,26 @@ def test_wave_state_machine():
         settings=settings(max_examples=300, stateful_step_count=40,
                           derandomize=True, deadline=None,
                           database=None))
+
+
+def test_a_starvation_report_names_its_straggler_before_the_median():
+    """In a poll where a reducer's starvation report and the duration
+    median would both speculate the same map, the report does: the
+    trace reads ``pipeline_starved`` and then ``speculated``."""
+    plan = PipelinePlan(("m0", "m1", "m2"), [])
+    specs = ([TaskSpec(m, "map", i) for i, m in enumerate(plan.map_ids)]
+             + [TaskSpec("r0", "reduce", (0, plan))])
+    pool = FakePool(4)
+    wave = make_wave(specs, pool, "/nonexistent/wave", 0.0,
+                     wave={"pipeline": True}, speculation=True,
+                     straggler_factor=1.1, min_straggler_seconds=0.05,
+                     speculation_min_completed=2)
+    poll(wave, 0.0)
+    for m in ("m0", "m1"):
+        pool.handles[m, 0].finish(ok_record())
+    poll(wave, 0.01)
+    poll(wave, 1.0, starved={"r0": ["m2"]})
+    assert [e.event for e in wave.trace.events
+            if e.task_id == "m2" and e.event in (
+                "pipeline_starved", "speculated")] == [
+        "pipeline_starved", "speculated"]
